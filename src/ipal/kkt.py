@@ -17,8 +17,9 @@ system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
 whose factorization also drives inertia-based regularization; cone slack and
 complement blocks are recovered in closed form. On second-order segments the
 reduced cone block is symmetrized, so directions are polished by iterative
-refinement against the full system, with a dense fallback if refinement
-cannot reach the consistency bound.
+refinement against the full system, applied blockwise; the dense Jacobian is
+built only for a fallback solve when refinement cannot reach the consistency
+bound, for ``differentiate``, and in tests.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class ReducedSystem:
     K is built from one triangle so it is bitwise symmetric. The cone block
     uses the symmetrized W^{-1}(P_t - eps_d I); on second-order segments that
     operator is nonsymmetric away from the central path, which is why
-    directions are refined against the full Jacobian afterwards.
+    directions are refined against the full system afterwards; that system
+    is applied blockwise (``jacobian_apply``, from Ps and Ptb), never formed.
     """
 
     layout: Layout
@@ -188,6 +190,7 @@ class ReducedSystem:
     eps_d: float
     dual_scale: float  # 1 / (rho + eps_p)
     W_blocks: List[Tuple[slice, str, np.ndarray]]
+    Ps: np.ndarray  # d(s o t)/ds
     Ptb: np.ndarray  # P_t - eps_d I
 
     def apply_W_inverse(self, v: np.ndarray) -> np.ndarray:
@@ -281,12 +284,29 @@ def assemble_symmetric(
 
     rsys = ReducedSystem(
         layout=lay, K=K, rhs=np.zeros(nr), eps_p=ep, eps_d=ed,
-        dual_scale=dual_scale, W_blocks=blocks, Ptb=Ptb,
+        dual_scale=dual_scale, W_blocks=blocks, Ps=Ps, Ptb=Ptb,
     )
     if rows is None:
         rows = residual(model, point, theta, outer, cache)
     rsys.rhs = rsys.reduce_rows(rows)
     return rsys
+
+
+def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.ndarray) -> np.ndarray:
+    """full_jacobian at the shifts of rsys times dw, computed block by block
+    without forming the matrix; dw may also hold directions as columns."""
+    lay = rsys.layout
+    ep, ed = rsys.eps_p, rsys.eps_d
+    dx, dr, ds = dw[lay.x], dw[lay.r], dw[lay.s]
+    dy, dz, dt = dw[lay.y], dw[lay.z], dw[lay.t]
+    out = np.empty(dw.shape)
+    out[lay.x] = cache.L_xx @ dx + ep * dx + cache.g_x.T @ dy + cache.h_x.T @ dz
+    out[lay.r] = (rho + ep) * dr - dy
+    out[lay.s] = ep * ds - dz - dt
+    out[lay.y] = cache.g_x @ dx - dr - ed * dy
+    out[lay.z] = cache.h_x @ dx - ds - ed * dz
+    out[lay.t] = rsys.Ps @ ds + rsys.Ptb @ dt
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,7 +315,6 @@ class DirectionOptions:
     max_refine: int = 10
     refine_tol: float = 1e-12
     consistency_tol: float = 1e-8
-    full_fallback: bool = True
 
 
 @dataclass
@@ -307,56 +326,80 @@ class DirectionInfo:
     consistency_error: float
 
 
-def _refine_against_full(
-    lay: Layout,
-    J: np.ndarray,
-    R: np.ndarray,
-    rsys: ReducedSystem,
-    fact: Optional[SymmetricFactorization],
+def _newton_direction(
+    model: ProblemModel,
+    point: SolverPoint,
+    theta: np.ndarray,
+    outer: OuterState,
+    reg: RegularizationState,
     opts: DirectionOptions,
-) -> Tuple[np.ndarray, int, bool, float]:
-    """Reduced solve plus refinement monitored on the full system.
+    cache: Optional[EvalCache],
+    R: Optional[np.ndarray],
+    correct: bool,
+) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
+    """Body of search_direction and reduced_direction, which differ only in
+    how the reduced system is factored: by inertia correction from ``reg``
+    (correct=True) or at the shifts of ``reg`` as given.
 
     The symmetrized cone block makes the one-shot reduced direction inexact
-    on second-order segments away from the central path; refinement corrects
-    it, and the dense full solve takes over whenever refinement stalls (or
-    the factorization failed, fact=None). Returns (dw, passes, used_full,
-    error) with error <= consistency_tol * (1 + ||R||_inf), or raises.
+    on second-order segments away from the central path; refinement against
+    the full system (applied blockwise) corrects it, and a dense full solve,
+    the only place the dense Jacobian is formed, takes over when refinement
+    stalls or the fixed-shift factorization fails.
     """
+    if cache is None:
+        cache = evaluate(model, point.x, theta, point.y, point.z)
+    if R is None:
+        R = residual(model, point, theta, outer, cache)
+    lay = Layout(model.n, model.m, model.p)
+    holder: dict = {}
+
+    def build(ep, ed):
+        holder["rsys"] = assemble_symmetric(
+            model, point, theta, outer, RegularizationState(ep, ed), cache, R
+        )
+        return holder["rsys"].K
+
+    fact: Optional[SymmetricFactorization] = None
+    if correct:
+        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia)
+    else:
+        build(reg.eps_p, reg.eps_d)
+    rsys: ReducedSystem = holder["rsys"]
+    assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
+
     norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
     refine_target = opts.refine_tol * (1.0 + norm_R)
 
     def consistency_error(dw):
-        err = J @ dw + R
+        err = jacobian_apply(rsys, cache, outer.rho, dw) + R
         return np.abs(err).max() if err.size else 0.0, err
 
-    best = None
-    best_err = np.inf
-    err_rows = R
-    passes = 0
-    if fact is not None:
-        try:
-            u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
-            best = rsys.recover(u, R)
-            best_err, err_rows = consistency_error(best)
-            while np.isfinite(best_err) and best_err > refine_target and passes < opts.max_refine:
-                u_c = solve_refined(fact, rsys.K, rsys.reduce_rows(err_rows), opts.max_refine, opts.refine_tol)
-                trial = best + rsys.recover(u_c, err_rows)
-                trial_err, trial_rows = consistency_error(trial)
-                passes += 1
-                if trial_err < best_err:
-                    best, best_err, err_rows = trial, trial_err, trial_rows
-                else:
-                    break  # refinement stalled; the fallback below decides
-        except NumericalFailure:
-            best, best_err = None, np.inf
+    best, best_err, err_rows, passes = None, np.inf, R, 0
+    try:
+        if fact is None:
+            fact = factorize(rsys.K)
+        u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
+        best = rsys.recover(u, R)
+        best_err, err_rows = consistency_error(best)
+        while np.isfinite(best_err) and best_err > refine_target and passes < opts.max_refine:
+            u_c = solve_refined(fact, rsys.K, rsys.reduce_rows(err_rows), opts.max_refine, opts.refine_tol)
+            trial = best + rsys.recover(u_c, err_rows)
+            trial_err, trial_rows = consistency_error(trial)
+            passes += 1
+            if trial_err < best_err:
+                best, best_err, err_rows = trial, trial_err, trial_rows
+            else:
+                break  # refinement stalled; the fallback below decides
+    except NumericalFailure:
+        best, best_err = None, np.inf
 
     used_full = False
     acceptable = best is not None and np.isfinite(best_err) and best_err <= consistency
-    if not acceptable and opts.full_fallback and lay.total:
+    if not acceptable and lay.total:
         try:
-            dw_full = np.linalg.solve(J, -R)
+            dw_full = np.linalg.solve(full_jacobian(model, point, theta, outer, reg, cache), -R)
             full_err, _ = consistency_error(dw_full)
             if np.isfinite(full_err) and not (best is not None and best_err < full_err):
                 best, best_err = dw_full, full_err
@@ -367,7 +410,11 @@ def _refine_against_full(
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
         )
-    return best, passes, used_full, best_err
+    info = DirectionInfo(
+        eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
+        used_full_solve=used_full, consistency_error=best_err,
+    )
+    return lay.unpack(best), reg, info
 
 
 def reduced_direction(
@@ -385,24 +432,8 @@ def reduced_direction(
     in ``reg`` are used as given (zero by default), so the result is the
     plain Newton direction delivered by the reduction-and-refinement path.
     """
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
-    lay = Layout(model.n, model.m, model.p)
-    R = residual(model, point, theta, outer, cache)
-    rsys = assemble_symmetric(model, point, theta, outer, reg, cache, R)
-    try:
-        fact = factorize(rsys.K)
-    except NumericalFailure:
-        if not opts.full_fallback:
-            raise
-        fact = None
-    J = full_jacobian(model, point, theta, outer, reg, cache)
-    best, passes, used_full, best_err = _refine_against_full(lay, J, R, rsys, fact, opts)
-    info = DirectionInfo(
-        eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
-        used_full_solve=used_full, consistency_error=best_err,
-    )
-    return lay.unpack(best), info
+    delta, _, info = _newton_direction(model, point, theta, outer, reg, opts, cache, None, False)
+    return delta, info
 
 
 def search_direction(
@@ -413,38 +444,14 @@ def search_direction(
     reg: RegularizationState = RegularizationState(),
     opts: DirectionOptions = DirectionOptions(),
     cache: Optional[EvalCache] = None,
+    R: Optional[np.ndarray] = None,
 ) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
     """Newton direction for the stationarity system at the current iterate.
 
     Regularization is chosen by inertia correction of the reduced system
     (target inertia (n, m+p, 0)); the returned direction satisfies
     ||J dw + R||_inf <= consistency_tol * (1 + ||R||_inf) for the Jacobian at
-    the returned shifts, or NumericalFailure is raised.
+    the returned shifts, or NumericalFailure is raised. ``R`` is the residual
+    at this iterate when the caller has already computed it.
     """
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
-    lay = Layout(model.n, model.m, model.p)
-    R = residual(model, point, theta, outer, cache)
-
-    holder: dict = {}
-
-    def build(ep, ed):
-        rsys = assemble_symmetric(
-            model, point, theta, outer,
-            RegularizationState(ep, ed, reg.last_eps_p), cache, R,
-        )
-        holder["rsys"] = rsys
-        return rsys.K
-
-    target = (lay.n, lay.m + lay.p, 0)
-    fact, reg_new = correct_inertia(build, target, reg, opts.inertia)
-    rsys: ReducedSystem = holder["rsys"]
-    assert (rsys.eps_p, rsys.eps_d) == (reg_new.eps_p, reg_new.eps_d)
-
-    J = full_jacobian(model, point, theta, outer, reg_new, cache)
-    best, passes, used_full, best_err = _refine_against_full(lay, J, R, rsys, fact, opts)
-    info = DirectionInfo(
-        eps_p=reg_new.eps_p, eps_d=reg_new.eps_d, refine_passes=passes,
-        used_full_solve=used_full, consistency_error=best_err,
-    )
-    return lay.unpack(best), reg_new, info
+    return _newton_direction(model, point, theta, outer, reg, opts, cache, R, True)

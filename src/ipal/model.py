@@ -228,20 +228,20 @@ def validate_derivatives(
         num = _central_jacobian(lambda v: model.cone_constraint(v, theta), x, step)
         checks.append(DerivativeCheck("cone_jacobian", _rel_error(cache.h_x, num), tol))
 
-    def lagrangian_gradient(v):
+    def lagrangian_gradient(v, th):
         return (
-            np.asarray(model.objective_gradient(v, theta), dtype=float)
-            + np.asarray(model.equality_jacobian(v, theta), dtype=float).T @ y
-            + np.asarray(model.cone_jacobian(v, theta), dtype=float).T @ z
+            np.asarray(model.objective_gradient(v, th), dtype=float)
+            + np.asarray(model.equality_jacobian(v, th), dtype=float).T @ y
+            + np.asarray(model.cone_jacobian(v, th), dtype=float).T @ z
         )
 
     H = np.asarray(model.lagrangian_hessian(x, theta, y, z), dtype=float)
-    num = _central_jacobian(lagrangian_gradient, x, step)
+    num = _central_jacobian(lambda v: lagrangian_gradient(v, theta), x, step)
     checks.append(DerivativeCheck("lagrangian_hessian", _rel_error(H, 0.5 * (num + num.T)), tol))
 
     if model.d:
         L_xt, g_t, h_t = evaluate_parameter_jacobians(model, x, theta, y, z)
-        num = _central_jacobian(lambda th: lagrangian_gradient_theta(model, x, th, y, z), theta, step)
+        num = _central_jacobian(lambda th: lagrangian_gradient(x, th), theta, step)
         checks.append(DerivativeCheck("parameter_jacobians[L_xt]", _rel_error(L_xt, num), tol))
         if model.m:
             num = _central_jacobian(lambda th: model.equality(x, th), theta, step)
@@ -250,15 +250,6 @@ def validate_derivatives(
             num = _central_jacobian(lambda th: model.cone_constraint(x, th), theta, step)
             checks.append(DerivativeCheck("parameter_jacobians[h_t]", _rel_error(h_t, num), tol))
     return DerivativeReport(checks)
-
-
-def lagrangian_gradient_theta(model, x, theta, y, z):
-    """x-gradient of the Lagrangian as a function of theta (for differencing)."""
-    return (
-        np.asarray(model.objective_gradient(x, theta), dtype=float)
-        + np.asarray(model.equality_jacobian(x, theta), dtype=float).T @ y
-        + np.asarray(model.cone_jacobian(x, theta), dtype=float).T @ z
-    )
 
 
 def finite_difference_model(

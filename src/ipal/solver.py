@@ -344,7 +344,7 @@ def solve(
                 outer_count += 1
                 filt.reset()
                 inner = 0
-                values = evaluate_values(model, point.x, theta)
+                values = (cache.c, cache.g, cache.h)
                 current = (
                     merit(model, point, theta, outer, values),
                     violation(model, point, theta, values),
@@ -353,7 +353,7 @@ def solve(
             if inner >= opts.max_inner:
                 break
             delta, reg, info = search_direction(
-                model, point, theta, outer, reg, opts.direction, cache
+                model, point, theta, outer, reg, opts.direction, cache, R
             )
             tau = max(opts.tau_min, 1.0 - outer.kappa)
             alpha_cap, alpha_t = cone_line_search(point, delta, tau, model)
@@ -383,14 +383,16 @@ def solve(
             x=x0.copy(), r=np.zeros(model.m), s=np.ones(model.p),
             y=np.zeros(model.m), z=np.zeros(model.p), t=np.ones(model.p),
         )
+    # a solved run stopped right after evaluating its final point
+    final = cache if status is SolveStatus.SOLVED else None
     try:
-        c, g, h = evaluate_values(model, point.x, theta)
+        c, g, h = (final.c, final.g, final.h) if final else evaluate_values(model, point.x, theta)
         primal_violation = max(
             float(np.abs(g).max()) if g.size else 0.0,
             cone_infeasibility(model, h),
         )
-        res_norm = unrelaxed_residual_norm(model, point, theta)
-    except Exception:
+        res_norm = unrelaxed_residual_norm(model, point, theta, final)
+    except (NumericalFailure, EvaluationFailure, NotInterior):
         c, primal_violation, res_norm = np.nan, np.nan, np.nan
     return Solution(
         point=point,

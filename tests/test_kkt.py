@@ -7,6 +7,9 @@ from helpers import (
     random_iterate,
     random_nlp,
 )
+import ipal.kkt
+import ipal.solver
+from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant
 from ipal.kkt import (
     Layout,
@@ -14,12 +17,14 @@ from ipal.kkt import (
     SolverPoint,
     assemble_symmetric,
     full_jacobian,
+    jacobian_apply,
     reduced_direction,
     residual,
     search_direction,
 )
 from ipal.linsolve import RegularizationState
 from ipal.model import ProblemModel, evaluate
+from ipal.solver import solve
 
 
 def scalar_model(curvature=2.0):
@@ -217,3 +222,55 @@ class TestSearchDirection:
         outer = OuterState(lam=np.zeros(1), rho=1.0, kappa=1.0)
         _, reg, info = search_direction(model, point, np.zeros(0), outer)
         assert info.eps_p == 0.0 and info.eps_d == 0.0
+
+
+class TestJacobianApply:
+    def test_matches_dense_jacobian(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(0, 5))
+            model = random_nlp(rng, n, m, random_cone(rng))
+            point, outer = random_iterate(rng, model)
+            reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
+            cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg, cache)
+            J = full_jacobian(model, point, np.zeros(0), outer, reg, cache)
+            for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 3))):
+                err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
+                assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
+
+
+def _counting(monkeypatch, module, name, seen):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_solve_builds_no_dense_jacobian_without_fallback(monkeypatch, name):
+    prob = REGISTRY[name]
+    jacobians, directions = [], []
+    _counting(monkeypatch, ipal.kkt, "full_jacobian", jacobians)
+    _counting(monkeypatch, ipal.solver, "search_direction", directions)
+    sol = solve(prob.model, prob.x0, prob.theta)
+    assert len(directions) == sol.total_iterations > 0
+    if not any(info.used_full_solve for _, _, info in directions):
+        assert len(jacobians) == 0
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_solve_computes_each_residual_once(monkeypatch, name):
+    # one stacked residual per Newton iteration and one per outer update
+    prob = REGISTRY[name]
+    residuals = []
+    _counting(monkeypatch, ipal.solver, "residual", residuals)
+    _counting(monkeypatch, ipal.kkt, "residual", residuals)
+    sol = solve(prob.model, prob.x0, prob.theta)
+    assert sol.solved
+    assert len(residuals) == sol.total_iterations + sol.outer_iterations

@@ -3,11 +3,12 @@ import pytest
 
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import OuterState, SolverPoint
-from ipal.model import ProblemModel
+from ipal.model import ProblemModel, evaluate_values
 from ipal.solver import (
     Filter,
     SolveStatus,
     SolverOptions,
+    cone_infeasibility,
     cone_line_search,
     merit,
     outer_update,
@@ -279,6 +280,32 @@ class TestSolve:
         )
         sol = solve(model, np.array([10.0]))
         assert sol.status is SolveStatus.NUMERICAL_FAILURE
+
+    def test_nan_objective_everywhere_is_numerical_failure(self):
+        model = ProblemModel(
+            n=1,
+            m=0,
+            p=0,
+            cone=ConeSpec(),
+            objective=lambda x, th: np.nan,
+            objective_gradient=lambda x, th: 2.0 * x,
+            lagrangian_hessian=lambda x, th, y, z: 2.0 * np.eye(1),
+        )
+        sol = solve(model, np.array([10.0]))
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert np.isnan(sol.objective)
+
+    def test_solved_summary_matches_returned_point(self):
+        # the summary of a solved run reuses the final evaluation; it must
+        # agree with a fresh evaluation at the returned point
+        for model in (equality_qp()[0], soc_projection_qp()):
+            sol = solve(model, np.array([2.0, 1.0]))
+            assert sol.solved
+            theta = np.zeros(0)
+            c, g, h = evaluate_values(model, sol.point.x, theta)
+            assert sol.objective == c
+            assert sol.residual_norm == unrelaxed_residual_norm(model, sol.point, theta)
+            assert sol.violation == max(np.abs(g).max(initial=0.0), cone_infeasibility(model, h))
 
     def test_infeasible_problem_not_solved(self):
         # g(x) = x^2 + 1 has no root; the relaxation converges to a
