@@ -19,7 +19,9 @@ complement blocks are recovered in closed form. On second-order segments the
 reduced cone block is symmetrized, so directions are polished by iterative
 refinement against the full system, applied blockwise; the dense Jacobian is
 built only for a fallback solve when refinement cannot reach the consistency
-bound, for ``differentiate``, and in tests.
+bound, and in tests. ``differentiate`` solves its parameter columns through
+the same reduction and refinement, with the multiplier estimate tracking the
+equality dual (``ReducedSystem.track_multiplier``).
 """
 
 from __future__ import annotations
@@ -181,6 +183,7 @@ class ReducedSystem:
     operator is nonsymmetric away from the central path, which is why
     directions are refined against the full system afterwards; that system
     is applied blockwise (``jacobian_apply``, from Ps and Ptb), never formed.
+    Right-hand sides and solutions may be vectors or matrices of columns.
     """
 
     layout: Layout
@@ -192,6 +195,17 @@ class ReducedSystem:
     W_blocks: List[Tuple[slice, str, np.ndarray]]
     Ps: np.ndarray  # d(s o t)/ds
     Ptb: np.ndarray  # P_t - eps_d I
+    tracks_multiplier: bool = False  # dlam = dy; see track_multiplier
+
+    def track_multiplier(self) -> None:
+        """Switch, in place, to the system in which the multiplier estimate
+        moves with the equality dual (dlam = dy), as when differentiating a
+        converged solution: the relaxation rows lose their -dy coupling, so
+        the penalty term leaves the equality-dual diagonal of K and
+        dr = -L_r / (rho + eps_p). The reduced right-hand side is unchanged."""
+        idx = np.arange(self.layout.n, self.layout.n + self.layout.m)
+        self.K[idx, idx] = -self.eps_d
+        self.tracks_multiplier = True
 
     def apply_W_inverse(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -222,11 +236,12 @@ class ReducedSystem:
         lay = self.layout
         n, m = lay.n, lay.m
         dx, dy, dz = sol[:n], sol[n : n + m], sol[n + m :]
-        dw = np.empty(lay.total)
+        dw = np.empty((lay.total,) + sol.shape[1:])
         dw[lay.x] = dx
         dw[lay.y] = dy
         dw[lay.z] = dz
-        dw[lay.r] = (dy - rows[lay.r]) * self.dual_scale
+        coupled = -rows[lay.r] if self.tracks_multiplier else dy - rows[lay.r]
+        dw[lay.r] = coupled * self.dual_scale
         ds = self.apply_W_inverse(self.Ptb @ (dz - rows[lay.s]) - rows[lay.t])
         dw[lay.s] = ds
         dw[lay.t] = self.eps_p * ds - dz + rows[lay.s]
@@ -294,14 +309,17 @@ def assemble_symmetric(
 
 def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.ndarray) -> np.ndarray:
     """full_jacobian at the shifts of rsys times dw, computed block by block
-    without forming the matrix; dw may also hold directions as columns."""
+    without forming the matrix; dw may also hold directions as columns. When
+    rsys tracks the multiplier, J[r, y] = 0."""
     lay = rsys.layout
     ep, ed = rsys.eps_p, rsys.eps_d
     dx, dr, ds = dw[lay.x], dw[lay.r], dw[lay.s]
     dy, dz, dt = dw[lay.y], dw[lay.z], dw[lay.t]
     out = np.empty(dw.shape)
     out[lay.x] = cache.L_xx @ dx + ep * dx + cache.g_x.T @ dy + cache.h_x.T @ dz
-    out[lay.r] = (rho + ep) * dr - dy
+    out[lay.r] = (rho + ep) * dr
+    if not rsys.tracks_multiplier:
+        out[lay.r] -= dy
     out[lay.s] = ep * ds - dz - dt
     out[lay.y] = cache.g_x @ dx - dr - ed * dy
     out[lay.z] = cache.h_x @ dx - ds - ed * dz
@@ -324,6 +342,49 @@ class DirectionInfo:
     refine_passes: int
     used_full_solve: bool
     consistency_error: float
+
+
+def reduced_solve(
+    rsys: ReducedSystem,
+    fact: Optional[SymmetricFactorization],
+    cache: EvalCache,
+    rho: float,
+    R: np.ndarray,
+    opts: DirectionOptions,
+) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
+    """Solve J dw = -R through the reduced system, then refine against the
+    full system (``jacobian_apply``) until ||J dw + R||_inf reaches
+    refine_tol * (1 + ||R||_inf) or stops falling. R may hold right-hand
+    sides as columns, whose reduction is rsys.rhs. ``fact`` factors rsys.K,
+    or is None to factor it here. Returns the best dw, ||J dw + R||_inf,
+    J dw + R and the passes taken; dw is None (error inf) when a
+    factorization or solve fails."""
+    norm_R = np.abs(R).max() if R.size else 0.0
+    refine_target = opts.refine_tol * (1.0 + norm_R)
+
+    def error(dw):
+        err = jacobian_apply(rsys, cache, rho, dw) + R
+        return np.abs(err).max() if err.size else 0.0, err
+
+    passes = 0
+    try:
+        if fact is None:
+            fact = factorize(rsys.K)
+        u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
+        best = rsys.recover(u, R)
+        best_err, err_rows = error(best)
+        while np.isfinite(best_err) and best_err > refine_target and passes < opts.max_refine:
+            u_c = solve_refined(fact, rsys.K, rsys.reduce_rows(err_rows), opts.max_refine, opts.refine_tol)
+            trial = best + rsys.recover(u_c, err_rows)
+            trial_err, trial_rows = error(trial)
+            passes += 1
+            if trial_err < best_err:
+                best, best_err, err_rows = trial, trial_err, trial_rows
+            else:
+                break  # refinement stalled; the caller's fallback decides
+    except NumericalFailure:
+        return None, np.inf, None, passes
+    return best, best_err, err_rows, passes
 
 
 def _newton_direction(
@@ -370,37 +431,13 @@ def _newton_direction(
 
     norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
-    refine_target = opts.refine_tol * (1.0 + norm_R)
-
-    def consistency_error(dw):
-        err = jacobian_apply(rsys, cache, outer.rho, dw) + R
-        return np.abs(err).max() if err.size else 0.0, err
-
-    best, best_err, err_rows, passes = None, np.inf, R, 0
-    try:
-        if fact is None:
-            fact = factorize(rsys.K)
-        u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
-        best = rsys.recover(u, R)
-        best_err, err_rows = consistency_error(best)
-        while np.isfinite(best_err) and best_err > refine_target and passes < opts.max_refine:
-            u_c = solve_refined(fact, rsys.K, rsys.reduce_rows(err_rows), opts.max_refine, opts.refine_tol)
-            trial = best + rsys.recover(u_c, err_rows)
-            trial_err, trial_rows = consistency_error(trial)
-            passes += 1
-            if trial_err < best_err:
-                best, best_err, err_rows = trial, trial_err, trial_rows
-            else:
-                break  # refinement stalled; the fallback below decides
-    except NumericalFailure:
-        best, best_err = None, np.inf
-
+    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
     used_full = False
     acceptable = best is not None and np.isfinite(best_err) and best_err <= consistency
     if not acceptable and lay.total:
         try:
             dw_full = np.linalg.solve(full_jacobian(model, point, theta, outer, reg, cache), -R)
-            full_err, _ = consistency_error(dw_full)
+            full_err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw_full) + R).max()
             if np.isfinite(full_err) and not (best is not None and best_err < full_err):
                 best, best_err = dw_full, full_err
                 used_full = True

@@ -11,7 +11,7 @@ until the first successful correction, shrink start by 1/3 on reuse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import ldl, solve_triangular
@@ -27,13 +27,21 @@ class InertiaCorrectionFailure(RuntimeError):
 
 @dataclass
 class SymmetricFactorization:
-    """LDL' factors of a symmetric matrix plus its inertia (pos, neg, zero)."""
+    """LDL' factors of a symmetric matrix plus its inertia (pos, neg, zero).
+
+    The block diagonal D is kept as index arrays: ``_one`` holds the 1x1
+    pivot positions with values ``_d``, ``_two`` the first positions of the
+    2x2 pivot blocks with rows (d00, d01, -d10, d11, det) in ``_blk``."""
 
     matrix: np.ndarray
     inertia: Tuple[int, int, int]
     _lower: np.ndarray
     _perm: np.ndarray
-    _blocks: List[Tuple[int, np.ndarray]]  # (start index, 1x1 or 2x2 pivot)
+    _one: np.ndarray
+    _d: np.ndarray
+    _two: np.ndarray
+    _blk: np.ndarray  # (5, number of 2x2 blocks)
+    _singular: str  # why D cannot be inverted, if it cannot
 
     @property
     def n(self) -> int:
@@ -41,22 +49,20 @@ class SymmetricFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Single triangular sweep; rhs may be a vector or matrix."""
+        if self._singular:
+            raise NumericalFailure(self._singular)
         b = np.asarray(rhs, dtype=float)
-        y = solve_triangular(self._lower, b[self._perm], lower=True, unit_diagonal=True)
-        for start, blk in self._blocks:
-            if blk.shape == (1, 1):
-                if blk[0, 0] == 0.0:
-                    raise NumericalFailure("zero pivot in factorization")
-                y[start] = y[start] / blk[0, 0]
-            else:
-                det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-                if det == 0.0:
-                    raise NumericalFailure("singular 2x2 pivot in factorization")
-                b0 = y[start].copy()
-                b1 = y[start + 1].copy()
-                y[start] = (blk[1, 1] * b0 - blk[0, 1] * b1) / det
-                y[start + 1] = (-blk[1, 0] * b0 + blk[0, 0] * b1) / det
-        y = solve_triangular(self._lower.T, y, lower=False, unit_diagonal=True)
+        y = solve_triangular(
+            self._lower, b[self._perm], lower=True, unit_diagonal=True, check_finite=False
+        )
+        d, blk = (self._d, self._blk) if y.ndim == 1 else (self._d[:, None], self._blk[..., None])
+        y[self._one] = y[self._one] / d
+        if self._two.size:
+            d00, d01, nd10, d11, det = blk
+            b0, b1 = y[self._two], y[self._two + 1]
+            y[self._two] = (d11 * b0 - d01 * b1) / det
+            y[self._two + 1] = (nd10 * b0 + d00 * b1) / det
+        y = solve_triangular(self._lower.T, y, lower=False, unit_diagonal=True, check_finite=False)
         out = np.empty_like(y)
         out[self._perm] = y
         if not np.all(np.isfinite(out)):
@@ -84,38 +90,41 @@ def factorize(K: np.ndarray, zero_tol: Optional[float] = None) -> SymmetricFacto
     if zero_tol is None:
         zero_tol = 1e-11
     if n == 0:
-        return SymmetricFactorization(K, (0, 0, 0), K.copy(), np.arange(0), [])
-    try:
-        lu, d, perm = ldl(K, lower=True)
-    except Exception as exc:  # LAPACK failures surface as LinAlgError/ValueError
-        raise NumericalFailure(f"factorization failed: {exc}") from exc
+        lu, d, perm = K.copy(), K, np.arange(0)
+    else:
+        try:
+            lu, d, perm = ldl(K, lower=True, check_finite=False)
+        except Exception as exc:  # LAPACK failures surface as LinAlgError/ValueError
+            raise NumericalFailure(f"factorization failed: {exc}") from exc
     if not (np.all(np.isfinite(lu)) and np.all(np.isfinite(d))):
         raise NumericalFailure("non-finite factorization")
-    lower = lu[perm]
-    blocks: List[Tuple[int, np.ndarray]] = []
-    pos = neg = zero = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            blk = d[i : i + 2, i : i + 2].copy()
-            # eigenvalues of a symmetric 2x2 block
-            mean = 0.5 * (blk[0, 0] + blk[1, 1])
-            rad = np.hypot(0.5 * (blk[0, 0] - blk[1, 1]), blk[0, 1])
-            eigs = (mean - rad, mean + rad)
-            blocks.append((i, blk))
-            i += 2
-        else:
-            eigs = (d[i, i],)
-            blocks.append((i, d[i : i + 1, i : i + 1].copy()))
-            i += 1
-        for ev in eigs:
-            if abs(ev) <= zero_tol:
-                zero += 1
-            elif ev > 0.0:
-                pos += 1
-            else:
-                neg += 1
-    return SymmetricFactorization(K, (pos, neg, zero), lower, perm, blocks)
+    # a 2x2 pivot block starts wherever D has a subdiagonal entry; the
+    # blocks are disjoint, so the remaining positions are 1x1 pivots
+    two = np.flatnonzero(np.diagonal(d, -1))
+    diag = np.diagonal(d)
+    if two.size:
+        single = np.ones(n, dtype=bool)
+        single[two] = single[two + 1] = False
+        one = np.flatnonzero(single)
+        d00, d01, d10, d11 = diag[two], d[two, two + 1], d[two + 1, two], diag[two + 1]
+        blk = np.array([d00, d01, -d10, d11, d00 * d11 - d01 * d10])
+        # eigenvalues of the symmetric 2x2 blocks
+        mean = 0.5 * (d00 + d11)
+        rad = np.hypot(0.5 * (d00 - d11), d01)
+        eigs = np.concatenate([diag[one], mean - rad, mean + rad])
+    else:
+        one, blk, eigs = np.arange(n), np.zeros((5, 0)), diag
+    zero = int(np.count_nonzero(np.abs(eigs) <= zero_tol))
+    pos = int(np.count_nonzero(eigs > max(zero_tol, 0.0)))
+    piv = diag[one]
+    singular = ""
+    if not piv.all():
+        singular = "zero pivot in factorization"
+    elif not blk[4].all():
+        singular = "singular 2x2 pivot in factorization"
+    return SymmetricFactorization(
+        K, (pos, n - pos - zero, zero), lu[perm], perm, one, piv, two, blk, singular
+    )
 
 
 def solve_refined(

@@ -6,18 +6,35 @@ The multiplier estimate is differentiated at its fixed point (dlam = dy), so
 the relaxation rows give dr = 0 and equality constraints stay exactly
 satisfied to first order. Differentiating with the estimate frozen instead
 would leave an O(1/rho) mismatch against re-solving, which the boundary-value
-structure of trajectory problems amplifies well past usable accuracy."""
+structure of trajectory problems amplifies well past usable accuracy.
+
+All parameter columns are solved through the solver's own symmetric
+reduction in (dx, dy, dz) at zero shift, factored once and refined against
+the full Jacobian applied blockwise, as Newton directions are. dlam = dy
+zeroes J[r, y], which removes the penalty term from the reduced system's
+equality-dual diagonal (``ReducedSystem.track_multiplier``). Rank deficiency
+is read off the factorization's zero-pivot count; only then, or when the
+reduced solve misses its accuracy check, is the dense Jacobian formed, for a
+least-squares solve."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .kkt import Layout, OuterState, SolverPoint, full_jacobian
-from .linsolve import RegularizationState
-from .model import ProblemModel, evaluate, evaluate_parameter_jacobians
+from .kkt import (
+    DirectionOptions,
+    Layout,
+    OuterState,
+    ReducedSystem,
+    SolverPoint,
+    assemble_symmetric,
+    full_jacobian,
+    reduced_solve,
+)
+from .linsolve import NumericalFailure, RegularizationState, factorize
+from .model import EvalCache, ProblemModel, evaluate, evaluate_parameter_jacobians
 from .solver import Solution, unrelaxed_residual_norm
 
 
@@ -52,45 +69,50 @@ def differentiate(
     model: ProblemModel,
     solution: Solution,
     theta: np.ndarray,
-    rank_tol: Optional[float] = None,
 ) -> SensitivityResult:
     """Differentiate a converged solution with respect to theta.
 
-    All parameter columns are solved in one factorization, so the result is
-    deterministic and column order matches theta order. A rank-deficient
-    Jacobian falls back to the least-squares solution and flags it. The
-    solution point is not modified.
+    All parameter columns are solved together through the solver's reduced
+    (dx, dy, dz) system at zero shift, with dlam = dy, and refined against
+    the full Jacobian applied blockwise, so the result is deterministic and
+    column order matches theta order. A zero pivot in the factorization marks
+    the Jacobian rank deficient; that case, or a solve whose row-equilibrated
+    residual exceeds 1e-6 * (1 + ||dR/dtheta||), falls back to the
+    least-squares solution of the dense Jacobian (the only place it is
+    formed) and flags it. The solution point is not modified.
     """
     point = solution.point
     theta = np.asarray(theta, dtype=float)
     lay = Layout(model.n, model.m, model.p)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
-    J = full_jacobian(model, point, theta, outer, RegularizationState(), cache)
-    # dlam = dy at the converged estimate cancels the -I coupling, pinning
-    # dr = 0 through the (rho + eps) diagonal
-    J[lay.r, lay.y] = 0.0
     Rt = residual_parameter_jacobian(model, point, theta)
 
-    # row equilibration: the penalty block scales with rho, the cone rows with
-    # the barrier; balancing rows keeps the LU solve well conditioned
-    row_scale = np.abs(J).max(axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    Js = J / row_scale[:, None]
-    Rts = Rt / row_scale[:, None]
-
-    used_lstsq = False
-    rank = np.linalg.matrix_rank(Js, tol=rank_tol)
-    if rank < Js.shape[0]:
-        dw = np.linalg.lstsq(Js, -Rts, rcond=None)[0]
-        used_lstsq = True
-    else:
-        dw = np.linalg.solve(Js, -Rts)
-        scale = 1.0 + (np.abs(Rts).max() if Rts.size else 0.0)
-        res = np.abs(Js @ dw + Rts).max() if dw.size else 0.0
+    dw = None
+    try:
+        rsys = assemble_symmetric(model, point, theta, outer, cache=cache, rows=Rt)
+        rsys.track_multiplier()
+        fact = factorize(rsys.K)
+        if fact.inertia[2] == 0:
+            dw, _, err, _ = reduced_solve(rsys, fact, cache, outer.rho, Rt, DirectionOptions())
+    except NumericalFailure:
+        pass
+    if dw is not None and dw.size:
+        # accept on the row-equilibrated residual J dw + Rt: the penalty
+        # rows scale with rho, the cone rows with the barrier
+        row_scale = _row_scale(rsys, cache, outer.rho)[:, None]
+        scale = 1.0 + np.abs(Rt / row_scale).max()
+        res = np.abs(err / row_scale).max()
         if not np.isfinite(res) or res > 1e-6 * scale:
-            dw = np.linalg.lstsq(Js, -Rts, rcond=None)[0]
-            used_lstsq = True
+            dw = None
+
+    used_lstsq = dw is None
+    if used_lstsq:
+        J = full_jacobian(model, point, theta, outer, RegularizationState(), cache)
+        J[lay.r, lay.y] = 0.0  # dlam = dy, as in the reduced system
+        row_scale = np.abs(J).max(axis=1)
+        row_scale[row_scale == 0.0] = 1.0
+        dw = np.linalg.lstsq(J / row_scale[:, None], -Rt / row_scale[:, None], rcond=None)[0]
 
     return SensitivityResult(
         dw=dw,
@@ -98,3 +120,28 @@ def differentiate(
         used_least_squares=used_lstsq,
         residual_norm=unrelaxed_residual_norm(model, point, theta, cache),
     )
+
+
+def _row_scale(rsys: ReducedSystem, cache: EvalCache, rho: float) -> np.ndarray:
+    """Row max-norms of the Jacobian differentiated at zero shift with
+    J[r, y] = 0, read off its blocks; all-zero rows get 1."""
+    lay = rsys.layout
+    ag, ah = np.abs(cache.g_x), np.abs(cache.h_x)
+    x_rows = np.maximum.reduce([
+        np.abs(cache.L_xx).max(axis=1, initial=0.0),
+        ag.max(axis=0, initial=0.0),  # g_x'
+        ah.max(axis=0, initial=0.0),  # h_x'
+    ])
+    cone_rows = np.maximum(
+        np.abs(rsys.Ps).max(axis=1, initial=0.0), np.abs(rsys.Ptb).max(axis=1, initial=0.0)
+    )
+    scale = np.concatenate([
+        x_rows,
+        np.full(lay.m, abs(rho)),
+        np.ones(lay.p),  # -I at z and t
+        ag.max(axis=1, initial=1.0),  # g_x and -I at r
+        ah.max(axis=1, initial=1.0),  # h_x and -I at s
+        cone_rows,  # Ps and P_t
+    ])
+    scale[scale == 0.0] = 1.0
+    return scale

@@ -87,6 +87,10 @@ class TraceRecord:
     eps_d: float
     kappa: float
     rho: float
+    # diagnostics of this iteration's Newton direction (DirectionInfo)
+    refine_passes: int = 0
+    used_full_solve: bool = False
+    consistency_error: float = 0.0
 
 
 @dataclass
@@ -369,6 +373,9 @@ def solve(
                         merit=current[0], violation=current[1], alpha=alpha,
                         alpha_t=alpha_t, eps_p=info.eps_p, eps_d=info.eps_d,
                         kappa=outer.kappa, rho=outer.rho,
+                        refine_passes=info.refine_passes,
+                        used_full_solve=info.used_full_solve,
+                        consistency_error=info.consistency_error,
                     )
                 )
     except LineSearchFailure:

@@ -10,8 +10,9 @@ from helpers import (
 import ipal.kkt
 import ipal.solver
 from ipal.bench.problems import REGISTRY
-from ipal.cone import ConeSpec, Orthant
+from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import (
+    DirectionOptions,
     Layout,
     OuterState,
     SolverPoint,
@@ -19,6 +20,7 @@ from ipal.kkt import (
     full_jacobian,
     jacobian_apply,
     reduced_direction,
+    reduced_solve,
     residual,
     search_direction,
 )
@@ -170,6 +172,34 @@ class TestSymmetricReduction:
         # the polishing machinery must actually fire on these draws
         assert refined + fallbacks > 0
 
+    @pytest.mark.parametrize("kind", ["orthant", "second-order"])
+    def test_columns_match_one_at_a_time(self, kind):
+        # reduce_rows and recover on a 3-column matrix equal their
+        # application to each column, with and without multiplier tracking
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(0, 5))
+            dim = int(rng.integers(1, 5)) if kind == "orthant" else int(rng.integers(2, 5))
+            cone = ConeSpec((Orthant(dim) if kind == "orthant" else SecondOrder(dim),))
+            model = random_nlp(rng, n, m, cone)
+            point, outer = random_iterate(rng, model)
+            reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
+            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
+            rows = rng.standard_normal((rsys.layout.total, 3))
+            sol = rng.standard_normal((rsys.K.shape[0], 3))
+            for track in (False, True):
+                if track:
+                    rsys.track_multiplier()
+                reduced = rsys.reduce_rows(rows)
+                dw = rsys.recover(sol, rows)
+                assert reduced.shape == sol.shape and dw.shape == rows.shape
+                for j in range(3):
+                    one = rsys.reduce_rows(rows[:, j])
+                    assert np.abs(reduced[:, j] - one).max() <= 1e-14 * np.abs(one).max()
+                    one = rsys.recover(sol[:, j], rows[:, j])
+                    assert np.abs(dw[:, j] - one).max() <= 1e-14 * np.abs(one).max()
+
 
 class TestSearchDirection:
     def test_consistency_with_returned_shifts(self):
@@ -239,6 +269,30 @@ class TestJacobianApply:
             for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 3))):
                 err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
                 assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
+
+    def test_tracked_multiplier_drops_the_r_y_coupling(self):
+        # with dlam = dy the operator and the reduced solve both follow the
+        # dense Jacobian with J[r, y] = 0; orthant cones keep the reduction
+        # exact, and m <= n keeps that Jacobian nonsingular
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, n + 1))
+            model = random_nlp(rng, n, m, ConeSpec((Orthant(int(rng.integers(1, 5))),)))
+            point, outer = random_iterate(rng, model)
+            cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+            lay = Layout(n, m, model.p)
+            J = full_jacobian(model, point, np.zeros(0), outer, RegularizationState(), cache)
+            J[lay.r, lay.y] = 0.0
+            rows = rng.standard_normal((lay.total, 3))
+            rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache, rows=rows)
+            rsys.track_multiplier()
+            dw = rng.standard_normal((lay.total, 3))
+            err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
+            assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
+            expected = np.linalg.solve(J, -rows)
+            got, _, _, _ = reduced_solve(rsys, None, cache, outer.rho, rows, DirectionOptions())
+            assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
 def _counting(monkeypatch, module, name, seen):

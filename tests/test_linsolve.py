@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import ldl, solve_triangular
 
 from ipal.linsolve import (
     InertiaCorrectionFailure,
@@ -26,7 +27,56 @@ def known_inertia_matrix(rng, n, n_pos, n_neg):
     return (Q * mags) @ Q.T
 
 
+def loop_reference(K, rhs, zero_tol=1e-11):
+    """Inertia and solve of K by a pivot-by-pivot loop over the LDL' block
+    diagonal; the vectorized factorization must reproduce both exactly."""
+    lu, d, perm = ldl(K, lower=True)
+    lower = lu[perm]
+    y = solve_triangular(lower, rhs[perm], lower=True, unit_diagonal=True)
+    counts = [0, 0, 0]
+    i = 0
+    while i < len(K):
+        if i + 1 < len(K) and d[i + 1, i] != 0.0:
+            blk = d[i : i + 2, i : i + 2]
+            mean = 0.5 * (blk[0, 0] + blk[1, 1])
+            rad = np.hypot(0.5 * (blk[0, 0] - blk[1, 1]), blk[0, 1])
+            eigs = (mean - rad, mean + rad)
+            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
+            b0, b1 = y[i].copy(), y[i + 1].copy()
+            y[i] = (blk[1, 1] * b0 - blk[0, 1] * b1) / det
+            y[i + 1] = (-blk[1, 0] * b0 + blk[0, 0] * b1) / det
+            i += 2
+        else:
+            eigs = (d[i, i],)
+            y[i] = y[i] / d[i, i]
+            i += 1
+        for ev in eigs:
+            counts[2 if abs(ev) <= zero_tol else 0 if ev > 0.0 else 1] += 1
+    y = solve_triangular(lower.T, y, lower=False, unit_diagonal=True)
+    out = np.empty_like(y)
+    out[perm] = y
+    return tuple(counts), out
+
+
 class TestFactorize:
+    def test_matches_pivot_loop_exactly(self):
+        rng = np.random.default_rng(5)
+        two_by_two = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 15))
+            n_pos = int(rng.integers(0, n + 1))
+            if rng.random() < 0.5:
+                K = known_inertia_matrix(rng, n, n_pos, n - n_pos)
+            else:
+                K = random_symmetric(rng, n)
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                inertia, expected = loop_reference(K, rhs)
+                fact = factorize(K)
+                assert fact.inertia == inertia
+                assert np.array_equal(fact.solve(rhs), expected)
+            two_by_two += np.count_nonzero(np.diagonal(ldl(K, lower=True)[1], -1))
+        assert two_by_two > 0  # both pivot kinds were exercised
+
     def test_solve_matches_numpy(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -1,7 +1,12 @@
 import numpy as np
+import pytest
 
+import ipal.sensitivity
+from helpers import random_cone, random_iterate, random_nlp
+from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.model import ProblemModel
+from ipal.kkt import Layout, OuterState, assemble_symmetric, full_jacobian
+from ipal.model import ProblemModel, evaluate
 from ipal.sensitivity import SensitivityResult, differentiate, residual_parameter_jacobian
 from ipal.solver import SolverOptions, solve
 
@@ -276,3 +281,113 @@ def test_result_reports_converged_residual():
     assert out.residual_norm <= 1e-10
     assert out.dw.shape == (2 + 3 * 2, 1)
     np.testing.assert_array_equal(out.dx, out.dw[:2])
+
+
+def mixed_model():
+    """Equality plus orthant bound; theta enters the objective and the
+    equality right-hand side (the model of the mixed finite-difference test)."""
+    Q = np.diag([1.0, 2.0, 1.5])
+    a = np.array([1.0, 1.0, 1.0])
+    return ProblemModel(
+        n=3,
+        m=1,
+        p=3,
+        cone=ConeSpec((Orthant(3),)),
+        objective=lambda x, th: 0.5 * x @ Q @ x + th[0] * x[0],
+        objective_gradient=lambda x, th: Q @ x + np.array([th[0], 0.0, 0.0]),
+        equality=lambda x, th: np.array([a @ x - 1.0 - th[1]]),
+        equality_jacobian=lambda x, th: a[None, :].copy(),
+        cone_constraint=lambda x, th: x.copy(),
+        cone_jacobian=lambda x, th: np.eye(3),
+        lagrangian_hessian=lambda x, th, y, z: Q.copy(),
+        parameter_jacobians=lambda x, th, y, z: (
+            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+            np.array([[0.0, -1.0]]),
+            np.zeros((3, 2)),
+        ),
+        d=2,
+    )
+
+
+def _registry_case(name):
+    prob = REGISTRY[name]
+    return prob.model, prob.x0, prob.theta
+
+
+# (model, x0, theta) of full-rank problems: both registry parametric
+# problems and the orthant, second-order-cone and mixed models above
+FULL_RANK = {
+    "double-integrator-trajopt": lambda: _registry_case("double-integrator-trajopt"),
+    "mpc-autotune": lambda: _registry_case("mpc-autotune"),
+    "orthant": lambda: (
+        tracking_model(
+            lambda th: np.array([-1.0 + 0.1 * th[0], 1.0 + 0.2 * th[0]]),
+            cone=ConeSpec((Orthant(2),)),
+            p=2,
+        ),
+        np.array([1.0, 1.0]),
+        np.array([1.0]),
+    ),
+    "second-order": lambda: (soc_projection_model(), np.array([3.0, 0.0]), np.array([0.0])),
+    "mixed": lambda: (mixed_model(), np.ones(3), np.array([2.0, 0.0])),
+}
+
+
+def _solved(name):
+    model, x0, theta = FULL_RANK[name]()
+    sol = solve(model, x0, theta, TIGHT)
+    assert sol.solved
+    return model, sol, theta
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RANK))
+def test_reduced_solve_matches_dense_jacobian(name):
+    # the dense reference: J at zero shift with J[r, y] = 0 (dlam = dy)
+    model, sol, theta = _solved(name)
+    lay = Layout(model.n, model.m, model.p)
+    outer = OuterState(lam=np.zeros(model.m), rho=sol.rho, kappa=sol.kappa)
+    J = full_jacobian(model, sol.point, theta, outer)
+    J[lay.r, lay.y] = 0.0
+    expected = np.linalg.solve(J, -residual_parameter_jacobian(model, sol.point, theta))
+    out = differentiate(model, sol, theta)
+    assert not out.used_least_squares
+    assert np.abs(out.dw - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RANK))
+def test_full_rank_builds_no_dense_jacobian(monkeypatch, name):
+    model, sol, theta = _solved(name)
+    calls = []
+
+    def record(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ipal.sensitivity, "full_jacobian", record("full_jacobian", full_jacobian))
+    monkeypatch.setattr(np.linalg, "matrix_rank", record("matrix_rank", np.linalg.matrix_rank))
+    out = differentiate(model, sol, theta)
+    assert not out.used_least_squares
+    assert calls == []
+
+
+def test_row_scale_matches_dense_jacobian():
+    # the acceptance check's row scales, read off the blocks, equal the row
+    # max-norms of the dense Jacobian with J[r, y] = 0
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, 5))
+        model = random_nlp(rng, n, m, random_cone(rng))
+        point, outer = random_iterate(rng, model)
+        cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+        lay = Layout(n, m, model.p)
+        J = full_jacobian(model, point, np.zeros(0), outer, cache=cache)
+        J[lay.r, lay.y] = 0.0
+        expected = np.abs(J).max(axis=1)
+        expected[expected == 0.0] = 1.0
+        rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache)
+        rsys.track_multiplier()
+        np.testing.assert_array_equal(ipal.sensitivity._row_scale(rsys, cache, outer.rho), expected)

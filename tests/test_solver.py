@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.kkt import OuterState, SolverPoint
+from ipal.kkt import DirectionOptions, OuterState, SolverPoint
 from ipal.model import ProblemModel, evaluate_values
 from ipal.solver import (
     Filter,
@@ -345,3 +346,17 @@ class TestSolve:
         model = bound_qp()
         sol = solve(model, np.array([1.0, 1.0]))
         assert unrelaxed_residual_norm(model, sol.point, np.zeros(0)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_trace_records_direction_diagnostics(name):
+    # every registry direction comes from the reduced solve, within the
+    # consistency bound of search_direction for that iterate's residual
+    prob = REGISTRY[name]
+    sol = solve(prob.model, prob.x0, prob.theta, SolverOptions(record_trace=True))
+    assert sol.trace
+    bound = DirectionOptions().consistency_tol
+    for rec in sol.trace:
+        assert rec.used_full_solve is False
+        assert rec.refine_passes >= 0
+        assert 0.0 <= rec.consistency_error <= bound * (1.0 + rec.residual_norm)
