@@ -7,7 +7,8 @@ stacking order of the vector entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,9 +44,10 @@ Segment = Union[Orthant, SecondOrder]
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Ordered product of cone segments."""
+    """Ordered product of cone segments; ``dim`` is their total dimension."""
 
     segments: Tuple[Segment, ...] = ()
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -59,10 +61,22 @@ class ConeSpec:
                     raise InvalidDimension(f"segment {k}: second-order dim {seg.dim} < 1")
             else:
                 raise InvalidDimension(f"segment {k}: unknown segment type {type(seg)!r}")
+        object.__setattr__(self, "dim", sum(seg.dim for seg in segs))
 
-    @property
-    def dim(self) -> int:
-        return sum(seg.dim for seg in self.segments)
+    @cached_property
+    def index_groups(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """Entries with elementwise algebra (orthant segments and dim-1
+        second-order segments), and the rows of the other second-order
+        segments grouped by dimension: one (segments, dim) index array per
+        dimension, in increasing dimension, segments in stacking order."""
+        diagonal, soc = [], {}
+        for seg, sl in self.slices():
+            if _is_soc(seg):
+                soc.setdefault(seg.dim, []).append(np.arange(sl.start, sl.stop))
+            else:
+                diagonal.append(np.arange(sl.start, sl.stop))
+        flat = np.concatenate(diagonal) if diagonal else np.zeros(0, dtype=int)
+        return flat, tuple(np.array(soc[d]) for d in sorted(soc))
 
     def slices(self) -> Iterator[Tuple[Segment, slice]]:
         """Yield (segment, slice into the stacked vector) pairs in order."""

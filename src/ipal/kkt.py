@@ -27,16 +27,17 @@ equality dual (``ReducedSystem.track_multiplier``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cone import SecondOrder, cone_product, cone_product_jacobians, cone_target
+from .cone import cone_product, cone_product_jacobians, cone_target
 from .linsolve import (
+    BlockedFactorization,
+    Factorization,
     InertiaOptions,
     NumericalFailure,
     RegularizationState,
-    SymmetricFactorization,
     correct_inertia,
     factorize,
     solve_refined,
@@ -192,7 +193,9 @@ class ReducedSystem:
     eps_p: float
     eps_d: float
     dual_scale: float  # 1 / (rho + eps_p)
-    W_blocks: List[Tuple[slice, str, np.ndarray]]
+    # (index, "diag", W diagonal) for the elementwise cone entries and
+    # (rows, "dense", stacked W blocks) per second-order segment dimension
+    W_blocks: List[Tuple[np.ndarray, str, np.ndarray]]
     Ps: np.ndarray  # d(s o t)/ds
     Ptb: np.ndarray  # P_t - eps_d I
     tracks_multiplier: bool = False  # dlam = dy; see track_multiplier
@@ -209,12 +212,16 @@ class ReducedSystem:
 
     def apply_W_inverse(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        for sl, kind, blk in self.W_blocks:
+        for rows, kind, blk in self.W_blocks:
             if kind == "diag":
-                out[sl] = v[sl] / blk if v.ndim == 1 else v[sl] / blk[:, None]
+                out[rows] = v[rows] / blk if v.ndim == 1 else v[rows] / blk[:, None]
             else:
+                # one stacked solve per second-order segment dimension
                 try:
-                    out[sl] = np.linalg.solve(blk, v[sl])
+                    if v.ndim == 1:
+                        out[rows] = np.linalg.solve(blk, v[rows][..., None])[..., 0]
+                    else:
+                        out[rows] = np.linalg.solve(blk, v[rows])
                 except np.linalg.LinAlgError as exc:
                     raise NumericalFailure(f"singular cone block: {exc}") from exc
         return out
@@ -267,23 +274,23 @@ def assemble_symmetric(
 
     Ps, Pt = cone_product_jacobians(point.s, point.t, model.cone)
     Ptb = Pt - ed * np.eye(p)
-    blocks: List[Tuple[slice, str, np.ndarray]] = []
     Msym = np.zeros((p, p))
-    for seg, sl in model.cone.slices():
-        Wb = Ps[sl, sl] + ep * Ptb[sl, sl]
-        if not (isinstance(seg, SecondOrder) and seg.dim >= 2):
-            wd = np.diag(Wb).copy()
-            if np.any(wd == 0.0):
-                raise NumericalFailure("singular orthant cone block")
-            blocks.append((sl, "diag", wd))
-            Msym[sl, sl] = np.diag(np.diag(Ptb[sl, sl]) / wd)
-        else:
-            blocks.append((sl, "dense", Wb))
-            try:
-                M = np.linalg.solve(Wb, Ptb[sl, sl])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(f"singular cone block: {exc}") from exc
-            Msym[sl, sl] = 0.5 * (M + M.T)
+    diag, soc_groups = model.cone.index_groups
+    wd = Ps[diag, diag] + ep * Ptb[diag, diag]
+    if np.any(wd == 0.0):
+        raise NumericalFailure("singular orthant cone block")
+    Msym[diag, diag] = Ptb[diag, diag] / wd
+    blocks: List[Tuple[np.ndarray, str, np.ndarray]] = [(diag, "diag", wd)]
+    for seg_rows in soc_groups:
+        # the segments of one dimension as a stack of dense blocks
+        sub = (seg_rows[:, :, None], seg_rows[:, None, :])
+        Wb = Ps[sub] + ep * Ptb[sub]
+        try:
+            M = np.linalg.solve(Wb, Ptb[sub])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"singular cone block: {exc}") from exc
+        Msym[sub] = 0.5 * (M + M.transpose(0, 2, 1))
+        blocks.append((seg_rows, "dense", Wb))
 
     nr = n + m + p
     K = np.zeros((nr, nr))
@@ -342,21 +349,25 @@ class DirectionInfo:
     refine_passes: int
     used_full_solve: bool
     consistency_error: float
+    inertia_trials: int = 0  # factorizations tried for the direction
+    blocked: bool = False  # served by the stage-blocked factorization
 
 
 def reduced_solve(
     rsys: ReducedSystem,
-    fact: Optional[SymmetricFactorization],
+    fact: Optional[Factorization],
     cache: EvalCache,
     rho: float,
     R: np.ndarray,
     opts: DirectionOptions,
+    blocks: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
     """Solve J dw = -R through the reduced system, then refine against the
     full system (``jacobian_apply``) until ||J dw + R||_inf reaches
     refine_tol * (1 + ||R||_inf) or stops falling. R may hold right-hand
     sides as columns, whose reduction is rsys.rhs. ``fact`` factors rsys.K,
-    or is None to factor it here. Returns the best dw, ||J dw + R||_inf,
+    or is None to factor it here, in the order of ``blocks`` when given
+    (``ProblemModel.stage_blocks``). Returns the best dw, ||J dw + R||_inf,
     J dw + R and the passes taken; dw is None (error inf) when a
     factorization or solve fails."""
     norm_R = np.abs(R).max() if R.size else 0.0
@@ -369,7 +380,7 @@ def reduced_solve(
     passes = 0
     try:
         if fact is None:
-            fact = factorize(rsys.K)
+            fact = factorize(rsys.K, blocks=blocks)
         u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
         best = rsys.recover(u, R)
         best_err, err_rows = error(best)
@@ -413,25 +424,30 @@ def _newton_direction(
     if R is None:
         R = residual(model, point, theta, outer, cache)
     lay = Layout(model.n, model.m, model.p)
-    holder: dict = {}
+    blocks = model.stage_blocks
+    holder: dict = {"trials": 0}
 
     def build(ep, ed):
+        holder["trials"] += 1
         holder["rsys"] = assemble_symmetric(
             model, point, theta, outer, RegularizationState(ep, ed), cache, R
         )
         return holder["rsys"].K
 
-    fact: Optional[SymmetricFactorization] = None
+    fact: Optional[Factorization] = None
     if correct:
-        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia)
+        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia, blocks)
     else:
-        build(reg.eps_p, reg.eps_d)
+        try:
+            fact = factorize(build(reg.eps_p, reg.eps_d), blocks=blocks)
+        except NumericalFailure:
+            pass  # reduced_solve factors again and reports the failure
     rsys: ReducedSystem = holder["rsys"]
     assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
 
     norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
+    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts, blocks)
     used_full = False
     acceptable = best is not None and np.isfinite(best_err) and best_err <= consistency
     if not acceptable and lay.total:
@@ -450,6 +466,7 @@ def _newton_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=used_full, consistency_error=best_err,
+        inertia_trials=holder["trials"], blocked=isinstance(fact, BlockedFactorization),
     )
     return lay.unpack(best), reg, info
 

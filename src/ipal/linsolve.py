@@ -1,20 +1,32 @@
 """Symmetric indefinite factorization, refined solves, and inertia correction.
 
-Factorization is LAPACK Bunch-Kaufman (scipy.linalg.ldl); inertia is read off
-the signs of the 1x1 pivots and the eigenvalues of the 2x2 pivot blocks. The
-correction loop shifts the primal diagonal by eps_p and the dual diagonal by
-eps_d until the factorization reports the requested inertia, following the
-standard interior-point heuristic (first trial 1e-4, grow by 8, grow by 100
-until the first successful correction, shrink start by 1/3 on reuse).
+The general factorization is dense LAPACK Bunch-Kaufman (scipy.linalg.ldl);
+inertia is read off the signs of the 1x1 pivots and the eigenvalues of the
+2x2 pivot blocks. A matrix that is block tridiagonal in a known order of its
+rows, as the reduced KKT system of a transcribed trajectory problem is in
+stage order (Rao, Wright & Rawlings, JOTA 1998), is factored block by block
+instead: each pivot block is the Schur complement of the blocks before it,
+factored by Bunch-Kaufman (LAPACK dsytrf), and the inertia is the sum of the
+pivot-block inertias (Sylvester's law of inertia). Its cost grows linearly
+with the number of blocks, where the dense factorization's grows with the
+cube of the order. A pivot block that is non-finite, fails to factor or has
+a pivot eigenvalue within the zero tolerance sends the matrix to the dense
+factorization, so zero counts always come from the dense path.
+
+The correction loop shifts the primal diagonal by eps_p and the dual diagonal
+by eps_d until the factorization reports the requested inertia, following
+the standard interior-point heuristic (first trial 1e-4, grow by 8, grow by
+100 until the first successful correction, shrink start by 1/3 on reuse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import ldl, solve_triangular
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 
 class NumericalFailure(RuntimeError):
@@ -70,7 +82,109 @@ class SymmetricFactorization:
         return out
 
 
-def factorize(K: np.ndarray, zero_tol: Optional[float] = None) -> SymmetricFactorization:
+@dataclass
+class BlockedFactorization:
+    """Block LDL' factors of a symmetric matrix that is block tridiagonal in
+    the order of its row blocks, plus its inertia (pos, neg, zero).
+
+    With D_k the diagonal blocks and C_k = K[block k+1, block k], the pivot
+    blocks are S_1 = D_1 and S_{k+1} = D_{k+1} - C_k S_k^{-1} C_k', each
+    held as its LAPACK Bunch-Kaufman factors in ``_pivots``; ``_gain`` holds
+    each S_k^{-1} C_k', so the unit lower factor has C_k S_k^{-1} =
+    _gain[k]' below its diagonal."""
+
+    matrix: np.ndarray
+    inertia: Tuple[int, int, int]
+    _index: Tuple[np.ndarray, ...]
+    _pivots: List[Tuple[np.ndarray, np.ndarray]]
+    _gain: List[np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Forward sweep, block-diagonal solve and backward sweep; rhs may be
+        a vector or matrix."""
+        b = np.asarray(rhs, dtype=float)
+        index, pivots, gain = self._index, self._pivots, self._gain
+        y = b[index[0]]
+        forward = [y]
+        for k in range(1, len(index)):
+            y = b[index[k]] - gain[k - 1].T @ y
+            forward.append(y)
+        out = np.empty(b.shape)
+        x = _pivot_solve(pivots[-1], forward[-1])
+        out[index[-1]] = x
+        for k in range(len(index) - 2, -1, -1):
+            x = _pivot_solve(pivots[k], forward[k]) - gain[k] @ x
+            out[index[k]] = x
+        if not np.all(np.isfinite(out)):
+            raise NumericalFailure("non-finite solve result")
+        return out
+
+
+Factorization = Union[SymmetricFactorization, BlockedFactorization]
+
+
+def _pivot_solve(pivot: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    x, _ = dsytrs(pivot[0], pivot[1], rhs, lower=1)
+    return x
+
+
+def _pivot_eigenvalues(diag: np.ndarray, two: np.ndarray, off: np.ndarray):
+    """1x1 pivot positions and the eigenvalues of a block diagonal D with
+    diagonal ``diag`` and symmetric 2x2 blocks at rows (two, two + 1) whose
+    off-diagonal entries are ``off``: the 1x1 pivots, then the smaller and
+    the larger eigenvalue of each 2x2 block."""
+    if not two.size:
+        return np.arange(diag.size), diag
+    single = np.ones(diag.size, dtype=bool)
+    single[two] = single[two + 1] = False
+    one = np.flatnonzero(single)
+    mean = 0.5 * (diag[two] + diag[two + 1])
+    rad = np.hypot(0.5 * (diag[two] - diag[two + 1]), off)
+    return one, np.concatenate([diag[one], mean - rad, mean + rad])
+
+
+def _factorize_blocked(
+    K: np.ndarray, zero_tol: float, blocks: Sequence[np.ndarray]
+) -> Optional[BlockedFactorization]:
+    """Block tridiagonal factorization of K in the order of ``blocks``, or
+    None when a pivot block is non-finite, fails to factor, or has a pivot
+    eigenvalue of magnitude at most ``zero_tol``. Entries of K outside the
+    block tridiagonal band are not read."""
+    pivots: List[Tuple[np.ndarray, np.ndarray]] = []
+    gain: List[np.ndarray] = []
+    pos = neg = 0
+    S = K[np.ix_(blocks[0], blocks[0])]
+    for k, rows in enumerate(blocks):
+        if not np.all(np.isfinite(S)):
+            return None
+        lu, ipiv, info = dsytrf(S, lower=1)
+        if info != 0 or not np.all(np.isfinite(lu)):
+            return None
+        # LAPACK marks both rows of a 2x2 pivot block with a negative ipiv
+        two = np.flatnonzero(ipiv < 0)[::2]
+        _, eigs = _pivot_eigenvalues(np.diagonal(lu), two, lu[two + 1, two])
+        if np.any(np.abs(eigs) <= zero_tol):
+            return None
+        pos += int(np.count_nonzero(eigs > 0.0))
+        neg += int(np.count_nonzero(eigs < 0.0))
+        pivots.append((lu, ipiv))
+        if k + 1 < len(blocks):
+            nxt = blocks[k + 1]
+            C = K[np.ix_(nxt, rows)]
+            gain.append(_pivot_solve(pivots[-1], C.T))
+            S = K[np.ix_(nxt, nxt)] - C @ gain[-1]
+    return BlockedFactorization(K, (pos, neg, 0), tuple(blocks), pivots, gain)
+
+
+def factorize(
+    K: np.ndarray,
+    zero_tol: Optional[float] = None,
+    blocks: Optional[Sequence[np.ndarray]] = None,
+) -> Factorization:
     """Factor a symmetric matrix and report its inertia.
 
     ``zero_tol`` is the pivot-eigenvalue magnitude below which a direction is
@@ -80,6 +194,13 @@ def factorize(K: np.ndarray, zero_tol: Optional[float] = None) -> SymmetricFacto
     down to the dual regularization scale (1e-8) next to huge barrier entries,
     which a norm-proportional threshold would misread as zero. Pass an
     explicit tolerance for matrices scaled outside that regime.
+
+    ``blocks``, index arrays that partition the rows of K, selects the block
+    tridiagonal factorization when there are at least two of them; K must be
+    block tridiagonal in that order (``ProblemModel.stage_blocks`` orders
+    the reduced KKT system so). The dense factorization serves every other
+    matrix, and any whose blocked factorization meets a zero, non-finite or
+    failed pivot block.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -89,6 +210,12 @@ def factorize(K: np.ndarray, zero_tol: Optional[float] = None) -> SymmetricFacto
         raise NumericalFailure("non-finite matrix entry")
     if zero_tol is None:
         zero_tol = 1e-11
+    if blocks is not None and len(blocks) >= 2:
+        if sum(len(rows) for rows in blocks) != n:
+            raise ValueError(f"blocks do not partition the {n} rows of the matrix")
+        fact = _factorize_blocked(K, zero_tol, blocks)
+        if fact is not None:
+            return fact
     if n == 0:
         lu, d, perm = K.copy(), K, np.arange(0)
     else:
@@ -102,18 +229,12 @@ def factorize(K: np.ndarray, zero_tol: Optional[float] = None) -> SymmetricFacto
     # blocks are disjoint, so the remaining positions are 1x1 pivots
     two = np.flatnonzero(np.diagonal(d, -1))
     diag = np.diagonal(d)
+    one, eigs = _pivot_eigenvalues(diag, two, d[two, two + 1])
     if two.size:
-        single = np.ones(n, dtype=bool)
-        single[two] = single[two + 1] = False
-        one = np.flatnonzero(single)
         d00, d01, d10, d11 = diag[two], d[two, two + 1], d[two + 1, two], diag[two + 1]
         blk = np.array([d00, d01, -d10, d11, d00 * d11 - d01 * d10])
-        # eigenvalues of the symmetric 2x2 blocks
-        mean = 0.5 * (d00 + d11)
-        rad = np.hypot(0.5 * (d00 - d11), d01)
-        eigs = np.concatenate([diag[one], mean - rad, mean + rad])
     else:
-        one, blk, eigs = np.arange(n), np.zeros((5, 0)), diag
+        blk = np.zeros((5, 0))
     zero = int(np.count_nonzero(np.abs(eigs) <= zero_tol))
     pos = int(np.count_nonzero(eigs > max(zero_tol, 0.0)))
     piv = diag[one]
@@ -128,7 +249,7 @@ def factorize(K: np.ndarray, zero_tol: Optional[float] = None) -> SymmetricFacto
 
 
 def solve_refined(
-    fact: SymmetricFactorization,
+    fact: Factorization,
     K: np.ndarray,
     rhs: np.ndarray,
     max_refine: int = 10,
@@ -184,10 +305,12 @@ def correct_inertia(
     target: Tuple[int, int, int],
     reg: RegularizationState,
     opts: InertiaOptions = InertiaOptions(),
-) -> Tuple[SymmetricFactorization, RegularizationState]:
+    blocks: Optional[Sequence[np.ndarray]] = None,
+) -> Tuple[Factorization, RegularizationState]:
     """Find shifts (eps_p, eps_d) whose assembled matrix has ``target`` inertia.
 
-    ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix. The
+    ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix,
+    factored in the order of ``blocks`` when given (see ``factorize``). The
     unshifted matrix is tried first; a zero eigenvalue count switches on the
     dual shift; the primal shift then escalates until the target inertia is
     reached or the cap is exceeded.
@@ -195,7 +318,7 @@ def correct_inertia(
 
     def try_factor(ep, ed):
         try:
-            return factorize(assemble(ep, ed))
+            return factorize(assemble(ep, ed), blocks=blocks)
         except NumericalFailure:
             return None
 

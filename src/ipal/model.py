@@ -42,6 +42,13 @@ class ProblemModel:
     with zeroed multipliers so constraint curvature is dropped.
     ``parameter_jacobians(x, theta, y, z)`` returns (L_xt, g_t, h_t): the
     theta-Jacobians of the Lagrangian x-gradient, g, and h.
+
+    ``stage_blocks`` partitions the unknowns of the reduced KKT system, the
+    stacked (x, y, z) of length n + m + p, into an ordered sequence of
+    index groups in whose order that system is block tridiagonal; the solver
+    then factors it block by block (``linsolve.factorize``). ``transcribe``
+    sets it from the stage order; hand-built models leave it None and are
+    factored densely.
     """
 
     n: int
@@ -58,10 +65,15 @@ class ProblemModel:
     parameter_jacobians: Optional[Callable] = None
     d: int = 0
     gauss_newton: bool = False
+    stage_blocks: Optional[Tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 0 or self.p < 0 or self.d < 0:
             raise InvalidDimension(f"bad dimensions n={self.n} m={self.m} p={self.p} d={self.d}")
+        if self.stage_blocks is not None:
+            order = np.concatenate(self.stage_blocks)
+            if not np.array_equal(np.sort(order), np.arange(self.n + self.m + self.p)):
+                raise InvalidDimension("stage_blocks must partition the n + m + p reduced unknowns")
         if self.cone.dim != self.p:
             raise InvalidDimension(f"cone dim {self.cone.dim} != p={self.p}")
         if self.m == 0:

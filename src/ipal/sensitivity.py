@@ -92,7 +92,7 @@ def differentiate(
     try:
         rsys = assemble_symmetric(model, point, theta, outer, cache=cache, rows=Rt)
         rsys.track_multiplier()
-        fact = factorize(rsys.K)
+        fact = factorize(rsys.K, blocks=model.stage_blocks)
         if fact.inertia[2] == 0:
             dw, _, err, _ = reduced_solve(rsys, fact, cache, outer.rho, Rt, DirectionOptions())
     except NumericalFailure:

@@ -91,6 +91,8 @@ class TraceRecord:
     refine_passes: int = 0
     used_full_solve: bool = False
     consistency_error: float = 0.0
+    inertia_trials: int = 0
+    blocked: bool = False
 
 
 @dataclass
@@ -376,6 +378,8 @@ def solve(
                         refine_passes=info.refine_passes,
                         used_full_solve=info.used_full_solve,
                         consistency_error=info.consistency_error,
+                        inertia_trials=info.inertia_trials,
+                        blocked=info.blocked,
                     )
                 )
     except LineSearchFailure:

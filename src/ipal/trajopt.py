@@ -4,6 +4,9 @@ The decision vector interleaves knot states and controls, x = (X1, U1, X2,
 U2, ..., XT), and the equality block stacks the initial-state pin, the
 dynamics defects F_t(X_t, U_t, theta) - X_{t+1}, and any per-stage equality
 constraints. Per-stage cone constraints are concatenated in stage order.
+The model also records the stage order of the reduced KKT unknowns
+(``ProblemModel.stage_blocks``), in which the solver factors that system
+block tridiagonally.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ import numpy as np
 
 from .cone import ConeSpec, concatenate
 from .model import InvalidDimension, ProblemModel
+
+# Consecutive stages share one pivot block of the stage-blocked factorization
+# until it holds at least this many rows: fewer, larger blocks trade Python
+# overhead per block against the cubic cost of each block.
+STAGE_BLOCK_ROWS = 24
 
 
 def _shaped(value, shape, what):
@@ -183,6 +191,30 @@ def index_map(problem: TrajectoryProblem) -> IndexMap:
     )
 
 
+def _stage_blocks(imap: IndexMap) -> Tuple[np.ndarray, ...]:
+    """Reduced (x, y, z) unknowns grouped by stage. Stage t contributes, in
+    order, the equality duals whose -I falls on its state (the initial-state
+    pin for t = 0, defect t-1 otherwise) and its own equality rows, its
+    variables, and its cone rows; consecutive stages are merged until a
+    group holds STAGE_BLOCK_ROWS rows. Only defect rows couple neighbouring
+    stages, so the reduced KKT matrix is block tridiagonal in this order."""
+    n, m = imap.n, imap.m
+    groups, parts = [], []
+    for t, stage in enumerate(imap.stage):
+        pin = imap.init if t == 0 else imap.defect[t - 1]
+        eq, cone = imap.equality[t], imap.cone[t]
+        parts += [
+            np.arange(n + pin.start, n + pin.stop),
+            np.arange(n + eq.start, n + eq.stop),
+            np.arange(stage.start, stage.stop),
+            np.arange(n + m + cone.start, n + m + cone.stop),
+        ]
+        if sum(part.size for part in parts) >= STAGE_BLOCK_ROWS or t == len(imap.stage) - 1:
+            groups.append(np.concatenate(parts))
+            parts = []
+    return tuple(groups)
+
+
 def extract_trajectory(problem, x):
     """Split a decision vector into (states, controls) lists."""
     imap = index_map(problem)
@@ -235,7 +267,8 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
 
     The Lagrangian Hessian and parameter cross terms are assembled from the
     per-stage hooks; defect coupling rows (-I on the next state) are linear
-    and contribute nothing to either.
+    and contribute nothing to either. ``stage_blocks`` of the model holds
+    the stage order of the reduced KKT unknowns (see ``_stage_blocks``).
     """
     imap = index_map(problem)
     stages = problem.stages
@@ -423,4 +456,5 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
         lagrangian_hessian=lagrangian_hessian,
         parameter_jacobians=parameter_jacobians,
         d=d,
+        stage_blocks=_stage_blocks(imap),
     )

@@ -99,3 +99,59 @@ def finite_difference_residual_jacobian(model, point, theta, outer, step=1e-6):
         Rm = residual(model, lay.unpack(wm), theta, outer)
         J[:, j] = (Rp - Rm) / (2.0 * hj)
     return J
+
+
+TRACK_A = np.array([[1.0, 0.1], [0.0, 1.0]])
+TRACK_B = np.array([0.005, 0.1])
+
+
+def trajectory_tracking(T, position_weights=None, duplicated_stage=None, initial_state=(0.3, -0.2)):
+    """Double integrator tracking a sinusoid over T knots, z = (p, v, u).
+
+    Stage cost w_p (p - r_p)^2 + 0.1 (v - r_v)^2 + 0.01 u^2, the bound
+    |u| <= 2 as two orthant rows and |v| <= 1.5 as the second-order segment
+    (1.5, v). ``position_weights[t]`` replaces w_p = 1 at stage t; stage
+    ``duplicated_stage`` also carries the equality u = 0 twice. theta is the
+    initial state, ``initial_state`` by default. Returns (model, x0, theta)
+    of the transcription."""
+    from ipal.trajopt import Stage, TrajectoryProblem, transcribe
+
+    dt = TRACK_A[0, 1]
+    knots = np.arange(T) * dt
+    refs = np.column_stack([np.sin(2.0 * knots), 2.0 * np.cos(2.0 * knots)])
+    weights = np.ones(T) if position_weights is None else np.asarray(position_weights, dtype=float)
+    cone_jacobian = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def stage(t):
+        r, w = refs[t], np.array([weights[t], 0.1, 0.01])
+        extra = {}
+        if t < T - 1:
+            extra.update(
+                dynamics=lambda z, th: TRACK_A @ z[:2] + TRACK_B * z[2],
+                dynamics_jacobian=lambda z, th: np.column_stack([TRACK_A, TRACK_B]),
+            )
+        if t == duplicated_stage:
+            extra.update(
+                equality=lambda z, th: np.array([z[2], z[2]]),
+                equality_jacobian=lambda z, th: np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+                equality_dim=2,
+            )
+        return Stage(
+            state_dim=2,
+            control_dim=1,
+            cost=lambda z, th: float(w @ (z - np.array([r[0], r[1], 0.0])) ** 2),
+            cost_gradient=lambda z, th: 2.0 * w * (z - np.array([r[0], r[1], 0.0])),
+            cost_hessian=lambda z, th: np.diag(2.0 * w),
+            cone_constraint=lambda z, th: np.array([2.0 - z[2], 2.0 + z[2], 1.5, z[1]]),
+            cone_jacobian=lambda z, th: cone_jacobian.copy(),
+            cone=ConeSpec((Orthant(2), SecondOrder(2))),
+            **extra,
+        )
+
+    model = transcribe(TrajectoryProblem(
+        stages=[stage(t) for t in range(T)],
+        initial_state=np.zeros(2),
+        num_parameters=2,
+        initial_state_param=slice(0, 2),
+    ))
+    return model, np.zeros(model.n), np.array(initial_state, dtype=float)

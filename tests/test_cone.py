@@ -62,6 +62,19 @@ class TestSpecValidation:
         spec = concatenate([ConeSpec((Orthant(1),)), ConeSpec((SecondOrder(2),))])
         assert spec.segments == (Orthant(1), SecondOrder(2))
 
+    def test_dim_is_computed_once(self):
+        spec = concatenate([ConeSpec((Orthant(2), SecondOrder(3))), ConeSpec((SecondOrder(1),))])
+        assert vars(spec)["dim"] == spec.dim == 6
+        assert spec == ConeSpec((Orthant(2), SecondOrder(3), SecondOrder(1)))
+
+    def test_index_groups(self):
+        spec = ConeSpec((Orthant(2), SecondOrder(2), SecondOrder(1), SecondOrder(3), SecondOrder(2)))
+        diagonal, second_order = spec.index_groups
+        np.testing.assert_array_equal(diagonal, [0, 1, 4])
+        assert len(second_order) == 2
+        np.testing.assert_array_equal(second_order[0], [[2, 3], [8, 9]])
+        np.testing.assert_array_equal(second_order[1], [[5, 6, 7]])
+
 
 class TestProduct:
     def test_orthant_product(self):

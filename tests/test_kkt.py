@@ -4,8 +4,10 @@ import pytest
 from helpers import (
     finite_difference_residual_jacobian,
     random_cone,
+    random_interior,
     random_iterate,
     random_nlp,
+    trajectory_tracking,
 )
 import ipal.kkt
 import ipal.solver
@@ -24,9 +26,17 @@ from ipal.kkt import (
     residual,
     search_direction,
 )
-from ipal.linsolve import RegularizationState
+from ipal.cone import cone_product_jacobians
+from ipal.linsolve import (
+    BlockedFactorization,
+    InertiaOptions,
+    RegularizationState,
+    SymmetricFactorization,
+    correct_inertia,
+    factorize,
+)
 from ipal.model import ProblemModel, evaluate
-from ipal.solver import solve
+from ipal.solver import SolverOptions, initialize_point, solve
 
 
 def scalar_model(curvature=2.0):
@@ -328,3 +338,123 @@ def test_solve_computes_each_residual_once(monkeypatch, name):
     sol = solve(prob.model, prob.x0, prob.theta)
     assert sol.solved
     assert len(residuals) == sol.total_iterations + sol.outer_iterations
+
+
+def _cone_blocks_loop(model, point, reg):
+    """The reduced cone block -Msym and W = P_s + eps_p P_tb by one
+    np.linalg.solve per second-order segment; the batched assembly must
+    reproduce both exactly."""
+    p = model.p
+    Ps, Pt = cone_product_jacobians(point.s, point.t, model.cone)
+    Ptb = Pt - reg.eps_d * np.eye(p)
+    Msym = np.zeros((p, p))
+    W = []
+    for seg, sl in model.cone.slices():
+        Wb = Ps[sl, sl] + reg.eps_p * Ptb[sl, sl]
+        if isinstance(seg, SecondOrder) and seg.dim >= 2:
+            M = np.linalg.solve(Wb, Ptb[sl, sl])
+            Msym[sl, sl] = 0.5 * (M + M.T)
+        else:
+            Msym[sl, sl] = np.diag(np.diag(Ptb[sl, sl]) / np.diag(Wb))
+        W.append((seg, sl, Wb))
+    return Msym, W
+
+
+def _apply_W_inverse_loop(W, v):
+    out = np.empty_like(v)
+    for seg, sl, Wb in W:
+        if isinstance(seg, SecondOrder) and seg.dim >= 2:
+            out[sl] = np.linalg.solve(Wb, v[sl])
+        else:
+            d = np.diag(Wb)
+            out[sl] = v[sl] / d if v.ndim == 1 else v[sl] / d[:, None]
+    return out
+
+
+def test_batched_cone_solves_match_segment_loop():
+    # one stacked solve per second-order dimension, bitwise equal to one
+    # solve per segment, for vectors, matrices and column matrices
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        segs = []
+        for _ in range(int(rng.integers(1, 7))):
+            kind = rng.integers(3)
+            segs.append(Orthant(int(rng.integers(1, 4))) if kind == 0 else SecondOrder(int(rng.integers(1, 5))))
+        cone = ConeSpec(tuple(segs))
+        model = random_nlp(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3)), cone)
+        point, outer = random_iterate(rng, model)
+        point.s = random_interior(rng, cone, scale=float(rng.uniform(0.1, 10.0)))
+        reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
+        rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
+        Msym, W = _cone_blocks_loop(model, point, reg)
+        cone_rows = slice(model.n + model.m, None)
+        np.testing.assert_array_equal(rsys.K[cone_rows, cone_rows], -(reg.eps_d * np.eye(model.p) + Msym))
+        for v in (rng.standard_normal(model.p), rng.standard_normal((model.p, 3)),
+                  rng.standard_normal((model.p, 1))):
+            np.testing.assert_array_equal(rsys.apply_W_inverse(v), _apply_W_inverse_loop(W, v))
+
+
+def _tracking_assembler(model, x0, theta):
+    """Reduced system of a transcribed model at its initial iterate, as a
+    function of the shifts (eps_p, eps_d)."""
+    point = initialize_point(model, x0, theta, SolverOptions())
+    point.y = np.linspace(-1.0, 1.0, model.m)
+    outer = OuterState(lam=np.zeros(model.m), rho=10.0, kappa=0.1)
+    cache = evaluate(model, point.x, theta, point.y, point.z)
+    return lambda ep, ed: assemble_symmetric(
+        model, point, theta, outer, RegularizationState(ep, ed), cache
+    )
+
+
+def test_negative_curvature_stages_reach_target_with_dense_shifts():
+    # concave position cost on every third stage: the unshifted reduced
+    # system has the wrong inertia, and the blocked and dense factorizations
+    # walk the same shift sequence to the target
+    T = 20
+    weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
+    model, x0, theta = trajectory_tracking(T, position_weights=weights)
+    build = _tracking_assembler(model, x0, theta)
+    target = (model.n, model.m + model.p, 0)
+    assert factorize(build(0.0, 0.0).K).inertia != target
+    results = {}
+    for label, blocks in (("blocked", model.stage_blocks), ("dense", None)):
+        trials = []
+
+        def assemble(ep, ed):
+            trials.append((ep, ed))
+            return build(ep, ed).K
+
+        fact, reg = correct_inertia(assemble, target, RegularizationState(), InertiaOptions(), blocks)
+        assert fact.inertia == target
+        results[label] = (type(fact), reg, trials)
+    assert results["blocked"][0] is BlockedFactorization
+    assert results["dense"][0] is SymmetricFactorization
+    assert results["blocked"][1] == results["dense"][1]
+    assert results["blocked"][1].eps_p > 0.0
+    assert results["blocked"][2] == results["dense"][2]
+
+
+def test_duplicated_equality_rows_fall_back_to_dense():
+    # stage 4 pins u = 0 twice; with the multiplier tracking the dual (as
+    # when differentiating) nothing regularizes the repeated rows, so a pivot
+    # block is singular, the dense factorization takes over and its zero
+    # count switches on the dual shift
+    model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
+    build = _tracking_assembler(model, x0, theta)
+
+    def assemble(ep, ed):
+        rsys = build(ep, ed)
+        rsys.track_multiplier()
+        return rsys.K
+
+    K = assemble(0.0, 0.0)
+    fact = factorize(K, blocks=model.stage_blocks)
+    assert isinstance(fact, SymmetricFactorization)
+    assert fact.inertia == factorize(K).inertia
+    assert fact.inertia[2] >= 1
+
+    target = (model.n, model.m + model.p, 0)
+    blocked, reg = correct_inertia(assemble, target, RegularizationState(), InertiaOptions(), model.stage_blocks)
+    dense, reg_dense = correct_inertia(assemble, target, RegularizationState())
+    assert blocked.inertia == dense.inertia == target
+    assert reg == reg_dense and reg.eps_d > 0.0

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from scipy.linalg import ldl, solve_triangular
 
+import ipal.linsolve
+from helpers import trajectory_tracking
 from ipal.linsolve import (
+    BlockedFactorization,
     InertiaCorrectionFailure,
     NumericalFailure,
     RegularizationState,
+    SymmetricFactorization,
     correct_inertia,
     factorize,
     solve_refined,
 )
+from ipal.solver import solve
 
 
 def random_symmetric(rng, n):
@@ -178,3 +183,100 @@ class TestCorrectInertia:
         assemble = lambda ep, ed: np.eye(3) + ep * np.eye(3)
         with pytest.raises(InertiaCorrectionFailure):
             correct_inertia(assemble, (0, 3, 0), RegularizationState())
+
+
+def block_tridiagonal(rng, sizes, signs):
+    """K = L D L' with L unit block lower bidiagonal and D block diagonal
+    with eigenvalue signs ``signs`` (Sylvester: K has D's inertia), rows
+    shuffled; returns K and its row blocks in block tridiagonal order."""
+    n = sum(sizes)
+    starts = np.cumsum([0] + list(sizes))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    D = np.zeros((n, n))
+    L = np.eye(n)
+    for k, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+        D[lo:hi, lo:hi] = (q * (rng.uniform(0.5, 2.0, hi - lo) * signs[lo:hi])) @ q.T
+        if k + 1 < len(sizes):
+            L[hi : starts[k + 2], lo:hi] = rng.standard_normal((starts[k + 2] - hi, hi - lo))
+    K = L @ D @ L.T
+    K = 0.5 * (K + K.T)
+    order = rng.permutation(n)  # row i of K becomes row position[i]
+    position = np.argsort(order)
+    blocks = tuple(position[lo:hi] for lo, hi in zip(starts[:-1], starts[1:]))
+    return K[np.ix_(order, order)], blocks
+
+
+class TestBlockedFactorize:
+    def test_inertia_and_solve_on_constructed_matrices(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            sizes = list(rng.integers(1, 7, size=int(rng.integers(2, 6))))
+            n = sum(sizes)
+            signs = rng.choice([-1.0, 1.0], size=n)
+            K, blocks = block_tridiagonal(rng, sizes, signs)
+            fact = factorize(K, blocks=blocks)
+            assert isinstance(fact, BlockedFactorization)
+            assert fact.inertia == (int((signs > 0).sum()), int((signs < 0).sum()), 0)
+            assert fact.n == n and fact.matrix is K
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                expected = np.linalg.solve(K, rhs)
+                got = solve_refined(fact, K, rhs)
+                assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
+
+    def test_zero_pivot_block_falls_back_to_dense(self):
+        rng = np.random.default_rng(32)
+        signs = np.array([1.0, -1.0, 1.0, 0.0, 1.0, -1.0, 1.0, 1.0])
+        K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
+        fact = factorize(K, blocks=blocks)
+        assert isinstance(fact, SymmetricFactorization)
+        assert fact.inertia == factorize(K).inertia
+        assert fact.inertia[2] == 1
+
+    def test_one_block_is_dense(self):
+        rng = np.random.default_rng(33)
+        K = random_symmetric(rng, 5)
+        fact = factorize(K, blocks=(np.arange(5),))
+        assert isinstance(fact, SymmetricFactorization)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            factorize(np.eye(4), blocks=(np.arange(2), np.arange(2, 3)))
+        K = np.eye(4)
+        K[0, 3] = K[3, 0] = np.nan  # outside the band of the blocks below
+        with pytest.raises(NumericalFailure):
+            factorize(K, blocks=(np.arange(2), np.arange(2, 4)))
+
+    @pytest.mark.parametrize("T", [10, 50, 100, 200])
+    def test_matches_dense_along_tracking_solves(self, monkeypatch, T):
+        # every 8th reduced KKT matrix factored during the solve, and the last
+        model, x0, theta = trajectory_tracking(T)
+        captured, seen = [], {"count": 0, "last": None}
+        original = ipal.linsolve.factorize
+
+        def capture(K, zero_tol=None, blocks=None):
+            if seen["count"] % 8 == 0:
+                captured.append(K)
+            seen["count"] += 1
+            seen["last"] = K
+            return original(K, zero_tol, blocks)
+
+        monkeypatch.setattr(ipal.linsolve, "factorize", capture)
+        assert solve(model, x0, theta).solved
+        monkeypatch.undo()
+        rng = np.random.default_rng(T)
+        for K in captured + [seen["last"]]:
+            blocked = factorize(K, blocks=model.stage_blocks)
+            dense = factorize(K)
+            assert isinstance(blocked, BlockedFactorization)
+            assert blocked.inertia == dense.inertia
+            for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
+                expected = solve_refined(dense, K, rhs)
+                scale = np.abs(expected).max()
+                # late in the solve K has a condition number near 1e9, and
+                # two dense solvers (Bunch-Kaufman and LU) already differ by
+                # more than 1e-10 relative; there the blocked solve must stay
+                # within ten times that difference
+                spread = np.abs(np.linalg.solve(K, rhs) - expected).max() / scale
+                err = np.abs(solve_refined(blocked, K, rhs) - expected).max() / scale
+                assert err <= max(1e-10, 10.0 * spread)

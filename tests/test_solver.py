@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ipal.linsolve
+from helpers import trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import DirectionOptions, OuterState, SolverPoint
@@ -360,3 +362,38 @@ def test_trace_records_direction_diagnostics(name):
         assert rec.used_full_solve is False
         assert rec.refine_passes >= 0
         assert 0.0 <= rec.consistency_error <= bound * (1.0 + rec.residual_norm)
+
+
+GENERAL = sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
+
+
+def _traced_solve(monkeypatch, model, x0, theta):
+    """Solve with tracing on, counting the factorizations the inertia
+    correction tries."""
+    calls = []
+    original = ipal.linsolve.factorize
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ipal.linsolve, "factorize", counting)
+    sol = solve(model, x0, theta, SolverOptions(record_trace=True))
+    assert sol.solved and sol.trace
+    assert sum(rec.inertia_trials for rec in sol.trace) == len(calls)
+    assert all(rec.inertia_trials >= 1 for rec in sol.trace)
+    return sol
+
+
+def test_transcribed_directions_are_blocked(monkeypatch):
+    model, x0, theta = trajectory_tracking(30)
+    sol = _traced_solve(monkeypatch, model, x0, theta)
+    assert all(rec.blocked for rec in sol.trace)
+
+
+def test_general_registry_problems_are_dense(monkeypatch):
+    assert len(GENERAL) == 6
+    for name in GENERAL:
+        prob = REGISTRY[name]
+        sol = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
+        assert not any(rec.blocked for rec in sol.trace)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from helpers import random_iterate
+from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant
+from ipal.kkt import assemble_symmetric
 from ipal.model import InvalidDimension, evaluate_parameter_jacobians, validate_derivatives
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import (
+    STAGE_BLOCK_ROWS,
     Stage,
     TrajectoryProblem,
     dynamics_rollout,
@@ -265,3 +269,37 @@ def test_solve_reaches_target():
     rolled = dynamics_rollout(problem, controls)
     for got, ref in zip(states, rolled):
         np.testing.assert_allclose(got, ref, atol=1e-6)
+
+
+def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
+    # 7 reduced rows per stage (defect duals, equality row, variables, cone
+    # row), so stages merge four at a time
+    problem = nonlinear_problem()
+    problem = TrajectoryProblem(
+        stages=[nonlinear_stage() for _ in range(10)] + [problem.stages[-1]],
+        initial_state=problem.initial_state,
+        num_parameters=2,
+    )
+    model = transcribe(problem)
+    blocks = model.stage_blocks
+    N = model.n + model.m + model.p
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(N))
+    assert [len(b) for b in blocks] == [28, 28, 18]
+    assert all(len(b) >= STAGE_BLOCK_ROWS for b in blocks[:-1])
+    rng = np.random.default_rng(12)
+    point, outer = random_iterate(rng, model)
+    K = assemble_symmetric(model, point, np.array([0.3, 1.0]), outer).K
+    assert np.count_nonzero(K) > 0
+    for i, rows in enumerate(blocks):
+        for j, cols in enumerate(blocks):
+            if abs(i - j) > 1:
+                assert not K[np.ix_(rows, cols)].any()
+
+
+def test_registry_stage_blocks():
+    sizes = {
+        name: [len(b) for b in prob.model.stage_blocks]
+        for name, prob in REGISTRY.items()
+        if prob.model.stage_blocks is not None
+    }
+    assert sizes == {"double-integrator-trajopt": [25, 26], "mpc-autotune": [25, 4]}
