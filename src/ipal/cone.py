@@ -2,7 +2,11 @@
 
 A cone is described by an ordered tuple of segments. All operations act
 segment-wise on stacked vectors; the stacking order of the segments is the
-stacking order of the vector entries.
+stacking order of the vector entries. Each operation is one elementwise step
+on the orthant entries and one stacked step per second-order dimension
+(``ConeSpec.index_groups``), so this is the only module that knows the
+segment layout. Block-diagonal matrices in that layout, such as the
+Jacobians of the product, are ``ConeBlocks``.
 """
 
 from __future__ import annotations
@@ -64,19 +68,27 @@ class ConeSpec:
         object.__setattr__(self, "dim", sum(seg.dim for seg in segs))
 
     @cached_property
+    def segment_groups(self) -> Tuple[Tuple[bool, np.ndarray, np.ndarray], ...]:
+        """Non-empty segments grouped by kind and dimension, as (second order,
+        positions in ``segments``, (segments, dim) rows): elementwise groups
+        first, dimensions increasing, segments in stacking order."""
+        groups: dict = {}
+        starts = np.cumsum([0] + [seg.dim for seg in self.segments])
+        for k, (seg, lo) in enumerate(zip(self.segments, starts)):
+            if seg.dim:  # a dim-1 second-order segment is a single orthant entry
+                soc = isinstance(seg, SecondOrder) and seg.dim >= 2
+                groups.setdefault((soc, seg.dim), []).append((k, np.arange(lo, lo + seg.dim)))
+        return tuple((soc, np.array([k for k, _ in members]), np.array([rows for _, rows in members]))
+                     for (soc, _), members in sorted(groups.items()))
+
+    @cached_property
     def index_groups(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """Entries with elementwise algebra (orthant segments and dim-1
-        second-order segments), and the rows of the other second-order
-        segments grouped by dimension: one (segments, dim) index array per
-        dimension, in increasing dimension, segments in stacking order."""
-        diagonal, soc = [], {}
-        for seg, sl in self.slices():
-            if _is_soc(seg):
-                soc.setdefault(seg.dim, []).append(np.arange(sl.start, sl.stop))
-            else:
-                diagonal.append(np.arange(sl.start, sl.stop))
-        flat = np.concatenate(diagonal) if diagonal else np.zeros(0, dtype=int)
-        return flat, tuple(np.array(soc[d]) for d in sorted(soc))
+        """Entries with elementwise algebra, in stacking order, and the
+        (segments, dim) rows of the other second-order segments, one array
+        per dimension in increasing dimension."""
+        diagonal = [rows.ravel() for soc, _, rows in self.segment_groups if not soc]
+        flat = np.sort(np.concatenate(diagonal)) if diagonal else np.zeros(0, dtype=int)
+        return flat, tuple(rows for soc, _, rows in self.segment_groups if soc)
 
     def slices(self) -> Iterator[Tuple[Segment, slice]]:
         """Yield (segment, slice into the stacked vector) pairs in order."""
@@ -101,39 +113,35 @@ def _check_operand(a: np.ndarray, spec: ConeSpec, name: str) -> np.ndarray:
     return a
 
 
-def _is_soc(seg: Segment) -> bool:
-    # dim-1 second-order segments are a single orthant entry
-    return isinstance(seg, SecondOrder) and seg.dim >= 2
+def _dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # row-wise u @ v as one stacked matmul, bitwise equal to the 1-D dot and
+    # its square root to np.linalg.norm (unlike (U * V).sum(1))
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+def cone_slack(a: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """The elementwise entries of ``a`` (``index_groups[0]``), then
+    a[0] - ||a[1:]|| per second-order segment: ``a`` is in the cone iff all
+    are >= 0, in its interior iff all are > 0."""
+    a = _check_operand(a, spec, "a")
+    diag, soc = spec.index_groups
+    return np.concatenate(
+        [a[diag]] + [a[rows[:, 0]] - np.sqrt(_dots(a[rows[:, 1:]], a[rows[:, 1:]])) for rows in soc]
+    )
 
 
 def in_cone(a: np.ndarray, spec: ConeSpec, strict: bool = False) -> bool:
-    """Membership test; ``strict`` tests the interior."""
-    a = _check_operand(a, spec, "a")
-    for seg, sl in spec.slices():
-        v = a[sl]
-        if _is_soc(seg):
-            slack = v[0] - np.linalg.norm(v[1:])
-        elif v.size:
-            slack = v.min()
-        else:
-            continue
-        if strict:
-            if not slack > 0.0:
-                return False
-        elif not slack >= 0.0:
-            return False
-    return True
+    """Membership test; ``strict`` tests the interior. NaN is outside."""
+    slack = cone_slack(a, spec)
+    return bool((slack > 0.0).all() if strict else (slack >= 0.0).all())
 
 
 def cone_target(spec: ConeSpec) -> np.ndarray:
     """Identity element of the segment-wise product: ones on orthant entries,
     (1, 0, ..., 0) on second-order segments."""
+    diag, soc = spec.index_groups
     e = np.zeros(spec.dim)
-    for seg, sl in spec.slices():
-        if _is_soc(seg):
-            e[sl.start] = 1.0
-        else:
-            e[sl] = 1.0
+    e[np.concatenate([diag] + [rows[:, 0] for rows in soc])] = 1.0
     return e
 
 
@@ -142,102 +150,154 @@ def cone_product(a: np.ndarray, b: np.ndarray, spec: ConeSpec) -> np.ndarray:
     (a'b, a[0]b[1:] + b[0]a[1:]) on second-order segments."""
     a = _check_operand(a, spec, "a")
     b = _check_operand(b, spec, "b")
+    diag, soc = spec.index_groups
     out = np.empty(spec.dim)
-    for seg, sl in spec.slices():
-        u, v = a[sl], b[sl]
-        if _is_soc(seg):
-            out[sl.start] = u @ v
-            out[sl.start + 1 : sl.stop] = u[0] * v[1:] + v[0] * u[1:]
-        else:
-            out[sl] = u * v
+    out[diag] = a[diag] * b[diag]
+    for rows in soc:
+        U, V = a[rows], b[rows]
+        out[rows[:, 0]] = _dots(U, V)
+        out[rows[:, 1:]] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
     return out
 
 
-def _arrow(u: np.ndarray) -> np.ndarray:
-    l = u.size
-    M = np.zeros((l, l))
-    M[0, :] = u
-    M[1:, 0] = u[1:]
-    M[1:, 1:] += u[0] * np.eye(l - 1)
-    return M
+@dataclass(frozen=True)
+class ConeBlocks:
+    """Block-diagonal p x p matrix in a cone's layout: ``diag`` on the
+    elementwise entries (``index_groups[0]``), one (segments, dim, dim) stack
+    per second-order dimension. It multiplies and solves vectors or columns."""
+
+    spec: ConeSpec
+    diag: np.ndarray
+    blocks: Tuple[np.ndarray, ...]
+
+    def __add__(self, other: ConeBlocks) -> ConeBlocks:
+        return ConeBlocks(self.spec, self.diag + other.diag, tuple(map(np.add, self.blocks, other.blocks)))
+
+    def __rmul__(self, c: float) -> ConeBlocks:
+        return ConeBlocks(self.spec, c * self.diag, tuple(c * B for B in self.blocks))
+
+    def shift(self, c: float) -> ConeBlocks:
+        """self + c I"""
+        return ConeBlocks(self.spec, self.diag + c, tuple(B + c * np.eye(B.shape[1]) for B in self.blocks))
+
+    def symmetric_part(self) -> ConeBlocks:
+        return ConeBlocks(self.spec, self.diag, tuple(0.5 * (B + B.transpose(0, 2, 1)) for B in self.blocks))
+
+    def _apply(self, v: np.ndarray, elementwise, stacked) -> np.ndarray:
+        diag, soc = self.spec.index_groups
+        d = self.diag if v.ndim == 1 else self.diag[:, None]
+        if not soc:  # every entry elementwise, diag in order
+            return elementwise(v, d)
+        out = np.empty(v.shape)
+        out[diag] = elementwise(v[diag], d)
+        for rows, B in zip(soc, self.blocks):
+            out[rows] = stacked(B, v[rows]) if v.ndim > 1 else stacked(B, v[rows][..., None])[..., 0]
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self._apply(v, np.multiply, np.matmul)
+
+    def solve(self, v):
+        """self^{-1} v, as ConeBlocks when v is; LinAlgError if singular."""
+        if not self.diag.all():  # a zero diagonal entry
+            raise np.linalg.LinAlgError("zero diagonal entry")
+        if isinstance(v, ConeBlocks):
+            return ConeBlocks(self.spec, v.diag / self.diag, tuple(map(np.linalg.solve, self.blocks, v.blocks)))
+        return self._apply(v, np.divide, np.linalg.solve)
+
+    def row_max_abs(self) -> np.ndarray:
+        diag, soc = self.spec.index_groups
+        out = np.empty(self.spec.dim)
+        out[diag] = np.abs(self.diag)
+        for rows, B in zip(soc, self.blocks):
+            out[rows] = np.abs(B).max(axis=2)
+        return out
+
+    def write_to(self, out: np.ndarray) -> np.ndarray:
+        """Write the blocks into the p x p array ``out``; other entries stay."""
+        diag, soc = self.spec.index_groups
+        out[diag, diag] = self.diag
+        for rows, B in zip(soc, self.blocks):
+            out[rows[:, :, None], rows[:, None, :]] = B
+        return out
+
+    def dense(self) -> np.ndarray:
+        return self.write_to(np.zeros((self.spec.dim, self.spec.dim)))
 
 
-def cone_product_jacobians(
-    s: np.ndarray, t: np.ndarray, spec: ConeSpec
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Jacobians (P_s, P_t) of the product s o t with respect to s and t.
+def product_jacobian_blocks(s: np.ndarray, t: np.ndarray, spec: ConeSpec) -> Tuple[ConeBlocks, ConeBlocks]:
+    """Jacobians (P_s, P_t) of the product s o t with respect to s and t:
+    diag(t) / diag(s) on orthant entries and the arrow matrices of t / s on
+    second-order segments. P_s s == P_t t == s o t."""
 
-    Both are block diagonal: diag(t) / diag(s) on orthant segments and arrow
-    matrices on second-order segments. P_s @ s == P_t @ t == s o t.
-    """
-    s = _check_operand(s, spec, "s")
-    t = _check_operand(t, spec, "t")
-    p = spec.dim
-    Ps = np.zeros((p, p))
-    Pt = np.zeros((p, p))
-    for seg, sl in spec.slices():
-        if _is_soc(seg):
-            Ps[sl, sl] = _arrow(t[sl])
-            Pt[sl, sl] = _arrow(s[sl])
-        else:
-            idx = np.arange(sl.start, sl.stop)
-            Ps[idx, idx] = t[sl]
-            Pt[idx, idx] = s[sl]
-    return Ps, Pt
+    def arrows(u):
+        # first row and column u, u[0] on the rest of the diagonal
+        diag, soc = spec.index_groups
+        blocks = []
+        for rows in soc:
+            U = u[rows]
+            B = np.zeros(U.shape + U.shape[1:])
+            B[:, 0, :] = U
+            B[:, 1:, 0] = U[:, 1:]
+            tail = np.arange(1, U.shape[1])
+            B[:, tail, tail] = U[:, :1]
+            blocks.append(B)
+        return ConeBlocks(spec, u[diag], tuple(blocks))
+
+    return arrows(_check_operand(t, spec, "t")), arrows(_check_operand(s, spec, "s"))
+
+
+def cone_product_jacobians(s: np.ndarray, t: np.ndarray, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """``product_jacobian_blocks`` as dense p x p matrices."""
+    Ps, Pt = product_jacobian_blocks(s, t, spec)
+    return Ps.dense(), Pt.dense()
 
 
 def barrier_value(s: np.ndarray, spec: ConeSpec) -> float:
     """Logarithmic barrier: sum(log s_i) on orthants, 0.5*log(s1^2 - ||s2||^2)
-    on second-order segments. Raises NotInterior off the interior."""
+    on second-order segments, summed within each segment and then over the
+    segments in stacking order. Raises NotInterior off the interior."""
     s = _check_operand(s, spec, "s")
-    total = 0.0
-    for seg, sl in spec.slices():
-        v = s[sl]
-        if _is_soc(seg):
-            det = v[0] ** 2 - v[1:] @ v[1:]
-            if not (v[0] > 0.0 and det > 0.0):
+    terms = np.zeros(len(spec.segments))
+    for soc, positions, rows in spec.segment_groups:
+        v = s[rows]
+        if soc:
+            det = np.float_power(v[:, 0], 2) - _dots(v[:, 1:], v[:, 1:])
+            if not ((v[:, 0] > 0.0) & (det > 0.0)).all():
                 raise NotInterior("second-order segment not strictly interior")
-            total += 0.5 * np.log(det)
+            terms[positions] = 0.5 * np.log(det)
         else:
-            if v.size and not v.min() > 0.0:
+            if not (v > 0.0).all():
                 raise NotInterior("orthant segment not strictly positive")
-            total += np.log(v).sum() if v.size else 0.0
-    return float(total)
+            terms[positions] = np.log(v).sum(axis=1)
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
-def _orthant_crossing(a: np.ndarray, da: np.ndarray) -> float:
-    neg = da < 0.0
-    if not neg.any():
-        return np.inf
-    return float((-a[neg] / da[neg]).min())
+def _soc_crossings(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    # Per row, the first positive root of q(alpha) = (a0 + alpha d0)^2 -
+    # ||a1 + alpha d1||^2, with q(0) > 0 on the interior, by the stable
+    # quadratic formula; inf where the ray never crosses. float_power is C
+    # pow, like a scalar x ** 2; x * x can differ in the last bit.
+    q2 = np.float_power(D[:, 0], 2) - _dots(D[:, 1:], D[:, 1:])
+    q1 = 2.0 * (A[:, 0] * D[:, 0] - _dots(A[:, 1:], D[:, 1:]))
+    q0 = np.float_power(A[:, 0], 2) - _dots(A[:, 1:], A[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a negative discriminant gives NaN roots, a zero qq infinite or NaN
+        # ones: none counts as a positive root. q1 + 0.0 turns -0.0 into
+        # +0.0, so that q1 == 0 takes the root -sqrt(disc) / 2.
+        qq = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1 + 0.0))
+        roots = np.array([qq / q2, q0 / qq])
+        roots[~(roots > 0.0)] = np.inf
+        crossing = roots.min(axis=0)
+        # (nearly) linear q: its root, if q decreases
+        scale = np.maximum(np.maximum(np.abs(q2), np.abs(q1)), np.maximum(np.abs(q0), 1.0))
+        linear = np.abs(q2) <= 1e-14 * scale
+        if linear.any():
+            crossing[linear] = np.where(q1 < 0.0, -q0 / q1, np.inf)[linear]
+    return crossing
 
 
-def _soc_crossing(a: np.ndarray, da: np.ndarray) -> float:
-    # First positive root of q(alpha) = (a1+al*d1)^2 - ||a2+al*d2||^2,
-    # with q(0) > 0 on the interior. Solved with the stable quadratic formula.
-    q2 = da[0] ** 2 - da[1:] @ da[1:]
-    q1 = 2.0 * (a[0] * da[0] - a[1:] @ da[1:])
-    q0 = a[0] ** 2 - a[1:] @ a[1:]
-    scale = max(abs(q2), abs(q1), abs(q0), 1.0)
-    if abs(q2) <= 1e-14 * scale:
-        return -q0 / q1 if q1 < 0.0 else np.inf
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        return np.inf
-    sq = np.sqrt(disc)
-    qq = -0.5 * (q1 + np.copysign(sq, q1)) if q1 != 0.0 else -0.5 * sq
-    roots = []
-    if q2 != 0.0:
-        roots.append(qq / q2)
-    if qq != 0.0:
-        roots.append(q0 / qq)
-    pos = [r for r in roots if r > 0.0]
-    return min(pos) if pos else np.inf
-
-
-def max_step_to_boundary(
-    a: np.ndarray, da: np.ndarray, tau: float, spec: ConeSpec
-) -> float:
+def max_step_to_boundary(a: np.ndarray, da: np.ndarray, tau: float, spec: ConeSpec) -> float:
     """Largest step length alpha <= 1 keeping a + alpha*da in the cone, pulled
     back from the boundary by the fraction ``tau``.
 
@@ -248,21 +308,17 @@ def max_step_to_boundary(
     da = _check_operand(da, spec, "da")
     if not in_cone(a, spec, strict=True):
         raise NotInterior("base point is not strictly interior")
-    crossing = np.inf
-    for seg, sl in spec.slices():
-        if _is_soc(seg):
-            c = _soc_crossing(a[sl], da[sl])
-        else:
-            c = _orthant_crossing(a[sl], da[sl])
-        crossing = min(crossing, c)
+    diag, soc = spec.index_groups
+    falling = da[diag] < 0.0
+    crossing = (-a[diag][falling] / da[diag][falling]).min(initial=np.inf)
+    for rows in soc:
+        crossing = min(crossing, _soc_crossings(a[rows], da[rows]).min())
     if not np.isfinite(crossing):
         return 1.0
     return float(min(1.0, tau * crossing))
 
 
-def interior_initialization(
-    h0: np.ndarray, spec: ConeSpec, margin: float = 1.0
-) -> np.ndarray:
+def interior_initialization(h0: np.ndarray, spec: ConeSpec, margin: float = 1.0) -> np.ndarray:
     """Project ``h0`` onto the cone interior with at least ``margin`` slack.
 
     Points already interior with enough slack are returned unchanged. For
@@ -272,11 +328,10 @@ def interior_initialization(
     h0 = _check_operand(h0, spec, "h0")
     if h0.size and np.abs(h0).max() > 1e8:
         margin = max(margin, 1.0)
+    diag, soc = spec.index_groups
     s = h0.copy()
-    for seg, sl in spec.slices():
-        if _is_soc(seg):
-            tail = np.linalg.norm(s[sl.start + 1 : sl.stop])
-            s[sl.start] = max(s[sl.start], tail + margin)
-        else:
-            np.maximum(s[sl], margin, out=s[sl])
+    s[diag] = np.maximum(s[diag], margin)
+    for rows in soc:
+        tails = s[rows[:, 1:]]
+        s[rows[:, 0]] = np.maximum(s[rows[:, 0]], np.sqrt(_dots(tails, tails)) + margin)
     return s

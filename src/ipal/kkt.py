@@ -15,23 +15,24 @@ where lam/rho are the multiplier estimate and penalty of the outer loop and
 kappa is the central-path parameter. Search directions solve the Newton
 system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
 whose factorization also drives inertia-based regularization; cone slack and
-complement blocks are recovered in closed form. On second-order segments the
-reduced cone block is symmetrized, so directions are polished by iterative
-refinement against the full system, applied blockwise; the dense Jacobian is
-built only for a fallback solve when refinement cannot reach the consistency
-bound, and in tests. ``differentiate`` solves its parameter columns through
-the same reduction and refinement, with the multiplier estimate tracking the
-equality dual (``ReducedSystem.track_multiplier``).
+complement blocks are recovered in closed form from stacked cone blocks
+(``ConeBlocks``). On second-order segments the reduced cone block is
+symmetrized, so directions are polished by iterative refinement against the
+full system, applied blockwise; the dense Jacobian, the only p x p cone
+matrix, is built only for a fallback solve when refinement cannot reach the
+consistency bound, and in tests. ``differentiate`` solves its parameter
+columns through the same reduction and refinement, with the multiplier
+estimate tracking the equality dual (``ReducedSystem.track_multiplier``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cone import cone_product, cone_product_jacobians, cone_target
+from .cone import ConeBlocks, cone_product, cone_product_jacobians, cone_target, product_jacobian_blocks
 from .linsolve import (
     BlockedFactorization,
     Factorization,
@@ -180,11 +181,12 @@ class ReducedSystem:
     """Symmetric reduction of the Newton system to (dx, dy, dz).
 
     K is built from one triangle so it is bitwise symmetric. The cone block
-    uses the symmetrized W^{-1}(P_t - eps_d I); on second-order segments that
-    operator is nonsymmetric away from the central path, which is why
-    directions are refined against the full system afterwards; that system
-    is applied blockwise (``jacobian_apply``, from Ps and Ptb), never formed.
-    Right-hand sides and solutions may be vectors or matrices of columns.
+    uses the symmetrized W^{-1} Ptb; on second-order segments that operator
+    is nonsymmetric away from the central path, which is why directions are
+    refined against the full system afterwards; that system is applied
+    blockwise (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked
+    blocks (``ConeBlocks``), never p x p matrices. Right-hand sides and
+    solutions may be vectors or matrices of columns.
     """
 
     layout: Layout
@@ -193,11 +195,9 @@ class ReducedSystem:
     eps_p: float
     eps_d: float
     dual_scale: float  # 1 / (rho + eps_p)
-    # (index, "diag", W diagonal) for the elementwise cone entries and
-    # (rows, "dense", stacked W blocks) per second-order segment dimension
-    W_blocks: List[Tuple[np.ndarray, str, np.ndarray]]
-    Ps: np.ndarray  # d(s o t)/ds
-    Ptb: np.ndarray  # P_t - eps_d I
+    Ps: ConeBlocks  # d(s o t)/ds
+    Ptb: ConeBlocks  # P_t - eps_d I
+    W: ConeBlocks  # Ps + eps_p Ptb
     tracks_multiplier: bool = False  # dlam = dy; see track_multiplier
 
     def track_multiplier(self) -> None:
@@ -210,28 +210,12 @@ class ReducedSystem:
         self.K[idx, idx] = -self.eps_d
         self.tracks_multiplier = True
 
-    def apply_W_inverse(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for rows, kind, blk in self.W_blocks:
-            if kind == "diag":
-                out[rows] = v[rows] / blk if v.ndim == 1 else v[rows] / blk[:, None]
-            else:
-                # one stacked solve per second-order segment dimension
-                try:
-                    if v.ndim == 1:
-                        out[rows] = np.linalg.solve(blk, v[rows][..., None])[..., 0]
-                    else:
-                        out[rows] = np.linalg.solve(blk, v[rows])
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalFailure(f"singular cone block: {exc}") from exc
-        return out
-
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
         """Right-hand side of the reduced system for residual rows L,
         so that K u = reduce_rows(L) solves the eliminated J dw = -L."""
         lay = self.layout
         Ly = rows[lay.y] + self.dual_scale * rows[lay.r]
-        Lz = rows[lay.z] + self.apply_W_inverse(self.Ptb @ rows[lay.s] + rows[lay.t])
+        Lz = rows[lay.z] + self.W.solve(self.Ptb.matvec(rows[lay.s]) + rows[lay.t])
         return -np.concatenate([rows[lay.x], Ly, Lz])
 
     def recover(self, sol: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -249,7 +233,7 @@ class ReducedSystem:
         dw[lay.z] = dz
         coupled = -rows[lay.r] if self.tracks_multiplier else dy - rows[lay.r]
         dw[lay.r] = coupled * self.dual_scale
-        ds = self.apply_W_inverse(self.Ptb @ (dz - rows[lay.s]) - rows[lay.t])
+        ds = self.W.solve(self.Ptb.matvec(dz - rows[lay.s]) - rows[lay.t])
         dw[lay.s] = ds
         dw[lay.t] = self.eps_p * ds - dz + rows[lay.s]
         return dw
@@ -272,25 +256,13 @@ def assemble_symmetric(
     ep, ed = reg.eps_p, reg.eps_d
     dual_scale = 1.0 / (outer.rho + ep)
 
-    Ps, Pt = cone_product_jacobians(point.s, point.t, model.cone)
-    Ptb = Pt - ed * np.eye(p)
-    Msym = np.zeros((p, p))
-    diag, soc_groups = model.cone.index_groups
-    wd = Ps[diag, diag] + ep * Ptb[diag, diag]
-    if np.any(wd == 0.0):
-        raise NumericalFailure("singular orthant cone block")
-    Msym[diag, diag] = Ptb[diag, diag] / wd
-    blocks: List[Tuple[np.ndarray, str, np.ndarray]] = [(diag, "diag", wd)]
-    for seg_rows in soc_groups:
-        # the segments of one dimension as a stack of dense blocks
-        sub = (seg_rows[:, :, None], seg_rows[:, None, :])
-        Wb = Ps[sub] + ep * Ptb[sub]
-        try:
-            M = np.linalg.solve(Wb, Ptb[sub])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular cone block: {exc}") from exc
-        Msym[sub] = 0.5 * (M + M.transpose(0, 2, 1))
-        blocks.append((seg_rows, "dense", Wb))
+    Ps, Pt = product_jacobian_blocks(point.s, point.t, model.cone)
+    Ptb = Pt.shift(-ed)
+    W = Ps + ep * Ptb
+    try:
+        M = W.solve(Ptb).symmetric_part()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"singular cone block: {exc}") from exc
 
     nr = n + m + p
     K = np.zeros((nr, nr))
@@ -302,11 +274,11 @@ def assemble_symmetric(
     # exact elimination of the relaxation block: the dual shift joins the
     # penalty term on the equality-dual diagonal
     K[n : n + m, n : n + m] = -(dual_scale + ed) * np.eye(m)
-    K[n + m :, n + m :] = -(ed * np.eye(p) + Msym)
+    (-1.0 * M.shift(ed)).write_to(K[n + m :, n + m :])
 
     rsys = ReducedSystem(
         layout=lay, K=K, rhs=np.zeros(nr), eps_p=ep, eps_d=ed,
-        dual_scale=dual_scale, W_blocks=blocks, Ps=Ps, Ptb=Ptb,
+        dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W,
     )
     if rows is None:
         rows = residual(model, point, theta, outer, cache)
@@ -330,7 +302,7 @@ def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.nda
     out[lay.s] = ep * ds - dz - dt
     out[lay.y] = cache.g_x @ dx - dr - ed * dy
     out[lay.z] = cache.h_x @ dx - ds - ed * dz
-    out[lay.t] = rsys.Ps @ ds + rsys.Ptb @ dt
+    out[lay.t] = rsys.Ps.matvec(ds) + rsys.Ptb.matvec(dt)
     return out
 
 

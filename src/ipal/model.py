@@ -137,11 +137,12 @@ def evaluate(
     theta: np.ndarray,
     y: np.ndarray,
     z: np.ndarray,
+    values: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
 ) -> EvalCache:
-    """Evaluate values and first/second derivatives, with shape and
-    finiteness checks. The returned Hessian is symmetrized."""
+    """Evaluate values (unless given) and first/second derivatives, with
+    shape and finiteness checks. The returned Hessian is symmetrized."""
     n, m, p = model.n, model.m, model.p
-    c, g, h = evaluate_values(model, x, theta)
+    c, g, h = evaluate_values(model, x, theta) if values is None else values
     c_x = _checked(model.objective_gradient(x, theta), (n,), "objective_gradient")
     g_x = _checked(model.equality_jacobian(x, theta), (m, n), "equality_jacobian")
     h_x = _checked(model.cone_jacobian(x, theta), (p, n), "cone_jacobian")

@@ -132,16 +132,13 @@ def _row_scale(rsys: ReducedSystem, cache: EvalCache, rho: float) -> np.ndarray:
         ag.max(axis=0, initial=0.0),  # g_x'
         ah.max(axis=0, initial=0.0),  # h_x'
     ])
-    cone_rows = np.maximum(
-        np.abs(rsys.Ps).max(axis=1, initial=0.0), np.abs(rsys.Ptb).max(axis=1, initial=0.0)
-    )
     scale = np.concatenate([
         x_rows,
         np.full(lay.m, abs(rho)),
         np.ones(lay.p),  # -I at z and t
         ag.max(axis=1, initial=1.0),  # g_x and -I at r
         ah.max(axis=1, initial=1.0),  # h_x and -I at s
-        cone_rows,  # Ps and P_t
+        np.maximum(rsys.Ps.row_max_abs(), rsys.Ptb.row_max_abs()),  # Ps and P_t
     ])
     scale[scale == 0.0] = 1.0
     return scale

@@ -18,9 +18,9 @@ import numpy as np
 
 from .cone import (
     NotInterior,
-    SecondOrder,
     barrier_value,
     cone_product,
+    cone_slack,
     cone_target,
     interior_initialization,
     max_step_to_boundary,
@@ -38,6 +38,9 @@ from .linsolve import (
     RegularizationState,
 )
 from .model import EvalCache, EvaluationFailure, ProblemModel, evaluate, evaluate_values
+
+
+Values = Tuple[float, np.ndarray, np.ndarray]  # (c, g, h) of evaluate_values
 
 
 class LineSearchFailure(RuntimeError):
@@ -113,54 +116,29 @@ class Solution:
         return self.status is SolveStatus.SOLVED
 
 
-def merit(
-    model: ProblemModel,
-    point: SolverPoint,
-    theta: np.ndarray,
-    outer: OuterState,
-    values: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
-) -> float:
+def merit(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: OuterState,
+          values: Optional[Values] = None) -> float:
     """Augmented Lagrangian merit with the barrier on the cone slacks:
     c + lam'r + (rho/2) r'r - kappa * barrier(s)."""
     c = values[0] if values is not None else model.objective(point.x, theta)
     phi = float(c) + outer.lam @ point.r + 0.5 * outer.rho * (point.r @ point.r)
-    if model.p:
-        phi -= outer.kappa * barrier_value(point.s, model.cone)
-    return float(phi)
+    return float(phi - outer.kappa * barrier_value(point.s, model.cone))
 
 
-def violation(
-    model: ProblemModel,
-    point: SolverPoint,
-    theta: np.ndarray,
-    values: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
-) -> float:
+def violation(model: ProblemModel, point: SolverPoint, theta: np.ndarray,
+              values: Optional[Values] = None) -> float:
     """Relaxation mismatch ||(g - r, h - s)||_1 / (m + p); zero when
     unconstrained."""
     mp = model.m + model.p
     if mp == 0:
         return 0.0
-    if values is None:
-        _, g, h = evaluate_values(model, point.x, theta)
-    else:
-        _, g, h = values
-    return float(
-        (np.abs(g - point.r).sum() + np.abs(h - point.s).sum()) / mp
-    )
+    _, g, h = evaluate_values(model, point.x, theta) if values is None else values
+    return float((np.abs(g - point.r).sum() + np.abs(h - point.s).sum()) / mp)
 
 
 def cone_infeasibility(model: ProblemModel, h: np.ndarray) -> float:
     """Max violation of h with respect to the cone (0 when inside)."""
-    worst = 0.0
-    for seg, sl in model.cone.slices():
-        v = h[sl]
-        if v.size == 0:
-            continue
-        if isinstance(seg, SecondOrder) and seg.dim >= 2:
-            worst = max(worst, np.linalg.norm(v[1:]) - v[0])
-        else:
-            worst = max(worst, float(-v.min()))
-    return max(0.0, worst)
+    return max(0.0, float(-cone_slack(h, model.cone).min(initial=np.inf)))
 
 
 def unrelaxed_residual_norm(
@@ -236,8 +214,6 @@ def cone_line_search(
     point: SolverPoint, delta: SolverPoint, tau: float, model: ProblemModel
 ) -> Tuple[float, float]:
     """Fraction-to-boundary step caps for the slacks s and complements t."""
-    if model.p == 0:
-        return 1.0, 1.0
     alpha = max_step_to_boundary(point.s, delta.s, tau, model.cone)
     alpha_t = max_step_to_boundary(point.t, delta.t, tau, model.cone)
     return alpha, alpha_t
@@ -254,13 +230,14 @@ def filter_step(
     alpha_init: float,
     alpha_t: float,
     current: Tuple[float, float],
-) -> Tuple[SolverPoint, float, Tuple[float, float]]:
+) -> Tuple[SolverPoint, float, Tuple[float, float], Values]:
     """Backtrack on the primal step until the filter accepts the candidate.
 
     Acceptance requires sufficient decrease in merit or violation relative to
     the current point and non-domination by the filter. Duals move by the
     accepted alpha; the complement block moves by its own boundary cap.
-    Returns the new point, the accepted alpha, and the accepted pair.
+    Returns the new point, the accepted alpha, the accepted pair, and the
+    values (c, g, h) at the new point.
     """
     phi0, eta0 = current
     alpha = alpha_init
@@ -286,13 +263,15 @@ def filter_step(
             cand.z = point.z + alpha * delta.z
             cand.t = point.t + alpha_t * delta.t
             filt.add(phi, eta)
-            return cand, alpha, (phi, eta)
+            return cand, alpha, (phi, eta), values
         alpha *= 0.5
     raise LineSearchFailure(f"no acceptable step above {opts.min_step:g}")
 
 
-def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray, opts: SolverOptions) -> SolverPoint:
-    _, g0, h0 = evaluate_values(model, x0, theta)
+def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray, opts: SolverOptions,
+                     values: Optional[Values] = None) -> SolverPoint:
+    """Starting iterate; ``values`` are (c, g, h) at x0 if already computed."""
+    _, g0, h0 = evaluate_values(model, x0, theta) if values is None else values
     return SolverPoint(
         x=np.asarray(x0, dtype=float).copy(),
         r=g0.copy(),
@@ -325,17 +304,19 @@ def solve(
     point = None
     outer = OuterState(lam=np.zeros(model.m), rho=opts.rho_init, kappa=opts.kappa_init)
     try:
-        point = initialize_point(model, x0, theta, opts)
+        # each iterate is evaluated once: x0 here, every later one by the
+        # line search that accepts it
+        values = evaluate_values(model, x0, theta)
+        point = initialize_point(model, x0, theta, opts, values)
         reg = RegularizationState()
         filt = Filter()
-        values = evaluate_values(model, point.x, theta)
         current = (
             merit(model, point, theta, outer, values),
             violation(model, point, theta, values),
         )
         inner = 0
         while True:
-            cache = evaluate(model, point.x, theta, point.y, point.z)
+            cache = evaluate(model, point.x, theta, point.y, point.z, values)
             if solution_converged(model, point, theta, opts.tol, cache):
                 status = SolveStatus.SOLVED
                 break
@@ -350,7 +331,6 @@ def solve(
                 outer_count += 1
                 filt.reset()
                 inner = 0
-                values = (cache.c, cache.g, cache.h)
                 current = (
                     merit(model, point, theta, outer, values),
                     violation(model, point, theta, values),
@@ -363,7 +343,7 @@ def solve(
             )
             tau = max(opts.tau_min, 1.0 - outer.kappa)
             alpha_cap, alpha_t = cone_line_search(point, delta, tau, model)
-            point, alpha, current = filter_step(
+            point, alpha, current, values = filter_step(
                 model, point, delta, theta, outer, filt, opts, alpha_cap, alpha_t, current
             )
             total += 1
@@ -373,13 +353,7 @@ def solve(
                     TraceRecord(
                         iteration=total, outer=outer_count, residual_norm=norm_R,
                         merit=current[0], violation=current[1], alpha=alpha,
-                        alpha_t=alpha_t, eps_p=info.eps_p, eps_d=info.eps_d,
-                        kappa=outer.kappa, rho=outer.rho,
-                        refine_passes=info.refine_passes,
-                        used_full_solve=info.used_full_solve,
-                        consistency_error=info.consistency_error,
-                        inertia_trials=info.inertia_trials,
-                        blocked=info.blocked,
+                        alpha_t=alpha_t, kappa=outer.kappa, rho=outer.rho, **vars(info),
                     )
                 )
     except LineSearchFailure:

@@ -1,4 +1,5 @@
-"""Shared random instance generators for the solver test suites."""
+"""Shared random instance generators for the solver test suites, and the
+per-segment reference implementations of the cone algebra."""
 
 import numpy as np
 
@@ -155,3 +156,163 @@ def trajectory_tracking(T, position_weights=None, duplicated_stage=None, initial
         initial_state_param=slice(0, 2),
     ))
     return model, np.zeros(model.n), np.array(initial_state, dtype=float)
+
+
+# ------------------------------------------------------------------------
+# Per-segment reference cone algebra: one Python step per segment, as the
+# cone module computed it before its operations were batched. The batched
+# operations must reproduce these bitwise.
+
+
+def _is_soc(seg):
+    return isinstance(seg, SecondOrder) and seg.dim >= 2
+
+
+def in_cone_loop(a, spec, strict=False):
+    for seg, sl in spec.slices():
+        v = a[sl]
+        if _is_soc(seg):
+            slack = v[0] - np.linalg.norm(v[1:])
+        elif v.size:
+            slack = v.min()
+        else:
+            continue
+        if strict:
+            if not slack > 0.0:
+                return False
+        elif not slack >= 0.0:
+            return False
+    return True
+
+
+def cone_infeasibility_loop(spec, h):
+    worst = 0.0
+    for seg, sl in spec.slices():
+        v = h[sl]
+        if v.size == 0:
+            continue
+        if _is_soc(seg):
+            worst = max(worst, np.linalg.norm(v[1:]) - v[0])
+        else:
+            worst = max(worst, float(-v.min()))
+    return max(0.0, worst)
+
+
+def cone_target_loop(spec):
+    e = np.zeros(spec.dim)
+    for seg, sl in spec.slices():
+        if _is_soc(seg):
+            e[sl.start] = 1.0
+        else:
+            e[sl] = 1.0
+    return e
+
+
+def cone_product_loop(a, b, spec):
+    out = np.empty(spec.dim)
+    for seg, sl in spec.slices():
+        u, v = a[sl], b[sl]
+        if _is_soc(seg):
+            out[sl.start] = u @ v
+            out[sl.start + 1 : sl.stop] = u[0] * v[1:] + v[0] * u[1:]
+        else:
+            out[sl] = u * v
+    return out
+
+
+def arrow(u):
+    l = u.size
+    M = np.zeros((l, l))
+    M[0, :] = u
+    M[1:, 0] = u[1:]
+    M[1:, 1:] += u[0] * np.eye(l - 1)
+    return M
+
+
+def product_jacobians_loop(s, t, spec):
+    p = spec.dim
+    Ps = np.zeros((p, p))
+    Pt = np.zeros((p, p))
+    for seg, sl in spec.slices():
+        if _is_soc(seg):
+            Ps[sl, sl] = arrow(t[sl])
+            Pt[sl, sl] = arrow(s[sl])
+        else:
+            idx = np.arange(sl.start, sl.stop)
+            Ps[idx, idx] = t[sl]
+            Pt[idx, idx] = s[sl]
+    return Ps, Pt
+
+
+def barrier_value_loop(s, spec):
+    """Sum within each segment, segments added in stacking order; None off
+    the interior."""
+    total = 0.0
+    for seg, sl in spec.slices():
+        v = s[sl]
+        if _is_soc(seg):
+            det = v[0] ** 2 - v[1:] @ v[1:]
+            if not (v[0] > 0.0 and det > 0.0):
+                return None
+            total += 0.5 * np.log(det)
+        else:
+            if v.size and not v.min() > 0.0:
+                return None
+            total += np.log(v).sum() if v.size else 0.0
+    return float(total)
+
+
+def orthant_crossing(a, da):
+    neg = da < 0.0
+    if not neg.any():
+        return np.inf
+    return float((-a[neg] / da[neg]).min())
+
+
+def soc_crossing(a, da):
+    """First positive root of q(alpha) = (a1+al*d1)^2 - ||a2+al*d2||^2, with
+    q(0) > 0 on the interior, by the stable quadratic formula."""
+    q2 = da[0] ** 2 - da[1:] @ da[1:]
+    q1 = 2.0 * (a[0] * da[0] - a[1:] @ da[1:])
+    q0 = a[0] ** 2 - a[1:] @ a[1:]
+    scale = max(abs(q2), abs(q1), abs(q0), 1.0)
+    if abs(q2) <= 1e-14 * scale:
+        return -q0 / q1 if q1 < 0.0 else np.inf
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if disc < 0.0:
+        return np.inf
+    sq = np.sqrt(disc)
+    qq = -0.5 * (q1 + np.copysign(sq, q1)) if q1 != 0.0 else -0.5 * sq
+    roots = []
+    if q2 != 0.0:
+        roots.append(qq / q2)
+    if qq != 0.0:
+        roots.append(q0 / qq)
+    pos = [r for r in roots if r > 0.0]
+    return min(pos) if pos else np.inf
+
+
+def max_step_loop(a, da, tau, spec):
+    crossing = np.inf
+    for seg, sl in spec.slices():
+        if _is_soc(seg):
+            c = soc_crossing(a[sl], da[sl])
+        else:
+            c = orthant_crossing(a[sl], da[sl])
+        crossing = min(crossing, c)
+    if not np.isfinite(crossing):
+        return 1.0
+    return float(min(1.0, tau * crossing))
+
+
+def interior_initialization_loop(h0, spec, margin=1.0):
+    if h0.size and np.abs(h0).max() > 1e8:
+        margin = max(margin, 1.0)
+    s = h0.copy()
+    for seg, sl in spec.slices():
+        if _is_soc(seg):
+            tail = np.linalg.norm(s[sl.start + 1 : sl.stop])
+            s[sl.start] = max(s[sl.start], tail + margin)
+        else:
+            np.maximum(s[sl], margin, out=s[sl])
+    return s

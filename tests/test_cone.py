@@ -1,6 +1,20 @@
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    barrier_value_loop,
+    cone_infeasibility_loop,
+    cone_product_loop,
+    cone_target_loop,
+    in_cone_loop,
+    interior_initialization_loop,
+    max_step_loop,
+    product_jacobians_loop,
+    soc_crossing,
+)
 from ipal.cone import (
     ConeSpec,
     InvalidDimension,
@@ -15,7 +29,10 @@ from ipal.cone import (
     in_cone,
     interior_initialization,
     max_step_to_boundary,
+    product_jacobian_blocks,
 )
+from ipal.solver import cone_infeasibility
+import ipal.cone
 
 
 def random_cone(rng, max_segments=3, max_dim=4):
@@ -241,3 +258,187 @@ class TestInteriorInitialization:
                 else:
                     slack = v.min()
                 assert slack >= margin * (1.0 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched operations against the per-segment reference (tests/helpers.py),
+# bitwise, on mixed specs: empty orthants, dim-1 second-order segments,
+# second-order dimensions 2-6 and the empty spec.
+
+SEGMENTS = st.one_of(
+    st.builds(Orthant, st.integers(0, 4)),
+    st.builds(SecondOrder, st.integers(1, 6)),
+)
+SPECS = st.lists(SEGMENTS, max_size=8).map(lambda segs: ConeSpec(tuple(segs)))
+SEEDS = st.integers(0, 2**32 - 1)
+BATCHED = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def _interior(rng, spec):
+    """Strictly interior point with entries spread over several decades."""
+    return random_interior(rng, spec, scale=float(10.0 ** rng.uniform(-3, 3)))
+
+
+def _assert_same(value, reference):
+    np.testing.assert_array_equal(value, reference)
+    assert np.shape(value) == np.shape(reference)
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_batched_product_algebra_matches_segment_loop(spec, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, spec.dim)) * 10.0 ** rng.uniform(-3, 3, (2, 1))
+    _assert_same(cone_product(a, b, spec), cone_product_loop(a, b, spec))
+    _assert_same(cone_target(spec), cone_target_loop(spec))
+    Ps, Pt = cone_product_jacobians(a, b, spec)
+    ref_Ps, ref_Pt = product_jacobians_loop(a, b, spec)
+    _assert_same(Ps, ref_Ps)
+    _assert_same(Pt, ref_Pt)
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_batched_membership_matches_segment_loop(spec, seed):
+    rng = np.random.default_rng(seed)
+    inside = _interior(rng, spec)
+    boundary = inside.copy()
+    for seg, sl in spec.slices():
+        if isinstance(seg, SecondOrder) and seg.dim >= 2 and rng.random() < 0.5:
+            boundary[sl.start] = np.linalg.norm(boundary[sl.start + 1 : sl.stop])
+        elif seg.dim and rng.random() < 0.5:
+            boundary[sl.start] = 0.0
+    mixed = inside * rng.choice([-1.0, 1.0], spec.dim, p=[0.1, 0.9])
+    with_nan = inside.copy()
+    if spec.dim:
+        with_nan[rng.integers(spec.dim)] = np.nan
+    model = types.SimpleNamespace(cone=spec)
+    for a in (inside, boundary, mixed, with_nan, rng.standard_normal(spec.dim)):
+        for strict in (False, True):
+            assert in_cone(a, spec, strict) == in_cone_loop(a, spec, strict)
+        if np.all(np.isfinite(a)):
+            _assert_same(cone_infeasibility(model, a), cone_infeasibility_loop(spec, a))
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_batched_barrier_and_initialization_match_segment_loop(spec, seed):
+    rng = np.random.default_rng(seed)
+    s = _interior(rng, spec)
+    _assert_same(barrier_value(s, spec), barrier_value_loop(s, spec))
+    off = s * rng.choice([-1.0, 1.0], spec.dim, p=[0.2, 0.8])
+    reference = barrier_value_loop(off, spec)
+    if reference is None:
+        with pytest.raises(NotInterior):
+            barrier_value(off, spec)
+    else:
+        _assert_same(barrier_value(off, spec), reference)
+    margin = float(rng.uniform(1e-3, 2.0))
+    for h0 in (rng.standard_normal(spec.dim) * 10.0 ** rng.uniform(-2, 2), 1e9 * off, s):
+        _assert_same(interior_initialization(h0, spec, margin), interior_initialization_loop(h0, spec, margin))
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_batched_boundary_step_matches_segment_loop(spec, seed):
+    rng = np.random.default_rng(seed)
+    a = _interior(rng, spec)
+    tau = float(rng.uniform(0.5, 1.0))
+    directions = (
+        rng.standard_normal(spec.dim) * 10.0 ** rng.uniform(-3, 3),
+        float(rng.uniform(0.1, 5.0)) * a,  # never crosses
+        -float(rng.uniform(0.1, 5.0)) * a,  # crosses every segment at once
+        np.abs(rng.standard_normal(spec.dim)),
+    )
+    for da in directions:
+        _assert_same(max_step_to_boundary(a, da, tau, spec), max_step_loop(a, da, tau, spec))
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_cone_blocks_match_segment_loop(spec, seed):
+    # matvec and solve, of vectors and of columns, one step per segment
+    rng = np.random.default_rng(seed)
+    s, t = _interior(rng, spec), _interior(rng, spec)
+    eps = float(rng.uniform(0.0, 1e-2))
+    Ps, Pt = product_jacobian_blocks(s, t, spec)
+    W = Ps + eps * Pt.shift(-eps)
+    dense_W = W.dense()
+    ref_Ps, ref_Pt = product_jacobians_loop(s, t, spec)
+    _assert_same(dense_W, ref_Ps + eps * (ref_Pt - eps * np.eye(spec.dim)))
+    _assert_same(W.row_max_abs(), np.abs(dense_W).max(axis=1, initial=0.0))
+    for v in (rng.standard_normal(spec.dim), rng.standard_normal((spec.dim, 3)),
+              rng.standard_normal((spec.dim, 1))):
+        product, solved = np.empty(v.shape), np.empty(v.shape)
+        for seg, sl in spec.slices():
+            block = dense_W[sl, sl]
+            if isinstance(seg, SecondOrder) and seg.dim >= 2:
+                product[sl], solved[sl] = block @ v[sl], np.linalg.solve(block, v[sl])
+            else:
+                d = np.diag(block).reshape((-1,) + (1,) * (v.ndim - 1))
+                product[sl], solved[sl] = d * v[sl], v[sl] / d
+        _assert_same(W.matvec(v), product)
+        _assert_same(W.solve(v), solved)
+
+
+def test_degenerate_boundary_crossings_match_segment_loop():
+    # every branch of the stable quadratic: q2 = 0 exactly and |q2| tiny
+    # (linear), q1 = 0, a discriminant that rounds negative, and rays that
+    # never cross
+    cases = {d: [] for d in range(2, 7)}
+
+    def add(a, da):
+        cases[len(a)].append((np.asarray(a, float), np.asarray(da, float)))
+
+    for sign in (1.0, -1.0):
+        add([2.0, 0.5], [sign, 1.0])  # q2 = 0
+        add([2.0, 0.5, -0.25], [5.0 * sign, 3.0, 4.0])  # q2 = 0
+        add([2.0, 0.5], [sign, 1.0 + 2.0 ** -50])  # |q2| tiny, nonzero
+        add([2.0, 0.0, 0.0], [0.0, sign, 0.5])  # q1 = 0
+        add([2.0, 0.0, 0.0], [-0.0, sign, 0.5])  # q1 = -0.0
+    rng = np.random.default_rng(0)
+    negative = 0
+    for d in range(2, 7):
+        for _ in range(400):
+            a = np.zeros(d)
+            a[1:] = rng.standard_normal(d - 1)
+            a[0] = np.linalg.norm(a[1:]) * (1.0 + 10.0 ** rng.uniform(-12, -1))
+            lam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            da = lam * a  # q(alpha) = (1 + alpha lam)^2 q0: the discriminant is 0
+            q2 = da[0] ** 2 - da[1:] @ da[1:]
+            q1 = 2.0 * (a[0] * da[0] - a[1:] @ da[1:])
+            q0 = a[0] ** 2 - a[1:] @ a[1:]
+            negative += q1 * q1 - 4.0 * q2 * q0 < 0.0
+            add(a, da)
+    assert negative > 0
+    for d in range(2, 7):  # general rays, for the last bit of every root
+        for _ in range(1000):
+            a = random_interior(rng, ConeSpec((SecondOrder(d),)), scale=float(10.0 ** rng.uniform(-3, 3)))
+            add(a, rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3))
+    for d, pairs in cases.items():
+        A = np.array([a for a, _ in pairs])
+        D = np.array([da for _, da in pairs])
+        _assert_same(ipal.cone._soc_crossings(A, D), [soc_crossing(a, da) for a, da in pairs])
+        spec = ConeSpec((SecondOrder(d),) * len(pairs))
+        for tau in (1.0, 0.9):
+            _assert_same(max_step_to_boundary(A.ravel(), D.ravel(), tau, spec),
+                         max_step_loop(A.ravel(), D.ravel(), tau, spec))
+
+
+def test_second_order_heads_square_as_the_segment_loop():
+    # heads whose scalar square x ** 2 (C pow) and x * x differ in the last
+    # bit: the batched barrier and boundary step must round as the loop does
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(1.0, 4.0, 20000)
+    heads = xs[np.array([x ** 2 for x in xs]) != xs * xs]
+    assert heads.size >= 5
+    # tails near the boundary, so that s1^2 - ||s2||^2 cancels and keeps
+    # the last bit of the square
+    angles = rng.uniform(0.0, 2.0 * np.pi, heads.size)
+    tails = 0.999 * heads[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    a = np.column_stack([heads, tails]).ravel()
+    da = np.column_stack([-heads[::-1], tails[::-1]]).ravel()
+    A, D = a.reshape(-1, 3), da.reshape(-1, 3)
+    one = ConeSpec((SecondOrder(3),))
+    _assert_same([barrier_value(u, one) for u in A], [barrier_value_loop(u, one) for u in A])
+    _assert_same(ipal.cone._soc_crossings(A, D), [soc_crossing(u, v) for u, v in zip(A, D)])

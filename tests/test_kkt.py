@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,28 @@ def test_solve_computes_each_residual_once(monkeypatch, name):
     assert len(residuals) == sol.total_iterations + sol.outer_iterations
 
 
+
+SOLVE_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
+SOLVE_CASES["tracking-30"] = lambda: trajectory_tracking(30, initial_state=(0.1, 0.1))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_cone_jacobians_stay_blocked_outside_the_fallback(monkeypatch, name):
+    # the dense product Jacobians are built once per dense fallback solve and
+    # nowhere else, and no reduced system holds a p x p matrix
+    model, x0, theta = SOLVE_CASES[name]()
+    dense, directions, systems = [], [], []
+    _counting(monkeypatch, ipal.kkt, "cone_product_jacobians", dense)
+    _counting(monkeypatch, ipal.solver, "search_direction", directions)
+    _counting(monkeypatch, ipal.kkt, "assemble_symmetric", systems)
+    sol = solve(model, x0, theta)
+    assert sol.solved and systems
+    assert len(dense) == sum(info.used_full_solve for _, _, info in directions)
+    for rsys in systems:
+        for field in dataclasses.fields(rsys):
+            assert np.shape(getattr(rsys, field.name)) != (model.p, model.p)
+
+
 def _cone_blocks_loop(model, point, reg):
     """The reduced cone block -Msym and W = P_s + eps_p P_tb by one
     np.linalg.solve per second-order segment; the batched assembly must
@@ -391,7 +415,7 @@ def test_batched_cone_solves_match_segment_loop():
         np.testing.assert_array_equal(rsys.K[cone_rows, cone_rows], -(reg.eps_d * np.eye(model.p) + Msym))
         for v in (rng.standard_normal(model.p), rng.standard_normal((model.p, 3)),
                   rng.standard_normal((model.p, 1))):
-            np.testing.assert_array_equal(rsys.apply_W_inverse(v), _apply_W_inverse_loop(W, v))
+            np.testing.assert_array_equal(rsys.W.solve(v), _apply_W_inverse_loop(W, v))
 
 
 def _tracking_assembler(model, x0, theta):

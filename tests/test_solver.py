@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ipal.linsolve
+import ipal.solver
 from helpers import trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
@@ -266,11 +269,21 @@ class TestSolve:
         assert sol.total_iterations == 1
 
     def test_numerical_failure_status(self):
-        calls = {"k": 0}
+        # the objective, value and gradient, turns NaN partway through the
+        # solve: at the third iterate. The line search that accepts an
+        # iterate has already evaluated its value, so the failure surfaces
+        # in that iterate's derivatives
+        gradients = {"calls": 0}
+
+        def broken():
+            return gradients["calls"] > 2
 
         def objective(x, th):
-            calls["k"] += 1
-            return np.nan if calls["k"] > 4 else float(x[0] ** 2)
+            return np.nan if broken() else float(x[0] ** 4)
+
+        def objective_gradient(x, th):
+            gradients["calls"] += 1
+            return np.full(1, np.nan) if broken() else 4.0 * x ** 3
 
         model = ProblemModel(
             n=1,
@@ -278,11 +291,13 @@ class TestSolve:
             p=0,
             cone=ConeSpec(),
             objective=objective,
-            objective_gradient=lambda x, th: 2.0 * x,
-            lagrangian_hessian=lambda x, th, y, z: 2.0 * np.eye(1),
+            objective_gradient=objective_gradient,
+            lagrangian_hessian=lambda x, th, y, z: np.diag(12.0 * x ** 2),
         )
         sol = solve(model, np.array([10.0]))
         assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert sol.total_iterations == 2
+        assert np.isnan(sol.objective)
 
     def test_nan_objective_everywhere_is_numerical_failure(self):
         model = ProblemModel(
@@ -397,3 +412,27 @@ def test_general_registry_problems_are_dense(monkeypatch):
         prob = REGISTRY[name]
         sol = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
         assert not any(rec.blocked for rec in sol.trace)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + ["tracking-20"])
+def test_each_iterate_is_evaluated_once(monkeypatch, name):
+    # the objective runs once at x0 and once per line-search trial point;
+    # the accepted trial's values serve the next iteration. The merit is
+    # taken at x0, after every outer update and at every trial point
+    if name == "tracking-20":
+        model, x0, theta = trajectory_tracking(20)
+    else:
+        model, x0, theta = REGISTRY[name].model, REGISTRY[name].x0, REGISTRY[name].theta
+    objective_calls, merits = [], []
+
+    def objective(x, th):
+        objective_calls.append(None)
+        return model.objective(x, th)
+
+    original_merit = ipal.solver.merit
+    monkeypatch.setattr(ipal.solver, "merit", lambda *args: merits.append(None) or original_merit(*args))
+    sol = solve(dataclasses.replace(model, objective=objective), x0, theta)
+    assert sol.solved
+    trial_points = len(merits) - 1 - sol.outer_iterations
+    assert trial_points >= sol.total_iterations
+    assert len(objective_calls) == 1 + trial_points
