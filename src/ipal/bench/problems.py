@@ -324,7 +324,7 @@ def _integrator_stage():
     )
 
 
-def _integrator_trajopt_model():
+def _integrator_trajopt_problem():
     terminal = Stage(
         state_dim=2,
         equality=lambda z, th: z - th,
@@ -333,10 +333,7 @@ def _integrator_trajopt_model():
         equality_dim=2,
     )
     stages = [_integrator_stage() for _ in range(TRAJ_T - 1)] + [terminal]
-    problem = TrajectoryProblem(
-        stages=stages, initial_state=np.zeros(2), num_parameters=2
-    )
-    return transcribe(problem)
+    return TrajectoryProblem(stages=stages, initial_state=np.zeros(2), num_parameters=2)
 
 
 def _integrator_trajopt_oracle(theta):
@@ -479,7 +476,7 @@ def _build_registry() -> Dict[str, BenchmarkProblem]:
     add(
         "double-integrator-trajopt",
         "minimum-effort transfer to a parametric target state",
-        _integrator_trajopt_model(),
+        transcribe(_integrator_trajopt_problem()),
         np.zeros(3 * (TRAJ_T - 1) + 2),
         [1.0, 0.0],
         _integrator_trajopt_oracle,

@@ -14,9 +14,13 @@ The residual stacks, in that order,
 where lam/rho are the multiplier estimate and penalty of the outer loop and
 kappa is the central-path parameter. Search directions solve the Newton
 system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
-whose factorization also drives inertia-based regularization; cone slack and
-complement blocks are recovered in closed form from stacked cone blocks
-(``ConeBlocks``). On second-order segments the reduced cone block is
+whose factorization also drives inertia-based regularization. The reduced
+matrix is a ``BlockTridiagonal`` in the model's stage order (one block for a
+general model): its entries are scattered from the derivative matrices to
+positions computed once per model (``KKTScatter``), so a transcribed
+problem forms no (n+m+p)-square matrix outside the dense fallback. Cone
+slack and complement blocks are recovered in closed form from stacked cone
+blocks (``ConeBlocks``). On second-order segments the reduced cone block is
 symmetrized, so directions are polished by iterative refinement against the
 full system, applied blockwise; the dense Jacobian, the only p x p cone
 matrix, is built only for a fallback solve when refinement cannot reach the
@@ -28,13 +32,15 @@ estimate tracking the equality dual (``ReducedSystem.track_multiplier``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .cone import ConeBlocks, cone_product, cone_product_jacobians, cone_target, product_jacobian_blocks
 from .linsolve import (
+    BandLayout,
     BlockedFactorization,
+    BlockTridiagonal,
     Factorization,
     InertiaOptions,
     NumericalFailure,
@@ -43,7 +49,7 @@ from .linsolve import (
     factorize,
     solve_refined,
 )
-from .model import EvalCache, ProblemModel, evaluate
+from .model import EvalCache, Pattern, ProblemModel, entries, evaluate
 
 
 @dataclass
@@ -155,19 +161,20 @@ def full_jacobian(
     lay = Layout(model.n, model.m, model.p)
     n, m, p = lay.n, lay.m, lay.p
     ep, ed = reg.eps_p, reg.eps_d
+    G, H = np.asarray(cache.g_x), np.asarray(cache.h_x)
     J = np.zeros((lay.total, lay.total))
-    J[lay.x, lay.x] = cache.L_xx + ep * np.eye(n)
-    J[lay.x, lay.y] = cache.g_x.T
-    J[lay.x, lay.z] = cache.h_x.T
+    J[lay.x, lay.x] = np.asarray(cache.L_xx) + ep * np.eye(n)
+    J[lay.x, lay.y] = G.T
+    J[lay.x, lay.z] = H.T
     J[lay.r, lay.r] = (outer.rho + ep) * np.eye(m)
     J[lay.r, lay.y] = -np.eye(m)
     J[lay.s, lay.s] = ep * np.eye(p)
     J[lay.s, lay.z] = -np.eye(p)
     J[lay.s, lay.t] = -np.eye(p)
-    J[lay.y, lay.x] = cache.g_x
+    J[lay.y, lay.x] = G
     J[lay.y, lay.r] = -np.eye(m)
     J[lay.y, lay.y] = -ed * np.eye(m)
-    J[lay.z, lay.x] = cache.h_x
+    J[lay.z, lay.x] = H
     J[lay.z, lay.s] = -np.eye(p)
     J[lay.z, lay.z] = -ed * np.eye(p)
     Ps, Pt = cone_product_jacobians(point.s, point.t, model.cone)
@@ -176,21 +183,62 @@ def full_jacobian(
     return J
 
 
+class KKTScatter:
+    """Where the entries of the reduced matrix K go in its band storage, for
+    one model: the row groups of K (``ProblemModel.stage_blocks``, or one
+    group of all n + m + p rows for a general model) and the storage
+    positions of the entries of L_xx, g_x and h_x (for their patterns, None
+    for a dense matrix), of the x and y diagonals and of the cone blocks.
+    Built once per model, at its first assembly, and kept on the model."""
+
+    def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
+        self.patterns = patterns
+        nr = model.n + model.m + model.p
+        try:
+            self._place(model, BandLayout(model.stage_blocks or (np.arange(nr),)))
+        except ValueError:  # a derivative pattern leaves the band of the stage order
+            self._place(model, BandLayout((np.arange(nr),)))
+
+    def _place(self, model: ProblemModel, layout: BandLayout) -> None:
+        n, m, p = model.n, model.m, model.p
+        self.layout = layout
+        at = layout.positions
+        L, G, H = (P or Pattern.full(shape) for P, shape in zip(self.patterns, ((n, n), (m, n), (p, n))))
+        self.L = at(L.rows, L.cols)
+        self.G = (at(n + G.rows, G.cols), at(G.cols, n + G.rows))
+        self.H = (at(n + m + H.rows, H.cols), at(H.cols, n + m + H.rows))
+        self.x_diag = at(np.arange(n), np.arange(n))
+        self.y_diag = at(np.arange(n, n + m), np.arange(n, n + m))
+        diag, soc = model.cone.index_groups
+        self.cone_diag = at(n + m + diag, n + m + diag)
+        self.cone_blocks = [at(n + m + rows[:, :, None], n + m + rows[:, None, :]) for rows in soc]
+
+
+def _scatter(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> KKTScatter:
+    scatter = model.kkt_scatter
+    if scatter is None or scatter.patterns != patterns:
+        scatter = model.kkt_scatter = KKTScatter(model, patterns)
+    return scatter
+
+
 @dataclass
 class ReducedSystem:
     """Symmetric reduction of the Newton system to (dx, dy, dz).
 
-    K is built from one triangle so it is bitwise symmetric. The cone block
-    uses the symmetrized W^{-1} Ptb; on second-order segments that operator
-    is nonsymmetric away from the central path, which is why directions are
-    refined against the full system afterwards; that system is applied
-    blockwise (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked
-    blocks (``ConeBlocks``), never p x p matrices. Right-hand sides and
-    solutions may be vectors or matrices of columns.
+    K is a ``BlockTridiagonal`` in the stage order of the model (one block
+    for a general model); only its diagonal and sub-diagonal blocks are
+    stored, and each entry is written to both triangles, so it is bitwise
+    symmetric. The cone block uses the symmetrized W^{-1} Ptb; on
+    second-order segments that operator is nonsymmetric away from the
+    central path, which is why directions are refined against the full
+    system afterwards; that system is applied blockwise
+    (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked blocks
+    (``ConeBlocks``), never p x p matrices. Right-hand sides and solutions
+    may be vectors or matrices of columns.
     """
 
     layout: Layout
-    K: np.ndarray
+    K: BlockTridiagonal
     rhs: np.ndarray
     eps_p: float
     eps_d: float
@@ -198,6 +246,7 @@ class ReducedSystem:
     Ps: ConeBlocks  # d(s o t)/ds
     Ptb: ConeBlocks  # P_t - eps_d I
     W: ConeBlocks  # Ps + eps_p Ptb
+    dual_diagonal: np.ndarray  # storage positions of K's equality-dual diagonal
     tracks_multiplier: bool = False  # dlam = dy; see track_multiplier
 
     def track_multiplier(self) -> None:
@@ -206,8 +255,7 @@ class ReducedSystem:
         converged solution: the relaxation rows lose their -dy coupling, so
         the penalty term leaves the equality-dual diagonal of K and
         dr = -L_r / (rho + eps_p). The reduced right-hand side is unchanged."""
-        idx = np.arange(self.layout.n, self.layout.n + self.layout.m)
-        self.K[idx, idx] = -self.eps_d
+        self.K.data[self.dual_diagonal] = -self.eps_d
         self.tracks_multiplier = True
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -264,21 +312,25 @@ def assemble_symmetric(
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular cone block: {exc}") from exc
 
-    nr = n + m + p
-    K = np.zeros((nr, nr))
-    K[:n, :n] = cache.L_xx + ep * np.eye(n)
-    K[:n, n : n + m] = cache.g_x.T
-    K[n : n + m, :n] = cache.g_x
-    K[:n, n + m :] = cache.h_x.T
-    K[n + m :, :n] = cache.h_x
+    (Lp, L), (Gp, G), (Hp, H) = entries(cache.L_xx), entries(cache.g_x), entries(cache.h_x)
+    at = _scatter(model, (Lp, Gp, Hp))
+    K = BlockTridiagonal(at.layout)
+    data = K.data
+    data[at.L] = L
+    data[at.x_diag] += ep
+    data[at.G[0]] = data[at.G[1]] = G
+    data[at.H[0]] = data[at.H[1]] = H
     # exact elimination of the relaxation block: the dual shift joins the
     # penalty term on the equality-dual diagonal
-    K[n : n + m, n : n + m] = -(dual_scale + ed) * np.eye(m)
-    (-1.0 * M.shift(ed)).write_to(K[n + m :, n + m :])
+    data[at.y_diag] = -(dual_scale + ed)
+    cone = -1.0 * M.shift(ed)
+    data[at.cone_diag] = cone.diag
+    for where, B in zip(at.cone_blocks, cone.blocks):
+        data[where] = B
 
     rsys = ReducedSystem(
-        layout=lay, K=K, rhs=np.zeros(nr), eps_p=ep, eps_d=ed,
-        dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W,
+        layout=lay, K=K, rhs=np.zeros(n + m + p), eps_p=ep, eps_d=ed,
+        dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W, dual_diagonal=at.y_diag,
     )
     if rows is None:
         rows = residual(model, point, theta, outer, cache)
@@ -332,14 +384,12 @@ def reduced_solve(
     rho: float,
     R: np.ndarray,
     opts: DirectionOptions,
-    blocks: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
     """Solve J dw = -R through the reduced system, then refine against the
     full system (``jacobian_apply``) until ||J dw + R||_inf reaches
     refine_tol * (1 + ||R||_inf) or stops falling. R may hold right-hand
     sides as columns, whose reduction is rsys.rhs. ``fact`` factors rsys.K,
-    or is None to factor it here, in the order of ``blocks`` when given
-    (``ProblemModel.stage_blocks``). Returns the best dw, ||J dw + R||_inf,
+    or is None to factor it here. Returns the best dw, ||J dw + R||_inf,
     J dw + R and the passes taken; dw is None (error inf) when a
     factorization or solve fails."""
     norm_R = np.abs(R).max() if R.size else 0.0
@@ -352,7 +402,7 @@ def reduced_solve(
     passes = 0
     try:
         if fact is None:
-            fact = factorize(rsys.K, blocks=blocks)
+            fact = factorize(rsys.K)
         u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
         best = rsys.recover(u, R)
         best_err, err_rows = error(best)
@@ -396,7 +446,6 @@ def _newton_direction(
     if R is None:
         R = residual(model, point, theta, outer, cache)
     lay = Layout(model.n, model.m, model.p)
-    blocks = model.stage_blocks
     holder: dict = {"trials": 0}
 
     def build(ep, ed):
@@ -408,10 +457,10 @@ def _newton_direction(
 
     fact: Optional[Factorization] = None
     if correct:
-        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia, blocks)
+        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia)
     else:
         try:
-            fact = factorize(build(reg.eps_p, reg.eps_d), blocks=blocks)
+            fact = factorize(build(reg.eps_p, reg.eps_d))
         except NumericalFailure:
             pass  # reduced_solve factors again and reports the failure
     rsys: ReducedSystem = holder["rsys"]
@@ -419,7 +468,7 @@ def _newton_direction(
 
     norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts, blocks)
+    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
     used_full = False
     acceptable = best is not None and np.isfinite(best_err) and best_err <= consistency
     if not acceptable and lay.total:

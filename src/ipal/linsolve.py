@@ -1,17 +1,21 @@
 """Symmetric indefinite factorization, refined solves, and inertia correction.
 
-The general factorization is dense LAPACK Bunch-Kaufman (scipy.linalg.ldl);
-inertia is read off the signs of the 1x1 pivots and the eigenvalues of the
-2x2 pivot blocks. A matrix that is block tridiagonal in a known order of its
-rows, as the reduced KKT system of a transcribed trajectory problem is in
-stage order (Rao, Wright & Rawlings, JOTA 1998), is factored block by block
-instead: each pivot block is the Schur complement of the blocks before it,
-factored by Bunch-Kaufman (LAPACK dsytrf), and the inertia is the sum of the
-pivot-block inertias (Sylvester's law of inertia). Its cost grows linearly
-with the number of blocks, where the dense factorization's grows with the
-cube of the order. A pivot block that is non-finite, fails to factor or has
-a pivot eigenvalue within the zero tolerance sends the matrix to the dense
-factorization, so zero counts always come from the dense path.
+Matrices are ``BlockTridiagonal``: symmetric, block tridiagonal in the order
+of their row groups (``BandLayout``), and stored as those diagonal and
+sub-diagonal blocks only, as the reduced KKT system of a transcribed
+trajectory problem is in stage order (Rao, Wright & Rawlings, JOTA 1998); a
+general matrix is the case of one group. Products with it are taken block by
+block. With two or more groups it is factored block by block: each pivot
+block is the Schur complement of the blocks before it, factored by
+Bunch-Kaufman (LAPACK dsytrf), and the inertia is the sum of the pivot-block
+inertias (Sylvester's law of inertia), read for all blocks in one pass. Its
+cost grows linearly with the number of blocks, where the dense
+factorization's grows with the cube of the order. One group, or a pivot
+block that is non-finite, fails to factor or has a pivot eigenvalue within
+the zero tolerance, sends the matrix to dense LAPACK Bunch-Kaufman
+(scipy.linalg.ldl), whose inertia is read off the signs of the 1x1 pivots
+and the eigenvalues of the 2x2 pivot blocks; zero counts always come from
+that path, and only there is a banded matrix made dense.
 
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization reports the requested inertia, following
@@ -82,6 +86,116 @@ class SymmetricFactorization:
         return out
 
 
+class BandLayout:
+    """Row groups of a symmetric matrix that is block tridiagonal in their
+    order, and where its blocks are stored: D_k = K[index[k], index[k]] and
+    C_k = K[index[k + 1], index[k]], row-major, in the order D_0, C_0, D_1,
+    C_1, ..., in one flat array. Built once per matrix structure."""
+
+    def __init__(self, index: Sequence[np.ndarray]):
+        self.index = tuple(np.asarray(rows, dtype=np.intp) for rows in index)
+        sizes = [rows.size for rows in self.index]
+        self.n = n = sum(sizes)
+        order = np.concatenate(self.index) if self.index else np.zeros(0, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"blocks do not partition the {n} rows of the matrix")
+        self.group = np.empty(n, dtype=np.intp)
+        self.local = np.empty(n, dtype=np.intp)
+        self.sizes = np.array(sizes, dtype=np.intp)
+        self.diag_start = np.empty(len(sizes), dtype=np.intp)
+        self.sub_start = np.empty(len(sizes), dtype=np.intp)
+        self.diag_slices, self.sub_slices = [], []
+        off = 0
+        for k, rows in enumerate(self.index):
+            self.group[rows] = k
+            self.local[rows] = np.arange(rows.size)
+            self.diag_start[k] = off
+            self.diag_slices.append((off, off + sizes[k] ** 2, (sizes[k], sizes[k])))
+            off += sizes[k] ** 2
+            self.sub_start[k] = off
+            if k + 1 < len(sizes):
+                self.sub_slices.append((off, off + sizes[k + 1] * sizes[k], (sizes[k + 1], sizes[k])))
+                off += sizes[k + 1] * sizes[k]
+        self.size = off
+        self.pivot_block = np.repeat(np.arange(len(sizes)), sizes)  # block of each pivot row
+        # one group in the original order: the band is the whole matrix
+        self.identity = len(sizes) == 1 and np.array_equal(self.index[0], np.arange(n))
+
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Flat storage positions of the entries (rows, cols): in D_k for
+        rows and columns of one group, in C_k for groups k + 1 and k, and
+        for groups k and k + 1 in C_k at the mirrored entry. ValueError for
+        an entry outside the band."""
+        gr, gc = self.group[rows], self.group[cols]
+        if np.any(np.abs(gr - gc) > 1):
+            raise ValueError("entry outside the block tridiagonal band")
+        lr, lc = self.local[rows], self.local[cols]
+        upper = gr < gc
+        lo = np.minimum(gr, gc)
+        sub = self.sub_start[lo] + np.where(upper, lc, lr) * self.sizes[lo] + np.where(upper, lr, lc)
+        return np.where(gr == gc, self.diag_start[gr] + lr * self.sizes[gr] + lc, sub)
+
+
+class BlockTridiagonal:
+    """Symmetric matrix held as the blocks of its ``BandLayout``: ``D[k]``
+    and ``C[k]`` are views of the flat ``data``; entries outside the band
+    are zero. ``@`` multiplies vectors or columns block by block; the dense
+    matrix (``np.asarray``) is built only on request."""
+
+    def __init__(self, layout: BandLayout, data: Optional[np.ndarray] = None):
+        self.layout = layout
+        self.data = np.zeros(layout.size) if data is None else data
+        self.D = [self.data[a:b].reshape(shape) for a, b, shape in layout.diag_slices]
+        self.C = [self.data[a:b].reshape(shape) for a, b, shape in layout.sub_slices]
+
+    @classmethod
+    def from_dense(cls, K: np.ndarray, index: Sequence[np.ndarray]) -> "BlockTridiagonal":
+        """The band of the square array K in the order of ``index``; one
+        group holds K itself, without a copy."""
+        layout = BandLayout(index)
+        if layout.n != K.shape[0]:
+            raise ValueError(f"blocks do not partition the {K.shape[0]} rows of the matrix")
+        if layout.identity:
+            return cls(layout, np.ascontiguousarray(K).reshape(-1))
+        out = cls(layout)
+        for k, rows in enumerate(layout.index):
+            out.D[k][...] = K[np.ix_(rows, rows)]
+            if k + 1 < len(layout.index):
+                out.C[k][...] = K[np.ix_(layout.index[k + 1], rows)]
+        return out
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.layout.n, self.layout.n)
+
+    @property
+    def index(self) -> Tuple[np.ndarray, ...]:
+        return self.layout.index
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        index, D, C = self.layout.index, self.D, self.C
+        parts = [x[rows] for rows in index]
+        out = np.empty(x.shape)
+        for k, rows in enumerate(index):
+            y = D[k] @ parts[k]
+            if k:
+                y += C[k - 1] @ parts[k - 1]
+            if k < len(C):
+                y += C[k].T @ parts[k + 1]
+            out[rows] = y
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        index = self.layout.index
+        out = np.zeros(self.shape)
+        for k, rows in enumerate(index):
+            out[np.ix_(rows, rows)] = self.D[k]
+            if k < len(self.C):
+                out[np.ix_(index[k + 1], rows)] = self.C[k]
+                out[np.ix_(rows, index[k + 1])] = self.C[k].T
+        return out if dtype is None else out.astype(dtype)
+
+
 @dataclass
 class BlockedFactorization:
     """Block LDL' factors of a symmetric matrix that is block tridiagonal in
@@ -93,7 +207,7 @@ class BlockedFactorization:
     each S_k^{-1} C_k', so the unit lower factor has C_k S_k^{-1} =
     _gain[k]' below its diagonal."""
 
-    matrix: np.ndarray
+    matrix: object
     inertia: Tuple[int, int, int]
     _index: Tuple[np.ndarray, ...]
     _pivots: List[Tuple[np.ndarray, np.ndarray]]
@@ -147,41 +261,40 @@ def _pivot_eigenvalues(diag: np.ndarray, two: np.ndarray, off: np.ndarray):
     return one, np.concatenate([diag[one], mean - rad, mean + rad])
 
 
-def _factorize_blocked(
-    K: np.ndarray, zero_tol: float, blocks: Sequence[np.ndarray]
-) -> Optional[BlockedFactorization]:
-    """Block tridiagonal factorization of K in the order of ``blocks``, or
-    None when a pivot block is non-finite, fails to factor, or has a pivot
-    eigenvalue of magnitude at most ``zero_tol``. Entries of K outside the
-    block tridiagonal band are not read."""
+def _factorize_blocked(K: BlockTridiagonal, zero_tol: float, matrix) -> Optional[BlockedFactorization]:
+    """Block tridiagonal factorization of K, or None when a pivot block is
+    non-finite, fails to factor, or has a pivot eigenvalue of magnitude at
+    most ``zero_tol``. The inertia of every pivot block is read in one pass
+    after the sweep."""
     pivots: List[Tuple[np.ndarray, np.ndarray]] = []
     gain: List[np.ndarray] = []
-    pos = neg = 0
-    S = K[np.ix_(blocks[0], blocks[0])]
-    for k, rows in enumerate(blocks):
-        if not np.all(np.isfinite(S)):
+    S = K.D[0]
+    for k in range(len(K.D)):
+        if not np.isfinite(S).all():
             return None
         lu, ipiv, info = dsytrf(S, lower=1)
-        if info != 0 or not np.all(np.isfinite(lu)):
+        if info != 0 or not np.isfinite(lu).all():
             return None
-        # LAPACK marks both rows of a 2x2 pivot block with a negative ipiv
-        two = np.flatnonzero(ipiv < 0)[::2]
-        _, eigs = _pivot_eigenvalues(np.diagonal(lu), two, lu[two + 1, two])
-        if np.any(np.abs(eigs) <= zero_tol):
-            return None
-        pos += int(np.count_nonzero(eigs > 0.0))
-        neg += int(np.count_nonzero(eigs < 0.0))
         pivots.append((lu, ipiv))
-        if k + 1 < len(blocks):
-            nxt = blocks[k + 1]
-            C = K[np.ix_(nxt, rows)]
+        if k < len(K.C):
+            C = K.C[k]
             gain.append(_pivot_solve(pivots[-1], C.T))
-            S = K[np.ix_(nxt, nxt)] - C @ gain[-1]
-    return BlockedFactorization(K, (pos, neg, 0), tuple(blocks), pivots, gain)
+            S = K.D[k + 1] - C @ gain[-1]
+    # LAPACK marks both rows of a 2x2 pivot block with a negative ipiv, and
+    # its off-diagonal entry sits below the first row's diagonal entry; the
+    # k-th block's sub-diagonal is k entries shorter than its diagonal offset
+    diag = np.concatenate([lu.diagonal() for lu, _ in pivots])
+    below = np.concatenate([lu.diagonal(-1) for lu, _ in pivots])
+    two = np.flatnonzero(np.concatenate([ipiv for _, ipiv in pivots]) < 0)[::2]
+    _, eigs = _pivot_eigenvalues(diag, two, below[two - K.layout.pivot_block[two]])
+    if np.any(np.abs(eigs) <= zero_tol):
+        return None
+    pos = int(np.count_nonzero(eigs > 0.0))
+    return BlockedFactorization(matrix, (pos, eigs.size - pos, 0), K.index, pivots, gain)
 
 
 def factorize(
-    K: np.ndarray,
+    K,
     zero_tol: Optional[float] = None,
     blocks: Optional[Sequence[np.ndarray]] = None,
 ) -> Factorization:
@@ -195,32 +308,39 @@ def factorize(
     which a norm-proportional threshold would misread as zero. Pass an
     explicit tolerance for matrices scaled outside that regime.
 
-    ``blocks``, index arrays that partition the rows of K, selects the block
-    tridiagonal factorization when there are at least two of them; K must be
-    block tridiagonal in that order (``ProblemModel.stage_blocks`` orders
-    the reduced KKT system so). The dense factorization serves every other
-    matrix, and any whose blocked factorization meets a zero, non-finite or
-    failed pivot block.
+    K is a ``BlockTridiagonal`` or a square array. With at least two row
+    groups (those of the ``BlockTridiagonal``, or for an array the index
+    arrays ``blocks``, in whose order it must be block tridiagonal) K is
+    factored block by block, and entries of an array outside the band are
+    not read. The dense factorization serves one group, and any matrix
+    whose blocked factorization meets a zero, non-finite or failed pivot
+    block; only then is a dense copy of a ``BlockTridiagonal`` built.
     """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    if K.shape != (n, n):
-        raise NumericalFailure(f"matrix is not square: {K.shape}")
-    if not np.all(np.isfinite(K)):
-        raise NumericalFailure("non-finite matrix entry")
+    if isinstance(K, BlockTridiagonal):
+        band = K
+        if not np.isfinite(band.data).all():
+            raise NumericalFailure("non-finite matrix entry")
+    else:
+        A = np.asarray(K, dtype=float)
+        n = A.shape[0] if A.ndim else 0
+        if A.shape != (n, n):
+            raise NumericalFailure(f"matrix is not square: {A.shape}")
+        if not np.all(np.isfinite(A)):
+            raise NumericalFailure("non-finite matrix entry")
+        band = BlockTridiagonal.from_dense(A, blocks if blocks is not None else (np.arange(n),))
     if zero_tol is None:
         zero_tol = 1e-11
-    if blocks is not None and len(blocks) >= 2:
-        if sum(len(rows) for rows in blocks) != n:
-            raise ValueError(f"blocks do not partition the {n} rows of the matrix")
-        fact = _factorize_blocked(K, zero_tol, blocks)
+    if len(band.D) >= 2:
+        fact = _factorize_blocked(band, zero_tol, K)
         if fact is not None:
             return fact
+    dense = band.D[0] if band.layout.identity else np.asarray(K, dtype=float)
+    n = dense.shape[0]
     if n == 0:
-        lu, d, perm = K.copy(), K, np.arange(0)
+        lu, d, perm = dense.copy(), dense, np.arange(0)
     else:
         try:
-            lu, d, perm = ldl(K, lower=True, check_finite=False)
+            lu, d, perm = ldl(dense, lower=True, check_finite=False)
         except Exception as exc:  # LAPACK failures surface as LinAlgError/ValueError
             raise NumericalFailure(f"factorization failed: {exc}") from exc
     if not (np.all(np.isfinite(lu)) and np.all(np.isfinite(d))):
@@ -309,8 +429,9 @@ def correct_inertia(
 ) -> Tuple[Factorization, RegularizationState]:
     """Find shifts (eps_p, eps_d) whose assembled matrix has ``target`` inertia.
 
-    ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix,
-    factored in the order of ``blocks`` when given (see ``factorize``). The
+    ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix, a
+    ``BlockTridiagonal`` or an array factored in the order of ``blocks``
+    when given (see ``factorize``). The
     unshifted matrix is tried first; a zero eigenvalue count switches on the
     dual shift; the primal shift then escalates until the target inertia is
     reached or the cap is exceeded.

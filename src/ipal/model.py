@@ -8,13 +8,18 @@ A problem is
 
 with K a product of orthant and second-order segments. All derivative
 callbacks are analytic; ``finite_difference_model`` builds a prototyping
-model from value callbacks alone.
+model from value callbacks alone. The matrix callbacks (``equality_jacobian``,
+``cone_jacobian``, ``lagrangian_hessian``) return dense arrays or
+``StageMatrix`` objects, which hold only the entries on a fixed ``Pattern``
+(the stage blocks of a transcribed trajectory problem) and are kept so
+through evaluation; ``np.asarray`` gives their dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +28,93 @@ from .cone import ConeSpec, InvalidDimension
 
 class EvaluationFailure(RuntimeError):
     """A user callback returned a non-finite or malformed value."""
+
+
+class Pattern:
+    """Fixed sparsity pattern of a matrix: the (rows, cols) of its stored
+    entries, in storage order and without repeats."""
+
+    def __init__(self, shape: Tuple[int, int], rows: np.ndarray, cols: np.ndarray):
+        self.shape = shape
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+
+    @staticmethod
+    def full(shape: Tuple[int, int]) -> "Pattern":
+        """Every entry, row-major."""
+        rows, cols = np.indices(shape)
+        return Pattern(shape, rows.reshape(-1), cols.reshape(-1))
+
+    @cached_property
+    def T(self) -> "Pattern":
+        return Pattern(self.shape[::-1], self.cols, self.rows)
+
+    @cached_property
+    def transpose_order(self) -> np.ndarray:
+        """Storage positions of the mirrored entries of a symmetric pattern:
+        entry k of the pattern is entry order[k] of its transpose."""
+        width = self.shape[1]
+        key = self.rows * width + self.cols
+        sort = np.argsort(key)
+        found = sort[np.searchsorted(key, self.cols * width + self.rows, sorter=sort)]
+        if not np.array_equal(key[found], self.cols * width + self.rows):
+            raise InvalidDimension("pattern is not symmetric")
+        return found
+
+
+class StageMatrix:
+    """Matrix stored as its entries on a fixed ``Pattern``, as transcribed
+    trajectory problems return their derivative matrices: the stage blocks,
+    without the zeros around them. ``@`` multiplies vectors or columns,
+    ``.T`` is the transpose (same entries, mirrored pattern), ``abs`` and
+    ``max(axis, initial)`` act on the stored entries, and ``np.asarray``
+    gives the dense matrix."""
+
+    def __init__(self, pattern: Pattern, values: np.ndarray):
+        self.pattern = pattern
+        self.values = values
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.pattern.shape
+
+    @property
+    def T(self) -> "StageMatrix":
+        return StageMatrix(self.pattern.T, self.values)
+
+    def __abs__(self) -> "StageMatrix":
+        return StageMatrix(self.pattern, np.abs(self.values))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        rows, cols = self.pattern.rows, self.pattern.cols
+        m = self.shape[0]
+        if v.ndim == 1:
+            return np.bincount(rows, self.values * v[cols], minlength=m).astype(float, copy=False)
+        k = v.shape[1]
+        at = (rows[:, None] * k + np.arange(k)).ravel()
+        out = np.bincount(at, (self.values[:, None] * v[cols]).ravel(), minlength=m * k)
+        return out.astype(float, copy=False).reshape(m, k)
+
+    def max(self, axis: int, initial: float) -> np.ndarray:
+        """Row (axis=1) or column (axis=0) maxima of the stored entries and
+        ``initial``."""
+        at = self.pattern.rows if axis == 1 else self.pattern.cols
+        out = np.full(self.shape[1 - axis], float(initial))
+        np.maximum.at(out, at, self.values)
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.pattern.rows, self.pattern.cols] = self.values
+        return out if dtype is None else out.astype(dtype)
+
+
+def entries(A) -> Tuple[Optional[Pattern], np.ndarray]:
+    """Pattern and stored values of a ``StageMatrix``; for a dense array,
+    None (every entry) and its entries row-major."""
+    if isinstance(A, StageMatrix):
+        return A.pattern, A.values
+    return None, A.reshape(-1)
 
 
 def _zeros_fn(shape):
@@ -48,7 +140,8 @@ class ProblemModel:
     index groups in whose order that system is block tridiagonal; the solver
     then factors it block by block (``linsolve.factorize``). ``transcribe``
     sets it from the stage order; hand-built models leave it None and are
-    factored densely.
+    factored densely. A model whose derivative matrices have entries
+    outside the band of that order is factored densely too.
     """
 
     n: int
@@ -66,6 +159,9 @@ class ProblemModel:
     d: int = 0
     gauss_newton: bool = False
     stage_blocks: Optional[Tuple[np.ndarray, ...]] = None
+    # where the reduced KKT matrix stores its entries (kkt.KKTScatter),
+    # built at the model's first assembly
+    kkt_scatter: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 0 or self.p < 0 or self.d < 0:
@@ -97,26 +193,38 @@ class ProblemModel:
             )
 
 
+Matrix = Union[np.ndarray, StageMatrix]
+
+
 @dataclass
 class EvalCache:
-    """Values and derivatives of one model at one (x, theta, y, z)."""
+    """Values and derivatives of one model at one (x, theta, y, z). The
+    derivative matrices are dense arrays or, as the callbacks returned
+    them, ``StageMatrix`` objects."""
 
     c: float
     c_x: np.ndarray
     g: np.ndarray
-    g_x: np.ndarray
+    g_x: Matrix
     h: np.ndarray
-    h_x: np.ndarray
-    L_xx: np.ndarray
+    h_x: Matrix
+    L_xx: Matrix
 
 
 def _checked(value, shape, name):
-    out = np.asarray(value, dtype=float)
+    out = value if isinstance(value, StageMatrix) else np.asarray(value, dtype=float)
     if out.shape != shape:
         raise InvalidDimension(f"{name} returned shape {out.shape}, expected {shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out.values if isinstance(out, StageMatrix) else out)):
         raise EvaluationFailure(f"{name} returned a non-finite value")
     return out
+
+
+def _symmetric_part(H: Matrix) -> Matrix:
+    if isinstance(H, StageMatrix):
+        v = H.values
+        return StageMatrix(H.pattern, 0.5 * (v + v[H.pattern.transpose_order]))
+    return 0.5 * (H + H.T)
 
 
 def evaluate_values(
@@ -140,7 +248,8 @@ def evaluate(
     values: Optional[Tuple[float, np.ndarray, np.ndarray]] = None,
 ) -> EvalCache:
     """Evaluate values (unless given) and first/second derivatives, with
-    shape and finiteness checks. The returned Hessian is symmetrized."""
+    shape and finiteness checks (of the stored entries of a
+    ``StageMatrix``). The returned Hessian is symmetrized."""
     n, m, p = model.n, model.m, model.p
     c, g, h = evaluate_values(model, x, theta) if values is None else values
     c_x = _checked(model.objective_gradient(x, theta), (n,), "objective_gradient")
@@ -151,7 +260,7 @@ def evaluate(
     else:
         H = model.lagrangian_hessian(x, theta, y, z)
     H = _checked(H, (n, n), "lagrangian_hessian")
-    return EvalCache(c=c, c_x=c_x, g=g, g_x=g_x, h=h, h_x=h_x, L_xx=0.5 * (H + H.T))
+    return EvalCache(c=c, c_x=c_x, g=g, g_x=g_x, h=h, h_x=h_x, L_xx=_symmetric_part(H))
 
 
 def evaluate_parameter_jacobians(

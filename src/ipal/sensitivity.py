@@ -92,7 +92,7 @@ def differentiate(
     try:
         rsys = assemble_symmetric(model, point, theta, outer, cache=cache, rows=Rt)
         rsys.track_multiplier()
-        fact = factorize(rsys.K, blocks=model.stage_blocks)
+        fact = factorize(rsys.K)
         if fact.inertia[2] == 0:
             dw, _, err, _ = reduced_solve(rsys, fact, cache, outer.rho, Rt, DirectionOptions())
     except NumericalFailure:
@@ -126,9 +126,9 @@ def _row_scale(rsys: ReducedSystem, cache: EvalCache, rho: float) -> np.ndarray:
     """Row max-norms of the Jacobian differentiated at zero shift with
     J[r, y] = 0, read off its blocks; all-zero rows get 1."""
     lay = rsys.layout
-    ag, ah = np.abs(cache.g_x), np.abs(cache.h_x)
+    ag, ah = abs(cache.g_x), abs(cache.h_x)
     x_rows = np.maximum.reduce([
-        np.abs(cache.L_xx).max(axis=1, initial=0.0),
+        abs(cache.L_xx).max(axis=1, initial=0.0),
         ag.max(axis=0, initial=0.0),  # g_x'
         ah.max(axis=0, initial=0.0),  # h_x'
     ])

@@ -240,6 +240,10 @@ def filter_step(
     values (c, g, h) at the new point.
     """
     phi0, eta0 = current
+    # round-off relaxation (Waechter & Biegler, Math. Prog. 2006): near the
+    # end of the barrier path the merit changes by less than its own
+    # rounding, so a step need not decrease it below that level
+    slack = 10.0 * np.finfo(float).eps * abs(phi0)
     alpha = alpha_init
     while alpha >= opts.min_step:
         cand = SolverPoint(
@@ -257,8 +261,8 @@ def filter_step(
         except (NotInterior, EvaluationFailure):
             alpha *= 0.5
             continue
-        sufficient = (phi < phi0 - opts.armijo * eta0) or (eta < (1.0 - opts.armijo) * eta0)
-        if sufficient and not filt.dominated(phi, eta):
+        sufficient = (phi < phi0 - opts.armijo * eta0 + slack) or (eta < (1.0 - opts.armijo) * eta0)
+        if sufficient and not filt.dominated(phi - slack, eta):
             cand.y = point.y + alpha * delta.y
             cand.z = point.z + alpha * delta.z
             cand.t = point.t + alpha_t * delta.t
@@ -304,8 +308,9 @@ def solve(
     point = None
     outer = OuterState(lam=np.zeros(model.m), rho=opts.rho_init, kappa=opts.kappa_init)
     try:
-        # each iterate is evaluated once: x0 here, every later one by the
-        # line search that accepts it
+        # each iterate is evaluated once: its values at x0 here or in the
+        # line search that accepts it, its derivatives at the top of the loop
+        # (an outer update moves only lam, rho and kappa, so they stand)
         values = evaluate_values(model, x0, theta)
         point = initialize_point(model, x0, theta, opts, values)
         reg = RegularizationState()
@@ -315,8 +320,10 @@ def solve(
             violation(model, point, theta, values),
         )
         inner = 0
+        cache = None
         while True:
-            cache = evaluate(model, point.x, theta, point.y, point.z, values)
+            if cache is None:
+                cache = evaluate(model, point.x, theta, point.y, point.z, values)
             if solution_converged(model, point, theta, opts.tol, cache):
                 status = SolveStatus.SOLVED
                 break
@@ -335,7 +342,7 @@ def solve(
                     merit(model, point, theta, outer, values),
                     violation(model, point, theta, values),
                 )
-                continue
+                continue  # same (x, y, z): the cache stands
             if inner >= opts.max_inner:
                 break
             delta, reg, info = search_direction(
@@ -346,6 +353,7 @@ def solve(
             point, alpha, current, values = filter_step(
                 model, point, delta, theta, outer, filt, opts, alpha_cap, alpha_t, current
             )
+            cache = None
             total += 1
             inner += 1
             if opts.record_trace:

@@ -4,9 +4,11 @@ The decision vector interleaves knot states and controls, x = (X1, U1, X2,
 U2, ..., XT), and the equality block stacks the initial-state pin, the
 dynamics defects F_t(X_t, U_t, theta) - X_{t+1}, and any per-stage equality
 constraints. Per-stage cone constraints are concatenated in stage order.
-The model also records the stage order of the reduced KKT unknowns
-(``ProblemModel.stage_blocks``), in which the solver factors that system
-block tridiagonally.
+The derivative callbacks of the model return ``StageMatrix`` objects that
+hold only the stage blocks (and the constant +-I couplings of g_x), on
+patterns fixed at transcription. The model also records the stage order of
+the reduced KKT unknowns (``ProblemModel.stage_blocks``), in which the
+solver assembles, factors and multiplies that system block tridiagonally.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .cone import ConeSpec, concatenate
-from .model import InvalidDimension, ProblemModel
+from .model import InvalidDimension, Pattern, ProblemModel, StageMatrix
 
 # Consecutive stages share one pivot block of the stage-blocked factorization
 # until it holds at least this many rows: fewer, larger blocks trade Python
@@ -25,10 +27,13 @@ from .model import InvalidDimension, ProblemModel
 STAGE_BLOCK_ROWS = 24
 
 
-def _shaped(value, shape, what):
+def _shaped(value, shape, what, t=None):
+    """``value`` as a float array of the given shape; ``what`` (of stage
+    ``t``, when given) names it in the error."""
     out = np.asarray(value, dtype=float)
     if out.shape != shape:
-        raise InvalidDimension(f"{what}: expected shape {shape}, got {out.shape}")
+        where = what if t is None else f"stage {t} {what}"
+        raise InvalidDimension(f"{where}: expected shape {shape}, got {out.shape}")
     return out
 
 
@@ -215,6 +220,23 @@ def _stage_blocks(imap: IndexMap) -> Tuple[np.ndarray, ...]:
     return tuple(groups)
 
 
+def _pattern(shape, blocks) -> Tuple[Pattern, list]:
+    """Pattern of the blocks (rows, cols, diagonal), row and column slices
+    whose every entry, or with ``diagonal`` only the diagonal, is stored,
+    row-major, one block after another; and the storage slice of each
+    block."""
+    spec = np.array([(r.start, r.stop - r.start, c.start, c.stop - c.start, d) for r, c, d in blocks])
+    r0, nr, c0, nc, diagonal = spec.T
+    per_row = np.where(diagonal == 1, 1, nc)
+    size = nr * per_row
+    stop = np.cumsum(size)
+    which = np.repeat(np.arange(len(blocks)), size)  # block of each stored entry
+    k = np.arange(stop[-1]) - (stop - size)[which]  # its position within the block
+    rows = r0[which] + k // per_row[which]
+    cols = c0[which] + np.where(diagonal[which] == 1, k, k % per_row[which])
+    return Pattern(shape, rows, cols), [slice(a - b, a) for a, b in zip(stop.tolist(), size.tolist())]
+
+
 def extract_trajectory(problem, x):
     """Split a decision vector into (states, controls) lists."""
     imap = index_map(problem)
@@ -267,179 +289,169 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
 
     The Lagrangian Hessian and parameter cross terms are assembled from the
     per-stage hooks; defect coupling rows (-I on the next state) are linear
-    and contribute nothing to either. ``stage_blocks`` of the model holds
-    the stage order of the reduced KKT unknowns (see ``_stage_blocks``).
+    and contribute nothing to either. The Hessian, g_x and h_x are
+    ``StageMatrix`` objects, and ``stage_blocks`` of the model holds the
+    stage order of the reduced KKT unknowns (see ``_stage_blocks``).
     """
     imap = index_map(problem)
     stages = problem.stages
     T = problem.horizon
     d = problem.num_parameters
 
-    def stage_vars(x):
-        return [x[imap.stage[t]] for t in range(T)]
+    # Derivative matrices are StageMatrix objects on patterns fixed here:
+    # the stage blocks of L_xx, h_x and g_x (with g_x's constant +-I pin and
+    # defect couplings); each callback writes its stage blocks into the
+    # slices of the pattern's storage recorded below.
+    L_pattern, L_blk = _pattern((imap.n, imap.n), [(sl, sl, False) for sl in imap.stage])
+    H_pattern, H_blk = _pattern((imap.p, imap.n), [(imap.cone[t], imap.stage[t], False) for t in range(T)])
+    G_pattern, G_blk = _pattern((imap.m, imap.n), [(imap.init, imap.state[0], True)] + [
+        block
+        for t in range(T - 1)
+        for block in ((imap.defect[t], imap.stage[t], False), (imap.defect[t], imap.state[t + 1], True))
+    ] + [(imap.equality[t], imap.stage[t], False) for t in range(T)])
+    G_dyn, G_eq = G_blk[1 : 2 * T - 1 : 2], G_blk[2 * T - 1 :]
+    G_fixed = np.zeros(G_pattern.rows.size)
+    G_fixed[G_blk[0]] = 1.0
+    for pin in G_blk[2 : 2 * T - 1 : 2]:
+        G_fixed[pin] = -1.0
+
+    sl = imap.stage
+    square = [(st.width, st.width) for st in stages]
 
     def objective(x, th):
         total = 0.0
         for t, st in enumerate(stages):
             if st.cost is not None:
-                total += float(st.cost(x[imap.stage[t]], th))
+                total += float(st.cost(x[sl[t]], th))
         return total
 
     def objective_gradient(x, th):
         out = np.zeros(imap.n)
         for t, st in enumerate(stages):
             if st.cost is not None:
-                out[imap.stage[t]] += _shaped(
-                    st.cost_gradient(x[imap.stage[t]], th), (st.width,), f"stage {t} cost_gradient"
-                )
+                out[sl[t]] += _shaped(st.cost_gradient(x[sl[t]], th), (st.width,), "cost_gradient", t)
         return out
 
     def equality(x, th):
         g = np.zeros(imap.m)
-        zs = stage_vars(x)
-        g[imap.init] = zs[0][: stages[0].state_dim] - _initial_state(problem, th)
+        g[imap.init] = x[imap.state[0]] - _initial_state(problem, th)
         for t in range(T - 1):
-            nxt = stages[t + 1].state_dim
-            f = _shaped(stages[t].dynamics(zs[t], th), (nxt,), f"stage {t} dynamics")
-            g[imap.defect[t]] = f - zs[t + 1][:nxt]
+            nxt = imap.state[t + 1]
+            f = _shaped(stages[t].dynamics(x[sl[t]], th), (nxt.stop - nxt.start,), "dynamics", t)
+            g[imap.defect[t]] = f - x[nxt]
         for t, st in enumerate(stages):
             if st.equality_dim:
-                g[imap.equality[t]] = _shaped(
-                    st.equality(zs[t], th), (st.equality_dim,), f"stage {t} equality"
-                )
+                g[imap.equality[t]] = _shaped(st.equality(x[sl[t]], th), (st.equality_dim,), "equality", t)
         return g
 
     def equality_jacobian(x, th):
-        G = np.zeros((imap.m, imap.n))
-        zs = stage_vars(x)
-        d0 = stages[0].state_dim
-        G[imap.init, imap.state[0]] = np.eye(d0)
+        vals = G_fixed.copy()
         for t in range(T - 1):
-            nxt = stages[t + 1].state_dim
-            G[imap.defect[t], imap.stage[t]] = _shaped(
-                stages[t].dynamics_jacobian(zs[t], th),
-                (nxt, stages[t].width),
-                f"stage {t} dynamics_jacobian",
+            shape = (stages[t + 1].state_dim, stages[t].width)
+            vals[G_dyn[t]].reshape(shape)[...] = _shaped(
+                stages[t].dynamics_jacobian(x[sl[t]], th), shape, "dynamics_jacobian", t
             )
-            G[imap.defect[t], imap.state[t + 1]] = -np.eye(nxt)
         for t, st in enumerate(stages):
             if st.equality_dim:
-                G[imap.equality[t], imap.stage[t]] = _shaped(
-                    st.equality_jacobian(zs[t], th),
-                    (st.equality_dim, st.width),
-                    f"stage {t} equality_jacobian",
+                shape = (st.equality_dim, st.width)
+                vals[G_eq[t]].reshape(shape)[...] = _shaped(
+                    st.equality_jacobian(x[sl[t]], th), shape, "equality_jacobian", t
                 )
-        return G
+        return StageMatrix(G_pattern, vals)
 
     def cone_constraint(x, th):
         h = np.zeros(imap.p)
         for t, st in enumerate(stages):
             if st.cone.dim:
-                h[imap.cone[t]] = _shaped(
-                    st.cone_constraint(x[imap.stage[t]], th),
-                    (st.cone.dim,),
-                    f"stage {t} cone_constraint",
-                )
+                h[imap.cone[t]] = _shaped(st.cone_constraint(x[sl[t]], th), (st.cone.dim,), "cone_constraint", t)
         return h
 
     def cone_jacobian(x, th):
-        H = np.zeros((imap.p, imap.n))
+        vals = np.zeros(H_pattern.rows.size)
         for t, st in enumerate(stages):
             if st.cone.dim:
-                H[imap.cone[t], imap.stage[t]] = _shaped(
-                    st.cone_jacobian(x[imap.stage[t]], th),
-                    (st.cone.dim, st.width),
-                    f"stage {t} cone_jacobian",
+                shape = (st.cone.dim, st.width)
+                vals[H_blk[t]].reshape(shape)[...] = _shaped(
+                    st.cone_jacobian(x[sl[t]], th), shape, "cone_jacobian", t
                 )
-        return H
+        return StageMatrix(H_pattern, vals)
 
     def lagrangian_hessian(x, th, y, z):
-        L = np.zeros((imap.n, imap.n))
-        zs = stage_vars(x)
+        vals = np.zeros(L_pattern.rows.size)
         for t, st in enumerate(stages):
-            block = np.zeros((st.width, st.width))
+            zt, shape = x[sl[t]], square[t]
+            block = vals[L_blk[t]].reshape(shape)
             if st.cost_hessian is not None:
-                block += _shaped(
-                    st.cost_hessian(zs[t], th), (st.width, st.width), f"stage {t} cost_hessian"
-                )
+                block += _shaped(st.cost_hessian(zt, th), shape, "cost_hessian", t)
             if t < T - 1 and st.dynamics_hessian_vp is not None:
                 block += _shaped(
-                    st.dynamics_hessian_vp(zs[t], th, y[imap.defect[t]]),
-                    (st.width, st.width),
-                    f"stage {t} dynamics_hessian_vp",
+                    st.dynamics_hessian_vp(zt, th, y[imap.defect[t]]), shape, "dynamics_hessian_vp", t
                 )
             if st.equality_dim and st.equality_hessian_vp is not None:
                 block += _shaped(
-                    st.equality_hessian_vp(zs[t], th, y[imap.equality[t]]),
-                    (st.width, st.width),
-                    f"stage {t} equality_hessian_vp",
+                    st.equality_hessian_vp(zt, th, y[imap.equality[t]]), shape, "equality_hessian_vp", t
                 )
             if st.cone.dim and st.cone_hessian_vp is not None:
                 block += _shaped(
-                    st.cone_hessian_vp(zs[t], th, z[imap.cone[t]]),
-                    (st.width, st.width),
-                    f"stage {t} cone_hessian_vp",
+                    st.cone_hessian_vp(zt, th, z[imap.cone[t]]), shape, "cone_hessian_vp", t
                 )
-            L[imap.stage[t], imap.stage[t]] = block
-        return L
+        return StageMatrix(L_pattern, vals)
 
     def parameter_jacobians(x, th, y, z):
         L_xt = np.zeros((imap.n, d))
         g_t = np.zeros((imap.m, d))
         h_t = np.zeros((imap.p, d))
-        zs = stage_vars(x)
         if problem.initial_state_param is not None:
             cols = range(*problem.initial_state_param.indices(d))
             for i, j in enumerate(cols):
                 g_t[imap.init.start + i, j] = -1.0
         for t, st in enumerate(stages):
-            row = np.zeros((st.width, d))
+            zt, shape = x[sl[t]], (st.width, d)
+            row = L_xt[sl[t]]
             if st.cost_param_jacobian is not None:
-                row += _shaped(
-                    st.cost_param_jacobian(zs[t], th),
-                    (st.width, d),
-                    f"stage {t} cost_param_jacobian",
-                )
+                row += _shaped(st.cost_param_jacobian(zt, th), shape, "cost_param_jacobian", t)
             if t < T - 1:
                 if st.dynamics_param_jacobian is not None:
                     g_t[imap.defect[t]] = _shaped(
-                        st.dynamics_param_jacobian(zs[t], th),
+                        st.dynamics_param_jacobian(zt, th),
                         (stages[t + 1].state_dim, d),
-                        f"stage {t} dynamics_param_jacobian",
+                        "dynamics_param_jacobian",
+                        t,
                     )
                 if st.dynamics_cross_param_vp is not None:
                     row += _shaped(
-                        st.dynamics_cross_param_vp(zs[t], th, y[imap.defect[t]]),
-                        (st.width, d),
-                        f"stage {t} dynamics_cross_param_vp",
+                        st.dynamics_cross_param_vp(zt, th, y[imap.defect[t]]),
+                        shape,
+                        "dynamics_cross_param_vp",
+                        t,
                     )
             if st.equality_dim:
                 if st.equality_param_jacobian is not None:
                     g_t[imap.equality[t]] = _shaped(
-                        st.equality_param_jacobian(zs[t], th),
+                        st.equality_param_jacobian(zt, th),
                         (st.equality_dim, d),
-                        f"stage {t} equality_param_jacobian",
+                        "equality_param_jacobian",
+                        t,
                     )
                 if st.equality_cross_param_vp is not None:
                     row += _shaped(
-                        st.equality_cross_param_vp(zs[t], th, y[imap.equality[t]]),
-                        (st.width, d),
-                        f"stage {t} equality_cross_param_vp",
+                        st.equality_cross_param_vp(zt, th, y[imap.equality[t]]),
+                        shape,
+                        "equality_cross_param_vp",
+                        t,
                     )
             if st.cone.dim:
                 if st.cone_param_jacobian is not None:
                     h_t[imap.cone[t]] = _shaped(
-                        st.cone_param_jacobian(zs[t], th),
-                        (st.cone.dim, d),
-                        f"stage {t} cone_param_jacobian",
+                        st.cone_param_jacobian(zt, th), (st.cone.dim, d), "cone_param_jacobian", t
                     )
                 if st.cone_cross_param_vp is not None:
                     row += _shaped(
-                        st.cone_cross_param_vp(zs[t], th, z[imap.cone[t]]),
-                        (st.width, d),
-                        f"stage {t} cone_cross_param_vp",
+                        st.cone_cross_param_vp(zt, th, z[imap.cone[t]]),
+                        shape,
+                        "cone_cross_param_vp",
+                        t,
                     )
-            L_xt[imap.stage[t]] = row
         return L_xt, g_t, h_t
 
     return ProblemModel(

@@ -115,7 +115,15 @@ def trajectory_tracking(T, position_weights=None, duplicated_stage=None, initial
     ``duplicated_stage`` also carries the equality u = 0 twice. theta is the
     initial state, ``initial_state`` by default. Returns (model, x0, theta)
     of the transcription."""
-    from ipal.trajopt import Stage, TrajectoryProblem, transcribe
+    from ipal.trajopt import transcribe
+
+    model = transcribe(tracking_problem(T, position_weights, duplicated_stage))
+    return model, np.zeros(model.n), np.array(initial_state, dtype=float)
+
+
+def tracking_problem(T, position_weights=None, duplicated_stage=None):
+    """The ``TrajectoryProblem`` that ``trajectory_tracking`` transcribes."""
+    from ipal.trajopt import Stage, TrajectoryProblem
 
     dt = TRACK_A[0, 1]
     knots = np.arange(T) * dt
@@ -149,13 +157,75 @@ def trajectory_tracking(T, position_weights=None, duplicated_stage=None, initial
             **extra,
         )
 
-    model = transcribe(TrajectoryProblem(
+    return TrajectoryProblem(
         stages=[stage(t) for t in range(T)],
         initial_state=np.zeros(2),
         num_parameters=2,
         initial_state_param=slice(0, 2),
-    ))
-    return model, np.zeros(model.n), np.array(initial_state, dtype=float)
+    )
+
+
+# ------------------------------------------------------------------------
+# Dense references for the stage-banded KKT path: the transcription's
+# derivative matrices and the reduced KKT matrix as dense arrays, assembled
+# as the solver built them before it kept stage blocks.
+
+
+def dense_transcription(problem, x, theta, y, z):
+    """(g_x, h_x, Lagrangian Hessian before symmetrization) of the
+    transcription of ``problem`` as dense matrices, each stage's blocks
+    placed with explicit loops."""
+    from ipal.trajopt import index_map
+
+    imap = index_map(problem)
+    stages = problem.stages
+    T = len(stages)
+    G = np.zeros((imap.m, imap.n))
+    H = np.zeros((imap.p, imap.n))
+    L = np.zeros((imap.n, imap.n))
+    G[imap.init, imap.state[0]] = np.eye(stages[0].state_dim)
+    for t, st in enumerate(stages):
+        zt = x[imap.stage[t]]
+        if t < T - 1:
+            G[imap.defect[t], imap.stage[t]] = st.dynamics_jacobian(zt, theta)
+            G[imap.defect[t], imap.state[t + 1]] = -np.eye(stages[t + 1].state_dim)
+        if st.equality_dim:
+            G[imap.equality[t], imap.stage[t]] = st.equality_jacobian(zt, theta)
+        if st.cone.dim:
+            H[imap.cone[t], imap.stage[t]] = st.cone_jacobian(zt, theta)
+        block = np.zeros((st.width, st.width))
+        if st.cost_hessian is not None:
+            block += st.cost_hessian(zt, theta)
+        if t < T - 1 and st.dynamics_hessian_vp is not None:
+            block += st.dynamics_hessian_vp(zt, theta, y[imap.defect[t]])
+        if st.equality_dim and st.equality_hessian_vp is not None:
+            block += st.equality_hessian_vp(zt, theta, y[imap.equality[t]])
+        if st.cone.dim and st.cone_hessian_vp is not None:
+            block += st.cone_hessian_vp(zt, theta, z[imap.cone[t]])
+        L[imap.stage[t], imap.stage[t]] = block
+    return G, H, L
+
+
+def dense_reduced_matrix(model, point, outer, reg, cache):
+    """The reduced KKT matrix in the (x, y, z) order as one dense array,
+    from dense copies of the cache's derivative matrices."""
+    from ipal.cone import product_jacobian_blocks
+
+    n, m, p = model.n, model.m, model.p
+    ep, ed = reg.eps_p, reg.eps_d
+    Ps, Pt = product_jacobian_blocks(point.s, point.t, model.cone)
+    Ptb = Pt.shift(-ed)
+    M = (Ps + ep * Ptb).solve(Ptb).symmetric_part()
+    G, H = np.asarray(cache.g_x), np.asarray(cache.h_x)
+    K = np.zeros((n + m + p, n + m + p))
+    K[:n, :n] = np.asarray(cache.L_xx) + ep * np.eye(n)
+    K[:n, n : n + m] = G.T
+    K[n : n + m, :n] = G
+    K[:n, n + m :] = H.T
+    K[n + m :, :n] = H
+    K[n : n + m, n : n + m] = -(1.0 / (outer.rho + ep) + ed) * np.eye(m)
+    (-1.0 * M.shift(ed)).write_to(K[n + m :, n + m :])
+    return K
 
 
 # ------------------------------------------------------------------------

@@ -1,0 +1,64 @@
+"""What the benchmark in ``perfbench/`` needs of the solver: every module
+binding its tracer wraps exists and is callable, every model callback field
+it wraps exists, and a traced solve and differentiate runs through without
+an exception and with the iterations of the untraced run. The tracer module
+is loaded from its file and not modified."""
+
+import dataclasses
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from helpers import trajectory_tracking
+from ipal import differentiate, solve
+from ipal.bench.problems import REGISTRY
+from ipal.model import ProblemModel
+
+LAYERS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "layers.py")
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_exists():
+    layers = _layers()
+    for owner, attr, name, _ in layers.MODULE_TARGETS:
+        assert callable(getattr(owner, attr, None)), (owner.__name__, attr, name)
+    fields = {f.name for f in dataclasses.fields(ProblemModel)}
+    assert set(layers.CALLBACKS) <= fields
+    assert set(layers.DENSE_CALLBACKS) <= set(layers.CALLBACKS)
+
+
+def _case(name):
+    if name == "tracking-10":
+        return trajectory_tracking(10)
+    prob = REGISTRY[name]
+    return prob.model, prob.x0, prob.theta
+
+
+@pytest.mark.parametrize("name", ["mpc-autotune", "tracking-10"])
+def test_traced_solve_and_differentiate_match_untraced(name):
+    layers = _layers()
+    model, x0, theta = _case(name)
+    sol = solve(model, x0, theta)
+    sens = differentiate(model, sol, theta)
+    tracer = layers.Tracer()
+    traced_solve, traced_differentiate = tracer.install(model, solve, differentiate)
+    try:
+        tsol = traced_solve(model, x0, theta)
+        tsens = traced_differentiate(model, tsol, theta)
+    finally:
+        tracer.remove()
+    assert sol.solved and tsol.solved
+    assert tsol.total_iterations == sol.total_iterations
+    np.testing.assert_array_equal(tsens.dx, sens.dx)
+    table = tracer.table()
+    assert table["linsolve.factorize"]["calls"] > 0
+    assert table["callbacks.lagrangian_hessian"]["calls"] > 0
+    assert tracer.extra["linsolve.factorize.flops"] > 0

@@ -266,6 +266,7 @@ class TestBlockedFactorize:
         monkeypatch.undo()
         rng = np.random.default_rng(T)
         for K in captured + [seen["last"]]:
+            K = np.asarray(K)
             blocked = factorize(K, blocks=model.stage_blocks)
             dense = factorize(K)
             assert isinstance(blocked, BlockedFactorization)

@@ -423,16 +423,73 @@ def test_each_iterate_is_evaluated_once(monkeypatch, name):
         model, x0, theta = trajectory_tracking(20)
     else:
         model, x0, theta = REGISTRY[name].model, REGISTRY[name].x0, REGISTRY[name].theta
-    objective_calls, merits = [], []
+    # and the derivatives once per iterate, the final one included: an
+    # outer update keeps the point, so its derivatives stand
+    objective_calls, merits, hessian_calls = [], [], []
 
     def objective(x, th):
         objective_calls.append(None)
         return model.objective(x, th)
 
+    def lagrangian_hessian(*args):
+        hessian_calls.append(None)
+        return model.lagrangian_hessian(*args)
+
     original_merit = ipal.solver.merit
     monkeypatch.setattr(ipal.solver, "merit", lambda *args: merits.append(None) or original_merit(*args))
-    sol = solve(dataclasses.replace(model, objective=objective), x0, theta)
+    counted = dataclasses.replace(model, objective=objective, lagrangian_hessian=lagrangian_hessian)
+    sol = solve(counted, x0, theta)
     assert sol.solved
     trial_points = len(merits) - 1 - sol.outer_iterations
     assert trial_points >= sol.total_iterations
     assert len(objective_calls) == 1 + trial_points
+    assert sol.outer_iterations > 0
+    assert len(hessian_calls) == sol.total_iterations + 1
+
+
+def _constant_merit_model(values):
+    """n = 1, no constraints: the objective is values[0] at x = 0 and
+    values[1] elsewhere, so the merit of a unit step is values[1]."""
+    return ProblemModel(
+        n=1, m=0, p=0, cone=ConeSpec(),
+        objective=lambda x, th: values[0] if x[0] == 0.0 else values[1],
+        objective_gradient=lambda x, th: np.zeros(1),
+        lagrangian_hessian=lambda x, th, y, z: np.eye(1),
+    )
+
+
+@pytest.mark.parametrize("phi0", [17.673282849776538, -3.25, 1e-3])
+def test_filter_step_accepts_a_merit_at_rounding_level(phi0):
+    # near kappa_min a step changes the merit by less than its rounding; a
+    # candidate one ulp above phi0 (no violation to reduce) is accepted
+    # against the current point and a filter entry at the current pair,
+    # while one 1e-12 relative above is still rejected
+    point = SolverPoint(*(np.zeros(k) for k in (1, 0, 0, 0, 0, 0)))
+    delta = SolverPoint(np.ones(1), *(np.zeros(0) for _ in range(5)))
+    outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
+    opts = SolverOptions()
+    above = np.nextafter(phi0, np.inf)
+    model = _constant_merit_model((phi0, above))
+    filt = Filter()
+    filt.add(phi0, 0.0)
+    cand, alpha, accepted, _ = ipal.solver.filter_step(
+        model, point, delta, np.zeros(0), outer, filt, opts, 1.0, 1.0, (phi0, 0.0)
+    )
+    assert alpha == 1.0 and accepted == (above, 0.0) and cand.x[0] == 1.0
+    model = _constant_merit_model((phi0, phi0 + 1e-12 * abs(phi0)))
+    with pytest.raises(ipal.solver.LineSearchFailure):
+        ipal.solver.filter_step(model, point, delta, np.zeros(0), outer, Filter(), opts, 1.0, 1.0, (phi0, 0.0))
+
+
+def test_criterion_6_options_solve_the_tracking_family():
+    # at the options of acceptance criterion 6 the barrier path ends where
+    # the merit changes by its rounding; without the round-off relaxation of
+    # the filter about a quarter of these instances ended in a line-search
+    # failure once kappa fell to about 2e-9
+    opts = SolverOptions(tol=1e-10, kappa_min=1e-11, max_outer=40)
+    rng = np.random.default_rng(2024)
+    statuses = []
+    for _ in range(20):
+        model, x0, theta = trajectory_tracking(40, initial_state=rng.uniform(-0.5, 0.5, size=2))
+        statuses.append(solve(model, x0, theta, opts).status)
+    assert statuses == [SolveStatus.SOLVED] * 20

@@ -288,7 +288,7 @@ def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
     assert all(len(b) >= STAGE_BLOCK_ROWS for b in blocks[:-1])
     rng = np.random.default_rng(12)
     point, outer = random_iterate(rng, model)
-    K = assemble_symmetric(model, point, np.array([0.3, 1.0]), outer).K
+    K = np.asarray(assemble_symmetric(model, point, np.array([0.3, 1.0]), outer).K)
     assert np.count_nonzero(K) > 0
     for i, rows in enumerate(blocks):
         for j, cols in enumerate(blocks):
