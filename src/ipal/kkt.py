@@ -16,9 +16,10 @@ kappa is the central-path parameter. Search directions solve the Newton
 system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
 whose factorization also drives inertia-based regularization. The reduced
 matrix is a ``BlockTridiagonal`` in the model's stage order (one block for a
-general model): its entries are scattered from the derivative matrices to
+general model): the entries of the stage matrices are scattered to
 positions computed once per model (``KKTScatter``), so a transcribed
-problem forms no (n+m+p)-square matrix outside the dense fallback. Cone
+problem forms no (n+m+p)-square matrix outside the dense fallback, and the
+dense derivative matrices of a general model are written as blocks. Cone
 slack and complement blocks are recovered in closed form from stacked cone
 blocks (``ConeBlocks``). On second-order segments the reduced cone block is
 symmetrized, so directions are polished by iterative refinement against the
@@ -36,7 +37,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cone import ConeBlocks, cone_product, cone_product_jacobians, cone_target, product_jacobian_blocks
+from .cone import (
+    ConeBlocks,
+    InvalidDimension,
+    cone_product,
+    cone_product_jacobians,
+    cone_target,
+    product_jacobian_blocks,
+)
 from .linsolve import (
     BandLayout,
     BlockedFactorization,
@@ -186,32 +194,57 @@ def full_jacobian(
 class KKTScatter:
     """Where the entries of the reduced matrix K go in its band storage, for
     one model: the row groups of K (``ProblemModel.stage_blocks``, or one
-    group of all n + m + p rows for a general model) and the storage
-    positions of the entries of L_xx, g_x and h_x (for their patterns, None
-    for a dense matrix), of the x and y diagonals and of the cone blocks.
-    Built once per model, at its first assembly, and kept on the model."""
+    group of all n + m + p rows in their order for a general model), the
+    places of L_xx, g_x and h_x (for their patterns, None for a dense
+    matrix; see ``_place``) and the storage positions of the x and y
+    diagonals and of the cone blocks. Built once per model, at its first
+    assembly, and kept on the model. InvalidDimension when a derivative
+    matrix has an entry outside the band of the stage order."""
 
     def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
-        self.patterns = patterns
-        nr = model.n + model.m + model.p
-        try:
-            self._place(model, BandLayout(model.stage_blocks or (np.arange(nr),)))
-        except ValueError:  # a derivative pattern leaves the band of the stage order
-            self._place(model, BandLayout((np.arange(nr),)))
-
-    def _place(self, model: ProblemModel, layout: BandLayout) -> None:
         n, m, p = model.n, model.m, model.p
-        self.layout = layout
-        at = layout.positions
-        L, G, H = (P or Pattern.full(shape) for P, shape in zip(self.patterns, ((n, n), (m, n), (p, n))))
-        self.L = at(L.rows, L.cols)
-        self.G = (at(n + G.rows, G.cols), at(G.cols, n + G.rows))
-        self.H = (at(n + m + H.rows, H.cols), at(H.cols, n + m + H.rows))
+        self.patterns = patterns
+        self.layout = BandLayout(model.stage_blocks or (np.arange(n + m + p),))
+        x, y, z = slice(0, n), slice(n, n + m), slice(n + m, n + m + p)
+        L, G, H = patterns
+        self.L = self._place(L, x, x, mirror=False)
+        self.G = self._place(G, y, x, mirror=True)
+        self.H = self._place(H, z, x, mirror=True)
+        at = self.layout.positions
         self.x_diag = at(np.arange(n), np.arange(n))
         self.y_diag = at(np.arange(n, n + m), np.arange(n, n + m))
         diag, soc = model.cone.index_groups
         self.cone_diag = at(n + m + diag, n + m + diag)
         self.cone_blocks = [at(n + m + rows[:, :, None], n + m + rows[:, None, :]) for rows in soc]
+
+    def _place(self, pattern: Optional[Pattern], rows: slice, cols: slice, mirror: bool) -> list:
+        """Where a derivative matrix goes in K[rows, cols] and, with
+        ``mirror``, its transpose in K[cols, rows]: for a dense matrix when K
+        is one group in its own order (a general model) those blocks of K,
+        so no index arrays of its entries are built; otherwise the storage
+        positions of its entries."""
+        if pattern is None and self.layout.identity:
+            return [(rows, cols), (cols, rows)][: 1 + mirror]
+        if pattern is None:
+            pattern = Pattern.full((rows.stop - rows.start, cols.stop - cols.start))
+        r, c = rows.start + pattern.rows, cols.start + pattern.cols
+        try:
+            return [self.layout.positions(r, c), self.layout.positions(c, r)][: 1 + mirror]
+        except ValueError:
+            raise InvalidDimension(
+                "a derivative matrix has entries outside the band of stage_blocks; "
+                "return StageMatrix derivatives on the stage blocks"
+            ) from None
+
+    @staticmethod
+    def write(K: BlockTridiagonal, places: list, A) -> None:
+        """Write the derivative matrix A to K at the places from ``_place``;
+        a second place takes its transpose."""
+        for k, where in enumerate(places):
+            if isinstance(where, tuple):
+                K.D[0][where] = A.T if k else A
+            else:
+                K.data[where] = entries(A)[1]
 
 
 def _scatter(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> KKTScatter:
@@ -312,14 +345,13 @@ def assemble_symmetric(
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular cone block: {exc}") from exc
 
-    (Lp, L), (Gp, G), (Hp, H) = entries(cache.L_xx), entries(cache.g_x), entries(cache.h_x)
-    at = _scatter(model, (Lp, Gp, Hp))
+    at = _scatter(model, tuple(entries(A)[0] for A in (cache.L_xx, cache.g_x, cache.h_x)))
     K = BlockTridiagonal(at.layout)
     data = K.data
-    data[at.L] = L
+    at.write(K, at.L, cache.L_xx)
     data[at.x_diag] += ep
-    data[at.G[0]] = data[at.G[1]] = G
-    data[at.H[0]] = data[at.H[1]] = H
+    at.write(K, at.G, cache.g_x)
+    at.write(K, at.H, cache.h_x)
     # exact elimination of the relaxation block: the dual shift joins the
     # penalty term on the equality-dual diagonal
     data[at.y_diag] = -(dual_scale + ed)

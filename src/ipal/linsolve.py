@@ -126,6 +126,8 @@ class BandLayout:
         rows and columns of one group, in C_k for groups k + 1 and k, and
         for groups k and k + 1 in C_k at the mirrored entry. ValueError for
         an entry outside the band."""
+        if self.identity:  # the band is the whole matrix, stored row-major
+            return rows * self.n + cols
         gr, gc = self.group[rows], self.group[cols]
         if np.any(np.abs(gr - gc) > 1):
             raise ValueError("entry outside the block tridiagonal band")
@@ -293,11 +295,7 @@ def _factorize_blocked(K: BlockTridiagonal, zero_tol: float, matrix) -> Optional
     return BlockedFactorization(matrix, (pos, eigs.size - pos, 0), K.index, pivots, gain)
 
 
-def factorize(
-    K,
-    zero_tol: Optional[float] = None,
-    blocks: Optional[Sequence[np.ndarray]] = None,
-) -> Factorization:
+def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
     """Factor a symmetric matrix and report its inertia.
 
     ``zero_tol`` is the pivot-eigenvalue magnitude below which a direction is
@@ -308,11 +306,9 @@ def factorize(
     which a norm-proportional threshold would misread as zero. Pass an
     explicit tolerance for matrices scaled outside that regime.
 
-    K is a ``BlockTridiagonal`` or a square array. With at least two row
-    groups (those of the ``BlockTridiagonal``, or for an array the index
-    arrays ``blocks``, in whose order it must be block tridiagonal) K is
-    factored block by block, and entries of an array outside the band are
-    not read. The dense factorization serves one group, and any matrix
+    K is a ``BlockTridiagonal``, factored block by block in the order of
+    its row groups when it has two or more, or a square array, which is
+    one group. The dense factorization serves one group, and any matrix
     whose blocked factorization meets a zero, non-finite or failed pivot
     block; only then is a dense copy of a ``BlockTridiagonal`` built.
     """
@@ -327,7 +323,7 @@ def factorize(
             raise NumericalFailure(f"matrix is not square: {A.shape}")
         if not np.all(np.isfinite(A)):
             raise NumericalFailure("non-finite matrix entry")
-        band = BlockTridiagonal.from_dense(A, blocks if blocks is not None else (np.arange(n),))
+        band = BlockTridiagonal.from_dense(A, (np.arange(n),))
     if zero_tol is None:
         zero_tol = 1e-11
     if len(band.D) >= 2:
@@ -425,21 +421,19 @@ def correct_inertia(
     target: Tuple[int, int, int],
     reg: RegularizationState,
     opts: InertiaOptions = InertiaOptions(),
-    blocks: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[Factorization, RegularizationState]:
     """Find shifts (eps_p, eps_d) whose assembled matrix has ``target`` inertia.
 
     ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix, a
-    ``BlockTridiagonal`` or an array factored in the order of ``blocks``
-    when given (see ``factorize``). The
-    unshifted matrix is tried first; a zero eigenvalue count switches on the
-    dual shift; the primal shift then escalates until the target inertia is
+    ``BlockTridiagonal`` or an array (see ``factorize``). The unshifted
+    matrix is tried first; a zero eigenvalue count switches on the dual
+    shift; the primal shift then escalates until the target inertia is
     reached or the cap is exceeded.
     """
 
     def try_factor(ep, ed):
         try:
-            return factorize(assemble(ep, ed), blocks=blocks)
+            return factorize(assemble(ep, ed))
         except NumericalFailure:
             return None
 

@@ -140,8 +140,10 @@ class ProblemModel:
     index groups in whose order that system is block tridiagonal; the solver
     then factors it block by block (``linsolve.factorize``). ``transcribe``
     sets it from the stage order; hand-built models leave it None and are
-    factored densely. A model whose derivative matrices have entries
-    outside the band of that order is factored densely too.
+    factored densely. The derivative matrices of a model with stage_blocks
+    must keep their entries in the band of that order (``transcribe``
+    returns ``StageMatrix`` objects on the stage blocks); an entry outside
+    it raises InvalidDimension at the first assembly.
     """
 
     n: int

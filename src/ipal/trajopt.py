@@ -27,13 +27,10 @@ from .model import InvalidDimension, Pattern, ProblemModel, StageMatrix
 STAGE_BLOCK_ROWS = 24
 
 
-def _shaped(value, shape, what, t=None):
-    """``value`` as a float array of the given shape; ``what`` (of stage
-    ``t``, when given) names it in the error."""
+def _shaped(value, shape, what):
     out = np.asarray(value, dtype=float)
     if out.shape != shape:
-        where = what if t is None else f"stage {t} {what}"
-        raise InvalidDimension(f"{where}: expected shape {shape}, got {out.shape}")
+        raise InvalidDimension(f"{what}: expected shape {shape}, got {out.shape}")
     return out
 
 
@@ -318,30 +315,38 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
     sl = imap.stage
     square = [(st.width, st.width) for st in stages]
 
+    def stage_vars(x):
+        return [x[imap.stage[t]] for t in range(T)]
+
     def objective(x, th):
         total = 0.0
         for t, st in enumerate(stages):
             if st.cost is not None:
-                total += float(st.cost(x[sl[t]], th))
+                total += float(st.cost(x[imap.stage[t]], th))
         return total
 
     def objective_gradient(x, th):
         out = np.zeros(imap.n)
         for t, st in enumerate(stages):
             if st.cost is not None:
-                out[sl[t]] += _shaped(st.cost_gradient(x[sl[t]], th), (st.width,), "cost_gradient", t)
+                out[imap.stage[t]] += _shaped(
+                    st.cost_gradient(x[imap.stage[t]], th), (st.width,), f"stage {t} cost_gradient"
+                )
         return out
 
     def equality(x, th):
         g = np.zeros(imap.m)
-        g[imap.init] = x[imap.state[0]] - _initial_state(problem, th)
+        zs = stage_vars(x)
+        g[imap.init] = zs[0][: stages[0].state_dim] - _initial_state(problem, th)
         for t in range(T - 1):
-            nxt = imap.state[t + 1]
-            f = _shaped(stages[t].dynamics(x[sl[t]], th), (nxt.stop - nxt.start,), "dynamics", t)
-            g[imap.defect[t]] = f - x[nxt]
+            nxt = stages[t + 1].state_dim
+            f = _shaped(stages[t].dynamics(zs[t], th), (nxt,), f"stage {t} dynamics")
+            g[imap.defect[t]] = f - zs[t + 1][:nxt]
         for t, st in enumerate(stages):
             if st.equality_dim:
-                g[imap.equality[t]] = _shaped(st.equality(x[sl[t]], th), (st.equality_dim,), "equality", t)
+                g[imap.equality[t]] = _shaped(
+                    st.equality(zs[t], th), (st.equality_dim,), f"stage {t} equality"
+                )
         return g
 
     def equality_jacobian(x, th):
@@ -349,13 +354,13 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
         for t in range(T - 1):
             shape = (stages[t + 1].state_dim, stages[t].width)
             vals[G_dyn[t]].reshape(shape)[...] = _shaped(
-                stages[t].dynamics_jacobian(x[sl[t]], th), shape, "dynamics_jacobian", t
+                stages[t].dynamics_jacobian(x[sl[t]], th), shape, f"stage {t} dynamics_jacobian"
             )
         for t, st in enumerate(stages):
             if st.equality_dim:
                 shape = (st.equality_dim, st.width)
                 vals[G_eq[t]].reshape(shape)[...] = _shaped(
-                    st.equality_jacobian(x[sl[t]], th), shape, "equality_jacobian", t
+                    st.equality_jacobian(x[sl[t]], th), shape, f"stage {t} equality_jacobian"
                 )
         return StageMatrix(G_pattern, vals)
 
@@ -363,7 +368,11 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
         h = np.zeros(imap.p)
         for t, st in enumerate(stages):
             if st.cone.dim:
-                h[imap.cone[t]] = _shaped(st.cone_constraint(x[sl[t]], th), (st.cone.dim,), "cone_constraint", t)
+                h[imap.cone[t]] = _shaped(
+                    st.cone_constraint(x[imap.stage[t]], th),
+                    (st.cone.dim,),
+                    f"stage {t} cone_constraint",
+                )
         return h
 
     def cone_jacobian(x, th):
@@ -372,7 +381,7 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
             if st.cone.dim:
                 shape = (st.cone.dim, st.width)
                 vals[H_blk[t]].reshape(shape)[...] = _shaped(
-                    st.cone_jacobian(x[sl[t]], th), shape, "cone_jacobian", t
+                    st.cone_jacobian(x[sl[t]], th), shape, f"stage {t} cone_jacobian"
                 )
         return StageMatrix(H_pattern, vals)
 
@@ -382,18 +391,18 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
             zt, shape = x[sl[t]], square[t]
             block = vals[L_blk[t]].reshape(shape)
             if st.cost_hessian is not None:
-                block += _shaped(st.cost_hessian(zt, th), shape, "cost_hessian", t)
+                block += _shaped(st.cost_hessian(zt, th), shape, f"stage {t} cost_hessian")
             if t < T - 1 and st.dynamics_hessian_vp is not None:
                 block += _shaped(
-                    st.dynamics_hessian_vp(zt, th, y[imap.defect[t]]), shape, "dynamics_hessian_vp", t
+                    st.dynamics_hessian_vp(zt, th, y[imap.defect[t]]), shape, f"stage {t} dynamics_hessian_vp"
                 )
             if st.equality_dim and st.equality_hessian_vp is not None:
                 block += _shaped(
-                    st.equality_hessian_vp(zt, th, y[imap.equality[t]]), shape, "equality_hessian_vp", t
+                    st.equality_hessian_vp(zt, th, y[imap.equality[t]]), shape, f"stage {t} equality_hessian_vp"
                 )
             if st.cone.dim and st.cone_hessian_vp is not None:
                 block += _shaped(
-                    st.cone_hessian_vp(zt, th, z[imap.cone[t]]), shape, "cone_hessian_vp", t
+                    st.cone_hessian_vp(zt, th, z[imap.cone[t]]), shape, f"stage {t} cone_hessian_vp"
                 )
         return StageMatrix(L_pattern, vals)
 
@@ -401,57 +410,59 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
         L_xt = np.zeros((imap.n, d))
         g_t = np.zeros((imap.m, d))
         h_t = np.zeros((imap.p, d))
+        zs = stage_vars(x)
         if problem.initial_state_param is not None:
             cols = range(*problem.initial_state_param.indices(d))
             for i, j in enumerate(cols):
                 g_t[imap.init.start + i, j] = -1.0
         for t, st in enumerate(stages):
-            zt, shape = x[sl[t]], (st.width, d)
-            row = L_xt[sl[t]]
+            row = np.zeros((st.width, d))
             if st.cost_param_jacobian is not None:
-                row += _shaped(st.cost_param_jacobian(zt, th), shape, "cost_param_jacobian", t)
+                row += _shaped(
+                    st.cost_param_jacobian(zs[t], th),
+                    (st.width, d),
+                    f"stage {t} cost_param_jacobian",
+                )
             if t < T - 1:
                 if st.dynamics_param_jacobian is not None:
                     g_t[imap.defect[t]] = _shaped(
-                        st.dynamics_param_jacobian(zt, th),
+                        st.dynamics_param_jacobian(zs[t], th),
                         (stages[t + 1].state_dim, d),
-                        "dynamics_param_jacobian",
-                        t,
+                        f"stage {t} dynamics_param_jacobian",
                     )
                 if st.dynamics_cross_param_vp is not None:
                     row += _shaped(
-                        st.dynamics_cross_param_vp(zt, th, y[imap.defect[t]]),
-                        shape,
-                        "dynamics_cross_param_vp",
-                        t,
+                        st.dynamics_cross_param_vp(zs[t], th, y[imap.defect[t]]),
+                        (st.width, d),
+                        f"stage {t} dynamics_cross_param_vp",
                     )
             if st.equality_dim:
                 if st.equality_param_jacobian is not None:
                     g_t[imap.equality[t]] = _shaped(
-                        st.equality_param_jacobian(zt, th),
+                        st.equality_param_jacobian(zs[t], th),
                         (st.equality_dim, d),
-                        "equality_param_jacobian",
-                        t,
+                        f"stage {t} equality_param_jacobian",
                     )
                 if st.equality_cross_param_vp is not None:
                     row += _shaped(
-                        st.equality_cross_param_vp(zt, th, y[imap.equality[t]]),
-                        shape,
-                        "equality_cross_param_vp",
-                        t,
+                        st.equality_cross_param_vp(zs[t], th, y[imap.equality[t]]),
+                        (st.width, d),
+                        f"stage {t} equality_cross_param_vp",
                     )
             if st.cone.dim:
                 if st.cone_param_jacobian is not None:
                     h_t[imap.cone[t]] = _shaped(
-                        st.cone_param_jacobian(zt, th), (st.cone.dim, d), "cone_param_jacobian", t
+                        st.cone_param_jacobian(zs[t], th),
+                        (st.cone.dim, d),
+                        f"stage {t} cone_param_jacobian",
                     )
                 if st.cone_cross_param_vp is not None:
                     row += _shaped(
-                        st.cone_cross_param_vp(zt, th, z[imap.cone[t]]),
-                        shape,
-                        "cone_cross_param_vp",
-                        t,
+                        st.cone_cross_param_vp(zs[t], th, z[imap.cone[t]]),
+                        (st.width, d),
+                        f"stage {t} cone_cross_param_vp",
                     )
+            L_xt[imap.stage[t]] = row
         return L_xt, g_t, h_t
 
     return ProblemModel(

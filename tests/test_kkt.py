@@ -474,6 +474,7 @@ def test_duplicated_equality_rows_fall_back_to_dense():
         return rsys.K
 
     K = assemble(0.0, 0.0)
+    assert len(K.index) == len(model.stage_blocks) > 1  # the blocked path is tried first
     fact = factorize(K)
     assert isinstance(fact, SymmetricFactorization)
     assert fact.inertia == factorize(np.asarray(K)).inertia

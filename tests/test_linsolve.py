@@ -6,6 +6,7 @@ import ipal.linsolve
 from helpers import trajectory_tracking
 from ipal.linsolve import (
     BlockedFactorization,
+    BlockTridiagonal,
     InertiaCorrectionFailure,
     NumericalFailure,
     RegularizationState,
@@ -215,10 +216,11 @@ class TestBlockedFactorize:
             n = sum(sizes)
             signs = rng.choice([-1.0, 1.0], size=n)
             K, blocks = block_tridiagonal(rng, sizes, signs)
-            fact = factorize(K, blocks=blocks)
+            band = BlockTridiagonal.from_dense(K, blocks)
+            fact = factorize(band)
             assert isinstance(fact, BlockedFactorization)
             assert fact.inertia == (int((signs > 0).sum()), int((signs < 0).sum()), 0)
-            assert fact.n == n and fact.matrix is K
+            assert fact.n == n and fact.matrix is band
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 expected = np.linalg.solve(K, rhs)
                 got = solve_refined(fact, K, rhs)
@@ -228,7 +230,7 @@ class TestBlockedFactorize:
         rng = np.random.default_rng(32)
         signs = np.array([1.0, -1.0, 1.0, 0.0, 1.0, -1.0, 1.0, 1.0])
         K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
-        fact = factorize(K, blocks=blocks)
+        fact = factorize(BlockTridiagonal.from_dense(K, blocks))
         assert isinstance(fact, SymmetricFactorization)
         assert fact.inertia == factorize(K).inertia
         assert fact.inertia[2] == 1
@@ -236,16 +238,16 @@ class TestBlockedFactorize:
     def test_one_block_is_dense(self):
         rng = np.random.default_rng(33)
         K = random_symmetric(rng, 5)
-        fact = factorize(K, blocks=(np.arange(5),))
+        fact = factorize(BlockTridiagonal.from_dense(K, (np.arange(5),)))
         assert isinstance(fact, SymmetricFactorization)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            factorize(np.eye(4), blocks=(np.arange(2), np.arange(2, 3)))
+            BlockTridiagonal.from_dense(np.eye(4), (np.arange(2), np.arange(2, 3)))
         K = np.eye(4)
-        K[0, 3] = K[3, 0] = np.nan  # outside the band of the blocks below
+        K[0, 3] = K[3, 0] = np.nan  # in the sub-diagonal block of the groups below
         with pytest.raises(NumericalFailure):
-            factorize(K, blocks=(np.arange(2), np.arange(2, 4)))
+            factorize(BlockTridiagonal.from_dense(K, (np.arange(2), np.arange(2, 4))))
 
     @pytest.mark.parametrize("T", [10, 50, 100, 200])
     def test_matches_dense_along_tracking_solves(self, monkeypatch, T):
@@ -254,12 +256,12 @@ class TestBlockedFactorize:
         captured, seen = [], {"count": 0, "last": None}
         original = ipal.linsolve.factorize
 
-        def capture(K, zero_tol=None, blocks=None):
+        def capture(K, zero_tol=None):
             if seen["count"] % 8 == 0:
                 captured.append(K)
             seen["count"] += 1
             seen["last"] = K
-            return original(K, zero_tol, blocks)
+            return original(K, zero_tol)
 
         monkeypatch.setattr(ipal.linsolve, "factorize", capture)
         assert solve(model, x0, theta).solved
@@ -267,7 +269,7 @@ class TestBlockedFactorize:
         rng = np.random.default_rng(T)
         for K in captured + [seen["last"]]:
             K = np.asarray(K)
-            blocked = factorize(K, blocks=model.stage_blocks)
+            blocked = factorize(BlockTridiagonal.from_dense(K, model.stage_blocks))
             dense = factorize(K)
             assert isinstance(blocked, BlockedFactorization)
             assert blocked.inertia == dense.inertia

@@ -21,7 +21,7 @@ from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
 from ipal.kkt import assemble_symmetric, full_jacobian, jacobian_apply
 from ipal.linsolve import BlockTridiagonal, RegularizationState
-from ipal.model import StageMatrix, evaluate
+from ipal.model import InvalidDimension, StageMatrix, evaluate
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import transcribe
 
@@ -78,6 +78,24 @@ def test_reduced_matrix_matches_dense_assembly(name):
         rsys.track_multiplier()
         reference[np.arange(n, n + m), np.arange(n, n + m)] = -reg.eps_d
         np.testing.assert_array_equal(np.asarray(rsys.K), reference)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
+)
+def test_general_models_write_dense_derivatives_as_blocks(name):
+    # a general model's K is one group in its own order: its dense
+    # derivative matrices are written as blocks of K, with no index arrays
+    model = dataclasses.replace(REGISTRY[name].model)
+    theta = REGISTRY[name].theta
+    point, outer = random_iterate(np.random.default_rng(len(name)), model)
+    cache = evaluate(model, point.x, theta, point.y, point.z)
+    for reg in SHIFTS:
+        rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
+        np.testing.assert_array_equal(np.asarray(rsys.K), dense_reduced_matrix(model, point, outer, reg, cache))
+    at = model.kkt_scatter
+    assert at.layout.identity
+    assert all(isinstance(where, tuple) for where in at.L + at.G + at.H)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -149,10 +167,10 @@ def test_transcribed_solve_builds_no_kkt_sized_matrix(monkeypatch):
     assert peak < 2000 * N
 
 
-def test_dense_matrices_outside_the_stage_band_make_one_block():
+def test_dense_matrices_outside_the_stage_band_are_rejected():
     # a model that declares a stage order but whose callbacks return dense
-    # matrices: their entries leave the band of that order, so its reduced
-    # matrix is one block, factored densely, and the solution is unchanged
+    # matrices: their entries leave the band of that order, which the first
+    # assembly reports instead of factoring the system densely
     model, x0, theta = trajectory_tracking(10)
 
     def dense(fn):
@@ -160,9 +178,7 @@ def test_dense_matrices_outside_the_stage_band_make_one_block():
 
     matrices = ("equality_jacobian", "cone_jacobian", "lagrangian_hessian")
     dense_model = dataclasses.replace(model, **{f: dense(getattr(model, f)) for f in matrices})
-    banded, solved = solve(model, x0, theta), solve(dense_model, x0, theta)
-    assert banded.solved and solved.solved
+    assert solve(model, x0, theta).solved
     assert len(model.kkt_scatter.layout.index) == len(model.stage_blocks) > 1
-    assert len(dense_model.kkt_scatter.layout.index) == 1
-    assert solved.total_iterations == banded.total_iterations
-    _close(solved.point.x, banded.point.x, 1e-10)
+    with pytest.raises(InvalidDimension, match="outside the band of stage_blocks"):
+        solve(dense_model, x0, theta)
