@@ -56,7 +56,10 @@ class Pattern:
         width = self.shape[1]
         key = self.rows * width + self.cols
         sort = np.argsort(key)
-        found = sort[np.searchsorted(key, self.cols * width + self.rows, sorter=sort)]
+        # a mirrored entry above every key searches to key.size: clip it
+        # to a real entry, which the check below then finds different
+        at = np.searchsorted(key, self.cols * width + self.rows, sorter=sort)
+        found = sort[np.minimum(at, key.size - 1)]
         if not np.array_equal(key[found], self.cols * width + self.rows):
             raise InvalidDimension("pattern is not symmetric")
         return found

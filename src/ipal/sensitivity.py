@@ -79,12 +79,16 @@ def differentiate(
     the Jacobian rank deficient; that case, or a solve whose row-equilibrated
     residual exceeds 1e-6 * (1 + ||dR/dtheta||), falls back to the
     least-squares solution of the dense Jacobian (the only place it is
-    formed) and flags it. The solution point is not modified.
+    formed) and flags it. The solution point is not modified. A solved
+    ``solution`` of this model at this theta supplies the evaluation at its
+    point that ``solve`` ended with, instead of evaluating it again.
     """
     point = solution.point
     theta = np.asarray(theta, dtype=float)
     lay = Layout(model.n, model.m, model.p)
-    cache = evaluate(model, point.x, theta, point.y, point.z)
+    cache = solution.final_evaluation(model, theta)
+    if cache is None:
+        cache = evaluate(model, point.x, theta, point.y, point.z)
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
     Rt = residual_parameter_jacobian(model, point, theta)
 

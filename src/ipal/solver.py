@@ -11,7 +11,7 @@ multiplier estimate, kappa, and rho are updated and the filter is reset.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -110,10 +110,28 @@ class Solution:
     kappa: float
     rho: float
     trace: Optional[List[TraceRecord]] = None
+    # a solved run's last evaluation, at point: (model, the key of theta and
+    # point it was made at, EvalCache)
+    _final: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def solved(self) -> bool:
         return self.status is SolveStatus.SOLVED
+
+    def final_evaluation(self, model: ProblemModel, theta: np.ndarray) -> Optional[EvalCache]:
+        """The evaluation a solved run ended with, if it is of this model
+        object at a bitwise-equal theta and the point is unchanged since;
+        otherwise None."""
+        if self._final is None:
+            return None
+        solved, key, cache = self._final
+        return cache if solved is model and key == _evaluation_key(theta, self.point) else None
+
+
+def _evaluation_key(theta: np.ndarray, point: SolverPoint) -> tuple:
+    """Bitwise identity of the inputs of an evaluation besides the model."""
+    arrays = [np.asarray(a, dtype=float) for a in (theta, point.x, point.y, point.z)]
+    return tuple((a.shape, a.tobytes()) for a in arrays)
 
 
 def merit(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: OuterState,
@@ -387,7 +405,7 @@ def solve(
         res_norm = unrelaxed_residual_norm(model, point, theta, final)
     except (NumericalFailure, EvaluationFailure, NotInterior):
         c, primal_violation, res_norm = np.nan, np.nan, np.nan
-    return Solution(
+    solution = Solution(
         point=point,
         status=status,
         objective=float(c),
@@ -399,3 +417,6 @@ def solve(
         rho=outer.rho,
         trace=trace if opts.record_trace else None,
     )
+    if final is not None:
+        solution._final = (model, _evaluation_key(theta, point), final)
+    return solution

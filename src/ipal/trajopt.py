@@ -4,16 +4,28 @@ The decision vector interleaves knot states and controls, x = (X1, U1, X2,
 U2, ..., XT), and the equality block stacks the initial-state pin, the
 dynamics defects F_t(X_t, U_t, theta) - X_{t+1}, and any per-stage equality
 constraints. Per-stage cone constraints are concatenated in stage order.
-The derivative callbacks of the model return ``StageMatrix`` objects that
-hold only the stage blocks (and the constant +-I couplings of g_x), on
-patterns fixed at transcription. The model also records the stage order of
-the reduced KKT unknowns (``ProblemModel.stage_blocks``), in which the
-solver assembles, factors and multiplies that system block tridiagonally.
+
+The model's callbacks evaluate the stage hooks by runs: a run is a maximal
+sequence of consecutive stages that all have a given hook, with equal stage
+width, output shape and multiplier width. ``transcribe`` finds the runs
+once. Each callback then loops over runs only: it calls the run's hooks,
+one Python call per stage, on the rows of the run's slice of x reshaped to
+(stages, width), stacks their outputs into one array with one shape check,
+and writes it with one scatter at positions fixed at transcription. A
+mismatched output is re-checked stage by stage, so the error names the
+stage and hook. Outputs are bitwise those of calling each stage in turn.
+
+The derivative callbacks return ``StageMatrix`` objects that hold only the
+stage blocks (and the constant +-I couplings of g_x), on patterns fixed at
+transcription. The model also records the stage order of the reduced KKT
+unknowns (``ProblemModel.stage_blocks``), in which the solver assembles,
+factors and multiplies that system block tridiagonally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +55,10 @@ class Stage:
     (z, theta, w) and return the Hessian (or theta cross derivative) of w'fn;
     they default to zero, which is exact for constraints linear in z (or
     theta). ``cost_hessian`` also defaults to zero, so stages with nonlinear
-    cost should supply it.
+    cost should supply it. Hooks may return arrays, nested lists or numbers
+    of the documented shape; an array returned must not be modified by a
+    later call, since a run of stages stacks its outputs after calling every
+    stage's hook.
     """
 
     state_dim: int
@@ -281,24 +296,159 @@ def dynamics_rollout(problem, controls, theta=None, initial_state=None):
     return states
 
 
+# The stage hooks of each kind, in the roles (value, Jacobian, Hessian-vp,
+# parameter Jacobian, cross-parameter vp). The cost's Jacobian is its
+# gradient, its Hessian takes no multiplier, and it has no cross term.
+HOOKS = {
+    "cost": ("cost", "cost_gradient", "cost_hessian", "cost_param_jacobian", None),
+    "dynamics": ("dynamics", "dynamics_jacobian", "dynamics_hessian_vp",
+                 "dynamics_param_jacobian", "dynamics_cross_param_vp"),
+    "equality": ("equality", "equality_jacobian", "equality_hessian_vp",
+                 "equality_param_jacobian", "equality_cross_param_vp"),
+    "cone": ("cone_constraint", "cone_jacobian", "cone_hessian_vp",
+             "cone_param_jacobian", "cone_cross_param_vp"),
+}
+# the multiplier each kind's Hessian-vp and cross-parameter hooks take
+DUAL = {"cost": None, "dynamics": "y", "equality": "y", "cone": "z"}
+# the hooks added into each stage's Hessian block, and into its rows of
+# L_xt, in the order they are added
+HESSIAN_TERMS = [names[2] for names in HOOKS.values()]
+CROSS_TERMS = ["cost_param_jacobian"] + [names[4] for names in HOOKS.values() if names[4]]
+
+
+def _joined(slices):
+    """The stage slices as one slice when each starts where the previous
+    stops, else as the indices they cover."""
+    if all(a.stop == b.start for a, b in zip(slices, slices[1:])):
+        return slice(slices[0].start, slices[-1].stop)
+    return np.concatenate([np.arange(s.start, s.stop) for s in slices])
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A maximal sequence of consecutive stages, from stage ``first``, that
+    all have the hook ``name``, with equal stage width, output shape and
+    multiplier width. Their stage vectors are the rows of ``x[x]``, their
+    multipliers the rows of ``y`` or ``z`` (``dual``) at ``w``, and their
+    stacked outputs, of shape ``shape``, go to ``at`` of the callback's flat
+    output: a slice, or indices where the stages' destinations are not
+    contiguous."""
+
+    name: str
+    first: int
+    hooks: list
+    x: slice
+    shape: tuple
+    at: object
+    dual: Optional[str] = None
+    w: object = None
+
+    def __call__(self, x, th, y=None, z=None) -> np.ndarray:
+        """The hooks' outputs stacked in stage order and flattened, with one
+        shape check; stage by stage only to name a stage whose output is off."""
+        count = len(self.hooks)
+        zs = x[self.x].reshape(count, -1)
+        if self.dual is None:
+            outs = [fn(zt, th) for fn, zt in zip(self.hooks, zs)]
+        else:
+            ws = (y if self.dual == "y" else z)[self.w].reshape(count, -1)
+            outs = [fn(zt, th, wt) for fn, zt, wt in zip(self.hooks, zs, ws)]
+        try:
+            out = np.array(outs, dtype=float)
+            if out.shape == self.shape:
+                return out.reshape(-1)
+        except ValueError:  # outputs of different shapes do not stack
+            pass
+        for t, value in enumerate(outs, self.first):
+            _shaped(value, self.shape[1:], f"stage {t} {self.name}")
+        raise InvalidDimension(f"stages {self.first}..: {self.name} outputs do not stack to {self.shape}")
+
+
+def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
+    """The runs of every hook, by hook name, in stage order. ``storage``
+    holds each stage's slice of a derivative ``StageMatrix``'s storage: of
+    its Jacobian block per constraint kind, of its Hessian block under
+    "hessian"."""
+    stages, d = problem.stages, problem.num_parameters
+
+    def scaled(sl):  # rows of an (., d) matrix as positions in its flat storage
+        return slice(sl.start * d, sl.stop * d)
+
+    # each stage's rows per kind: in x for the cost, in g for dynamics and
+    # equality, in h for the cone; a stage without rows lacks the kind
+    rows = {
+        "cost": imap.stage,
+        "dynamics": imap.defect + (slice(0, 0),),
+        "equality": imap.equality,
+        "cone": imap.cone,
+    }
+    runs = {}
+    for kind, names in HOOKS.items():
+        for role, name in enumerate(names):
+            if name is None:
+                continue
+            # the value and Jacobian hooks are used where the value hook is
+            # set (a cost_gradient without a cost is not), the others where
+            # they are set themselves
+            present = names[0] if role < 2 else name
+            dual = DUAL[kind] if role in (2, 4) else None
+            keyed = []  # per stage: None, or (run key, hook, destination, rows)
+            for t, st in enumerate(stages):
+                at, w = rows[kind][t], st.width
+                r = at.stop - at.start
+                if r == 0 or getattr(st, present) is None:
+                    keyed.append(None)
+                    continue
+                if role == 0:
+                    shape, dest = (() if kind == "cost" else (r,)), at
+                elif role == 1:
+                    shape, dest = ((w,), at) if kind == "cost" else ((r, w), storage[kind][t])
+                elif role == 2:
+                    shape, dest = (w, w), storage["hessian"][t]
+                elif role == 3:
+                    shape, dest = (r, d), scaled(at)
+                else:
+                    shape, dest = (w, d), scaled(imap.stage[t])
+                keyed.append(((w, r, shape), getattr(st, name), dest, at))
+            runs[name] = []
+            for key, group in groupby(enumerate(keyed), lambda item: item[1] and item[1][0]):
+                if key is None:
+                    continue
+                ts, entries = zip(*group)
+                runs[name].append(_Run(
+                    name=name,
+                    first=ts[0],
+                    hooks=[hook for _, hook, _, _ in entries],
+                    x=slice(imap.stage[ts[0]].start, imap.stage[ts[-1]].stop),
+                    shape=(len(ts),) + key[2],
+                    at=_joined([dest for _, _, dest, _ in entries]),
+                    dual=dual,
+                    w=_joined([at for *_, at in entries]) if dual else None,
+                ))
+    return runs
+
+
 def transcribe(problem: TrajectoryProblem) -> ProblemModel:
     """Build the stacked nonlinear model for the solver.
 
-    The Lagrangian Hessian and parameter cross terms are assembled from the
-    per-stage hooks; defect coupling rows (-I on the next state) are linear
-    and contribute nothing to either. The Hessian, g_x and h_x are
-    ``StageMatrix`` objects, and ``stage_blocks`` of the model holds the
+    The callbacks evaluate the stage hooks run by run (see ``_Run``): one
+    Python call per stage and hook, one stacking, shape check and write per
+    run. Their outputs are bitwise those of calling each stage's hooks in
+    turn: the objective is summed in stage order, and each stage's Hessian
+    and parameter cross terms are added from zero in the order cost,
+    dynamics, equality, cone. Defect coupling rows (-I on the next state)
+    are linear and contribute nothing to either. The Hessian, g_x and h_x
+    are ``StageMatrix`` objects, and ``stage_blocks`` of the model holds the
     stage order of the reduced KKT unknowns (see ``_stage_blocks``).
     """
     imap = index_map(problem)
-    stages = problem.stages
     T = problem.horizon
     d = problem.num_parameters
 
     # Derivative matrices are StageMatrix objects on patterns fixed here:
     # the stage blocks of L_xx, h_x and g_x (with g_x's constant +-I pin and
-    # defect couplings); each callback writes its stage blocks into the
-    # slices of the pattern's storage recorded below.
+    # defect couplings); the runs write their stage blocks into the slices
+    # of the pattern's storage recorded below.
     L_pattern, L_blk = _pattern((imap.n, imap.n), [(sl, sl, False) for sl in imap.stage])
     H_pattern, H_blk = _pattern((imap.p, imap.n), [(imap.cone[t], imap.stage[t], False) for t in range(T)])
     G_pattern, G_blk = _pattern((imap.m, imap.n), [(imap.init, imap.state[0], True)] + [
@@ -306,170 +456,91 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
         for t in range(T - 1)
         for block in ((imap.defect[t], imap.stage[t], False), (imap.defect[t], imap.state[t + 1], True))
     ] + [(imap.equality[t], imap.stage[t], False) for t in range(T)])
-    G_dyn, G_eq = G_blk[1 : 2 * T - 1 : 2], G_blk[2 * T - 1 :]
     G_fixed = np.zeros(G_pattern.rows.size)
     G_fixed[G_blk[0]] = 1.0
     for pin in G_blk[2 : 2 * T - 1 : 2]:
         G_fixed[pin] = -1.0
 
-    sl = imap.stage
-    square = [(st.width, st.width) for st in stages]
+    runs = _runs(problem, imap, {
+        "dynamics": G_blk[1 : 2 * T - 1 : 2],
+        "equality": G_blk[2 * T - 1 :],
+        "cone": H_blk,
+        "hessian": L_blk,
+    })
+    # the next states that each dynamics value run's defects subtract
+    next_states = [
+        _joined([imap.state[t + 1] for t in range(run.first, run.first + len(run.hooks))])
+        for run in runs["dynamics"]
+    ]
 
-    def stage_vars(x):
-        return [x[imap.stage[t]] for t in range(T)]
+    def put(out, names, *args):
+        for name in names:
+            for run in runs[name]:
+                out[run.at] = run(*args)
+
+    def add(out, names, *args):
+        for name in names:
+            for run in runs[name]:
+                out[run.at] += run(*args)
 
     def objective(x, th):
         total = 0.0
-        for t, st in enumerate(stages):
-            if st.cost is not None:
-                total += float(st.cost(x[imap.stage[t]], th))
+        for run in runs["cost"]:
+            for value in run(x, th).tolist():
+                total += value
         return total
 
     def objective_gradient(x, th):
         out = np.zeros(imap.n)
-        for t, st in enumerate(stages):
-            if st.cost is not None:
-                out[imap.stage[t]] += _shaped(
-                    st.cost_gradient(x[imap.stage[t]], th), (st.width,), f"stage {t} cost_gradient"
-                )
+        add(out, ["cost_gradient"], x, th)
         return out
 
     def equality(x, th):
         g = np.zeros(imap.m)
-        zs = stage_vars(x)
-        g[imap.init] = zs[0][: stages[0].state_dim] - _initial_state(problem, th)
-        for t in range(T - 1):
-            nxt = stages[t + 1].state_dim
-            f = _shaped(stages[t].dynamics(zs[t], th), (nxt,), f"stage {t} dynamics")
-            g[imap.defect[t]] = f - zs[t + 1][:nxt]
-        for t, st in enumerate(stages):
-            if st.equality_dim:
-                g[imap.equality[t]] = _shaped(
-                    st.equality(zs[t], th), (st.equality_dim,), f"stage {t} equality"
-                )
+        g[imap.init] = x[imap.state[0]] - _initial_state(problem, th)
+        for run, nxt in zip(runs["dynamics"], next_states):
+            g[run.at] = run(x, th) - x[nxt]
+        put(g, ["equality"], x, th)
         return g
 
     def equality_jacobian(x, th):
         vals = G_fixed.copy()
-        for t in range(T - 1):
-            shape = (stages[t + 1].state_dim, stages[t].width)
-            vals[G_dyn[t]].reshape(shape)[...] = _shaped(
-                stages[t].dynamics_jacobian(x[sl[t]], th), shape, f"stage {t} dynamics_jacobian"
-            )
-        for t, st in enumerate(stages):
-            if st.equality_dim:
-                shape = (st.equality_dim, st.width)
-                vals[G_eq[t]].reshape(shape)[...] = _shaped(
-                    st.equality_jacobian(x[sl[t]], th), shape, f"stage {t} equality_jacobian"
-                )
+        put(vals, ["dynamics_jacobian", "equality_jacobian"], x, th)
         return StageMatrix(G_pattern, vals)
 
     def cone_constraint(x, th):
         h = np.zeros(imap.p)
-        for t, st in enumerate(stages):
-            if st.cone.dim:
-                h[imap.cone[t]] = _shaped(
-                    st.cone_constraint(x[imap.stage[t]], th),
-                    (st.cone.dim,),
-                    f"stage {t} cone_constraint",
-                )
+        put(h, ["cone_constraint"], x, th)
         return h
 
     def cone_jacobian(x, th):
         vals = np.zeros(H_pattern.rows.size)
-        for t, st in enumerate(stages):
-            if st.cone.dim:
-                shape = (st.cone.dim, st.width)
-                vals[H_blk[t]].reshape(shape)[...] = _shaped(
-                    st.cone_jacobian(x[sl[t]], th), shape, f"stage {t} cone_jacobian"
-                )
+        put(vals, ["cone_jacobian"], x, th)
         return StageMatrix(H_pattern, vals)
 
     def lagrangian_hessian(x, th, y, z):
         vals = np.zeros(L_pattern.rows.size)
-        for t, st in enumerate(stages):
-            zt, shape = x[sl[t]], square[t]
-            block = vals[L_blk[t]].reshape(shape)
-            if st.cost_hessian is not None:
-                block += _shaped(st.cost_hessian(zt, th), shape, f"stage {t} cost_hessian")
-            if t < T - 1 and st.dynamics_hessian_vp is not None:
-                block += _shaped(
-                    st.dynamics_hessian_vp(zt, th, y[imap.defect[t]]), shape, f"stage {t} dynamics_hessian_vp"
-                )
-            if st.equality_dim and st.equality_hessian_vp is not None:
-                block += _shaped(
-                    st.equality_hessian_vp(zt, th, y[imap.equality[t]]), shape, f"stage {t} equality_hessian_vp"
-                )
-            if st.cone.dim and st.cone_hessian_vp is not None:
-                block += _shaped(
-                    st.cone_hessian_vp(zt, th, z[imap.cone[t]]), shape, f"stage {t} cone_hessian_vp"
-                )
+        add(vals, HESSIAN_TERMS, x, th, y, z)
         return StageMatrix(L_pattern, vals)
 
     def parameter_jacobians(x, th, y, z):
         L_xt = np.zeros((imap.n, d))
         g_t = np.zeros((imap.m, d))
         h_t = np.zeros((imap.p, d))
-        zs = stage_vars(x)
         if problem.initial_state_param is not None:
             cols = range(*problem.initial_state_param.indices(d))
             for i, j in enumerate(cols):
                 g_t[imap.init.start + i, j] = -1.0
-        for t, st in enumerate(stages):
-            row = np.zeros((st.width, d))
-            if st.cost_param_jacobian is not None:
-                row += _shaped(
-                    st.cost_param_jacobian(zs[t], th),
-                    (st.width, d),
-                    f"stage {t} cost_param_jacobian",
-                )
-            if t < T - 1:
-                if st.dynamics_param_jacobian is not None:
-                    g_t[imap.defect[t]] = _shaped(
-                        st.dynamics_param_jacobian(zs[t], th),
-                        (stages[t + 1].state_dim, d),
-                        f"stage {t} dynamics_param_jacobian",
-                    )
-                if st.dynamics_cross_param_vp is not None:
-                    row += _shaped(
-                        st.dynamics_cross_param_vp(zs[t], th, y[imap.defect[t]]),
-                        (st.width, d),
-                        f"stage {t} dynamics_cross_param_vp",
-                    )
-            if st.equality_dim:
-                if st.equality_param_jacobian is not None:
-                    g_t[imap.equality[t]] = _shaped(
-                        st.equality_param_jacobian(zs[t], th),
-                        (st.equality_dim, d),
-                        f"stage {t} equality_param_jacobian",
-                    )
-                if st.equality_cross_param_vp is not None:
-                    row += _shaped(
-                        st.equality_cross_param_vp(zs[t], th, y[imap.equality[t]]),
-                        (st.width, d),
-                        f"stage {t} equality_cross_param_vp",
-                    )
-            if st.cone.dim:
-                if st.cone_param_jacobian is not None:
-                    h_t[imap.cone[t]] = _shaped(
-                        st.cone_param_jacobian(zs[t], th),
-                        (st.cone.dim, d),
-                        f"stage {t} cone_param_jacobian",
-                    )
-                if st.cone_cross_param_vp is not None:
-                    row += _shaped(
-                        st.cone_cross_param_vp(zs[t], th, z[imap.cone[t]]),
-                        (st.width, d),
-                        f"stage {t} cone_cross_param_vp",
-                    )
-            L_xt[imap.stage[t]] = row
+        add(L_xt.reshape(-1), CROSS_TERMS, x, th, y, z)
+        put(g_t.reshape(-1), ["dynamics_param_jacobian", "equality_param_jacobian"], x, th)
+        put(h_t.reshape(-1), ["cone_param_jacobian"], x, th)
         return L_xt, g_t, h_t
 
     return ProblemModel(
         n=imap.n,
         m=imap.m,
         p=imap.p,
-        cone=concatenate([st.cone for st in stages]),
+        cone=concatenate([st.cone for st in problem.stages]),
         objective=objective,
         objective_gradient=objective_gradient,
         equality=equality,

@@ -166,44 +166,93 @@ def tracking_problem(T, position_weights=None, duplicated_stage=None):
 
 
 # ------------------------------------------------------------------------
-# Dense references for the stage-banded KKT path: the transcription's
-# derivative matrices and the reduced KKT matrix as dense arrays, assembled
-# as the solver built them before it kept stage blocks.
+# Dense references for the transcribed path: the transcription's callbacks
+# evaluated with one loop over stages, as ``transcribe`` evaluated them
+# before it batched runs of stages, and the reduced KKT matrix as one dense
+# array, assembled as the solver built it before it kept stage blocks.
+
+
+def _stage_value(value):
+    return np.asarray(value, dtype=float)
 
 
 def dense_transcription(problem, x, theta, y, z):
-    """(g_x, h_x, Lagrangian Hessian before symmetrization) of the
-    transcription of ``problem`` as dense matrices, each stage's blocks
-    placed with explicit loops."""
+    """Every callback output of the transcription of ``problem`` at
+    (x, theta, y, z), from per-stage loops with dense matrices:
+    ``c``, ``c_x``, ``g``, ``G`` (g_x), ``h``, ``H`` (h_x), ``L`` (the
+    Lagrangian Hessian before symmetrization), and the parameter Jacobians
+    ``L_xt``, ``g_t`` and ``h_t``. Sums run in stage order, and each stage's
+    Hessian and cross terms are added from zero in the order cost,
+    dynamics, equality, cone."""
+    from types import SimpleNamespace
+
     from ipal.trajopt import index_map
 
     imap = index_map(problem)
     stages = problem.stages
     T = len(stages)
-    G = np.zeros((imap.m, imap.n))
-    H = np.zeros((imap.p, imap.n))
-    L = np.zeros((imap.n, imap.n))
-    G[imap.init, imap.state[0]] = np.eye(stages[0].state_dim)
+    d = problem.num_parameters
+    x0 = (
+        np.asarray(theta, dtype=float)[problem.initial_state_param]
+        if problem.initial_state_param is not None
+        else problem.initial_state
+    )
+    out = SimpleNamespace(
+        c=0.0,
+        c_x=np.zeros(imap.n),
+        g=np.zeros(imap.m),
+        G=np.zeros((imap.m, imap.n)),
+        h=np.zeros(imap.p),
+        H=np.zeros((imap.p, imap.n)),
+        L=np.zeros((imap.n, imap.n)),
+        L_xt=np.zeros((imap.n, d)),
+        g_t=np.zeros((imap.m, d)),
+        h_t=np.zeros((imap.p, d)),
+    )
+    out.g[imap.init] = x[imap.state[0]] - x0
+    out.G[imap.init, imap.state[0]] = np.eye(stages[0].state_dim)
+    if problem.initial_state_param is not None:
+        for i, j in enumerate(range(*problem.initial_state_param.indices(d))):
+            out.g_t[imap.init.start + i, j] = -1.0
     for t, st in enumerate(stages):
-        zt = x[imap.stage[t]]
-        if t < T - 1:
-            G[imap.defect[t], imap.stage[t]] = st.dynamics_jacobian(zt, theta)
-            G[imap.defect[t], imap.state[t + 1]] = -np.eye(stages[t + 1].state_dim)
-        if st.equality_dim:
-            G[imap.equality[t], imap.stage[t]] = st.equality_jacobian(zt, theta)
-        if st.cone.dim:
-            H[imap.cone[t], imap.stage[t]] = st.cone_jacobian(zt, theta)
+        zt, stage = x[imap.stage[t]], imap.stage[t]
         block = np.zeros((st.width, st.width))
+        row = np.zeros((st.width, d))
+        if st.cost is not None:
+            out.c += float(st.cost(zt, theta))
+            out.c_x[stage] += _stage_value(st.cost_gradient(zt, theta))
         if st.cost_hessian is not None:
-            block += st.cost_hessian(zt, theta)
-        if t < T - 1 and st.dynamics_hessian_vp is not None:
-            block += st.dynamics_hessian_vp(zt, theta, y[imap.defect[t]])
-        if st.equality_dim and st.equality_hessian_vp is not None:
-            block += st.equality_hessian_vp(zt, theta, y[imap.equality[t]])
-        if st.cone.dim and st.cone_hessian_vp is not None:
-            block += st.cone_hessian_vp(zt, theta, z[imap.cone[t]])
-        L[imap.stage[t], imap.stage[t]] = block
-    return G, H, L
+            block += _stage_value(st.cost_hessian(zt, theta))
+        if st.cost_param_jacobian is not None:
+            row += _stage_value(st.cost_param_jacobian(zt, theta))
+        # (value hook, hook prefix, rows, value, Jacobian and parameter
+        # Jacobian outputs, multiplier, what the value subtracts)
+        kinds = []
+        if t < T - 1:
+            defect, nxt = imap.defect[t], imap.state[t + 1]
+            out.G[np.arange(defect.start, defect.stop), np.arange(nxt.start, nxt.stop)] = -1.0
+            kinds.append(("dynamics", "dynamics", imap.defect[t], out.g, out.G, out.g_t, y,
+                          x[imap.state[t + 1]]))
+        if st.equality_dim:
+            kinds.append(("equality", "equality", imap.equality[t], out.g, out.G, out.g_t, y, None))
+        if st.cone.dim:
+            kinds.append(("cone_constraint", "cone", imap.cone[t], out.h, out.H, out.h_t, z, None))
+        for name, prefix, rows, value, jacobian, param, w, minus in kinds:
+            f = _stage_value(getattr(st, name)(zt, theta))
+            value[rows] = f if minus is None else f - minus
+            jacobian[rows, stage] = _stage_value(getattr(st, f"{prefix}_jacobian")(zt, theta))
+            hessian_vp = getattr(st, f"{prefix}_hessian_vp")
+            if hessian_vp is not None:
+                block += _stage_value(hessian_vp(zt, theta, w[rows]))
+            param_jacobian = getattr(st, f"{prefix}_param_jacobian")
+            if param_jacobian is not None:
+                param[rows] = _stage_value(param_jacobian(zt, theta))
+            cross_param_vp = getattr(st, f"{prefix}_cross_param_vp")
+            if cross_param_vp is not None:
+                row += _stage_value(cross_param_vp(zt, theta, w[rows]))
+        out.L[stage, stage] = block
+        out.L_xt[stage] = row
+    return out
 
 
 def dense_reduced_matrix(model, point, outer, reg, cache):

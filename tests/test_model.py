@@ -4,6 +4,7 @@ import pytest
 from ipal.cone import ConeSpec, InvalidDimension, Orthant, SecondOrder
 from ipal.model import (
     EvaluationFailure,
+    Pattern,
     ProblemModel,
     evaluate,
     evaluate_values,
@@ -233,3 +234,11 @@ class TestFiniteDifferenceModel:
         L_xt, g_t, h_t = model.parameter_jacobians(x, np.array([1.0]), np.zeros(0), np.zeros(0))
         assert np.allclose(L_xt, [[1.0], [0.0]], atol=1e-5)
         assert g_t.shape == (0, 1)
+
+
+def test_transpose_order_of_symmetric_and_non_symmetric_patterns():
+    np.testing.assert_array_equal(Pattern((2, 2), [0, 1, 0], [1, 0, 0]).transpose_order, [1, 0, 2])
+    # the mirror of (0, 1) sorts above every stored key, (1, 0) below
+    for rows, cols in (([0], [1]), ([1], [0]), ([0, 1], [1, 1])):
+        with pytest.raises(InvalidDimension, match="pattern is not symmetric"):
+            Pattern((2, 2), rows, cols).transpose_order

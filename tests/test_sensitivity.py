@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,31 @@ def test_full_rank_builds_no_dense_jacobian(monkeypatch, name):
     out = differentiate(model, sol, theta)
     assert not out.used_least_squares
     assert calls == []
+
+
+def test_differentiate_reuses_the_final_evaluation_of_solve(monkeypatch):
+    model, sol, theta = _solved("mpc-autotune")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ipal.sensitivity, "evaluate", counted)
+    reused = differentiate(model, sol, theta)
+    assert calls == []
+    # a copy made by replace does not carry the evaluation
+    fresh = differentiate(model, dataclasses.replace(sol), theta)
+    assert len(calls) == 1
+    for a, b in ((reused.dx, fresh.dx), (reused.dw, fresh.dw)):
+        assert a.tobytes() == b.tobytes()
+    assert reused.residual_norm == fresh.residual_norm
+    # another theta, another model object or a changed point is evaluated
+    differentiate(model, sol, np.nextafter(theta, np.inf))
+    differentiate(dataclasses.replace(model), sol, theta)
+    sol.point.y[0] = np.nextafter(sol.point.y[0], np.inf)
+    differentiate(model, sol, theta)
+    assert len(calls) == 4
 
 
 def test_row_scale_matches_dense_jacobian():

@@ -53,7 +53,8 @@ def _close(got, want, tol=1e-13):
 def test_evaluation_matches_dense_transcription(name):
     problem, model, theta, point, _ = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    G, H, L = dense_transcription(problem, point.x, theta, point.y, point.z)
+    ref = dense_transcription(problem, point.x, theta, point.y, point.z)
+    G, H, L = ref.G, ref.H, ref.L
     assert isinstance(cache.g_x, StageMatrix) and isinstance(cache.L_xx, StageMatrix)
     assert isinstance(cache.h_x, StageMatrix) or model.p == 0
     np.testing.assert_array_equal(np.asarray(cache.g_x), G)
