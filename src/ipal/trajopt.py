@@ -370,6 +370,7 @@ def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
     its Jacobian block per constraint kind, of its Hessian block under
     "hessian"."""
     stages, d = problem.stages, problem.num_parameters
+    widths = [st.width for st in stages]
 
     def scaled(sl):  # rows of an (., d) matrix as positions in its flat storage
         return slice(sl.start * d, sl.stop * d)
@@ -391,10 +392,13 @@ def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
             # set (a cost_gradient without a cost is not), the others where
             # they are set themselves
             present = names[0] if role < 2 else name
+            runs[name] = []
+            if all(getattr(st, present) is None for st in stages):
+                continue
             dual = DUAL[kind] if role in (2, 4) else None
             keyed = []  # per stage: None, or (run key, hook, destination, rows)
             for t, st in enumerate(stages):
-                at, w = rows[kind][t], st.width
+                at, w = rows[kind][t], widths[t]
                 r = at.stop - at.start
                 if r == 0 or getattr(st, present) is None:
                     keyed.append(None)
@@ -410,7 +414,6 @@ def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
                 else:
                     shape, dest = (w, d), scaled(imap.stage[t])
                 keyed.append(((w, r, shape), getattr(st, name), dest, at))
-            runs[name] = []
             for key, group in groupby(enumerate(keyed), lambda item: item[1] and item[1][0]):
                 if key is None:
                     continue
