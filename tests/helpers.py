@@ -173,6 +173,7 @@ def tracking_problem(T, position_weights=None, duplicated_stage=None):
 
 
 def _stage_value(value):
+    """A hook output as the transcription converts it."""
     return np.asarray(value, dtype=float)
 
 
@@ -192,7 +193,7 @@ def dense_transcription(problem, x, theta, y, z):
     stages = problem.stages
     T = len(stages)
     d = problem.num_parameters
-    x0 = (
+    initial = (
         np.asarray(theta, dtype=float)[problem.initial_state_param]
         if problem.initial_state_param is not None
         else problem.initial_state
@@ -209,7 +210,7 @@ def dense_transcription(problem, x, theta, y, z):
         g_t=np.zeros((imap.m, d)),
         h_t=np.zeros((imap.p, d)),
     )
-    out.g[imap.init] = x[imap.state[0]] - x0
+    out.g[imap.init] = x[imap.state[0]] - initial
     out.G[imap.init, imap.state[0]] = np.eye(stages[0].state_dim)
     if problem.initial_state_param is not None:
         for i, j in enumerate(range(*problem.initial_state_param.indices(d))):
@@ -231,8 +232,7 @@ def dense_transcription(problem, x, theta, y, z):
         if t < T - 1:
             defect, nxt = imap.defect[t], imap.state[t + 1]
             out.G[np.arange(defect.start, defect.stop), np.arange(nxt.start, nxt.stop)] = -1.0
-            kinds.append(("dynamics", "dynamics", imap.defect[t], out.g, out.G, out.g_t, y,
-                          x[imap.state[t + 1]]))
+            kinds.append(("dynamics", "dynamics", defect, out.g, out.G, out.g_t, y, x[nxt]))
         if st.equality_dim:
             kinds.append(("equality", "equality", imap.equality[t], out.g, out.G, out.g_t, y, None))
         if st.cone.dim:

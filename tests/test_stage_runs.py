@@ -154,12 +154,9 @@ def _uniform_problem(hook_name=None, bad=None):
     rng = np.random.default_rng(5)
     stages = []
     for t in range(T_ERR):
-        hooks = {}
+        hooks = {name: _hook(rng, shape, 3, D_ERR, 0, "array")
+                 for name, shape in zip(HOOKS["cost"], [(), (3,), (3, 3), (3, D_ERR)])}
         rows = {"dynamics": 2 if t < T_ERR - 1 else 0, "equality": 1, "cone": 2}
-        hooks.update(cost=_hook(rng, (), 3, D_ERR, 0, "array"),
-                     cost_gradient=_hook(rng, (3,), 3, D_ERR, 0, "array"),
-                     cost_hessian=_hook(rng, (3, 3), 3, D_ERR, 0, "array"),
-                     cost_param_jacobian=_hook(rng, (3, D_ERR), 3, D_ERR, 0, "array"))
         for kind, r in rows.items():
             if r:
                 names = HOOKS[kind]
