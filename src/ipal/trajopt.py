@@ -25,7 +25,6 @@ factors and multiplies that system block tridiagonally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -370,7 +369,7 @@ def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
     its Jacobian block per constraint kind, of its Hessian block under
     "hessian"."""
     stages, d = problem.stages, problem.num_parameters
-    widths = [st.width for st in stages]
+    T = len(stages)
 
     def scaled(sl):  # rows of an (., d) matrix as positions in its flat storage
         return slice(sl.start * d, sl.stop * d)
@@ -385,6 +384,9 @@ def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
     }
     runs = {}
     for kind, names in HOOKS.items():
+        # stages of one run share (width, rows), which fix every output shape
+        keys = [(st.width, at.stop - at.start) if at.stop > at.start else None
+                for st, at in zip(stages, rows[kind])]
         for role, name in enumerate(names):
             if name is None:
                 continue
@@ -392,42 +394,40 @@ def _runs(problem: TrajectoryProblem, imap: IndexMap, storage: dict) -> dict:
             # set (a cost_gradient without a cost is not), the others where
             # they are set themselves
             present = names[0] if role < 2 else name
+            used = [key is not None and getattr(st, present) is not None for st, key in zip(stages, keys)]
             runs[name] = []
-            if all(getattr(st, present) is None for st in stages):
-                continue
-            dual = DUAL[kind] if role in (2, 4) else None
-            keyed = []  # per stage: None, or (run key, hook, destination, rows)
-            for t, st in enumerate(stages):
-                at, w = rows[kind][t], widths[t]
-                r = at.stop - at.start
-                if r == 0 or getattr(st, present) is None:
-                    keyed.append(None)
+            t = 0 if any(used) else T
+            while t < T:
+                if not used[t]:
+                    t += 1
                     continue
+                stop = t + 1
+                while stop < T and used[stop] and keys[stop] == keys[t]:
+                    stop += 1
+                (w, r), span = keys[t], range(t, stop)
+                at = [rows[kind][s] for s in span]
                 if role == 0:
                     shape, dest = (() if kind == "cost" else (r,)), at
                 elif role == 1:
-                    shape, dest = ((w,), at) if kind == "cost" else ((r, w), storage[kind][t])
+                    shape, dest = ((w,), at) if kind == "cost" else ((r, w), [storage[kind][s] for s in span])
                 elif role == 2:
-                    shape, dest = (w, w), storage["hessian"][t]
+                    shape, dest = (w, w), [storage["hessian"][s] for s in span]
                 elif role == 3:
-                    shape, dest = (r, d), scaled(at)
+                    shape, dest = (r, d), [scaled(sl) for sl in at]
                 else:
-                    shape, dest = (w, d), scaled(imap.stage[t])
-                keyed.append(((w, r, shape), getattr(st, name), dest, at))
-            for key, group in groupby(enumerate(keyed), lambda item: item[1] and item[1][0]):
-                if key is None:
-                    continue
-                ts, entries = zip(*group)
+                    shape, dest = (w, d), [scaled(imap.stage[s]) for s in span]
+                dual = DUAL[kind] if role in (2, 4) else None
                 runs[name].append(_Run(
                     name=name,
-                    first=ts[0],
-                    hooks=[hook for _, hook, _, _ in entries],
-                    x=slice(imap.stage[ts[0]].start, imap.stage[ts[-1]].stop),
-                    shape=(len(ts),) + key[2],
-                    at=_joined([dest for _, _, dest, _ in entries]),
+                    first=t,
+                    hooks=[getattr(stages[s], name) for s in span],
+                    x=slice(imap.stage[t].start, imap.stage[stop - 1].stop),
+                    shape=(stop - t,) + shape,
+                    at=_joined(dest),
                     dual=dual,
-                    w=_joined([at for *_, at in entries]) if dual else None,
+                    w=_joined(at) if dual else None,
                 ))
+                t = stop
     return runs
 
 
