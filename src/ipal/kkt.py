@@ -47,7 +47,6 @@ from .cone import (
 )
 from .linsolve import (
     BandLayout,
-    BlockedFactorization,
     BlockTridiagonal,
     Factorization,
     InertiaOptions,
@@ -519,7 +518,7 @@ def _newton_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=used_full, consistency_error=best_err,
-        inertia_trials=holder["trials"], blocked=isinstance(fact, BlockedFactorization),
+        inertia_trials=holder["trials"], blocked=fact is not None and fact.blocked,
     )
     return lay.unpack(best), reg, info
 

@@ -5,17 +5,17 @@ of their row groups (``BandLayout``), and stored as those diagonal and
 sub-diagonal blocks only, as the reduced KKT system of a transcribed
 trajectory problem is in stage order (Rao, Wright & Rawlings, JOTA 1998); a
 general matrix is the case of one group. Products with it are taken block by
-block. With two or more groups it is factored block by block: each pivot
-block is the Schur complement of the blocks before it, factored by
-Bunch-Kaufman (LAPACK dsytrf), and the inertia is the sum of the pivot-block
-inertias (Sylvester's law of inertia), read for all blocks in one pass. Its
-cost grows linearly with the number of blocks, where the dense
-factorization's grows with the cube of the order. One group, or a pivot
-block that is non-finite, fails to factor or has a pivot eigenvalue within
-the zero tolerance, sends the matrix to dense LAPACK Bunch-Kaufman
-(scipy.linalg.ldl), whose inertia is read off the signs of the 1x1 pivots
-and the eigenvalues of the 2x2 pivot blocks; zero counts always come from
-that path, and only there is a banded matrix made dense.
+block. It is factored by one block LDL' sweep: each pivot block is the Schur
+complement of the blocks before it, factored by Bunch-Kaufman (LAPACK
+dsytrf), and the inertia is the sum of the pivot-block inertias (Sylvester's
+law of inertia), read for all blocks in one pass off the signs of the 1x1
+pivots and the eigenvalues of the 2x2 pivot blocks. Its cost grows linearly
+with the number of blocks, where a dense factorization's grows with the cube
+of the order; a dense matrix is the case of one block. A matrix of two or
+more blocks whose sweep meets a non-finite or failed pivot block, or whose
+inertia has a zero count, is made dense and swept again as one block, which
+counts zero pivots instead of rejecting them; only there is a banded matrix
+made dense.
 
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization reports the requested inertia, following
@@ -26,11 +26,10 @@ the standard interior-point heuristic (first trial 1e-4, grow by 8, grow by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import ldl, solve_triangular
-from scipy.linalg.lapack import dsytrf, dsytrs
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 
 class NumericalFailure(RuntimeError):
@@ -39,51 +38,6 @@ class NumericalFailure(RuntimeError):
 
 class InertiaCorrectionFailure(RuntimeError):
     """Regularization exceeded its cap without reaching the target inertia."""
-
-
-@dataclass
-class SymmetricFactorization:
-    """LDL' factors of a symmetric matrix plus its inertia (pos, neg, zero).
-
-    The block diagonal D is kept as index arrays: ``_one`` holds the 1x1
-    pivot positions with values ``_d``, ``_two`` the first positions of the
-    2x2 pivot blocks with rows (d00, d01, -d10, d11, det) in ``_blk``."""
-
-    matrix: np.ndarray
-    inertia: Tuple[int, int, int]
-    _lower: np.ndarray
-    _perm: np.ndarray
-    _one: np.ndarray
-    _d: np.ndarray
-    _two: np.ndarray
-    _blk: np.ndarray  # (5, number of 2x2 blocks)
-    _singular: str  # why D cannot be inverted, if it cannot
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Single triangular sweep; rhs may be a vector or matrix."""
-        if self._singular:
-            raise NumericalFailure(self._singular)
-        b = np.asarray(rhs, dtype=float)
-        y = solve_triangular(
-            self._lower, b[self._perm], lower=True, unit_diagonal=True, check_finite=False
-        )
-        d, blk = (self._d, self._blk) if y.ndim == 1 else (self._d[:, None], self._blk[..., None])
-        y[self._one] = y[self._one] / d
-        if self._two.size:
-            d00, d01, nd10, d11, det = blk
-            b0, b1 = y[self._two], y[self._two + 1]
-            y[self._two] = (d11 * b0 - d01 * b1) / det
-            y[self._two + 1] = (nd10 * b0 + d00 * b1) / det
-        y = solve_triangular(self._lower.T, y, lower=False, unit_diagonal=True, check_finite=False)
-        out = np.empty_like(y)
-        out[self._perm] = y
-        if not np.all(np.isfinite(out)):
-            raise NumericalFailure("non-finite solve result")
-        return out
 
 
 class BandLayout:
@@ -199,29 +153,34 @@ class BlockTridiagonal:
 
 
 @dataclass
-class BlockedFactorization:
+class Factorization:
     """Block LDL' factors of a symmetric matrix that is block tridiagonal in
-    the order of its row blocks, plus its inertia (pos, neg, zero).
+    the order of its row blocks, plus its inertia (pos, neg, zero); a dense
+    matrix is one block.
 
     With D_k the diagonal blocks and C_k = K[block k+1, block k], the pivot
     blocks are S_1 = D_1 and S_{k+1} = D_{k+1} - C_k S_k^{-1} C_k', each
     held as its LAPACK Bunch-Kaufman factors in ``_pivots``; ``_gain`` holds
     each S_k^{-1} C_k', so the unit lower factor has C_k S_k^{-1} =
-    _gain[k]' below its diagonal."""
+    _gain[k]' below its diagonal. ``_zero_pivot`` is set when the last pivot
+    block has an exactly zero pivot, so that the factors cannot solve."""
 
-    matrix: object
     inertia: Tuple[int, int, int]
     _index: Tuple[np.ndarray, ...]
     _pivots: List[Tuple[np.ndarray, np.ndarray]]
     _gain: List[np.ndarray]
+    _zero_pivot: bool
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def blocked(self) -> bool:
+        """Factored in two or more pivot blocks."""
+        return len(self._pivots) >= 2
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Forward sweep, block-diagonal solve and backward sweep; rhs may be
         a vector or matrix."""
+        if self._zero_pivot:
+            raise NumericalFailure("zero pivot in factorization")
         b = np.asarray(rhs, dtype=float)
         index, pivots, gain = self._index, self._pivots, self._gain
         y = b[index[0]]
@@ -240,45 +199,49 @@ class BlockedFactorization:
         return out
 
 
-Factorization = Union[SymmetricFactorization, BlockedFactorization]
-
-
 def _pivot_solve(pivot: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    if not rhs.size:  # the LAPACK wrapper rejects empty arrays
+        return rhs
     x, _ = dsytrs(pivot[0], pivot[1], rhs, lower=1)
     return x
 
 
-def _pivot_eigenvalues(diag: np.ndarray, two: np.ndarray, off: np.ndarray):
-    """1x1 pivot positions and the eigenvalues of a block diagonal D with
-    diagonal ``diag`` and symmetric 2x2 blocks at rows (two, two + 1) whose
-    off-diagonal entries are ``off``: the 1x1 pivots, then the smaller and
-    the larger eigenvalue of each 2x2 block."""
+def _pivot_eigenvalues(diag: np.ndarray, two: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a block diagonal D with diagonal ``diag`` and symmetric
+    2x2 blocks at rows (two, two + 1) whose off-diagonal entries are ``off``:
+    the 1x1 pivots, then the smaller and the larger eigenvalue of each 2x2
+    block."""
     if not two.size:
-        return np.arange(diag.size), diag
+        return diag
     single = np.ones(diag.size, dtype=bool)
     single[two] = single[two + 1] = False
-    one = np.flatnonzero(single)
     mean = 0.5 * (diag[two] + diag[two + 1])
     rad = np.hypot(0.5 * (diag[two] - diag[two + 1]), off)
-    return one, np.concatenate([diag[one], mean - rad, mean + rad])
+    return np.concatenate([diag[single], mean - rad, mean + rad])
 
 
-def _factorize_blocked(K: BlockTridiagonal, zero_tol: float, matrix) -> Optional[BlockedFactorization]:
+def _factorize_blocked(K: BlockTridiagonal, zero_tol: float) -> Optional[Factorization]:
     """Block tridiagonal factorization of K, or None when a pivot block is
-    non-finite, fails to factor, or has a pivot eigenvalue of magnitude at
-    most ``zero_tol``. The inertia of every pivot block is read in one pass
-    after the sweep."""
+    non-finite or fails to factor, or a pivot block before the last has an
+    exactly zero pivot. The inertia of every pivot block is read in one pass
+    after the sweep; pivot eigenvalues of magnitude at most ``zero_tol`` are
+    counted as zeros."""
     pivots: List[Tuple[np.ndarray, np.ndarray]] = []
     gain: List[np.ndarray] = []
     S = K.D[0]
     for k in range(len(K.D)):
         if not np.isfinite(S).all():
             return None
-        lu, ipiv, info = dsytrf(S, lower=1)
-        if info != 0 or not np.isfinite(lu).all():
+        # with less than the workspace LAPACK asks for, dsytrf runs the
+        # unblocked dsytf2 on blocks larger than LAPACK's block size
+        lwork = int(dsytrf_lwork(S.shape[0], lower=1)[0])
+        lu, ipiv, info = dsytrf(S, lower=1, lwork=lwork)
+        if info < 0 or not np.isfinite(lu).all():
             return None
         pivots.append((lu, ipiv))
         if k < len(K.C):
+            if info > 0:
+                return None  # an exactly zero pivot cannot eliminate the next block
             C = K.C[k]
             gain.append(_pivot_solve(pivots[-1], C.T))
             S = K.D[k + 1] - C @ gain[-1]
@@ -288,11 +251,10 @@ def _factorize_blocked(K: BlockTridiagonal, zero_tol: float, matrix) -> Optional
     diag = np.concatenate([lu.diagonal() for lu, _ in pivots])
     below = np.concatenate([lu.diagonal(-1) for lu, _ in pivots])
     two = np.flatnonzero(np.concatenate([ipiv for _, ipiv in pivots]) < 0)[::2]
-    _, eigs = _pivot_eigenvalues(diag, two, below[two - K.layout.pivot_block[two]])
-    if np.any(np.abs(eigs) <= zero_tol):
-        return None
-    pos = int(np.count_nonzero(eigs > 0.0))
-    return BlockedFactorization(matrix, (pos, eigs.size - pos, 0), K.index, pivots, gain)
+    eigs = _pivot_eigenvalues(diag, two, below[two - K.layout.pivot_block[two]])
+    zero = int(np.count_nonzero(np.abs(eigs) <= zero_tol))
+    pos = int(np.count_nonzero(eigs > max(zero_tol, 0.0)))
+    return Factorization((pos, eigs.size - pos - zero, zero), K.index, pivots, gain, info > 0)
 
 
 def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
@@ -307,10 +269,11 @@ def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
     explicit tolerance for matrices scaled outside that regime.
 
     K is a ``BlockTridiagonal``, factored block by block in the order of
-    its row groups when it has two or more, or a square array, which is
-    one group. The dense factorization serves one group, and any matrix
-    whose blocked factorization meets a zero, non-finite or failed pivot
-    block; only then is a dense copy of a ``BlockTridiagonal`` built.
+    its row groups, or a square array, which is one group. A matrix of two
+    or more groups whose sweep meets a non-finite or failed pivot block, or
+    whose inertia has a zero count, is made dense and swept again as one
+    group; only then is a dense copy of a ``BlockTridiagonal`` built. An
+    exactly zero pivot is counted; ``solve`` then raises NumericalFailure.
     """
     if isinstance(K, BlockTridiagonal):
         band = K
@@ -326,47 +289,18 @@ def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
         band = BlockTridiagonal.from_dense(A, (np.arange(n),))
     if zero_tol is None:
         zero_tol = 1e-11
-    if len(band.D) >= 2:
-        fact = _factorize_blocked(band, zero_tol, K)
-        if fact is not None:
-            return fact
-    dense = band.D[0] if band.layout.identity else np.asarray(K, dtype=float)
-    n = dense.shape[0]
-    if n == 0:
-        lu, d, perm = dense.copy(), dense, np.arange(0)
-    else:
-        try:
-            lu, d, perm = ldl(dense, lower=True, check_finite=False)
-        except Exception as exc:  # LAPACK failures surface as LinAlgError/ValueError
-            raise NumericalFailure(f"factorization failed: {exc}") from exc
-    if not (np.all(np.isfinite(lu)) and np.all(np.isfinite(d))):
-        raise NumericalFailure("non-finite factorization")
-    # a 2x2 pivot block starts wherever D has a subdiagonal entry; the
-    # blocks are disjoint, so the remaining positions are 1x1 pivots
-    two = np.flatnonzero(np.diagonal(d, -1))
-    diag = np.diagonal(d)
-    one, eigs = _pivot_eigenvalues(diag, two, d[two, two + 1])
-    if two.size:
-        d00, d01, d10, d11 = diag[two], d[two, two + 1], d[two + 1, two], diag[two + 1]
-        blk = np.array([d00, d01, -d10, d11, d00 * d11 - d01 * d10])
-    else:
-        blk = np.zeros((5, 0))
-    zero = int(np.count_nonzero(np.abs(eigs) <= zero_tol))
-    pos = int(np.count_nonzero(eigs > max(zero_tol, 0.0)))
-    piv = diag[one]
-    singular = ""
-    if not piv.all():
-        singular = "zero pivot in factorization"
-    elif not blk[4].all():
-        singular = "singular 2x2 pivot in factorization"
-    return SymmetricFactorization(
-        K, (pos, n - pos - zero, zero), lu[perm], perm, one, piv, two, blk, singular
-    )
+    fact = _factorize_blocked(band, zero_tol)
+    if len(band.D) >= 2 and (fact is None or fact.inertia[2]):
+        dense = BlockTridiagonal.from_dense(np.asarray(K, dtype=float), (np.arange(band.layout.n),))
+        fact = _factorize_blocked(dense, zero_tol)
+    if fact is None:
+        raise NumericalFailure("non-finite or failed factorization")
+    return fact
 
 
 def solve_refined(
     fact: Factorization,
-    K: np.ndarray,
+    K: BlockTridiagonal | np.ndarray,
     rhs: np.ndarray,
     max_refine: int = 10,
     tol: float = 1e-12,
@@ -417,7 +351,7 @@ class InertiaOptions:
 
 
 def correct_inertia(
-    assemble: Callable[[float, float], np.ndarray],
+    assemble: Callable[[float, float], BlockTridiagonal | np.ndarray],
     target: Tuple[int, int, int],
     reg: RegularizationState,
     opts: InertiaOptions = InertiaOptions(),

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
-from scipy.linalg import ldl, solve_triangular
+from scipy.linalg import ldl
 
 import ipal.linsolve
 from helpers import trajectory_tracking
 from ipal.linsolve import (
-    BlockedFactorization,
     BlockTridiagonal,
     InertiaCorrectionFailure,
     NumericalFailure,
     RegularizationState,
-    SymmetricFactorization,
     correct_inertia,
     factorize,
     solve_refined,
@@ -33,12 +31,10 @@ def known_inertia_matrix(rng, n, n_pos, n_neg):
     return (Q * mags) @ Q.T
 
 
-def loop_reference(K, rhs, zero_tol=1e-11):
-    """Inertia and solve of K by a pivot-by-pivot loop over the LDL' block
-    diagonal; the vectorized factorization must reproduce both exactly."""
-    lu, d, perm = ldl(K, lower=True)
-    lower = lu[perm]
-    y = solve_triangular(lower, rhs[perm], lower=True, unit_diagonal=True)
+def loop_reference(K, zero_tol=1e-11):
+    """Inertia of K by a pivot-by-pivot loop over the block diagonal of
+    scipy's LDL' factors; the vectorized inertia must reproduce it exactly."""
+    d = ldl(K, lower=True)[1]
     counts = [0, 0, 0]
     i = 0
     while i < len(K):
@@ -47,21 +43,13 @@ def loop_reference(K, rhs, zero_tol=1e-11):
             mean = 0.5 * (blk[0, 0] + blk[1, 1])
             rad = np.hypot(0.5 * (blk[0, 0] - blk[1, 1]), blk[0, 1])
             eigs = (mean - rad, mean + rad)
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            b0, b1 = y[i].copy(), y[i + 1].copy()
-            y[i] = (blk[1, 1] * b0 - blk[0, 1] * b1) / det
-            y[i + 1] = (-blk[1, 0] * b0 + blk[0, 0] * b1) / det
             i += 2
         else:
             eigs = (d[i, i],)
-            y[i] = y[i] / d[i, i]
             i += 1
         for ev in eigs:
             counts[2 if abs(ev) <= zero_tol else 0 if ev > 0.0 else 1] += 1
-    y = solve_triangular(lower.T, y, lower=False, unit_diagonal=True)
-    out = np.empty_like(y)
-    out[perm] = y
-    return tuple(counts), out
+    return tuple(counts)
 
 
 class TestFactorize:
@@ -75,11 +63,11 @@ class TestFactorize:
                 K = known_inertia_matrix(rng, n, n_pos, n - n_pos)
             else:
                 K = random_symmetric(rng, n)
+            fact = factorize(K)
+            assert fact.inertia == loop_reference(K)
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-                inertia, expected = loop_reference(K, rhs)
-                fact = factorize(K)
-                assert fact.inertia == inertia
-                assert np.array_equal(fact.solve(rhs), expected)
+                x = solve_refined(fact, K, rhs)
+                assert np.abs(K @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
             two_by_two += np.count_nonzero(np.diagonal(ldl(K, lower=True)[1], -1))
         assert two_by_two > 0  # both pivot kinds were exercised
 
@@ -118,6 +106,32 @@ class TestFactorize:
         K = np.block([[H, A2.T], [A2, np.zeros((2, 2))]])
         fact = factorize(K)
         assert fact.inertia[2] >= 1
+
+    @pytest.mark.parametrize("n", [10, 65, 200])
+    def test_pivots_match_scipy_ldl_bitwise(self, n):
+        # with the workspace LAPACK asks for, dsytrf runs the same blocked
+        # code as scipy.linalg.ldl, also past one LAPACK block of columns
+        K = random_symmetric(np.random.default_rng(n), n)
+        lu, _ = factorize(K)._pivots[0]
+        assert np.array_equal(lu.diagonal(), np.diagonal(ldl(K, lower=True)[1]))
+
+    @pytest.mark.parametrize(
+        "K, inertia",
+        [
+            (np.diag([1.0, 0.0]), (1, 0, 1)),
+            (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), (1, 1, 1)),
+        ],
+    )
+    def test_exact_zero_pivot_counted_and_solve_refused(self, K, inertia):
+        fact = factorize(K)
+        assert fact.inertia == inertia
+        with pytest.raises(NumericalFailure):
+            fact.solve(np.ones(K.shape[0]))
+
+    def test_empty_matrix(self):
+        fact = factorize(np.zeros((0, 0)))
+        assert fact.inertia == (0, 0, 0)
+        assert fact.solve(np.zeros(0)).shape == (0,)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalFailure):
@@ -218,9 +232,8 @@ class TestBlockedFactorize:
             K, blocks = block_tridiagonal(rng, sizes, signs)
             band = BlockTridiagonal.from_dense(K, blocks)
             fact = factorize(band)
-            assert isinstance(fact, BlockedFactorization)
+            assert fact.blocked
             assert fact.inertia == (int((signs > 0).sum()), int((signs < 0).sum()), 0)
-            assert fact.n == n and fact.matrix is band
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 expected = np.linalg.solve(K, rhs)
                 got = solve_refined(fact, K, rhs)
@@ -231,15 +244,22 @@ class TestBlockedFactorize:
         signs = np.array([1.0, -1.0, 1.0, 0.0, 1.0, -1.0, 1.0, 1.0])
         K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
         fact = factorize(BlockTridiagonal.from_dense(K, blocks))
-        assert isinstance(fact, SymmetricFactorization)
+        assert not fact.blocked
         assert fact.inertia == factorize(K).inertia
         assert fact.inertia[2] == 1
 
     def test_one_block_is_dense(self):
+        # one group, in the original or a permuted order, is swept as one
+        # pivot block in that order
         rng = np.random.default_rng(33)
         K = random_symmetric(rng, 5)
-        fact = factorize(BlockTridiagonal.from_dense(K, (np.arange(5),)))
-        assert isinstance(fact, SymmetricFactorization)
+        b = rng.standard_normal(5)
+        for index in (np.arange(5), rng.permutation(5)):
+            fact = factorize(BlockTridiagonal.from_dense(K, (index,)))
+            assert not fact.blocked
+            assert fact.inertia == factorize(K).inertia
+            x = solve_refined(fact, K, b)
+            assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -271,7 +291,7 @@ class TestBlockedFactorize:
             K = np.asarray(K)
             blocked = factorize(BlockTridiagonal.from_dense(K, model.stage_blocks))
             dense = factorize(K)
-            assert isinstance(blocked, BlockedFactorization)
+            assert blocked.blocked
             assert blocked.inertia == dense.inertia
             for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
                 expected = solve_refined(dense, K, rhs)
