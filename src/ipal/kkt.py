@@ -22,12 +22,13 @@ problem forms no (n+m+p)-square matrix outside the dense fallback, and the
 dense derivative matrices of a general model are written as blocks. Cone
 slack and complement blocks are recovered in closed form from stacked cone
 blocks (``ConeBlocks``). On second-order segments the reduced cone block is
-symmetrized, so directions are polished by iterative refinement against the
-full system, applied blockwise; the dense Jacobian, the only p x p cone
-matrix, is built only for a fallback solve when refinement cannot reach the
-consistency bound, and in tests. ``differentiate`` solves its parameter
-columns through the same reduction and refinement, with the multiplier
-estimate tracking the equality dual (``ReducedSystem.track_multiplier``).
+symmetrized, so directions are refined against the full system, applied
+blockwise, in one loop with the reduced solve as approximate inverse
+(``reduced_solve``); nothing refines against K. The dense Jacobian, the
+only p x p cone matrix, is built only for a fallback solve when refinement
+cannot reach the consistency bound, and in tests. ``differentiate`` solves
+its parameter columns through the same reduction and refinement, with the
+multiplier estimate tracking the equality dual (``track_multiplier``).
 """
 
 from __future__ import annotations
@@ -263,15 +264,14 @@ class ReducedSystem:
     symmetric. The cone block uses the symmetrized W^{-1} Ptb; on
     second-order segments that operator is nonsymmetric away from the
     central path, which is why directions are refined against the full
-    system afterwards; that system is applied blockwise
+    system (``reduced_solve``); that system is applied blockwise
     (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked blocks
-    (``ConeBlocks``), never p x p matrices. Right-hand sides and solutions
+    (``ConeBlocks``), never p x p matrices. Residual rows and solutions
     may be vectors or matrices of columns.
     """
 
     layout: Layout
     K: BlockTridiagonal
-    rhs: np.ndarray
     eps_p: float
     eps_d: float
     dual_scale: float  # 1 / (rho + eps_p)
@@ -326,13 +326,11 @@ def assemble_symmetric(
     outer: OuterState,
     reg: RegularizationState = RegularizationState(),
     cache: Optional[EvalCache] = None,
-    rows: Optional[np.ndarray] = None,
 ) -> ReducedSystem:
-    """Assemble the reduced saddle system and its right-hand side."""
+    """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``)."""
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
     lay = Layout(model.n, model.m, model.p)
-    n, m, p = lay.n, lay.m, lay.p
     ep, ed = reg.eps_p, reg.eps_d
     dual_scale = 1.0 / (outer.rho + ep)
 
@@ -359,14 +357,10 @@ def assemble_symmetric(
     for where, B in zip(at.cone_blocks, cone.blocks):
         data[where] = B
 
-    rsys = ReducedSystem(
-        layout=lay, K=K, rhs=np.zeros(n + m + p), eps_p=ep, eps_d=ed,
-        dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W, dual_diagonal=at.y_diag,
+    return ReducedSystem(
+        layout=lay, K=K, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
+        Ps=Ps, Ptb=Ptb, W=W, dual_diagonal=at.y_diag,
     )
-    if rows is None:
-        rows = residual(model, point, theta, outer, cache)
-    rsys.rhs = rsys.reduce_rows(rows)
-    return rsys
 
 
 def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.ndarray) -> np.ndarray:
@@ -401,7 +395,7 @@ class DirectionOptions:
 class DirectionInfo:
     eps_p: float
     eps_d: float
-    refine_passes: int
+    refine_passes: int  # passes of refinement after the first reduced solve
     used_full_solve: bool
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
@@ -410,45 +404,29 @@ class DirectionInfo:
 
 def reduced_solve(
     rsys: ReducedSystem,
-    fact: Optional[Factorization],
+    fact: Factorization,
     cache: EvalCache,
     rho: float,
     R: np.ndarray,
     opts: DirectionOptions,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
-    """Solve J dw = -R through the reduced system, then refine against the
-    full system (``jacobian_apply``) until ||J dw + R||_inf reaches
-    refine_tol * (1 + ||R||_inf) or stops falling. R may hold right-hand
-    sides as columns, whose reduction is rsys.rhs. ``fact`` factors rsys.K,
-    or is None to factor it here. Returns the best dw, ||J dw + R||_inf,
-    J dw + R and the passes taken; dw is None (error inf) when a
-    factorization or solve fails."""
-    norm_R = np.abs(R).max() if R.size else 0.0
-    refine_target = opts.refine_tol * (1.0 + norm_R)
+    """Solve J dw = -R by ``solve_refined`` against the full system
+    (``jacobian_apply``), with the reduced solve through ``fact``, the
+    factors of rsys.K, as its approximate inverse; R may hold right-hand
+    sides as columns. Returns the best dw, ||J dw + R||_inf, J dw + R and
+    the passes taken; dw is None (error inf) when the solve fails."""
 
-    def error(dw):
-        err = jacobian_apply(rsys, cache, rho, dw) + R
-        return np.abs(err).max() if err.size else 0.0, err
+    def reduced_inverse(b):
+        rows = -b  # reduce_rows and recover take the residual rows of J dw = -rows
+        return rsys.recover(fact.solve(rsys.reduce_rows(rows)), rows)
 
-    passes = 0
     try:
-        if fact is None:
-            fact = factorize(rsys.K)
-        u = solve_refined(fact, rsys.K, rsys.rhs, opts.max_refine, opts.refine_tol)
-        best = rsys.recover(u, R)
-        best_err, err_rows = error(best)
-        while np.isfinite(best_err) and best_err > refine_target and passes < opts.max_refine:
-            u_c = solve_refined(fact, rsys.K, rsys.reduce_rows(err_rows), opts.max_refine, opts.refine_tol)
-            trial = best + rsys.recover(u_c, err_rows)
-            trial_err, trial_rows = error(trial)
-            passes += 1
-            if trial_err < best_err:
-                best, best_err, err_rows = trial, trial_err, trial_rows
-            else:
-                break  # refinement stalled; the caller's fallback decides
+        return solve_refined(
+            lambda dw: jacobian_apply(rsys, cache, rho, dw), reduced_inverse, -R,
+            opts.max_refine, opts.refine_tol,
+        )
     except NumericalFailure:
-        return None, np.inf, None, passes
-    return best, best_err, err_rows, passes
+        return None, np.inf, None, 0
 
 
 def _newton_direction(
@@ -468,7 +446,7 @@ def _newton_direction(
 
     The symmetrized cone block makes the one-shot reduced direction inexact
     on second-order segments away from the central path; refinement against
-    the full system (applied blockwise) corrects it, and a dense full solve,
+    the full system (``reduced_solve``) corrects it, and a dense full solve,
     the only place the dense Jacobian is formed, takes over when refinement
     stalls or the fixed-shift factorization fails.
     """
@@ -482,7 +460,7 @@ def _newton_direction(
     def build(ep, ed):
         holder["trials"] += 1
         holder["rsys"] = assemble_symmetric(
-            model, point, theta, outer, RegularizationState(ep, ed), cache, R
+            model, point, theta, outer, RegularizationState(ep, ed), cache
         )
         return holder["rsys"].K
 
@@ -493,25 +471,26 @@ def _newton_direction(
         try:
             fact = factorize(build(reg.eps_p, reg.eps_d))
         except NumericalFailure:
-            pass  # reduced_solve factors again and reports the failure
+            pass  # the dense fallback below takes over
     rsys: ReducedSystem = holder["rsys"]
     assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
 
     norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
+    best, best_err, passes = None, np.inf, 0
+    if fact is not None:
+        best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
     used_full = False
-    acceptable = best is not None and np.isfinite(best_err) and best_err <= consistency
-    if not acceptable and lay.total:
+    if best_err > consistency and lay.total:
         try:
             dw_full = np.linalg.solve(full_jacobian(model, point, theta, outer, reg, cache), -R)
             full_err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw_full) + R).max()
-            if np.isfinite(full_err) and not (best is not None and best_err < full_err):
+            if np.isfinite(full_err) and full_err <= best_err:
                 best, best_err = dw_full, full_err
                 used_full = True
         except np.linalg.LinAlgError:
             pass
-    if best is None or not np.isfinite(best_err) or best_err > consistency:
+    if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
         )

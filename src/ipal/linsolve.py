@@ -17,6 +17,11 @@ inertia has a zero count, is made dense and swept again as one block, which
 counts zero pivots instead of rejecting them; only there is a banded matrix
 made dense.
 
+``solve_refined`` is the one iterative-refinement loop: an operator, an
+approximate inverse (for the full Newton system, the reduced solve of
+``kkt.reduced_solve``), and a stop at its tolerance, after ``max_refine``
+passes, or at the first pass that does not reduce the residual.
+
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization reports the requested inertia, following
 the standard interior-point heuristic (first trial 1e-4, grow by 8, grow by
@@ -299,35 +304,39 @@ def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
 
 
 def solve_refined(
-    fact: Factorization,
-    K: BlockTridiagonal | np.ndarray,
+    apply: Callable[[np.ndarray], np.ndarray],
+    solve: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     max_refine: int = 10,
     tol: float = 1e-12,
-) -> np.ndarray:
-    """Solve K x = rhs with iterative refinement.
+) -> Tuple[np.ndarray, float, np.ndarray, int]:
+    """Solve apply(x) = rhs by iterative refinement with the approximate
+    inverse ``solve``: x = solve(rhs), then x <- x - solve(apply(x) - rhs)
+    while the residual max-norm exceeds tol * (1 + ||rhs||_inf), for at most
+    ``max_refine`` passes, stopping at the first pass that does not reduce
+    it. rhs may be a vector or a matrix of columns.
 
-    The residual is measured against the ``K`` passed in, which may differ
-    from the factored matrix (the factors then act as a preconditioner).
-    Returns the iterate with the smallest residual seen; raises
-    NumericalFailure if that residual is not finite.
+    Returns the best x, its residual max-norm, its residual apply(x) - rhs
+    and the passes taken; raises NumericalFailure if the first residual is
+    not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
-    scale = 1.0 + (np.abs(rhs).max() if rhs.size else 0.0)
-    x = fact.solve(rhs)
-    best = x
-    best_err = np.inf
-    for _ in range(max_refine + 1):
-        res = K @ x - rhs
-        err = np.abs(res).max() if res.size else 0.0
-        if err < best_err:
-            best, best_err = x, err
-        if err <= tol * scale:
-            break
-        x = x - fact.solve(res)
-    if not np.isfinite(best_err):
+    target = tol * (1.0 + (np.abs(rhs).max() if rhs.size else 0.0))
+    x = solve(rhs)
+    res = apply(x) - rhs
+    err = np.abs(res).max() if res.size else 0.0
+    if not np.isfinite(err):
         raise NumericalFailure("refinement produced non-finite residual")
-    return best
+    passes = 0
+    while err > target and passes < max_refine:
+        trial = x - solve(res)
+        trial_res = apply(trial) - rhs
+        trial_err = np.abs(trial_res).max() if trial_res.size else 0.0
+        passes += 1
+        if not trial_err < err:
+            break  # stalled
+        x, res, err = trial, trial_res, trial_err
+    return x, err, res, passes
 
 
 @dataclass(frozen=True)

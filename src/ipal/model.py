@@ -220,7 +220,7 @@ def _checked(value, shape, name):
     out = value if isinstance(value, StageMatrix) else np.asarray(value, dtype=float)
     if out.shape != shape:
         raise InvalidDimension(f"{name} returned shape {out.shape}, expected {shape}")
-    if not np.all(np.isfinite(out.values if isinstance(out, StageMatrix) else out)):
+    if not np.isfinite(out.values if isinstance(out, StageMatrix) else out).all():
         raise EvaluationFailure(f"{name} returned a non-finite value")
     return out
 
@@ -235,10 +235,9 @@ def _symmetric_part(H: Matrix) -> Matrix:
 def evaluate_values(
     model: ProblemModel, x: np.ndarray, theta: np.ndarray
 ) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Objective and constraint values only (used inside line searches)."""
-    c = model.objective(x, theta)
-    if not np.isfinite(c):
-        raise EvaluationFailure("objective returned a non-finite value")
+    """Objective and constraint values only (used inside line searches),
+    with the shape and finiteness checks of ``evaluate``."""
+    c = _checked(model.objective(x, theta), (), "objective")
     g = _checked(model.equality(x, theta), (model.m,), "equality")
     h = _checked(model.cone_constraint(x, theta), (model.p,), "cone_constraint")
     return float(c), g, h

@@ -10,7 +10,8 @@ structure of trajectory problems amplifies well past usable accuracy.
 
 All parameter columns are solved through the solver's own symmetric
 reduction in (dx, dy, dz) at zero shift, factored once and refined against
-the full Jacobian applied blockwise, as Newton directions are. dlam = dy
+the full Jacobian applied blockwise, as Newton directions are
+(``kkt.reduced_solve``: one reduced solve of all columns per pass). dlam = dy
 zeroes J[r, y], which removes the penalty term from the reduced system's
 equality-dual diagonal (``ReducedSystem.track_multiplier``). Rank deficiency
 is read off the factorization's zero-pivot count; only then, or when the
@@ -94,7 +95,7 @@ def differentiate(
 
     dw = None
     try:
-        rsys = assemble_symmetric(model, point, theta, outer, cache=cache, rows=Rt)
+        rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
         rsys.track_multiplier()
         fact = factorize(rsys.K)
         if fact.inertia[2] == 0:

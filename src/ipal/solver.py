@@ -90,6 +90,7 @@ class TraceRecord:
     eps_d: float
     kappa: float
     rho: float
+    backtracks: int = 0  # step halvings of the line search (filter_step)
     # diagnostics of this iteration's Newton direction (DirectionInfo)
     refine_passes: int = 0
     used_full_solve: bool = False
@@ -138,7 +139,7 @@ def merit(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: Out
           values: Optional[Values] = None) -> float:
     """Augmented Lagrangian merit with the barrier on the cone slacks:
     c + lam'r + (rho/2) r'r - kappa * barrier(s)."""
-    c = values[0] if values is not None else model.objective(point.x, theta)
+    c = (evaluate_values(model, point.x, theta) if values is None else values)[0]
     phi = float(c) + outer.lam @ point.r + 0.5 * outer.rho * (point.r @ point.r)
     return float(phi - outer.kappa * barrier_value(point.s, model.cone))
 
@@ -248,14 +249,14 @@ def filter_step(
     alpha_init: float,
     alpha_t: float,
     current: Tuple[float, float],
-) -> Tuple[SolverPoint, float, Tuple[float, float], Values]:
+) -> Tuple[SolverPoint, float, Tuple[float, float], Values, int]:
     """Backtrack on the primal step until the filter accepts the candidate.
 
     Acceptance requires sufficient decrease in merit or violation relative to
     the current point and non-domination by the filter. Duals move by the
     accepted alpha; the complement block moves by its own boundary cap.
-    Returns the new point, the accepted alpha, the accepted pair, and the
-    values (c, g, h) at the new point.
+    Returns the new point, the accepted alpha, the accepted pair, the values
+    (c, g, h) at the new point, and the number of step halvings taken.
     """
     phi0, eta0 = current
     # round-off relaxation (Waechter & Biegler, Math. Prog. 2006): near the
@@ -263,6 +264,7 @@ def filter_step(
     # rounding, so a step need not decrease it below that level
     slack = 10.0 * np.finfo(float).eps * abs(phi0)
     alpha = alpha_init
+    backtracks = 0
     while alpha >= opts.min_step:
         cand = SolverPoint(
             x=point.x + alpha * delta.x,
@@ -277,16 +279,17 @@ def filter_step(
             phi = merit(model, cand, theta, outer, values)
             eta = violation(model, cand, theta, values)
         except (NotInterior, EvaluationFailure):
-            alpha *= 0.5
-            continue
-        sufficient = (phi < phi0 - opts.armijo * eta0 + slack) or (eta < (1.0 - opts.armijo) * eta0)
-        if sufficient and not filt.dominated(phi - slack, eta):
-            cand.y = point.y + alpha * delta.y
-            cand.z = point.z + alpha * delta.z
-            cand.t = point.t + alpha_t * delta.t
-            filt.add(phi, eta)
-            return cand, alpha, (phi, eta), values
+            pass
+        else:
+            sufficient = (phi < phi0 - opts.armijo * eta0 + slack) or (eta < (1.0 - opts.armijo) * eta0)
+            if sufficient and not filt.dominated(phi - slack, eta):
+                cand.y = point.y + alpha * delta.y
+                cand.z = point.z + alpha * delta.z
+                cand.t = point.t + alpha_t * delta.t
+                filt.add(phi, eta)
+                return cand, alpha, (phi, eta), values, backtracks
         alpha *= 0.5
+        backtracks += 1
     raise LineSearchFailure(f"no acceptable step above {opts.min_step:g}")
 
 
@@ -368,7 +371,7 @@ def solve(
             )
             tau = max(opts.tau_min, 1.0 - outer.kappa)
             alpha_cap, alpha_t = cone_line_search(point, delta, tau, model)
-            point, alpha, current, values = filter_step(
+            point, alpha, current, values, backtracks = filter_step(
                 model, point, delta, theta, outer, filt, opts, alpha_cap, alpha_t, current
             )
             cache = None
@@ -379,7 +382,8 @@ def solve(
                     TraceRecord(
                         iteration=total, outer=outer_count, residual_norm=norm_R,
                         merit=current[0], violation=current[1], alpha=alpha,
-                        alpha_t=alpha_t, kappa=outer.kappa, rho=outer.rho, **vars(info),
+                        alpha_t=alpha_t, kappa=outer.kappa, rho=outer.rho,
+                        backtracks=backtracks, **vars(info),
                     )
                 )
     except LineSearchFailure:

@@ -212,14 +212,13 @@ def test_criterion_3_inertia_correction():
         point, outer = random_iterate(rng, model)
         theta = np.zeros(0)
         cache = evaluate(model, point.x, theta, point.y, point.z)
-        R = residual(model, point, theta, outer, cache)
 
         holder = {}
 
         def build(ep, ed):
             rsys = assemble_symmetric(
                 model, point, theta, outer,
-                RegularizationState(ep, ed, 0.0), cache, R,
+                RegularizationState(ep, ed, 0.0), cache,
             )
             holder["K"] = rsys.K
             return rsys.K

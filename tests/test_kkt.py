@@ -151,7 +151,7 @@ class TestSymmetricReduction:
         reg = RegularizationState(eps_p=1e-4, eps_d=1e-6)
         R = residual(model, point, np.zeros(0), outer)
         rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
-        sol = np.linalg.solve(rsys.K, rsys.rhs)
+        sol = np.linalg.solve(rsys.K, rsys.reduce_rows(R))
         dw = rsys.recover(sol, R)
         lay = Layout(1, 1, 0)
         cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
@@ -296,13 +296,13 @@ class TestJacobianApply:
             J = full_jacobian(model, point, np.zeros(0), outer, RegularizationState(), cache)
             J[lay.r, lay.y] = 0.0
             rows = rng.standard_normal((lay.total, 3))
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache, rows=rows)
+            rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache)
             rsys.track_multiplier()
             dw = rng.standard_normal((lay.total, 3))
             err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
             assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
             expected = np.linalg.solve(J, -rows)
-            got, _, _, _ = reduced_solve(rsys, None, cache, outer.rho, rows, DirectionOptions())
+            got, _, _, _ = reduced_solve(rsys, factorize(rsys.K), cache, outer.rho, rows, DirectionOptions())
             assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
@@ -482,3 +482,19 @@ def test_duplicated_equality_rows_fall_back_to_dense():
     dense, reg_dense = correct_inertia(lambda ep, ed: np.asarray(assemble(ep, ed)), target, RegularizationState())
     assert blocked.inertia == dense.inertia == target
     assert reg == reg_dense and reg.eps_d > 0.0
+
+
+def test_directions_refine_against_the_full_system_only(monkeypatch):
+    # refinement applies the full Jacobian blockwise and never the reduced
+    # K: a tracking solve makes no product with a BlockTridiagonal
+    products = []
+    original = ipal.linsolve.BlockTridiagonal.__matmul__
+
+    def counting(self, x):
+        products.append(None)
+        return original(self, x)
+
+    monkeypatch.setattr(ipal.linsolve.BlockTridiagonal, "__matmul__", counting)
+    model, x0, theta = trajectory_tracking(100)
+    assert solve(model, x0, theta).solved
+    assert products == []

@@ -16,6 +16,11 @@ from ipal.linsolve import (
 from ipal.solver import solve
 
 
+def refined(fact, K, rhs, max_refine=10):
+    """Solution of K x = rhs by solve_refined with the factors of ``fact``."""
+    return solve_refined(lambda x: K @ x, fact.solve, rhs, max_refine)[0]
+
+
 def random_symmetric(rng, n):
     A = rng.standard_normal((n, n))
     return 0.5 * (A + A.T)
@@ -66,7 +71,7 @@ class TestFactorize:
             fact = factorize(K)
             assert fact.inertia == loop_reference(K)
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-                x = solve_refined(fact, K, rhs)
+                x = refined(fact, K, rhs)
                 assert np.abs(K @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
             two_by_two += np.count_nonzero(np.diagonal(ldl(K, lower=True)[1], -1))
         assert two_by_two > 0  # both pivot kinds were exercised
@@ -78,14 +83,14 @@ class TestFactorize:
             K = random_symmetric(rng, n)
             b = rng.standard_normal(n)
             fact = factorize(K)
-            x = solve_refined(fact, K, b)
+            x = refined(fact, K, b)
             assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(1)
         K = random_symmetric(rng, 6)
         B = rng.standard_normal((6, 3))
-        X = solve_refined(factorize(K), K, B)
+        X = refined(factorize(K), K, B)
         assert np.abs(K @ X - B).max() <= 1e-9
 
     def test_inertia_exact_on_constructed_matrices(self):
@@ -143,8 +148,50 @@ class TestFactorize:
         K = random_symmetric(rng, 8) + 8.0 * np.eye(8)
         K2 = K + 1e-3 * np.eye(8)
         b = rng.standard_normal(8)
-        x = solve_refined(factorize(K), K2, b, max_refine=30)
+        x = refined(factorize(K), K2, b, max_refine=30)
         assert np.abs(K2 @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+
+
+class TestSolveRefined:
+    def test_stops_at_the_first_pass_that_does_not_reduce_the_residual(self):
+        # an approximate inverse that returns zero cannot improve x = 0: one
+        # pass is tried and the first iterate is kept
+        calls = []
+
+        def solve(b):
+            calls.append(b)
+            return np.zeros_like(b)
+
+        rhs = np.array([1.0, -2.0])
+        x, err, res, passes = solve_refined(lambda v: 3.0 * v, solve, rhs)
+        assert len(calls) == 2 and passes == 1
+        assert np.array_equal(x, np.zeros(2)) and err == 2.0 and np.array_equal(res, -rhs)
+
+    def test_reducing_passes_continue_up_to_max_refine(self):
+        # the inverse of 2.5 x for 3 x contracts the residual by 0.2 a pass,
+        # which reaches 1e-12 only after 17 passes
+        calls = []
+
+        def solve(b):
+            calls.append(b)
+            return b / 2.5
+
+        rhs = np.array([1.0, -2.0])
+        x, err, res, passes = solve_refined(lambda v: 3.0 * v, solve, rhs, max_refine=10)
+        assert passes == 10 and len(calls) == 11
+        assert np.array_equal(res, 3.0 * x - rhs) and err == np.abs(res).max()
+        assert err == pytest.approx(2.0 * 0.2 ** 11)
+
+    def test_exact_inverse_takes_no_pass(self):
+        K = np.array([[4.0, 1.0], [1.0, -3.0]])
+        rhs = np.array([[1.0, 0.0], [2.0, 1.0]])
+        x, err, _, passes = solve_refined(lambda v: K @ v, factorize(K).solve, rhs)
+        assert passes == 0 and err <= 1e-12 * 3.0
+        assert x.shape == rhs.shape
+
+    def test_non_finite_residual_raises(self):
+        with pytest.raises(NumericalFailure):
+            solve_refined(lambda v: v * np.inf, lambda b: b, np.ones(2))
 
 
 class TestCorrectInertia:
@@ -236,7 +283,7 @@ class TestBlockedFactorize:
             assert fact.inertia == (int((signs > 0).sum()), int((signs < 0).sum()), 0)
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 expected = np.linalg.solve(K, rhs)
-                got = solve_refined(fact, K, rhs)
+                got = refined(fact, K, rhs)
                 assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
     def test_zero_pivot_block_falls_back_to_dense(self):
@@ -258,7 +305,7 @@ class TestBlockedFactorize:
             fact = factorize(BlockTridiagonal.from_dense(K, (index,)))
             assert not fact.blocked
             assert fact.inertia == factorize(K).inertia
-            x = solve_refined(fact, K, b)
+            x = refined(fact, K, b)
             assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
     def test_rejects_bad_input(self):
@@ -294,12 +341,12 @@ class TestBlockedFactorize:
             assert blocked.blocked
             assert blocked.inertia == dense.inertia
             for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
-                expected = solve_refined(dense, K, rhs)
+                expected = refined(dense, K, rhs)
                 scale = np.abs(expected).max()
                 # late in the solve K has a condition number near 1e9, and
                 # two dense solvers (Bunch-Kaufman and LU) already differ by
                 # more than 1e-10 relative; there the blocked solve must stay
                 # within ten times that difference
                 spread = np.abs(np.linalg.solve(K, rhs) - expected).max() / scale
-                err = np.abs(solve_refined(blocked, K, rhs) - expected).max() / scale
+                err = np.abs(refined(blocked, K, rhs) - expected).max() / scale
                 assert err <= max(1e-10, 10.0 * spread)

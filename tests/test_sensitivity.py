@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ipal.linsolve
 import ipal.sensitivity
 from helpers import random_cone, random_iterate, random_nlp, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.kkt import Layout, OuterState, assemble_symmetric, full_jacobian
+from ipal.kkt import DirectionOptions, Layout, OuterState, assemble_symmetric, full_jacobian
 from ipal.model import ProblemModel, evaluate
 from ipal.sensitivity import SensitivityResult, differentiate, residual_parameter_jacobian
 from ipal.solver import SolverOptions, solve
@@ -359,6 +360,25 @@ def test_reduced_solve_matches_dense_jacobian(name):
     out = differentiate(model, sol, theta)
     assert not out.used_least_squares
     assert np.abs(out.dw - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def test_differentiate_refines_in_one_loop(monkeypatch):
+    # at tight tolerance the reduced solves of all parameter columns are one
+    # refinement loop: at most max_refine passes after the first solve
+    model, x0, theta = trajectory_tracking(75)
+    sol = solve(model, x0, theta, SolverOptions(tol=1e-8, kappa_min=5e-9, max_outer=40))
+    assert sol.solved
+    solves = []
+    original = ipal.linsolve.Factorization.solve
+
+    def counting(self, rhs):
+        solves.append(None)
+        return original(self, rhs)
+
+    monkeypatch.setattr(ipal.linsolve.Factorization, "solve", counting)
+    out = differentiate(model, sol, theta)
+    assert not out.used_least_squares
+    assert 1 <= len(solves) <= DirectionOptions().max_refine + 1
 
 
 @pytest.mark.parametrize("name", sorted(FULL_RANK))

@@ -472,13 +472,50 @@ def test_filter_step_accepts_a_merit_at_rounding_level(phi0):
     model = _constant_merit_model((phi0, above))
     filt = Filter()
     filt.add(phi0, 0.0)
-    cand, alpha, accepted, _ = ipal.solver.filter_step(
+    cand, alpha, accepted, _, _ = ipal.solver.filter_step(
         model, point, delta, np.zeros(0), outer, filt, opts, 1.0, 1.0, (phi0, 0.0)
     )
     assert alpha == 1.0 and accepted == (above, 0.0) and cand.x[0] == 1.0
     model = _constant_merit_model((phi0, phi0 + 1e-12 * abs(phi0)))
     with pytest.raises(ipal.solver.LineSearchFailure):
         ipal.solver.filter_step(model, point, delta, np.zeros(0), outer, Filter(), opts, 1.0, 1.0, (phi0, 0.0))
+
+
+@pytest.mark.parametrize("halvings", [0, 1, 2, 5])
+def test_filter_step_counts_its_backtracks(halvings):
+    # the objective falls below the current merit only for x <= 2^-halvings,
+    # so a unit step is accepted after that many halvings
+    edge = 0.5 ** halvings
+    model = ProblemModel(
+        n=1, m=0, p=0, cone=ConeSpec(),
+        objective=lambda x, th: 0.0 if x[0] <= edge else 2.0,
+        objective_gradient=lambda x, th: np.zeros(1),
+        lagrangian_hessian=lambda x, th, y, z: np.eye(1),
+    )
+    point = SolverPoint(*(np.zeros(k) for k in (1, 0, 0, 0, 0, 0)))
+    delta = SolverPoint(np.ones(1), *(np.zeros(0) for _ in range(5)))
+    outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
+    _, alpha, _, _, backtracks = ipal.solver.filter_step(
+        model, point, delta, np.zeros(0), outer, Filter(), SolverOptions(), 1.0, 1.0, (1.0, 0.0)
+    )
+    assert alpha == edge and backtracks == halvings
+
+
+@pytest.mark.parametrize("name", ["particle-friction", "mpc-autotune"])
+def test_trace_records_the_backtracks_of_each_step(monkeypatch, name):
+    steps = []
+    original = ipal.solver.filter_step
+
+    def recording(*args):
+        out = original(*args)
+        steps.append(out[4])
+        return out
+
+    monkeypatch.setattr(ipal.solver, "filter_step", recording)
+    prob = REGISTRY[name]
+    sol = solve(prob.model, prob.x0, prob.theta, SolverOptions(record_trace=True))
+    assert sol.solved
+    assert [rec.backtracks for rec in sol.trace] == steps
 
 
 def test_criterion_6_options_solve_the_tracking_family():
