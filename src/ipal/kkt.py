@@ -18,17 +18,17 @@ whose factorization also drives inertia-based regularization. The reduced
 matrix is a ``BlockTridiagonal`` in the model's stage order (one block for a
 general model): the entries of the stage matrices are scattered to
 positions computed once per model (``KKTScatter``), so a transcribed
-problem forms no (n+m+p)-square matrix outside the dense fallback, and the
-dense derivative matrices of a general model are written as blocks. Cone
-slack and complement blocks are recovered in closed form from stacked cone
-blocks (``ConeBlocks``). On second-order segments the reduced cone block is
-symmetrized, so directions are refined against the full system, applied
-blockwise, in one loop with the reduced solve as approximate inverse
-(``reduced_solve``); nothing refines against K. The dense Jacobian, the
-only p x p cone matrix, is built only for a fallback solve when refinement
-cannot reach the consistency bound, and in tests. ``differentiate`` solves
-its parameter columns through the same reduction and refinement, with the
-multiplier estimate tracking the equality dual (``track_multiplier``).
+problem forms no (n+m+p)-square matrix, and the dense derivative matrices
+of a general model are written as blocks. Cone slack and complement blocks
+are recovered in closed form from stacked cone blocks (``ConeBlocks``). On
+second-order segments the reduced cone block is symmetrized, so directions
+are refined against the full system, applied blockwise, by the GMRES loop
+of ``solve_refined`` with the reduced solve as its preconditioner
+(``reduced_solve``); nothing refines against K, and no solve forms the
+dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
+serves as a reference in tests. ``differentiate`` solves its parameter
+columns through the same reduction and refinement, with the multiplier
+estimate tracking the equality dual (``track_multiplier``).
 """
 
 from __future__ import annotations
@@ -395,8 +395,8 @@ class DirectionOptions:
 class DirectionInfo:
     eps_p: float
     eps_d: float
-    refine_passes: int  # passes of refinement after the first reduced solve
-    used_full_solve: bool
+    refine_passes: int  # refinement steps after the first reduced solve
+    used_full_solve: bool  # always False: no direction solves the dense Jacobian
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
     blocked: bool = False  # served by the stage-blocked factorization
@@ -409,12 +409,15 @@ def reduced_solve(
     rho: float,
     R: np.ndarray,
     opts: DirectionOptions,
+    exact: Optional[ReducedSystem] = None,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
-    """Solve J dw = -R by ``solve_refined`` against the full system
-    (``jacobian_apply``), with the reduced solve through ``fact``, the
-    factors of rsys.K, as its approximate inverse; R may hold right-hand
-    sides as columns. Returns the best dw, ||J dw + R||_inf, J dw + R and
-    the passes taken; dw is None (error inf) when the solve fails."""
+    """Solve J dw = -R by ``solve_refined`` against the full system of
+    ``exact`` (rsys when None), applied blockwise (``jacobian_apply``), with
+    the reduced solve of rsys through ``fact``, the factors of rsys.K, as its
+    preconditioner; R may hold right-hand sides as columns. Returns the best
+    dw, ||J dw + R||_inf, J dw + R and the steps taken; dw is None (error
+    inf) when the solve fails."""
+    exact = rsys if exact is None else exact
 
     def reduced_inverse(b):
         rows = -b  # reduce_rows and recover take the residual rows of J dw = -rows
@@ -422,7 +425,7 @@ def reduced_solve(
 
     try:
         return solve_refined(
-            lambda dw: jacobian_apply(rsys, cache, rho, dw), reduced_inverse, -R,
+            lambda dw: jacobian_apply(exact, cache, rho, dw), reduced_inverse, -R,
             opts.max_refine, opts.refine_tol,
         )
     except NumericalFailure:
@@ -446,9 +449,9 @@ def _newton_direction(
 
     The symmetrized cone block makes the one-shot reduced direction inexact
     on second-order segments away from the central path; refinement against
-    the full system (``reduced_solve``) corrects it, and a dense full solve,
-    the only place the dense Jacobian is formed, takes over when refinement
-    stalls or the fixed-shift factorization fails.
+    the full system (``reduced_solve``) corrects it. A direction that misses
+    the consistency bound, or a fixed-shift build or factorization that
+    fails, raises NumericalFailure.
     """
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
@@ -464,40 +467,24 @@ def _newton_direction(
         )
         return holder["rsys"].K
 
-    fact: Optional[Factorization] = None
     if correct:
         fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia)
     else:
-        try:
-            fact = factorize(build(reg.eps_p, reg.eps_d))
-        except NumericalFailure:
-            pass  # the dense fallback below takes over
+        fact = factorize(build(reg.eps_p, reg.eps_d))
     rsys: ReducedSystem = holder["rsys"]
     assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
 
     norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
-    best, best_err, passes = None, np.inf, 0
-    if fact is not None:
-        best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
-    used_full = False
-    if best_err > consistency and lay.total:
-        try:
-            dw_full = np.linalg.solve(full_jacobian(model, point, theta, outer, reg, cache), -R)
-            full_err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw_full) + R).max()
-            if np.isfinite(full_err) and full_err <= best_err:
-                best, best_err = dw_full, full_err
-                used_full = True
-        except np.linalg.LinAlgError:
-            pass
+    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
     if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
         )
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
-        used_full_solve=used_full, consistency_error=best_err,
-        inertia_trials=holder["trials"], blocked=fact is not None and fact.blocked,
+        used_full_solve=False, consistency_error=best_err,
+        inertia_trials=holder["trials"], blocked=fact.blocked,
     )
     return lay.unpack(best), reg, info
 

@@ -11,16 +11,16 @@ dsytrf), and the inertia is the sum of the pivot-block inertias (Sylvester's
 law of inertia), read for all blocks in one pass off the signs of the 1x1
 pivots and the eigenvalues of the 2x2 pivot blocks. Its cost grows linearly
 with the number of blocks, where a dense factorization's grows with the cube
-of the order; a dense matrix is the case of one block. A matrix of two or
-more blocks whose sweep meets a non-finite or failed pivot block, or whose
-inertia has a zero count, is made dense and swept again as one block, which
-counts zero pivots instead of rejecting them; only there is a banded matrix
-made dense.
+of the order; a dense matrix is the case of one block. No banded matrix is
+made dense: a sweep that meets a non-finite or failed pivot block raises
+NumericalFailure, and one that counts a zero pivot reports it, and either
+switches on the dual shift in ``correct_inertia``.
 
-``solve_refined`` is the one iterative-refinement loop: an operator, an
-approximate inverse (for the full Newton system, the reduced solve of
-``kkt.reduced_solve``), and a stop at its tolerance, after ``max_refine``
-passes, or at the first pass that does not reduce the residual.
+``solve_refined`` is the one refinement loop: an operator, an approximate
+inverse (for the full Newton system, the reduced solve of
+``kkt.reduced_solve``) used as a right preconditioner, and GMRES steps on
+the correction until its tolerance, ``max_refine`` steps, or the first step
+that does not reduce the residual.
 
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization reports the requested inertia, following
@@ -274,11 +274,10 @@ def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
     explicit tolerance for matrices scaled outside that regime.
 
     K is a ``BlockTridiagonal``, factored block by block in the order of
-    its row groups, or a square array, which is one group. A matrix of two
-    or more groups whose sweep meets a non-finite or failed pivot block, or
-    whose inertia has a zero count, is made dense and swept again as one
-    group; only then is a dense copy of a ``BlockTridiagonal`` built. An
-    exactly zero pivot is counted; ``solve`` then raises NumericalFailure.
+    its row groups, or a square array, which is one group. A sweep that
+    meets a non-finite or failed pivot block, or an exactly zero pivot
+    before its last block, raises NumericalFailure. An exactly zero pivot in
+    the last block is counted; ``solve`` then raises NumericalFailure.
     """
     if isinstance(K, BlockTridiagonal):
         band = K
@@ -295,9 +294,6 @@ def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
     if zero_tol is None:
         zero_tol = 1e-11
     fact = _factorize_blocked(band, zero_tol)
-    if len(band.D) >= 2 and (fact is None or fact.inertia[2]):
-        dense = BlockTridiagonal.from_dense(np.asarray(K, dtype=float), (np.arange(band.layout.n),))
-        fact = _factorize_blocked(dense, zero_tol)
     if fact is None:
         raise NumericalFailure("non-finite or failed factorization")
     return fact
@@ -310,15 +306,21 @@ def solve_refined(
     max_refine: int = 10,
     tol: float = 1e-12,
 ) -> Tuple[np.ndarray, float, np.ndarray, int]:
-    """Solve apply(x) = rhs by iterative refinement with the approximate
-    inverse ``solve``: x = solve(rhs), then x <- x - solve(apply(x) - rhs)
-    while the residual max-norm exceeds tol * (1 + ||rhs||_inf), for at most
-    ``max_refine`` passes, stopping at the first pass that does not reduce
-    it. rhs may be a vector or a matrix of columns.
+    """Solve the linear system apply(x) = rhs by GMRES (Saad & Schultz,
+    1986) right-preconditioned by the approximate inverse ``solve``. x =
+    solve(rhs) is returned as it is when its residual max-norm is at most
+    tol * (1 + ||rhs||_inf); otherwise each step adds solve(apply(x) - rhs)
+    to the search space and takes the iterate of least residual 2-norm over
+    it, in the GCR form (Eisenstat, Elman & Schultz, 1983): the images of
+    the search directions are kept orthonormal. It stops at the tolerance,
+    after ``max_refine`` steps, or at the first step that does not reduce
+    the residual max-norm; after a step, one more ``apply`` gives the
+    returned residual. The columns of a matrix rhs run their own Krylov
+    spaces in lockstep, one ``solve`` and one ``apply`` of all per step.
 
-    Returns the best x, its residual max-norm, its residual apply(x) - rhs
-    and the passes taken; raises NumericalFailure if the first residual is
-    not finite.
+    Returns x, its residual max-norm, its residual apply(x) - rhs and the
+    steps taken; raises NumericalFailure if the first residual is not
+    finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     target = tol * (1.0 + (np.abs(rhs).max() if rhs.size else 0.0))
@@ -327,15 +329,28 @@ def solve_refined(
     err = np.abs(res).max() if res.size else 0.0
     if not np.isfinite(err):
         raise NumericalFailure("refinement produced non-finite residual")
+    directions: List[Tuple[np.ndarray, np.ndarray]] = []  # (p, apply(p)), images orthonormal
     passes = 0
     while err > target and passes < max_refine:
-        trial = x - solve(res)
-        trial_res = apply(trial) - rhs
-        trial_err = np.abs(trial_res).max() if trial_res.size else 0.0
+        p = solve(res)
+        q = apply(p)
+        for p_old, q_old in directions:  # modified Gram-Schmidt, column by column
+            h = np.sum(q_old * q, axis=0)
+            p, q = p - p_old * h, q - q_old * h
+        norm = np.linalg.norm(q, axis=0)
+        norm = np.where(norm > 0.0, norm, np.inf)  # a direction with no new image adds nothing
+        p, q = p / norm, q / norm
+        directions.append((p, q))
+        step = np.sum(q * res, axis=0)
+        trial, trial_res = x - p * step, res - q * step
+        trial_err = np.abs(trial_res).max()
         passes += 1
         if not trial_err < err:
             break  # stalled
         x, res, err = trial, trial_res, trial_err
+    if passes:  # the updated residual follows apply(x) - rhs only to round-off
+        res = apply(x) - rhs
+        err = np.abs(res).max()
     return x, err, res, passes
 
 

@@ -11,12 +11,13 @@ structure of trajectory problems amplifies well past usable accuracy.
 All parameter columns are solved through the solver's own symmetric
 reduction in (dx, dy, dz) at zero shift, factored once and refined against
 the full Jacobian applied blockwise, as Newton directions are
-(``kkt.reduced_solve``: one reduced solve of all columns per pass). dlam = dy
+(``kkt.reduced_solve``: one reduced solve of all columns per step). dlam = dy
 zeroes J[r, y], which removes the penalty term from the reduced system's
-equality-dual diagonal (``ReducedSystem.track_multiplier``). Rank deficiency
-is read off the factorization's zero-pivot count; only then, or when the
-reduced solve misses its accuracy check, is the dense Jacobian formed, for a
-least-squares solve."""
+equality-dual diagonal (``ReducedSystem.track_multiplier``). A system
+that fails to factor or counts a zero pivot is factored again at the dual
+shift and refined against the exact, unshifted Jacobian: iterated
+regularization, which on a consistent system loses the shift's bias.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import (
+from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that wrap it)
     DirectionOptions,
     Layout,
     OuterState,
@@ -34,7 +35,7 @@ from .kkt import (
     full_jacobian,
     reduced_solve,
 )
-from .linsolve import NumericalFailure, RegularizationState, factorize
+from .linsolve import InertiaOptions, NumericalFailure, RegularizationState, factorize
 from .model import EvalCache, ProblemModel, evaluate, evaluate_parameter_jacobians
 from .solver import Solution, unrelaxed_residual_norm
 
@@ -45,7 +46,7 @@ class SensitivityResult:
 
     dw: np.ndarray  # (n + 2m + 3p, d)
     dx: np.ndarray  # (n, d) slice of dw
-    used_least_squares: bool
+    used_least_squares: bool  # singular Jacobian, or dw missed the accuracy check
     residual_norm: float  # stationarity residual norm at the point differentiated
 
 
@@ -73,56 +74,53 @@ def differentiate(
 ) -> SensitivityResult:
     """Differentiate a converged solution with respect to theta.
 
-    All parameter columns are solved together through the solver's reduced
-    (dx, dy, dz) system at zero shift, with dlam = dy, and refined against
-    the full Jacobian applied blockwise, so the result is deterministic and
-    column order matches theta order. A zero pivot in the factorization marks
-    the Jacobian rank deficient; that case, or a solve whose row-equilibrated
-    residual exceeds 1e-6 * (1 + ||dR/dtheta||), falls back to the
-    least-squares solution of the dense Jacobian (the only place it is
-    formed) and flags it. The solution point is not modified. A solved
-    ``solution`` of this model at this theta supplies the evaluation at its
-    point that ``solve`` ended with, instead of evaluating it again.
+    All parameter columns are solved together, as described above, so the
+    result is deterministic and column order matches theta order.
+    ``used_least_squares`` flags a rank-deficient Jacobian (a failed
+    factorization or a zero pivot at zero shift) or a solve whose
+    row-equilibrated residual exceeds 1e-6 * (1 + ||dR/dtheta||);
+    NumericalFailure is raised when no solve succeeds. The solution point is
+    not modified. A solved ``solution`` of this model at this theta supplies
+    the evaluation at its point that ``solve`` ended with, instead of
+    evaluating it again.
     """
     point = solution.point
     theta = np.asarray(theta, dtype=float)
-    lay = Layout(model.n, model.m, model.p)
     cache = solution.final_evaluation(model, theta)
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
     Rt = residual_parameter_jacobian(model, point, theta)
 
-    dw = None
+    rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
+    rsys.track_multiplier()
+    factored = rsys
     try:
-        rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
-        rsys.track_multiplier()
         fact = factorize(rsys.K)
-        if fact.inertia[2] == 0:
-            dw, _, err, _ = reduced_solve(rsys, fact, cache, outer.rho, Rt, DirectionOptions())
+        singular = fact.inertia[2] > 0
     except NumericalFailure:
-        pass
-    if dw is not None and dw.size:
+        singular = True
+    if singular:
+        shift = InertiaOptions().dual_shift
+        factored = assemble_symmetric(model, point, theta, outer, RegularizationState(shift, shift), cache)
+        factored.track_multiplier()
+        fact = factorize(factored.K)
+    dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, DirectionOptions(), exact=rsys)
+    if dw is None:
+        raise NumericalFailure("the regularized sensitivity solve failed")
+    flagged = singular
+    if dw.size:
         # accept on the row-equilibrated residual J dw + Rt: the penalty
         # rows scale with rho, the cone rows with the barrier
         row_scale = _row_scale(rsys, cache, outer.rho)[:, None]
         scale = 1.0 + np.abs(Rt / row_scale).max()
         res = np.abs(err / row_scale).max()
-        if not np.isfinite(res) or res > 1e-6 * scale:
-            dw = None
-
-    used_lstsq = dw is None
-    if used_lstsq:
-        J = full_jacobian(model, point, theta, outer, RegularizationState(), cache)
-        J[lay.r, lay.y] = 0.0  # dlam = dy, as in the reduced system
-        row_scale = np.abs(J).max(axis=1)
-        row_scale[row_scale == 0.0] = 1.0
-        dw = np.linalg.lstsq(J / row_scale[:, None], -Rt / row_scale[:, None], rcond=None)[0]
+        flagged |= not (np.isfinite(res) and res <= 1e-6 * scale)
 
     return SensitivityResult(
         dw=dw,
         dx=dw[: model.n].copy(),
-        used_least_squares=used_lstsq,
+        used_least_squares=flagged,
         residual_norm=unrelaxed_residual_norm(model, point, theta, cache),
     )
 

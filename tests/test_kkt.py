@@ -30,7 +30,9 @@ from ipal.kkt import (
 )
 from ipal.cone import cone_product_jacobians
 from ipal.linsolve import (
+    BlockTridiagonal,
     InertiaOptions,
+    NumericalFailure,
     RegularizationState,
     correct_inertia,
     factorize,
@@ -160,11 +162,12 @@ class TestSymmetricReduction:
 
     def test_reduction_matches_full_solve(self):
         # the one-shot symmetrized solve is inexact on second-order segments
-        # away from the central path; the reduction path restores the exact
-        # direction through refinement or the dense fallback
-        rng = np.random.default_rng(12)
-        refined = fallbacks = 0
-        for _ in range(50):
+        # away from the central path; refinement against the full system
+        # restores the exact direction on every draw of the corpus, with no
+        # dense solve
+        rng = np.random.default_rng(2024)
+        refined = 0
+        for _ in range(2000):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(0, 5))
             model = random_nlp(rng, n, m, random_cone(rng))
@@ -178,10 +181,10 @@ class TestSymmetricReduction:
             rel = np.abs(dw - dw_full).max() / (1.0 + np.abs(dw_full).max())
             assert rel <= 1e-8
             assert np.abs(J @ dw + R).max() <= 1e-8 * (1.0 + np.abs(R).max())
+            assert not info.used_full_solve
             refined += info.refine_passes > 0
-            fallbacks += info.used_full_solve
-        # the polishing machinery must actually fire on these draws
-        assert refined + fallbacks > 0
+        # the Krylov steps must actually fire on these draws
+        assert refined > 0
 
     @pytest.mark.parametrize("kind", ["orthant", "second-order"])
     def test_columns_match_one_at_a_time(self, kind):
@@ -325,8 +328,8 @@ def test_solve_builds_no_dense_jacobian_without_fallback(monkeypatch, name):
     _counting(monkeypatch, ipal.solver, "search_direction", directions)
     sol = solve(prob.model, prob.x0, prob.theta)
     assert len(directions) == sol.total_iterations > 0
-    if not any(info.used_full_solve for _, _, info in directions):
-        assert len(jacobians) == 0
+    assert not any(info.used_full_solve for _, _, info in directions)
+    assert len(jacobians) == 0
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -348,8 +351,8 @@ SOLVE_CASES["tracking-30"] = lambda: trajectory_tracking(30, initial_state=(0.1,
 
 @pytest.mark.parametrize("name", sorted(SOLVE_CASES))
 def test_cone_jacobians_stay_blocked_outside_the_fallback(monkeypatch, name):
-    # the dense product Jacobians are built once per dense fallback solve and
-    # nowhere else, and no reduced system holds a p x p matrix
+    # the dense product Jacobians are never built, and no reduced system
+    # holds a p x p matrix
     model, x0, theta = SOLVE_CASES[name]()
     dense, directions, systems = [], [], []
     _counting(monkeypatch, ipal.kkt, "cone_product_jacobians", dense)
@@ -357,7 +360,8 @@ def test_cone_jacobians_stay_blocked_outside_the_fallback(monkeypatch, name):
     _counting(monkeypatch, ipal.kkt, "assemble_symmetric", systems)
     sol = solve(model, x0, theta)
     assert sol.solved and systems
-    assert len(dense) == sum(info.used_full_solve for _, _, info in directions)
+    assert len(dense) == 0
+    assert not any(info.used_full_solve for _, _, info in directions)
     for rsys in systems:
         for field in dataclasses.fields(rsys):
             assert np.shape(getattr(rsys, field.name)) != (model.p, model.p)
@@ -457,11 +461,13 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
     assert results["blocked"][2] == results["dense"][2]
 
 
-def test_duplicated_equality_rows_fall_back_to_dense():
+def test_duplicated_equality_rows_stay_blocked(monkeypatch):
     # stage 4 pins u = 0 twice; with the multiplier tracking the dual (as
     # when differentiating) nothing regularizes the repeated rows, so a pivot
-    # block is singular, the dense factorization takes over and its zero
-    # count switches on the dual shift
+    # block is singular. The blocked sweep reports it (a zero count or a
+    # failed sweep) without making K dense, and correct_inertia switches on
+    # the dual shift and reaches the target with the shifts it takes on the
+    # dense view
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
     build = _tracking_assembler(model, x0, theta)
 
@@ -471,17 +477,36 @@ def test_duplicated_equality_rows_fall_back_to_dense():
         return rsys.K
 
     K = assemble(0.0, 0.0)
-    assert len(K.index) == len(model.stage_blocks) > 1  # the blocked path is tried first
-    fact = factorize(K)
-    assert not fact.blocked
-    assert fact.inertia == factorize(np.asarray(K)).inertia
-    assert fact.inertia[2] >= 1
+    assert len(K.index) == len(model.stage_blocks) > 1  # the blocked path is tried
+    assert factorize(np.asarray(K)).inertia[2] >= 1
+    dense = []
+    _counting(monkeypatch, BlockTridiagonal, "from_dense", dense)
+    _counting(monkeypatch, BlockTridiagonal, "__array__", dense)
+    try:
+        fact = factorize(K)
+        assert fact.blocked and fact.inertia[2] >= 1
+    except NumericalFailure:
+        pass
 
     target = (model.n, model.m + model.p, 0)
     blocked, reg = correct_inertia(assemble, target, RegularizationState(), InertiaOptions())
-    dense, reg_dense = correct_inertia(lambda ep, ed: np.asarray(assemble(ep, ed)), target, RegularizationState())
-    assert blocked.inertia == dense.inertia == target
+    assert blocked.blocked and dense == []
+    monkeypatch.undo()
+    dense_fact, reg_dense = correct_inertia(lambda ep, ed: np.asarray(assemble(ep, ed)), target, RegularizationState())
+    assert blocked.inertia == dense_fact.inertia == target
     assert reg == reg_dense and reg.eps_d > 0.0
+
+
+def test_fixed_shift_failure_raises_numerical_failure():
+    # t = 0 makes the second-order product Jacobian d(s o t)/ds singular, so
+    # the reduced system cannot be built at zero shift: reduced_direction
+    # reports it as a NumericalFailure
+    rng = np.random.default_rng(5)
+    model = random_nlp(rng, 2, 0, ConeSpec((SecondOrder(2),)))
+    point, outer = random_iterate(rng, model)
+    point.s, point.t = np.array([1.0, 0.0]), np.zeros(2)
+    with pytest.raises(NumericalFailure):
+        reduced_direction(model, point, np.zeros(0), outer)
 
 
 def test_directions_refine_against_the_full_system_only(monkeypatch):

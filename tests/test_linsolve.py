@@ -168,19 +168,68 @@ class TestSolveRefined:
         assert np.array_equal(x, np.zeros(2)) and err == 2.0 and np.array_equal(res, -rhs)
 
     def test_reducing_passes_continue_up_to_max_refine(self):
-        # the inverse of 2.5 x for 3 x contracts the residual by 0.2 a pass,
-        # which reaches 1e-12 only after 17 passes
+        # a Krylov method needs one step per distinct eigenvalue of the
+        # preconditioned operator, here 6: capped at 3, it takes 3 steps,
+        # each one solve and one product, and one more product gives the
+        # residual of the x it returns
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        A = (Q * np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])) @ Q.T
+        solves, products = [], []
+
+        def solve(b):
+            solves.append(b)
+            return b.copy()
+
+        def apply(v):
+            products.append(v)
+            return A @ v
+
+        rhs = rng.standard_normal(6)
+        x, err, res, passes = solve_refined(apply, solve, rhs, max_refine=3)
+        assert passes == 3 and len(solves) == 4 and len(products) == 5
+        assert np.array_equal(res, A @ x - rhs)
+        assert err == np.abs(res).max() > 1e-12 * (1.0 + np.abs(rhs).max())
+
+    def test_krylov_steps_converge_where_the_inverse_alone_diverges(self):
+        # with the inverse of 2.5 I for a nonsymmetric operator whose
+        # eigenvalues run from 0.5 to 6, the plain iteration x <- x -
+        # solve(A x - b) has a contraction factor above 1 and diverges;
+        # GMRES reaches the tolerance in at most the dimension in steps
+        rng = np.random.default_rng(9)
+        n = 8
+        V = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        A = V @ np.diag(np.linspace(0.5, 6.0, n)) @ np.linalg.inv(V)
+        solve = lambda b: b / 2.5
+        assert np.abs(np.linalg.eigvals(np.eye(n) - A / 2.5)).max() > 1.0
+        rhs = rng.standard_normal(n)
+        x, err, _, passes = solve_refined(lambda v: A @ v, solve, rhs, max_refine=50)
+        assert passes <= n
+        assert err <= 1e-12 * (1.0 + np.abs(rhs).max())
+        assert np.abs(A @ x - rhs).max() <= 1e-11 * (1.0 + np.abs(rhs).max())
+
+    def test_lockstep_columns_match_one_at_a_time(self):
+        # each column runs its own Krylov space; a matrix right-hand side
+        # takes one solve and one product of all columns per step and gives
+        # each column's one-at-a-time result
+        rng = np.random.default_rng(10)
+        n = 7
+        A = random_symmetric(rng, n) + 4.0 * np.eye(n)
+        approx = np.linalg.inv(A + 0.5 * random_symmetric(rng, n))
+        rhs = rng.standard_normal((n, 3)) * np.array([1.0, 1e-3, 1e3])
         calls = []
 
         def solve(b):
-            calls.append(b)
-            return b / 2.5
+            calls.append(b.shape)
+            return approx @ b
 
-        rhs = np.array([1.0, -2.0])
-        x, err, res, passes = solve_refined(lambda v: 3.0 * v, solve, rhs, max_refine=10)
-        assert passes == 10 and len(calls) == 11
-        assert np.array_equal(res, 3.0 * x - rhs) and err == np.abs(res).max()
-        assert err == pytest.approx(2.0 * 0.2 ** 11)
+        x, err, res, passes = solve_refined(lambda v: A @ v, solve, rhs, max_refine=4, tol=0.0)
+        assert passes == 4 and calls == [(n, 3)] * 5
+        for j in range(3):
+            xj, _, resj, passes_j = solve_refined(lambda v: A @ v, solve, rhs[:, j], max_refine=4, tol=0.0)
+            assert passes_j == passes
+            assert np.abs(x[:, j] - xj).max() <= 1e-13 * np.abs(xj).max()
+            assert np.abs(res[:, j] - resj).max() <= 1e-13 * np.abs(rhs[:, j]).max()
 
     def test_exact_inverse_takes_no_pass(self):
         K = np.array([[4.0, 1.0], [1.0, -3.0]])
@@ -286,14 +335,25 @@ class TestBlockedFactorize:
                 got = refined(fact, K, rhs)
                 assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
-    def test_zero_pivot_block_falls_back_to_dense(self):
+    def test_zero_pivot_block_stays_blocked(self, monkeypatch):
+        # a singular pivot block is reported by the blocked sweep, here as
+        # the zero count of the dense factorization, and K is never made dense
         rng = np.random.default_rng(32)
         signs = np.array([1.0, -1.0, 1.0, 0.0, 1.0, -1.0, 1.0, 1.0])
         K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
-        fact = factorize(BlockTridiagonal.from_dense(K, blocks))
-        assert not fact.blocked
-        assert fact.inertia == factorize(K).inertia
-        assert fact.inertia[2] == 1
+        band = BlockTridiagonal.from_dense(K, blocks)
+        assert factorize(K).inertia == (5, 2, 1)
+        dense = []
+
+        def counted(*args, **kwargs):
+            dense.append(args)
+            raise AssertionError("a banded matrix was made dense")
+
+        monkeypatch.setattr(BlockTridiagonal, "from_dense", counted)
+        monkeypatch.setattr(BlockTridiagonal, "__array__", counted)
+        fact = factorize(band)
+        assert fact.blocked and fact.inertia == (5, 2, 1)
+        assert dense == []
 
     def test_one_block_is_dense(self):
         # one group, in the original or a permuted order, is swept as one

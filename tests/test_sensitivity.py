@@ -1,15 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ipal.kkt
 import ipal.linsolve
 import ipal.sensitivity
 from helpers import random_cone, random_iterate, random_nlp, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import DirectionOptions, Layout, OuterState, assemble_symmetric, full_jacobian
-from ipal.model import ProblemModel, evaluate
+from ipal.linsolve import BlockTridiagonal
+from ipal.model import ProblemModel, StageMatrix, evaluate
 from ipal.sensitivity import SensitivityResult, differentiate, residual_parameter_jacobian
 from ipal.solver import SolverOptions, solve
 
@@ -264,6 +267,65 @@ def test_flat_direction_falls_back_to_least_squares():
     out = differentiate(model, sol, theta)
     assert out.used_least_squares
     np.testing.assert_allclose(out.dx[:, 0], [1.0, 0.0], atol=1e-6)
+
+
+def test_repeated_equality_row_matches_least_squares():
+    # one equality row repeated makes the tracked Jacobian singular but
+    # consistent: factored at the dual shift and refined against the exact
+    # Jacobian, dx is that of the row-equilibrated least-squares solution
+    # of the dense Jacobian (the reference here), and J dw = -dR/dtheta
+    # holds to round-off
+    model, x0, theta = trajectory_tracking(30, duplicated_stage=15)
+    sol = solve(model, x0, theta)
+    assert sol.solved
+    out = differentiate(model, sol, theta)
+    assert out.used_least_squares
+    lay = Layout(model.n, model.m, model.p)
+    outer = OuterState(lam=np.zeros(model.m), rho=sol.rho, kappa=sol.kappa)
+    J = full_jacobian(model, sol.point, theta, outer)
+    J[lay.r, lay.y] = 0.0
+    Rt = residual_parameter_jacobian(model, sol.point, theta)
+    row = np.abs(J).max(axis=1)[:, None]
+    expected = np.linalg.lstsq(J / row, -Rt / row, rcond=None)[0][lay.x]
+    assert np.abs(out.dx - expected).max() <= 1e-9 * np.abs(expected).max()
+    assert np.abs(J @ out.dw + Rt).max() <= 1e-10 * (1.0 + np.abs(Rt).max())
+
+
+def test_repeated_equality_row_builds_no_dense_matrix(monkeypatch):
+    # at T = 400, N = n + m + p = 3602: solving and differentiating with a
+    # repeated equality row build no dense Jacobian, least-squares solve or
+    # dense view of K or the stage matrices, and their traced peak memory
+    # stays below an eighth of one N x N float64 array (104 MB)
+    T = 400
+    model, x0, theta = trajectory_tracking(T, duplicated_stage=T // 2)
+    N = model.n + model.m + model.p
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ipal.sensitivity, "full_jacobian")
+    counted(ipal.kkt, "full_jacobian")
+    counted(np.linalg, "lstsq")
+    counted(BlockTridiagonal, "from_dense")
+    counted(BlockTridiagonal, "__array__")
+    counted(StageMatrix, "__array__")
+    tracemalloc.start()
+    try:
+        sol = solve(model, x0, theta)
+        out = differentiate(model, sol, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.solved and out.used_least_squares
+    assert calls == []
+    assert peak < N * N
 
 
 def test_does_not_mutate_the_solution():

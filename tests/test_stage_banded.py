@@ -134,9 +134,9 @@ def test_jacobian_apply_matches_dense_jacobian(name):
 
 def test_transcribed_solve_builds_no_kkt_sized_matrix(monkeypatch):
     # every dense view of the banded objects, and the dense Jacobian, is
-    # counted; none may be built while no direction uses the fallback. The
-    # traced peak memory stays linear in N = n + m + p: an N x N array
-    # alone would be 8 N^2 bytes, 14,400 N at this size
+    # counted; none may be built. The traced peak memory stays linear in
+    # N = n + m + p: an N x N array alone would be 8 N^2 bytes, 14,400 N at
+    # this size
     model, theta = transcribe(tracking_problem(200)), np.array([0.3, -0.2])
     x0 = np.zeros(model.n)
     N = model.n + model.m + model.p
