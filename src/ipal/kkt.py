@@ -50,7 +50,6 @@ from .linsolve import (
     BandLayout,
     BlockTridiagonal,
     Factorization,
-    InertiaOptions,
     NumericalFailure,
     RegularizationState,
     correct_inertia,
@@ -385,9 +384,9 @@ def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.nda
 
 @dataclass(frozen=True)
 class DirectionOptions:
-    inertia: InertiaOptions = InertiaOptions()
+    """Refinement limits of a direction; the defaults are the solver's."""
+
     max_refine: int = 10
-    refine_tol: float = 1e-12
     consistency_tol: float = 1e-8
 
 
@@ -400,6 +399,9 @@ class DirectionInfo:
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
     blocked: bool = False  # served by the stage-blocked factorization
+
+
+REFINE_TOL = 1e-12  # relative residual at which refinement stops
 
 
 def reduced_solve(
@@ -426,7 +428,7 @@ def reduced_solve(
     try:
         return solve_refined(
             lambda dw: jacobian_apply(exact, cache, rho, dw), reduced_inverse, -R,
-            opts.max_refine, opts.refine_tol,
+            opts.max_refine, REFINE_TOL,
         )
     except NumericalFailure:
         return None, np.inf, None, 0
@@ -468,7 +470,7 @@ def _newton_direction(
         return holder["rsys"].K
 
     if correct:
-        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg, opts.inertia)
+        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg)
     else:
         fact = factorize(build(reg.eps_p, reg.eps_d))
     rsys: ReducedSystem = holder["rsys"]
@@ -514,7 +516,6 @@ def search_direction(
     theta: np.ndarray,
     outer: OuterState,
     reg: RegularizationState = RegularizationState(),
-    opts: DirectionOptions = DirectionOptions(),
     cache: Optional[EvalCache] = None,
     R: Optional[np.ndarray] = None,
 ) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
@@ -526,4 +527,4 @@ def search_direction(
     the returned shifts, or NumericalFailure is raised. ``R`` is the residual
     at this iterate when the caller has already computed it.
     """
-    return _newton_direction(model, point, theta, outer, reg, opts, cache, R, True)
+    return _newton_direction(model, point, theta, outer, reg, DirectionOptions(), cache, R, True)

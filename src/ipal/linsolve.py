@@ -23,9 +23,10 @@ the correction until its tolerance, ``max_refine`` steps, or the first step
 that does not reduce the residual.
 
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
-by eps_d until the factorization reports the requested inertia, following
-the standard interior-point heuristic (first trial 1e-4, grow by 8, grow by
-100 until the first successful correction, shrink start by 1/3 on reuse).
+by eps_d until the factorization reports the requested inertia, by IPOPT's
+rule with the constants next to ``correct_inertia`` (Waechter & Biegler,
+Math. Prog. 2006): first trial 1e-4, grow by 100 until the first successful
+correction and by 8 after it, shrink the start by 1/3 on reuse.
 """
 
 from __future__ import annotations
@@ -225,11 +226,11 @@ def _pivot_eigenvalues(diag: np.ndarray, two: np.ndarray, off: np.ndarray) -> np
     return np.concatenate([diag[single], mean - rad, mean + rad])
 
 
-def _factorize_blocked(K: BlockTridiagonal, zero_tol: float) -> Optional[Factorization]:
+def _factorize_blocked(K: BlockTridiagonal) -> Optional[Factorization]:
     """Block tridiagonal factorization of K, or None when a pivot block is
     non-finite or fails to factor, or a pivot block before the last has an
     exactly zero pivot. The inertia of every pivot block is read in one pass
-    after the sweep; pivot eigenvalues of magnitude at most ``zero_tol`` are
+    after the sweep; pivot eigenvalues of magnitude at most ``ZERO_TOL`` are
     counted as zeros."""
     pivots: List[Tuple[np.ndarray, np.ndarray]] = []
     gain: List[np.ndarray] = []
@@ -257,21 +258,23 @@ def _factorize_blocked(K: BlockTridiagonal, zero_tol: float) -> Optional[Factori
     below = np.concatenate([lu.diagonal(-1) for lu, _ in pivots])
     two = np.flatnonzero(np.concatenate([ipiv for _, ipiv in pivots]) < 0)[::2]
     eigs = _pivot_eigenvalues(diag, two, below[two - K.layout.pivot_block[two]])
-    zero = int(np.count_nonzero(np.abs(eigs) <= zero_tol))
-    pos = int(np.count_nonzero(eigs > max(zero_tol, 0.0)))
+    zero = int(np.count_nonzero(np.abs(eigs) <= ZERO_TOL))
+    pos = int(np.count_nonzero(eigs > ZERO_TOL))
     return Factorization((pos, eigs.size - pos - zero, zero), K.index, pivots, gain, info > 0)
 
 
-def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
-    """Factor a symmetric matrix and report its inertia.
+# The pivot-eigenvalue magnitude at or below which a direction is counted as
+# zero. It is absolute, not norm-relative: structural singularities factor to
+# pivots near round-off of the dependent entries, while badly column-scaled
+# saddle systems carry legitimate pivots down to the dual regularization scale
+# (DUAL_SHIFT) next to huge barrier entries, which a norm-proportional
+# threshold would misread as zero.
+ZERO_TOL = 1e-11
 
-    ``zero_tol`` is the pivot-eigenvalue magnitude below which a direction is
-    counted as zero. The default (1e-11) is absolute, not norm-relative:
-    structural singularities factor to pivots near round-off of the dependent
-    entries, while badly column-scaled saddle systems carry legitimate pivots
-    down to the dual regularization scale (1e-8) next to huge barrier entries,
-    which a norm-proportional threshold would misread as zero. Pass an
-    explicit tolerance for matrices scaled outside that regime.
+
+def factorize(K) -> Factorization:
+    """Factor a symmetric matrix and report its inertia, counting pivot
+    eigenvalues of magnitude at most ``ZERO_TOL`` as zeros.
 
     K is a ``BlockTridiagonal``, factored block by block in the order of
     its row groups, or a square array, which is one group. A sweep that
@@ -291,9 +294,7 @@ def factorize(K, zero_tol: Optional[float] = None) -> Factorization:
         if not np.all(np.isfinite(A)):
             raise NumericalFailure("non-finite matrix entry")
         band = BlockTridiagonal.from_dense(A, (np.arange(n),))
-    if zero_tol is None:
-        zero_tol = 1e-11
-    fact = _factorize_blocked(band, zero_tol)
+    fact = _factorize_blocked(band)
     if fact is None:
         raise NumericalFailure("non-finite or failed factorization")
     return fact
@@ -363,30 +364,30 @@ class RegularizationState:
     last_eps_p: float = 0.0
 
 
-@dataclass(frozen=True)
-class InertiaOptions:
-    eps_p_init: float = 1e-4
-    eps_p_min: float = 1e-20
-    eps_p_max: float = 1e40
-    grow_first: float = 100.0
-    grow: float = 8.0
-    shrink: float = 1.0 / 3.0
-    dual_shift: float = 1e-8
+EPS_P_INIT = 1e-4  # first primal shift of a run
+EPS_P_MIN = 1e-20  # floor of a reused start
+EPS_P_MAX = 1e40
+GROW_FIRST = 100.0  # primal growth until the first successful correction
+GROW = 8.0  # primal growth after it
+SHRINK = 1.0 / 3.0  # a reused start is this times the last success
+DUAL_SHIFT = 1e-8
 
 
 def correct_inertia(
     assemble: Callable[[float, float], BlockTridiagonal | np.ndarray],
     target: Tuple[int, int, int],
     reg: RegularizationState,
-    opts: InertiaOptions = InertiaOptions(),
 ) -> Tuple[Factorization, RegularizationState]:
     """Find shifts (eps_p, eps_d) whose assembled matrix has ``target`` inertia.
 
     ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix, a
     ``BlockTridiagonal`` or an array (see ``factorize``). The unshifted
-    matrix is tried first; a zero eigenvalue count switches on the dual
-    shift; the primal shift then escalates until the target inertia is
-    reached or the cap is exceeded.
+    matrix is tried first; a failed factorization or a zero eigenvalue count
+    switches on the dual shift DUAL_SHIFT. The primal shift starts at
+    EPS_P_INIT on a first correction, or at SHRINK times ``reg.last_eps_p``
+    (at least EPS_P_MIN), and grows by GROW_FIRST on a first correction and
+    by GROW after one, until the target inertia is reached or it exceeds
+    EPS_P_MAX (InertiaCorrectionFailure).
     """
 
     def try_factor(ep, ed):
@@ -399,20 +400,20 @@ def correct_inertia(
     if fact is not None and fact.inertia == target:
         return fact, RegularizationState(0.0, 0.0, reg.last_eps_p)
 
-    eps_d = opts.dual_shift if (fact is None or fact.inertia[2] > 0) else 0.0
+    eps_d = DUAL_SHIFT if (fact is None or fact.inertia[2] > 0) else 0.0
     first_ever = reg.last_eps_p == 0.0
     if first_ever:
-        eps_p = opts.eps_p_init
+        eps_p = EPS_P_INIT
     else:
-        eps_p = max(opts.eps_p_min, opts.shrink * reg.last_eps_p)
-    while eps_p <= opts.eps_p_max:
+        eps_p = max(EPS_P_MIN, SHRINK * reg.last_eps_p)
+    while eps_p <= EPS_P_MAX:
         fact = try_factor(eps_p, eps_d)
         if fact is not None and fact.inertia == target:
             return fact, RegularizationState(eps_p, eps_d, eps_p)
         if eps_d == 0.0 and (fact is None or fact.inertia[2] > 0):
-            eps_d = opts.dual_shift
+            eps_d = DUAL_SHIFT
             continue  # retry the same eps_p with the dual shift on
-        eps_p *= opts.grow_first if first_ever else opts.grow
+        eps_p *= GROW_FIRST if first_ever else GROW
     raise InertiaCorrectionFailure(
-        f"no inertia {target} for eps_p up to {opts.eps_p_max:g} (eps_d={eps_d:g})"
+        f"no inertia {target} for eps_p up to {EPS_P_MAX:g} (eps_d={eps_d:g})"
     )

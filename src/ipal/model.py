@@ -133,8 +133,7 @@ class ProblemModel:
 
     n, m, p, d are the variable, equality, cone, and parameter dimensions.
     ``lagrangian_hessian(x, theta, y, z)`` returns the Hessian of
-    c + y'g + z'h with respect to x; with ``gauss_newton`` set it is invoked
-    with zeroed multipliers so constraint curvature is dropped.
+    c + y'g + z'h with respect to x.
     ``parameter_jacobians(x, theta, y, z)`` returns (L_xt, g_t, h_t): the
     theta-Jacobians of the Lagrangian x-gradient, g, and h.
 
@@ -162,7 +161,6 @@ class ProblemModel:
     lagrangian_hessian: Optional[Callable] = None
     parameter_jacobians: Optional[Callable] = None
     d: int = 0
-    gauss_newton: bool = False
     stage_blocks: Optional[Tuple[np.ndarray, ...]] = None
     # where the reduced KKT matrix stores its entries (kkt.KKTScatter),
     # built at the model's first assembly
@@ -259,11 +257,7 @@ def evaluate(
     c_x = _checked(model.objective_gradient(x, theta), (n,), "objective_gradient")
     g_x = _checked(model.equality_jacobian(x, theta), (m, n), "equality_jacobian")
     h_x = _checked(model.cone_jacobian(x, theta), (p, n), "cone_jacobian")
-    if model.gauss_newton:
-        H = model.lagrangian_hessian(x, theta, np.zeros(m), np.zeros(p))
-    else:
-        H = model.lagrangian_hessian(x, theta, y, z)
-    H = _checked(H, (n, n), "lagrangian_hessian")
+    H = _checked(model.lagrangian_hessian(x, theta, y, z), (n, n), "lagrangian_hessian")
     return EvalCache(c=c, c_x=c_x, g=g, g_x=g_x, h=h, h_x=h_x, L_xx=_symmetric_part(H))
 
 

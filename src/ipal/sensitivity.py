@@ -35,9 +35,9 @@ from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that 
     full_jacobian,
     reduced_solve,
 )
-from .linsolve import InertiaOptions, NumericalFailure, RegularizationState, factorize
+from .linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, factorize
 from .model import EvalCache, ProblemModel, evaluate, evaluate_parameter_jacobians
-from .solver import Solution, unrelaxed_residual_norm
+from .solver import Solution, checked_vector, unrelaxed_residual_norm
 
 
 @dataclass
@@ -79,13 +79,13 @@ def differentiate(
     ``used_least_squares`` flags a rank-deficient Jacobian (a failed
     factorization or a zero pivot at zero shift) or a solve whose
     row-equilibrated residual exceeds 1e-6 * (1 + ||dR/dtheta||);
-    NumericalFailure is raised when no solve succeeds. The solution point is
-    not modified. A solved ``solution`` of this model at this theta supplies
-    the evaluation at its point that ``solve`` ended with, instead of
-    evaluating it again.
+    NumericalFailure is raised when no solve succeeds, and ValueError unless
+    theta is finite and of shape (d,). The solution point is not modified. A
+    solved ``solution`` of this model at this theta supplies the evaluation
+    at its point that ``solve`` ended with, instead of evaluating it again.
     """
     point = solution.point
-    theta = np.asarray(theta, dtype=float)
+    theta = checked_vector(theta, model.d, "theta")
     cache = solution.final_evaluation(model, theta)
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
@@ -101,8 +101,8 @@ def differentiate(
     except NumericalFailure:
         singular = True
     if singular:
-        shift = InertiaOptions().dual_shift
-        factored = assemble_symmetric(model, point, theta, outer, RegularizationState(shift, shift), cache)
+        shift = RegularizationState(DUAL_SHIFT, DUAL_SHIFT)
+        factored = assemble_symmetric(model, point, theta, outer, shift, cache)
         factored.track_multiplier()
         fact = factorize(factored.K)
     dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, DirectionOptions(), exact=rsys)

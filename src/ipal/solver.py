@@ -26,7 +26,6 @@ from .cone import (
     max_step_to_boundary,
 )
 from .kkt import (
-    DirectionOptions,
     OuterState,
     SolverPoint,
     residual,
@@ -57,23 +56,13 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """What a caller sets; the method's constants sit by their routines."""
+
     tol: float = 1e-6                 # unrelaxed residual tolerance (gamma_R)
-    subproblem_tol: float = 1e-2      # subproblem done when ||R|| <= this * kappa
-    kappa_init: float = 1.0
     rho_init: float = 1.0
-    kappa_min: float = 1e-8
-    kappa_linear: float = 0.2         # kappa <- max(kappa_min, min(this*k, k^kappa_power))
-    kappa_power: float = 1.2
-    rho_grow: float = 10.0            # rho <- min(rho_max, max(this*rho, 1/kappa_new))
-    rho_max: float = 1e8
-    tau_min: float = 0.99             # fraction-to-boundary floor
-    min_step: float = 1e-12
-    armijo: float = 1e-8              # sufficient-decrease margins in the filter rule
-    max_inner: int = 150              # per subproblem
+    kappa_min: float = 1e-8           # floor of the central-path schedule
     max_outer: int = 30
     max_total: int = 1000
-    interior_margin: float = 1.0
-    direction: DirectionOptions = DirectionOptions()
     record_trace: bool = False
 
 
@@ -133,6 +122,17 @@ def _evaluation_key(theta: np.ndarray, point: SolverPoint) -> tuple:
     """Bitwise identity of the inputs of an evaluation besides the model."""
     arrays = [np.asarray(a, dtype=float) for a in (theta, point.x, point.y, point.z)]
     return tuple((a.shape, a.tobytes()) for a in arrays)
+
+
+def checked_vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError unless finite and of shape
+    (size,)."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != (size,):
+        raise ValueError(f"{name} has shape {out.shape}, expected ({size},)")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 def merit(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: OuterState,
@@ -196,14 +196,20 @@ def subproblem_converged(residual_norm: float, kappa: float, subproblem_tol: flo
     return residual_norm <= subproblem_tol * kappa
 
 
+KAPPA_LINEAR = 0.2  # kappa <- max(kappa_min, min(this*k, k^KAPPA_POWER))
+KAPPA_POWER = 1.2
+RHO_GROW = 10.0  # rho <- min(RHO_MAX, max(this*rho, 1/kappa_new))
+RHO_MAX = 1e8
+
+
 def outer_update(outer: OuterState, point: SolverPoint, opts: SolverOptions) -> OuterState:
     """Multiplier estimate takes the current duals; kappa decreases (linear
     then superlinear) and rho grows against the new kappa."""
     kappa = max(
         opts.kappa_min,
-        min(opts.kappa_linear * outer.kappa, outer.kappa ** opts.kappa_power),
+        min(KAPPA_LINEAR * outer.kappa, outer.kappa ** KAPPA_POWER),
     )
-    rho = min(opts.rho_max, max(opts.rho_grow * outer.rho, 1.0 / kappa))
+    rho = min(RHO_MAX, max(RHO_GROW * outer.rho, 1.0 / kappa))
     return OuterState(lam=point.y.copy(), rho=rho, kappa=kappa)
 
 
@@ -238,6 +244,10 @@ def cone_line_search(
     return alpha, alpha_t
 
 
+ARMIJO = 1e-8  # sufficient-decrease margins in the filter rule
+MIN_STEP = 1e-12
+
+
 def filter_step(
     model: ProblemModel,
     point: SolverPoint,
@@ -245,7 +255,6 @@ def filter_step(
     theta: np.ndarray,
     outer: OuterState,
     filt: Filter,
-    opts: SolverOptions,
     alpha_init: float,
     alpha_t: float,
     current: Tuple[float, float],
@@ -265,7 +274,7 @@ def filter_step(
     slack = 10.0 * np.finfo(float).eps * abs(phi0)
     alpha = alpha_init
     backtracks = 0
-    while alpha >= opts.min_step:
+    while alpha >= MIN_STEP:
         cand = SolverPoint(
             x=point.x + alpha * delta.x,
             r=point.r + alpha * delta.r,
@@ -281,7 +290,7 @@ def filter_step(
         except (NotInterior, EvaluationFailure):
             pass
         else:
-            sufficient = (phi < phi0 - opts.armijo * eta0 + slack) or (eta < (1.0 - opts.armijo) * eta0)
+            sufficient = (phi < phi0 - ARMIJO * eta0 + slack) or (eta < (1.0 - ARMIJO) * eta0)
             if sufficient and not filt.dominated(phi - slack, eta):
                 cand.y = point.y + alpha * delta.y
                 cand.z = point.z + alpha * delta.z
@@ -290,21 +299,27 @@ def filter_step(
                 return cand, alpha, (phi, eta), values, backtracks
         alpha *= 0.5
         backtracks += 1
-    raise LineSearchFailure(f"no acceptable step above {opts.min_step:g}")
+    raise LineSearchFailure(f"no acceptable step above {MIN_STEP:g}")
 
 
-def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray, opts: SolverOptions,
+def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray,
                      values: Optional[Values] = None) -> SolverPoint:
     """Starting iterate; ``values`` are (c, g, h) at x0 if already computed."""
     _, g0, h0 = evaluate_values(model, x0, theta) if values is None else values
     return SolverPoint(
         x=np.asarray(x0, dtype=float).copy(),
         r=g0.copy(),
-        s=interior_initialization(h0, model.cone, opts.interior_margin),
+        s=interior_initialization(h0, model.cone),
         y=np.zeros(model.m),
         z=np.zeros(model.p),
         t=cone_target(model.cone),
     )
+
+
+KAPPA_INIT = 1.0
+SUBPROBLEM_TOL = 1e-2  # subproblem done when ||R|| <= this * kappa
+TAU_MIN = 0.99  # fraction-to-boundary floor
+MAX_INNER = 150  # Newton iterations per subproblem
 
 
 def solve(
@@ -314,26 +329,23 @@ def solve(
     opts: SolverOptions = SolverOptions(),
 ) -> Solution:
     """Run the solver from x0; never raises on numerical trouble, reporting
-    it through the returned status instead."""
-    theta = np.zeros(model.d) if theta is None else np.asarray(theta, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n},)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    it through the returned status instead. ValueError unless x0 and theta
+    (zeros when None) are finite and of shapes (n,) and (d,)."""
+    theta = checked_vector(np.zeros(model.d) if theta is None else theta, model.d, "theta")
+    x0 = checked_vector(x0, model.n, "x0")
 
     trace: List[TraceRecord] = []
     status = SolveStatus.MAX_ITERATIONS
     total = 0
     outer_count = 0
     point = None
-    outer = OuterState(lam=np.zeros(model.m), rho=opts.rho_init, kappa=opts.kappa_init)
+    outer = OuterState(lam=np.zeros(model.m), rho=opts.rho_init, kappa=KAPPA_INIT)
     try:
         # each iterate is evaluated once: its values at x0 here or in the
         # line search that accepts it, its derivatives at the top of the loop
         # (an outer update moves only lam, rho and kappa, so they stand)
         values = evaluate_values(model, x0, theta)
-        point = initialize_point(model, x0, theta, opts, values)
+        point = initialize_point(model, x0, theta, values)
         reg = RegularizationState()
         filt = Filter()
         current = (
@@ -352,7 +364,7 @@ def solve(
                 break
             R = residual(model, point, theta, outer, cache)
             norm_R = np.abs(R).max() if R.size else 0.0
-            if subproblem_converged(norm_R, outer.kappa, opts.subproblem_tol):
+            if subproblem_converged(norm_R, outer.kappa, SUBPROBLEM_TOL):
                 if outer_count >= opts.max_outer:
                     break
                 outer = outer_update(outer, point, opts)
@@ -364,15 +376,13 @@ def solve(
                     violation(model, point, theta, values),
                 )
                 continue  # same (x, y, z): the cache stands
-            if inner >= opts.max_inner:
+            if inner >= MAX_INNER:
                 break
-            delta, reg, info = search_direction(
-                model, point, theta, outer, reg, opts.direction, cache, R
-            )
-            tau = max(opts.tau_min, 1.0 - outer.kappa)
+            delta, reg, info = search_direction(model, point, theta, outer, reg, cache, R)
+            tau = max(TAU_MIN, 1.0 - outer.kappa)
             alpha_cap, alpha_t = cone_line_search(point, delta, tau, model)
             point, alpha, current, values, backtracks = filter_step(
-                model, point, delta, theta, outer, filt, opts, alpha_cap, alpha_t, current
+                model, point, delta, theta, outer, filt, alpha_cap, alpha_t, current
             )
             cache = None
             total += 1

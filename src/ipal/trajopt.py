@@ -249,16 +249,17 @@ def _pattern(shape, blocks) -> Tuple[Pattern, list]:
 
 
 def extract_trajectory(problem, x):
-    """Split a decision vector into (states, controls) lists."""
+    """Split a decision vector into (states, controls) lists, without the
+    terminal control; InvalidDimension unless x has shape (n,)."""
     imap = index_map(problem)
-    x = np.asarray(x, dtype=float)
+    x = _shaped(x, (imap.n,), "decision vector")
     states = [x[sl].copy() for sl in imap.state]
     controls = [x[sl].copy() for sl in imap.control[:-1]]
     return states, controls
 
 
 def stack_trajectory(problem, states, controls):
-    """Inverse of extract_trajectory; pads a missing terminal control."""
+    """Inverse of extract_trajectory; a missing terminal control is zeros."""
     T = problem.horizon
     if len(states) != T:
         raise InvalidDimension(f"expected {T} states, got {len(states)}")
@@ -268,7 +269,8 @@ def stack_trajectory(problem, states, controls):
     for t, st in enumerate(problem.stages):
         parts.append(_shaped(states[t], (st.state_dim,), f"stage {t} state"))
         if st.control_dim:
-            parts.append(_shaped(controls[t], (st.control_dim,), f"stage {t} control"))
+            u = controls[t] if t < len(controls) else np.zeros(st.control_dim)
+            parts.append(_shaped(u, (st.control_dim,), f"stage {t} control"))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

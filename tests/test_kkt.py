@@ -31,14 +31,13 @@ from ipal.kkt import (
 from ipal.cone import cone_product_jacobians
 from ipal.linsolve import (
     BlockTridiagonal,
-    InertiaOptions,
     NumericalFailure,
     RegularizationState,
     correct_inertia,
     factorize,
 )
 from ipal.model import ProblemModel, evaluate
-from ipal.solver import SolverOptions, initialize_point, solve
+from ipal.solver import initialize_point, solve
 
 
 def scalar_model(curvature=2.0):
@@ -425,7 +424,7 @@ def test_batched_cone_solves_match_segment_loop():
 def _tracking_assembler(model, x0, theta):
     """Reduced system of a transcribed model at its initial iterate, as a
     function of the shifts (eps_p, eps_d)."""
-    point = initialize_point(model, x0, theta, SolverOptions())
+    point = initialize_point(model, x0, theta)
     point.y = np.linspace(-1.0, 1.0, model.m)
     outer = OuterState(lam=np.zeros(model.m), rho=10.0, kappa=0.1)
     cache = evaluate(model, point.x, theta, point.y, point.z)
@@ -452,7 +451,7 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
             trials.append((ep, ed))
             return view(build(ep, ed).K)
 
-        fact, reg = correct_inertia(assemble, target, RegularizationState(), InertiaOptions())
+        fact, reg = correct_inertia(assemble, target, RegularizationState())
         assert fact.inertia == target
         results[label] = (fact.blocked, reg, trials)
     assert results["blocked"][0] and not results["dense"][0]
@@ -489,7 +488,7 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
         pass
 
     target = (model.n, model.m + model.p, 0)
-    blocked, reg = correct_inertia(assemble, target, RegularizationState(), InertiaOptions())
+    blocked, reg = correct_inertia(assemble, target, RegularizationState())
     assert blocked.blocked and dense == []
     monkeypatch.undo()
     dense_fact, reg_dense = correct_inertia(lambda ep, ed: np.asarray(assemble(ep, ed)), target, RegularizationState())

@@ -383,12 +383,12 @@ class TestBlockedFactorize:
         captured, seen = [], {"count": 0, "last": None}
         original = ipal.linsolve.factorize
 
-        def capture(K, zero_tol=None):
+        def capture(K):
             if seen["count"] % 8 == 0:
                 captured.append(K)
             seen["count"] += 1
             seen["last"] = K
-            return original(K, zero_tol)
+            return original(K)
 
         monkeypatch.setattr(ipal.linsolve, "factorize", capture)
         assert solve(model, x0, theta).solved

@@ -163,17 +163,6 @@ class TestEvaluate:
                 lagrangian_hessian=lambda x, th, y, z: np.zeros((1, 1)),
             )
 
-    def test_gauss_newton_drops_constraint_curvature(self):
-        rng = np.random.default_rng(2)
-        model = quadratic_model(rng)
-        model.gauss_newton = True
-        x = rng.standard_normal(model.n)
-        y = rng.standard_normal(model.m)
-        z = rng.standard_normal(model.p)
-        cache = evaluate(model, x, np.zeros(0), y, z)
-        plain = model.lagrangian_hessian(x, np.zeros(0), np.zeros(model.m), np.zeros(model.p))
-        assert np.allclose(cache.L_xx, 0.5 * (plain + plain.T))
-
 
 class TestValidateDerivatives:
     def test_analytic_model_passes(self):

@@ -334,6 +334,9 @@ def test_does_not_mutate_the_solution():
     sol = solve(model, np.array([3.0, 0.0]), theta, TIGHT)
     before = sol.point.copy()
     differentiate(model, sol, theta)
+    for bad in (np.zeros(0), np.zeros(2), np.array([np.inf])):
+        with pytest.raises(ValueError, match="theta"):
+            differentiate(model, sol, bad)
     for name in ("x", "r", "s", "y", "z", "t"):
         np.testing.assert_array_equal(getattr(sol.point, name), getattr(before, name))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import DirectionOptions, OuterState, SolverPoint
 from ipal.model import ProblemModel, evaluate_values
 from ipal.solver import (
+    RHO_MAX,
     Filter,
     SolveStatus,
     SolverOptions,
@@ -160,7 +162,7 @@ class TestOuterUpdate:
         )
         new = outer_update(outer, point, opts)
         assert new.kappa == opts.kappa_min
-        assert new.rho == opts.rho_max
+        assert new.rho == RHO_MAX
 
     def test_superlinear_phase(self):
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1e-4)
@@ -348,6 +350,16 @@ class TestSolve:
             solve(model, np.array([np.nan, 0.0]))
         with pytest.raises(ValueError):
             solve(model, np.zeros(3))
+        # so does a bad theta, which would otherwise solve another problem
+        # or fail with a broadcast error inside a hook
+        model, x0, theta = trajectory_tracking(10)
+        for bad in (theta[:1], np.append(theta, 0.0), np.array([np.nan, 0.0]), theta[:, None]):
+            with pytest.raises(ValueError, match="theta"):
+                solve(model, x0, bad)
+        prob = REGISTRY["mpc-autotune"]
+        for bad in (np.zeros(3), np.append(prob.theta, 0.0)):
+            with pytest.raises(ValueError, match="theta"):
+                solve(prob.model, prob.x0, bad)
 
     def test_trace_records(self):
         model = bound_qp()
@@ -467,18 +479,17 @@ def test_filter_step_accepts_a_merit_at_rounding_level(phi0):
     point = SolverPoint(*(np.zeros(k) for k in (1, 0, 0, 0, 0, 0)))
     delta = SolverPoint(np.ones(1), *(np.zeros(0) for _ in range(5)))
     outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
-    opts = SolverOptions()
     above = np.nextafter(phi0, np.inf)
     model = _constant_merit_model((phi0, above))
     filt = Filter()
     filt.add(phi0, 0.0)
     cand, alpha, accepted, _, _ = ipal.solver.filter_step(
-        model, point, delta, np.zeros(0), outer, filt, opts, 1.0, 1.0, (phi0, 0.0)
+        model, point, delta, np.zeros(0), outer, filt, 1.0, 1.0, (phi0, 0.0)
     )
     assert alpha == 1.0 and accepted == (above, 0.0) and cand.x[0] == 1.0
     model = _constant_merit_model((phi0, phi0 + 1e-12 * abs(phi0)))
     with pytest.raises(ipal.solver.LineSearchFailure):
-        ipal.solver.filter_step(model, point, delta, np.zeros(0), outer, Filter(), opts, 1.0, 1.0, (phi0, 0.0))
+        ipal.solver.filter_step(model, point, delta, np.zeros(0), outer, Filter(), 1.0, 1.0, (phi0, 0.0))
 
 
 @pytest.mark.parametrize("halvings", [0, 1, 2, 5])
@@ -496,7 +507,7 @@ def test_filter_step_counts_its_backtracks(halvings):
     delta = SolverPoint(np.ones(1), *(np.zeros(0) for _ in range(5)))
     outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
     _, alpha, _, _, backtracks = ipal.solver.filter_step(
-        model, point, delta, np.zeros(0), outer, Filter(), SolverOptions(), 1.0, 1.0, (1.0, 0.0)
+        model, point, delta, np.zeros(0), outer, Filter(), 1.0, 1.0, (1.0, 0.0)
     )
     assert alpha == edge and backtracks == halvings
 
@@ -530,3 +541,15 @@ def test_criterion_6_options_solve_the_tracking_family():
         model, x0, theta = trajectory_tracking(40, initial_state=rng.uniform(-0.5, 0.5, size=2))
         statuses.append(solve(model, x0, theta, opts).status)
     assert statuses == [SolveStatus.SOLVED] * 20
+
+
+def test_settable_values_are_the_callers_options():
+    # a value that no caller outside the tests sets is a constant next to
+    # the routine that reads it, not an option
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+        "tol", "rho_init", "kappa_min", "max_outer", "max_total", "record_trace",
+    ]
+    assert [f.name for f in dataclasses.fields(DirectionOptions)] == ["max_refine", "consistency_tol"]
+    assert not hasattr(ipal.linsolve, "InertiaOptions")
+    assert list(inspect.signature(ipal.linsolve.factorize).parameters) == ["K"]
+    assert "gauss_newton" not in {f.name for f in dataclasses.fields(ProblemModel)}

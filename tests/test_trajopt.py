@@ -66,6 +66,16 @@ def test_stack_extract_round_trip():
         np.testing.assert_array_equal(a, b)
     for a, b in zip(controls, back_controls):
         np.testing.assert_array_equal(a, b)
+    # with a control at the terminal stage, extract drops it and stack pads
+    # it with zeros; a decision vector of the wrong length is rejected
+    stages = [integrator_stage() for _ in range(3)] + [Stage(state_dim=2, control_dim=1)]
+    problem = TrajectoryProblem(stages=stages, initial_state=np.zeros(2))
+    x = rng.standard_normal(index_map(problem).n)
+    back = stack_trajectory(problem, *extract_trajectory(problem, x))
+    np.testing.assert_array_equal(back, np.append(x[:-1], 0.0))
+    for bad in (x[:-1], np.append(x, 0.0)):
+        with pytest.raises(InvalidDimension):
+            extract_trajectory(problem, bad)
 
 
 def test_equality_matches_hand_stack():
