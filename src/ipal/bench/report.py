@@ -205,7 +205,11 @@ def format_table(report: BenchmarkReport) -> str:
         if k == 0:
             lines.append("  ".join("-" * w for w in widths))
     lines.append("")
-    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} (tol={report.tol:g}, gap tol={report.gap_tol:g})")
+    iterations = sum(row.iterations for row in report.rows)
+    lines.append(
+        f"overall: {'PASS' if report.passed else 'FAIL'} (tol={report.tol:g}, "
+        f"gap tol={report.gap_tol:g}, {iterations} iterations)"
+    )
     return "\n".join(lines)
 
 

@@ -80,10 +80,14 @@ def differentiate(
     factorization or a zero pivot at zero shift) or a solve whose
     row-equilibrated residual exceeds 1e-6 * (1 + ||dR/dtheta||);
     NumericalFailure is raised when no solve succeeds, and ValueError unless
-    theta is finite and of shape (d,). The solution point is not modified. A
-    solved ``solution`` of this model at this theta supplies the evaluation
-    at its point that ``solve`` ended with, instead of evaluating it again.
+    the solution is solved (the point of an unconverged run has no
+    sensitivities) and theta is finite and of shape (d,). The solution point
+    is not modified. A ``solution`` of this model at this theta supplies the
+    evaluation at its point that ``solve`` ended with, instead of evaluating
+    it again.
     """
+    if not solution.solved:
+        raise ValueError(f"differentiate needs a solved solution, not {solution.status.value}")
     point = solution.point
     theta = checked_vector(theta, model.d, "theta")
     cache = solution.final_evaluation(model, theta)

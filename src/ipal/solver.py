@@ -4,8 +4,11 @@ Equalities are relaxed with slacks r penalized by an augmented Lagrangian
 (multiplier estimate lam, penalty rho); cone constraints carry slacks s with
 a logarithmic barrier weighted by the central-path parameter kappa. Each
 subproblem is solved by Newton steps on the stationarity system with a
-fraction-to-boundary rule and a filter line search; between subproblems the
-multiplier estimate, kappa, and rho are updated and the filter is reset.
+fraction-to-boundary rule and a filter line search, until the max-norm of
+its residual is at most kappa (IPOPT's rule E_mu <= kappa_eps * mu with
+kappa_eps = 1; Waechter & Biegler, Math. Prog. 2006); between subproblems
+the multiplier estimate, kappa, and rho are updated and the filter is
+reset. The solve stops once the unrelaxed residual is at most tol.
 """
 
 from __future__ import annotations
@@ -192,8 +195,9 @@ def solution_converged(
     return unrelaxed_residual_norm(model, point, theta, cache) <= tol
 
 
-def subproblem_converged(residual_norm: float, kappa: float, subproblem_tol: float) -> bool:
-    return residual_norm <= subproblem_tol * kappa
+def subproblem_converged(residual_norm: float, kappa: float) -> bool:
+    """Inclusive comparison: ||R|| may sit exactly at kappa."""
+    return residual_norm <= kappa
 
 
 KAPPA_LINEAR = 0.2  # kappa <- max(kappa_min, min(this*k, k^KAPPA_POWER))
@@ -316,8 +320,21 @@ def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray,
     )
 
 
+def _check_options(opts: SolverOptions) -> None:
+    """ValueError naming the first field of opts that is out of range; a
+    NaN fails every comparison."""
+    for name, ok in (
+        ("tol", 0.0 < opts.tol < np.inf),
+        ("rho_init", 0.0 < opts.rho_init < np.inf),
+        ("kappa_min", 0.0 <= opts.kappa_min < np.inf),
+        ("max_outer", opts.max_outer >= 0),
+        ("max_total", opts.max_total >= 0),
+    ):
+        if not ok:
+            raise ValueError(f"SolverOptions.{name} is out of range: {getattr(opts, name)!r}")
+
+
 KAPPA_INIT = 1.0
-SUBPROBLEM_TOL = 1e-2  # subproblem done when ||R|| <= this * kappa
 TAU_MIN = 0.99  # fraction-to-boundary floor
 MAX_INNER = 150  # Newton iterations per subproblem
 
@@ -330,9 +347,12 @@ def solve(
 ) -> Solution:
     """Run the solver from x0; never raises on numerical trouble, reporting
     it through the returned status instead. ValueError unless x0 and theta
-    (zeros when None) are finite and of shapes (n,) and (d,)."""
+    (zeros when None) are finite and of shapes (n,) and (d,), tol and
+    rho_init are finite and positive, kappa_min is finite and nonnegative,
+    and max_outer and max_total are nonnegative."""
     theta = checked_vector(np.zeros(model.d) if theta is None else theta, model.d, "theta")
     x0 = checked_vector(x0, model.n, "x0")
+    _check_options(opts)
 
     trace: List[TraceRecord] = []
     status = SolveStatus.MAX_ITERATIONS
@@ -364,7 +384,7 @@ def solve(
                 break
             R = residual(model, point, theta, outer, cache)
             norm_R = np.abs(R).max() if R.size else 0.0
-            if subproblem_converged(norm_R, outer.kappa, SUBPROBLEM_TOL):
+            if subproblem_converged(norm_R, outer.kappa):
                 if outer_count >= opts.max_outer:
                     break
                 outer = outer_update(outer, point, opts)

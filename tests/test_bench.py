@@ -106,6 +106,20 @@ def test_formats_mention_every_row():
         assert row.name in table
         assert row.name in csv_text
     assert "overall: PASS" in table
+    # soc-projection takes 10 iterations and nonneg-qp 11
+    assert table.endswith(", 21 iterations)")
+
+
+def test_registry_statuses_and_iterations_are_pinned():
+    # statuses and iteration counts change only when a change means them to
+    # and says why
+    from ipal.bench.report import run_suite
+
+    report = run_suite(names())
+    assert [row.status for row in report.rows] == ["solved"] * len(EXPECTED_NAMES)
+    assert [row.iterations for row in report.rows] == [11, 21, 22, 10, 11, 25, 6, 5]
+    assert report.passed
+    assert format_table(report).endswith("overall: PASS (tol=1e-06, gap tol=1e-05, 111 iterations)")
 
 
 def test_cli_list(capsys):

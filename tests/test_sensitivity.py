@@ -341,6 +341,40 @@ def test_does_not_mutate_the_solution():
         np.testing.assert_array_equal(getattr(sol.point, name), getattr(before, name))
 
 
+def test_refuses_an_unconverged_solution():
+    # the point of a run stopped by its iteration cap has no sensitivities
+    model, x0, theta = trajectory_tracking(10)
+    sol = solve(model, x0, theta, SolverOptions(max_total=2))
+    assert not sol.solved
+    with pytest.raises(ValueError, match="solved"):
+        differentiate(model, sol, theta)
+
+
+def test_tracking_family_matches_resolves():
+    # the sensitivities of a transcribed problem against central differences
+    # of re-solves, at the options and in the error measure of acceptance
+    # criterion 6, on seeded initial states (theta) of the tracking family
+    h = 1e-5
+    rng = np.random.default_rng(7)
+    errors = []
+    for _ in range(6):
+        model, x0, theta = trajectory_tracking(40, initial_state=rng.uniform(-0.5, 0.5, size=2))
+        sol = solve(model, x0, theta, TIGHT)
+        assert sol.solved
+        out = differentiate(model, sol, theta)
+        assert not out.used_least_squares
+        fd = np.zeros_like(out.dx)
+        for j in range(model.d):
+            step = np.zeros(model.d)
+            step[j] = h
+            up = solve(model, x0, theta + step, TIGHT)
+            dn = solve(model, x0, theta - step, TIGHT)
+            assert up.solved and dn.solved
+            fd[:, j] = (up.point.x - dn.point.x) / (2.0 * h)
+        errors.append(np.abs(out.dx - fd).max() / (1.0 + np.abs(fd).max()))
+    assert max(errors) <= 1e-4, errors
+
+
 def test_result_reports_converged_residual():
     model = soc_projection_model()
     theta = np.array([0.0])

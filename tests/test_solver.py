@@ -137,8 +137,8 @@ class TestMeasures:
         assert not solution_converged(model2, point, np.zeros(0), tol=1e-6)
 
     def test_subproblem_rule(self):
-        assert subproblem_converged(5e-3, 1.0, 1e-2)
-        assert not subproblem_converged(5e-3, 0.1, 1e-2)
+        assert subproblem_converged(1.0, 1.0)
+        assert not subproblem_converged(0.2, 0.1)
 
 
 class TestOuterUpdate:
@@ -360,6 +360,22 @@ class TestSolve:
         for bad in (np.zeros(3), np.append(prob.theta, 0.0)):
             with pytest.raises(ValueError, match="theta"):
                 solve(prob.model, prob.x0, bad)
+
+    def test_bad_options_raise(self):
+        # a non-positive rho_init would divide by zero in the KKT assembly,
+        # and a negative or NaN tol would run to the iteration cap
+        model, x0, theta = trajectory_tracking(10)
+        for name, bad in (
+            ("tol", 0.0), ("tol", -1.0), ("tol", np.nan), ("tol", np.inf),
+            ("rho_init", 0.0), ("rho_init", -1.0), ("rho_init", np.nan), ("rho_init", np.inf),
+            ("kappa_min", -1e-9), ("kappa_min", np.nan), ("kappa_min", np.inf),
+            ("max_outer", -1), ("max_total", -1),
+        ):
+            with pytest.raises(ValueError, match=name):
+                solve(model, x0, theta, SolverOptions(**{name: bad}))
+        # the boundary values are accepted
+        sol = solve(model, x0, theta, SolverOptions(kappa_min=0.0, max_outer=0, max_total=0))
+        assert sol.status is SolveStatus.MAX_ITERATIONS
 
     def test_trace_records(self):
         model = bound_qp()
