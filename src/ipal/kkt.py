@@ -19,7 +19,11 @@ matrix is a ``BlockTridiagonal`` in the model's stage order (one block for a
 general model): the entries of the stage matrices are scattered to
 positions computed once per model (``KKTScatter``), so a transcribed
 problem forms no (n+m+p)-square matrix, and the dense derivative matrices
-of a general model are written as blocks. Cone slack and complement blocks
+of a general model are written as blocks. A matrix of two or more groups
+also carries its Schur complement onto the x rows, C = P + A'N^{-1}A, in
+band storage (``SchurPlan``) when every cone block of its dual block N is
+positive definite: its Cholesky factorization certifies the inertia
+(``linsolve.factorize``). Cone slack and complement blocks
 are recovered in closed form from stacked cone blocks (``ConeBlocks``). On
 second-order segments the reduced cone block is symmetrized, so directions
 are refined against the full system, applied blockwise, by the GMRES loop
@@ -48,10 +52,13 @@ from .cone import (
 )
 from .linsolve import (
     BandLayout,
+    BandPlan,
     BlockTridiagonal,
     Factorization,
     NumericalFailure,
     RegularizationState,
+    Schur,
+    compact_index,
     correct_inertia,
     factorize,
     solve_refined,
@@ -145,10 +152,18 @@ def residual(
     lay = Layout(model.n, model.m, model.p)
     R = np.empty(lay.total)
     R[lay.x] = cache.c_x + cache.g_x.T @ point.y + cache.h_x.T @ point.z
-    R[lay.r] = outer.lam + outer.rho * point.r - point.y
     R[lay.s] = -point.z - point.t
     R[lay.y] = cache.g - point.r
     R[lay.z] = cache.h - point.s
+    return outer_rows(model, point, outer, R)
+
+
+def outer_rows(model: ProblemModel, point: SolverPoint, outer: OuterState, R: np.ndarray) -> np.ndarray:
+    """Write, in place, the rows of the residual R that read the outer state
+    (lam, rho and kappa): the relaxation rows r and the complementarity
+    rows t. Returns R."""
+    lay = Layout(model.n, model.m, model.p)
+    R[lay.r] = outer.lam + outer.rho * point.r - point.y
     R[lay.t] = cone_product(point.s, point.t, model.cone) - outer.kappa * cone_target(model.cone)
     return R
 
@@ -195,10 +210,12 @@ class KKTScatter:
     one model: the row groups of K (``ProblemModel.stage_blocks``, or one
     group of all n + m + p rows in their order for a general model), the
     places of L_xx, g_x and h_x (for their patterns, None for a dense
-    matrix; see ``_place``) and the storage positions of the x and y
-    diagonals and of the cone blocks. Built once per model, at its first
-    assembly, and kept on the model. InvalidDimension when a derivative
-    matrix has an entry outside the band of the stage order."""
+    matrix; see ``_place``), the storage positions of the x and y diagonals
+    and of the cone blocks, and, for two or more groups, where the Schur
+    complement of K goes (``schur``, a ``SchurPlan``; None for one group).
+    Built once per model, at its first assembly, and kept on the model.
+    InvalidDimension when a derivative matrix has an entry outside the band
+    of the stage order."""
 
     def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
         n, m, p = model.n, model.m, model.p
@@ -215,6 +232,7 @@ class KKTScatter:
         diag, soc = model.cone.index_groups
         self.cone_diag = at(n + m + diag, n + m + diag)
         self.cone_blocks = [at(n + m + rows[:, :, None], n + m + rows[:, None, :]) for rows in soc]
+        self.schur = SchurPlan(model, patterns, self.layout) if len(self.layout.index) >= 2 else None
 
     def _place(self, pattern: Optional[Pattern], rows: slice, cols: slice, mirror: bool) -> list:
         """Where a derivative matrix goes in K[rows, cols] and, with
@@ -244,6 +262,111 @@ class KKTScatter:
                 K.D[0][where] = A.T if k else A
             else:
                 K.data[where] = entries(A)[1]
+
+
+class SchurPlan:
+    """Where the Schur complement C = P + A'N^{-1}A of a banded reduced
+    matrix K = [[P, A'], [A, -N]] onto its x rows goes in LAPACK lower band
+    storage, x in the stage order: P = L_xx + eps_p I, A = (g_x; h_x), and N
+    is (1/(rho + eps_p) + eps_d) I on the equality duals and M + eps_d I on
+    the cone rows, block diagonal on the cone segments. Each term A[i, a]
+    N^{-1}[i, j] A[j, c], for rows i and j of one block of N and a not
+    before c, is a triple (``left``, ``right``, ``inner``): the places of
+    A[i, a] and A[j, c] among the stored entries of A, whose storage
+    positions in K are ``a_at``, and of N^{-1}[i, j] in the blocks of
+    N^{-1} laid out flat (see ``complement``); the terms are
+    summed into C[a, c] at ``target``, and the entries of P are copied from
+    ``p_src`` to ``p_dst``. ``band`` is K's ``BandPlan``. Built once per
+    model from the patterns of its derivative matrices, over their stored
+    entries only."""
+
+    def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...], layout: BandLayout):
+        n, m, p = model.n, model.m, model.p
+        N = n + m + p
+        L, G, H = (
+            Pattern.full(shape) if P is None else P
+            for P, shape in zip(patterns, ((n, n), (m, n), (p, n)))
+        )
+        diag, soc = model.cone.index_groups
+        block = [np.broadcast_arrays(rows[:, :, None], rows[:, None, :]) for rows in soc]
+        # the stored entries of K, both triangles, without repeats
+        a_rows = np.concatenate([n + G.rows, n + m + H.rows])
+        a_cols = np.concatenate([G.cols, H.cols])
+        rows = np.concatenate([L.rows, np.arange(n + m), a_rows, a_cols, n + m + diag]
+                              + [n + m + r.ravel() for r, _ in block])
+        cols = np.concatenate([L.cols, np.arange(n + m), a_cols, a_rows, n + m + diag]
+                              + [n + m + c.ravel() for _, c in block])
+        key = np.unique(rows * N + cols)
+        rows, cols = key // N, key % N
+        self.band = BandPlan(layout, rows, cols)
+        self.n, self.m = n, m
+        rank = np.empty(n, dtype=np.intp)  # place of each x in the stage order
+        rank[self.band.order[self.band.order < n]] = np.arange(n)
+
+        # the blocks of N: for each dual row, the first entry of its block
+        # in the flat inverse, which also names the block, its place in the
+        # block and the block's size
+        first = np.arange(m + p)
+        first[m + diag] = m + np.arange(diag.size)
+        place, size = np.zeros(m + p, dtype=np.intp), np.ones(m + p, dtype=np.intp)
+        start = m + diag.size
+        for rows_k in soc:
+            segments, k = rows_k.shape
+            d = m + rows_k
+            first[d] = start + k * k * np.arange(segments)[:, None]
+            place[d] = np.arange(k)
+            size[d] = k
+            start += segments * k * k
+
+        # pairs of entries of A in rows of one block of N
+        in_a = (rows >= n) & (cols < n)
+        d, a = rows[in_a] - n, cols[in_a]
+        at = layout.positions(rows[in_a], a)
+        sort = np.argsort(first[d], kind="stable")
+        d, a, at = d[sort], a[sort], at[sort]
+        b = first[d]
+        lo = np.searchsorted(b, b, "left")
+        count = np.searchsorted(b, b, "right") - lo
+        e1 = np.repeat(np.arange(b.size), count)
+        e2 = lo[e1] + np.arange(e1.size) - np.repeat(np.cumsum(count) - count, count)
+        lower = rank[a[e1]] >= rank[a[e2]]
+        e1, e2 = e1[lower], e2[lower]
+        in_p = (rows < n) & (cols < n)
+        pr, pc = rows[in_p], cols[in_p]
+        lower = rank[pr] >= rank[pc]
+        pr, pc = pr[lower], pc[lower]
+        ra, rc = np.concatenate([rank[a[e1]], rank[pr]]), np.concatenate([rank[a[e2]], rank[pc]])
+        self.kd = int((ra - rc).max(initial=0))
+        slot = rc * (self.kd + 1) + ra - rc  # C[a, c] in the (n, kd + 1) row-major array
+        self.a_at = compact_index(at)
+        self.left, self.right = compact_index(e1), compact_index(e2)
+        self.inner = compact_index(first[d[e1]] + place[d[e1]] * size[d[e1]] + place[d[e2]])
+        self.target = compact_index(slot[: e1.size])
+        self.p_src = compact_index(layout.positions(pr, pc))
+        self.p_dst = compact_index(slot[e1.size:])
+
+    def complement(self, data: np.ndarray, dual: float, cone: ConeBlocks) -> Optional[Schur]:
+        """C of the K with storage ``data``, N = ``dual`` I on the equality
+        duals and ``cone`` on the cone rows, or None unless every block of
+        ``cone`` is positive definite. The flat inverse of N holds 1 /
+        ``dual`` per equality dual, the inverse of ``cone.diag``, then each
+        inverse block of ``cone.blocks``, row-major."""
+        if not (cone.diag > 0.0).all():
+            return None
+        try:
+            for B in cone.blocks:
+                np.linalg.cholesky(B)
+            inverse = np.concatenate(
+                [np.full(self.m, 1.0 / dual), 1.0 / cone.diag]
+                + [np.linalg.inv(B).reshape(-1) for B in cone.blocks]
+            )
+        except np.linalg.LinAlgError:
+            return None
+        a = data.take(self.a_at)
+        terms = a.take(self.left) * a.take(self.right) * inverse.take(self.inner)
+        C = np.bincount(self.target, terms, minlength=self.n * (self.kd + 1))
+        C[self.p_dst] += data.take(self.p_src)
+        return Schur(C.reshape(self.n, self.kd + 1).T, self.band)
 
 
 def _scatter(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> KKTScatter:
@@ -287,6 +410,7 @@ class ReducedSystem:
         the penalty term leaves the equality-dual diagonal of K and
         dr = -L_r / (rho + eps_p). The reduced right-hand side is unchanged."""
         self.K.data[self.dual_diagonal] = -self.eps_d
+        self.K.schur = None  # it was taken with the penalty term
         self.tracks_multiplier = True
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -351,10 +475,13 @@ def assemble_symmetric(
     # exact elimination of the relaxation block: the dual shift joins the
     # penalty term on the equality-dual diagonal
     data[at.y_diag] = -(dual_scale + ed)
-    cone = -1.0 * M.shift(ed)
+    N_cone = M.shift(ed)
+    cone = -1.0 * N_cone
     data[at.cone_diag] = cone.diag
     for where, B in zip(at.cone_blocks, cone.blocks):
         data[where] = B
+    if at.schur is not None:
+        K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
 
     return ReducedSystem(
         layout=lay, K=K, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
@@ -399,6 +526,7 @@ class DirectionInfo:
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
     blocked: bool = False  # served by the stage-blocked factorization
+    certified: bool = False  # inertia certified by the Schur complement's Cholesky
 
 
 REFINE_TOL = 1e-12  # relative residual at which refinement stops
@@ -486,7 +614,7 @@ def _newton_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=False, consistency_error=best_err,
-        inertia_trials=holder["trials"], blocked=fact.blocked,
+        inertia_trials=holder["trials"], blocked=fact.blocked, certified=fact.certified,
     )
     return lay.unpack(best), reg, info
 

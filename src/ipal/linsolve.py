@@ -5,13 +5,26 @@ of their row groups (``BandLayout``), and stored as those diagonal and
 sub-diagonal blocks only, as the reduced KKT system of a transcribed
 trajectory problem is in stage order (Rao, Wright & Rawlings, JOTA 1998); a
 general matrix is the case of one group. Products with it are taken block by
-block. It is factored by one block LDL' sweep: each pivot block is the Schur
-complement of the blocks before it, factored by Bunch-Kaufman (LAPACK
-dsytrf), and the inertia is the sum of the pivot-block inertias (Sylvester's
-law of inertia), read for all blocks in one pass off the signs of the 1x1
-pivots and the eigenvalues of the 2x2 pivot blocks. Its cost grows linearly
-with the number of blocks, where a dense factorization's grows with the cube
-of the order; a dense matrix is the case of one block. No banded matrix is
+block.
+
+A banded matrix K = [[P, A'], [A, -N]] whose dual block N is positive
+definite may carry the Schur complement C = P + A'N^{-1}A onto its first
+rows in LAPACK lower band storage (``Schur``; ``kkt.assemble_symmetric``
+writes it). By Haynsworth's inertia additivity (Lin. Alg. Appl. 1968) K then
+has inertia (n, N - n, 0), n the order of C, exactly when C is positive
+definite: K is quasi-definite (Vanderbei, SIAM J. Optim. 1995). One banded
+Cholesky of C (LAPACK dpbtrf) certifies it, and K is factored by one banded
+LU with partial pivoting (dgbtrf) in the order of its groups (``BandPlan``);
+a solve is one dgbtrs.
+
+Every other matrix, and one whose C fails to factor, is factored by the
+exact path, one block LDL' sweep: each pivot block is the Schur complement
+of the blocks before it, factored by Bunch-Kaufman (LAPACK dsytrf), and the
+inertia is the sum of the pivot-block inertias (Sylvester's law of
+inertia), read for all blocks in one pass off the signs of the 1x1 pivots
+and the eigenvalues of the 2x2 pivot blocks. Its cost grows linearly with
+the number of blocks, where a dense factorization's grows with the cube of
+the order; a dense matrix is the case of one block. No banded matrix is
 made dense: a sweep that meets a non-finite or failed pivot block raises
 NumericalFailure, and one that counts a zero pivot reports it, and either
 switches on the dual shift in ``correct_inertia``.
@@ -32,10 +45,11 @@ correction and by 8 after it, shrink the start by 1/3 on reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dsytrf, dsytrf_lwork, dsytrs
 
 
 class NumericalFailure(RuntimeError):
@@ -98,17 +112,71 @@ class BandLayout:
         return np.where(gr == gc, self.diag_start[gr] + lr * self.sizes[gr] + lc, sub)
 
 
+def compact_index(values: np.ndarray) -> np.ndarray:
+    """Nonnegative indices in the smallest unsigned integer type that holds
+    them, for index plans kept per model."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)))
+
+
+class BandPlan:
+    """Where the entries (rows, cols) of a matrix stored by ``layout`` go in
+    LAPACK general band storage, with rows and columns in the order of its
+    groups (``order``): entry (i, j) in that order at ab[2 kl + i - j, j] of
+    the (3 kl + 1, n) array that dgbtrf reads, kl the half-bandwidth of the
+    entries. The entries must include both triangles; all others must be
+    zero. Built once per matrix structure."""
+
+    def __init__(self, layout: BandLayout, rows: np.ndarray, cols: np.ndarray):
+        self.order = np.concatenate(layout.index)
+        rank = np.empty(layout.n, dtype=np.intp)
+        rank[self.order] = np.arange(layout.n)
+        ri, ci = rank[rows], rank[cols]
+        self.kl = int(np.abs(ri - ci).max(initial=0))
+        self.width = 3 * self.kl + 1
+        self.src = compact_index(layout.positions(rows, cols))
+        self.dst = compact_index(ci * self.width + 2 * self.kl + ri - ci)
+
+    def factor(self, data: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Band LU factors (lu, ipiv) of the matrix with storage ``data``
+        (left intact), or None at an exactly zero pivot."""
+        ab = np.zeros((self.order.size, self.width))
+        ab.reshape(-1)[self.dst] = data.take(self.src)
+        lu, ipiv, info = dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=1)
+        return (lu, ipiv) if info == 0 else None
+
+
+class Schur(NamedTuple):
+    """The Schur complement C = P + A'N^{-1}A of a matrix K = [[P, A'], [A,
+    -N]] with N positive definite onto its first n rows (in their group
+    order), in LAPACK lower band storage, (kd + 1, n); and the ``BandPlan``
+    of K."""
+
+    C: np.ndarray
+    band: BandPlan
+
+
 class BlockTridiagonal:
     """Symmetric matrix held as the blocks of its ``BandLayout``: ``D[k]``
     and ``C[k]`` are views of the flat ``data``; entries outside the band
     are zero. ``@`` multiplies vectors or columns block by block; the dense
-    matrix (``np.asarray``) is built only on request."""
+    matrix (``np.asarray``) is built only on request. ``schur``, when set,
+    is the ``Schur`` complement that certifies the inertia of the matrix
+    (see ``factorize``); whoever changes ``data`` after setting it must
+    drop it. The block views are made on first use: a certified
+    factorization reads ``data`` only."""
 
     def __init__(self, layout: BandLayout, data: Optional[np.ndarray] = None):
         self.layout = layout
         self.data = np.zeros(layout.size) if data is None else data
-        self.D = [self.data[a:b].reshape(shape) for a, b, shape in layout.diag_slices]
-        self.C = [self.data[a:b].reshape(shape) for a, b, shape in layout.sub_slices]
+        self.schur: Optional[Schur] = None
+
+    @cached_property
+    def D(self) -> List[np.ndarray]:
+        return [self.data[a:b].reshape(shape) for a, b, shape in self.layout.diag_slices]
+
+    @cached_property
+    def C(self) -> List[np.ndarray]:
+        return [self.data[a:b].reshape(shape) for a, b, shape in self.layout.sub_slices]
 
     @classmethod
     def from_dense(cls, K: np.ndarray, index: Sequence[np.ndarray]) -> "BlockTridiagonal":
@@ -160,11 +228,13 @@ class BlockTridiagonal:
 
 @dataclass
 class Factorization:
-    """Block LDL' factors of a symmetric matrix that is block tridiagonal in
-    the order of its row blocks, plus its inertia (pos, neg, zero); a dense
-    matrix is one block.
+    """Factors of a symmetric matrix that is block tridiagonal in the order
+    of its row blocks, plus its inertia (pos, neg, zero): band LU factors of
+    a certified matrix, or block LDL' factors; a dense matrix is one block.
 
-    With D_k the diagonal blocks and C_k = K[block k+1, block k], the pivot
+    ``_band`` holds (``BandPlan``, lu, ipiv) of dgbtrf when the inertia is
+    certified (``certified``); the sweep's lists are then empty. Otherwise,
+    with D_k the diagonal blocks and C_k = K[block k+1, block k], the pivot
     blocks are S_1 = D_1 and S_{k+1} = D_{k+1} - C_k S_k^{-1} C_k', each
     held as its LAPACK Bunch-Kaufman factors in ``_pivots``; ``_gain`` holds
     each S_k^{-1} C_k', so the unit lower factor has C_k S_k^{-1} =
@@ -176,30 +246,42 @@ class Factorization:
     _pivots: List[Tuple[np.ndarray, np.ndarray]]
     _gain: List[np.ndarray]
     _zero_pivot: bool
+    _band: Optional[Tuple[BandPlan, np.ndarray, np.ndarray]] = None
+
+    @property
+    def certified(self) -> bool:
+        """The inertia was certified by the Cholesky factorization of the
+        matrix's Schur complement, and the factors are band LU."""
+        return self._band is not None
 
     @property
     def blocked(self) -> bool:
-        """Factored in two or more pivot blocks."""
-        return len(self._pivots) >= 2
+        """Factored in band storage or in two or more pivot blocks."""
+        return self.certified or len(self._pivots) >= 2
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Forward sweep, block-diagonal solve and backward sweep; rhs may be
-        a vector or matrix."""
+        """One band LU solve, or forward sweep, block-diagonal solve and
+        backward sweep; rhs may be a vector or matrix."""
         if self._zero_pivot:
             raise NumericalFailure("zero pivot in factorization")
         b = np.asarray(rhs, dtype=float)
-        index, pivots, gain = self._index, self._pivots, self._gain
-        y = b[index[0]]
-        forward = [y]
-        for k in range(1, len(index)):
-            y = b[index[k]] - gain[k - 1].T @ y
-            forward.append(y)
         out = np.empty(b.shape)
-        x = _pivot_solve(pivots[-1], forward[-1])
-        out[index[-1]] = x
-        for k in range(len(index) - 2, -1, -1):
-            x = _pivot_solve(pivots[k], forward[k]) - gain[k] @ x
-            out[index[k]] = x
+        if self._band is not None:
+            band, lu, ipiv = self._band
+            x, _ = dgbtrs(lu, band.kl, band.kl, b[band.order], ipiv)
+            out[band.order] = x
+        else:
+            index, pivots, gain = self._index, self._pivots, self._gain
+            y = b[index[0]]
+            forward = [y]
+            for k in range(1, len(index)):
+                y = b[index[k]] - gain[k - 1].T @ y
+                forward.append(y)
+            x = _pivot_solve(pivots[-1], forward[-1])
+            out[index[-1]] = x
+            for k in range(len(index) - 2, -1, -1):
+                x = _pivot_solve(pivots[k], forward[k]) - gain[k] @ x
+                out[index[k]] = x
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("non-finite solve result")
         return out
@@ -263,6 +345,21 @@ def _factorize_blocked(K: BlockTridiagonal) -> Optional[Factorization]:
     return Factorization((pos, eigs.size - pos - zero, zero), K.index, pivots, gain, info > 0)
 
 
+def _factorize_certified(K: BlockTridiagonal) -> Optional[Factorization]:
+    """Band LU factors of K with inertia (n, N - n, 0), n the order of its
+    Schur complement C, certified by a Cholesky factorization of C; None
+    when C is not finite or not positive definite, or the LU meets an
+    exactly zero pivot."""
+    C, band = K.schur
+    if not np.isfinite(C).all() or dpbtrf(C, lower=1)[1] != 0:
+        return None
+    lu = band.factor(K.data)
+    if lu is None:
+        return None
+    n = C.shape[1]
+    return Factorization((n, K.layout.n - n, 0), K.index, [], [], False, (band, *lu))
+
+
 # The pivot-eigenvalue magnitude at or below which a direction is counted as
 # zero. It is absolute, not norm-relative: structural singularities factor to
 # pivots near round-off of the dependent entries, while badly column-scaled
@@ -276,16 +373,22 @@ def factorize(K) -> Factorization:
     """Factor a symmetric matrix and report its inertia, counting pivot
     eigenvalues of magnitude at most ``ZERO_TOL`` as zeros.
 
-    K is a ``BlockTridiagonal``, factored block by block in the order of
-    its row groups, or a square array, which is one group. A sweep that
-    meets a non-finite or failed pivot block, or an exactly zero pivot
-    before its last block, raises NumericalFailure. An exactly zero pivot in
-    the last block is counted; ``solve`` then raises NumericalFailure.
+    K is a ``BlockTridiagonal`` or a square array, which is one group. A
+    K with a ``Schur`` complement that factors by Cholesky has its inertia
+    certified and is factored by band LU; any other is factored block by
+    block in the order of its row groups. A sweep that meets a non-finite or
+    failed pivot block, or an exactly zero pivot before its last block,
+    raises NumericalFailure. An exactly zero pivot in the last block is
+    counted; ``solve`` then raises NumericalFailure.
     """
     if isinstance(K, BlockTridiagonal):
         band = K
         if not np.isfinite(band.data).all():
             raise NumericalFailure("non-finite matrix entry")
+        if K.schur is not None:
+            fact = _factorize_certified(K)
+            if fact is not None:
+                return fact
     else:
         A = np.asarray(K, dtype=float)
         n = A.shape[0] if A.ndim else 0

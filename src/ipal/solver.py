@@ -31,6 +31,7 @@ from .cone import (
 from .kkt import (
     OuterState,
     SolverPoint,
+    outer_rows,
     residual,
     search_direction,
 )
@@ -89,6 +90,7 @@ class TraceRecord:
     consistency_error: float = 0.0
     inertia_trials: int = 0
     blocked: bool = False
+    certified: bool = False
 
 
 @dataclass
@@ -191,7 +193,9 @@ def solution_converged(
     tol: float,
     cache: Optional[EvalCache] = None,
 ) -> bool:
-    """Inclusive comparison: the unrelaxed residual may sit exactly at tol."""
+    """The stop test of ``solve``, which applies it to the norm it has
+    already taken. Inclusive comparison: the unrelaxed residual may sit
+    exactly at tol."""
     return unrelaxed_residual_norm(model, point, theta, cache) <= tol
 
 
@@ -377,12 +381,13 @@ def solve(
         while True:
             if cache is None:
                 cache = evaluate(model, point.x, theta, point.y, point.z, values)
-            if solution_converged(model, point, theta, opts.tol, cache):
-                status = SolveStatus.SOLVED
-                break
-            if total >= opts.max_total:
-                break
-            R = residual(model, point, theta, outer, cache)
+                res_norm = unrelaxed_residual_norm(model, point, theta, cache)
+                if res_norm <= opts.tol:  # solution_converged
+                    status = SolveStatus.SOLVED
+                    break
+                if total >= opts.max_total:
+                    break
+                R = residual(model, point, theta, outer, cache)
             norm_R = np.abs(R).max() if R.size else 0.0
             if subproblem_converged(norm_R, outer.kappa):
                 if outer_count >= opts.max_outer:
@@ -391,11 +396,12 @@ def solve(
                 outer_count += 1
                 filt.reset()
                 inner = 0
-                current = (
-                    merit(model, point, theta, outer, values),
-                    violation(model, point, theta, values),
-                )
-                continue  # same (x, y, z): the cache stands
+                # same (x, r, s, y, z, t): the evaluation, the convergence
+                # test, the violation and all rows of R but those that read
+                # lam, rho and kappa stand
+                current = (merit(model, point, theta, outer, values), current[1])
+                outer_rows(model, point, outer, R)
+                continue
             if inner >= MAX_INNER:
                 break
             delta, reg, info = search_direction(model, point, theta, outer, reg, cache, R)
@@ -428,7 +434,8 @@ def solve(
             x=x0.copy(), r=np.zeros(model.m), s=np.ones(model.p),
             y=np.zeros(model.m), z=np.zeros(model.p), t=np.ones(model.p),
         )
-    # a solved run stopped right after evaluating its final point
+    # a solved run stopped right after evaluating its final point and
+    # taking its residual norm
     final = cache if status is SolveStatus.SOLVED else None
     try:
         c, g, h = (final.c, final.g, final.h) if final else evaluate_values(model, point.x, theta)
@@ -436,7 +443,8 @@ def solve(
             float(np.abs(g).max()) if g.size else 0.0,
             cone_infeasibility(model, h),
         )
-        res_norm = unrelaxed_residual_norm(model, point, theta, final)
+        if final is None:
+            res_norm = unrelaxed_residual_norm(model, point, theta)
     except (NumericalFailure, EvaluationFailure, NotInterior):
         c, primal_violation, res_norm = np.nan, np.nan, np.nan
     solution = Solution(

@@ -18,8 +18,9 @@ stage and hook. Outputs are bitwise those of calling each stage in turn.
 The derivative callbacks return ``StageMatrix`` objects that hold only the
 stage blocks (and the constant +-I couplings of g_x), on patterns fixed at
 transcription. The model also records the stage order of the reduced KKT
-unknowns (``ProblemModel.stage_blocks``), in which the solver assembles,
-factors and multiplies that system block tridiagonally.
+unknowns (``ProblemModel.stage_blocks``), in which the solver assembles
+and multiplies that system block tridiagonally and factors it, by one band
+LU or block by block.
 """
 
 from __future__ import annotations
@@ -32,9 +33,13 @@ import numpy as np
 from .cone import ConeSpec, concatenate
 from .model import InvalidDimension, Pattern, ProblemModel, StageMatrix
 
-# Consecutive stages share one pivot block of the stage-blocked factorization
-# until it holds at least this many rows: fewer, larger blocks trade Python
-# overhead per block against the cubic cost of each block.
+# Consecutive stages share one row group of the reduced KKT system until it
+# holds at least this many rows. The groups size only the pivot blocks of the
+# block LDL' sweep, the exact path of a factorization whose inertia the Schur
+# complement does not certify: fewer, larger blocks trade Python overhead per
+# block against the cubic cost of each block. The certified band LU reads
+# the bandwidth of the entries in the group order, which the grouping leaves
+# unchanged.
 STAGE_BLOCK_ROWS = 24
 
 

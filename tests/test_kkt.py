@@ -333,14 +333,19 @@ def test_solve_builds_no_dense_jacobian_without_fallback(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_solve_computes_each_residual_once(monkeypatch, name):
-    # one stacked residual per Newton iteration and one per outer update
+    # one stacked residual per Newton iteration, and one unrelaxed residual
+    # norm per evaluated iterate, the final one included: an outer update
+    # refreshes only the rows that read lam, rho and kappa
     prob = REGISTRY[name]
-    residuals = []
+    residuals, norms, evaluations = [], [], []
     _counting(monkeypatch, ipal.solver, "residual", residuals)
     _counting(monkeypatch, ipal.kkt, "residual", residuals)
+    _counting(monkeypatch, ipal.solver, "unrelaxed_residual_norm", norms)
+    _counting(monkeypatch, ipal.solver, "evaluate", evaluations)
     sol = solve(prob.model, prob.x0, prob.theta)
-    assert sol.solved
-    assert len(residuals) == sol.total_iterations + sol.outer_iterations
+    assert sol.solved and sol.outer_iterations > 0
+    assert len(residuals) == sol.total_iterations
+    assert len(norms) == len(evaluations) == sol.total_iterations + 1
 
 
 
@@ -458,6 +463,105 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
     assert results["blocked"][1] == results["dense"][1]
     assert results["blocked"][1].eps_p > 0.0
     assert results["blocked"][2] == results["dense"][2]
+
+
+@pytest.mark.parametrize("shifts", [(0.0, 0.0), (1e-4, 1e-8)])
+def test_schur_complement_matches_dense(shifts):
+    # C = P + A'N^{-1}A summed from products of stored entries against the
+    # dense formula, x in the stage order, to 1e-12 of its largest entry;
+    # nothing lies outside its band
+    model, x0, theta = trajectory_tracking(12)
+    K = _tracking_assembler(model, x0, theta)(*shifts).K
+    n = model.n
+    D = np.asarray(K)
+    expected = D[:n, :n] - D[:n, n:] @ np.linalg.solve(D[n:, n:], D[n:, :n])
+    x = K.schur.band.order[K.schur.band.order < n]
+    expected = expected[np.ix_(x, x)]
+    C = K.schur.C
+    kd = C.shape[0] - 1
+    got = np.zeros((n, n))
+    for k in range(kd + 1):
+        got[np.arange(k, n), np.arange(n - k)] = C[k, : n - k]
+    assert np.abs(np.tril(expected, -kd - 1)).max() == 0.0
+    assert np.abs(got - np.tril(expected)).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_indefinite_schur_complement_falls_back_to_the_sweep():
+    # concave position cost on every third stage: C = P + A'N^{-1}A is
+    # indefinite at zero shift, its Cholesky fails and the sweep counts the
+    # exact inertia; correct_inertia walks the shifts it walks without C and
+    # ends on a certified factorization
+    T = 20
+    weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
+    model, x0, theta = trajectory_tracking(T, position_weights=weights)
+    build = _tracking_assembler(model, x0, theta)
+    target = (model.n, model.m + model.p, 0)
+    K = build(0.0, 0.0).K
+    assert K.schur is not None
+    fact = factorize(K)
+    assert not fact.certified and fact.inertia == factorize(np.asarray(K)).inertia != target
+    results = {}
+    for label, keep in (("with C", True), ("without C", False)):
+        trials = []
+
+        def assemble(ep, ed):
+            trials.append((ep, ed))
+            K = build(ep, ed).K
+            if not keep:
+                K.schur = None
+            return K
+
+        fact, reg = correct_inertia(assemble, target, RegularizationState())
+        results[label] = (fact, reg, trials)
+    (with_c, reg, trials), (without_c, *rest) = results["with C"], results["without C"]
+    assert with_c.certified and not without_c.certified
+    assert with_c.inertia == without_c.inertia == target
+    assert [reg, trials] == rest and reg.eps_p > 0.0
+
+
+def test_indefinite_cone_block_leaves_the_schur_complement_out():
+    # away from the central path the symmetrized second-order block M of a
+    # three-dimensional segment is indefinite. K = [[I, I], [I, -M]] has the
+    # target inertia, yet C = I + M^{-1} is indefinite: Haynsworth's theorem
+    # needs N definite, so assembly leaves C out and the sweep counts
+    spec = ConeSpec((SecondOrder(3),))
+    model = ProblemModel(
+        n=3, m=0, p=3, cone=spec,
+        objective=lambda x, th: 0.5 * x @ x,
+        objective_gradient=lambda x, th: x,
+        cone_constraint=lambda x, th: x,
+        cone_jacobian=lambda x, th: np.eye(3),
+        lagrangian_hessian=lambda x, th, y, z: np.eye(3),
+        stage_blocks=(np.arange(3), np.arange(3, 6)),
+    )
+    point = SolverPoint(
+        x=np.array([1.0, 0.5, 0.0]), r=np.zeros(0), s=np.array([1.0, 0.9, 0.0]),
+        y=np.zeros(0), z=-np.ones(3), t=np.array([1.0, 0.0, 0.9]),
+    )
+    rsys = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1))
+    K = np.asarray(rsys.K)
+    M = -K[3:, 3:]
+    assert np.linalg.eigvalsh(M).min() < 0.0
+    assert np.linalg.eigvalsh(K[:3, :3] + np.linalg.inv(M)).min() < 0.0
+    assert rsys.K.schur is None
+    fact = factorize(rsys.K)
+    assert fact.blocked and not fact.certified
+    assert fact.inertia == factorize(K).inertia == (3, 3, 0)
+
+
+def test_tracked_system_drops_the_schur_complement():
+    # track_multiplier takes the penalty term off the equality-dual
+    # diagonal, so the C assembled with it no longer certifies K: with a
+    # repeated equality row the tracked K is singular, and the sweep meets
+    # its zero pivot before the last block
+    model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
+    rsys = _tracking_assembler(model, x0, theta)(0.0, 0.0)
+    assert factorize(rsys.K).certified
+    rsys.track_multiplier()
+    assert rsys.K.schur is None
+    assert factorize(np.asarray(rsys.K)).inertia[2] >= 1
+    with pytest.raises(NumericalFailure):
+        factorize(rsys.K)
 
 
 def test_duplicated_equality_rows_stay_blocked(monkeypatch):

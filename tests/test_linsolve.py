@@ -394,19 +394,23 @@ class TestBlockedFactorize:
         assert solve(model, x0, theta).solved
         monkeypatch.undo()
         rng = np.random.default_rng(T)
-        for K in captured + [seen["last"]]:
-            K = np.asarray(K)
+        for band in captured + [seen["last"]]:
+            K = np.asarray(band)
+            # as captured, with its Schur complement: certified band LU
+            certified = factorize(band)
             blocked = factorize(BlockTridiagonal.from_dense(K, model.stage_blocks))
             dense = factorize(K)
+            assert certified.certified and not blocked.certified
             assert blocked.blocked
-            assert blocked.inertia == dense.inertia
+            assert certified.inertia == blocked.inertia == dense.inertia
             for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
                 expected = refined(dense, K, rhs)
                 scale = np.abs(expected).max()
                 # late in the solve K has a condition number near 1e9, and
                 # two dense solvers (Bunch-Kaufman and LU) already differ by
-                # more than 1e-10 relative; there the blocked solve must stay
-                # within ten times that difference
+                # more than 1e-10 relative; there the blocked and certified
+                # solves must stay within ten times that difference
                 spread = np.abs(np.linalg.solve(K, rhs) - expected).max() / scale
-                err = np.abs(refined(blocked, K, rhs) - expected).max() / scale
-                assert err <= max(1e-10, 10.0 * spread)
+                for fact in (blocked, certified):
+                    err = np.abs(refined(fact, K, rhs) - expected).max() / scale
+                    assert err <= max(1e-10, 10.0 * spread)

@@ -419,11 +419,8 @@ def _registry_case(name):
 # (model, x0, theta) of full-rank problems: both registry parametric
 # problems, the orthant, second-order-cone and mixed models above, and a
 # T = 30 tracking problem, whose reduced system is factored stage-blocked.
-# From the tracking helper's default initial state the TIGHT solve ends in
-# a line-search failure (an open solver defect at tight tolerances), so
-# this case starts elsewhere.
 FULL_RANK = {
-    "tracking-30": lambda: trajectory_tracking(30, initial_state=(0.1, 0.1)),
+    "tracking-30": lambda: trajectory_tracking(30),
     "double-integrator-trajopt": lambda: _registry_case("double-integrator-trajopt"),
     "mpc-autotune": lambda: _registry_case("mpc-autotune"),
     "orthant": lambda: (

@@ -442,6 +442,19 @@ def test_general_registry_problems_are_dense(monkeypatch):
         assert not any(rec.blocked for rec in sol.trace)
 
 
+def test_transcribed_directions_are_certified(monkeypatch):
+    model, x0, theta = trajectory_tracking(30)
+    sol = _traced_solve(monkeypatch, model, x0, theta)
+    assert all(rec.certified for rec in sol.trace)
+
+
+def test_general_registry_directions_are_swept(monkeypatch):
+    for name in GENERAL:
+        prob = REGISTRY[name]
+        sol = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
+        assert not any(rec.certified for rec in sol.trace)
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY) + ["tracking-20"])
 def test_each_iterate_is_evaluated_once(monkeypatch, name):
     # the objective runs once at x0 and once per line-search trial point;
