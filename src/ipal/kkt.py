@@ -15,16 +15,18 @@ where lam/rho are the multiplier estimate and penalty of the outer loop and
 kappa is the central-path parameter. Search directions solve the Newton
 system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
 whose factorization also drives inertia-based regularization. The reduced
-matrix is a ``BlockTridiagonal`` in the model's stage order (one block for a
+matrix is a ``BlockTridiagonal`` in the model's stage order (one group for a
 general model): the entries of the stage matrices are scattered to
 positions computed once per model (``KKTScatter``), so a transcribed
 problem forms no (n+m+p)-square matrix, and the dense derivative matrices
-of a general model are written as blocks. A matrix of two or more groups
-also carries its Schur complement onto the x rows, C = P + A'N^{-1}A, in
-band storage (``SchurPlan``) when every cone block of its dual block N is
-positive definite: its Cholesky factorization certifies the inertia
-(``linsolve.factorize``). Cone slack and complement blocks
-are recovered in closed form from stacked cone blocks (``ConeBlocks``). On
+of a general model are written as blocks. The matrix also carries its Schur
+complement onto the x rows, C = P + A'N^{-1}A, in band storage
+(``SchurPlan``) when every cone block of its dual block N is positive
+definite, a second-order block that is singular to round-off at the cone
+boundary raised first (``CONE_RAISE``): its Cholesky factorization
+certifies the inertia (``linsolve.factorize``). Cone slack and complement
+blocks are recovered in closed form from stacked cone blocks
+(``ConeBlocks``). On
 second-order segments the reduced cone block is symmetrized, so directions
 are refined against the full system, applied blockwise, by the GMRES loop
 of ``solve_refined`` with the reduced solve as its preconditioner
@@ -57,7 +59,6 @@ from .linsolve import (
     Factorization,
     NumericalFailure,
     RegularizationState,
-    Schur,
     compact_index,
     correct_inertia,
     factorize,
@@ -211,8 +212,8 @@ class KKTScatter:
     group of all n + m + p rows in their order for a general model), the
     places of L_xx, g_x and h_x (for their patterns, None for a dense
     matrix; see ``_place``), the storage positions of the x and y diagonals
-    and of the cone blocks, and, for two or more groups, where the Schur
-    complement of K goes (``schur``, a ``SchurPlan``; None for one group).
+    and of the cone blocks, and where the Schur complement of K goes
+    (``schur``, a ``SchurPlan``, which also holds the ``BandPlan`` of K).
     Built once per model, at its first assembly, and kept on the model.
     InvalidDimension when a derivative matrix has an entry outside the band
     of the stage order."""
@@ -232,7 +233,7 @@ class KKTScatter:
         diag, soc = model.cone.index_groups
         self.cone_diag = at(n + m + diag, n + m + diag)
         self.cone_blocks = [at(n + m + rows[:, :, None], n + m + rows[:, None, :]) for rows in soc]
-        self.schur = SchurPlan(model, patterns, self.layout) if len(self.layout.index) >= 2 else None
+        self.schur = SchurPlan(model, patterns, self.layout)
 
     def _place(self, pattern: Optional[Pattern], rows: slice, cols: slice, mirror: bool) -> list:
         """Where a derivative matrix goes in K[rows, cols] and, with
@@ -345,28 +346,48 @@ class SchurPlan:
         self.p_src = compact_index(layout.positions(pr, pc))
         self.p_dst = compact_index(slot[e1.size:])
 
-    def complement(self, data: np.ndarray, dual: float, cone: ConeBlocks) -> Optional[Schur]:
+    def complement(self, data: np.ndarray, dual: float, cone: ConeBlocks) -> Optional[np.ndarray]:
         """C of the K with storage ``data``, N = ``dual`` I on the equality
         duals and ``cone`` on the cone rows, or None unless every block of
-        ``cone`` is positive definite. The flat inverse of N holds 1 /
-        ``dual`` per equality dual, the inverse of ``cone.diag``, then each
-        inverse block of ``cone.blocks``, row-major."""
+        ``cone`` is positive definite (see ``_raised_inverse``). The flat
+        inverse of N holds 1 / ``dual`` per equality dual, the inverse of
+        ``cone.diag``, then each inverse block of ``cone.blocks``,
+        row-major."""
         if not (cone.diag > 0.0).all():
             return None
         try:
-            for B in cone.blocks:
-                np.linalg.cholesky(B)
-            inverse = np.concatenate(
-                [np.full(self.m, 1.0 / dual), 1.0 / cone.diag]
-                + [np.linalg.inv(B).reshape(-1) for B in cone.blocks]
-            )
+            blocks = [_raised_inverse(B).reshape(-1) for B in cone.blocks]
         except np.linalg.LinAlgError:
             return None
+        inverse = np.concatenate([np.full(self.m, 1.0 / dual), 1.0 / cone.diag] + blocks)
         a = data.take(self.a_at)
         terms = a.take(self.left) * a.take(self.right) * inverse.take(self.inner)
-        C = np.bincount(self.target, terms, minlength=self.n * (self.kd + 1))
+        # without entries of A, bincount counts in integers
+        C = np.bincount(self.target, terms, minlength=self.n * (self.kd + 1)).astype(float, copy=False)
         C[self.p_dst] += data.take(self.p_src)
-        return Schur(C.reshape(self.n, self.kd + 1).T, self.band)
+        return C.reshape(self.n, self.kd + 1).T
+
+
+# A second-order block of N at the cone boundary is rank one to round-off
+# (eigenvalues 0 or +-6e-8 next to 6e8 were measured), so it may fail its
+# Cholesky factorization or its inverse; its stack is then raised by this
+# times each block's largest entry. N^{-1}, and with it C, only shrinks as
+# the raise grows, so a C that factors with the raise certifies the inertia
+# of K, or K is singular, which its LU reports as an exactly zero pivot.
+CONE_RAISE = 1e-12
+
+
+def _raised_inverse(B: np.ndarray) -> np.ndarray:
+    """Inverse of the stack B of positive definite blocks, raised by
+    ``CONE_RAISE`` when a block fails its Cholesky factorization or its
+    inverse; LinAlgError when the raised stack still does."""
+    try:
+        np.linalg.cholesky(B)
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        B = B + CONE_RAISE * np.abs(B).max(axis=(1, 2))[:, None, None] * np.eye(B.shape[1])
+        np.linalg.cholesky(B)
+        return np.linalg.inv(B)
 
 
 def _scatter(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> KKTScatter:
@@ -466,7 +487,7 @@ def assemble_symmetric(
         raise NumericalFailure(f"singular cone block: {exc}") from exc
 
     at = _scatter(model, tuple(entries(A)[0] for A in (cache.L_xx, cache.g_x, cache.h_x)))
-    K = BlockTridiagonal(at.layout)
+    K = BlockTridiagonal(at.layout, band=at.schur.band)
     data = K.data
     at.write(K, at.L, cache.L_xx)
     data[at.x_diag] += ep
@@ -480,8 +501,7 @@ def assemble_symmetric(
     data[at.cone_diag] = cone.diag
     for where, B in zip(at.cone_blocks, cone.blocks):
         data[where] = B
-    if at.schur is not None:
-        K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
+    K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
 
     return ReducedSystem(
         layout=lay, K=K, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
@@ -525,7 +545,6 @@ class DirectionInfo:
     used_full_solve: bool  # always False: no direction solves the dense Jacobian
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
-    blocked: bool = False  # served by the stage-blocked factorization
     certified: bool = False  # inertia certified by the Schur complement's Cholesky
 
 
@@ -614,7 +633,7 @@ def _newton_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=False, consistency_error=best_err,
-        inertia_trials=holder["trials"], blocked=fact.blocked, certified=fact.certified,
+        inertia_trials=holder["trials"], certified=fact.certified,
     )
     return lay.unpack(best), reg, info
 

@@ -7,27 +7,18 @@ trajectory problem is in stage order (Rao, Wright & Rawlings, JOTA 1998); a
 general matrix is the case of one group. Products with it are taken block by
 block.
 
-A banded matrix K = [[P, A'], [A, -N]] whose dual block N is positive
-definite may carry the Schur complement C = P + A'N^{-1}A onto its first
-rows in LAPACK lower band storage (``Schur``; ``kkt.assemble_symmetric``
+Every matrix is factored by one banded LU with partial pivoting (LAPACK
+dgbtrf) in the order of its groups (``BandPlan``); a solve is one dgbtrs.
+An exactly zero pivot raises NumericalFailure, which switches on the dual
+shift in ``correct_inertia``. The inertia is certified, never counted: a
+matrix K = [[P, A'], [A, -N]] whose dual block N is positive definite may
+carry the Schur complement C = P + A'N^{-1}A onto its first rows in LAPACK
+lower band storage (``BlockTridiagonal.schur``; ``kkt.assemble_symmetric``
 writes it). By Haynsworth's inertia additivity (Lin. Alg. Appl. 1968) K then
 has inertia (n, N - n, 0), n the order of C, exactly when C is positive
 definite: K is quasi-definite (Vanderbei, SIAM J. Optim. 1995). One banded
-Cholesky of C (LAPACK dpbtrf) certifies it, and K is factored by one banded
-LU with partial pivoting (dgbtrf) in the order of its groups (``BandPlan``);
-a solve is one dgbtrs.
-
-Every other matrix, and one whose C fails to factor, is factored by the
-exact path, one block LDL' sweep: each pivot block is the Schur complement
-of the blocks before it, factored by Bunch-Kaufman (LAPACK dsytrf), and the
-inertia is the sum of the pivot-block inertias (Sylvester's law of
-inertia), read for all blocks in one pass off the signs of the 1x1 pivots
-and the eigenvalues of the 2x2 pivot blocks. Its cost grows linearly with
-the number of blocks, where a dense factorization's grows with the cube of
-the order; a dense matrix is the case of one block. No banded matrix is
-made dense: a sweep that meets a non-finite or failed pivot block raises
-NumericalFailure, and one that counts a zero pivot reports it, and either
-switches on the dual shift in ``correct_inertia``.
+Cholesky of C (LAPACK dpbtrf) certifies it; a matrix without C, or whose C
+fails to factor, has no inertia.
 
 ``solve_refined`` is the one refinement loop: an operator, an approximate
 inverse (for the full Newton system, the reduced solve of
@@ -36,7 +27,7 @@ the correction until its tolerance, ``max_refine`` steps, or the first step
 that does not reduce the residual.
 
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
-by eps_d until the factorization reports the requested inertia, by IPOPT's
+by eps_d until the factorization certifies the requested inertia, by IPOPT's
 rule with the constants next to ``correct_inertia`` (Waechter & Biegler,
 Math. Prog. 2006): first trial 1e-4, grow by 100 until the first successful
 correction and by 8 after it, shrink the start by 1/3 on reuse.
@@ -46,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
 
 
 class NumericalFailure(RuntimeError):
@@ -91,9 +82,19 @@ class BandLayout:
                 self.sub_slices.append((off, off + sizes[k + 1] * sizes[k], (sizes[k + 1], sizes[k])))
                 off += sizes[k + 1] * sizes[k]
         self.size = off
-        self.pivot_block = np.repeat(np.arange(len(sizes)), sizes)  # block of each pivot row
         # one group in the original order: the band is the whole matrix
         self.identity = len(sizes) == 1 and np.array_equal(self.index[0], np.arange(n))
+
+    @cached_property
+    def band(self) -> "BandPlan":
+        """The ``BandPlan`` of every entry of the band, for a matrix whose
+        entries are not known."""
+        rows, cols = [], []
+        for k, group in enumerate(self.index):
+            for other in self.index[max(k - 1, 0) : k + 2]:
+                rows.append(np.repeat(group, other.size))
+                cols.append(np.tile(other, group.size))
+        return BandPlan(self, np.concatenate(rows), np.concatenate(cols))
 
     def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Flat storage positions of the entries (rows, cols): in D_k for
@@ -136,39 +137,35 @@ class BandPlan:
         self.src = compact_index(layout.positions(rows, cols))
         self.dst = compact_index(ci * self.width + 2 * self.kl + ri - ci)
 
-    def factor(self, data: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def factor(self, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Band LU factors (lu, ipiv) of the matrix with storage ``data``
-        (left intact), or None at an exactly zero pivot."""
+        (left intact); NumericalFailure at an exactly zero pivot."""
         ab = np.zeros((self.order.size, self.width))
         ab.reshape(-1)[self.dst] = data.take(self.src)
         lu, ipiv, info = dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=1)
-        return (lu, ipiv) if info == 0 else None
-
-
-class Schur(NamedTuple):
-    """The Schur complement C = P + A'N^{-1}A of a matrix K = [[P, A'], [A,
-    -N]] with N positive definite onto its first n rows (in their group
-    order), in LAPACK lower band storage, (kd + 1, n); and the ``BandPlan``
-    of K."""
-
-    C: np.ndarray
-    band: BandPlan
+        if info != 0:
+            raise NumericalFailure("zero pivot in the band LU")
+        return lu, ipiv
 
 
 class BlockTridiagonal:
     """Symmetric matrix held as the blocks of its ``BandLayout``: ``D[k]``
     and ``C[k]`` are views of the flat ``data``; entries outside the band
     are zero. ``@`` multiplies vectors or columns block by block; the dense
-    matrix (``np.asarray``) is built only on request. ``schur``, when set,
-    is the ``Schur`` complement that certifies the inertia of the matrix
-    (see ``factorize``); whoever changes ``data`` after setting it must
-    drop it. The block views are made on first use: a certified
-    factorization reads ``data`` only."""
+    matrix (``np.asarray``) is built only on request. ``band`` is the
+    ``BandPlan`` of its stored entries (None: every entry of the band).
+    ``schur``, when set, is the Schur complement C = P + A'N^{-1}A of K =
+    [[P, A'], [A, -N]], N positive definite, onto its first n rows (in
+    their group order), in LAPACK lower band storage, (kd + 1, n), which
+    certifies the inertia of the matrix (see ``factorize``); whoever
+    changes ``data`` after setting it must drop it. The block views are
+    made on first use: a factorization reads ``data`` only."""
 
-    def __init__(self, layout: BandLayout, data: Optional[np.ndarray] = None):
+    def __init__(self, layout: BandLayout, data: Optional[np.ndarray] = None, band: Optional[BandPlan] = None):
         self.layout = layout
         self.data = np.zeros(layout.size) if data is None else data
-        self.schur: Optional[Schur] = None
+        self.band = band
+        self.schur: Optional[np.ndarray] = None
 
     @cached_property
     def D(self) -> List[np.ndarray]:
@@ -228,179 +225,54 @@ class BlockTridiagonal:
 
 @dataclass
 class Factorization:
-    """Factors of a symmetric matrix that is block tridiagonal in the order
-    of its row blocks, plus its inertia (pos, neg, zero): band LU factors of
-    a certified matrix, or block LDL' factors; a dense matrix is one block.
+    """Band LU factors (dgbtrf) of a symmetric matrix in the order of its
+    row groups, ``band`` its ``BandPlan``, and its inertia (pos, neg, zero)
+    when the Cholesky factorization of its Schur complement certifies it,
+    None otherwise."""
 
-    ``_band`` holds (``BandPlan``, lu, ipiv) of dgbtrf when the inertia is
-    certified (``certified``); the sweep's lists are then empty. Otherwise,
-    with D_k the diagonal blocks and C_k = K[block k+1, block k], the pivot
-    blocks are S_1 = D_1 and S_{k+1} = D_{k+1} - C_k S_k^{-1} C_k', each
-    held as its LAPACK Bunch-Kaufman factors in ``_pivots``; ``_gain`` holds
-    each S_k^{-1} C_k', so the unit lower factor has C_k S_k^{-1} =
-    _gain[k]' below its diagonal. ``_zero_pivot`` is set when the last pivot
-    block has an exactly zero pivot, so that the factors cannot solve."""
-
-    inertia: Tuple[int, int, int]
-    _index: Tuple[np.ndarray, ...]
-    _pivots: List[Tuple[np.ndarray, np.ndarray]]
-    _gain: List[np.ndarray]
-    _zero_pivot: bool
-    _band: Optional[Tuple[BandPlan, np.ndarray, np.ndarray]] = None
+    inertia: Optional[Tuple[int, int, int]]
+    band: BandPlan
+    lu: np.ndarray
+    ipiv: np.ndarray
 
     @property
     def certified(self) -> bool:
-        """The inertia was certified by the Cholesky factorization of the
-        matrix's Schur complement, and the factors are band LU."""
-        return self._band is not None
-
-    @property
-    def blocked(self) -> bool:
-        """Factored in band storage or in two or more pivot blocks."""
-        return self.certified or len(self._pivots) >= 2
+        return self.inertia is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """One band LU solve, or forward sweep, block-diagonal solve and
-        backward sweep; rhs may be a vector or matrix."""
-        if self._zero_pivot:
-            raise NumericalFailure("zero pivot in factorization")
+        """One band LU solve; rhs may be a vector or matrix."""
         b = np.asarray(rhs, dtype=float)
         out = np.empty(b.shape)
-        if self._band is not None:
-            band, lu, ipiv = self._band
-            x, _ = dgbtrs(lu, band.kl, band.kl, b[band.order], ipiv)
-            out[band.order] = x
-        else:
-            index, pivots, gain = self._index, self._pivots, self._gain
-            y = b[index[0]]
-            forward = [y]
-            for k in range(1, len(index)):
-                y = b[index[k]] - gain[k - 1].T @ y
-                forward.append(y)
-            x = _pivot_solve(pivots[-1], forward[-1])
-            out[index[-1]] = x
-            for k in range(len(index) - 2, -1, -1):
-                x = _pivot_solve(pivots[k], forward[k]) - gain[k] @ x
-                out[index[k]] = x
+        if b.size:  # the LAPACK wrapper rejects empty arrays
+            x, _ = dgbtrs(self.lu, self.band.kl, self.band.kl, b[self.band.order], self.ipiv)
+            out[self.band.order] = x
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("non-finite solve result")
         return out
 
 
-def _pivot_solve(pivot: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    if not rhs.size:  # the LAPACK wrapper rejects empty arrays
-        return rhs
-    x, _ = dsytrs(pivot[0], pivot[1], rhs, lower=1)
-    return x
-
-
-def _pivot_eigenvalues(diag: np.ndarray, two: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a block diagonal D with diagonal ``diag`` and symmetric
-    2x2 blocks at rows (two, two + 1) whose off-diagonal entries are ``off``:
-    the 1x1 pivots, then the smaller and the larger eigenvalue of each 2x2
-    block."""
-    if not two.size:
-        return diag
-    single = np.ones(diag.size, dtype=bool)
-    single[two] = single[two + 1] = False
-    mean = 0.5 * (diag[two] + diag[two + 1])
-    rad = np.hypot(0.5 * (diag[two] - diag[two + 1]), off)
-    return np.concatenate([diag[single], mean - rad, mean + rad])
-
-
-def _factorize_blocked(K: BlockTridiagonal) -> Optional[Factorization]:
-    """Block tridiagonal factorization of K, or None when a pivot block is
-    non-finite or fails to factor, or a pivot block before the last has an
-    exactly zero pivot. The inertia of every pivot block is read in one pass
-    after the sweep; pivot eigenvalues of magnitude at most ``ZERO_TOL`` are
-    counted as zeros."""
-    pivots: List[Tuple[np.ndarray, np.ndarray]] = []
-    gain: List[np.ndarray] = []
-    S = K.D[0]
-    for k in range(len(K.D)):
-        if not np.isfinite(S).all():
-            return None
-        # with less than the workspace LAPACK asks for, dsytrf runs the
-        # unblocked dsytf2 on blocks larger than LAPACK's block size
-        lwork = int(dsytrf_lwork(S.shape[0], lower=1)[0])
-        lu, ipiv, info = dsytrf(S, lower=1, lwork=lwork)
-        if info < 0 or not np.isfinite(lu).all():
-            return None
-        pivots.append((lu, ipiv))
-        if k < len(K.C):
-            if info > 0:
-                return None  # an exactly zero pivot cannot eliminate the next block
-            C = K.C[k]
-            gain.append(_pivot_solve(pivots[-1], C.T))
-            S = K.D[k + 1] - C @ gain[-1]
-    # LAPACK marks both rows of a 2x2 pivot block with a negative ipiv, and
-    # its off-diagonal entry sits below the first row's diagonal entry; the
-    # k-th block's sub-diagonal is k entries shorter than its diagonal offset
-    diag = np.concatenate([lu.diagonal() for lu, _ in pivots])
-    below = np.concatenate([lu.diagonal(-1) for lu, _ in pivots])
-    two = np.flatnonzero(np.concatenate([ipiv for _, ipiv in pivots]) < 0)[::2]
-    eigs = _pivot_eigenvalues(diag, two, below[two - K.layout.pivot_block[two]])
-    zero = int(np.count_nonzero(np.abs(eigs) <= ZERO_TOL))
-    pos = int(np.count_nonzero(eigs > ZERO_TOL))
-    return Factorization((pos, eigs.size - pos - zero, zero), K.index, pivots, gain, info > 0)
-
-
-def _factorize_certified(K: BlockTridiagonal) -> Optional[Factorization]:
-    """Band LU factors of K with inertia (n, N - n, 0), n the order of its
-    Schur complement C, certified by a Cholesky factorization of C; None
-    when C is not finite or not positive definite, or the LU meets an
-    exactly zero pivot."""
-    C, band = K.schur
-    if not np.isfinite(C).all() or dpbtrf(C, lower=1)[1] != 0:
-        return None
-    lu = band.factor(K.data)
-    if lu is None:
-        return None
-    n = C.shape[1]
-    return Factorization((n, K.layout.n - n, 0), K.index, [], [], False, (band, *lu))
-
-
-# The pivot-eigenvalue magnitude at or below which a direction is counted as
-# zero. It is absolute, not norm-relative: structural singularities factor to
-# pivots near round-off of the dependent entries, while badly column-scaled
-# saddle systems carry legitimate pivots down to the dual regularization scale
-# (DUAL_SHIFT) next to huge barrier entries, which a norm-proportional
-# threshold would misread as zero.
-ZERO_TOL = 1e-11
-
-
 def factorize(K) -> Factorization:
-    """Factor a symmetric matrix and report its inertia, counting pivot
-    eigenvalues of magnitude at most ``ZERO_TOL`` as zeros.
+    """Band LU factors of a symmetric matrix, with its inertia (n, N - n,
+    0) when its Schur complement of order n factors by Cholesky.
 
-    K is a ``BlockTridiagonal`` or a square array, which is one group. A
-    K with a ``Schur`` complement that factors by Cholesky has its inertia
-    certified and is factored by band LU; any other is factored block by
-    block in the order of its row groups. A sweep that meets a non-finite or
-    failed pivot block, or an exactly zero pivot before its last block,
-    raises NumericalFailure. An exactly zero pivot in the last block is
-    counted; ``solve`` then raises NumericalFailure.
+    K is a ``BlockTridiagonal`` or a square array, which is one group and
+    has no Schur complement, so no inertia. A non-finite entry or an exactly
+    zero pivot raises NumericalFailure.
     """
-    if isinstance(K, BlockTridiagonal):
-        band = K
-        if not np.isfinite(band.data).all():
-            raise NumericalFailure("non-finite matrix entry")
-        if K.schur is not None:
-            fact = _factorize_certified(K)
-            if fact is not None:
-                return fact
-    else:
+    if not isinstance(K, BlockTridiagonal):
         A = np.asarray(K, dtype=float)
         n = A.shape[0] if A.ndim else 0
         if A.shape != (n, n):
             raise NumericalFailure(f"matrix is not square: {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise NumericalFailure("non-finite matrix entry")
-        band = BlockTridiagonal.from_dense(A, (np.arange(n),))
-    fact = _factorize_blocked(band)
-    if fact is None:
-        raise NumericalFailure("non-finite or failed factorization")
-    return fact
+        K = BlockTridiagonal.from_dense(A, (np.arange(n),))
+    if not np.isfinite(K.data).all():
+        raise NumericalFailure("non-finite matrix entry")
+    band = K.layout.band if K.band is None else K.band
+    inertia = None
+    C = K.schur
+    if C is not None and np.isfinite(C).all() and dpbtrf(C, lower=1)[1] == 0:
+        inertia = (C.shape[1], K.layout.n - C.shape[1], 0)
+    return Factorization(inertia, band, *band.factor(K.data))
 
 
 def solve_refined(
@@ -484,9 +356,10 @@ def correct_inertia(
     """Find shifts (eps_p, eps_d) whose assembled matrix has ``target`` inertia.
 
     ``assemble(eps_p, eps_d)`` must return the shifted symmetric matrix, a
-    ``BlockTridiagonal`` or an array (see ``factorize``). The unshifted
-    matrix is tried first; a failed factorization or a zero eigenvalue count
-    switches on the dual shift DUAL_SHIFT. The primal shift starts at
+    ``BlockTridiagonal`` or an array (see ``factorize``); only a certified
+    inertia is accepted. The unshifted matrix is tried first; a failed
+    assembly or LU (an exactly zero pivot) switches on the dual shift
+    DUAL_SHIFT. The primal shift starts at
     EPS_P_INIT on a first correction, or at SHRINK times ``reg.last_eps_p``
     (at least EPS_P_MIN), and grows by GROW_FIRST on a first correction and
     by GROW after one, until the target inertia is reached or it exceeds
@@ -503,7 +376,7 @@ def correct_inertia(
     if fact is not None and fact.inertia == target:
         return fact, RegularizationState(0.0, 0.0, reg.last_eps_p)
 
-    eps_d = DUAL_SHIFT if (fact is None or fact.inertia[2] > 0) else 0.0
+    eps_d = DUAL_SHIFT if fact is None else 0.0
     first_ever = reg.last_eps_p == 0.0
     if first_ever:
         eps_p = EPS_P_INIT
@@ -513,7 +386,7 @@ def correct_inertia(
         fact = try_factor(eps_p, eps_d)
         if fact is not None and fact.inertia == target:
             return fact, RegularizationState(eps_p, eps_d, eps_p)
-        if eps_d == 0.0 and (fact is None or fact.inertia[2] > 0):
+        if eps_d == 0.0 and fact is None:
             eps_d = DUAL_SHIFT
             continue  # retry the same eps_p with the dual shift on
         eps_p *= GROW_FIRST if first_ever else GROW

@@ -139,13 +139,12 @@ class ProblemModel:
 
     ``stage_blocks`` partitions the unknowns of the reduced KKT system, the
     stacked (x, y, z) of length n + m + p, into an ordered sequence of
-    index groups in whose order that system is block tridiagonal. With two
-    or more groups the solver also forms the Schur complement of that
-    system onto its x rows in band storage; when its Cholesky factorization
-    certifies the inertia, the system is factored by one band LU in the
-    group order, and otherwise block by block (``linsolve.factorize``).
-    ``transcribe`` sets it from the stage order; hand-built models leave it
-    None and are factored densely. The derivative matrices of a model with
+    index groups in whose order that system is block tridiagonal; the
+    solver factors it by one band LU in that order, and certifies its
+    inertia by the Cholesky factorization of its Schur complement onto the
+    x rows (``linsolve.factorize``). ``transcribe`` sets it from the stage
+    order, one group per stage; hand-built models leave it None, which is
+    one group in the order (x, y, z). The derivative matrices of a model with
     stage_blocks must keep their entries in the band of that order
     (``transcribe`` returns ``StageMatrix`` objects on the stage blocks); an
     entry outside it raises InvalidDimension at the first assembly.

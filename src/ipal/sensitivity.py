@@ -9,14 +9,15 @@ would leave an O(1/rho) mismatch against re-solving, which the boundary-value
 structure of trajectory problems amplifies well past usable accuracy.
 
 All parameter columns are solved through the solver's own symmetric
-reduction in (dx, dy, dz) at zero shift, factored once and refined against
-the full Jacobian applied blockwise, as Newton directions are
-(``kkt.reduced_solve``: one reduced solve of all columns per step). dlam = dy
-zeroes J[r, y], which removes the penalty term from the reduced system's
-equality-dual diagonal (``ReducedSystem.track_multiplier``). A system
-that fails to factor or counts a zero pivot is factored again at the dual
-shift and refined against the exact, unshifted Jacobian: iterated
-regularization, which on a consistent system loses the shift's bias.
+reduction in (dx, dy, dz) at zero shift, factored once by its band LU and
+refined against the full Jacobian applied blockwise, as Newton directions
+are (``kkt.reduced_solve``: one reduced solve of all columns per step); no
+inertia is needed. dlam = dy zeroes J[r, y], which removes the penalty term
+from the reduced system's equality-dual diagonal
+(``ReducedSystem.track_multiplier``). A system that fails to factor (an
+exactly zero pivot) is factored again at the dual shift and refined against
+the exact, unshifted Jacobian: iterated regularization, which on a
+consistent system loses the shift's bias.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def differentiate(
     All parameter columns are solved together, as described above, so the
     result is deterministic and column order matches theta order.
     ``used_least_squares`` flags a rank-deficient Jacobian (a failed
-    factorization or a zero pivot at zero shift) or a solve whose
+    factorization, or an exactly zero pivot, at zero shift) or a solve whose
     row-equilibrated residual exceeds 1e-6 * (1 + ||dR/dtheta||);
     NumericalFailure is raised when no solve succeeds, and ValueError unless
     the solution is solved (the point of an unconverged run has no
@@ -99,12 +100,11 @@ def differentiate(
     rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
     rsys.track_multiplier()
     factored = rsys
+    singular = False
     try:
         fact = factorize(rsys.K)
-        singular = fact.inertia[2] > 0
     except NumericalFailure:
         singular = True
-    if singular:
         shift = RegularizationState(DUAL_SHIFT, DUAL_SHIFT)
         factored = assemble_symmetric(model, point, theta, outer, shift, cache)
         factored.track_multiplier()

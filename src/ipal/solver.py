@@ -89,7 +89,6 @@ class TraceRecord:
     used_full_solve: bool = False
     consistency_error: float = 0.0
     inertia_trials: int = 0
-    blocked: bool = False
     certified: bool = False
 
 

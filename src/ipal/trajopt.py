@@ -19,8 +19,7 @@ The derivative callbacks return ``StageMatrix`` objects that hold only the
 stage blocks (and the constant +-I couplings of g_x), on patterns fixed at
 transcription. The model also records the stage order of the reduced KKT
 unknowns (``ProblemModel.stage_blocks``), in which the solver assembles
-and multiplies that system block tridiagonally and factors it, by one band
-LU or block by block.
+that system block tridiagonally and factors it by one band LU.
 """
 
 from __future__ import annotations
@@ -32,15 +31,6 @@ import numpy as np
 
 from .cone import ConeSpec, concatenate
 from .model import InvalidDimension, Pattern, ProblemModel, StageMatrix
-
-# Consecutive stages share one row group of the reduced KKT system until it
-# holds at least this many rows. The groups size only the pivot blocks of the
-# block LDL' sweep, the exact path of a factorization whose inertia the Schur
-# complement does not certify: fewer, larger blocks trade Python overhead per
-# block against the cubic cost of each block. The certified band LU reads
-# the bandwidth of the entries in the group order, which the grouping leaves
-# unchanged.
-STAGE_BLOCK_ROWS = 24
 
 
 def _shaped(value, shape, what):
@@ -213,26 +203,23 @@ def index_map(problem: TrajectoryProblem) -> IndexMap:
 
 
 def _stage_blocks(imap: IndexMap) -> Tuple[np.ndarray, ...]:
-    """Reduced (x, y, z) unknowns grouped by stage. Stage t contributes, in
-    order, the equality duals whose -I falls on its state (the initial-state
-    pin for t = 0, defect t-1 otherwise) and its own equality rows, its
-    variables, and its cone rows; consecutive stages are merged until a
-    group holds STAGE_BLOCK_ROWS rows. Only defect rows couple neighbouring
-    stages, so the reduced KKT matrix is block tridiagonal in this order."""
+    """Reduced (x, y, z) unknowns grouped by stage, one group per stage:
+    stage t contributes, in order, the equality duals whose -I falls on its
+    state (the initial-state pin for t = 0, defect t-1 otherwise) and its
+    own equality rows, its variables, and its cone rows. Only defect rows
+    couple neighbouring stages, so the reduced KKT matrix is block
+    tridiagonal in this order, and its band LU is taken in it."""
     n, m = imap.n, imap.m
-    groups, parts = [], []
+    groups = []
     for t, stage in enumerate(imap.stage):
         pin = imap.init if t == 0 else imap.defect[t - 1]
         eq, cone = imap.equality[t], imap.cone[t]
-        parts += [
+        groups.append(np.concatenate([
             np.arange(n + pin.start, n + pin.stop),
             np.arange(n + eq.start, n + eq.stop),
             np.arange(stage.start, stage.stop),
             np.arange(n + m + cone.start, n + m + cone.stop),
-        ]
-        if sum(part.size for part in parts) >= STAGE_BLOCK_ROWS or t == len(imap.stage) - 1:
-            groups.append(np.concatenate(parts))
-            parts = []
+        ]))
     return tuple(groups)
 
 

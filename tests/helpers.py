@@ -106,6 +106,19 @@ TRACK_A = np.array([[1.0, 0.1], [0.0, 1.0]])
 TRACK_B = np.array([0.005, 0.1])
 
 
+def dense_inertia(K):
+    """(positive, negative, zero) counts of the eigenvalues of the dense
+    symmetric K: the reference every certified inertia must match."""
+    ev = np.linalg.eigvalsh(np.asarray(K))
+    return int((ev > 0.0).sum()), int((ev < 0.0).sum()), int((ev == 0.0).sum())
+
+
+def lower_band(C, kd):
+    """The symmetric C in LAPACK lower band storage, (kd + 1, n)."""
+    n = C.shape[0]
+    return np.array([np.pad(np.diagonal(C, -k), (0, k)) for k in range(kd + 1)]).reshape(kd + 1, n)
+
+
 def trajectory_tracking(T, position_weights=None, duplicated_stage=None, initial_state=(0.3, -0.2)):
     """Double integrator tracking a sinusoid over T knots, z = (p, v, u).
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense_inertia,
     finite_difference_residual_jacobian,
     random_cone,
     random_interior,
@@ -28,8 +29,9 @@ from ipal.kkt import (
     residual,
     search_direction,
 )
-from ipal.cone import cone_product_jacobians
+from ipal.cone import ConeBlocks, cone_product_jacobians
 from ipal.linsolve import (
+    DUAL_SHIFT,
     BlockTridiagonal,
     NumericalFailure,
     RegularizationState,
@@ -439,30 +441,28 @@ def _tracking_assembler(model, x0, theta):
 
 
 def test_negative_curvature_stages_reach_target_with_dense_shifts():
-    # concave position cost on every third stage: the unshifted reduced
-    # system has the wrong inertia, and the blocked and dense factorizations
-    # walk the same shift sequence to the target
+    # concave position cost on every third stage: C = P + A'N^{-1}A is
+    # indefinite at zero shift, so K is not certified, and indeed its dense
+    # inertia is wrong. correct_inertia walks the primal shift until C
+    # factors, and on every trial the certificate's verdict is the dense one
     T = 20
     weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
     model, x0, theta = trajectory_tracking(T, position_weights=weights)
     build = _tracking_assembler(model, x0, theta)
     target = (model.n, model.m + model.p, 0)
-    assert factorize(build(0.0, 0.0).K).inertia != target
-    results = {}
-    for label, view in (("blocked", lambda K: K), ("dense", np.asarray)):
-        trials = []
+    K = build(0.0, 0.0).K
+    assert K.schur is not None and not factorize(K).certified
+    trials = []
 
-        def assemble(ep, ed):
-            trials.append((ep, ed))
-            return view(build(ep, ed).K)
+    def assemble(ep, ed):
+        K = build(ep, ed).K
+        trials.append((factorize(K).certified, dense_inertia(K) == target))
+        return K
 
-        fact, reg = correct_inertia(assemble, target, RegularizationState())
-        assert fact.inertia == target
-        results[label] = (fact.blocked, reg, trials)
-    assert results["blocked"][0] and not results["dense"][0]
-    assert results["blocked"][1] == results["dense"][1]
-    assert results["blocked"][1].eps_p > 0.0
-    assert results["blocked"][2] == results["dense"][2]
+    fact, reg = correct_inertia(assemble, target, RegularizationState())
+    assert fact.inertia == target and reg.eps_p > 0.0 and reg.eps_d == 0.0
+    assert len(trials) > 1 and trials[-1] == (True, True)
+    assert all(certified == dense for certified, dense in trials)
 
 
 @pytest.mark.parametrize("shifts", [(0.0, 0.0), (1e-4, 1e-8)])
@@ -475,9 +475,9 @@ def test_schur_complement_matches_dense(shifts):
     n = model.n
     D = np.asarray(K)
     expected = D[:n, :n] - D[:n, n:] @ np.linalg.solve(D[n:, n:], D[n:, :n])
-    x = K.schur.band.order[K.schur.band.order < n]
+    x = K.band.order[K.band.order < n]
     expected = expected[np.ix_(x, x)]
-    C = K.schur.C
+    C = K.schur
     kd = C.shape[0] - 1
     got = np.zeros((n, n))
     for k in range(kd + 1):
@@ -486,91 +486,92 @@ def test_schur_complement_matches_dense(shifts):
     assert np.abs(got - np.tril(expected)).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_indefinite_schur_complement_falls_back_to_the_sweep():
-    # concave position cost on every third stage: C = P + A'N^{-1}A is
-    # indefinite at zero shift, its Cholesky fails and the sweep counts the
-    # exact inertia; correct_inertia walks the shifts it walks without C and
-    # ends on a certified factorization
-    T = 20
-    weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
-    model, x0, theta = trajectory_tracking(T, position_weights=weights)
-    build = _tracking_assembler(model, x0, theta)
-    target = (model.n, model.m + model.p, 0)
-    K = build(0.0, 0.0).K
-    assert K.schur is not None
-    fact = factorize(K)
-    assert not fact.certified and fact.inertia == factorize(np.asarray(K)).inertia != target
-    results = {}
-    for label, keep in (("with C", True), ("without C", False)):
-        trials = []
-
-        def assemble(ep, ed):
-            trials.append((ep, ed))
-            K = build(ep, ed).K
-            if not keep:
-                K.schur = None
-            return K
-
-        fact, reg = correct_inertia(assemble, target, RegularizationState())
-        results[label] = (fact, reg, trials)
-    (with_c, reg, trials), (without_c, *rest) = results["with C"], results["without C"]
-    assert with_c.certified and not without_c.certified
-    assert with_c.inertia == without_c.inertia == target
-    assert [reg, trials] == rest and reg.eps_p > 0.0
+def _identity_cone_model(spec, **kwargs):
+    """min 0.5 |x|^2 s.t. x in the cone ``spec``, n = p = spec.dim."""
+    p = spec.dim
+    return ProblemModel(
+        n=p, m=0, p=p, cone=spec,
+        objective=lambda x, th: 0.5 * x @ x,
+        objective_gradient=lambda x, th: x,
+        cone_constraint=lambda x, th: x,
+        cone_jacobian=lambda x, th: np.eye(p),
+        lagrangian_hessian=lambda x, th, y, z: np.eye(p),
+        **kwargs,
+    )
 
 
 def test_indefinite_cone_block_leaves_the_schur_complement_out():
     # away from the central path the symmetrized second-order block M of a
     # three-dimensional segment is indefinite. K = [[I, I], [I, -M]] has the
     # target inertia, yet C = I + M^{-1} is indefinite: Haynsworth's theorem
-    # needs N definite, so assembly leaves C out and the sweep counts
-    spec = ConeSpec((SecondOrder(3),))
-    model = ProblemModel(
-        n=3, m=0, p=3, cone=spec,
-        objective=lambda x, th: 0.5 * x @ x,
-        objective_gradient=lambda x, th: x,
-        cone_constraint=lambda x, th: x,
-        cone_jacobian=lambda x, th: np.eye(3),
-        lagrangian_hessian=lambda x, th, y, z: np.eye(3),
-        stage_blocks=(np.arange(3), np.arange(3, 6)),
-    )
+    # needs N definite, so assembly leaves C out, K is not certified, and
+    # correct_inertia walks the primal shift until M + eps_d I is definite
+    # and C certifies K
+    model = _identity_cone_model(ConeSpec((SecondOrder(3),)), stage_blocks=(np.arange(3), np.arange(3, 6)))
     point = SolverPoint(
         x=np.array([1.0, 0.5, 0.0]), r=np.zeros(0), s=np.array([1.0, 0.9, 0.0]),
         y=np.zeros(0), z=-np.ones(3), t=np.array([1.0, 0.0, 0.9]),
     )
-    rsys = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1))
+    outer = OuterState(np.zeros(0), 1.0, 0.1)
+    rsys = assemble_symmetric(model, point, np.zeros(0), outer)
     K = np.asarray(rsys.K)
     M = -K[3:, 3:]
     assert np.linalg.eigvalsh(M).min() < 0.0
     assert np.linalg.eigvalsh(K[:3, :3] + np.linalg.inv(M)).min() < 0.0
     assert rsys.K.schur is None
-    fact = factorize(rsys.K)
-    assert fact.blocked and not fact.certified
-    assert fact.inertia == factorize(K).inertia == (3, 3, 0)
+    assert not factorize(rsys.K).certified and dense_inertia(K) == (3, 3, 0)
+    build = lambda ep, ed: assemble_symmetric(model, point, np.zeros(0), outer, RegularizationState(ep, ed)).K
+    fact, reg = correct_inertia(build, (3, 3, 0), RegularizationState())
+    assert fact.inertia == (3, 3, 0) and reg.eps_p > 0.0
+    assert dense_inertia(build(reg.eps_p, reg.eps_d)) == (3, 3, 0)
+
+
+def test_boundary_cone_block_is_raised_for_the_certificate():
+    # a second-order block of N at the cone boundary, rank one as measured:
+    # it passes its Cholesky factorization only by round-off and has no
+    # inverse. complement raises it by CONE_RAISE, and the C it returns
+    # certifies K = [[I, I], [I, -B]], whose dense inertia is the target
+    a = 3.2e8
+    B = np.array([[a, a], [a, a]])
+    np.linalg.cholesky(B)
+    assert np.linalg.matrix_rank(B) == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(B)
+    spec = ConeSpec((SecondOrder(2),))
+    model = _identity_cone_model(spec)
+    point = SolverPoint(
+        x=np.ones(2), r=np.zeros(0), s=np.array([1.0, 0.5]),
+        y=np.zeros(0), z=-np.ones(2), t=np.array([1.0, 0.5]),
+    )
+    K = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).K
+    at = model.kkt_scatter
+    K.data[at.cone_blocks[0]] = -B
+    K.schur = at.schur.complement(K.data, 1.0, ConeBlocks(spec, np.zeros(0), (B[None],)))
+    assert K.schur is not None
+    assert factorize(K).inertia == (2, 2, 0) == dense_inertia(np.asarray(K))
 
 
 def test_tracked_system_drops_the_schur_complement():
     # track_multiplier takes the penalty term off the equality-dual
     # diagonal, so the C assembled with it no longer certifies K: with a
-    # repeated equality row the tracked K is singular, and the sweep meets
-    # its zero pivot before the last block
+    # repeated equality row the tracked K is singular, and its band LU
+    # meets an exactly zero pivot
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
     rsys = _tracking_assembler(model, x0, theta)(0.0, 0.0)
     assert factorize(rsys.K).certified
     rsys.track_multiplier()
     assert rsys.K.schur is None
-    assert factorize(np.asarray(rsys.K)).inertia[2] >= 1
+    eigs = np.abs(np.linalg.eigvalsh(np.asarray(rsys.K)))
+    assert eigs.min() <= 1e-12 * eigs.max()
     with pytest.raises(NumericalFailure):
         factorize(rsys.K)
 
 
 def test_duplicated_equality_rows_stay_blocked(monkeypatch):
     # stage 4 pins u = 0 twice; with the multiplier tracking the dual (as
-    # when differentiating) nothing regularizes the repeated rows, so a pivot
-    # block is singular. The blocked sweep reports it (a zero count or a
-    # failed sweep) without making K dense, and correct_inertia switches on
-    # the dual shift and reaches the target with the shifts it takes on the
-    # dense view
+    # when differentiating) nothing regularizes the repeated rows. The band
+    # LU reports the exactly zero pivot without making K dense, and at the
+    # dual shift, as differentiate then takes it, the tracked K factors
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
     build = _tracking_assembler(model, x0, theta)
 
@@ -580,24 +581,17 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
         return rsys.K
 
     K = assemble(0.0, 0.0)
-    assert len(K.index) == len(model.stage_blocks) > 1  # the blocked path is tried
-    assert factorize(np.asarray(K)).inertia[2] >= 1
+    assert len(K.index) == len(model.stage_blocks) > 1
     dense = []
     _counting(monkeypatch, BlockTridiagonal, "from_dense", dense)
     _counting(monkeypatch, BlockTridiagonal, "__array__", dense)
-    try:
-        fact = factorize(K)
-        assert fact.blocked and fact.inertia[2] >= 1
-    except NumericalFailure:
-        pass
-
-    target = (model.n, model.m + model.p, 0)
-    blocked, reg = correct_inertia(assemble, target, RegularizationState())
-    assert blocked.blocked and dense == []
+    with pytest.raises(NumericalFailure):
+        factorize(K)
+    fact = factorize(assemble(DUAL_SHIFT, DUAL_SHIFT))
+    assert not fact.certified and dense == []
     monkeypatch.undo()
-    dense_fact, reg_dense = correct_inertia(lambda ep, ed: np.asarray(assemble(ep, ed)), target, RegularizationState())
-    assert blocked.inertia == dense_fact.inertia == target
-    assert reg == reg_dense and reg.eps_d > 0.0
+    eigs = np.abs(np.linalg.eigvalsh(np.asarray(K)))
+    assert eigs.min() <= 1e-12 * eigs.max()
 
 
 def test_fixed_shift_failure_raises_numerical_failure():

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import ldl
 
 import ipal.linsolve
-from helpers import trajectory_tracking
+from helpers import dense_inertia, lower_band, trajectory_tracking
 from ipal.linsolve import (
     BlockTridiagonal,
     InertiaCorrectionFailure,
@@ -57,24 +57,50 @@ def loop_reference(K, zero_tol=1e-11):
     return tuple(counts)
 
 
+def with_schur(K, n):
+    """K = [[P, A'], [A, -N]], N positive definite, as one group that
+    carries its Schur complement C = P + A'N^{-1}A onto the first n rows."""
+    band = BlockTridiagonal.from_dense(K, (np.arange(K.shape[0]),))
+    C = K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n]) if K.shape[0] > n else K
+    band.schur = lower_band(C, n - 1)
+    return band
+
+
+def random_kkt(rng, n, m, C_signs=None):
+    """K = [[P, A'], [A, -N]] with N positive definite; with ``C_signs``,
+    P is chosen so that C = P + A'N^{-1}A has eigenvalues of those signs,
+    and by Haynsworth K has inertia (pos(C), m + neg(C), 0)."""
+    A = rng.standard_normal((m, n))
+    N = known_inertia_matrix(rng, m, m, 0)
+    if C_signs is None:
+        P = random_symmetric(rng, n) + rng.uniform(-1.0, 4.0) * np.eye(n)
+    else:
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        P = (Q * (rng.uniform(0.5, 2.0, n) * C_signs)) @ Q.T - A.T @ np.linalg.solve(N, A)
+        P = 0.5 * (P + P.T)
+    return np.block([[P, A.T], [A, -N]])
+
+
 class TestFactorize:
     def test_matches_pivot_loop_exactly(self):
+        # a quasi-definite K carrying its Schur complement is certified
+        # exactly when the pivot loop over scipy's LDL' factors counts the
+        # target inertia; both verdicts occur, and the band LU solves K
         rng = np.random.default_rng(5)
-        two_by_two = 0
+        verdicts = set()
         for _ in range(60):
-            n = int(rng.integers(1, 15))
-            n_pos = int(rng.integers(0, n + 1))
-            if rng.random() < 0.5:
-                K = known_inertia_matrix(rng, n, n_pos, n - n_pos)
-            else:
-                K = random_symmetric(rng, n)
-            fact = factorize(K)
-            assert fact.inertia == loop_reference(K)
-            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(0, 7))
+            K = random_kkt(rng, n, m)
+            fact = factorize(with_schur(K, n))
+            reference = loop_reference(K)
+            assert fact.certified == (reference == (n, m, 0))
+            if fact.certified:
+                assert fact.inertia == reference == dense_inertia(K)
+            verdicts.add(fact.certified)
+            for rhs in (rng.standard_normal(n + m), rng.standard_normal((n + m, 3))):
                 x = refined(fact, K, rhs)
                 assert np.abs(K @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
-            two_by_two += np.count_nonzero(np.diagonal(ldl(K, lower=True)[1], -1))
-        assert two_by_two > 0  # both pivot kinds were exercised
+        assert verdicts == {True, False}
 
     def test_solve_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -94,31 +120,31 @@ class TestFactorize:
         assert np.abs(K @ X - B).max() <= 1e-9
 
     def test_inertia_exact_on_constructed_matrices(self):
+        # C with known signs: K is certified, with the inertia of its dense
+        # eigenvalues, exactly when C is positive definite
         rng = np.random.default_rng(2)
         for _ in range(100):
-            n = int(rng.integers(2, 10))
-            n_pos = int(rng.integers(0, n + 1))
-            n_neg = int(rng.integers(0, n - n_pos + 1))
-            K = known_inertia_matrix(rng, n, n_pos, n_neg)
-            fact = factorize(K)
-            assert fact.inertia == (n_pos, n_neg, n - n_pos - n_neg)
+            n, m = int(rng.integers(1, 8)), int(rng.integers(0, 5))
+            signs = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else np.ones(n)
+            K = random_kkt(rng, n, m, signs)
+            n_pos = int((signs > 0).sum())
+            assert dense_inertia(K) == (n_pos, m + n - n_pos, 0)
+            fact = factorize(with_schur(K, n))
+            assert fact.certified == (n_pos == n)
+            if fact.certified:
+                assert fact.inertia == (n, m, 0)
 
     def test_singular_kkt_reports_zero(self):
+        # a duplicated row with no dual shift: the dense reference counts a
+        # zero eigenvalue and the band LU meets an exactly zero pivot
         rng = np.random.default_rng(3)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         A = rng.standard_normal((1, 4))
         A2 = np.vstack([A, A])  # duplicated row, no dual shift: singular
         K = np.block([[H, A2.T], [A2, np.zeros((2, 2))]])
-        fact = factorize(K)
-        assert fact.inertia[2] >= 1
-
-    @pytest.mark.parametrize("n", [10, 65, 200])
-    def test_pivots_match_scipy_ldl_bitwise(self, n):
-        # with the workspace LAPACK asks for, dsytrf runs the same blocked
-        # code as scipy.linalg.ldl, also past one LAPACK block of columns
-        K = random_symmetric(np.random.default_rng(n), n)
-        lu, _ = factorize(K)._pivots[0]
-        assert np.array_equal(lu.diagonal(), np.diagonal(ldl(K, lower=True)[1]))
+        assert loop_reference(K)[2] >= 1
+        with pytest.raises(NumericalFailure):
+            factorize(K)
 
     @pytest.mark.parametrize(
         "K, inertia",
@@ -128,14 +154,15 @@ class TestFactorize:
         ],
     )
     def test_exact_zero_pivot_counted_and_solve_refused(self, K, inertia):
-        fact = factorize(K)
-        assert fact.inertia == inertia
+        # the dense reference counts the zero; the band LU refuses to factor
+        assert loop_reference(K) == dense_inertia(K) == inertia
         with pytest.raises(NumericalFailure):
-            fact.solve(np.ones(K.shape[0]))
+            factorize(K)
 
     def test_empty_matrix(self):
+        # an array carries no Schur complement, so no inertia
         fact = factorize(np.zeros((0, 0)))
-        assert fact.inertia == (0, 0, 0)
+        assert fact.inertia is None
         assert fact.solve(np.zeros(0)).shape == (0,)
 
     def test_non_finite_rejected(self):
@@ -245,12 +272,14 @@ class TestSolveRefined:
 
 class TestCorrectInertia:
     @staticmethod
-    def kkt_assemble(H, A):
+    def kkt_assemble(H, A, dual=0.0):
+        """K = [[H + eps_p I, A'], [A, -(dual + eps_d) I]], carrying its
+        Schur complement while its dual block is positive definite."""
+
         def assemble(ep, ed):
             n, m = H.shape[0], A.shape[0]
-            return np.block(
-                [[H + ep * np.eye(n), A.T], [A, -ed * np.eye(m)]]
-            )
+            K = np.block([[H + ep * np.eye(n), A.T], [A, -(dual + ed) * np.eye(m)]])
+            return with_schur(K, n) if m == 0 or dual + ed > 0.0 else K
 
         return assemble
 
@@ -258,7 +287,7 @@ class TestCorrectInertia:
         rng = np.random.default_rng(5)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
-        fact, reg = correct_inertia(self.kkt_assemble(H, A), (4, 2, 0), RegularizationState())
+        fact, reg = correct_inertia(self.kkt_assemble(H, A, 0.1), (4, 2, 0), RegularizationState())
         assert reg.eps_p == 0.0 and reg.eps_d == 0.0
         assert fact.inertia == (4, 2, 0)
 
@@ -266,12 +295,13 @@ class TestCorrectInertia:
         rng = np.random.default_rng(6)
         H = random_symmetric(rng, 4) - 3.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
-        fact, reg = correct_inertia(self.kkt_assemble(H, A), (4, 2, 0), RegularizationState())
+        fact, reg = correct_inertia(self.kkt_assemble(H, A, 0.1), (4, 2, 0), RegularizationState())
         assert fact.inertia == (4, 2, 0)
         assert reg.eps_p > 0.0
         assert reg.last_eps_p == reg.eps_p
 
     def test_duplicated_rows_switch_on_dual_shift(self):
+        # unshifted, the repeated row is an exactly zero pivot of the LU
         rng = np.random.default_rng(7)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         a = rng.standard_normal((1, 4))
@@ -290,7 +320,8 @@ class TestCorrectInertia:
         assert reg2.eps_p == pytest.approx(1e-4 / 3.0)
 
     def test_unreachable_target_raises(self):
-        # adding eps_p only pushes eigenvalues up; an all-negative target fails
+        # adding eps_p only pushes eigenvalues up, and an array is never
+        # certified: an all-negative target fails
         assemble = lambda ep, ed: np.eye(3) + ep * np.eye(3)
         with pytest.raises(InertiaCorrectionFailure):
             correct_inertia(assemble, (0, 3, 0), RegularizationState())
@@ -320,29 +351,38 @@ def block_tridiagonal(rng, sizes, signs):
 
 class TestBlockedFactorize:
     def test_inertia_and_solve_on_constructed_matrices(self):
+        # with itself as its Schur complement (no dual rows), in the group
+        # order, a banded K is certified exactly when it is positive definite
         rng = np.random.default_rng(31)
+        verdicts = set()
         for _ in range(40):
             sizes = list(rng.integers(1, 7, size=int(rng.integers(2, 6))))
             n = sum(sizes)
-            signs = rng.choice([-1.0, 1.0], size=n)
+            signs = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else np.ones(n)
             K, blocks = block_tridiagonal(rng, sizes, signs)
             band = BlockTridiagonal.from_dense(K, blocks)
+            order = band.layout.band.order
+            band.schur = lower_band(K[np.ix_(order, order)], band.layout.band.kl)
             fact = factorize(band)
-            assert fact.blocked
-            assert fact.inertia == (int((signs > 0).sum()), int((signs < 0).sum()), 0)
+            assert fact.certified == (signs > 0).all()
+            if fact.certified:
+                assert fact.inertia == (n, 0, 0) == dense_inertia(K)
+            verdicts.add(fact.certified)
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 expected = np.linalg.solve(K, rhs)
                 got = refined(fact, K, rhs)
                 assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
+        assert verdicts == {True, False}
 
     def test_zero_pivot_block_stays_blocked(self, monkeypatch):
-        # a singular pivot block is reported by the blocked sweep, here as
-        # the zero count of the dense factorization, and K is never made dense
+        # a group with a zero row and column is an exactly zero pivot of the
+        # band LU, which raises, and K is never made dense
         rng = np.random.default_rng(32)
-        signs = np.array([1.0, -1.0, 1.0, 0.0, 1.0, -1.0, 1.0, 1.0])
+        signs = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
         K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
+        K[blocks[1][0], :] = K[:, blocks[1][0]] = 0.0
         band = BlockTridiagonal.from_dense(K, blocks)
-        assert factorize(K).inertia == (5, 2, 1)
+        assert dense_inertia(K)[2] == 1
         dense = []
 
         def counted(*args, **kwargs):
@@ -351,20 +391,21 @@ class TestBlockedFactorize:
 
         monkeypatch.setattr(BlockTridiagonal, "from_dense", counted)
         monkeypatch.setattr(BlockTridiagonal, "__array__", counted)
-        fact = factorize(band)
-        assert fact.blocked and fact.inertia == (5, 2, 1)
+        with pytest.raises(NumericalFailure):
+            factorize(band)
         assert dense == []
 
     def test_one_block_is_dense(self):
-        # one group, in the original or a permuted order, is swept as one
-        # pivot block in that order
+        # one group, in the original or a permuted order, is one band of
+        # half-bandwidth n - 1 in that order; without a Schur complement it
+        # has no inertia
         rng = np.random.default_rng(33)
         K = random_symmetric(rng, 5)
         b = rng.standard_normal(5)
         for index in (np.arange(5), rng.permutation(5)):
             fact = factorize(BlockTridiagonal.from_dense(K, (index,)))
-            assert not fact.blocked
-            assert fact.inertia == factorize(K).inertia
+            assert fact.band.kl == 4 and np.array_equal(fact.band.order, index)
+            assert not fact.certified
             x = refined(fact, K, b)
             assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
@@ -398,19 +439,17 @@ class TestBlockedFactorize:
             K = np.asarray(band)
             # as captured, with its Schur complement: certified band LU
             certified = factorize(band)
-            blocked = factorize(BlockTridiagonal.from_dense(K, model.stage_blocks))
-            dense = factorize(K)
-            assert certified.certified and not blocked.certified
-            assert blocked.blocked
-            assert certified.inertia == blocked.inertia == dense.inertia
+            plain = factorize(BlockTridiagonal.from_dense(K, model.stage_blocks))
+            assert certified.certified and not plain.certified
+            assert certified.inertia == dense_inertia(K)
             for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
-                expected = refined(dense, K, rhs)
+                expected = refined(factorize(K), K, rhs)
                 scale = np.abs(expected).max()
                 # late in the solve K has a condition number near 1e9, and
-                # two dense solvers (Bunch-Kaufman and LU) already differ by
-                # more than 1e-10 relative; there the blocked and certified
-                # solves must stay within ten times that difference
+                # two dense solvers already differ by more than 1e-10
+                # relative; there the banded solves must stay within ten
+                # times that difference
                 spread = np.abs(np.linalg.solve(K, rhs) - expected).max() / scale
-                for fact in (blocked, certified):
+                for fact in (plain, certified):
                     err = np.abs(refined(fact, K, rhs) - expected).max() / scale
                     assert err <= max(1e-10, 10.0 * spread)

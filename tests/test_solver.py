@@ -6,16 +6,18 @@ import pytest
 
 import ipal.linsolve
 import ipal.solver
-from helpers import trajectory_tracking
+import ipal.trajopt
+from helpers import dense_inertia, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.kkt import DirectionOptions, OuterState, SolverPoint
+from ipal.kkt import DirectionInfo, DirectionOptions, OuterState, SolverPoint
 from ipal.model import ProblemModel, evaluate_values
 from ipal.solver import (
     RHO_MAX,
     Filter,
     SolveStatus,
     SolverOptions,
+    TraceRecord,
     cone_infeasibility,
     cone_line_search,
     merit,
@@ -410,49 +412,91 @@ def test_trace_records_direction_diagnostics(name):
 GENERAL = sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
 
 
-def _traced_solve(monkeypatch, model, x0, theta):
+def _traced_solve(monkeypatch, model, x0, theta, must_solve=True):
     """Solve with tracing on, counting the factorizations the inertia
-    correction tries."""
-    calls = []
+    correction tries; each certified inertia must be that of the dense
+    eigenvalues of the matrix. Returns the solution and the matrices."""
+    factored = []
     original = ipal.linsolve.factorize
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+    def checked(K):
+        factored.append(K)
+        fact = original(K)
+        if fact.certified:
+            assert fact.inertia == dense_inertia(K)
+        return fact
 
-    monkeypatch.setattr(ipal.linsolve, "factorize", counting)
+    monkeypatch.setattr(ipal.linsolve, "factorize", checked)
     sol = solve(model, x0, theta, SolverOptions(record_trace=True))
-    assert sol.solved and sol.trace
-    assert sum(rec.inertia_trials for rec in sol.trace) == len(calls)
-    assert all(rec.inertia_trials >= 1 for rec in sol.trace)
-    return sol
+    monkeypatch.undo()
+    assert sol.trace and all(rec.inertia_trials >= 1 for rec in sol.trace)
+    if must_solve:  # a failed solve leaves its last direction out of the trace
+        assert sol.solved
+        assert sum(rec.inertia_trials for rec in sol.trace) == len(factored)
+    return sol, factored
 
 
 def test_transcribed_directions_are_blocked(monkeypatch):
+    # one row group per stage, factored as one band in the stage order
     model, x0, theta = trajectory_tracking(30)
-    sol = _traced_solve(monkeypatch, model, x0, theta)
-    assert all(rec.blocked for rec in sol.trace)
+    _, factored = _traced_solve(monkeypatch, model, x0, theta)
+    assert all(len(K.index) == len(model.stage_blocks) == 30 for K in factored)
 
 
 def test_general_registry_problems_are_dense(monkeypatch):
+    # one group in the order (x, y, z): the band is the whole matrix
     assert len(GENERAL) == 6
     for name in GENERAL:
         prob = REGISTRY[name]
-        sol = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
-        assert not any(rec.blocked for rec in sol.trace)
+        _, factored = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
+        assert all(K.layout.identity for K in factored)
 
 
 def test_transcribed_directions_are_certified(monkeypatch):
     model, x0, theta = trajectory_tracking(30)
-    sol = _traced_solve(monkeypatch, model, x0, theta)
+    sol, _ = _traced_solve(monkeypatch, model, x0, theta)
     assert all(rec.certified for rec in sol.trace)
 
 
-def test_general_registry_directions_are_swept(monkeypatch):
+def test_general_registry_directions_are_certified(monkeypatch):
     for name in GENERAL:
         prob = REGISTRY[name]
-        sol = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
-        assert not any(rec.certified for rec in sol.trace)
+        sol, _ = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
+        assert all(rec.certified for rec in sol.trace)
+
+
+CERTIFIED_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
+CERTIFIED_CASES["tracking-20"] = lambda: trajectory_tracking(20)
+for _T in (12, 20, 40):  # concave position cost on every third stage; these fail to solve
+    CERTIFIED_CASES[f"negative-curvature-{_T}"] = lambda T=_T: trajectory_tracking(
+        T, position_weights=np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_CASES))
+def test_certified_inertia_matches_the_dense_inertia(monkeypatch, name):
+    # every K factored during the solve whose inertia is certified has the
+    # inertia of its dense eigenvalues (checked in _traced_solve), and every
+    # direction is certified
+    model, x0, theta = CERTIFIED_CASES[name]()
+    sol, factored = _traced_solve(monkeypatch, model, x0, theta, must_solve=False)
+    assert factored and all(rec.certified for rec in sol.trace)
+    assert sol.solved != name.startswith("negative-curvature")
+
+
+def test_unconstrained_banded_model_solves():
+    # two row groups and no constraints: C is P alone, summed from no
+    # entries of A
+    model = ProblemModel(
+        n=4, m=0, p=0, cone=ConeSpec(),
+        objective=lambda x, th: 0.5 * x @ x - x.sum(),
+        objective_gradient=lambda x, th: x - 1.0,
+        lagrangian_hessian=lambda x, th, y, z: np.eye(4),
+        stage_blocks=(np.arange(2), np.arange(2, 4)),
+    )
+    sol = solve(model, np.zeros(4))
+    assert sol.status is SolveStatus.SOLVED
+    np.testing.assert_allclose(sol.point.x, np.ones(4), atol=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY) + ["tracking-20"])
@@ -582,3 +626,9 @@ def test_settable_values_are_the_callers_options():
     assert not hasattr(ipal.linsolve, "InertiaOptions")
     assert list(inspect.signature(ipal.linsolve.factorize).parameters) == ["K"]
     assert "gauss_newton" not in {f.name for f in dataclasses.fields(ProblemModel)}
+    # the block LDL' sweep is gone: the band LU is the only factorization
+    for owner, name in ((ipal.linsolve, "ZERO_TOL"), (ipal.linsolve, "_factorize_blocked"),
+                        (ipal.linsolve, "dsytrf"), (ipal.trajopt, "STAGE_BLOCK_ROWS")):
+        assert not hasattr(owner, name), name
+    for record in (DirectionInfo, TraceRecord):
+        assert "blocked" not in {f.name for f in dataclasses.fields(record)}

@@ -8,7 +8,6 @@ from ipal.kkt import assemble_symmetric
 from ipal.model import InvalidDimension, evaluate_parameter_jacobians, validate_derivatives
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import (
-    STAGE_BLOCK_ROWS,
     Stage,
     TrajectoryProblem,
     dynamics_rollout,
@@ -283,7 +282,7 @@ def test_solve_reaches_target():
 
 def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
     # 7 reduced rows per stage (defect duals, equality row, variables, cone
-    # row), so stages merge four at a time
+    # row), one group per stage
     problem = nonlinear_problem()
     problem = TrajectoryProblem(
         stages=[nonlinear_stage() for _ in range(10)] + [problem.stages[-1]],
@@ -294,8 +293,7 @@ def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
     blocks = model.stage_blocks
     N = model.n + model.m + model.p
     np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(N))
-    assert [len(b) for b in blocks] == [28, 28, 18]
-    assert all(len(b) >= STAGE_BLOCK_ROWS for b in blocks[:-1])
+    assert [len(b) for b in blocks] == [7] * 10 + [4]
     rng = np.random.default_rng(12)
     point, outer = random_iterate(rng, model)
     K = np.asarray(assemble_symmetric(model, point, np.array([0.3, 1.0]), outer).K)
@@ -312,4 +310,5 @@ def test_registry_stage_blocks():
         for name, prob in REGISTRY.items()
         if prob.model.stage_blocks is not None
     }
-    assert sizes == {"double-integrator-trajopt": [25, 26], "mpc-autotune": [25, 4]}
+    # one group per stage
+    assert sizes == {"double-integrator-trajopt": [5] * 9 + [6], "mpc-autotune": [5] * 5 + [4]}
