@@ -33,6 +33,7 @@ from ipal.cone import ConeBlocks, cone_product_jacobians
 from ipal.linsolve import (
     DUAL_SHIFT,
     BlockTridiagonal,
+    InertiaCorrectionFailure,
     NumericalFailure,
     RegularizationState,
     correct_inertia,
@@ -484,6 +485,33 @@ def test_schur_complement_matches_dense(shifts):
         got[np.arange(k, n), np.arange(n - k)] = C[k, : n - k]
     assert np.abs(np.tril(expected, -kd - 1)).max() == 0.0
     assert np.abs(got - np.tril(expected)).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_indefinite_schur_complement_falls_back_to_the_sweep():
+    # concave position cost on every third stage: C = P + A'N^{-1}A is
+    # indefinite at zero shift, its Cholesky fails and K has no inertia.
+    # No block LDL' sweep is left to count it: correct_inertia walks the
+    # primal shift until C factors, and without C no shift is accepted
+    T = 20
+    weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
+    model, x0, theta = trajectory_tracking(T, position_weights=weights)
+    build = _tracking_assembler(model, x0, theta)
+    target = (model.n, model.m + model.p, 0)
+    K = build(0.0, 0.0).K
+    assert K.schur is not None
+    fact = factorize(K)
+    assert not fact.certified and fact.inertia is None and dense_inertia(K) != target
+    fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).K, target, RegularizationState())
+    assert fact.certified and fact.inertia == target and reg.eps_p > 0.0
+    assert dense_inertia(build(reg.eps_p, reg.eps_d).K) == target
+
+    def without_c(ep, ed):
+        K = build(ep, ed).K
+        K.schur = None
+        return K
+
+    with pytest.raises(InertiaCorrectionFailure):
+        correct_inertia(without_c, target, RegularizationState())
 
 
 def _identity_cone_model(spec, **kwargs):
