@@ -34,7 +34,8 @@ of ``solve_refined`` with the reduced solve as its preconditioner
 dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
 serves as a reference in tests. ``differentiate`` solves its parameter
 columns through the same reduction and refinement, with the multiplier
-estimate tracking the equality dual (``track_multiplier``).
+estimate tracking the equality dual (``assemble_symmetric``'s
+``tracks_multiplier``).
 """
 
 from __future__ import annotations
@@ -421,18 +422,7 @@ class ReducedSystem:
     Ps: ConeBlocks  # d(s o t)/ds
     Ptb: ConeBlocks  # P_t - eps_d I
     W: ConeBlocks  # Ps + eps_p Ptb
-    dual_diagonal: np.ndarray  # storage positions of K's equality-dual diagonal
-    tracks_multiplier: bool = False  # dlam = dy; see track_multiplier
-
-    def track_multiplier(self) -> None:
-        """Switch, in place, to the system in which the multiplier estimate
-        moves with the equality dual (dlam = dy), as when differentiating a
-        converged solution: the relaxation rows lose their -dy coupling, so
-        the penalty term leaves the equality-dual diagonal of K and
-        dr = -L_r / (rho + eps_p). The reduced right-hand side is unchanged."""
-        self.K.data[self.dual_diagonal] = -self.eps_d
-        self.K.schur = None  # it was taken with the penalty term
-        self.tracks_multiplier = True
+    tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
         """Right-hand side of the reduced system for residual rows L,
@@ -470,8 +460,17 @@ def assemble_symmetric(
     outer: OuterState,
     reg: RegularizationState = RegularizationState(),
     cache: Optional[EvalCache] = None,
+    *,
+    tracks_multiplier: bool = False,
 ) -> ReducedSystem:
-    """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``)."""
+    """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``).
+
+    With ``tracks_multiplier`` the multiplier estimate moves with the
+    equality dual (dlam = dy), as when differentiating a converged
+    solution: the relaxation rows lose their -dy coupling, so the penalty
+    term leaves the equality-dual diagonal of K and dr = -L_r / (rho +
+    eps_p); the reduced right-hand side is the same. That K carries no
+    Schur complement: nothing reads its inertia."""
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
     lay = Layout(model.n, model.m, model.p)
@@ -494,18 +493,19 @@ def assemble_symmetric(
     at.write(K, at.G, cache.g_x)
     at.write(K, at.H, cache.h_x)
     # exact elimination of the relaxation block: the dual shift joins the
-    # penalty term on the equality-dual diagonal
-    data[at.y_diag] = -(dual_scale + ed)
+    # penalty term on the equality-dual diagonal, unless dlam = dy
+    data[at.y_diag] = -ed if tracks_multiplier else -(dual_scale + ed)
     N_cone = M.shift(ed)
     cone = -1.0 * N_cone
     data[at.cone_diag] = cone.diag
     for where, B in zip(at.cone_blocks, cone.blocks):
         data[where] = B
-    K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
+    if not tracks_multiplier:
+        K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
 
     return ReducedSystem(
         layout=lay, K=K, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
-        Ps=Ps, Ptb=Ptb, W=W, dual_diagonal=at.y_diag,
+        Ps=Ps, Ptb=Ptb, W=W, tracks_multiplier=tracks_multiplier,
     )
 
 

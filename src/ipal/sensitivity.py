@@ -12,12 +12,12 @@ All parameter columns are solved through the solver's own symmetric
 reduction in (dx, dy, dz) at zero shift, factored once by its band LU and
 refined against the full Jacobian applied blockwise, as Newton directions
 are (``kkt.reduced_solve``: one reduced solve of all columns per step); no
-inertia is needed. dlam = dy zeroes J[r, y], which removes the penalty term
-from the reduced system's equality-dual diagonal
-(``ReducedSystem.track_multiplier``). A system that fails to factor (an
-exactly zero pivot) is factored again at the dual shift and refined against
-the exact, unshifted Jacobian: iterated regularization, which on a
-consistent system loses the shift's bias.
+inertia is needed, so no Schur complement is built. dlam = dy zeroes
+J[r, y], which removes the penalty term from the reduced system's
+equality-dual diagonal (``assemble_symmetric``'s ``tracks_multiplier``). A
+system that fails to factor (an exactly zero pivot) is factored again at
+the dual shift and refined against the exact, unshifted Jacobian: iterated
+regularization, which on a consistent system loses the shift's bias.
 """
 
 from __future__ import annotations
@@ -97,8 +97,7 @@ def differentiate(
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
     Rt = residual_parameter_jacobian(model, point, theta)
 
-    rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
-    rsys.track_multiplier()
+    rsys = assemble_symmetric(model, point, theta, outer, cache=cache, tracks_multiplier=True)
     factored = rsys
     singular = False
     try:
@@ -106,8 +105,7 @@ def differentiate(
     except NumericalFailure:
         singular = True
         shift = RegularizationState(DUAL_SHIFT, DUAL_SHIFT)
-        factored = assemble_symmetric(model, point, theta, outer, shift, cache)
-        factored.track_multiplier()
+        factored = assemble_symmetric(model, point, theta, outer, shift, cache, tracks_multiplier=True)
         fact = factorize(factored.K)
     dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, DirectionOptions(), exact=rsys)
     if dw is None:

@@ -8,7 +8,10 @@ fraction-to-boundary rule and a filter line search, until the max-norm of
 its residual is at most kappa (IPOPT's rule E_mu <= kappa_eps * mu with
 kappa_eps = 1; Waechter & Biegler, Math. Prog. 2006); between subproblems
 the multiplier estimate, kappa, and rho are updated and the filter is
-reset. The solve stops once the unrelaxed residual is at most tol.
+reset. kappa follows the centrality of the slacks and complements (LOQO's
+rule; ``outer_update``), bounded above by a fixed schedule and, while the
+schedule is above it, below by 10 tol. The solve stops once the unrelaxed
+residual is at most tol.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cone import (
+    ConeSpec,
     NotInterior,
     barrier_value,
     cone_product,
@@ -203,19 +207,46 @@ def subproblem_converged(residual_norm: float, kappa: float) -> bool:
     return residual_norm <= kappa
 
 
-KAPPA_LINEAR = 0.2  # kappa <- max(kappa_min, min(this*k, k^KAPPA_POWER))
+KAPPA_LINEAR = 0.2  # schedule: max(kappa_min, min(this*k, k^KAPPA_POWER))
 KAPPA_POWER = 1.2
+# LOQO centrality rule: sigma = CENTERING * min(SPREAD * (1 - xi) / xi, 2)^3
+CENTERING = 0.1
+SPREAD = 0.05
+KAPPA_TOL_FLOOR = 10.0  # the rule sets no kappa below this * tol
 RHO_GROW = 10.0  # rho <- min(RHO_MAX, max(this*rho, 1/kappa_new))
 RHO_MAX = 1e8
 
 
-def outer_update(outer: OuterState, point: SolverPoint, opts: SolverOptions) -> OuterState:
-    """Multiplier estimate takes the current duals; kappa decreases (linear
-    then superlinear) and rho grows against the new kappa."""
+def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
+                 opts: SolverOptions) -> OuterState:
+    """Multiplier estimate takes the current duals; kappa follows the
+    centrality of (s, t), never falling more slowly than the fixed schedule;
+    rho grows against the new kappa.
+
+    The schedule is kappa_sched = max(kappa_min, min(0.2 kappa, kappa^1.2)).
+    With w the entries of s o t on which ``cone_target`` is 1 (s_i t_i per
+    orthant entry, s_k't_k per second-order segment), mu = mean(w) and
+    xi = min(w) / mu, LOQO's rule (Vanderbei & Shanno, Comput. Optim. Appl.
+    1999) takes sigma = 0.1 min(0.05 (1 - xi) / xi, 2)^3: a well centred
+    iterate (xi near 1) may jump far down the path, a badly centred one
+    follows the schedule. The new kappa is max(kappa_min, min(kappa_sched,
+    max(sigma mu, 10 tol))): below 10 tol the schedule alone finishes the
+    path, so kappa near the end does not vary with where the iterate
+    happens to sit (that variation shows in the differences of re-solves
+    that check ``differentiate``). A model without cone constraints follows
+    the schedule."""
     kappa = max(
         opts.kappa_min,
         min(KAPPA_LINEAR * outer.kappa, outer.kappa ** KAPPA_POWER),
     )
+    if cone.dim:
+        w = cone_product(point.s, point.t, cone)[cone_target(cone) == 1.0]
+        mu = w.mean()
+        xi = w.min() / mu
+        # min(SPREAD (1 - xi) / xi, 2), without dividing by a tiny xi
+        spread = SPREAD * (1.0 - xi)
+        sigma = CENTERING * (spread / xi if spread < 2.0 * xi else 2.0) ** 3
+        kappa = max(opts.kappa_min, min(kappa, max(sigma * mu, KAPPA_TOL_FLOOR * opts.tol)))
     rho = min(RHO_MAX, max(RHO_GROW * outer.rho, 1.0 / kappa))
     return OuterState(lam=point.y.copy(), rho=rho, kappa=kappa)
 
@@ -391,7 +422,7 @@ def solve(
             if subproblem_converged(norm_R, outer.kappa):
                 if outer_count >= opts.max_outer:
                     break
-                outer = outer_update(outer, point, opts)
+                outer = outer_update(outer, point, model.cone, opts)
                 outer_count += 1
                 filt.reset()
                 inner = 0

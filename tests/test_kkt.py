@@ -201,12 +201,10 @@ class TestSymmetricReduction:
             model = random_nlp(rng, n, m, cone)
             point, outer = random_iterate(rng, model)
             reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
-            rows = rng.standard_normal((rsys.layout.total, 3))
-            sol = rng.standard_normal((rsys.K.shape[0], 3))
+            rows = rng.standard_normal((model.n + 2 * model.m + 3 * model.p, 3))
+            sol = rng.standard_normal((model.n + model.m + model.p, 3))
             for track in (False, True):
-                if track:
-                    rsys.track_multiplier()
+                rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg, tracks_multiplier=track)
                 reduced = rsys.reduce_rows(rows)
                 dw = rsys.recover(sol, rows)
                 assert reduced.shape == sol.shape and dw.shape == rows.shape
@@ -301,8 +299,7 @@ class TestJacobianApply:
             J = full_jacobian(model, point, np.zeros(0), outer, RegularizationState(), cache)
             J[lay.r, lay.y] = 0.0
             rows = rng.standard_normal((lay.total, 3))
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache)
-            rsys.track_multiplier()
+            rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache, tracks_multiplier=True)
             dw = rng.standard_normal((lay.total, 3))
             err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
             assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
@@ -429,7 +426,7 @@ def test_batched_cone_solves_match_segment_loop():
             np.testing.assert_array_equal(rsys.W.solve(v), _apply_W_inverse_loop(W, v))
 
 
-def _tracking_assembler(model, x0, theta):
+def _tracking_assembler(model, x0, theta, tracks_multiplier=False):
     """Reduced system of a transcribed model at its initial iterate, as a
     function of the shifts (eps_p, eps_d)."""
     point = initialize_point(model, x0, theta)
@@ -437,7 +434,8 @@ def _tracking_assembler(model, x0, theta):
     outer = OuterState(lam=np.zeros(model.m), rho=10.0, kappa=0.1)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     return lambda ep, ed: assemble_symmetric(
-        model, point, theta, outer, RegularizationState(ep, ed), cache
+        model, point, theta, outer, RegularizationState(ep, ed), cache,
+        tracks_multiplier=tracks_multiplier,
     )
 
 
@@ -580,14 +578,13 @@ def test_boundary_cone_block_is_raised_for_the_certificate():
 
 
 def test_tracked_system_drops_the_schur_complement():
-    # track_multiplier takes the penalty term off the equality-dual
-    # diagonal, so the C assembled with it no longer certifies K: with a
-    # repeated equality row the tracked K is singular, and its band LU
-    # meets an exactly zero pivot
+    # tracking the multiplier takes the penalty term off the equality-dual
+    # diagonal, so the C assembled with it would not certify K, and none is
+    # built: with a repeated equality row the tracked K is singular, and its
+    # band LU meets an exactly zero pivot
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
-    rsys = _tracking_assembler(model, x0, theta)(0.0, 0.0)
-    assert factorize(rsys.K).certified
-    rsys.track_multiplier()
+    assert factorize(_tracking_assembler(model, x0, theta)(0.0, 0.0).K).certified
+    rsys = _tracking_assembler(model, x0, theta, tracks_multiplier=True)(0.0, 0.0)
     assert rsys.K.schur is None
     eigs = np.abs(np.linalg.eigvalsh(np.asarray(rsys.K)))
     assert eigs.min() <= 1e-12 * eigs.max()
@@ -601,12 +598,10 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
     # LU reports the exactly zero pivot without making K dense, and at the
     # dual shift, as differentiate then takes it, the tracked K factors
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
-    build = _tracking_assembler(model, x0, theta)
+    build = _tracking_assembler(model, x0, theta, tracks_multiplier=True)
 
     def assemble(ep, ed):
-        rsys = build(ep, ed)
-        rsys.track_multiplier()
-        return rsys.K
+        return build(ep, ed).K
 
     K = assemble(0.0, 0.0)
     assert len(K.index) == len(model.stage_blocks) > 1

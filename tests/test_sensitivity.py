@@ -536,6 +536,5 @@ def test_row_scale_matches_dense_jacobian():
         J[lay.r, lay.y] = 0.0
         expected = np.abs(J).max(axis=1)
         expected[expected == 0.0] = 1.0
-        rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache)
-        rsys.track_multiplier()
+        rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache, tracks_multiplier=True)
         np.testing.assert_array_equal(ipal.sensitivity._row_scale(rsys, cache, outer.rho), expected)
