@@ -10,8 +10,10 @@ kappa_eps = 1; Waechter & Biegler, Math. Prog. 2006); between subproblems
 the multiplier estimate, kappa, and rho are updated and the filter is
 reset. kappa follows the centrality of the slacks and complements (LOQO's
 rule; ``outer_update``), bounded above by a fixed schedule and, while the
-schedule is above it, below by 10 tol. The solve stops once the unrelaxed
-residual is at most tol.
+schedule is above it, below by 10 tol. The schedule ends at tol/2 (or
+kappa_min if higher): a subproblem solved to kappa = tol/2 leaves products
+s o t of at most tol, so a lower kappa would buy nothing. The solve stops
+once the unrelaxed residual is at most tol.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class SolverOptions:
 
     tol: float = 1e-6                 # unrelaxed residual tolerance (gamma_R)
     rho_init: float = 1.0
-    kappa_min: float = 1e-8           # floor of the central-path schedule
+    kappa_min: float = 1e-8           # floor of kappa; below tol/2 it has no effect
     max_outer: int = 30
     max_total: int = 1000
     record_trace: bool = False
@@ -207,8 +209,9 @@ def subproblem_converged(residual_norm: float, kappa: float) -> bool:
     return residual_norm <= kappa
 
 
-KAPPA_LINEAR = 0.2  # schedule: max(kappa_min, min(this*k, k^KAPPA_POWER))
-KAPPA_POWER = 1.2
+KAPPA_LINEAR = 0.2  # schedule: k <- min(this*k, k^KAPPA_POWER), down to
+KAPPA_POWER = 1.5   # KAPPA_END * tol and never up (kappa_min floors it)
+KAPPA_END = 0.5
 # LOQO centrality rule: sigma = CENTERING * min(SPREAD * (1 - xi) / xi, 2)^3
 CENTERING = 0.1
 SPREAD = 0.05
@@ -223,9 +226,16 @@ def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
     centrality of (s, t), never falling more slowly than the fixed schedule;
     rho grows against the new kappa.
 
-    The schedule is kappa_sched = max(kappa_min, min(0.2 kappa, kappa^1.2)).
-    With w the entries of s o t on which ``cone_target`` is 1 (s_i t_i per
-    orthant entry, s_k't_k per second-order segment), mu = mean(w) and
+    The schedule is IPOPT's (Waechter & Biegler, Math. Prog. 2006, eq. 7),
+    kappa_sched = max(kappa_min, min(kappa, max(tol/2, min(0.2 kappa,
+    kappa^1.5)))); it never raises kappa. Its end tol/2 is the largest kappa
+    whose subproblem meets the complementarity part of the stop test: a
+    subproblem ends at ||R|| <= kappa, so its products end at |s o t| <=
+    2 kappa (IPOPT ends at tol/10 under its kappa_eps = 10; here
+    kappa_eps = 1), and a lower kappa only costs steps limited by the
+    boundary. With w the entries of s o t on which ``cone_target`` is 1
+    (s_i t_i per orthant entry, s_k't_k per second-order segment),
+    mu = mean(w) and
     xi = min(w) / mu, LOQO's rule (Vanderbei & Shanno, Comput. Optim. Appl.
     1999) takes sigma = 0.1 min(0.05 (1 - xi) / xi, 2)^3: a well centred
     iterate (xi near 1) may jump far down the path, a badly centred one
@@ -235,10 +245,8 @@ def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
     happens to sit (that variation shows in the differences of re-solves
     that check ``differentiate``). A model without cone constraints follows
     the schedule."""
-    kappa = max(
-        opts.kappa_min,
-        min(KAPPA_LINEAR * outer.kappa, outer.kappa ** KAPPA_POWER),
-    )
+    step = min(KAPPA_LINEAR * outer.kappa, outer.kappa ** KAPPA_POWER)
+    kappa = max(opts.kappa_min, min(outer.kappa, max(KAPPA_END * opts.tol, step)))
     if cone.dim:
         w = cone_product(point.s, point.t, cone)[cone_target(cone) == 1.0]
         mu = w.mean()
