@@ -104,14 +104,7 @@ def run_benchmark(
     failures become row statuses, never exceptions, so a suite run always
     produces a full report."""
     problem = get(name)
-    # the relaxation floor must sit below the requested tolerance or the
-    # smoothed path parks the residual just above it
-    opts = SolverOptions(
-        tol=tol,
-        kappa_min=min(1e-8, 1e-2 * tol),
-        max_total=max_iters,
-        record_trace=True,
-    )
+    opts = SolverOptions(tol=tol, max_total=max_iters, record_trace=True)
     start = perf_counter()
     sol = solve(problem.model, problem.x0, problem.theta, opts)
     wall = perf_counter() - start

@@ -16,10 +16,11 @@ kappa is the central-path parameter. Search directions solve the Newton
 system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
 whose factorization also drives inertia-based regularization. The reduced
 matrix is a ``BlockTridiagonal`` in the model's stage order (one group for a
-general model): the entries of the stage matrices are scattered to
-positions computed once per model (``KKTScatter``), so a transcribed
-problem forms no (n+m+p)-square matrix, and the dense derivative matrices
-of a general model are written as blocks. The matrix also carries its Schur
+general model), held in the LAPACK band storage that its LU reads: the
+entries of the stage matrices, or of a general model's dense derivative
+matrices, are scattered to positions computed once per model
+(``KKTScatter``), so a transcribed problem forms no (n+m+p)-square matrix.
+The matrix also carries its Schur
 complement onto the x rows, C = P + A'N^{-1}A, in band storage
 (``SchurPlan``) when every cone block of its dual block N is positive
 definite, a second-order block that is singular to round-off at the cone
@@ -55,12 +56,10 @@ from .cone import (
 )
 from .linsolve import (
     BandLayout,
-    BandPlan,
     BlockTridiagonal,
     Factorization,
     NumericalFailure,
     RegularizationState,
-    compact_index,
     correct_inertia,
     factorize,
     solve_refined,
@@ -211,41 +210,50 @@ class KKTScatter:
     """Where the entries of the reduced matrix K go in its band storage, for
     one model: the row groups of K (``ProblemModel.stage_blocks``, or one
     group of all n + m + p rows in their order for a general model), the
-    places of L_xx, g_x and h_x (for their patterns, None for a dense
-    matrix; see ``_place``), the storage positions of the x and y diagonals
-    and of the cone blocks, and where the Schur complement of K goes
-    (``schur``, a ``SchurPlan``, which also holds the ``BandPlan`` of K).
-    Built once per model, at its first assembly, and kept on the model.
+    stored entries of K (both triangles, without repeats: those of L_xx, g_x
+    and h_x for their patterns, every entry for a dense matrix, the x and y
+    diagonals and the cone blocks), whose half-bandwidth in the group order
+    sets ``layout``, the storage positions of L_xx, g_x and h_x (see
+    ``_place``), of the x and y diagonals and of the cone blocks, and where
+    the Schur complement of K goes (``schur``, a ``SchurPlan``). Built once
+    per model, at its first assembly, and kept on the model.
     InvalidDimension when a derivative matrix has an entry outside the band
     of the stage order."""
 
     def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
         n, m, p = model.n, model.m, model.p
+        N = n + m + p
         self.patterns = patterns
-        self.layout = BandLayout(model.stage_blocks or (np.arange(n + m + p),))
-        x, y, z = slice(0, n), slice(n, n + m), slice(n + m, n + m + p)
-        L, G, H = patterns
+        L, G, H = (
+            Pattern.full(shape) if P is None else P
+            for P, shape in zip(patterns, ((n, n), (m, n), (p, n)))
+        )
+        diag, soc = model.cone.index_groups
+        block = [np.broadcast_arrays(rows[:, :, None], rows[:, None, :]) for rows in soc]
+        a_rows = np.concatenate([n + G.rows, n + m + H.rows])
+        a_cols = np.concatenate([G.cols, H.cols])
+        rows = np.concatenate([L.rows, np.arange(n + m), a_rows, a_cols, n + m + diag]
+                              + [n + m + r.ravel() for r, _ in block])
+        cols = np.concatenate([L.cols, np.arange(n + m), a_cols, a_rows, n + m + diag]
+                              + [n + m + c.ravel() for _, c in block])
+        key = np.unique(rows * N + cols)
+        rows, cols = key // N, key % N
+        self.layout = BandLayout(model.stage_blocks or (np.arange(N),), rows, cols)
+        x, y, z = slice(0, n), slice(n, n + m), slice(n + m, N)
         self.L = self._place(L, x, x, mirror=False)
         self.G = self._place(G, y, x, mirror=True)
         self.H = self._place(H, z, x, mirror=True)
         at = self.layout.positions
         self.x_diag = at(np.arange(n), np.arange(n))
         self.y_diag = at(np.arange(n, n + m), np.arange(n, n + m))
-        diag, soc = model.cone.index_groups
         self.cone_diag = at(n + m + diag, n + m + diag)
-        self.cone_blocks = [at(n + m + rows[:, :, None], n + m + rows[:, None, :]) for rows in soc]
-        self.schur = SchurPlan(model, patterns, self.layout)
+        self.cone_blocks = [at(n + m + r, n + m + c) for r, c in block]
+        self.schur = SchurPlan(model, self.layout, rows, cols)
 
-    def _place(self, pattern: Optional[Pattern], rows: slice, cols: slice, mirror: bool) -> list:
-        """Where a derivative matrix goes in K[rows, cols] and, with
-        ``mirror``, its transpose in K[cols, rows]: for a dense matrix when K
-        is one group in its own order (a general model) those blocks of K,
-        so no index arrays of its entries are built; otherwise the storage
-        positions of its entries."""
-        if pattern is None and self.layout.identity:
-            return [(rows, cols), (cols, rows)][: 1 + mirror]
-        if pattern is None:
-            pattern = Pattern.full((rows.stop - rows.start, cols.stop - cols.start))
+    def _place(self, pattern: Pattern, rows: slice, cols: slice, mirror: bool) -> list:
+        """The storage positions of the entries of a derivative matrix in
+        K[rows, cols] and, with ``mirror``, of its transpose in K[cols,
+        rows]."""
         r, c = rows.start + pattern.rows, cols.start + pattern.cols
         try:
             return [self.layout.positions(r, c), self.layout.positions(c, r)][: 1 + mirror]
@@ -257,13 +265,16 @@ class KKTScatter:
 
     @staticmethod
     def write(K: BlockTridiagonal, places: list, A) -> None:
-        """Write the derivative matrix A to K at the places from ``_place``;
-        a second place takes its transpose."""
-        for k, where in enumerate(places):
-            if isinstance(where, tuple):
-                K.D[0][where] = A.T if k else A
-            else:
-                K.data[where] = entries(A)[1]
+        """Write the stored entries of the derivative matrix A to K at the
+        places from ``_place``."""
+        for where in places:
+            K.data[where] = entries(A)[1]
+
+
+def compact_index(values: np.ndarray) -> np.ndarray:
+    """Nonnegative indices in the smallest unsigned integer type that holds
+    them, for index plans kept per model."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)))
 
 
 class SchurPlan:
@@ -278,32 +289,15 @@ class SchurPlan:
     positions in K are ``a_at``, and of N^{-1}[i, j] in the blocks of
     N^{-1} laid out flat (see ``complement``); the terms are
     summed into C[a, c] at ``target``, and the entries of P are copied from
-    ``p_src`` to ``p_dst``. ``band`` is K's ``BandPlan``. Built once per
-    model from the patterns of its derivative matrices, over their stored
-    entries only."""
+    ``p_src`` to ``p_dst``. Built once per model from the stored entries
+    (rows, cols) of K and its ``layout``."""
 
-    def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...], layout: BandLayout):
+    def __init__(self, model: ProblemModel, layout: BandLayout, rows: np.ndarray, cols: np.ndarray):
         n, m, p = model.n, model.m, model.p
-        N = n + m + p
-        L, G, H = (
-            Pattern.full(shape) if P is None else P
-            for P, shape in zip(patterns, ((n, n), (m, n), (p, n)))
-        )
         diag, soc = model.cone.index_groups
-        block = [np.broadcast_arrays(rows[:, :, None], rows[:, None, :]) for rows in soc]
-        # the stored entries of K, both triangles, without repeats
-        a_rows = np.concatenate([n + G.rows, n + m + H.rows])
-        a_cols = np.concatenate([G.cols, H.cols])
-        rows = np.concatenate([L.rows, np.arange(n + m), a_rows, a_cols, n + m + diag]
-                              + [n + m + r.ravel() for r, _ in block])
-        cols = np.concatenate([L.cols, np.arange(n + m), a_cols, a_rows, n + m + diag]
-                              + [n + m + c.ravel() for _, c in block])
-        key = np.unique(rows * N + cols)
-        rows, cols = key // N, key % N
-        self.band = BandPlan(layout, rows, cols)
         self.n, self.m = n, m
         rank = np.empty(n, dtype=np.intp)  # place of each x in the stage order
-        rank[self.band.order[self.band.order < n]] = np.arange(n)
+        rank[layout.order[layout.order < n]] = np.arange(n)
 
         # the blocks of N: for each dual row, the first entry of its block
         # in the flat inverse, which also names the block, its place in the
@@ -402,10 +396,9 @@ def _scatter(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> KK
 class ReducedSystem:
     """Symmetric reduction of the Newton system to (dx, dy, dz).
 
-    K is a ``BlockTridiagonal`` in the stage order of the model (one block
-    for a general model); only its diagonal and sub-diagonal blocks are
-    stored, and each entry is written to both triangles, so it is bitwise
-    symmetric. The cone block uses the symmetrized W^{-1} Ptb; on
+    K is a ``BlockTridiagonal`` in the stage order of the model (one group
+    for a general model), stored in LAPACK band storage; each entry is
+    written to both triangles, so it is bitwise symmetric. The cone block uses the symmetrized W^{-1} Ptb; on
     second-order segments that operator is nonsymmetric away from the
     central path, which is why directions are refined against the full
     system (``reduced_solve``); that system is applied blockwise
@@ -486,7 +479,7 @@ def assemble_symmetric(
         raise NumericalFailure(f"singular cone block: {exc}") from exc
 
     at = _scatter(model, tuple(entries(A)[0] for A in (cache.L_xx, cache.g_x, cache.h_x)))
-    K = BlockTridiagonal(at.layout, band=at.schur.band)
+    K = BlockTridiagonal(at.layout)
     data = K.data
     at.write(K, at.L, cache.L_xx)
     data[at.x_diag] += ep

@@ -1,14 +1,14 @@
 """Symmetric indefinite factorization, refined solves, and inertia correction.
 
 Matrices are ``BlockTridiagonal``: symmetric, block tridiagonal in the order
-of their row groups (``BandLayout``), and stored as those diagonal and
-sub-diagonal blocks only, as the reduced KKT system of a transcribed
-trajectory problem is in stage order (Rao, Wright & Rawlings, JOTA 1998); a
-general matrix is the case of one group. Products with it are taken block by
-block.
+of their row groups, as the reduced KKT system of a transcribed trajectory
+problem is in stage order (Rao, Wright & Rawlings, JOTA 1998); a general
+matrix is the case of one group. They are stored in one array, LAPACK's
+general band storage in the order of the groups (``BandLayout``; Anderson et
+al., LAPACK Users' Guide), which is what the factorization reads.
 
 Every matrix is factored by one banded LU with partial pivoting (LAPACK
-dgbtrf) in the order of its groups (``BandPlan``); a solve is one dgbtrs.
+dgbtrf) of a copy of that array; a solve is one dgbtrs.
 An exactly zero pivot raises NumericalFailure, which switches on the dual
 shift in ``correct_inertia``. The inertia is certified, never counted: a
 matrix K = [[P, A'], [A, -N]] whose dual block N is positive definite may
@@ -36,7 +36,6 @@ correction and by 8 after it, shrink the start by 1/3 on reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,143 +51,68 @@ class InertiaCorrectionFailure(RuntimeError):
 
 
 class BandLayout:
-    """Row groups of a symmetric matrix that is block tridiagonal in their
-    order, and where its blocks are stored: D_k = K[index[k], index[k]] and
-    C_k = K[index[k + 1], index[k]], row-major, in the order D_0, C_0, D_1,
-    C_1, ..., in one flat array. Built once per matrix structure."""
+    """Where a symmetric matrix that is block tridiagonal in the order of
+    its row groups (``index``) is stored: LAPACK general band storage in
+    that order (``order``; ``rank`` is the place of each row in it), the
+    array that dgbtrf reads. Entry (i, j), i and j of ranks ri and rj, is at
+    ab[rj, 2 kl + ri - rj] of the row-major (n, width) array ab, width = 3 kl
+    + 1, kl the half-bandwidth of the ``rows`` and ``cols`` given (both
+    triangles), or of the groups' full block band when none are given; the
+    first kl entries of each row of ab are the fill of the LU. Built once
+    per matrix structure."""
 
-    def __init__(self, index: Sequence[np.ndarray]):
-        self.index = tuple(np.asarray(rows, dtype=np.intp) for rows in index)
-        sizes = [rows.size for rows in self.index]
-        self.n = n = sum(sizes)
-        order = np.concatenate(self.index) if self.index else np.zeros(0, dtype=np.intp)
-        if not np.array_equal(np.sort(order), np.arange(n)):
+    def __init__(self, index: Sequence[np.ndarray], rows: Optional[np.ndarray] = None,
+                 cols: Optional[np.ndarray] = None):
+        self.index = tuple(np.asarray(group, dtype=np.intp) for group in index)
+        self.order = np.concatenate(self.index) if self.index else np.zeros(0, dtype=np.intp)
+        self.n = n = self.order.size
+        if not np.array_equal(np.sort(self.order), np.arange(n)):
             raise ValueError(f"blocks do not partition the {n} rows of the matrix")
-        self.group = np.empty(n, dtype=np.intp)
-        self.local = np.empty(n, dtype=np.intp)
-        self.sizes = np.array(sizes, dtype=np.intp)
-        self.diag_start = np.empty(len(sizes), dtype=np.intp)
-        self.sub_start = np.empty(len(sizes), dtype=np.intp)
-        self.diag_slices, self.sub_slices = [], []
-        off = 0
-        for k, rows in enumerate(self.index):
-            self.group[rows] = k
-            self.local[rows] = np.arange(rows.size)
-            self.diag_start[k] = off
-            self.diag_slices.append((off, off + sizes[k] ** 2, (sizes[k], sizes[k])))
-            off += sizes[k] ** 2
-            self.sub_start[k] = off
-            if k + 1 < len(sizes):
-                self.sub_slices.append((off, off + sizes[k + 1] * sizes[k], (sizes[k + 1], sizes[k])))
-                off += sizes[k + 1] * sizes[k]
-        self.size = off
-        # one group in the original order: the band is the whole matrix
-        self.identity = len(sizes) == 1 and np.array_equal(self.index[0], np.arange(n))
-
-    @cached_property
-    def band(self) -> "BandPlan":
-        """The ``BandPlan`` of every entry of the band, for a matrix whose
-        entries are not known."""
-        rows, cols = [], []
-        for k, group in enumerate(self.index):
-            for other in self.index[max(k - 1, 0) : k + 2]:
-                rows.append(np.repeat(group, other.size))
-                cols.append(np.tile(other, group.size))
-        return BandPlan(self, np.concatenate(rows), np.concatenate(cols))
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[self.order] = np.arange(n)
+        self.group = np.repeat(np.arange(len(self.index)), [g.size for g in self.index])[self.rank]
+        if rows is None:  # adjacent groups k and k + 1 span s_k + s_{k+1} ranks
+            sizes = np.array([g.size for g in self.index])
+            self.kl = int(max((sizes[1:] + sizes[:-1]).max(initial=0), sizes.max(initial=1)) - 1)
+        else:
+            self.kl = int(np.abs(self.rank[rows] - self.rank[cols]).max(initial=0))
+        self.width = 3 * self.kl + 1
 
     def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Flat storage positions of the entries (rows, cols): in D_k for
-        rows and columns of one group, in C_k for groups k + 1 and k, and
-        for groups k and k + 1 in C_k at the mirrored entry. ValueError for
-        an entry outside the band."""
-        if self.identity:  # the band is the whole matrix, stored row-major
-            return rows * self.n + cols
-        gr, gc = self.group[rows], self.group[cols]
-        if np.any(np.abs(gr - gc) > 1):
+        """Flat storage positions of the entries (rows, cols), which must lie
+        within the half-bandwidth kl; ValueError for an entry outside the
+        block tridiagonal band of the groups."""
+        if np.any(np.abs(self.group[rows] - self.group[cols]) > 1):
             raise ValueError("entry outside the block tridiagonal band")
-        lr, lc = self.local[rows], self.local[cols]
-        upper = gr < gc
-        lo = np.minimum(gr, gc)
-        sub = self.sub_start[lo] + np.where(upper, lc, lr) * self.sizes[lo] + np.where(upper, lr, lc)
-        return np.where(gr == gc, self.diag_start[gr] + lr * self.sizes[gr] + lc, sub)
-
-
-def compact_index(values: np.ndarray) -> np.ndarray:
-    """Nonnegative indices in the smallest unsigned integer type that holds
-    them, for index plans kept per model."""
-    return values.astype(np.min_scalar_type(values.max(initial=0)))
-
-
-class BandPlan:
-    """Where the entries (rows, cols) of a matrix stored by ``layout`` go in
-    LAPACK general band storage, with rows and columns in the order of its
-    groups (``order``): entry (i, j) in that order at ab[2 kl + i - j, j] of
-    the (3 kl + 1, n) array that dgbtrf reads, kl the half-bandwidth of the
-    entries. The entries must include both triangles; all others must be
-    zero. Built once per matrix structure."""
-
-    def __init__(self, layout: BandLayout, rows: np.ndarray, cols: np.ndarray):
-        self.order = np.concatenate(layout.index)
-        rank = np.empty(layout.n, dtype=np.intp)
-        rank[self.order] = np.arange(layout.n)
-        ri, ci = rank[rows], rank[cols]
-        self.kl = int(np.abs(ri - ci).max(initial=0))
-        self.width = 3 * self.kl + 1
-        self.src = compact_index(layout.positions(rows, cols))
-        self.dst = compact_index(ci * self.width + 2 * self.kl + ri - ci)
-
-    def factor(self, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Band LU factors (lu, ipiv) of the matrix with storage ``data``
-        (left intact); NumericalFailure at an exactly zero pivot."""
-        ab = np.zeros((self.order.size, self.width))
-        ab.reshape(-1)[self.dst] = data.take(self.src)
-        lu, ipiv, info = dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=1)
-        if info != 0:
-            raise NumericalFailure("zero pivot in the band LU")
-        return lu, ipiv
+        ri, ci = self.rank[rows], self.rank[cols]
+        return ci * self.width + 2 * self.kl + ri - ci
 
 
 class BlockTridiagonal:
-    """Symmetric matrix held as the blocks of its ``BandLayout``: ``D[k]``
-    and ``C[k]`` are views of the flat ``data``; entries outside the band
-    are zero. ``@`` multiplies vectors or columns block by block; the dense
-    matrix (``np.asarray``) is built only on request. ``band`` is the
-    ``BandPlan`` of its stored entries (None: every entry of the band).
-    ``schur``, when set, is the Schur complement C = P + A'N^{-1}A of K =
-    [[P, A'], [A, -N]], N positive definite, onto its first n rows (in
-    their group order), in LAPACK lower band storage, (kd + 1, n), which
-    certifies the inertia of the matrix (see ``factorize``); whoever
-    changes ``data`` after setting it must drop it. The block views are
-    made on first use: a factorization reads ``data`` only."""
+    """Symmetric matrix held in the band storage of its ``BandLayout``:
+    ``data`` is the flat (n, width) array, as dgbtrf reads it; entries
+    outside the band are zero. The dense matrix (``np.asarray``) is built
+    only on request. ``schur``, when set, is the Schur complement C = P +
+    A'N^{-1}A of K = [[P, A'], [A, -N]], N positive definite, onto its first
+    n rows (in their group order), in LAPACK lower band storage, (kd + 1,
+    n), which certifies the inertia of the matrix (see ``factorize``);
+    whoever changes ``data`` after setting it must drop it."""
 
-    def __init__(self, layout: BandLayout, data: Optional[np.ndarray] = None, band: Optional[BandPlan] = None):
+    def __init__(self, layout: BandLayout):
         self.layout = layout
-        self.data = np.zeros(layout.size) if data is None else data
-        self.band = band
+        self.data = np.zeros(layout.n * layout.width)
         self.schur: Optional[np.ndarray] = None
-
-    @cached_property
-    def D(self) -> List[np.ndarray]:
-        return [self.data[a:b].reshape(shape) for a, b, shape in self.layout.diag_slices]
-
-    @cached_property
-    def C(self) -> List[np.ndarray]:
-        return [self.data[a:b].reshape(shape) for a, b, shape in self.layout.sub_slices]
 
     @classmethod
     def from_dense(cls, K: np.ndarray, index: Sequence[np.ndarray]) -> "BlockTridiagonal":
-        """The band of the square array K in the order of ``index``; one
-        group holds K itself, without a copy."""
+        """The block tridiagonal band of the square array K in the order of
+        ``index``; entries of K outside it are dropped."""
         layout = BandLayout(index)
         if layout.n != K.shape[0]:
             raise ValueError(f"blocks do not partition the {K.shape[0]} rows of the matrix")
-        if layout.identity:
-            return cls(layout, np.ascontiguousarray(K).reshape(-1))
+        rows, cols = np.nonzero(np.abs(layout.group[:, None] - layout.group[None, :]) <= 1)
         out = cls(layout)
-        for k, rows in enumerate(layout.index):
-            out.D[k][...] = K[np.ix_(rows, rows)]
-            if k + 1 < len(layout.index):
-                out.C[k][...] = K[np.ix_(layout.index[k + 1], rows)]
+        out.data[layout.positions(rows, cols)] = K[rows, cols]
         return out
 
     @property
@@ -199,39 +123,25 @@ class BlockTridiagonal:
     def index(self) -> Tuple[np.ndarray, ...]:
         return self.layout.index
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        index, D, C = self.layout.index, self.D, self.C
-        parts = [x[rows] for rows in index]
-        out = np.empty(x.shape)
-        for k, rows in enumerate(index):
-            y = D[k] @ parts[k]
-            if k:
-                y += C[k - 1] @ parts[k - 1]
-            if k < len(C):
-                y += C[k].T @ parts[k + 1]
-            out[rows] = y
-        return out
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        index = self.layout.index
+        lay = self.layout
+        cols, shift = np.divmod(np.arange(self.data.size), lay.width)
+        ranks = cols + shift - 2 * lay.kl
+        band = (shift >= lay.kl) & (ranks >= 0) & (ranks < lay.n)
         out = np.zeros(self.shape)
-        for k, rows in enumerate(index):
-            out[np.ix_(rows, rows)] = self.D[k]
-            if k < len(self.C):
-                out[np.ix_(index[k + 1], rows)] = self.C[k]
-                out[np.ix_(rows, index[k + 1])] = self.C[k].T
+        out[lay.order[ranks[band]], lay.order[cols[band]]] = self.data[band]
         return out if dtype is None else out.astype(dtype)
 
 
 @dataclass
 class Factorization:
     """Band LU factors (dgbtrf) of a symmetric matrix in the order of its
-    row groups, ``band`` its ``BandPlan``, and its inertia (pos, neg, zero)
-    when the Cholesky factorization of its Schur complement certifies it,
-    None otherwise."""
+    row groups, ``layout`` its ``BandLayout``, and its inertia (pos, neg,
+    zero) when the Cholesky factorization of its Schur complement certifies
+    it, None otherwise."""
 
     inertia: Optional[Tuple[int, int, int]]
-    band: BandPlan
+    layout: BandLayout
     lu: np.ndarray
     ipiv: np.ndarray
 
@@ -243,9 +153,10 @@ class Factorization:
         """One band LU solve; rhs may be a vector or matrix."""
         b = np.asarray(rhs, dtype=float)
         out = np.empty(b.shape)
+        lay = self.layout
         if b.size:  # the LAPACK wrapper rejects empty arrays
-            x, _ = dgbtrs(self.lu, self.band.kl, self.band.kl, b[self.band.order], self.ipiv)
-            out[self.band.order] = x
+            x, _ = dgbtrs(self.lu, lay.kl, lay.kl, b[lay.order], self.ipiv)
+            out[lay.order] = x
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("non-finite solve result")
         return out
@@ -255,9 +166,10 @@ def factorize(K) -> Factorization:
     """Band LU factors of a symmetric matrix, with its inertia (n, N - n,
     0) when its Schur complement of order n factors by Cholesky.
 
-    K is a ``BlockTridiagonal`` or a square array, which is one group and
-    has no Schur complement, so no inertia. A non-finite entry or an exactly
-    zero pivot raises NumericalFailure.
+    K is a ``BlockTridiagonal``, whose storage is factored in a copy and
+    left intact, or a square array, which is one group and has no Schur
+    complement, so no inertia. A non-finite entry or an exactly zero pivot
+    raises NumericalFailure.
     """
     if not isinstance(K, BlockTridiagonal):
         A = np.asarray(K, dtype=float)
@@ -267,12 +179,16 @@ def factorize(K) -> Factorization:
         K = BlockTridiagonal.from_dense(A, (np.arange(n),))
     if not np.isfinite(K.data).all():
         raise NumericalFailure("non-finite matrix entry")
-    band = K.layout.band if K.band is None else K.band
+    lay = K.layout
     inertia = None
     C = K.schur
     if C is not None and np.isfinite(C).all() and dpbtrf(C, lower=1)[1] == 0:
-        inertia = (C.shape[1], K.layout.n - C.shape[1], 0)
-    return Factorization(inertia, band, *band.factor(K.data))
+        inertia = (C.shape[1], lay.n - C.shape[1], 0)
+    ab = K.data.reshape(lay.n, lay.width).copy()
+    lu, ipiv, info = dgbtrf(ab.T, lay.kl, lay.kl, overwrite_ab=1)
+    if info != 0:
+        raise NumericalFailure("zero pivot in the band LU")
+    return Factorization(inertia, lay, lu, ipiv)
 
 
 def solve_refined(

@@ -164,8 +164,8 @@ class ProblemModel:
     parameter_jacobians: Optional[Callable] = None
     d: int = 0
     stage_blocks: Optional[Tuple[np.ndarray, ...]] = None
-    # where the reduced KKT matrix stores its entries (kkt.KKTScatter),
-    # built at the model's first assembly
+    # where the reduced KKT matrix stores its entries in its band storage
+    # (kkt.KKTScatter), built at the model's first assembly
     kkt_scatter: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -70,7 +70,7 @@ class SolverOptions:
 
     tol: float = 1e-6                 # unrelaxed residual tolerance (gamma_R)
     rho_init: float = 1.0
-    kappa_min: float = 1e-8           # floor of kappa; below tol/2 it has no effect
+    kappa_min: float = 0.0            # floor of kappa; below tol/2 it has no effect
     max_outer: int = 30
     max_total: int = 1000
     record_trace: bool = False

@@ -474,7 +474,7 @@ def test_schur_complement_matches_dense(shifts):
     n = model.n
     D = np.asarray(K)
     expected = D[:n, :n] - D[:n, n:] @ np.linalg.solve(D[n:, n:], D[n:, :n])
-    x = K.band.order[K.band.order < n]
+    x = K.layout.order[K.layout.order < n]
     expected = expected[np.ix_(x, x)]
     C = K.schur
     kd = C.shape[0] - 1
@@ -631,15 +631,11 @@ def test_fixed_shift_failure_raises_numerical_failure():
 
 def test_directions_refine_against_the_full_system_only(monkeypatch):
     # refinement applies the full Jacobian blockwise and never the reduced
-    # K: a tracking solve makes no product with a BlockTridiagonal
-    products = []
-    original = ipal.linsolve.BlockTridiagonal.__matmul__
-
-    def counting(self, x):
-        products.append(None)
-        return original(self, x)
-
-    monkeypatch.setattr(ipal.linsolve.BlockTridiagonal, "__matmul__", counting)
+    # K, whose band storage has no product of its own: a tracking solve
+    # makes no dense view of a BlockTridiagonal, the only way to multiply it
+    dense = []
+    _counting(monkeypatch, BlockTridiagonal, "from_dense", dense)
+    _counting(monkeypatch, BlockTridiagonal, "__array__", dense)
     model, x0, theta = trajectory_tracking(100)
     assert solve(model, x0, theta).solved
-    assert products == []
+    assert dense == []

@@ -361,8 +361,8 @@ class TestBlockedFactorize:
             signs = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else np.ones(n)
             K, blocks = block_tridiagonal(rng, sizes, signs)
             band = BlockTridiagonal.from_dense(K, blocks)
-            order = band.layout.band.order
-            band.schur = lower_band(K[np.ix_(order, order)], band.layout.band.kl)
+            order = band.layout.order
+            band.schur = lower_band(K[np.ix_(order, order)], band.layout.kl)
             fact = factorize(band)
             assert fact.certified == (signs > 0).all()
             if fact.certified:
@@ -404,7 +404,7 @@ class TestBlockedFactorize:
         b = rng.standard_normal(5)
         for index in (np.arange(5), rng.permutation(5)):
             fact = factorize(BlockTridiagonal.from_dense(K, (index,)))
-            assert fact.band.kl == 4 and np.array_equal(fact.band.order, index)
+            assert fact.layout.kl == 4 and np.array_equal(fact.layout.order, index)
             assert not fact.certified
             x = refined(fact, K, b)
             assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())

@@ -20,12 +20,13 @@ from helpers import (
 from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
 from ipal.kkt import assemble_symmetric, full_jacobian, jacobian_apply
-from ipal.linsolve import BlockTridiagonal, RegularizationState
+from ipal.linsolve import BlockTridiagonal, RegularizationState, factorize
 from ipal.model import InvalidDimension, StageMatrix, evaluate
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import transcribe
 
 CASES = ["tracking-10", "tracking-50", "tracking-100", "double-integrator-trajopt", "mpc-autotune"]
+GENERAL = sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
 SHIFTS = [RegularizationState(), RegularizationState(eps_p=1e-3, eps_d=1e-6)]
 
 
@@ -81,12 +82,10 @@ def test_reduced_matrix_matches_dense_assembly(name):
         np.testing.assert_array_equal(np.asarray(tracked.K), reference)
 
 
-@pytest.mark.parametrize(
-    "name", sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
-)
+@pytest.mark.parametrize("name", GENERAL)
 def test_general_models_write_dense_derivatives_as_blocks(name):
-    # a general model's K is one group in its own order: its dense
-    # derivative matrices are written as blocks of K, with no index arrays
+    # a general model's K is one group in its own order, and its dense
+    # derivative matrices are written entry by entry into its band storage
     model = dataclasses.replace(REGISTRY[name].model)
     theta = REGISTRY[name].theta
     point, outer = random_iterate(np.random.default_rng(len(name)), model)
@@ -94,9 +93,40 @@ def test_general_models_write_dense_derivatives_as_blocks(name):
     for reg in SHIFTS:
         rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
         np.testing.assert_array_equal(np.asarray(rsys.K), dense_reduced_matrix(model, point, outer, reg, cache))
-    at = model.kkt_scatter
-    assert at.layout.identity
-    assert all(isinstance(where, tuple) for where in at.L + at.G + at.H)
+    index = model.kkt_scatter.layout.index
+    assert len(index) == 1 and np.array_equal(index[0], np.arange(model.n + model.m + model.p))
+
+
+@pytest.mark.parametrize("name", ["tracking-12"] + GENERAL)
+def test_band_storage_is_the_lu_input(name):
+    # K is stored as dgbtrf reads it: with i and j the places of two rows in
+    # the group order, entry (i, j) of K at row j, column 2 kl + i - j of the
+    # (n, 3 kl + 1) array, every entry of the dense reference within kl of
+    # the diagonal, and zeros in the first kl columns, the fill of the LU.
+    # Factoring works on a copy and leaves the storage bitwise intact
+    if name in REGISTRY:
+        model, theta = dataclasses.replace(REGISTRY[name].model), REGISTRY[name].theta
+        point, outer = random_iterate(np.random.default_rng(len(name)), model)
+    else:
+        _, model, theta, point, outer = _case(name)
+    cache = evaluate(model, point.x, theta, point.y, point.z)
+    K = assemble_symmetric(model, point, theta, outer, SHIFTS[1], cache).K
+    lay = K.layout
+    n, kl = lay.n, lay.kl
+    reference = dense_reduced_matrix(model, point, outer, SHIFTS[1], cache)
+    np.testing.assert_array_equal(np.asarray(K), reference)
+    grouped = reference[np.ix_(lay.order, lay.order)]
+    expected = np.zeros((n, 3 * kl + 1))
+    for j in range(n):
+        for i in range(n):
+            if abs(i - j) <= kl:
+                expected[j, 2 * kl + i - j] = grouped[i, j]
+            else:
+                assert grouped[i, j] == 0.0
+    np.testing.assert_array_equal(K.data.reshape(n, 3 * kl + 1), expected)
+    stored = K.data.copy()
+    factorize(K)
+    assert K.data.tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -104,10 +134,6 @@ def test_block_products_match_dense(name):
     _, model, theta, point, outer = _case(name)
     rng = np.random.default_rng(7)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    K = assemble_symmetric(model, point, theta, outer, SHIFTS[1], cache).K
-    dense = np.asarray(K)
-    for u in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 3))):
-        _close(K @ u, dense @ u)
     for A in (cache.g_x, cache.h_x, cache.L_xx):
         D = np.asarray(A)
         for B, Bd in ((A, D), (A.T, D.T)):
