@@ -12,7 +12,7 @@ Jacobians of the product, are ``ConeBlocks``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,6 +90,15 @@ class ConeSpec:
         flat = np.sort(np.concatenate(diagonal)) if diagonal else np.zeros(0, dtype=int)
         return flat, tuple(rows for soc, _, rows in self.segment_groups if soc)
 
+    @cached_property
+    def target(self) -> np.ndarray:
+        """``cone_target``"""
+        diag, soc = self.index_groups
+        e = np.zeros(self.dim)
+        e[np.concatenate([diag] + [rows[:, 0] for rows in soc])] = 1.0
+        e.flags.writeable = False
+        return e
+
     def slices(self) -> Iterator[Tuple[Segment, slice]]:
         """Yield (segment, slice into the stacked vector) pairs in order."""
         lo = 0
@@ -123,7 +132,10 @@ def cone_slack(a: np.ndarray, spec: ConeSpec) -> np.ndarray:
     """The elementwise entries of ``a`` (``index_groups[0]``), then
     a[0] - ||a[1:]|| per second-order segment: ``a`` is in the cone iff all
     are >= 0, in its interior iff all are > 0."""
-    a = _check_operand(a, spec, "a")
+    return _slack(_check_operand(a, spec, "a"), spec)
+
+
+def _slack(a: np.ndarray, spec: ConeSpec) -> np.ndarray:
     diag, soc = spec.index_groups
     return np.concatenate(
         [a[diag]] + [a[rows[:, 0]] - np.sqrt(_dots(a[rows[:, 1:]], a[rows[:, 1:]])) for rows in soc]
@@ -138,11 +150,9 @@ def in_cone(a: np.ndarray, spec: ConeSpec, strict: bool = False) -> bool:
 
 def cone_target(spec: ConeSpec) -> np.ndarray:
     """Identity element of the segment-wise product: ones on orthant entries,
-    (1, 0, ..., 0) on second-order segments."""
-    diag, soc = spec.index_groups
-    e = np.zeros(spec.dim)
-    e[np.concatenate([diag] + [rows[:, 0] for rows in soc])] = 1.0
-    return e
+    (1, 0, ..., 0) on second-order segments. Built once per spec and
+    read-only; a caller that keeps or changes it copies it."""
+    return spec.target
 
 
 def cone_product(a: np.ndarray, b: np.ndarray, spec: ConeSpec) -> np.ndarray:
@@ -158,6 +168,13 @@ def cone_product(a: np.ndarray, b: np.ndarray, spec: ConeSpec) -> np.ndarray:
         out[rows[:, 0]] = _dots(U, V)
         out[rows[:, 1:]] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
     return out
+
+
+@lru_cache(maxsize=None)
+def _eye(k: int) -> np.ndarray:
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -178,7 +195,7 @@ class ConeBlocks:
 
     def shift(self, c: float) -> ConeBlocks:
         """self + c I"""
-        return ConeBlocks(self.spec, self.diag + c, tuple(B + c * np.eye(B.shape[1]) for B in self.blocks))
+        return ConeBlocks(self.spec, self.diag + c, tuple(B + c * _eye(B.shape[1]) for B in self.blocks))
 
     def symmetric_part(self) -> ConeBlocks:
         return ConeBlocks(self.spec, self.diag, tuple(0.5 * (B + B.transpose(0, 2, 1)) for B in self.blocks))
@@ -287,11 +304,10 @@ def _soc_crossings(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         # +0.0, so that q1 == 0 takes the root -sqrt(disc) / 2.
         qq = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1 + 0.0))
         roots = np.array([qq / q2, q0 / qq])
-        roots[~(roots > 0.0)] = np.inf
-        crossing = roots.min(axis=0)
+        crossing = np.where(roots > 0.0, roots, np.inf).min(axis=0)
         # (nearly) linear q: its root, if q decreases
-        scale = np.maximum(np.maximum(np.abs(q2), np.abs(q1)), np.maximum(np.abs(q0), 1.0))
-        linear = np.abs(q2) <= 1e-14 * scale
+        q_abs = np.abs(np.array([q2, q1, q0]))
+        linear = q_abs[0] <= 1e-14 * np.maximum(q_abs.max(axis=0), 1.0)
         if linear.any():
             crossing[linear] = np.where(q1 < 0.0, -q0 / q1, np.inf)[linear]
     return crossing
@@ -306,15 +322,15 @@ def max_step_to_boundary(a: np.ndarray, da: np.ndarray, tau: float, spec: ConeSp
     """
     a = _check_operand(a, spec, "a")
     da = _check_operand(da, spec, "da")
-    if not in_cone(a, spec, strict=True):
+    if not (_slack(a, spec) > 0.0).all():
         raise NotInterior("base point is not strictly interior")
     diag, soc = spec.index_groups
-    falling = da[diag] < 0.0
-    crossing = (-a[diag][falling] / da[diag][falling]).min(initial=np.inf)
+    ad, dd = a[diag], da[diag]
+    falling = dd < 0.0
+    crossing = (-ad[falling] / dd[falling]).min(initial=np.inf)
     for rows in soc:
         crossing = min(crossing, _soc_crossings(a[rows], da[rows]).min())
-    if not np.isfinite(crossing):
-        return 1.0
+    # a ray that never crosses (crossing inf) takes the full step
     return float(min(1.0, tau * crossing))
 
 

@@ -27,21 +27,23 @@ definite, a second-order block that is singular to round-off at the cone
 boundary raised first (``CONE_RAISE``): its Cholesky factorization
 certifies the inertia (``linsolve.factorize``). Cone slack and complement
 blocks are recovered in closed form from stacked cone blocks
-(``ConeBlocks``). On
-second-order segments the reduced cone block is symmetrized, so directions
-are refined against the full system, applied blockwise, by the GMRES loop
-of ``solve_refined`` with the reduced solve as its preconditioner
-(``reduced_solve``); nothing refines against K, and no solve forms the
-dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
-serves as a reference in tests. ``differentiate`` solves its parameter
-columns through the same reduction and refinement, with the multiplier
-estimate tracking the equality dual (``assemble_symmetric``'s
+(``ConeBlocks``). The reduced cone block W^{-1}P_t is symmetrized, which
+changes it only on second-order segments of dimension 3 or more (on
+dimension 2 the arrow matrices commute, so it is symmetric already).
+Directions are refined against the full system, applied blockwise, by the
+GMRES loop of ``solve_refined`` with the reduced solve as its
+preconditioner (``reduced_solve``); nothing refines against K, and no
+solve forms the dense Jacobian (``full_jacobian``, the only p x p cone
+matrix), which serves as a reference in tests. ``differentiate`` solves
+its parameter columns through the same reduction and refinement, with the
+multiplier estimate tracking the equality dual (``assemble_symmetric``'s
 ``tracks_multiplier``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -96,48 +98,53 @@ class OuterState:
 
 @dataclass(frozen=True)
 class Layout:
-    """Index bookkeeping for the stacked iterate/residual."""
+    """Index bookkeeping for the stacked iterate/residual: the slices of
+    x, r, s, y, z and t, computed at construction."""
 
     n: int
     m: int
     p: int
+    total: int = field(init=False, repr=False, compare=False)
+    x: slice = field(init=False, repr=False, compare=False)
+    r: slice = field(init=False, repr=False, compare=False)
+    s: slice = field(init=False, repr=False, compare=False)
+    y: slice = field(init=False, repr=False, compare=False)
+    z: slice = field(init=False, repr=False, compare=False)
+    t: slice = field(init=False, repr=False, compare=False)
 
-    @property
-    def total(self) -> int:
-        return self.n + 2 * self.m + 3 * self.p
-
-    @property
-    def x(self) -> slice:
-        return slice(0, self.n)
-
-    @property
-    def r(self) -> slice:
-        return slice(self.n, self.n + self.m)
-
-    @property
-    def s(self) -> slice:
-        return slice(self.n + self.m, self.n + self.m + self.p)
-
-    @property
-    def y(self) -> slice:
-        return slice(self.n + self.m + self.p, self.n + 2 * self.m + self.p)
-
-    @property
-    def z(self) -> slice:
-        return slice(self.n + 2 * self.m + self.p, self.n + 2 * self.m + 2 * self.p)
-
-    @property
-    def t(self) -> slice:
-        return slice(self.n + 2 * self.m + 2 * self.p, self.total)
+    def __post_init__(self):
+        lo = 0
+        for name, size in zip("xrsyzt", (self.n, self.m, self.p, self.m, self.p, self.p)):
+            object.__setattr__(self, name, slice(lo, lo + size))
+            lo += size
+        object.__setattr__(self, "total", lo)
 
     def pack(self, point: SolverPoint) -> np.ndarray:
         return np.concatenate([point.x, point.r, point.s, point.y, point.z, point.t])
 
     def unpack(self, w: np.ndarray) -> SolverPoint:
-        return SolverPoint(
-            w[self.x].copy(), w[self.r].copy(), w[self.s].copy(),
-            w[self.y].copy(), w[self.z].copy(), w[self.t].copy(),
-        )
+        """The blocks of w, as views."""
+        return SolverPoint(w[self.x], w[self.r], w[self.s], w[self.y], w[self.z], w[self.t])
+
+
+# one Layout per (n, m, p), for the routines called every iteration
+layout_of = lru_cache(maxsize=None)(Layout)
+
+
+def unrelaxed_rows(model: ProblemModel, point: SolverPoint, cache: EvalCache) -> np.ndarray:
+    """The rows of the residual with the relaxation removed, stacked as the
+    residual is: c_x + g_x'y + h_x'z, r, -z - t, g - r, h - s and s o t.
+    Their max-norm is ``solver.unrelaxed_residual_norm``; ``residual``
+    turns them into R in place."""
+    lay = layout_of(model.n, model.m, model.p)
+    U = np.empty(lay.total)
+    U[lay.x] = cache.c_x + cache.g_x.T @ point.y + cache.h_x.T @ point.z
+    U[lay.r] = point.r
+    U[lay.s] = -point.z - point.t
+    U[lay.y] = cache.g - point.r
+    U[lay.z] = cache.h - point.s
+    U[lay.t] = cone_product(point.s, point.t, model.cone)
+    return U
 
 
 def residual(
@@ -146,26 +153,27 @@ def residual(
     theta: np.ndarray,
     outer: OuterState,
     cache: Optional[EvalCache] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Stacked stationarity residual at the given iterate."""
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
-    lay = Layout(model.n, model.m, model.p)
-    R = np.empty(lay.total)
-    R[lay.x] = cache.c_x + cache.g_x.T @ point.y + cache.h_x.T @ point.z
-    R[lay.s] = -point.z - point.t
-    R[lay.y] = cache.g - point.r
-    R[lay.z] = cache.h - point.s
-    return outer_rows(model, point, outer, R)
+    """Stacked stationarity residual at the given iterate. ``rows`` are its
+    ``unrelaxed_rows`` when already formed; R is written over them."""
+    if rows is None:
+        if cache is None:
+            cache = evaluate(model, point.x, theta, point.y, point.z)
+        rows = unrelaxed_rows(model, point, cache)
+    return outer_rows(model, point, outer, rows, rows[layout_of(model.n, model.m, model.p).t])
 
 
-def outer_rows(model: ProblemModel, point: SolverPoint, outer: OuterState, R: np.ndarray) -> np.ndarray:
+def outer_rows(model: ProblemModel, point: SolverPoint, outer: OuterState, R: np.ndarray,
+               products: Optional[np.ndarray] = None) -> np.ndarray:
     """Write, in place, the rows of the residual R that read the outer state
     (lam, rho and kappa): the relaxation rows r and the complementarity
-    rows t. Returns R."""
-    lay = Layout(model.n, model.m, model.p)
+    rows t, from s o t (``products``, formed when None). Returns R."""
+    lay = layout_of(model.n, model.m, model.p)
+    if products is None:
+        products = cone_product(point.s, point.t, model.cone)
     R[lay.r] = outer.lam + outer.rho * point.r - point.y
-    R[lay.t] = cone_product(point.s, point.t, model.cone) - outer.kappa * cone_target(model.cone)
+    R[lay.t] = products - outer.kappa * cone_target(model.cone)
     return R
 
 
@@ -181,7 +189,7 @@ def full_jacobian(
     eps_p on the (x, r, s) diagonals and the dual shift eps_d on (y, z, t)."""
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
-    lay = Layout(model.n, model.m, model.p)
+    lay = layout_of(model.n, model.m, model.p)
     n, m, p = lay.n, lay.m, lay.p
     ep, ed = reg.eps_p, reg.eps_d
     G, H = np.asarray(cache.g_x), np.asarray(cache.h_x)
@@ -213,12 +221,12 @@ class KKTScatter:
     stored entries of K (both triangles, without repeats: those of L_xx, g_x
     and h_x for their patterns, every entry for a dense matrix, the x and y
     diagonals and the cone blocks), whose half-bandwidth in the group order
-    sets ``layout``, the storage positions of L_xx, g_x and h_x (see
-    ``_place``), of the x and y diagonals and of the cone blocks, and where
-    the Schur complement of K goes (``schur``, a ``SchurPlan``). Built once
-    per model, at its first assembly, and kept on the model.
-    InvalidDimension when a derivative matrix has an entry outside the band
-    of the stage order."""
+    sets ``layout``, the storage positions of the stored entries of L_xx,
+    g_x and h_x (``derivatives``, see ``_place``), of the x and y diagonals
+    and of the cone blocks, and where the Schur complement of K goes
+    (``schur``, a ``SchurPlan``). Built once per model, at its first
+    assembly, and kept on the model. InvalidDimension when a derivative
+    matrix has an entry outside the band of the stage order."""
 
     def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
         n, m, p = model.n, model.m, model.p
@@ -240,9 +248,11 @@ class KKTScatter:
         rows, cols = key // N, key % N
         self.layout = BandLayout(model.stage_blocks or (np.arange(N),), rows, cols)
         x, y, z = slice(0, n), slice(n, n + m), slice(n + m, N)
-        self.L = self._place(L, x, x, mirror=False)
-        self.G = self._place(G, y, x, mirror=True)
-        self.H = self._place(H, z, x, mirror=True)
+        self.derivatives = (
+            self._place(L, x, x, mirror=False),
+            self._place(G, y, x, mirror=True),
+            self._place(H, z, x, mirror=True),
+        )
         at = self.layout.positions
         self.x_diag = at(np.arange(n), np.arange(n))
         self.y_diag = at(np.arange(n, n + m), np.arange(n, n + m))
@@ -263,13 +273,6 @@ class KKTScatter:
                 "return StageMatrix derivatives on the stage blocks"
             ) from None
 
-    @staticmethod
-    def write(K: BlockTridiagonal, places: list, A) -> None:
-        """Write the stored entries of the derivative matrix A to K at the
-        places from ``_place``."""
-        for where in places:
-            K.data[where] = entries(A)[1]
-
 
 def compact_index(values: np.ndarray) -> np.ndarray:
     """Nonnegative indices in the smallest unsigned integer type that holds
@@ -284,13 +287,12 @@ class SchurPlan:
     is (1/(rho + eps_p) + eps_d) I on the equality duals and M + eps_d I on
     the cone rows, block diagonal on the cone segments. Each term A[i, a]
     N^{-1}[i, j] A[j, c], for rows i and j of one block of N and a not
-    before c, is a triple (``left``, ``right``, ``inner``): the places of
-    A[i, a] and A[j, c] among the stored entries of A, whose storage
-    positions in K are ``a_at``, and of N^{-1}[i, j] in the blocks of
-    N^{-1} laid out flat (see ``complement``); the terms are
-    summed into C[a, c] at ``target``, and the entries of P are copied from
-    ``p_src`` to ``p_dst``. Built once per model from the stored entries
-    (rows, cols) of K and its ``layout``."""
+    before c, is a triple (``left``, ``right``, ``inner``): the storage
+    positions of A[i, a] and A[j, c] in K, and the place of N^{-1}[i, j]
+    in the blocks of N^{-1} laid out flat (see ``complement``); the terms,
+    then the entries of P at ``p_src``, are summed into C[a, c] at
+    ``target``. Built once per model from the stored entries (rows, cols) of
+    K and its ``layout``."""
 
     def __init__(self, model: ProblemModel, layout: BandLayout, rows: np.ndarray, cols: np.ndarray):
         n, m, p = model.n, model.m, model.p
@@ -334,12 +336,10 @@ class SchurPlan:
         ra, rc = np.concatenate([rank[a[e1]], rank[pr]]), np.concatenate([rank[a[e2]], rank[pc]])
         self.kd = int((ra - rc).max(initial=0))
         slot = rc * (self.kd + 1) + ra - rc  # C[a, c] in the (n, kd + 1) row-major array
-        self.a_at = compact_index(at)
-        self.left, self.right = compact_index(e1), compact_index(e2)
+        self.left, self.right = compact_index(at[e1]), compact_index(at[e2])
         self.inner = compact_index(first[d[e1]] + place[d[e1]] * size[d[e1]] + place[d[e2]])
-        self.target = compact_index(slot[: e1.size])
+        self.target = compact_index(slot)
         self.p_src = compact_index(layout.positions(pr, pc))
-        self.p_dst = compact_index(slot[e1.size:])
 
     def complement(self, data: np.ndarray, dual: float, cone: ConeBlocks) -> Optional[np.ndarray]:
         """C of the K with storage ``data``, N = ``dual`` I on the equality
@@ -355,11 +355,11 @@ class SchurPlan:
         except np.linalg.LinAlgError:
             return None
         inverse = np.concatenate([np.full(self.m, 1.0 / dual), 1.0 / cone.diag] + blocks)
-        a = data.take(self.a_at)
-        terms = a.take(self.left) * a.take(self.right) * inverse.take(self.inner)
-        # without entries of A, bincount counts in integers
-        C = np.bincount(self.target, terms, minlength=self.n * (self.kd + 1)).astype(float, copy=False)
-        C[self.p_dst] += data.take(self.p_src)
+        terms = data.take(self.left) * data.take(self.right) * inverse.take(self.inner)
+        # bincount sums in input order, so each C[a, c] adds its entry of P
+        # (P stores its diagonal, so there is always one weight) last
+        C = np.bincount(self.target, np.concatenate([terms, data.take(self.p_src)]),
+                        minlength=self.n * (self.kd + 1))
         return C.reshape(self.n, self.kd + 1).T
 
 
@@ -398,11 +398,13 @@ class ReducedSystem:
 
     K is a ``BlockTridiagonal`` in the stage order of the model (one group
     for a general model), stored in LAPACK band storage; each entry is
-    written to both triangles, so it is bitwise symmetric. The cone block uses the symmetrized W^{-1} Ptb; on
-    second-order segments that operator is nonsymmetric away from the
-    central path, which is why directions are refined against the full
-    system (``reduced_solve``); that system is applied blockwise
-    (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked blocks
+    written to both triangles, so it is bitwise symmetric. The cone block
+    uses the symmetrized W^{-1} Ptb. On second-order segments of dimension
+    3 or more that operator is nonsymmetric away from the central path,
+    which is why directions are refined against the full system
+    (``reduced_solve``); on dimension 2 the arrow matrices commute, so it
+    is symmetric to round-off and refinement corrects round-off only. The
+    full system is applied blockwise (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked blocks
     (``ConeBlocks``), never p x p matrices. Residual rows and solutions
     may be vectors or matrices of columns.
     """
@@ -466,7 +468,7 @@ def assemble_symmetric(
     Schur complement: nothing reads its inertia."""
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
-    lay = Layout(model.n, model.m, model.p)
+    lay = layout_of(model.n, model.m, model.p)
     ep, ed = reg.eps_p, reg.eps_d
     dual_scale = 1.0 / (outer.rho + ep)
 
@@ -478,21 +480,21 @@ def assemble_symmetric(
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular cone block: {exc}") from exc
 
-    at = _scatter(model, tuple(entries(A)[0] for A in (cache.L_xx, cache.g_x, cache.h_x)))
+    stored = [entries(A) for A in (cache.L_xx, cache.g_x, cache.h_x)]
+    at = _scatter(model, tuple(pattern for pattern, _ in stored))
     K = BlockTridiagonal(at.layout)
     data = K.data
-    at.write(K, at.L, cache.L_xx)
+    for places, (_, values) in zip(at.derivatives, stored):
+        for where in places:
+            data[where] = values
     data[at.x_diag] += ep
-    at.write(K, at.G, cache.g_x)
-    at.write(K, at.H, cache.h_x)
     # exact elimination of the relaxation block: the dual shift joins the
     # penalty term on the equality-dual diagonal, unless dlam = dy
     data[at.y_diag] = -ed if tracks_multiplier else -(dual_scale + ed)
     N_cone = M.shift(ed)
-    cone = -1.0 * N_cone
-    data[at.cone_diag] = cone.diag
-    for where, B in zip(at.cone_blocks, cone.blocks):
-        data[where] = B
+    data[at.cone_diag] = -N_cone.diag
+    for where, B in zip(at.cone_blocks, N_cone.blocks):
+        data[where] = -B
     if not tracks_multiplier:
         K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
 
@@ -528,6 +530,9 @@ class DirectionOptions:
 
     max_refine: int = 10
     consistency_tol: float = 1e-8
+
+
+SOLVER_DIRECTIONS = DirectionOptions()
 
 
 @dataclass
@@ -590,8 +595,9 @@ def _newton_direction(
     (correct=True) or at the shifts of ``reg`` as given.
 
     The symmetrized cone block makes the one-shot reduced direction inexact
-    on second-order segments away from the central path; refinement against
-    the full system (``reduced_solve``) corrects it. A direction that misses
+    on second-order segments of dimension 3 or more away from the central
+    path; refinement against the full system (``reduced_solve``) corrects
+    it, and round-off elsewhere. A direction that misses
     the consistency bound, or a fixed-shift build or factorization that
     fails, raises NumericalFailure.
     """
@@ -599,7 +605,7 @@ def _newton_direction(
         cache = evaluate(model, point.x, theta, point.y, point.z)
     if R is None:
         R = residual(model, point, theta, outer, cache)
-    lay = Layout(model.n, model.m, model.p)
+    lay = layout_of(model.n, model.m, model.p)
     holder: dict = {"trials": 0}
 
     def build(ep, ed):
@@ -667,4 +673,4 @@ def search_direction(
     the returned shifts, or NumericalFailure is raised. ``R`` is the residual
     at this iterate when the caller has already computed it.
     """
-    return _newton_direction(model, point, theta, outer, reg, DirectionOptions(), cache, R, True)
+    return _newton_direction(model, point, theta, outer, reg, SOLVER_DIRECTIONS, cache, R, True)

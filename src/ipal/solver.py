@@ -40,6 +40,7 @@ from .kkt import (
     outer_rows,
     residual,
     search_direction,
+    unrelaxed_rows,
 )
 from .linsolve import (
     InertiaCorrectionFailure,
@@ -175,20 +176,16 @@ def unrelaxed_residual_norm(
     point: SolverPoint,
     theta: np.ndarray,
     cache: Optional[EvalCache] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> float:
     """Max norm over the stationarity rows with the relaxation removed:
-    stationarity, -z-t, g-r, h-s, s o t, and r itself."""
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
-    rows = [
-        cache.c_x + cache.g_x.T @ point.y + cache.h_x.T @ point.z,
-        -point.z - point.t,
-        cache.g - point.r,
-        cache.h - point.s,
-        cone_product(point.s, point.t, model.cone),
-        point.r,
-    ]
-    return max((np.abs(v).max() if v.size else 0.0) for v in rows)
+    stationarity, -z-t, g-r, h-s, s o t, and r itself (``unrelaxed_rows``,
+    formed unless given)."""
+    if rows is None:
+        if cache is None:
+            cache = evaluate(model, point.x, theta, point.y, point.z)
+        rows = unrelaxed_rows(model, point, cache)
+    return np.abs(rows).max()
 
 
 def solution_converged(
@@ -292,6 +289,7 @@ def cone_line_search(
 
 ARMIJO = 1e-8  # sufficient-decrease margins in the filter rule
 MIN_STEP = 1e-12
+ROUNDOFF = 10.0 * np.finfo(float).eps  # relative rounding of the merit
 
 
 def filter_step(
@@ -317,7 +315,7 @@ def filter_step(
     # round-off relaxation (Waechter & Biegler, Math. Prog. 2006): near the
     # end of the barrier path the merit changes by less than its own
     # rounding, so a step need not decrease it below that level
-    slack = 10.0 * np.finfo(float).eps * abs(phi0)
+    slack = ROUNDOFF * abs(phi0)
     alpha = alpha_init
     backtracks = 0
     while alpha >= MIN_STEP:
@@ -358,7 +356,7 @@ def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray,
         s=interior_initialization(h0, model.cone),
         y=np.zeros(model.m),
         z=np.zeros(model.p),
-        t=cone_target(model.cone),
+        t=cone_target(model.cone).copy(),
     )
 
 
@@ -419,14 +417,16 @@ def solve(
         while True:
             if cache is None:
                 cache = evaluate(model, point.x, theta, point.y, point.z, values)
-                res_norm = unrelaxed_residual_norm(model, point, theta, cache)
+                # one pass over the rows: the unrelaxed norm, then R over them
+                R = unrelaxed_rows(model, point, cache)
+                res_norm = unrelaxed_residual_norm(model, point, theta, cache, R)
                 if res_norm <= opts.tol:  # solution_converged
                     status = SolveStatus.SOLVED
                     break
                 if total >= opts.max_total:
                     break
-                R = residual(model, point, theta, outer, cache)
-            norm_R = np.abs(R).max() if R.size else 0.0
+                R = residual(model, point, theta, outer, cache, R)
+            norm_R = np.abs(R).max()
             if subproblem_converged(norm_R, outer.kappa):
                 if outer_count >= opts.max_outer:
                     break

@@ -291,6 +291,45 @@ def dense_reduced_matrix(model, point, outer, reg, cache):
 
 
 # ------------------------------------------------------------------------
+# The stacked residual and the unrelaxed residual norm as two separate
+# passes over the rows, each forming its own copy of the rows they share.
+# The solver takes both from one pass (``kkt.unrelaxed_rows``), which must
+# reproduce these bitwise.
+
+
+def residual_reference(model, point, outer, cache):
+    """The stacked stationarity residual R at the evaluation ``cache``."""
+    from ipal.cone import cone_product, cone_target
+    from ipal.kkt import Layout
+
+    lay = Layout(model.n, model.m, model.p)
+    R = np.empty(lay.total)
+    R[lay.x] = cache.c_x + cache.g_x.T @ point.y + cache.h_x.T @ point.z
+    R[lay.s] = -point.z - point.t
+    R[lay.y] = cache.g - point.r
+    R[lay.z] = cache.h - point.s
+    R[lay.r] = outer.lam + outer.rho * point.r - point.y
+    R[lay.t] = cone_product(point.s, point.t, model.cone) - outer.kappa * cone_target(model.cone)
+    return R
+
+
+def unrelaxed_residual_norm_reference(model, point, cache):
+    """Max norm of the stationarity rows with the relaxation removed, row
+    block by row block."""
+    from ipal.cone import cone_product
+
+    rows = [
+        cache.c_x + cache.g_x.T @ point.y + cache.h_x.T @ point.z,
+        -point.z - point.t,
+        cache.g - point.r,
+        cache.h - point.s,
+        cone_product(point.s, point.t, model.cone),
+        point.r,
+    ]
+    return max((np.abs(v).max() if v.size else 0.0) for v in rows)
+
+
+# ------------------------------------------------------------------------
 # Per-segment reference cone algebra: one Python step per segment, as the
 # cone module computed it before its operations were batched. The batched
 # operations must reproduce these bitwise.

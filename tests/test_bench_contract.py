@@ -64,3 +64,31 @@ def test_traced_solve_and_differentiate_match_untraced(name):
     assert table["linsolve.factorize"]["calls"] >= table["kkt.search_direction"]["calls"]
     assert table["callbacks.lagrangian_hessian"]["calls"] > 0
     assert tracer.extra["linsolve.factorize.flops"] > 0
+
+
+# spans of bindings that only reference paths call: the dense Jacobian and
+# the dense product Jacobians are never built by a solve or differentiate
+REFERENCE_ONLY = {"kkt.full_jacobian", "cone.product_jacobians"}
+
+
+def test_traced_pass_enters_every_declared_layer():
+    # a refactor of the Newton loop that stops calling a traced binding
+    # would silently empty its per-layer metric
+    layers = _layers()
+    cases = [(name, prob.model, prob.x0, prob.theta) for name, prob in sorted(REGISTRY.items())]
+    cases.append(("tracking-10",) + trajectory_tracking(10))
+    tracer = layers.Tracer()
+    for name, model, x0, theta in cases:
+        traced_solve, traced_differentiate = tracer.install(model, solve, differentiate)
+        try:
+            sol = traced_solve(model, x0, theta)
+            if model.d > 0:
+                traced_differentiate(model, sol, theta)
+        finally:
+            tracer.remove()
+        assert sol.solved, name
+    table = tracer.table()
+    declared = {span for _, _, span, _ in layers.MODULE_TARGETS}
+    missing = {span for span in declared - REFERENCE_ONLY if table.get(span, {}).get("calls", 0) == 0}
+    assert not missing
+    assert not any(table.get(span, {}).get("calls", 0) for span in REFERENCE_ONLY)

@@ -442,3 +442,42 @@ def test_second_order_heads_square_as_the_segment_loop():
     one = ConeSpec((SecondOrder(3),))
     _assert_same([barrier_value(u, one) for u in A], [barrier_value_loop(u, one) for u in A])
     _assert_same(ipal.cone._soc_crossings(A, D), [soc_crossing(u, v) for u, v in zip(A, D)])
+
+
+def _relative_asymmetry(blocks):
+    """Per block of a (segments, k, k) stack, max |B - B'| / max |B|."""
+    return np.abs(blocks - blocks.transpose(0, 2, 1)).max(axis=(1, 2)) / np.abs(blocks).max(axis=(1, 2))
+
+
+def _reduced_cone_block(spec, s, t, ep, ed):
+    Ps, Pt = product_jacobian_blocks(s, t, spec)
+    Ptb = Pt.shift(-ed)
+    return (Ps + ep * Ptb).solve(Ptb).blocks[0]
+
+
+@pytest.mark.parametrize("shifts", [(0.0, 0.0), (1e-4, 1e-8), (1.0, 1e-8), (1e3, 1e-4)])
+def test_reduced_cone_block_is_symmetric_on_two_dimensional_segments(shifts):
+    # The reduced cone block is W^-1 P_tb, W = P_s + eps_p P_tb and P_tb =
+    # P_t - eps_d I. The arrow matrix of a SecondOrder(2) segment is
+    # u0 I + u1 [[0, 1], [1, 0]], and all such matrices commute, so W^-1
+    # P_tb is symmetric to round-off at any shifts: its symmetrization
+    # changes nothing on the horizon and mpc-sens cones, which are
+    # SecondOrder(2), and refinement there corrects round-off only.
+    ep, ed = shifts
+    rng = np.random.default_rng(26)
+    spec = ConeSpec((SecondOrder(2),) * 200)
+    for scale in (1e-3, 1.0, 1e3):
+        s, t = random_interior(rng, spec, scale), random_interior(rng, spec, 1.0 / scale)
+        assert _relative_asymmetry(_reduced_cone_block(spec, s, t, ep, ed)).max() <= 1e-14
+
+
+def test_reduced_cone_block_is_not_symmetric_from_dimension_three():
+    # the arrows of two vectors of a SecondOrder(3) segment commute only
+    # when their tails are parallel, so W^-1 P_t of a random interior pair
+    # is far from symmetric: the symmetrization matters for these segments
+    rng = np.random.default_rng(26)
+    spec = ConeSpec((SecondOrder(3),) * 200)
+    asymmetry = _relative_asymmetry(
+        _reduced_cone_block(spec, random_interior(rng, spec), random_interior(rng, spec), 0.0, 0.0)
+    )
+    assert asymmetry.max() > 0.5 and np.median(asymmetry) > 0.1

@@ -10,7 +10,9 @@ from helpers import (
     random_interior,
     random_iterate,
     random_nlp,
+    residual_reference,
     trajectory_tracking,
+    unrelaxed_residual_norm_reference,
 )
 import ipal.kkt
 import ipal.solver
@@ -333,11 +335,13 @@ def test_solve_builds_no_dense_jacobian_without_fallback(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_solve_computes_each_residual_once(monkeypatch, name):
-    # one stacked residual per Newton iteration, and one unrelaxed residual
-    # norm per evaluated iterate, the final one included: an outer update
+    # one pass over the rows the residual and its unrelaxed norm share, and
+    # one unrelaxed residual norm, per evaluated iterate, the final one
+    # included; one stacked residual per Newton iteration: an outer update
     # refreshes only the rows that read lam, rho and kappa
     prob = REGISTRY[name]
-    residuals, norms, evaluations = [], [], []
+    passes, residuals, norms, evaluations = [], [], [], []
+    _counting(monkeypatch, ipal.solver, "unrelaxed_rows", passes)
     _counting(monkeypatch, ipal.solver, "residual", residuals)
     _counting(monkeypatch, ipal.kkt, "residual", residuals)
     _counting(monkeypatch, ipal.solver, "unrelaxed_residual_norm", norms)
@@ -345,7 +349,39 @@ def test_solve_computes_each_residual_once(monkeypatch, name):
     sol = solve(prob.model, prob.x0, prob.theta)
     assert sol.solved and sol.outer_iterations > 0
     assert len(residuals) == sol.total_iterations
-    assert len(norms) == len(evaluations) == sol.total_iterations + 1
+    assert len(passes) == len(norms) == len(evaluations) == sol.total_iterations + 1
+
+
+SHARED_PASS_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
+SHARED_PASS_CASES["tracking-10"] = lambda: trajectory_tracking(10)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_PASS_CASES))
+def test_shared_residual_pass_is_bitwise_the_separate_passes(monkeypatch, name):
+    # every unrelaxed norm a solve takes, and every R it hands to a Newton
+    # direction, outer updates included, are bitwise those of the two
+    # separate passes in helpers.py
+    model, x0, theta = SHARED_PASS_CASES[name]()
+    norm, direction = ipal.solver.unrelaxed_residual_norm, ipal.solver.search_direction
+    checked = {"norms": 0, "residuals": 0}
+
+    def checked_norm(model, point, theta, cache=None, rows=None):
+        value = norm(model, point, theta, cache, rows)
+        reference = unrelaxed_residual_norm_reference(model, point, cache)
+        assert np.float64(value).tobytes() == np.float64(reference).tobytes()
+        checked["norms"] += 1
+        return value
+
+    def checked_direction(model, point, theta, outer, reg, cache, R):
+        assert R.tobytes() == residual_reference(model, point, outer, cache).tobytes()
+        checked["residuals"] += 1
+        return direction(model, point, theta, outer, reg, cache, R)
+
+    monkeypatch.setattr(ipal.solver, "unrelaxed_residual_norm", checked_norm)
+    monkeypatch.setattr(ipal.solver, "search_direction", checked_direction)
+    sol = solve(model, x0, theta)
+    assert sol.solved
+    assert checked == {"norms": sol.total_iterations + 1, "residuals": sol.total_iterations}
 
 
 
