@@ -13,27 +13,26 @@ The residual stacks, in that order,
 
 where lam/rho are the multiplier estimate and penalty of the outer loop and
 kappa is the central-path parameter. Search directions solve the Newton
-system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz)
-whose factorization also drives inertia-based regularization. The reduced
-matrix is a ``BlockTridiagonal`` in the model's stage order (one group for a
-general model), held in the LAPACK band storage that its LU reads: the
-entries of the stage matrices, or of a general model's dense derivative
-matrices, are scattered to positions computed once per model
-(``KKTScatter``), so a transcribed problem forms no (n+m+p)-square matrix.
-The matrix also carries its Schur
-complement onto the x rows, C = P + A'N^{-1}A, in band storage
-(``SchurPlan``) when every cone block of its dual block N is positive
-definite, a second-order block that is singular to round-off at the cone
-boundary raised first (``CONE_RAISE``): its Cholesky factorization
-certifies the inertia (``linsolve.factorize``). Cone slack and complement
-blocks are recovered in closed form from stacked cone blocks
+system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz),
+K = [[P, A'], [A, -N]] with P = L_xx + eps_p I and A = (g_x; h_x), whose
+factorization also drives inertia-based regularization. K is never formed:
+it is solved through its Schur complement onto the x rows, C = P +
+A'N^{-1}A, when its dual block N is positive definite (``ReducedSystem``).
+C is summed straight from the stored entries of the stage matrices, or of a
+general model's dense derivative matrices, into LAPACK lower band storage,
+x in the model's stage order, by index plans computed once per model
+(``SchurPlan``), a second-order block of N that is singular to round-off at
+the cone boundary raised first (``CONE_RAISE``); its Cholesky factorization
+certifies the inertia of K (``linsolve.factorize``), and a K whose N is not
+positive definite has no C and takes the dual shift. Cone slack and
+complement blocks are recovered in closed form from stacked cone blocks
 (``ConeBlocks``). The reduced cone block W^{-1}P_t is symmetrized, which
 changes it only on second-order segments of dimension 3 or more (on
 dimension 2 the arrow matrices commute, so it is symmetric already).
 Directions are refined against the full system, applied blockwise, by the
 GMRES loop of ``solve_refined`` with the reduced solve as its
-preconditioner (``reduced_solve``); nothing refines against K, and no
-solve forms the dense Jacobian (``full_jacobian``, the only p x p cone
+preconditioner (``reduced_solve``); no solve forms an (n+m+p)-square
+matrix or the dense Jacobian (``full_jacobian``, the only p x p cone
 matrix), which serves as a reference in tests. ``differentiate`` solves
 its parameter columns through the same reduction and refinement, with the
 multiplier estimate tracking the equality dual (``assemble_symmetric``'s
@@ -57,8 +56,7 @@ from .cone import (
     product_jacobian_blocks,
 )
 from .linsolve import (
-    BandLayout,
-    BlockTridiagonal,
+    DUAL_SHIFT,
     Factorization,
     NumericalFailure,
     RegularizationState,
@@ -214,96 +212,69 @@ def full_jacobian(
     return J
 
 
-class KKTScatter:
-    """Where the entries of the reduced matrix K go in its band storage, for
-    one model: the row groups of K (``ProblemModel.stage_blocks``, or one
-    group of all n + m + p rows in their order for a general model), the
-    stored entries of K (both triangles, without repeats: those of L_xx, g_x
-    and h_x for their patterns, every entry for a dense matrix, the x and y
-    diagonals and the cone blocks), whose half-bandwidth in the group order
-    sets ``layout``, the storage positions of the stored entries of L_xx,
-    g_x and h_x (``derivatives``, see ``_place``), of the x and y diagonals
-    and of the cone blocks, and where the Schur complement of K goes
-    (``schur``, a ``SchurPlan``). Built once per model, at its first
-    assembly, and kept on the model. InvalidDimension when a derivative
-    matrix has an entry outside the band of the stage order."""
-
-    def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
-        n, m, p = model.n, model.m, model.p
-        N = n + m + p
-        self.patterns = patterns
-        L, G, H = (
-            Pattern.full(shape) if P is None else P
-            for P, shape in zip(patterns, ((n, n), (m, n), (p, n)))
-        )
-        diag, soc = model.cone.index_groups
-        block = [np.broadcast_arrays(rows[:, :, None], rows[:, None, :]) for rows in soc]
-        a_rows = np.concatenate([n + G.rows, n + m + H.rows])
-        a_cols = np.concatenate([G.cols, H.cols])
-        rows = np.concatenate([L.rows, np.arange(n + m), a_rows, a_cols, n + m + diag]
-                              + [n + m + r.ravel() for r, _ in block])
-        cols = np.concatenate([L.cols, np.arange(n + m), a_cols, a_rows, n + m + diag]
-                              + [n + m + c.ravel() for _, c in block])
-        key = np.unique(rows * N + cols)
-        rows, cols = key // N, key % N
-        self.layout = BandLayout(model.stage_blocks or (np.arange(N),), rows, cols)
-        x, y, z = slice(0, n), slice(n, n + m), slice(n + m, N)
-        self.derivatives = (
-            self._place(L, x, x, mirror=False),
-            self._place(G, y, x, mirror=True),
-            self._place(H, z, x, mirror=True),
-        )
-        at = self.layout.positions
-        self.x_diag = at(np.arange(n), np.arange(n))
-        self.y_diag = at(np.arange(n, n + m), np.arange(n, n + m))
-        self.cone_diag = at(n + m + diag, n + m + diag)
-        self.cone_blocks = [at(n + m + r, n + m + c) for r, c in block]
-        self.schur = SchurPlan(model, self.layout, rows, cols)
-
-    def _place(self, pattern: Pattern, rows: slice, cols: slice, mirror: bool) -> list:
-        """The storage positions of the entries of a derivative matrix in
-        K[rows, cols] and, with ``mirror``, of its transpose in K[cols,
-        rows]."""
-        r, c = rows.start + pattern.rows, cols.start + pattern.cols
-        try:
-            return [self.layout.positions(r, c), self.layout.positions(c, r)][: 1 + mirror]
-        except ValueError:
-            raise InvalidDimension(
-                "a derivative matrix has entries outside the band of stage_blocks; "
-                "return StageMatrix derivatives on the stage blocks"
-            ) from None
-
-
 def compact_index(values: np.ndarray) -> np.ndarray:
     """Nonnegative indices in the smallest unsigned integer type that holds
     them, for index plans kept per model."""
     return values.astype(np.min_scalar_type(values.max(initial=0)))
 
 
-class SchurPlan:
-    """Where the Schur complement C = P + A'N^{-1}A of a banded reduced
-    matrix K = [[P, A'], [A, -N]] onto its x rows goes in LAPACK lower band
-    storage, x in the stage order: P = L_xx + eps_p I, A = (g_x; h_x), and N
-    is (1/(rho + eps_p) + eps_d) I on the equality duals and M + eps_d I on
-    the cone rows, block diagonal on the cone segments. Each term A[i, a]
-    N^{-1}[i, j] A[j, c], for rows i and j of one block of N and a not
-    before c, is a triple (``left``, ``right``, ``inner``): the storage
-    positions of A[i, a] and A[j, c] in K, and the place of N^{-1}[i, j]
-    in the blocks of N^{-1} laid out flat (see ``complement``); the terms,
-    then the entries of P at ``p_src``, are summed into C[a, c] at
-    ``target``. Built once per model from the stored entries (rows, cols) of
-    K and its ``layout``."""
+def _pairs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (e1, e2) of places with equal ``keys``, which are
+    sorted, by e1 and then e2."""
+    lo = np.searchsorted(keys, keys, "left")
+    count = np.searchsorted(keys, keys, "right") - lo
+    e1 = np.repeat(np.arange(keys.size), count)
+    e2 = lo[e1] + np.arange(e1.size) - np.repeat(np.cumsum(count) - count, count)
+    return e1, e2
 
-    def __init__(self, model: ProblemModel, layout: BandLayout, rows: np.ndarray, cols: np.ndarray):
+
+class SchurPlan:
+    """How the Schur complement C = P + A'N^{-1}A of the reduced matrix K =
+    [[P, A'], [A, -N]] of one model is summed from the stored entries of its
+    derivative matrices, in LAPACK lower band storage, x in the stage order
+    ``order`` (see ``ProblemModel.stage_blocks``; x's own order for a
+    general model): P = L_xx + eps_p I, A = (g_x; h_x), and N is block
+    diagonal, ``dual`` I on the equality duals and M + eps_d I on the cone
+    rows, one block per cone segment. Each term A[i, a] N^{-1}[i, j] A[j,
+    c], for rows i and j of one block of N and a not before c, is a triple
+    (``left``, ``right``, ``inner``): the places of A[i, a] and A[j, c]
+    among the stored entries of g_x and then h_x, and the place of
+    N^{-1}[i, j] in the blocks of N^{-1} laid out flat (see
+    ``complement``); the terms, then the stored entries of L_xx below the
+    diagonal (``p_src``) and the diagonal of P, are summed into C at
+    ``target``. ``gram`` sums G G' by the same pairing. Built once per
+    model, at its first assembly, from the patterns of its derivative
+    matrices, and kept on the model. InvalidDimension when a derivative
+    matrix has an entry outside the band of stage_blocks."""
+
+    def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
         n, m, p = model.n, model.m, model.p
-        diag, soc = model.cone.index_groups
+        self.patterns = patterns
+        L, G, H = (
+            Pattern.full(shape) if P is None else P
+            for P, shape in zip(patterns, ((n, n), (m, n), (p, n)))
+        )
+        blocks = model.stage_blocks or (np.arange(n + m + p),)
+        order = np.concatenate(blocks)
+        group = np.empty(n + m + p, dtype=np.intp)
+        group[order] = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
+        for rows, cols in ((L.rows, L.cols), (n + G.rows, G.cols), (n + m + H.rows, H.cols)):
+            if np.any(np.abs(group[rows] - group[cols]) > 1):
+                raise InvalidDimension(
+                    "a derivative matrix has entries outside the band of stage_blocks; "
+                    "return StageMatrix derivatives on the stage blocks"
+                )
         self.n, self.m = n, m
+        self.order = order[order < n]
         rank = np.empty(n, dtype=np.intp)  # place of each x in the stage order
-        rank[layout.order[layout.order < n]] = np.arange(n)
+        rank[self.order] = np.arange(n)
+        dual_rank = np.empty(m, dtype=np.intp)  # the same for the equality duals
+        dual_rank[order[(order >= n) & (order < n + m)] - n] = np.arange(m)
 
         # the blocks of N: for each dual row, the first entry of its block
         # in the flat inverse, which also names the block, its place in the
         # block and the block's size
+        diag, soc = model.cone.index_groups
         first = np.arange(m + p)
         first[m + diag] = m + np.arange(diag.size)
         place, size = np.zeros(m + p, dtype=np.intp), np.ones(m + p, dtype=np.intp)
@@ -316,108 +287,145 @@ class SchurPlan:
             size[d] = k
             start += segments * k * k
 
-        # pairs of entries of A in rows of one block of N
-        in_a = (rows >= n) & (cols < n)
-        d, a = rows[in_a] - n, cols[in_a]
-        at = layout.positions(rows[in_a], a)
-        sort = np.argsort(first[d], kind="stable")
-        d, a, at = d[sort], a[sort], at[sort]
-        b = first[d]
-        lo = np.searchsorted(b, b, "left")
-        count = np.searchsorted(b, b, "right") - lo
-        e1 = np.repeat(np.arange(b.size), count)
-        e2 = lo[e1] + np.arange(e1.size) - np.repeat(np.cumsum(count) - count, count)
+        # pairs of entries of A in rows of one block of N, the entries by
+        # block, dual row and column
+        d, a = np.concatenate([G.rows, m + H.rows]), np.concatenate([G.cols, H.cols])
+        src = np.lexsort((a, d, first[d]))
+        d, a = d[src], a[src]
+        e1, e2 = _pairs(first[d])
         lower = rank[a[e1]] >= rank[a[e2]]
         e1, e2 = e1[lower], e2[lower]
-        in_p = (rows < n) & (cols < n)
-        pr, pc = rows[in_p], cols[in_p]
-        lower = rank[pr] >= rank[pc]
-        pr, pc = pr[lower], pc[lower]
-        ra, rc = np.concatenate([rank[a[e1]], rank[pr]]), np.concatenate([rank[a[e2]], rank[pc]])
+        off = np.flatnonzero(rank[L.rows] > rank[L.cols])  # P below the diagonal
+        on = np.flatnonzero(L.rows == L.cols)
+        ra = np.concatenate([rank[a[e1]], rank[L.rows[off]], np.arange(n)])
+        rc = np.concatenate([rank[a[e2]], rank[L.cols[off]], np.arange(n)])
         self.kd = int((ra - rc).max(initial=0))
         slot = rc * (self.kd + 1) + ra - rc  # C[a, c] in the (n, kd + 1) row-major array
-        self.left, self.right = compact_index(at[e1]), compact_index(at[e2])
+        self.left, self.right = compact_index(src[e1]), compact_index(src[e2])
         self.inner = compact_index(first[d[e1]] + place[d[e1]] * size[d[e1]] + place[d[e2]])
         self.target = compact_index(slot)
-        self.p_src = compact_index(layout.positions(pr, pc))
+        self.p_src = compact_index(off)
+        self.diag_src, self.diag_rank = compact_index(on), compact_index(rank[L.rows[on]])
 
-    def complement(self, data: np.ndarray, dual: float, cone: ConeBlocks) -> Optional[np.ndarray]:
-        """C of the K with storage ``data``, N = ``dual`` I on the equality
-        duals and ``cone`` on the cone rows, or None unless every block of
-        ``cone`` is positive definite (see ``_raised_inverse``). The flat
+        # G G': pairs of entries of G in one column, the entries by column
+        # and by the stage order of their rows
+        src = np.lexsort((dual_rank[G.rows], G.cols))
+        e1, e2 = _pairs(G.cols[src])
+        e1, e2 = src[e1], src[e2]
+        ra, rc = dual_rank[G.rows[e1]], dual_rank[G.rows[e2]]
+        lower = ra >= rc
+        e1, e2, ra, rc = e1[lower], e2[lower], ra[lower], rc[lower]
+        self.gram_kd = int((ra - rc).max(initial=0))
+        self.gram_left, self.gram_right = compact_index(e1), compact_index(e2)
+        self.gram_target = compact_index(rc * (self.gram_kd + 1) + ra - rc)
+
+    def complement(self, L: np.ndarray, A: np.ndarray, eps_p: float, dual: float,
+                   cone: ConeBlocks) -> Optional[Tuple[np.ndarray, ConeBlocks]]:
+        """C, with the stored entries ``L`` of L_xx and ``A`` of g_x and then
+        h_x, P = L_xx + ``eps_p`` I and N = ``dual`` I on the equality duals
+        and ``cone`` on the cone rows, and the cone block of N it was built
+        from (``cone`` with its boundary stacks raised, see
+        ``_raised_inverse``); None unless N is positive definite. The flat
         inverse of N holds 1 / ``dual`` per equality dual, the inverse of
         ``cone.diag``, then each inverse block of ``cone.blocks``,
         row-major."""
-        if not (cone.diag > 0.0).all():
+        if (self.m and not dual > 0.0) or not (cone.diag > 0.0).all():
             return None
         try:
-            blocks = [_raised_inverse(B).reshape(-1) for B in cone.blocks]
+            raised = [_raised_inverse(B) for B in cone.blocks]
         except np.linalg.LinAlgError:
             return None
-        inverse = np.concatenate([np.full(self.m, 1.0 / dual), 1.0 / cone.diag] + blocks)
-        terms = data.take(self.left) * data.take(self.right) * inverse.take(self.inner)
+        inverse = np.concatenate([np.ones(self.m) / dual, 1.0 / cone.diag]
+                                 + [inv.reshape(-1) for _, inv in raised])
+        terms = A.take(self.left) * A.take(self.right) * inverse.take(self.inner)
+        diagonal = np.full(self.n, eps_p)
+        diagonal[self.diag_rank] += L.take(self.diag_src)
         # bincount sums in input order, so each C[a, c] adds its entry of P
-        # (P stores its diagonal, so there is always one weight) last
-        C = np.bincount(self.target, np.concatenate([terms, data.take(self.p_src)]),
+        # (P has every diagonal entry, so there is always one weight) last
+        C = np.bincount(self.target, np.concatenate([terms, L.take(self.p_src), diagonal]),
                         minlength=self.n * (self.kd + 1))
-        return C.reshape(self.n, self.kd + 1).T
+        return C.reshape(self.n, self.kd + 1).T, ConeBlocks(cone.spec, cone.diag, tuple(B for B, _ in raised))
+
+    def gram(self, g: np.ndarray) -> np.ndarray:
+        """G G' from the stored entries ``g`` of g_x, in LAPACK lower band
+        storage, the equality duals in their stage order: the products of
+        the pairs of entries in one column, summed by bincount in the order
+        of the columns, so that equal rows of G give bitwise equal rows of G
+        G', and the band LU of a repeated row meets an exactly zero pivot."""
+        terms = g.take(self.gram_left) * g.take(self.gram_right)
+        out = np.bincount(self.gram_target, terms, minlength=self.m * (self.gram_kd + 1))
+        return out.reshape(self.m, self.gram_kd + 1).T
 
 
 # A second-order block of N at the cone boundary is rank one to round-off
 # (eigenvalues 0 or +-6e-8 next to 6e8 were measured), so it may fail its
 # Cholesky factorization or its inverse; its stack is then raised by this
-# times each block's largest entry. N^{-1}, and with it C, only shrinks as
-# the raise grows, so a C that factors with the raise certifies the inertia
-# of K, or K is singular, which its LU reports as an exactly zero pivot.
-CONE_RAISE = 1e-12
+# times each block's largest entry, both in C and in the solves with N.
+# N^{-1}, and with it C, only shrinks as the raise grows, so a C that
+# factors with the raise certifies the inertia of K. The raise is the error
+# of those solves in the lost direction, which refinement must remove: this
+# is about fifty times the round-off of the blocks' eigenvalues, and 1e-12
+# took three more GMRES passes per differentiate on mpc-sens.
+CONE_RAISE = 1e-14
 
 
-def _raised_inverse(B: np.ndarray) -> np.ndarray:
-    """Inverse of the stack B of positive definite blocks, raised by
-    ``CONE_RAISE`` when a block fails its Cholesky factorization or its
+def _raised_inverse(B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The stack B of positive definite blocks and its inverse, B raised
+    by ``CONE_RAISE`` when a block fails its Cholesky factorization or its
     inverse; LinAlgError when the raised stack still does."""
     try:
         np.linalg.cholesky(B)
-        return np.linalg.inv(B)
+        return B, np.linalg.inv(B)
     except np.linalg.LinAlgError:
         B = B + CONE_RAISE * np.abs(B).max(axis=(1, 2))[:, None, None] * np.eye(B.shape[1])
         np.linalg.cholesky(B)
-        return np.linalg.inv(B)
+        return B, np.linalg.inv(B)
 
 
-def _scatter(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> KKTScatter:
-    scatter = model.kkt_scatter
-    if scatter is None or scatter.patterns != patterns:
-        scatter = model.kkt_scatter = KKTScatter(model, patterns)
-    return scatter
+def schur_plan(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> SchurPlan:
+    """The model's ``SchurPlan`` for these derivative patterns."""
+    plan = model.schur_plan
+    if plan is None or plan.patterns != patterns:
+        plan = model.schur_plan = SchurPlan(model, patterns)
+    return plan
 
 
 @dataclass
 class ReducedSystem:
     """Symmetric reduction of the Newton system to (dx, dy, dz).
 
-    K is a ``BlockTridiagonal`` in the stage order of the model (one group
-    for a general model), stored in LAPACK band storage; each entry is
-    written to both triangles, so it is bitwise symmetric. The cone block
-    uses the symmetrized W^{-1} Ptb. On second-order segments of dimension
-    3 or more that operator is nonsymmetric away from the central path,
-    which is why directions are refined against the full system
-    (``reduced_solve``); on dimension 2 the arrow matrices commute, so it
-    is symmetric to round-off and refinement corrects round-off only. The
-    full system is applied blockwise (``jacobian_apply``), never formed. Ps, Ptb and W stay stacked blocks
-    (``ConeBlocks``), never p x p matrices. Residual rows and solutions
-    may be vectors or matrices of columns.
+    The reduced matrix K = [[P, A'], [A, -N]] is never formed: it is solved
+    through its Schur complement C (``solve``), which is None unless N is
+    positive definite. The cone block uses the symmetrized W^{-1} Ptb. On
+    second-order segments of dimension 3 or more that operator is
+    nonsymmetric away from the central path, which is why directions are
+    refined against the full system (``reduced_solve``); on dimension 2 the
+    arrow matrices commute, so it is symmetric to round-off and refinement
+    corrects round-off only. The full system is applied blockwise
+    (``jacobian_apply``), never formed. Ps, Ptb, W and N stay stacked
+    blocks (``ConeBlocks``), never p x p matrices. Residual rows and
+    solutions may be vectors or matrices of columns.
     """
 
     layout: Layout
-    K: BlockTridiagonal
     eps_p: float
     eps_d: float
     dual_scale: float  # 1 / (rho + eps_p)
     Ps: ConeBlocks  # d(s o t)/ds
     Ptb: ConeBlocks  # P_t - eps_d I
     W: ConeBlocks  # Ps + eps_p Ptb
+    plan: SchurPlan
+    C: Optional[np.ndarray]  # in LAPACK lower band storage, x in plan.order
+    dual: float  # N on the equality duals, as C was built from it
+    N: Optional[ConeBlocks]  # N on the cone rows, as C was built from it
     tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
+
+    def schur(self) -> np.ndarray:
+        """C, for ``factorize``; NumericalFailure when N is not positive
+        definite, so that K has no Schur complement."""
+        if self.C is None:
+            raise NumericalFailure("the dual block N is not positive definite")
+        return self.C
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
         """Right-hand side of the reduced system for residual rows L,
@@ -426,6 +434,21 @@ class ReducedSystem:
         Ly = rows[lay.y] + self.dual_scale * rows[lay.r]
         Lz = rows[lay.z] + self.W.solve(self.Ptb.matvec(rows[lay.s]) + rows[lay.t])
         return -np.concatenate([rows[lay.x], Ly, Lz])
+
+    def solve(self, fact: Factorization, cache: EvalCache, f: np.ndarray) -> np.ndarray:
+        """u = K^{-1} f through C, whose factors are ``fact``, and N: u_x =
+        C^{-1}(f_x + A'N^{-1}f_v) and u_v = N^{-1}(A u_x - f_v), with A
+        applied block by block through the derivative matrices of ``cache``
+        and N^{-1} by a scalar and block solves."""
+        n, m = self.layout.n, self.layout.m
+        fy, fz = f[n : n + m], f[n + m :]
+        g_x, h_x, order = cache.g_x, cache.h_x, self.plan.order
+        b = f[:n] + g_x.T @ (fy / self.dual) + h_x.T @ self.N.solve(fz)
+        u = np.empty(f.shape)
+        u[order] = fact.solve(b[order])
+        u[n : n + m] = (g_x @ u[:n] - fy) / self.dual
+        u[n + m :] = self.N.solve(h_x @ u[:n] - fz)
+        return u
 
     def recover(self, sol: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Expand a reduced solution to the full direction for rows L.
@@ -458,14 +481,22 @@ def assemble_symmetric(
     *,
     tracks_multiplier: bool = False,
 ) -> ReducedSystem:
-    """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``).
+    """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``)
+    and its Schur complement C when N is positive definite.
 
-    With ``tracks_multiplier`` the multiplier estimate moves with the
-    equality dual (dlam = dy), as when differentiating a converged
-    solution: the relaxation rows lose their -dy coupling, so the penalty
-    term leaves the equality-dual diagonal of K and dr = -L_r / (rho +
-    eps_p); the reduced right-hand side is the same. That K carries no
-    Schur complement: nothing reads its inertia."""
+    N is 1/(rho + eps_p) + eps_d on the equality duals, from the exact
+    elimination of the relaxation block. With ``tracks_multiplier`` the
+    multiplier estimate moves with the equality dual (dlam = dy), as when
+    differentiating a converged solution: the relaxation rows lose their -dy
+    coupling, so dr = -L_r / (rho + eps_p), and the penalty term leaves the
+    equality-dual diagonal of the reduced matrix, which is then -eps_d (zero
+    at zero shift, where the tracked matrix has no Schur complement); the
+    reduced right-hand side is the same. C is then built with N =
+    DUAL_SHIFT + eps_d on the equality duals: its solves are those of the
+    tracked matrix with the dual shift on the equality duals alone, which
+    refinement against the exact Jacobian removes. (The dual shift of
+    ``reg`` also shifts the complementarity rows, P_t - eps_d I, which at
+    the cone boundary makes N indefinite.)"""
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
     lay = layout_of(model.n, model.m, model.p)
@@ -480,27 +511,15 @@ def assemble_symmetric(
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular cone block: {exc}") from exc
 
-    stored = [entries(A) for A in (cache.L_xx, cache.g_x, cache.h_x)]
-    at = _scatter(model, tuple(pattern for pattern, _ in stored))
-    K = BlockTridiagonal(at.layout)
-    data = K.data
-    for places, (_, values) in zip(at.derivatives, stored):
-        for where in places:
-            data[where] = values
-    data[at.x_diag] += ep
-    # exact elimination of the relaxation block: the dual shift joins the
-    # penalty term on the equality-dual diagonal, unless dlam = dy
-    data[at.y_diag] = -ed if tracks_multiplier else -(dual_scale + ed)
-    N_cone = M.shift(ed)
-    data[at.cone_diag] = -N_cone.diag
-    for where, B in zip(at.cone_blocks, N_cone.blocks):
-        data[where] = -B
-    if not tracks_multiplier:
-        K.schur = at.schur.complement(data, dual_scale + ed, N_cone)
-
+    (L_pattern, L), (G_pattern, g), (H_pattern, h) = (
+        entries(A) for A in (cache.L_xx, cache.g_x, cache.h_x)
+    )
+    plan = schur_plan(model, (L_pattern, G_pattern, H_pattern))
+    dual = (DUAL_SHIFT if tracks_multiplier else dual_scale) + ed
+    C, N = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed)) or (None, None)
     return ReducedSystem(
-        layout=lay, K=K, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
-        Ps=Ps, Ptb=Ptb, W=W, tracks_multiplier=tracks_multiplier,
+        layout=lay, eps_p=ep, eps_d=ed, dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W,
+        plan=plan, C=C, dual=dual, N=N, tracks_multiplier=tracks_multiplier,
     )
 
 
@@ -557,23 +576,25 @@ def reduced_solve(
     R: np.ndarray,
     opts: DirectionOptions,
     exact: Optional[ReducedSystem] = None,
+    norm_R: Optional[float] = None,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
     """Solve J dw = -R by ``solve_refined`` against the full system of
     ``exact`` (rsys when None), applied blockwise (``jacobian_apply``), with
-    the reduced solve of rsys through ``fact``, the factors of rsys.K, as its
-    preconditioner; R may hold right-hand sides as columns. Returns the best
-    dw, ||J dw + R||_inf, J dw + R and the steps taken; dw is None (error
-    inf) when the solve fails."""
+    the reduced solve of rsys through ``fact``, the factors of rsys.C, as its
+    preconditioner; R may hold right-hand sides as columns, and ``norm_R``
+    is ||R||_inf when already taken. Returns the best dw, ||J dw + R||_inf,
+    J dw + R and the steps taken; dw is None (error inf) when the solve
+    fails."""
     exact = rsys if exact is None else exact
 
     def reduced_inverse(b):
         rows = -b  # reduce_rows and recover take the residual rows of J dw = -rows
-        return rsys.recover(fact.solve(rsys.reduce_rows(rows)), rows)
+        return rsys.recover(rsys.solve(fact, cache, rsys.reduce_rows(rows)), rows)
 
     try:
         return solve_refined(
             lambda dw: jacobian_apply(exact, cache, rho, dw), reduced_inverse, -R,
-            opts.max_refine, REFINE_TOL,
+            opts.max_refine, REFINE_TOL, norm_R,
         )
     except NumericalFailure:
         return None, np.inf, None, 0
@@ -588,6 +609,7 @@ def _newton_direction(
     opts: DirectionOptions,
     cache: Optional[EvalCache],
     R: Optional[np.ndarray],
+    norm_R: Optional[float],
     correct: bool,
 ) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
     """Body of search_direction and reduced_direction, which differ only in
@@ -605,6 +627,8 @@ def _newton_direction(
         cache = evaluate(model, point.x, theta, point.y, point.z)
     if R is None:
         R = residual(model, point, theta, outer, cache)
+    if norm_R is None:
+        norm_R = np.abs(R).max() if R.size else 0.0
     lay = layout_of(model.n, model.m, model.p)
     holder: dict = {"trials": 0}
 
@@ -613,18 +637,17 @@ def _newton_direction(
         holder["rsys"] = assemble_symmetric(
             model, point, theta, outer, RegularizationState(ep, ed), cache
         )
-        return holder["rsys"].K
+        return holder["rsys"].schur()
 
     if correct:
-        fact, reg = correct_inertia(build, (lay.n, lay.m + lay.p, 0), reg)
+        fact, reg = correct_inertia(build, reg)
     else:
         fact = factorize(build(reg.eps_p, reg.eps_d))
     rsys: ReducedSystem = holder["rsys"]
     assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
 
-    norm_R = np.abs(R).max() if R.size else 0.0
     consistency = opts.consistency_tol * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts)
+    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts, norm_R=norm_R)
     if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
@@ -652,7 +675,7 @@ def reduced_direction(
     in ``reg`` are used as given (zero by default), so the result is the
     plain Newton direction delivered by the reduction-and-refinement path.
     """
-    delta, _, info = _newton_direction(model, point, theta, outer, reg, opts, cache, None, False)
+    delta, _, info = _newton_direction(model, point, theta, outer, reg, opts, cache, None, None, False)
     return delta, info
 
 
@@ -664,13 +687,15 @@ def search_direction(
     reg: RegularizationState = RegularizationState(),
     cache: Optional[EvalCache] = None,
     R: Optional[np.ndarray] = None,
+    norm_R: Optional[float] = None,
 ) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
     """Newton direction for the stationarity system at the current iterate.
 
     Regularization is chosen by inertia correction of the reduced system
-    (target inertia (n, m+p, 0)); the returned direction satisfies
+    (certified inertia (n, m+p, 0)); the returned direction satisfies
     ||J dw + R||_inf <= consistency_tol * (1 + ||R||_inf) for the Jacobian at
     the returned shifts, or NumericalFailure is raised. ``R`` is the residual
-    at this iterate when the caller has already computed it.
+    at this iterate and ``norm_R`` its max-norm when the caller has already
+    computed them.
     """
-    return _newton_direction(model, point, theta, outer, reg, SOLVER_DIRECTIONS, cache, R, True)
+    return _newton_direction(model, point, theta, outer, reg, SOLVER_DIRECTIONS, cache, R, norm_R, True)

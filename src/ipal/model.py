@@ -139,12 +139,13 @@ class ProblemModel:
 
     ``stage_blocks`` partitions the unknowns of the reduced KKT system, the
     stacked (x, y, z) of length n + m + p, into an ordered sequence of
-    index groups in whose order that system is block tridiagonal; the
-    solver factors it by one band LU in that order, and certifies its
-    inertia by the Cholesky factorization of its Schur complement onto the
-    x rows (``linsolve.factorize``). ``transcribe`` sets it from the stage
-    order, one group per stage; hand-built models leave it None, which is
-    one group in the order (x, y, z). The derivative matrices of a model with
+    index groups in whose order that system is block tridiagonal. The
+    solver factors the Schur complement of that system onto the x rows,
+    with x in this order, in which it is banded: by one banded Cholesky
+    factorization, which also certifies the inertia, or by a band LU
+    (``linsolve.factorize``). ``transcribe`` sets it from the stage order,
+    one group per stage; hand-built models leave it None, which is one
+    group in the order (x, y, z). The derivative matrices of a model with
     stage_blocks must keep their entries in the band of that order
     (``transcribe`` returns ``StageMatrix`` objects on the stage blocks); an
     entry outside it raises InvalidDimension at the first assembly.
@@ -164,9 +165,9 @@ class ProblemModel:
     parameter_jacobians: Optional[Callable] = None
     d: int = 0
     stage_blocks: Optional[Tuple[np.ndarray, ...]] = None
-    # where the reduced KKT matrix stores its entries in its band storage
-    # (kkt.KKTScatter), built at the model's first assembly
-    kkt_scatter: object = field(default=None, init=False, repr=False, compare=False)
+    # how the Schur complement of the reduced KKT matrix is summed from the
+    # derivative entries (kkt.SchurPlan), built at the model's first assembly
+    schur_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 0 or self.p < 0 or self.d < 0:

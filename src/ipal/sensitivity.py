@@ -9,15 +9,21 @@ would leave an O(1/rho) mismatch against re-solving, which the boundary-value
 structure of trajectory problems amplifies well past usable accuracy.
 
 All parameter columns are solved through the solver's own symmetric
-reduction in (dx, dy, dz) at zero shift, factored once by its band LU and
-refined against the full Jacobian applied blockwise, as Newton directions
-are (``kkt.reduced_solve``: one reduced solve of all columns per step); no
-inertia is needed, so no Schur complement is built. dlam = dy zeroes
-J[r, y], which removes the penalty term from the reduced system's
-equality-dual diagonal (``assemble_symmetric``'s ``tracks_multiplier``). A
-system that fails to factor (an exactly zero pivot) is factored again at
-the dual shift and refined against the exact, unshifted Jacobian: iterated
-regularization, which on a consistent system loses the shift's bias.
+reduction in (dx, dy, dz) and refined against the exact, unshifted Jacobian
+applied blockwise, as Newton directions are (``kkt.reduced_solve``: one
+reduced solve of all columns per step). dlam = dy zeroes J[r, y], which
+removes the penalty term from the equality-dual block N of the reduced
+system (``assemble_symmetric``'s ``tracks_multiplier``), so at zero shift N
+is zero there and the system has no Schur complement. Its Schur complement
+is built with the dual shift on those rows alone, factored, and refined
+against the exact Jacobian: iterated regularization, which on a consistent
+system loses the shift's bias. One that is singular (an exactly zero pivot)
+is factored again at ``PRIMAL_SHIFT``. No inertia is needed, so the
+factorization need not be certified.
+
+A rank-deficient equality Jacobian G is detected on its own: by an exactly
+zero pivot in the band LU of G G', the equality duals in their stage order
+(``SchurPlan.gram``).
 """
 
 from __future__ import annotations
@@ -36,9 +42,15 @@ from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that 
     full_jacobian,
     reduced_solve,
 )
-from .linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, factorize
-from .model import EvalCache, ProblemModel, evaluate, evaluate_parameter_jacobians
+from .linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, band_lu, factorize
+from .model import EvalCache, ProblemModel, entries, evaluate, evaluate_parameter_jacobians
 from .solver import Solution, checked_vector, unrelaxed_residual_norm
+
+
+# the shift of a Schur complement that is singular at zero shift: primal
+# only, since a dual shift also shifts the complementarity rows, P_t - eps_d
+# I, which at the cone boundary makes N indefinite
+PRIMAL_SHIFT = RegularizationState(DUAL_SHIFT, 0.0)
 
 
 @dataclass
@@ -77,9 +89,10 @@ def differentiate(
 
     All parameter columns are solved together, as described above, so the
     result is deterministic and column order matches theta order.
-    ``used_least_squares`` flags a rank-deficient Jacobian (a failed
-    factorization, or an exactly zero pivot, at zero shift) or a solve whose
-    row-equilibrated residual exceeds 1e-6 * (1 + ||dR/dtheta||);
+    ``used_least_squares`` flags a rank-deficient Jacobian (a repeated
+    equality row, or a Schur complement that fails to factor at the dual
+    shift alone) or a solve whose row-equilibrated residual exceeds 1e-6 *
+    (1 + ||dR/dtheta||);
     NumericalFailure is raised when no solve succeeds, and ValueError unless
     the solution is solved (the point of an unconverged run has no
     sensitivities) and theta is finite and of shape (d,). The solution point
@@ -98,15 +111,18 @@ def differentiate(
     Rt = residual_parameter_jacobian(model, point, theta)
 
     rsys = assemble_symmetric(model, point, theta, outer, cache=cache, tracks_multiplier=True)
-    factored = rsys
-    singular = False
+    factored, singular = rsys, False
     try:
-        fact = factorize(rsys.K)
+        fact = factorize(rsys.schur())
     except NumericalFailure:
         singular = True
-        shift = RegularizationState(DUAL_SHIFT, DUAL_SHIFT)
-        factored = assemble_symmetric(model, point, theta, outer, shift, cache, tracks_multiplier=True)
-        fact = factorize(factored.K)
+        factored = assemble_symmetric(model, point, theta, outer, PRIMAL_SHIFT, cache, tracks_multiplier=True)
+        fact = factorize(factored.schur())
+    if model.m and not singular:
+        try:
+            band_lu(rsys.plan.gram(entries(cache.g_x)[1]))
+        except NumericalFailure:
+            singular = True
     dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, DirectionOptions(), exact=rsys)
     if dw is None:
         raise NumericalFailure("the regularized sensitivity solve failed")

@@ -218,7 +218,7 @@ RHO_MAX = 1e8
 
 
 def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
-                 opts: SolverOptions) -> OuterState:
+                 opts: SolverOptions, products: Optional[np.ndarray] = None) -> OuterState:
     """Multiplier estimate takes the current duals; kappa follows the
     centrality of (s, t), never falling more slowly than the fixed schedule;
     rho grows against the new kappa.
@@ -241,11 +241,13 @@ def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
     path, so kappa near the end does not vary with where the iterate
     happens to sit (that variation shows in the differences of re-solves
     that check ``differentiate``). A model without cone constraints follows
-    the schedule."""
+    the schedule. ``products`` is s o t when already formed."""
     step = min(KAPPA_LINEAR * outer.kappa, outer.kappa ** KAPPA_POWER)
     kappa = max(opts.kappa_min, min(outer.kappa, max(KAPPA_END * opts.tol, step)))
     if cone.dim:
-        w = cone_product(point.s, point.t, cone)[cone_target(cone) == 1.0]
+        if products is None:
+            products = cone_product(point.s, point.t, cone)
+        w = products[cone_target(cone) == 1.0]
         mu = w.mean()
         xi = w.min() / mu
         # min(SPREAD (1 - xi) / xi, 2), without dividing by a tiny xi
@@ -430,7 +432,8 @@ def solve(
             if subproblem_converged(norm_R, outer.kappa):
                 if outer_count >= opts.max_outer:
                     break
-                outer = outer_update(outer, point, model.cone, opts)
+                products = cone_product(point.s, point.t, model.cone)
+                outer = outer_update(outer, point, model.cone, opts, products)
                 outer_count += 1
                 filt.reset()
                 inner = 0
@@ -438,11 +441,11 @@ def solve(
                 # test, the violation and all rows of R but those that read
                 # lam, rho and kappa stand
                 current = (merit(model, point, theta, outer, values), current[1])
-                outer_rows(model, point, outer, R)
+                outer_rows(model, point, outer, R, products)
                 continue
             if inner >= MAX_INNER:
                 break
-            delta, reg, info = search_direction(model, point, theta, outer, reg, cache, R)
+            delta, reg, info = search_direction(model, point, theta, outer, reg, cache, R, norm_R)
             tau = max(TAU_MIN, 1.0 - outer.kappa)
             alpha_cap, alpha_t = cone_line_search(point, delta, tau, model)
             point, alpha, current, values, backtracks = filter_step(

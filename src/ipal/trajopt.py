@@ -18,8 +18,9 @@ stage and hook. Outputs are bitwise those of calling each stage in turn.
 The derivative callbacks return ``StageMatrix`` objects that hold only the
 stage blocks (and the constant +-I couplings of g_x), on patterns fixed at
 transcription. The model also records the stage order of the reduced KKT
-unknowns (``ProblemModel.stage_blocks``), in which the solver assembles
-that system block tridiagonally and factors it by one band LU.
+unknowns (``ProblemModel.stage_blocks``), in which that system is block
+tridiagonal and its Schur complement onto x, which the solver factors, is
+banded.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def _stage_blocks(imap: IndexMap) -> Tuple[np.ndarray, ...]:
     state (the initial-state pin for t = 0, defect t-1 otherwise) and its
     own equality rows, its variables, and its cone rows. Only defect rows
     couple neighbouring stages, so the reduced KKT matrix is block
-    tridiagonal in this order, and its band LU is taken in it."""
+    tridiagonal in this order, and its Schur complement onto x is banded in
+    the order of the variables within it."""
     n, m = imap.n, imap.m
     groups = []
     for t, stage in enumerate(imap.stage):

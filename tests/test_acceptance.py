@@ -9,6 +9,8 @@ import time
 import numpy as np
 
 from helpers import (
+    dense_inertia,
+    dense_reduced_matrix,
     finite_difference_residual_jacobian,
     random_cone,
     random_interior,
@@ -220,13 +222,16 @@ def test_criterion_3_inertia_correction():
                 model, point, theta, outer,
                 RegularizationState(ep, ed, 0.0), cache,
             )
-            holder["K"] = rsys.K
-            return rsys.K
+            holder["C"] = rsys.schur()
+            return holder["C"]
 
+        # a certified factorization of the Schur complement means inertia
+        # (n, m + p, 0), which the dense reduced matrix must have
         target = (n, m + p, 0)
-        fact, reg = correct_inertia(build, target, RegularizationState())
-        assert fact.inertia == target, (k, fact.inertia)
-        assert factorize(holder["K"]).inertia == target
+        fact, reg = correct_inertia(build, RegularizationState())
+        assert fact.certified, k
+        assert factorize(holder["C"]).certified
+        assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == target, k
         shifted += reg.eps_p > 0.0
     assert _line(
         3,

@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve as scipy_solve
 
 from helpers import (
     dense_inertia,
+    dense_reduced_matrix,
+    dense_schur_complement,
     finite_difference_residual_jacobian,
+    lower_band,
     random_cone,
     random_interior,
     random_iterate,
@@ -34,14 +38,15 @@ from ipal.kkt import (
 from ipal.cone import ConeBlocks, cone_product_jacobians
 from ipal.linsolve import (
     DUAL_SHIFT,
-    BlockTridiagonal,
     InertiaCorrectionFailure,
     NumericalFailure,
     RegularizationState,
+    band_lu,
     correct_inertia,
     factorize,
+    solve_refined,
 )
-from ipal.model import ProblemModel, evaluate
+from ipal.model import ProblemModel, StageMatrix, entries, evaluate
 from ipal.solver import initialize_point, solve
 
 
@@ -133,17 +138,31 @@ class TestSymmetricReduction:
         )
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
         rsys = assemble_symmetric(model, point, np.zeros(0), outer)
-        assert np.asarray(rsys.K)[1, 1] == pytest.approx(-4.0)
+        assert rsys.N.diag[0] == pytest.approx(4.0)  # N = -(cone block of K)
+        # C = 0 + 1 * (1/4) * 1
+        assert rsys.C[0, 0] == pytest.approx(0.25)
 
     def test_K_bitwise_symmetric(self):
+        # K is never formed: its symmetric pieces are, the cone blocks of N
+        # bitwise symmetric and C stored once, in lower band storage, equal
+        # to the dense Schur complement of the dense K; a K whose N is not
+        # positive definite has no C
         rng = np.random.default_rng(11)
         for _ in range(20):
             model = random_nlp(rng, int(rng.integers(2, 6)), int(rng.integers(0, 4)), random_cone(rng))
             point, outer = random_iterate(rng, model)
             reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-3)), eps_d=float(rng.uniform(0, 1e-6)))
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
-            K = np.asarray(rsys.K)
-            assert np.array_equal(K, K.T)
+            cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg, cache)
+            K = dense_reduced_matrix(model, point, outer, reg, cache)
+            n = model.n
+            definite = np.linalg.eigvalsh(-K[n:, n:]).min(initial=np.inf) > 0.0
+            assert (rsys.C is not None) == definite
+            if definite:
+                assert all(np.array_equal(B, B.transpose(0, 2, 1)) for B in rsys.N.blocks)
+                C = dense_schur_complement(K, n)
+                kd = rsys.C.shape[0] - 1
+                assert np.abs(rsys.C - lower_band(C, kd)).max() <= 1e-12 * (1.0 + np.abs(C).max())
 
     def test_recovered_rows_exact(self):
         # scalar equality problem: row 4 of the full system holds exactly,
@@ -157,10 +176,11 @@ class TestSymmetricReduction:
         reg = RegularizationState(eps_p=1e-4, eps_d=1e-6)
         R = residual(model, point, np.zeros(0), outer)
         rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
-        sol = np.linalg.solve(rsys.K, rsys.reduce_rows(R))
+        cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+        K = dense_reduced_matrix(model, point, outer, reg, cache)
+        sol = np.linalg.solve(K, rsys.reduce_rows(R))
         dw = rsys.recover(sol, R)
         lay = Layout(1, 1, 0)
-        cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
         row4 = cache.g_x @ dw[lay.x] - dw[lay.r] - reg.eps_d * dw[lay.y]
         assert row4[0] == pytest.approx(-R[lay.y][0], abs=1e-14)
 
@@ -305,8 +325,10 @@ class TestJacobianApply:
             dw = rng.standard_normal((lay.total, 3))
             err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
             assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
+            # the tracked C has the dual shift on the equality duals alone;
+            # refined against the tracked system, the solve is exact
             expected = np.linalg.solve(J, -rows)
-            got, _, _, _ = reduced_solve(rsys, factorize(rsys.K), cache, outer.rho, rows, DirectionOptions())
+            got, _, _, _ = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, rows, DirectionOptions())
             assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
@@ -352,6 +374,21 @@ def test_solve_computes_each_residual_once(monkeypatch, name):
     assert len(passes) == len(norms) == len(evaluations) == sol.total_iterations + 1
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_outer_update_forms_the_products_once(monkeypatch, name):
+    # s o t is formed once per evaluated iterate for the residual's rows,
+    # and once per outer update, where LOQO's centrality and the refreshed
+    # complementarity rows share it
+    prob = REGISTRY[name]
+    in_rows, in_updates = [], []
+    _counting(monkeypatch, ipal.kkt, "cone_product", in_rows)
+    _counting(monkeypatch, ipal.solver, "cone_product", in_updates)
+    sol = solve(prob.model, prob.x0, prob.theta)
+    assert sol.solved and sol.outer_iterations > 0
+    assert len(in_rows) == sol.total_iterations + 1
+    assert len(in_updates) == sol.outer_iterations
+
+
 SHARED_PASS_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
 SHARED_PASS_CASES["tracking-10"] = lambda: trajectory_tracking(10)
 
@@ -372,10 +409,12 @@ def test_shared_residual_pass_is_bitwise_the_separate_passes(monkeypatch, name):
         checked["norms"] += 1
         return value
 
-    def checked_direction(model, point, theta, outer, reg, cache, R):
+    def checked_direction(model, point, theta, outer, reg, cache, R, norm_R):
         assert R.tobytes() == residual_reference(model, point, outer, cache).tobytes()
+        # the one max-norm of R taken per Newton iteration
+        assert np.float64(norm_R).tobytes() == np.abs(R).max().tobytes()
         checked["residuals"] += 1
-        return direction(model, point, theta, outer, reg, cache, R)
+        return direction(model, point, theta, outer, reg, cache, R, norm_R)
 
     monkeypatch.setattr(ipal.solver, "unrelaxed_residual_norm", checked_norm)
     monkeypatch.setattr(ipal.solver, "search_direction", checked_direction)
@@ -404,7 +443,8 @@ def test_cone_jacobians_stay_blocked_outside_the_fallback(monkeypatch, name):
     assert not any(info.used_full_solve for _, _, info in directions)
     for rsys in systems:
         for field in dataclasses.fields(rsys):
-            assert np.shape(getattr(rsys, field.name)) != (model.p, model.p)
+            if field.name != "C":  # C, of order n, is in band storage
+                assert np.shape(getattr(rsys, field.name)) != (model.p, model.p)
 
 
 def _cone_blocks_loop(model, point, reg):
@@ -454,25 +494,40 @@ def test_batched_cone_solves_match_segment_loop():
         reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
         rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
         Msym, W = _cone_blocks_loop(model, point, reg)
-        cone_rows = slice(model.n + model.m, None)
-        K = np.asarray(rsys.K)
-        np.testing.assert_array_equal(K[cone_rows, cone_rows], -(reg.eps_d * np.eye(model.p) + Msym))
+        N = reg.eps_d * np.eye(model.p) + Msym
+        if rsys.N is None:  # N is not positive definite: no C
+            assert np.linalg.eigvalsh(N).min() <= 0.0
+        else:
+            np.testing.assert_array_equal(rsys.N.dense(), N)
         for v in (rng.standard_normal(model.p), rng.standard_normal((model.p, 3)),
                   rng.standard_normal((model.p, 1))):
             np.testing.assert_array_equal(rsys.W.solve(v), _apply_W_inverse_loop(W, v))
 
 
-def _tracking_assembler(model, x0, theta, tracks_multiplier=False):
-    """Reduced system of a transcribed model at its initial iterate, as a
-    function of the shifts (eps_p, eps_d)."""
+def _tracking_iterate(model, x0, theta):
+    """A transcribed model's initial iterate with spread equality duals, an
+    outer state and the evaluation there."""
     point = initialize_point(model, x0, theta)
     point.y = np.linspace(-1.0, 1.0, model.m)
     outer = OuterState(lam=np.zeros(model.m), rho=10.0, kappa=0.1)
-    cache = evaluate(model, point.x, theta, point.y, point.z)
-    return lambda ep, ed: assemble_symmetric(
-        model, point, theta, outer, RegularizationState(ep, ed), cache,
-        tracks_multiplier=tracks_multiplier,
-    )
+    return point, outer, evaluate(model, point.x, theta, point.y, point.z)
+
+
+def _tracking_assembler(model, x0, theta, tracks_multiplier=False):
+    """Reduced system of a transcribed model at ``_tracking_iterate``, and
+    its dense reduced matrix, as functions of the shifts (eps_p, eps_d)."""
+    point, outer, cache = _tracking_iterate(model, x0, theta)
+
+    def assemble(ep, ed):
+        return assemble_symmetric(
+            model, point, theta, outer, RegularizationState(ep, ed), cache,
+            tracks_multiplier=tracks_multiplier,
+        )
+
+    def dense(ep, ed):
+        return dense_reduced_matrix(model, point, outer, RegularizationState(ep, ed), cache, tracks_multiplier)
+
+    return assemble, dense
 
 
 def test_negative_curvature_stages_reach_target_with_dense_shifts():
@@ -483,19 +538,19 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
     T = 20
     weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
     model, x0, theta = trajectory_tracking(T, position_weights=weights)
-    build = _tracking_assembler(model, x0, theta)
+    build, dense = _tracking_assembler(model, x0, theta)
     target = (model.n, model.m + model.p, 0)
-    K = build(0.0, 0.0).K
-    assert K.schur is not None and not factorize(K).certified
+    rsys = build(0.0, 0.0)
+    assert rsys.C is not None and not factorize(rsys.schur()).certified
     trials = []
 
     def assemble(ep, ed):
-        K = build(ep, ed).K
-        trials.append((factorize(K).certified, dense_inertia(K) == target))
-        return K
+        C = build(ep, ed).schur()
+        trials.append((factorize(C).certified, dense_inertia(dense(ep, ed)) == target))
+        return C
 
-    fact, reg = correct_inertia(assemble, target, RegularizationState())
-    assert fact.inertia == target and reg.eps_p > 0.0 and reg.eps_d == 0.0
+    fact, reg = correct_inertia(assemble, RegularizationState())
+    assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == 0.0
     assert len(trials) > 1 and trials[-1] == (True, True)
     assert all(certified == dense for certified, dense in trials)
 
@@ -506,13 +561,12 @@ def test_schur_complement_matches_dense(shifts):
     # dense formula, x in the stage order, to 1e-12 of its largest entry;
     # nothing lies outside its band
     model, x0, theta = trajectory_tracking(12)
-    K = _tracking_assembler(model, x0, theta)(*shifts).K
+    build, dense = _tracking_assembler(model, x0, theta)
+    rsys = build(*shifts)
     n = model.n
-    D = np.asarray(K)
-    expected = D[:n, :n] - D[:n, n:] @ np.linalg.solve(D[n:, n:], D[n:, :n])
-    x = K.layout.order[K.layout.order < n]
-    expected = expected[np.ix_(x, x)]
-    C = K.schur
+    x = rsys.plan.order
+    expected = dense_schur_complement(dense(*shifts), n)[np.ix_(x, x)]
+    C = rsys.C
     kd = C.shape[0] - 1
     got = np.zeros((n, n))
     for k in range(kd + 1):
@@ -523,29 +577,28 @@ def test_schur_complement_matches_dense(shifts):
 
 def test_indefinite_schur_complement_falls_back_to_the_sweep():
     # concave position cost on every third stage: C = P + A'N^{-1}A is
-    # indefinite at zero shift, its Cholesky fails and K has no inertia.
-    # No block LDL' sweep is left to count it: correct_inertia walks the
-    # primal shift until C factors, and without C no shift is accepted
+    # indefinite at zero shift, its Cholesky fails, so its band LU is taken
+    # and K has no certified inertia. correct_inertia walks the primal
+    # shift until C factors, and without C no shift is accepted
     T = 20
     weights = np.where(np.arange(T) % 3 == 1, -4.0, 1.0)
     model, x0, theta = trajectory_tracking(T, position_weights=weights)
-    build = _tracking_assembler(model, x0, theta)
+    build, dense = _tracking_assembler(model, x0, theta)
     target = (model.n, model.m + model.p, 0)
-    K = build(0.0, 0.0).K
-    assert K.schur is not None
-    fact = factorize(K)
-    assert not fact.certified and fact.inertia is None and dense_inertia(K) != target
-    fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).K, target, RegularizationState())
-    assert fact.certified and fact.inertia == target and reg.eps_p > 0.0
-    assert dense_inertia(build(reg.eps_p, reg.eps_d).K) == target
+    rsys = build(0.0, 0.0)
+    assert rsys.C is not None
+    fact = factorize(rsys.schur())
+    assert not fact.certified and fact.pivots is not None and dense_inertia(dense(0.0, 0.0)) != target
+    fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).schur(), RegularizationState())
+    assert fact.certified and reg.eps_p > 0.0
+    assert dense_inertia(dense(reg.eps_p, reg.eps_d)) == target
 
     def without_c(ep, ed):
-        K = build(ep, ed).K
-        K.schur = None
-        return K
+        build(ep, ed)
+        raise NumericalFailure("no Schur complement")
 
     with pytest.raises(InertiaCorrectionFailure):
-        correct_inertia(without_c, target, RegularizationState())
+        correct_inertia(without_c, RegularizationState())
 
 
 def _identity_cone_model(spec, **kwargs):
@@ -566,33 +619,36 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     # away from the central path the symmetrized second-order block M of a
     # three-dimensional segment is indefinite. K = [[I, I], [I, -M]] has the
     # target inertia, yet C = I + M^{-1} is indefinite: Haynsworth's theorem
-    # needs N definite, so assembly leaves C out, K is not certified, and
-    # correct_inertia walks the primal shift until M + eps_d I is definite
-    # and C certifies K
+    # needs N definite, so assembly leaves C out and the system cannot be
+    # factored. correct_inertia takes the dual shift, then walks the primal
+    # shift until M + eps_d I is definite and C certifies K
     model = _identity_cone_model(ConeSpec((SecondOrder(3),)), stage_blocks=(np.arange(3), np.arange(3, 6)))
     point = SolverPoint(
         x=np.array([1.0, 0.5, 0.0]), r=np.zeros(0), s=np.array([1.0, 0.9, 0.0]),
         y=np.zeros(0), z=-np.ones(3), t=np.array([1.0, 0.0, 0.9]),
     )
     outer = OuterState(np.zeros(0), 1.0, 0.1)
+    cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
     rsys = assemble_symmetric(model, point, np.zeros(0), outer)
-    K = np.asarray(rsys.K)
+    K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
     M = -K[3:, 3:]
     assert np.linalg.eigvalsh(M).min() < 0.0
     assert np.linalg.eigvalsh(K[:3, :3] + np.linalg.inv(M)).min() < 0.0
-    assert rsys.K.schur is None
-    assert not factorize(rsys.K).certified and dense_inertia(K) == (3, 3, 0)
-    build = lambda ep, ed: assemble_symmetric(model, point, np.zeros(0), outer, RegularizationState(ep, ed)).K
-    fact, reg = correct_inertia(build, (3, 3, 0), RegularizationState())
-    assert fact.inertia == (3, 3, 0) and reg.eps_p > 0.0
-    assert dense_inertia(build(reg.eps_p, reg.eps_d)) == (3, 3, 0)
+    assert rsys.C is None and dense_inertia(K) == (3, 3, 0)
+    with pytest.raises(NumericalFailure):
+        rsys.schur()
+    build = lambda ep, ed: assemble_symmetric(model, point, np.zeros(0), outer, RegularizationState(ep, ed))
+    fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).schur(), RegularizationState())
+    assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == DUAL_SHIFT
+    assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == (3, 3, 0)
 
 
 def test_boundary_cone_block_is_raised_for_the_certificate():
     # a second-order block of N at the cone boundary, rank one as measured:
     # it passes its Cholesky factorization only by round-off and has no
     # inverse. complement raises it by CONE_RAISE, and the C it returns
-    # certifies K = [[I, I], [I, -B]], whose dense inertia is the target
+    # certifies K = [[I, I], [I, -B]], whose dense inertia is the target;
+    # the N it returns, for the solves, is the raised block
     a = 3.2e8
     B = np.array([[a, a], [a, a]])
     np.linalg.cholesky(B)
@@ -605,51 +661,65 @@ def test_boundary_cone_block_is_raised_for_the_certificate():
         x=np.ones(2), r=np.zeros(0), s=np.array([1.0, 0.5]),
         y=np.zeros(0), z=-np.ones(2), t=np.array([1.0, 0.5]),
     )
-    K = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).K
-    at = model.kkt_scatter
-    K.data[at.cone_blocks[0]] = -B
-    K.schur = at.schur.complement(K.data, 1.0, ConeBlocks(spec, np.zeros(0), (B[None],)))
-    assert K.schur is not None
-    assert factorize(K).inertia == (2, 2, 0) == dense_inertia(np.asarray(K))
+    plan = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).plan
+    identity = np.eye(2).reshape(-1)  # the stored entries of L_xx and h_x
+    C, N = plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (B[None],)))
+    assert factorize(C).certified
+    assert dense_inertia(np.block([[np.eye(2), np.eye(2)], [np.eye(2), -B]])) == (2, 2, 0)
+    raised = N.blocks[0][0]
+    assert raised[0, 1] == raised[1, 0] == a and np.all(np.diag(raised) > a)
+    assert np.linalg.eigvalsh(raised).min() > 0.0
 
 
 def test_tracked_system_drops_the_schur_complement():
     # tracking the multiplier takes the penalty term off the equality-dual
-    # diagonal, so the C assembled with it would not certify K, and none is
-    # built: with a repeated equality row the tracked K is singular, and its
-    # band LU meets an exactly zero pivot
+    # diagonal of K, so at zero shift that diagonal is zero, and with a
+    # repeated equality row the tracked K is singular. Its Schur complement
+    # is that of K with the dual shift on the equality duals alone, so it
+    # factors and does not show the singularity: G G' does (next test)
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
-    assert factorize(_tracking_assembler(model, x0, theta)(0.0, 0.0).K).certified
-    rsys = _tracking_assembler(model, x0, theta, tracks_multiplier=True)(0.0, 0.0)
-    assert rsys.K.schur is None
-    eigs = np.abs(np.linalg.eigvalsh(np.asarray(rsys.K)))
+    tracked, dense = _tracking_assembler(model, x0, theta, tracks_multiplier=True)
+    rsys = tracked(0.0, 0.0)
+    K = dense(0.0, 0.0)
+    eigs = np.abs(np.linalg.eigvalsh(K))
     assert eigs.min() <= 1e-12 * eigs.max()
-    with pytest.raises(NumericalFailure):
-        factorize(rsys.K)
+    n, y = model.n, np.arange(model.n, model.n + model.m)
+    assert not K[y, y].any()
+    K[y, y] = -DUAL_SHIFT
+    x = rsys.plan.order
+    C = dense_schur_complement(K, n)[np.ix_(x, x)]
+    assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
+    assert factorize(rsys.schur()).certified
 
 
 def test_duplicated_equality_rows_stay_blocked(monkeypatch):
     # stage 4 pins u = 0 twice; with the multiplier tracking the dual (as
     # when differentiating) nothing regularizes the repeated rows. The band
-    # LU reports the exactly zero pivot without making K dense, and at the
-    # dual shift, as differentiate then takes it, the tracked K factors
+    # LU of G G', the equality duals in their stage order, reports the
+    # exactly zero pivot, and the tracked system factors through its C at
+    # zero shift and at the primal shift, as differentiate takes them;
+    # every LAPACK factorization reads a band of order at most n
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
-    build = _tracking_assembler(model, x0, theta, tracks_multiplier=True)
+    build, dense = _tracking_assembler(model, x0, theta, tracks_multiplier=True)
+    rsys = build(0.0, 0.0)
+    orders = []
+    for name in ("dpbtrf", "dgbtrf"):
+        original = getattr(ipal.linsolve, name)
 
-    def assemble(ep, ed):
-        return build(ep, ed).K
+        def recorded(ab, *args, original=original, **kwargs):
+            orders.append(ab.shape)
+            return original(ab, *args, **kwargs)
 
-    K = assemble(0.0, 0.0)
-    assert len(K.index) == len(model.stage_blocks) > 1
-    dense = []
-    _counting(monkeypatch, BlockTridiagonal, "from_dense", dense)
-    _counting(monkeypatch, BlockTridiagonal, "__array__", dense)
+        monkeypatch.setattr(ipal.linsolve, name, recorded)
+    gram = rsys.plan.gram(entries(_tracking_iterate(model, x0, theta)[2].g_x)[1])
+    assert gram.shape[0] < model.m
     with pytest.raises(NumericalFailure):
-        factorize(K)
-    fact = factorize(assemble(DUAL_SHIFT, DUAL_SHIFT))
-    assert not fact.certified and dense == []
+        band_lu(gram)
+    for shifts in ((0.0, 0.0), (DUAL_SHIFT, 0.0)):
+        assert factorize(build(*shifts).schur()).certified
+    assert all(shape[1] <= model.n and shape[0] < 3 * model.m for shape in orders)
     monkeypatch.undo()
-    eigs = np.abs(np.linalg.eigvalsh(np.asarray(K)))
+    eigs = np.abs(np.linalg.eigvalsh(dense(0.0, 0.0)))
     assert eigs.min() <= 1e-12 * eigs.max()
 
 
@@ -666,12 +736,87 @@ def test_fixed_shift_failure_raises_numerical_failure():
 
 
 def test_directions_refine_against_the_full_system_only(monkeypatch):
-    # refinement applies the full Jacobian blockwise and never the reduced
-    # K, whose band storage has no product of its own: a tracking solve
-    # makes no dense view of a BlockTridiagonal, the only way to multiply it
+    # refinement applies the full Jacobian blockwise and the reduced matrix
+    # never exists: a tracking solve makes no dense view of a stage matrix
+    # and builds no dense Jacobian
     dense = []
-    _counting(monkeypatch, BlockTridiagonal, "from_dense", dense)
-    _counting(monkeypatch, BlockTridiagonal, "__array__", dense)
+    _counting(monkeypatch, StageMatrix, "__array__", dense)
+    _counting(monkeypatch, ipal.kkt, "full_jacobian", dense)
     model, x0, theta = trajectory_tracking(100)
     assert solve(model, x0, theta).solved
     assert dense == []
+
+
+def _acceptance_2_instances():
+    """The 200 random iterates of ACCEPTANCE 2 (criterion 2 of
+    test_acceptance.py), drawn in the same order."""
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+        model = random_nlp(rng, n, m, random_cone(rng, 5))
+        point, outer = random_iterate(rng, model)
+        yield model, point, outer
+
+
+def _solves_through_c(rsys, cache):
+    """The solves of K u = f through C and N that a system offers: by the
+    factorization ``factorize`` takes (Cholesky, or the band LU where C is
+    indefinite) and by the band LU of C."""
+    return (factorize(rsys.schur()), band_lu(rsys.C))
+
+
+def test_schur_solves_match_the_dense_reduced_matrix_on_indefinite_c():
+    # ACCEPTANCE 2's iterates, which reduced_direction solves at zero shift:
+    # N is positive definite on all 200, and C is indefinite on 89, where
+    # factorize takes its band LU. Each solve through C and N, one shot,
+    # matches the dense solve of K
+    indefinite = 0
+    for model, point, outer in _acceptance_2_instances():
+        cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+        rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache)
+        K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
+        f = np.random.default_rng(model.n).standard_normal((K.shape[0], 3))
+        expected = np.linalg.solve(K, f)
+        factors = _solves_through_c(rsys, cache)
+        indefinite += not factors[0].certified
+        for fact in factors:
+            err = np.abs(rsys.solve(fact, cache, f) - expected).max()
+            assert err <= 1e-12 * np.abs(expected).max()
+    assert indefinite == 89
+
+
+SCHUR_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
+SCHUR_CASES["tracking-12"] = lambda: trajectory_tracking(12)
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_CASES))
+def test_schur_solves_match_the_dense_reduced_matrix(monkeypatch, name):
+    # every reduced system a solve assembles: the solves of K through C and
+    # N, by the Cholesky factorization of C and by its band LU, refined
+    # against the dense K, match its dense solve. Late in a solve K has a
+    # condition number near 1e9 and two dense solvers differ by more than
+    # 1e-10 relative; there the solves must stay within ten times that
+    model, x0, theta = SCHUR_CASES[name]()
+    captured = []
+    original = ipal.kkt.assemble_symmetric
+
+    def capture(*args, **kwargs):
+        captured.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ipal.kkt, "assemble_symmetric", capture)
+    assert solve(model, x0, theta).solved
+    monkeypatch.undo()
+    rng = np.random.default_rng(len(name))
+    for _, point, _, outer, reg, cache in captured:
+        rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
+        K = dense_reduced_matrix(model, point, outer, reg, cache)
+        f = rng.standard_normal((K.shape[0], 3))
+        expected = np.linalg.solve(K, f)
+        scale = np.abs(expected).max()
+        spread = np.abs(scipy_solve(K, f) - expected).max() / scale
+        factors = _solves_through_c(rsys, cache)
+        assert factors[0].certified and not factors[1].certified
+        for fact in factors:
+            got = solve_refined(lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f)[0]
+            assert np.abs(got - expected).max() / scale <= max(1e-10, 10.0 * spread)

@@ -1,24 +1,39 @@
 import numpy as np
 import pytest
 from scipy.linalg import ldl
+from scipy.linalg import solve as scipy_solve
 
+import ipal.kkt
 import ipal.linsolve
-from helpers import dense_inertia, lower_band, trajectory_tracking
+from helpers import (
+    dense_inertia,
+    dense_reduced_matrix,
+    dense_schur_complement,
+    lower_band,
+    trajectory_tracking,
+)
 from ipal.linsolve import (
-    BlockTridiagonal,
     InertiaCorrectionFailure,
     NumericalFailure,
     RegularizationState,
+    band_lu,
     correct_inertia,
     factorize,
     solve_refined,
 )
+from ipal.model import InvalidDimension, ProblemModel
+from ipal.cone import ConeSpec
 from ipal.solver import solve
 
 
 def refined(fact, K, rhs, max_refine=10):
     """Solution of K x = rhs by solve_refined with the factors of ``fact``."""
     return solve_refined(lambda x: K @ x, fact.solve, rhs, max_refine)[0]
+
+
+def full_band(C):
+    """The symmetric C as one band of half-bandwidth n - 1."""
+    return lower_band(C, max(C.shape[0] - 1, 0))
 
 
 def random_symmetric(rng, n):
@@ -57,15 +72,6 @@ def loop_reference(K, zero_tol=1e-11):
     return tuple(counts)
 
 
-def with_schur(K, n):
-    """K = [[P, A'], [A, -N]], N positive definite, as one group that
-    carries its Schur complement C = P + A'N^{-1}A onto the first n rows."""
-    band = BlockTridiagonal.from_dense(K, (np.arange(K.shape[0]),))
-    C = K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n]) if K.shape[0] > n else K
-    band.schur = lower_band(C, n - 1)
-    return band
-
-
 def random_kkt(rng, n, m, C_signs=None):
     """K = [[P, A'], [A, -N]] with N positive definite; with ``C_signs``,
     P is chosen so that C = P + A'N^{-1}A has eigenvalues of those signs,
@@ -83,32 +89,37 @@ def random_kkt(rng, n, m, C_signs=None):
 
 class TestFactorize:
     def test_matches_pivot_loop_exactly(self):
-        # a quasi-definite K carrying its Schur complement is certified
-        # exactly when the pivot loop over scipy's LDL' factors counts the
-        # target inertia; both verdicts occur, and the band LU solves K
+        # the Schur complement C of a quasi-definite K is certified exactly
+        # when the pivot loop over scipy's LDL' factors counts the inertia
+        # (n, m, 0) of K; both verdicts occur, and either factorization
+        # solves C, and K through C and N
         rng = np.random.default_rng(5)
         verdicts = set()
         for _ in range(60):
             n, m = int(rng.integers(1, 9)), int(rng.integers(0, 7))
             K = random_kkt(rng, n, m)
-            fact = factorize(with_schur(K, n))
+            C = dense_schur_complement(K, n)
+            fact = factorize(full_band(C))
             reference = loop_reference(K)
             assert fact.certified == (reference == (n, m, 0))
             if fact.certified:
-                assert fact.inertia == reference == dense_inertia(K)
+                assert dense_inertia(K) == reference
             verdicts.add(fact.certified)
-            for rhs in (rng.standard_normal(n + m), rng.standard_normal((n + m, 3))):
-                x = refined(fact, K, rhs)
-                assert np.abs(K @ x - rhs).max() <= 1e-10 * (1.0 + np.abs(rhs).max())
+            A, N = K[n:, :n], -K[n:, n:]
+            for f in (rng.standard_normal(n + m), rng.standard_normal((n + m, 3))):
+                ux = refined(fact, C, f[:n] + A.T @ np.linalg.solve(N, f[n:]))
+                u = np.concatenate([ux, np.linalg.solve(N, A @ ux - f[n:])])
+                assert np.abs(K @ u - f).max() <= 1e-10 * (1.0 + np.abs(f).max())
         assert verdicts == {True, False}
 
     def test_solve_matches_numpy(self):
+        # an indefinite C takes the band LU
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 12))
             K = random_symmetric(rng, n)
             b = rng.standard_normal(n)
-            fact = factorize(K)
+            fact = factorize(full_band(K))
             x = refined(fact, K, b)
             assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
@@ -116,7 +127,7 @@ class TestFactorize:
         rng = np.random.default_rng(1)
         K = random_symmetric(rng, 6)
         B = rng.standard_normal((6, 3))
-        X = refined(factorize(K), K, B)
+        X = refined(factorize(full_band(K)), K, B)
         assert np.abs(K @ X - B).max() <= 1e-9
 
     def test_inertia_exact_on_constructed_matrices(self):
@@ -129,22 +140,22 @@ class TestFactorize:
             K = random_kkt(rng, n, m, signs)
             n_pos = int((signs > 0).sum())
             assert dense_inertia(K) == (n_pos, m + n - n_pos, 0)
-            fact = factorize(with_schur(K, n))
+            fact = factorize(full_band(dense_schur_complement(K, n)))
             assert fact.certified == (n_pos == n)
-            if fact.certified:
-                assert fact.inertia == (n, m, 0)
 
     def test_singular_kkt_reports_zero(self):
         # a duplicated row with no dual shift: the dense reference counts a
-        # zero eigenvalue and the band LU meets an exactly zero pivot
+        # zero eigenvalue of K, which has no Schur complement, and the band
+        # LU of G G' meets an exactly zero pivot
         rng = np.random.default_rng(3)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         A = rng.standard_normal((1, 4))
         A2 = np.vstack([A, A])  # duplicated row, no dual shift: singular
         K = np.block([[H, A2.T], [A2, np.zeros((2, 2))]])
         assert loop_reference(K)[2] >= 1
+        gram = np.full((2, 2), A[0] @ A[0])  # G G', its rows bitwise equal
         with pytest.raises(NumericalFailure):
-            factorize(K)
+            band_lu(lower_band(gram, 1))
 
     @pytest.mark.parametrize(
         "K, inertia",
@@ -154,15 +165,16 @@ class TestFactorize:
         ],
     )
     def test_exact_zero_pivot_counted_and_solve_refused(self, K, inertia):
-        # the dense reference counts the zero; the band LU refuses to factor
+        # the dense reference counts the zero; the Cholesky factorization
+        # fails, and the band LU refuses to factor
         assert loop_reference(K) == dense_inertia(K) == inertia
         with pytest.raises(NumericalFailure):
-            factorize(K)
+            factorize(full_band(K))
 
     def test_empty_matrix(self):
-        # an array carries no Schur complement, so no inertia
-        fact = factorize(np.zeros((0, 0)))
-        assert fact.inertia is None
+        # an empty C is positive definite: certified, and its solves empty
+        fact = factorize(np.zeros((1, 0)))
+        assert fact.certified
         assert fact.solve(np.zeros(0)).shape == (0,)
 
     def test_non_finite_rejected(self):
@@ -175,7 +187,7 @@ class TestFactorize:
         K = random_symmetric(rng, 8) + 8.0 * np.eye(8)
         K2 = K + 1e-3 * np.eye(8)
         b = rng.standard_normal(8)
-        x = refined(factorize(K), K2, b, max_refine=30)
+        x = refined(factorize(full_band(K)), K2, b, max_refine=30)
         assert np.abs(K2 @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
 
@@ -261,9 +273,22 @@ class TestSolveRefined:
     def test_exact_inverse_takes_no_pass(self):
         K = np.array([[4.0, 1.0], [1.0, -3.0]])
         rhs = np.array([[1.0, 0.0], [2.0, 1.0]])
-        x, err, _, passes = solve_refined(lambda v: K @ v, factorize(K).solve, rhs)
+        x, err, _, passes = solve_refined(lambda v: K @ v, factorize(full_band(K)).solve, rhs)
         assert passes == 0 and err <= 1e-12 * 3.0
         assert x.shape == rhs.shape
+
+    def test_given_rhs_norm_is_the_one_taken(self):
+        # a caller that has taken ||rhs||_inf passes it: the target, so the
+        # iterates, are bitwise those of the norm taken here
+        rng = np.random.default_rng(11)
+        A = random_symmetric(rng, 6) + 4.0 * np.eye(6)
+        approx = np.linalg.inv(A + 0.3 * random_symmetric(rng, 6))
+        rhs = rng.standard_normal(6)
+        apply, solve_ = (lambda v: A @ v), (lambda b: approx @ b)
+        taken = solve_refined(apply, solve_, rhs)
+        given = solve_refined(apply, solve_, rhs, rhs_norm=np.abs(rhs).max())
+        assert taken[3] == given[3] > 0
+        assert taken[0].tobytes() == given[0].tobytes() and taken[1] == given[1]
 
     def test_non_finite_residual_raises(self):
         with pytest.raises(NumericalFailure):
@@ -273,58 +298,68 @@ class TestSolveRefined:
 class TestCorrectInertia:
     @staticmethod
     def kkt_assemble(H, A, dual=0.0):
-        """K = [[H + eps_p I, A'], [A, -(dual + eps_d) I]], carrying its
-        Schur complement while its dual block is positive definite."""
+        """The Schur complement of K = [[H + eps_p I, A'], [A, -(dual +
+        eps_d) I]], or NumericalFailure while that dual block is not
+        positive definite; and K itself."""
+
+        def matrix(ep, ed):
+            n, m = H.shape[0], A.shape[0]
+            return np.block([[H + ep * np.eye(n), A.T], [A, -(dual + ed) * np.eye(m)]])
 
         def assemble(ep, ed):
             n, m = H.shape[0], A.shape[0]
-            K = np.block([[H + ep * np.eye(n), A.T], [A, -(dual + ed) * np.eye(m)]])
-            return with_schur(K, n) if m == 0 or dual + ed > 0.0 else K
+            if m and not dual + ed > 0.0:
+                raise NumericalFailure("the dual block is not positive definite")
+            return full_band(dense_schur_complement(matrix(ep, ed), n))
 
-        return assemble
+        return assemble, matrix
 
     def test_no_shift_when_inertia_correct(self):
         rng = np.random.default_rng(5)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
-        fact, reg = correct_inertia(self.kkt_assemble(H, A, 0.1), (4, 2, 0), RegularizationState())
+        assemble, matrix = self.kkt_assemble(H, A, 0.1)
+        fact, reg = correct_inertia(assemble, RegularizationState())
         assert reg.eps_p == 0.0 and reg.eps_d == 0.0
-        assert fact.inertia == (4, 2, 0)
+        assert fact.certified and dense_inertia(matrix(0.0, 0.0)) == (4, 2, 0)
 
     def test_indefinite_hessian_corrected(self):
         rng = np.random.default_rng(6)
         H = random_symmetric(rng, 4) - 3.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
-        fact, reg = correct_inertia(self.kkt_assemble(H, A, 0.1), (4, 2, 0), RegularizationState())
-        assert fact.inertia == (4, 2, 0)
+        assemble, matrix = self.kkt_assemble(H, A, 0.1)
+        fact, reg = correct_inertia(assemble, RegularizationState())
+        assert fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
         assert reg.eps_p > 0.0
         assert reg.last_eps_p == reg.eps_p
 
     def test_duplicated_rows_switch_on_dual_shift(self):
-        # unshifted, the repeated row is an exactly zero pivot of the LU
+        # unshifted, the dual block is zero and K has no Schur complement
         rng = np.random.default_rng(7)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         a = rng.standard_normal((1, 4))
         A = np.vstack([a, a])
-        fact, reg = correct_inertia(self.kkt_assemble(H, A), (4, 2, 0), RegularizationState())
-        assert fact.inertia == (4, 2, 0)
+        assemble, matrix = self.kkt_assemble(H, A)
+        fact, reg = correct_inertia(assemble, RegularizationState())
+        assert fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
         assert reg.eps_d > 0.0
 
     def test_reuse_shrinks_first_trial(self):
         H = np.diag([-1e-6, 1.0, 1.0])
         A = np.zeros((0, 3))
-        assemble = self.kkt_assemble(H, A)
-        fact, reg = correct_inertia(assemble, (3, 0, 0), RegularizationState())
+        assemble, _ = self.kkt_assemble(H, A)
+        fact, reg = correct_inertia(assemble, RegularizationState())
         assert reg.eps_p == pytest.approx(1e-4)
-        fact, reg2 = correct_inertia(assemble, (3, 0, 0), reg)
+        fact, reg2 = correct_inertia(assemble, reg)
         assert reg2.eps_p == pytest.approx(1e-4 / 3.0)
 
     def test_unreachable_target_raises(self):
-        # adding eps_p only pushes eigenvalues up, and an array is never
-        # certified: an all-negative target fails
-        assemble = lambda ep, ed: np.eye(3) + ep * np.eye(3)
+        # a C that no primal shift reaches is never certified, though its
+        # band LU factors it
+        assemble = lambda ep, ed: -np.ones((1, 3))
+        assert not factorize(assemble(0.0, 0.0)).certified
         with pytest.raises(InertiaCorrectionFailure):
-            correct_inertia(assemble, (0, 3, 0), RegularizationState())
+            correct_inertia(assemble, RegularizationState())
 
 
 def block_tridiagonal(rng, sizes, signs):
@@ -349,6 +384,15 @@ def block_tridiagonal(rng, sizes, signs):
     return K[np.ix_(order, order)], blocks
 
 
+def grouped_band(K, blocks):
+    """K in the order of its row blocks, in lower band storage of the
+    blocks' half-bandwidth, and that order."""
+    order = np.concatenate(blocks)
+    sizes = np.array([b.size for b in blocks])
+    kd = int(max((sizes[1:] + sizes[:-1]).max(initial=0), sizes.max()) - 1)
+    return lower_band(K[np.ix_(order, order)], kd), order
+
+
 class TestBlockedFactorize:
     def test_inertia_and_solve_on_constructed_matrices(self):
         # with itself as its Schur complement (no dual rows), in the group
@@ -360,96 +404,118 @@ class TestBlockedFactorize:
             n = sum(sizes)
             signs = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else np.ones(n)
             K, blocks = block_tridiagonal(rng, sizes, signs)
-            band = BlockTridiagonal.from_dense(K, blocks)
-            order = band.layout.order
-            band.schur = lower_band(K[np.ix_(order, order)], band.layout.kl)
+            band, order = grouped_band(K, blocks)
             fact = factorize(band)
             assert fact.certified == (signs > 0).all()
             if fact.certified:
-                assert fact.inertia == (n, 0, 0) == dense_inertia(K)
+                assert dense_inertia(K) == (n, 0, 0)
             verdicts.add(fact.certified)
+            grouped = K[np.ix_(order, order)]
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 expected = np.linalg.solve(K, rhs)
-                got = refined(fact, K, rhs)
+                got = np.empty(rhs.shape)
+                got[order] = refined(fact, grouped, rhs[order])
                 assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
         assert verdicts == {True, False}
 
     def test_zero_pivot_block_stays_blocked(self, monkeypatch):
-        # a group with a zero row and column is an exactly zero pivot of the
-        # band LU, which raises, and K is never made dense
+        # a group with a zero row and column fails the Cholesky factorization
+        # and is an exactly zero pivot of the band LU, which raises; both
+        # read the band, never a dense matrix
         rng = np.random.default_rng(32)
         signs = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
         K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
         K[blocks[1][0], :] = K[:, blocks[1][0]] = 0.0
-        band = BlockTridiagonal.from_dense(K, blocks)
+        band, _ = grouped_band(K, blocks)
         assert dense_inertia(K)[2] == 1
-        dense = []
+        shapes = []
+        for name in ("dpbtrf", "dgbtrf"):
+            original = getattr(ipal.linsolve, name)
 
-        def counted(*args, **kwargs):
-            dense.append(args)
-            raise AssertionError("a banded matrix was made dense")
+            def recorded(ab, *args, original=original, **kwargs):
+                shapes.append(ab.shape)
+                return original(ab, *args, **kwargs)
 
-        monkeypatch.setattr(BlockTridiagonal, "from_dense", counted)
-        monkeypatch.setattr(BlockTridiagonal, "__array__", counted)
+            monkeypatch.setattr(ipal.linsolve, name, recorded)
         with pytest.raises(NumericalFailure):
             factorize(band)
-        assert dense == []
+        kd = band.shape[0] - 1
+        assert kd < 7 and shapes == [(kd + 1, 8), (3 * kd + 1, 8)]
 
     def test_one_block_is_dense(self):
         # one group, in the original or a permuted order, is one band of
-        # half-bandwidth n - 1 in that order; without a Schur complement it
-        # has no inertia
+        # half-bandwidth n - 1 in that order; an indefinite one takes the
+        # uncertified band LU
         rng = np.random.default_rng(33)
         K = random_symmetric(rng, 5)
+        assert dense_inertia(K)[1] > 0
         b = rng.standard_normal(5)
-        for index in (np.arange(5), rng.permutation(5)):
-            fact = factorize(BlockTridiagonal.from_dense(K, (index,)))
-            assert fact.layout.kl == 4 and np.array_equal(fact.layout.order, index)
-            assert not fact.certified
-            x = refined(fact, K, b)
+        for order in (np.arange(5), rng.permutation(5)):
+            grouped = K[np.ix_(order, order)]
+            fact = factorize(lower_band(grouped, 4))
+            assert fact.kd == 4 and not fact.certified
+            x = np.empty(5)
+            x[order] = refined(fact, grouped, b[order])
             assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            BlockTridiagonal.from_dense(np.eye(4), (np.arange(2), np.arange(2, 3)))
+        # groups that do not partition the reduced unknowns are refused by
+        # the model; a non-finite entry in the band by the factorization
+        with pytest.raises(InvalidDimension):
+            ProblemModel(
+                n=4, m=0, p=0, cone=ConeSpec(), objective=lambda x, th: 0.0,
+                objective_gradient=lambda x, th: np.zeros(4),
+                lagrangian_hessian=lambda x, th, y, z: np.eye(4),
+                stage_blocks=(np.arange(2), np.arange(2, 3)),
+            )
         K = np.eye(4)
         K[0, 3] = K[3, 0] = np.nan  # in the sub-diagonal block of the groups below
+        band, _ = grouped_band(K, (np.arange(2), np.arange(2, 4)))
+        assert np.isnan(band).any()
         with pytest.raises(NumericalFailure):
-            factorize(BlockTridiagonal.from_dense(K, (np.arange(2), np.arange(2, 4))))
+            factorize(band)
 
     @pytest.mark.parametrize("T", [10, 50, 100, 200])
     def test_matches_dense_along_tracking_solves(self, monkeypatch, T):
-        # every 8th reduced KKT matrix factored during the solve, and the last
+        # every 8th reduced system assembled during the solve, and the last:
+        # C equals the dense Schur complement in the stage order, its
+        # Cholesky factorization certifies the dense inertia of K, and the
+        # solves of K through C and N, by that factorization and by the band
+        # LU of C, match the dense solve of K
         model, x0, theta = trajectory_tracking(T)
         captured, seen = [], {"count": 0, "last": None}
-        original = ipal.linsolve.factorize
+        original = ipal.kkt.assemble_symmetric
 
-        def capture(K):
+        def capture(*args, **kwargs):
             if seen["count"] % 8 == 0:
-                captured.append(K)
+                captured.append((args, kwargs))
             seen["count"] += 1
-            seen["last"] = K
-            return original(K)
+            seen["last"] = (args, kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(ipal.linsolve, "factorize", capture)
+        monkeypatch.setattr(ipal.kkt, "assemble_symmetric", capture)
         assert solve(model, x0, theta).solved
         monkeypatch.undo()
         rng = np.random.default_rng(T)
-        for band in captured + [seen["last"]]:
-            K = np.asarray(band)
-            # as captured, with its Schur complement: certified band LU
-            certified = factorize(band)
-            plain = factorize(BlockTridiagonal.from_dense(K, model.stage_blocks))
-            assert certified.certified and not plain.certified
-            assert certified.inertia == dense_inertia(K)
-            for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
-                expected = refined(factorize(K), K, rhs)
+        n, N = model.n, model.n + model.m + model.p
+        for args, kwargs in captured + [seen["last"]]:
+            rsys = original(*args, **kwargs)
+            _, point, _, outer, reg, cache = args
+            K = dense_reduced_matrix(model, point, outer, reg, cache)
+            order = rsys.plan.order
+            C = dense_schur_complement(K, n)[np.ix_(order, order)]
+            assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
+            certified = factorize(rsys.schur())
+            assert certified.certified and dense_inertia(K) == (n, N - n, 0)
+            for f in (rng.standard_normal(N), rng.standard_normal((N, 5))):
+                expected = np.linalg.solve(K, f)
                 scale = np.abs(expected).max()
                 # late in the solve K has a condition number near 1e9, and
                 # two dense solvers already differ by more than 1e-10
-                # relative; there the banded solves must stay within ten
+                # relative; there the solves through C must stay within ten
                 # times that difference
-                spread = np.abs(np.linalg.solve(K, rhs) - expected).max() / scale
-                for fact in (plain, certified):
-                    err = np.abs(refined(fact, K, rhs) - expected).max() / scale
+                spread = np.abs(scipy_solve(K, f) - expected).max() / scale
+                for fact in (certified, band_lu(rsys.C)):
+                    got = solve_refined(lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f)[0]
+                    err = np.abs(got - expected).max() / scale
                     assert err <= max(1e-10, 10.0 * spread)

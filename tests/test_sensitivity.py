@@ -11,7 +11,6 @@ from helpers import random_cone, random_iterate, random_nlp, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import DirectionOptions, Layout, OuterState, assemble_symmetric, full_jacobian
-from ipal.linsolve import BlockTridiagonal
 from ipal.model import ProblemModel, StageMatrix, evaluate
 from ipal.sensitivity import SensitivityResult, differentiate, residual_parameter_jacobian
 from ipal.solver import SolverOptions, solve
@@ -294,7 +293,7 @@ def test_repeated_equality_row_matches_least_squares():
 def test_repeated_equality_row_builds_no_dense_matrix(monkeypatch):
     # at T = 400, N = n + m + p = 3602: solving and differentiating with a
     # repeated equality row build no dense Jacobian, least-squares solve or
-    # dense view of K or the stage matrices, and their traced peak memory
+    # dense view of the stage matrices, and their traced peak memory
     # stays below an eighth of one N x N float64 array (104 MB)
     T = 400
     model, x0, theta = trajectory_tracking(T, duplicated_stage=T // 2)
@@ -313,8 +312,6 @@ def test_repeated_equality_row_builds_no_dense_matrix(monkeypatch):
     counted(ipal.sensitivity, "full_jacobian")
     counted(ipal.kkt, "full_jacobian")
     counted(np.linalg, "lstsq")
-    counted(BlockTridiagonal, "from_dense")
-    counted(BlockTridiagonal, "__array__")
     counted(StageMatrix, "__array__")
     tracemalloc.start()
     try:
@@ -465,13 +462,13 @@ def test_differentiate_refines_in_one_loop(monkeypatch):
     sol = solve(model, x0, theta, SolverOptions(tol=1e-8, kappa_min=5e-9, max_outer=40))
     assert sol.solved
     solves = []
-    original = ipal.linsolve.Factorization.solve
+    original = ipal.kkt.ReducedSystem.solve
 
-    def counting(self, rhs):
+    def counting(self, fact, cache, f):
         solves.append(None)
-        return original(self, rhs)
+        return original(self, fact, cache, f)
 
-    monkeypatch.setattr(ipal.linsolve.Factorization, "solve", counting)
+    monkeypatch.setattr(ipal.kkt.ReducedSystem, "solve", counting)
     out = differentiate(model, sol, theta)
     assert not out.used_least_squares
     assert 1 <= len(solves) <= DirectionOptions().max_refine + 1

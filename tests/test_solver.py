@@ -4,10 +4,12 @@ import inspect
 import numpy as np
 import pytest
 
+import ipal
+import ipal.kkt
 import ipal.linsolve
 import ipal.solver
 import ipal.trajopt
-from helpers import dense_inertia, trajectory_tracking
+from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import DirectionInfo, DirectionOptions, OuterState, SolverPoint
@@ -509,18 +511,24 @@ GENERAL = sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blo
 
 def _traced_solve(monkeypatch, model, x0, theta, must_solve=True):
     """Solve with tracing on, counting the factorizations the inertia
-    correction tries; each certified inertia must be that of the dense
-    eigenvalues of the matrix. Returns the solution and the matrices."""
-    factored = []
-    original = ipal.linsolve.factorize
+    correction tries; each certified one must certify the inertia (n, m +
+    p, 0) of the dense reduced matrix it was assembled from. Returns the
+    solution and the Schur complements factored."""
+    factored, latest = [], {}
+    factorize, assemble = ipal.linsolve.factorize, ipal.kkt.assemble_symmetric
 
-    def checked(K):
-        factored.append(K)
-        fact = original(K)
+    def assembled(model, point, theta, outer, reg, cache, **kwargs):
+        latest["K"] = lambda: dense_reduced_matrix(model, point, outer, reg, cache)
+        return assemble(model, point, theta, outer, reg, cache, **kwargs)
+
+    def checked(C):
+        factored.append(C)
+        fact = factorize(C)
         if fact.certified:
-            assert fact.inertia == dense_inertia(K)
+            assert dense_inertia(latest["K"]()) == (model.n, model.m + model.p, 0)
         return fact
 
+    monkeypatch.setattr(ipal.kkt, "assemble_symmetric", assembled)
     monkeypatch.setattr(ipal.linsolve, "factorize", checked)
     sol = solve(model, x0, theta, SolverOptions(record_trace=True))
     monkeypatch.undo()
@@ -532,10 +540,12 @@ def _traced_solve(monkeypatch, model, x0, theta, must_solve=True):
 
 
 def test_transcribed_directions_are_blocked(monkeypatch):
-    # one row group per stage, factored as one band in the stage order
+    # one row group per stage: the Schur complement is factored as one band
+    # in the stage order, of half-bandwidth 4 (two stages of 3 variables)
     model, x0, theta = trajectory_tracking(30)
     _, factored = _traced_solve(monkeypatch, model, x0, theta)
-    assert all(len(K.index) == len(model.stage_blocks) == 30 for K in factored)
+    assert all(C.shape == (5, model.n) for C in factored)
+    assert len(model.stage_blocks) == 30
 
 
 def test_general_registry_problems_are_dense(monkeypatch):
@@ -544,8 +554,9 @@ def test_general_registry_problems_are_dense(monkeypatch):
     for name in GENERAL:
         prob = REGISTRY[name]
         _, factored = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
-        for K in factored:
-            assert len(K.index) == 1 and np.array_equal(K.index[0], np.arange(K.shape[0]))
+        for C in factored:
+            assert C.shape == (prob.model.n, prob.model.n)
+        np.testing.assert_array_equal(prob.model.schur_plan.order, np.arange(prob.model.n))
 
 
 def test_transcribed_directions_are_certified(monkeypatch):
@@ -759,7 +770,7 @@ def test_settable_values_are_the_callers_options():
     ]
     assert [f.name for f in dataclasses.fields(DirectionOptions)] == ["max_refine", "consistency_tol"]
     assert not hasattr(ipal.linsolve, "InertiaOptions")
-    assert list(inspect.signature(ipal.linsolve.factorize).parameters) == ["K"]
+    assert list(inspect.signature(ipal.linsolve.factorize).parameters) == ["C"]
     assert "gauss_newton" not in {f.name for f in dataclasses.fields(ProblemModel)}
     # the block LDL' sweep is gone: the band LU is the only factorization
     for owner, name in ((ipal.linsolve, "ZERO_TOL"), (ipal.linsolve, "_factorize_blocked"),
@@ -769,5 +780,35 @@ def test_settable_values_are_the_callers_options():
         assert "blocked" not in {f.name for f in dataclasses.fields(record)}
     # K has one storage, LAPACK band storage: no gather plan, no block views
     assert not hasattr(ipal.linsolve, "BandPlan")
-    for name in ("D", "C", "__matmul__"):
-        assert not hasattr(ipal.linsolve.BlockTridiagonal, name), name
+    # and then none: the Cholesky of its Schur complement C is the
+    # factorization, and K is never formed
+    for owner, name in ((ipal.linsolve, "BandLayout"), (ipal.linsolve, "BlockTridiagonal"),
+                        (ipal.kkt, "KKTScatter"), (ipal.kkt, "_scatter")):
+        assert not hasattr(owner, name), name
+    assert {f.name for f in dataclasses.fields(ipal.linsolve.Factorization)} == {"factors", "pivots", "kd"}
+    assert "K" not in {f.name for f in dataclasses.fields(ipal.kkt.ReducedSystem)}
+    assert "kkt_scatter" not in {f.name for f in dataclasses.fields(ProblemModel)}
+
+
+def test_every_factorization_is_of_order_at_most_n_or_m(monkeypatch):
+    # a T = 100 tracking solve and its differentiate: every LAPACK
+    # factorization ipal.linsolve takes (the Cholesky of C, of order n, a
+    # band LU of C, or the band LU of G G', of order m) is of order at most
+    # max(n, m), never that of the reduced matrix, n + m + p
+    model, x0, theta = trajectory_tracking(100)
+    orders = []
+    for name in ("dpbtrf", "dgbtrf"):
+        original = getattr(ipal.linsolve, name)
+
+        def recorded(ab, *args, original=original, **kwargs):
+            orders.append(ab.shape[1])
+            return original(ab, *args, **kwargs)
+
+        monkeypatch.setattr(ipal.linsolve, name, recorded)
+    sol = solve(model, x0, theta)
+    assert sol.solved
+    solved = len(orders)
+    out = ipal.differentiate(model, sol, theta)
+    assert not out.used_least_squares
+    assert solved >= sol.total_iterations and len(orders) > solved
+    assert max(orders) <= max(model.n, model.m) < model.n + model.m + model.p

@@ -1,7 +1,7 @@
 """The stage-banded KKT path of transcribed problems against its dense
-references in ``helpers``: evaluation, the reduced matrix K, block products
-and the blockwise Newton operator; and a transcribed solve that builds no
-matrix of the KKT system's order outside the dense fallback."""
+references in ``helpers``: evaluation, the Schur complement C of the
+reduced matrix K, block products and the blockwise Newton operator; and a
+transcribed solve that builds no matrix of the KKT system's order."""
 
 import dataclasses
 import tracemalloc
@@ -12,7 +12,9 @@ import pytest
 import ipal.kkt
 from helpers import (
     dense_reduced_matrix,
+    dense_schur_complement,
     dense_transcription,
+    lower_band,
     random_iterate,
     tracking_problem,
     trajectory_tracking,
@@ -20,7 +22,7 @@ from helpers import (
 from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
 from ipal.kkt import assemble_symmetric, full_jacobian, jacobian_apply
-from ipal.linsolve import BlockTridiagonal, RegularizationState, factorize
+from ipal.linsolve import DUAL_SHIFT, RegularizationState, factorize
 from ipal.model import InvalidDimension, StageMatrix, evaluate
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import transcribe
@@ -66,67 +68,85 @@ def test_evaluation_matches_dense_transcription(name):
     assert hessian.shape == L.shape
 
 
+def _check_schur(rsys, K, n):
+    """rsys.C is the Schur complement of the dense K onto its first n rows,
+    in lower band storage in the order of rsys.plan, when -K's dual block
+    is positive definite, and None otherwise."""
+    definite = np.linalg.eigvalsh(-K[n:, n:]).min(initial=np.inf) > 0.0
+    assert (rsys.C is not None) == definite
+    if definite:
+        order = rsys.plan.order
+        C = dense_schur_complement(K, n)[np.ix_(order, order)]
+        kd = rsys.C.shape[0] - 1
+        assert np.abs(np.tril(C, -kd - 1)).max(initial=0.0) == 0.0
+        assert np.abs(rsys.C - lower_band(C, kd)).max() <= 1e-12 * (1.0 + np.abs(C).max())
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_reduced_matrix_matches_dense_assembly(name):
+    # C follows the stage order; with the multiplier tracking the dual,
+    # K loses the penalty term on its equality-dual diagonal, and C is
+    # built with the dual shift added there
     _, model, theta, point, outer = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    n, m = model.n, model.m
+    n = model.n
     for reg in SHIFTS:
         rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
-        assert isinstance(rsys.K, BlockTridiagonal)
-        assert len(rsys.K.index) == len(model.stage_blocks)
-        reference = dense_reduced_matrix(model, point, outer, reg, cache)
-        np.testing.assert_array_equal(np.asarray(rsys.K), reference)
+        order = np.concatenate(model.stage_blocks)
+        np.testing.assert_array_equal(rsys.plan.order, order[order < n])
+        _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), n)
         tracked = assemble_symmetric(model, point, theta, outer, reg, cache, tracks_multiplier=True)
-        reference[np.arange(n, n + m), np.arange(n, n + m)] = -reg.eps_d
-        np.testing.assert_array_equal(np.asarray(tracked.K), reference)
+        K = dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=True)
+        K[np.arange(n, n + model.m), np.arange(n, n + model.m)] -= DUAL_SHIFT
+        _check_schur(tracked, K, n)
 
 
 @pytest.mark.parametrize("name", GENERAL)
 def test_general_models_write_dense_derivatives_as_blocks(name):
-    # a general model's K is one group in its own order, and its dense
-    # derivative matrices are written entry by entry into its band storage
+    # a general model's C is one band in x's own order, summed from every
+    # entry of its dense derivative matrices
     model = dataclasses.replace(REGISTRY[name].model)
     theta = REGISTRY[name].theta
     point, outer = random_iterate(np.random.default_rng(len(name)), model)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     for reg in SHIFTS:
         rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
-        np.testing.assert_array_equal(np.asarray(rsys.K), dense_reduced_matrix(model, point, outer, reg, cache))
-    index = model.kkt_scatter.layout.index
-    assert len(index) == 1 and np.array_equal(index[0], np.arange(model.n + model.m + model.p))
+        _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), model.n)
+    np.testing.assert_array_equal(model.schur_plan.order, np.arange(model.n))
 
 
 @pytest.mark.parametrize("name", ["tracking-12"] + GENERAL)
 def test_band_storage_is_the_lu_input(name):
-    # K is stored as dgbtrf reads it: with i and j the places of two rows in
-    # the group order, entry (i, j) of K at row j, column 2 kl + i - j of the
-    # (n, 3 kl + 1) array, every entry of the dense reference within kl of
-    # the diagonal, and zeros in the first kl columns, the fill of the LU.
-    # Factoring works on a copy and leaves the storage bitwise intact
+    # C is stored as dpbtrf reads it: with i >= j the places of two x in
+    # the stage order, entry (i, j) of C at row i - j, column j of the (kd +
+    # 1, n) array, every entry of the dense reference within kd of the
+    # diagonal, and zeros past the end of each diagonal. Factoring leaves
+    # the storage bitwise intact
     if name in REGISTRY:
         model, theta = dataclasses.replace(REGISTRY[name].model), REGISTRY[name].theta
         point, outer = random_iterate(np.random.default_rng(len(name)), model)
     else:
         _, model, theta, point, outer = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    K = assemble_symmetric(model, point, theta, outer, SHIFTS[1], cache).K
-    lay = K.layout
-    n, kl = lay.n, lay.kl
-    reference = dense_reduced_matrix(model, point, outer, SHIFTS[1], cache)
-    np.testing.assert_array_equal(np.asarray(K), reference)
-    grouped = reference[np.ix_(lay.order, lay.order)]
-    expected = np.zeros((n, 3 * kl + 1))
+    rsys = assemble_symmetric(model, point, theta, outer, SHIFTS[1], cache)
+    C = rsys.schur()
+    n, kd = model.n, C.shape[0] - 1
+    order = rsys.plan.order
+    grouped = dense_schur_complement(dense_reduced_matrix(model, point, outer, SHIFTS[1], cache), n)
+    grouped = grouped[np.ix_(order, order)]
+    expected = np.zeros((kd + 1, n))
     for j in range(n):
-        for i in range(n):
-            if abs(i - j) <= kl:
-                expected[j, 2 * kl + i - j] = grouped[i, j]
+        for i in range(j, n):
+            if i - j <= kd:
+                expected[i - j, j] = grouped[i, j]
             else:
                 assert grouped[i, j] == 0.0
-    np.testing.assert_array_equal(K.data.reshape(n, 3 * kl + 1), expected)
-    stored = K.data.copy()
-    factorize(K)
-    assert K.data.tobytes() == stored.tobytes()
+    assert np.abs(C - expected).max() <= 1e-12 * (1.0 + np.abs(grouped).max())
+    for k in range(1, kd + 1):
+        assert not C[k, n - k :].any()
+    stored = C.copy()
+    factorize(C)
+    assert C.tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -178,10 +198,8 @@ def test_transcribed_solve_builds_no_kkt_sized_matrix(monkeypatch):
         monkeypatch.setattr(cls_or_module, name, wrapper)
 
     counted(StageMatrix, "__array__")
-    counted(BlockTridiagonal, "__array__")
-    counted(BlockTridiagonal, "from_dense")
     counted(ipal.kkt, "full_jacobian")
-    solve(model, x0, theta)  # the first assembly builds the model's scatter indices
+    solve(model, x0, theta)  # the first assembly builds the model's Schur plan
     tracemalloc.start()
     try:
         sol = solve(model, x0, theta, SolverOptions(record_trace=True))
@@ -206,6 +224,6 @@ def test_dense_matrices_outside_the_stage_band_are_rejected():
     matrices = ("equality_jacobian", "cone_jacobian", "lagrangian_hessian")
     dense_model = dataclasses.replace(model, **{f: dense(getattr(model, f)) for f in matrices})
     assert solve(model, x0, theta).solved
-    assert len(model.kkt_scatter.layout.index) == len(model.stage_blocks) > 1
+    assert model.schur_plan is not None and len(model.stage_blocks) > 1
     with pytest.raises(InvalidDimension, match="outside the band of stage_blocks"):
         solve(dense_model, x0, theta)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_iterate
+from helpers import dense_reduced_matrix, random_iterate
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant
 from ipal.kkt import assemble_symmetric
-from ipal.model import InvalidDimension, evaluate_parameter_jacobians, validate_derivatives
+from ipal.linsolve import RegularizationState
+from ipal.model import InvalidDimension, evaluate, evaluate_parameter_jacobians, validate_derivatives
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import (
     Stage,
@@ -296,7 +297,12 @@ def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
     assert [len(b) for b in blocks] == [7] * 10 + [4]
     rng = np.random.default_rng(12)
     point, outer = random_iterate(rng, model)
-    K = np.asarray(assemble_symmetric(model, point, np.array([0.3, 1.0]), outer).K)
+    theta = np.array([0.3, 1.0])
+    cache = evaluate(model, point.x, theta, point.y, point.z)
+    K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
+    # the Schur complement onto x is banded in the stage order
+    C = assemble_symmetric(model, point, theta, outer, cache=cache).C
+    assert C.shape[1] == model.n and C.shape[0] < model.n // 4
     assert np.count_nonzero(K) > 0
     for i, rows in enumerate(blocks):
         for j, cols in enumerate(blocks):
