@@ -32,7 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--format", choices=("table", "json", "csv"), default="table", help="output format"
     )
-    run.add_argument("--trace", metavar="PATH", help="write per-iteration records as ndjson")
+    run.add_argument(
+        "--trace", metavar="PATH",
+        help="write per-iteration records as ndjson; count the corrected steps on stderr",
+    )
 
     tune = sub.add_parser("autotune", help="run the closed-loop weight tuning demo")
     tune.add_argument("--steps", type=int, default=10, help="gradient steps")
@@ -67,6 +70,13 @@ def _cmd_run(args) -> int:
         with open(args.trace, "w") as fh:
             for entry in sink:
                 fh.write(json.dumps(entry) + "\n")
+        cut = sum(entry["cut"] for entry in sink)
+        corrected = sum(entry["corrected"] for entry in sink)
+        print(
+            f"trace: {len(sink)} steps to {args.trace}; the boundary cut {cut}: "
+            f"{corrected} corrected, {cut - corrected} fell back to the Newton direction",
+            file=sys.stderr,
+        )
 
     if args.format == "json":
         print(report.to_json())

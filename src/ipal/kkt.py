@@ -36,7 +36,12 @@ matrix or the dense Jacobian (``full_jacobian``, the only p x p cone
 matrix), which serves as a reference in tests. ``differentiate`` solves
 its parameter columns through the same reduction and refinement, with the
 multiplier estimate tracking the equality dual (``assemble_symmetric``'s
-``tracks_multiplier``).
+``tracks_multiplier``). A Newton direction keeps its reduced system and
+factors (``DirectionInfo.system``), so that the solver can correct a step
+the cone boundary cuts by Mehrotra's second-order term (``corrector``):
+one more reduced solve through them, without refinement, of J dc = -(0, 0,
+0, 0, 0, ds o dt), taken only when the corrected direction still meets
+the consistency bound.
 """
 
 from __future__ import annotations
@@ -563,6 +568,11 @@ class DirectionInfo:
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
     certified: bool = False  # inertia certified by the Schur complement's Cholesky
+    # the reduced system the direction was solved through and its factors,
+    # for further solves at the same iterate (``corrector``)
+    system: Optional[Tuple[ReducedSystem, Factorization]] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 REFINE_TOL = 1e-12  # relative residual at which refinement stops
@@ -655,7 +665,7 @@ def _newton_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=False, consistency_error=best_err,
-        inertia_trials=holder["trials"], certified=fact.certified,
+        inertia_trials=holder["trials"], certified=fact.certified, system=(rsys, fact),
     )
     return lay.unpack(best), reg, info
 
@@ -699,3 +709,35 @@ def search_direction(
     computed them.
     """
     return _newton_direction(model, point, theta, outer, reg, SOLVER_DIRECTIONS, cache, R, norm_R, True)
+
+
+CORRECTOR_SOLVE = DirectionOptions(max_refine=0)  # one reduced solve, no refinement
+
+
+def corrector(
+    model: ProblemModel,
+    cache: EvalCache,
+    rho: float,
+    R: np.ndarray,
+    delta: SolverPoint,
+    info: DirectionInfo,
+) -> Optional[SolverPoint]:
+    """Mehrotra's second-order correction of the Newton direction delta
+    (SIAM J. Optim. 1992; through the Jordan product on second-order
+    segments, as in ECOS, Domahidi, Chu & Boyd, ECC 2013).
+
+    J delta = -R linearizes the complementarity rows, so a full step leaves
+    (s + ds) o (t + dt) - kappa e = ds o dt there. The corrector dc solves J
+    dc = -(0, 0, 0, 0, 0, ds o dt) by one reduced solve through delta's own
+    system and factors (``info.system``), without refinement, so that delta
+    + dc solves J dw = -(R + (0, ..., ds o dt)). Returns delta + dc when its
+    residual there, bounded by the sum of the residuals of the two solves,
+    meets the consistency bound of ``search_direction``; otherwise None."""
+    rsys, fact = info.system
+    lay = rsys.layout
+    c = np.zeros(lay.total)
+    c[lay.t] = cone_product(delta.s, delta.t, model.cone)
+    dc, err, _, _ = reduced_solve(rsys, fact, cache, rho, c, CORRECTOR_SOLVE)
+    if not info.consistency_error + err <= SOLVER_DIRECTIONS.consistency_tol * (1.0 + np.abs(R + c).max()):
+        return None  # a failed solve has err inf
+    return lay.unpack(lay.pack(delta) + dc)

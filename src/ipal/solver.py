@@ -14,6 +14,17 @@ schedule is above it, below by 10 tol. The schedule ends at tol/2 (or
 kappa_min if higher): a subproblem solved to kappa = tol/2 leaves products
 s o t of at most tol, so a lower kappa would buy nothing. The solve stops
 once the unrelaxed residual is at most tol.
+
+A Newton step that the fraction-to-boundary rule cuts (a cap below 1) is
+corrected by Mehrotra's second-order term (SIAM J. Optim. 1992): a full step
+leaves ds o dt in the complementarity rows, and ``kkt.corrector`` removes
+it by one more reduced solve through the step's own factors. The line
+search takes the corrected direction when it meets the consistency bound,
+its caps are no smaller than the Newton step's and its capped t is inside
+the cone, and the Newton step otherwise or when that line search fails
+(``corrected_step``). The cut is the test, a property of the iterate:
+correcting every step as well saves more iterations on trajectory problems
+but makes small problems slower.
 """
 
 from __future__ import annotations
@@ -31,12 +42,15 @@ from .cone import (
     cone_product,
     cone_slack,
     cone_target,
+    in_cone,
     interior_initialization,
     max_step_to_boundary,
 )
 from .kkt import (
+    DirectionInfo,
     OuterState,
     SolverPoint,
+    corrector,
     outer_rows,
     residual,
     search_direction,
@@ -97,6 +111,10 @@ class TraceRecord:
     consistency_error: float = 0.0
     inertia_trials: int = 0
     certified: bool = False
+    # the boundary cut the Newton step (cap below 1), so the corrector was
+    # tried; corrected: the step taken was along its corrected direction
+    cut: bool = False
+    corrected: bool = False
 
 
 @dataclass
@@ -147,12 +165,15 @@ def checked_vector(value, size: int, name: str) -> np.ndarray:
 
 
 def merit(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: OuterState,
-          values: Optional[Values] = None) -> float:
+          values: Optional[Values] = None, barrier: Optional[float] = None) -> float:
     """Augmented Lagrangian merit with the barrier on the cone slacks:
-    c + lam'r + (rho/2) r'r - kappa * barrier(s)."""
+    c + lam'r + (rho/2) r'r - kappa * barrier(s); ``barrier`` is
+    barrier_value(s) when already taken."""
     c = (evaluate_values(model, point.x, theta) if values is None else values)[0]
     phi = float(c) + outer.lam @ point.r + 0.5 * outer.rho * (point.r @ point.r)
-    return float(phi - outer.kappa * barrier_value(point.s, model.cone))
+    if barrier is None:
+        barrier = barrier_value(point.s, model.cone)
+    return float(phi - outer.kappa * barrier)
 
 
 def violation(model: ProblemModel, point: SolverPoint, theta: np.ndarray,
@@ -304,14 +325,15 @@ def filter_step(
     alpha_init: float,
     alpha_t: float,
     current: Tuple[float, float],
-) -> Tuple[SolverPoint, float, Tuple[float, float], Values, int]:
+) -> Tuple[SolverPoint, float, Tuple[float, float], Values, int, float]:
     """Backtrack on the primal step until the filter accepts the candidate.
 
     Acceptance requires sufficient decrease in merit or violation relative to
     the current point and non-domination by the filter. Duals move by the
     accepted alpha; the complement block moves by its own boundary cap.
     Returns the new point, the accepted alpha, the accepted pair, the values
-    (c, g, h) at the new point, and the number of step halvings taken.
+    (c, g, h) at the new point, the number of step halvings taken, and the
+    barrier value of the new point's s.
     """
     phi0, eta0 = current
     # round-off relaxation (Waechter & Biegler, Math. Prog. 2006): near the
@@ -331,7 +353,8 @@ def filter_step(
         )
         try:
             values = evaluate_values(model, cand.x, theta)
-            phi = merit(model, cand, theta, outer, values)
+            barrier = barrier_value(cand.s, model.cone)
+            phi = merit(model, cand, theta, outer, values, barrier)
             eta = violation(model, cand, theta, values)
         except (NotInterior, EvaluationFailure):
             pass
@@ -342,10 +365,48 @@ def filter_step(
                 cand.z = point.z + alpha * delta.z
                 cand.t = point.t + alpha_t * delta.t
                 filt.add(phi, eta)
-                return cand, alpha, (phi, eta), values, backtracks
+                return cand, alpha, (phi, eta), values, backtracks, barrier
         alpha *= 0.5
         backtracks += 1
     raise LineSearchFailure(f"no acceptable step above {MIN_STEP:g}")
+
+
+def corrected_step(
+    model: ProblemModel,
+    point: SolverPoint,
+    delta: SolverPoint,
+    theta: np.ndarray,
+    outer: OuterState,
+    filt: Filter,
+    caps: Tuple[float, float],
+    current: Tuple[float, float],
+    cache: EvalCache,
+    R: np.ndarray,
+    info: DirectionInfo,
+    tau: float,
+) -> Optional[Tuple[tuple, float]]:
+    """The filter step along the corrected direction delta + dc of
+    ``kkt.corrector``, for a Newton direction delta whose boundary caps
+    ``caps`` (alpha, alpha_t) cut it, and the complement cap it moved t by.
+    None, leaving the filter as it was, when the corrected direction misses
+    the consistency bound, when its caps are not both at least min(caps) or
+    its capped t is not strictly inside the cone, or when its line search
+    fails: the iteration then takes delta."""
+    corrected = corrector(model, cache, outer.rho, R, delta, info)
+    if corrected is None:
+        return None
+    alpha, alpha_t = cone_line_search(point, corrected, tau, model)
+    if min(alpha, alpha_t) < min(caps):
+        return None
+    # t moves by its cap unchecked (s by the line search, which evaluates
+    # its barrier), and the cap of a second-order segment whose crossing
+    # max_step_to_boundary takes as linear can overshoot the boundary
+    if not in_cone(point.t + alpha_t * corrected.t, model.cone, strict=True):
+        return None
+    try:
+        return filter_step(model, point, corrected, theta, outer, filt, alpha, alpha_t, current), alpha_t
+    except LineSearchFailure:
+        return None
 
 
 def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray,
@@ -410,8 +471,9 @@ def solve(
         point = initialize_point(model, x0, theta, values)
         reg = RegularizationState()
         filt = Filter()
+        barrier = barrier_value(point.s, model.cone)
         current = (
-            merit(model, point, theta, outer, values),
+            merit(model, point, theta, outer, values, barrier),
             violation(model, point, theta, values),
         )
         inner = 0
@@ -438,19 +500,23 @@ def solve(
                 filt.reset()
                 inner = 0
                 # same (x, r, s, y, z, t): the evaluation, the convergence
-                # test, the violation and all rows of R but those that read
-                # lam, rho and kappa stand
-                current = (merit(model, point, theta, outer, values), current[1])
+                # test, the violation, the barrier value and all rows of R
+                # but those that read lam, rho and kappa stand
+                current = (merit(model, point, theta, outer, values, barrier), current[1])
                 outer_rows(model, point, outer, R, products)
                 continue
             if inner >= MAX_INNER:
                 break
             delta, reg, info = search_direction(model, point, theta, outer, reg, cache, R, norm_R)
             tau = max(TAU_MIN, 1.0 - outer.kappa)
-            alpha_cap, alpha_t = cone_line_search(point, delta, tau, model)
-            point, alpha, current, values, backtracks = filter_step(
-                model, point, delta, theta, outer, filt, alpha_cap, alpha_t, current
-            )
+            caps = cone_line_search(point, delta, tau, model)
+            cut = min(caps) < 1.0
+            step = corrected_step(model, point, delta, theta, outer, filt, caps, current,
+                                  cache, R, info, tau) if cut else None
+            corrected = step is not None
+            if not corrected:
+                step = filter_step(model, point, delta, theta, outer, filt, *caps, current), caps[1]
+            (point, alpha, current, values, backtracks, barrier), alpha_t = step
             cache = None
             total += 1
             inner += 1
@@ -460,7 +526,11 @@ def solve(
                         iteration=total, outer=outer_count, residual_norm=norm_R,
                         merit=current[0], violation=current[1], alpha=alpha,
                         alpha_t=alpha_t, kappa=outer.kappa, rho=outer.rho,
-                        backtracks=backtracks, **vars(info),
+                        backtracks=backtracks, eps_p=info.eps_p, eps_d=info.eps_d,
+                        refine_passes=info.refine_passes, used_full_solve=info.used_full_solve,
+                        consistency_error=info.consistency_error,
+                        inertia_trials=info.inertia_trials, certified=info.certified,
+                        cut=cut, corrected=corrected,
                     )
                 )
     except LineSearchFailure:

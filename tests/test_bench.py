@@ -106,10 +106,11 @@ def test_formats_mention_every_row():
         assert row.name in table
         assert row.name in csv_text
     assert "overall: PASS" in table
-    # soc-projection takes 6 iterations and nonneg-qp 8 (10 and 11 on the
+    # soc-projection takes 4 iterations and nonneg-qp 7 (10 and 11 on the
     # fixed kappa schedule, before the centrality rule of outer_update; 7
-    # and 9 before the schedule ended at tol / 2 in one update from 10 tol)
-    assert table.endswith(", 14 iterations)")
+    # and 9 before the schedule ended at tol / 2 in one update from 10 tol;
+    # 6 and 8 before the second-order corrector on steps the boundary cuts)
+    assert table.endswith(", 11 iterations)")
 
 
 def test_registry_statuses_and_iterations_are_pinned():
@@ -120,14 +121,20 @@ def test_registry_statuses_and_iterations_are_pinned():
     # without (double-integrator-trajopt, mpc-autotune) keep the schedule.
     # Ending the schedule at tol / 2 with the exponent 1.5 took the six from
     # 8, 11, 13, 7, 9, 12 (71): from the 10 tol floor one subproblem instead
-    # of two ends the path; the two without cones never reach that floor
+    # of two ends the path; the two without cones never reach that floor.
+    # The second-order corrector on steps the boundary cuts took
+    # soc-projection from 6 to 4 and nonneg-qp from 8 to 7 (62 to 59), by
+    # correcting 2 and 1 of their steps. It corrects the one cut step of
+    # particle-friction and of state-triggered-toy without changing their
+    # counts, and falls back on particle-impact-contact's, whose corrected
+    # direction has the smaller cap; the two without cones are never cut
     from ipal.bench.report import run_suite
 
     report = run_suite(names())
     assert [row.status for row in report.rows] == ["solved"] * len(EXPECTED_NAMES)
-    assert [row.iterations for row in report.rows] == [7, 8, 12, 6, 8, 10, 6, 5]
+    assert [row.iterations for row in report.rows] == [7, 8, 12, 4, 7, 10, 6, 5]
     assert report.passed
-    assert format_table(report).endswith("overall: PASS (tol=1e-06, gap tol=1e-05, 62 iterations)")
+    assert format_table(report).endswith("overall: PASS (tol=1e-06, gap tol=1e-05, 59 iterations)")
 
 
 def test_cli_list(capsys):
@@ -160,6 +167,19 @@ def test_cli_trace_writes_ndjson(tmp_path, capsys):
     records = [json.loads(line) for line in lines]
     assert all(rec["problem"] == "soc-projection" for rec in records)
     assert [rec["iteration"] for rec in records] == sorted(rec["iteration"] for rec in records)
+
+
+def test_cli_trace_counts_the_corrected_steps(tmp_path, capsys):
+    # the boundary cuts 2 soc-projection steps and 1 particle-impact-contact
+    # step; the corrector is taken on the first two and falls back on the third
+    path = tmp_path / "trace.ndjson"
+    assert main(["run", "soc-projection", "particle-impact-contact", "--trace", str(path)]) == 0
+    err = capsys.readouterr().err
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sum(rec["cut"] for rec in records) == 3
+    assert sum(rec["corrected"] for rec in records) == 2
+    assert f"trace: {len(records)} steps to {path}; the boundary cut 3: 2 corrected, " \
+        "1 fell back to the Newton direction" in err
 
 
 def test_cli_validate(capsys):

@@ -2,15 +2,18 @@
 binding its tracer wraps exists and is callable, every model callback field
 it wraps exists, and a traced solve and differentiate runs through without
 an exception and with the iterations of the untraced run. The tracer module
-is loaded from its file and not modified."""
+is loaded from its file and not modified, as is the workload module, whose
+instances pin solves and finite-difference checks the benchmark runs."""
 
 import dataclasses
 import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import ipal.solver
 from helpers import trajectory_tracking
 from ipal import differentiate, solve
 from ipal.bench.problems import REGISTRY
@@ -92,3 +95,54 @@ def test_traced_pass_enters_every_declared_layer():
     missing = {span for span in declared - REFERENCE_ONLY if table.get(span, {}).get("calls", 0) == 0}
     assert not missing
     assert not any(table.get(span, {}).get("calls", 0) for span in REFERENCE_ONLY)
+
+
+WORKLOADS_PATH = os.path.join(os.path.dirname(LAYERS_PATH), "workloads.py")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the file runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_mpc_sens_seed_1021_agrees_with_re_solves():
+    # the first mpc-sens instance of seed 1021 failed the benchmark's
+    # finite-difference check, 3.64e-4 against FD_TOL 1e-4, until the
+    # second-order corrector; it now reads about 3.5e-5
+    workloads = _workloads()
+    task = workloads.build_tasks("mpc-sens", 1021)[0]
+    sol = solve(task.model, task.x0, task.theta, task.opts)
+    assert sol.solved and task.check(sol).ok
+    sens = differentiate(task.model, sol, task.theta)
+    check = workloads.check_against_re_solves(sens, task.model, task.x0, task.theta, task.fd_opts)
+    assert check.ok, check.detail
+
+
+def test_a_correction_whose_t_step_leaves_the_cone_is_not_taken(monkeypatch):
+    # on the eighth mpc-sens instance of seed 2807 the capped t step of one
+    # corrected direction leaves a SecondOrder(2) segment: there q(alpha) =
+    # (t0 + alpha dt0)^2 - (t1 + alpha dt1)^2 has coefficients of order
+    # 1e-10 and q2 = -4.7e-15, which max_step_to_boundary takes as linear,
+    # and the linear root overshoots the crossing by 4e-5 relative, more
+    # than the fraction-to-boundary margin 1 - tau = 1e-7. Taking that step
+    # ended the solve in NUMERICAL_FAILURE at the next iteration
+    workloads = _workloads()
+    task = workloads.build_tasks("mpc-sens", 2807)[7]
+    verdicts = []
+    original = ipal.solver.in_cone
+
+    def in_cone(*args, **kwargs):
+        verdicts.append(original(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ipal.solver, "in_cone", in_cone)
+    sol = solve(task.model, task.x0, task.theta, task.opts)
+    assert sol.solved and task.check(sol).ok
+    assert False in verdicts

@@ -27,7 +27,9 @@ from ipal.kkt import (
     Layout,
     OuterState,
     SolverPoint,
+    SOLVER_DIRECTIONS,
     assemble_symmetric,
+    corrector,
     full_jacobian,
     jacobian_apply,
     reduced_direction,
@@ -35,7 +37,7 @@ from ipal.kkt import (
     residual,
     search_direction,
 )
-from ipal.cone import ConeBlocks, cone_product_jacobians
+from ipal.cone import ConeBlocks, cone_product, cone_product_jacobians
 from ipal.linsolve import (
     DUAL_SHIFT,
     InertiaCorrectionFailure,
@@ -47,7 +49,7 @@ from ipal.linsolve import (
     solve_refined,
 )
 from ipal.model import ProblemModel, StageMatrix, entries, evaluate
-from ipal.solver import initialize_point, solve
+from ipal.solver import SolverOptions, initialize_point, solve
 
 
 def scalar_model(curvature=2.0):
@@ -378,15 +380,62 @@ def test_solve_computes_each_residual_once(monkeypatch, name):
 def test_outer_update_forms_the_products_once(monkeypatch, name):
     # s o t is formed once per evaluated iterate for the residual's rows,
     # and once per outer update, where LOQO's centrality and the refreshed
-    # complementarity rows share it
+    # complementarity rows share it; the corrector of a step the boundary
+    # cuts forms one product more, ds o dt, counted apart
     prob = REGISTRY[name]
-    in_rows, in_updates = [], []
-    _counting(monkeypatch, ipal.kkt, "cone_product", in_rows)
+    in_kkt, in_updates, in_corrector = [], [], []
+    _counting(monkeypatch, ipal.kkt, "cone_product", in_kkt)
     _counting(monkeypatch, ipal.solver, "cone_product", in_updates)
-    sol = solve(prob.model, prob.x0, prob.theta)
+    original = ipal.solver.corrector
+
+    def corrector(*args):
+        before = len(in_kkt)
+        out = original(*args)
+        in_corrector.append(len(in_kkt) - before)
+        return out
+
+    monkeypatch.setattr(ipal.solver, "corrector", corrector)
+    sol = solve(prob.model, prob.x0, prob.theta, SolverOptions(record_trace=True))
     assert sol.solved and sol.outer_iterations > 0
-    assert len(in_rows) == sol.total_iterations + 1
+    assert in_corrector == [1] * sum(rec.cut for rec in sol.trace)
+    assert len(in_kkt) - len(in_corrector) == sol.total_iterations + 1
     assert len(in_updates) == sol.outer_iterations
+
+
+CORRECTOR_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta)
+                   for name, prob in REGISTRY.items() if prob.model.p > 0}
+CORRECTOR_CASES["tracking-12"] = lambda: trajectory_tracking(12)
+
+
+@pytest.mark.parametrize("name", sorted(CORRECTOR_CASES))
+def test_corrected_direction_matches_the_dense_solve(monkeypatch, name):
+    # at every iterate of a solve, the corrected direction delta + dc solves
+    # the dense Jacobian at the direction's shifts against R + (0, ..., ds o
+    # dt) to the consistency bound of search_direction, in its residual and
+    # against np.linalg.solve
+    model, x0, theta = CORRECTOR_CASES[name]()
+    captured = []
+    original = ipal.solver.search_direction
+
+    def capturing(model, point, theta, outer, reg, cache, R, norm_R):
+        out = original(model, point, theta, outer, reg, cache, R, norm_R)
+        captured.append((point, outer, cache, R.copy(), out))
+        return out
+
+    monkeypatch.setattr(ipal.solver, "search_direction", capturing)
+    sol = solve(model, x0, theta)
+    assert sol.solved and captured
+    lay = Layout(model.n, model.m, model.p)
+    for point, outer, cache, R, (delta, reg, info) in captured:
+        corrected = corrector(model, cache, outer.rho, R, delta, info)
+        assert corrected is not None
+        rhs = -R
+        rhs[lay.t] -= cone_product(delta.s, delta.t, model.cone)
+        J = full_jacobian(model, point, theta, outer, reg, cache)
+        got, expected = lay.pack(corrected), np.linalg.solve(J, rhs)
+        bound = SOLVER_DIRECTIONS.consistency_tol * (1.0 + np.abs(rhs).max())
+        assert np.abs(J @ got - rhs).max() <= bound
+        assert np.abs(got - expected).max() <= SOLVER_DIRECTIONS.consistency_tol * (1.0 + np.abs(expected).max())
 
 
 SHARED_PASS_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
