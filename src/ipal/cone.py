@@ -334,20 +334,18 @@ def max_step_to_boundary(a: np.ndarray, da: np.ndarray, tau: float, spec: ConeSp
     return float(min(1.0, tau * crossing))
 
 
-def interior_initialization(h0: np.ndarray, spec: ConeSpec, margin: float = 1.0) -> np.ndarray:
-    """Project ``h0`` onto the cone interior with at least ``margin`` slack.
+INTERIOR_MARGIN = 1.0  # least slack of the initial cone slacks
 
-    Points already interior with enough slack are returned unchanged. For
-    wildly infeasible inputs the margin is floored at 1 to keep the initial
-    barrier magnitude bounded.
-    """
+
+def interior_initialization(h0: np.ndarray, spec: ConeSpec) -> np.ndarray:
+    """Project ``h0`` onto the cone interior with at least
+    ``INTERIOR_MARGIN`` slack; points already interior with that slack are
+    returned unchanged."""
     h0 = _check_operand(h0, spec, "h0")
-    if h0.size and np.abs(h0).max() > 1e8:
-        margin = max(margin, 1.0)
     diag, soc = spec.index_groups
     s = h0.copy()
-    s[diag] = np.maximum(s[diag], margin)
+    s[diag] = np.maximum(s[diag], INTERIOR_MARGIN)
     for rows in soc:
         tails = s[rows[:, 1:]]
-        s[rows[:, 0]] = np.maximum(s[rows[:, 0]], np.sqrt(_dots(tails, tails)) + margin)
+        s[rows[:, 0]] = np.maximum(s[rows[:, 0]], np.sqrt(_dots(tails, tails)) + INTERIOR_MARGIN)
     return s

@@ -12,10 +12,11 @@ The residual stacks, in that order,
     s o t - kappa*e
 
 where lam/rho are the multiplier estimate and penalty of the outer loop and
-kappa is the central-path parameter. Search directions solve the Newton
-system J dw = -R through a symmetric 3x3-block reduction in (dx, dy, dz),
-K = [[P, A'], [A, -N]] with P = L_xx + eps_p I and A = (g_x; h_x), whose
-factorization also drives inertia-based regularization. K is never formed:
+kappa is the central-path parameter. Search directions (``search_direction``,
+the one routine that computes them) solve the Newton system J dw = -R
+through a symmetric 3x3-block reduction in (dx, dy, dz), K = [[P, A'], [A,
+-N]] with P = L_xx + eps_p I and A = (g_x; h_x), whose factorization also
+drives inertia-based regularization. K is never formed:
 it is solved through its Schur complement onto the x rows, C = P +
 A'N^{-1}A, when its dual block N is positive definite (``ReducedSystem``).
 C is summed straight from the stored entries of the stage matrices, or of a
@@ -33,8 +34,10 @@ Directions are refined against the full system, applied blockwise, by the
 GMRES loop of ``solve_refined`` with the reduced solve as its
 preconditioner (``reduced_solve``); no solve forms an (n+m+p)-square
 matrix or the dense Jacobian (``full_jacobian``, the only p x p cone
-matrix), which serves as a reference in tests. ``differentiate`` solves
-its parameter columns through the same reduction and refinement, with the
+matrix), which serves as a reference in tests. A direction takes at most
+``MAX_REFINE`` refinement steps and must meet ||J dw + R||_inf <=
+``CONSISTENCY_TOL`` (1 + ||R||_inf). ``differentiate`` solves its
+parameter columns through the same reduction and refinement, with the
 multiplier estimate tracking the equality dual (``assemble_symmetric``'s
 ``tracks_multiplier``). A Newton direction keeps its reduced system and
 factors (``DirectionInfo.system``), so that the solver can correct a step
@@ -66,7 +69,6 @@ from .linsolve import (
     NumericalFailure,
     RegularizationState,
     correct_inertia,
-    factorize,
     solve_refined,
 )
 from .model import EvalCache, Pattern, ProblemModel, entries, evaluate
@@ -548,17 +550,6 @@ def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.nda
     return out
 
 
-@dataclass(frozen=True)
-class DirectionOptions:
-    """Refinement limits of a direction; the defaults are the solver's."""
-
-    max_refine: int = 10
-    consistency_tol: float = 1e-8
-
-
-SOLVER_DIRECTIONS = DirectionOptions()
-
-
 @dataclass
 class DirectionInfo:
     eps_p: float
@@ -576,6 +567,8 @@ class DirectionInfo:
 
 
 REFINE_TOL = 1e-12  # relative residual at which refinement stops
+MAX_REFINE = 10  # refinement steps of a direction or of the sensitivity columns
+CONSISTENCY_TOL = 1e-8  # bound on ||J dw + R||_inf of a direction, times 1 + ||R||_inf
 
 
 def reduced_solve(
@@ -584,17 +577,17 @@ def reduced_solve(
     cache: EvalCache,
     rho: float,
     R: np.ndarray,
-    opts: DirectionOptions,
+    max_refine: int,
     exact: Optional[ReducedSystem] = None,
     norm_R: Optional[float] = None,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
     """Solve J dw = -R by ``solve_refined`` against the full system of
     ``exact`` (rsys when None), applied blockwise (``jacobian_apply``), with
     the reduced solve of rsys through ``fact``, the factors of rsys.C, as its
-    preconditioner; R may hold right-hand sides as columns, and ``norm_R``
-    is ||R||_inf when already taken. Returns the best dw, ||J dw + R||_inf,
-    J dw + R and the steps taken; dw is None (error inf) when the solve
-    fails."""
+    preconditioner, in at most ``max_refine`` refinement steps; R may hold
+    right-hand sides as columns, and ``norm_R`` is ||R||_inf when already
+    taken. Returns the best dw, ||J dw + R||_inf, J dw + R and the steps
+    taken; dw is None (error inf) when the solve fails."""
     exact = rsys if exact is None else exact
 
     def reduced_inverse(b):
@@ -604,34 +597,34 @@ def reduced_solve(
     try:
         return solve_refined(
             lambda dw: jacobian_apply(exact, cache, rho, dw), reduced_inverse, -R,
-            opts.max_refine, REFINE_TOL, norm_R,
+            max_refine, REFINE_TOL, norm_R,
         )
     except NumericalFailure:
         return None, np.inf, None, 0
 
 
-def _newton_direction(
+def search_direction(
     model: ProblemModel,
     point: SolverPoint,
     theta: np.ndarray,
     outer: OuterState,
-    reg: RegularizationState,
-    opts: DirectionOptions,
-    cache: Optional[EvalCache],
-    R: Optional[np.ndarray],
-    norm_R: Optional[float],
-    correct: bool,
+    reg: RegularizationState = RegularizationState(),
+    cache: Optional[EvalCache] = None,
+    R: Optional[np.ndarray] = None,
+    norm_R: Optional[float] = None,
 ) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
-    """Body of search_direction and reduced_direction, which differ only in
-    how the reduced system is factored: by inertia correction from ``reg``
-    (correct=True) or at the shifts of ``reg`` as given.
+    """Newton direction for the stationarity system at the current iterate.
 
-    The symmetrized cone block makes the one-shot reduced direction inexact
-    on second-order segments of dimension 3 or more away from the central
-    path; refinement against the full system (``reduced_solve``) corrects
-    it, and round-off elsewhere. A direction that misses
-    the consistency bound, or a fixed-shift build or factorization that
-    fails, raises NumericalFailure.
+    Regularization is chosen by inertia correction of the reduced system
+    (certified inertia (n, m+p, 0)), starting from ``reg``. The symmetrized
+    cone block makes the one-shot reduced direction inexact on second-order
+    segments of dimension 3 or more away from the central path; refinement
+    against the full system (``reduced_solve``) corrects it, and round-off
+    elsewhere. The returned direction satisfies ||J dw + R||_inf <=
+    CONSISTENCY_TOL * (1 + ||R||_inf) for the Jacobian at the returned
+    shifts, or NumericalFailure is raised. ``R`` is the residual at this
+    iterate and ``norm_R`` its max-norm when the caller has already computed
+    them.
     """
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
@@ -649,15 +642,12 @@ def _newton_direction(
         )
         return holder["rsys"].schur()
 
-    if correct:
-        fact, reg = correct_inertia(build, reg)
-    else:
-        fact = factorize(build(reg.eps_p, reg.eps_d))
+    fact, reg = correct_inertia(build, reg)
     rsys: ReducedSystem = holder["rsys"]
     assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
 
-    consistency = opts.consistency_tol * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, opts, norm_R=norm_R)
+    consistency = CONSISTENCY_TOL * (1.0 + norm_R)
+    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, MAX_REFINE, norm_R=norm_R)
     if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
@@ -668,50 +658,6 @@ def _newton_direction(
         inertia_trials=holder["trials"], certified=fact.certified, system=(rsys, fact),
     )
     return lay.unpack(best), reg, info
-
-
-def reduced_direction(
-    model: ProblemModel,
-    point: SolverPoint,
-    theta: np.ndarray,
-    outer: OuterState,
-    reg: RegularizationState = RegularizationState(),
-    opts: DirectionOptions = DirectionOptions(),
-    cache: Optional[EvalCache] = None,
-) -> Tuple[SolverPoint, DirectionInfo]:
-    """Newton direction through the symmetric reduction at fixed shifts.
-
-    Unlike search_direction this performs no inertia correction: the shifts
-    in ``reg`` are used as given (zero by default), so the result is the
-    plain Newton direction delivered by the reduction-and-refinement path.
-    """
-    delta, _, info = _newton_direction(model, point, theta, outer, reg, opts, cache, None, None, False)
-    return delta, info
-
-
-def search_direction(
-    model: ProblemModel,
-    point: SolverPoint,
-    theta: np.ndarray,
-    outer: OuterState,
-    reg: RegularizationState = RegularizationState(),
-    cache: Optional[EvalCache] = None,
-    R: Optional[np.ndarray] = None,
-    norm_R: Optional[float] = None,
-) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
-    """Newton direction for the stationarity system at the current iterate.
-
-    Regularization is chosen by inertia correction of the reduced system
-    (certified inertia (n, m+p, 0)); the returned direction satisfies
-    ||J dw + R||_inf <= consistency_tol * (1 + ||R||_inf) for the Jacobian at
-    the returned shifts, or NumericalFailure is raised. ``R`` is the residual
-    at this iterate and ``norm_R`` its max-norm when the caller has already
-    computed them.
-    """
-    return _newton_direction(model, point, theta, outer, reg, SOLVER_DIRECTIONS, cache, R, norm_R, True)
-
-
-CORRECTOR_SOLVE = DirectionOptions(max_refine=0)  # one reduced solve, no refinement
 
 
 def corrector(
@@ -737,7 +683,7 @@ def corrector(
     lay = rsys.layout
     c = np.zeros(lay.total)
     c[lay.t] = cone_product(delta.s, delta.t, model.cone)
-    dc, err, _, _ = reduced_solve(rsys, fact, cache, rho, c, CORRECTOR_SOLVE)
-    if not info.consistency_error + err <= SOLVER_DIRECTIONS.consistency_tol * (1.0 + np.abs(R + c).max()):
+    dc, err, _, _ = reduced_solve(rsys, fact, cache, rho, c, max_refine=0)
+    if not info.consistency_error + err <= CONSISTENCY_TOL * (1.0 + np.abs(R + c).max()):
         return None  # a failed solve has err inf
     return lay.unpack(lay.pack(delta) + dc)

@@ -7,12 +7,13 @@ A problem is
                 h(x; theta) in K
 
 with K a product of orthant and second-order segments. All derivative
-callbacks are analytic; ``finite_difference_model`` builds a prototyping
-model from value callbacks alone. The matrix callbacks (``equality_jacobian``,
-``cone_jacobian``, ``lagrangian_hessian``) return dense arrays or
-``StageMatrix`` objects, which hold only the entries on a fixed ``Pattern``
-(the stage blocks of a transcribed trajectory problem) and are kept so
-through evaluation; ``np.asarray`` gives their dense matrix.
+callbacks are analytic; ``validate_derivatives`` checks them against
+central differences of the value callbacks. The matrix callbacks
+(``equality_jacobian``, ``cone_jacobian``, ``lagrangian_hessian``) return
+dense arrays or ``StageMatrix`` objects, which hold only the entries on a
+fixed ``Pattern`` (the stage blocks of a transcribed trajectory problem)
+and are kept so through evaluation; ``np.asarray`` gives their dense
+matrix.
 """
 
 from __future__ import annotations
@@ -373,93 +374,3 @@ def validate_derivatives(
             num = _central_jacobian(lambda th: model.cone_constraint(x, th), theta, step)
             checks.append(DerivativeCheck("parameter_jacobians[h_t]", _rel_error(h_t, num), tol))
     return DerivativeReport(checks)
-
-
-def finite_difference_model(
-    objective: Callable,
-    n: int,
-    cone: ConeSpec,
-    equality: Optional[Callable] = None,
-    cone_constraint: Optional[Callable] = None,
-    m: int = 0,
-    d: int = 0,
-    step: float = 1e-6,
-) -> ProblemModel:
-    """Model whose derivatives are central differences of the value callbacks.
-
-    Intended for prototyping; the Hessian uses second differences of the
-    scalar Lagrangian with a sqrt(step) stencil, so expect reduced accuracy.
-    """
-    p = cone.dim
-
-    def gradient(x, theta):
-        return _central_jacobian(lambda v: objective(v, theta), x, step)[0]
-
-    def eq_jac(x, theta):
-        return _central_jacobian(lambda v: equality(v, theta), x, step)
-
-    def cone_jac(x, theta):
-        return _central_jacobian(lambda v: cone_constraint(v, theta), x, step)
-
-    def hessian(x, theta, y, z):
-        def lag(v):
-            val = objective(v, theta)
-            if m:
-                val = val + y @ np.asarray(equality(v, theta), dtype=float)
-            if p:
-                val = val + z @ np.asarray(cone_constraint(v, theta), dtype=float)
-            return val
-
-        hs = np.sqrt(step)
-        H = np.zeros((n, n))
-        for i in range(n):
-            hi = hs * (1.0 + abs(x[i]))
-            for j in range(i, n):
-                hj = hs * (1.0 + abs(x[j]))
-                xpp = x.copy(); xpp[i] += hi; xpp[j] += hj
-                xpm = x.copy(); xpm[i] += hi; xpm[j] -= hj
-                xmp = x.copy(); xmp[i] -= hi; xmp[j] += hj
-                xmm = x.copy(); xmm[i] -= hi; xmm[j] -= hj
-                H[i, j] = (lag(xpp) - lag(xpm) - lag(xmp) + lag(xmm)) / (4.0 * hi * hj)
-                H[j, i] = H[i, j]
-        return H
-
-    def make_param_jacobians():
-        def fn(x, theta, y, z):
-            if d == 0:
-                return np.zeros((n, 0)), np.zeros((m, 0)), np.zeros((p, 0))
-
-            def lag_grad(th):
-                out = gradient(x, th)
-                if m:
-                    out = out + eq_jac(x, th).T @ y
-                if p:
-                    out = out + cone_jac(x, th).T @ z
-                return out
-
-            L_xt = _central_jacobian(lag_grad, theta, step)
-            g_t = _central_jacobian(lambda th: equality(x, th), theta, step) if m else np.zeros((0, d))
-            h_t = (
-                _central_jacobian(lambda th: cone_constraint(x, th), theta, step)
-                if p
-                else np.zeros((0, d))
-            )
-            return L_xt, g_t, h_t
-
-        return fn
-
-    return ProblemModel(
-        n=n,
-        m=m,
-        p=p,
-        d=d,
-        cone=cone,
-        objective=objective,
-        objective_gradient=gradient,
-        equality=equality if m else None,
-        equality_jacobian=eq_jac if m else None,
-        cone_constraint=cone_constraint if p else None,
-        cone_jacobian=cone_jac if p else None,
-        lagrangian_hessian=hessian,
-        parameter_jacobians=make_param_jacobians(),
-    )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that wrap it)
-    DirectionOptions,
+    MAX_REFINE,
     Layout,
     OuterState,
     ReducedSystem,
@@ -123,7 +123,7 @@ def differentiate(
             band_lu(rsys.plan.gram(entries(cache.g_x)[1]))
         except NumericalFailure:
             singular = True
-    dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, DirectionOptions(), exact=rsys)
+    dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, MAX_REFINE, exact=rsys)
     if dw is None:
         raise NumericalFailure("the regularized sensitivity solve failed")
     flagged = singular

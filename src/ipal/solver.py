@@ -209,19 +209,6 @@ def unrelaxed_residual_norm(
     return np.abs(rows).max()
 
 
-def solution_converged(
-    model: ProblemModel,
-    point: SolverPoint,
-    theta: np.ndarray,
-    tol: float,
-    cache: Optional[EvalCache] = None,
-) -> bool:
-    """The stop test of ``solve``, which applies it to the norm it has
-    already taken. Inclusive comparison: the unrelaxed residual may sit
-    exactly at tol."""
-    return unrelaxed_residual_norm(model, point, theta, cache) <= tol
-
-
 def subproblem_converged(residual_norm: float, kappa: float) -> bool:
     """Inclusive comparison: ||R|| may sit exactly at kappa."""
     return residual_norm <= kappa
@@ -484,7 +471,7 @@ def solve(
                 # one pass over the rows: the unrelaxed norm, then R over them
                 R = unrelaxed_rows(model, point, cache)
                 res_norm = unrelaxed_residual_norm(model, point, theta, cache, R)
-                if res_norm <= opts.tol:  # solution_converged
+                if res_norm <= opts.tol:  # inclusive: the norm may sit exactly at tol
                     status = SolveStatus.SOLVED
                     break
                 if total >= opts.max_total:

@@ -3,9 +3,10 @@ per-segment reference implementations of the cone algebra."""
 
 import numpy as np
 
-from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.kkt import OuterState, SolverPoint
-from ipal.model import ProblemModel
+from ipal.cone import INTERIOR_MARGIN, ConeSpec, Orthant, SecondOrder
+from ipal.kkt import MAX_REFINE, OuterState, SolverPoint, assemble_symmetric, reduced_solve
+from ipal.linsolve import factorize
+from ipal.model import ProblemModel, evaluate
 
 
 def random_cone(rng, max_dim=5):
@@ -305,6 +306,20 @@ def dense_schur_complement(K, n):
 # reproduce these bitwise.
 
 
+def zero_shift_direction(model, point, theta, outer, R, max_refine=MAX_REFINE, cache=None):
+    """The Newton direction J dw = -R at zero shift through the symmetric
+    reduction, as search_direction solves it but with no inertia correction:
+    assemble_symmetric, factorize (its band LU where C is indefinite) and
+    reduced_solve with at most ``max_refine`` refinement steps. Returns dw,
+    ||J dw + R||_inf (inf when the solve fails) and the steps taken;
+    NumericalFailure when the reduced system cannot be built or factored."""
+    if cache is None:
+        cache = evaluate(model, point.x, theta, point.y, point.z)
+    rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
+    dw, err, _, passes = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, R, max_refine)
+    return dw, err, passes
+
+
 def residual_reference(model, point, outer, cache):
     """The stacked stationarity residual R at the evaluation ``cache``."""
     from ipal.cone import cone_product, cone_target
@@ -484,14 +499,12 @@ def max_step_loop(a, da, tau, spec):
     return float(min(1.0, tau * crossing))
 
 
-def interior_initialization_loop(h0, spec, margin=1.0):
-    if h0.size and np.abs(h0).max() > 1e8:
-        margin = max(margin, 1.0)
+def interior_initialization_loop(h0, spec):
     s = h0.copy()
     for seg, sl in spec.slices():
         if _is_soc(seg):
             tail = np.linalg.norm(s[sl.start + 1 : sl.stop])
-            s[sl.start] = max(s[sl.start], tail + margin)
+            s[sl.start] = max(s[sl.start], tail + INTERIOR_MARGIN)
         else:
-            np.maximum(s[sl], margin, out=s[sl])
+            np.maximum(s[sl], INTERIOR_MARGIN, out=s[sl])
     return s

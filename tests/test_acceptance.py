@@ -16,6 +16,7 @@ from helpers import (
     random_interior,
     random_iterate,
     random_nlp,
+    zero_shift_direction,
 )
 from ipal.bench import autotune
 from ipal.bench.problems import get, names
@@ -31,11 +32,9 @@ from ipal.cone import (
     max_step_to_boundary,
 )
 from ipal.kkt import (
-    DirectionOptions,
     Layout,
     assemble_symmetric,
     full_jacobian,
-    reduced_direction,
     residual,
     search_direction,
 )
@@ -127,9 +126,7 @@ def test_criterion_1_cone_algebra():
 
 def test_criterion_2_kkt_consistency():
     rng = np.random.default_rng(23)
-    tight = DirectionOptions(consistency_tol=1e-10, max_refine=25)
-    worst_fd = worst_red = worst_cons = 0.0
-    fallbacks = 0
+    worst_fd = worst_red = worst_cons = worst_tight = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 5))
@@ -147,12 +144,14 @@ def test_criterion_2_kkt_consistency():
         assert _rel(J, Jfd) <= 1e-5
 
         # direction from the symmetric-reduction path vs the full system,
-        # both at zero regularization
+        # both at zero regularization; the reduction path refined to
+        # consistency 1e-10 in at most 25 steps
         R = residual(model, point, theta, outer, cache)
-        delta, info = reduced_direction(model, point, theta, outer, reg0, tight, cache)
-        dw_red = lay.pack(delta)
+        dw_red, err, _ = zero_shift_direction(model, point, theta, outer, R, 25, cache)
+        tight = 1e-10 * (1.0 + np.abs(R).max())
+        worst_tight = max(worst_tight, err / tight)
+        assert err <= tight
         dw_full = np.linalg.solve(J, -R)
-        fallbacks += info.used_full_solve
         worst_red = max(worst_red, _rel(dw_red, dw_full))
         assert _rel(dw_red, dw_full) <= 1e-8
 
@@ -168,7 +167,7 @@ def test_criterion_2_kkt_consistency():
         "kkt-consistency",
         True,
         f"200 instances: fd err {worst_fd:.2e} (tol 1e-5), reduction-vs-full err "
-        f"{worst_red:.2e} (tol 1e-8, {fallbacks} dense fallbacks), consistency "
+        f"{worst_red:.2e} (tol 1e-8, refined to {worst_tight:.2f}x the 1e-10 bound), consistency "
         f"{worst_cons:.2f}x bound",
     )
 

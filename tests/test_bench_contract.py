@@ -146,3 +146,24 @@ def test_a_correction_whose_t_step_leaves_the_cone_is_not_taken(monkeypatch):
     sol = solve(task.model, task.x0, task.theta, task.opts)
     assert sol.solved and task.check(sol).ok
     assert False in verdicts
+
+
+# the iteration totals of the benchmark's seed-1 pools (the registry is one
+# pass over its eight problems): a change that moves an iterate on the
+# benchmark's own inputs shows here before any benchmark run
+POOL_ITERATIONS = {"registry": 59, "horizon": 83, "mpc-sens": 119}
+
+
+@pytest.mark.parametrize("workload", sorted(POOL_ITERATIONS))
+def test_seed_1_pool_iterations_are_pinned(workload):
+    workloads = _workloads()
+    total = 0
+    for task in workloads.build_tasks(workload, 1):
+        sol = solve(task.model, task.x0, task.theta, task.opts)
+        check = task.check(sol)
+        assert check.ok, (task.label, check.detail)
+        if task.differentiate:
+            check = workloads.check_sensitivity(differentiate(task.model, sol, task.theta))
+            assert check.ok, (task.label, check.detail)
+        total += sol.total_iterations
+    assert total == POOL_ITERATIONS[workload]

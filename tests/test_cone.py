@@ -16,6 +16,7 @@ from helpers import (
     soc_crossing,
 )
 from ipal.cone import (
+    INTERIOR_MARGIN,
     ConeSpec,
     InvalidDimension,
     NotInterior,
@@ -190,7 +191,7 @@ class TestBoundaryStep:
 
     def test_no_crossing_is_one(self):
         spec = ConeSpec((Orthant(2), SecondOrder(2)))
-        a = interior_initialization(np.zeros(4), spec, margin=1.0)
+        a = interior_initialization(np.zeros(4), spec)
         assert max_step_to_boundary(a, np.ones(4), 0.99, spec) == 1.0
 
     def test_requires_interior(self):
@@ -230,26 +231,20 @@ class TestBoundaryStep:
 class TestInteriorInitialization:
     def test_second_order_example(self):
         spec = ConeSpec((SecondOrder(2),))
-        s = interior_initialization(np.array([0.0, 1.0]), spec, margin=0.1)
-        assert np.allclose(s, [1.1, 1.0])
+        s = interior_initialization(np.array([0.0, 1.0]), spec)
+        assert np.array_equal(s, [1.0 + INTERIOR_MARGIN, 1.0])
 
     def test_unchanged_when_comfortable(self):
         spec = ConeSpec((Orthant(2), SecondOrder(2)))
-        h0 = np.array([0.5, 2.0, 3.0, 1.0])
-        assert np.array_equal(interior_initialization(h0, spec, margin=0.1), h0)
-
-    def test_margin_floor_for_wild_infeasibility(self):
-        spec = ConeSpec((Orthant(1),))
-        s = interior_initialization(np.array([-1e12]), spec, margin=1e-3)
-        assert s[0] == 1.0
+        h0 = np.array([1.5, 2.0, 3.0, 1.0])
+        assert np.array_equal(interior_initialization(h0, spec), h0)
 
     def test_always_interior_with_margin(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             spec = random_cone(rng)
             h0 = rng.standard_normal(spec.dim) * 10.0 ** rng.integers(-2, 3)
-            margin = rng.uniform(1e-3, 2.0)
-            s = interior_initialization(h0, spec, margin=margin)
+            s = interior_initialization(h0, spec)
             assert in_cone(s, spec, strict=True)
             for seg, sl in spec.slices():
                 v = s[sl]
@@ -257,7 +252,7 @@ class TestInteriorInitialization:
                     slack = v[0] - np.linalg.norm(v[1:])
                 else:
                     slack = v.min()
-                assert slack >= margin * (1.0 - 1e-12)
+                assert slack >= INTERIOR_MARGIN * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +328,8 @@ def test_batched_barrier_and_initialization_match_segment_loop(spec, seed):
             barrier_value(off, spec)
     else:
         _assert_same(barrier_value(off, spec), reference)
-    margin = float(rng.uniform(1e-3, 2.0))
     for h0 in (rng.standard_normal(spec.dim) * 10.0 ** rng.uniform(-2, 2), 1e9 * off, s):
-        _assert_same(interior_initialization(h0, spec, margin), interior_initialization_loop(h0, spec, margin))
+        _assert_same(interior_initialization(h0, spec), interior_initialization_loop(h0, spec))
 
 
 @BATCHED

@@ -17,22 +17,22 @@ from helpers import (
     residual_reference,
     trajectory_tracking,
     unrelaxed_residual_norm_reference,
+    zero_shift_direction,
 )
 import ipal.kkt
 import ipal.solver
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import (
-    DirectionOptions,
+    CONSISTENCY_TOL,
+    MAX_REFINE,
     Layout,
     OuterState,
     SolverPoint,
-    SOLVER_DIRECTIONS,
     assemble_symmetric,
     corrector,
     full_jacobian,
     jacobian_apply,
-    reduced_direction,
     reduced_solve,
     residual,
     search_direction,
@@ -201,14 +201,12 @@ class TestSymmetricReduction:
             R = residual(model, point, np.zeros(0), outer)
             J = full_jacobian(model, point, np.zeros(0), outer)
             dw_full = np.linalg.solve(J, -R)
-            delta, info = reduced_direction(model, point, np.zeros(0), outer)
-            lay = Layout(n, m, model.p)
-            dw = lay.pack(delta)
+            dw, err, passes = zero_shift_direction(model, point, np.zeros(0), outer, R)
+            assert err <= CONSISTENCY_TOL * (1.0 + np.abs(R).max())
             rel = np.abs(dw - dw_full).max() / (1.0 + np.abs(dw_full).max())
             assert rel <= 1e-8
             assert np.abs(J @ dw + R).max() <= 1e-8 * (1.0 + np.abs(R).max())
-            assert not info.used_full_solve
-            refined += info.refine_passes > 0
+            refined += passes > 0
         # the Krylov steps must actually fire on these draws
         assert refined > 0
 
@@ -330,7 +328,7 @@ class TestJacobianApply:
             # the tracked C has the dual shift on the equality duals alone;
             # refined against the tracked system, the solve is exact
             expected = np.linalg.solve(J, -rows)
-            got, _, _, _ = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, rows, DirectionOptions())
+            got, _, _, _ = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, rows, MAX_REFINE)
             assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
@@ -433,9 +431,9 @@ def test_corrected_direction_matches_the_dense_solve(monkeypatch, name):
         rhs[lay.t] -= cone_product(delta.s, delta.t, model.cone)
         J = full_jacobian(model, point, theta, outer, reg, cache)
         got, expected = lay.pack(corrected), np.linalg.solve(J, rhs)
-        bound = SOLVER_DIRECTIONS.consistency_tol * (1.0 + np.abs(rhs).max())
+        bound = CONSISTENCY_TOL * (1.0 + np.abs(rhs).max())
         assert np.abs(J @ got - rhs).max() <= bound
-        assert np.abs(got - expected).max() <= SOLVER_DIRECTIONS.consistency_tol * (1.0 + np.abs(expected).max())
+        assert np.abs(got - expected).max() <= CONSISTENCY_TOL * (1.0 + np.abs(expected).max())
 
 
 SHARED_PASS_CASES = {name: lambda prob=prob: (prob.model, prob.x0, prob.theta) for name, prob in REGISTRY.items()}
@@ -774,14 +772,14 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
 
 def test_fixed_shift_failure_raises_numerical_failure():
     # t = 0 makes the second-order product Jacobian d(s o t)/ds singular, so
-    # the reduced system cannot be built at zero shift: reduced_direction
+    # the reduced system cannot be built at zero shift: assemble_symmetric
     # reports it as a NumericalFailure
     rng = np.random.default_rng(5)
     model = random_nlp(rng, 2, 0, ConeSpec((SecondOrder(2),)))
     point, outer = random_iterate(rng, model)
     point.s, point.t = np.array([1.0, 0.0]), np.zeros(2)
     with pytest.raises(NumericalFailure):
-        reduced_direction(model, point, np.zeros(0), outer)
+        assemble_symmetric(model, point, np.zeros(0), outer)
 
 
 def test_directions_refine_against_the_full_system_only(monkeypatch):
@@ -815,7 +813,7 @@ def _solves_through_c(rsys, cache):
 
 
 def test_schur_solves_match_the_dense_reduced_matrix_on_indefinite_c():
-    # ACCEPTANCE 2's iterates, which reduced_direction solves at zero shift:
+    # ACCEPTANCE 2's iterates, solved there at zero shift (zero_shift_direction):
     # N is positive definite on all 200, and C is indefinite on 89, where
     # factorize takes its band LU. Each solve through C and N, one shot,
     # matches the dense solve of K

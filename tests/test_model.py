@@ -9,7 +9,6 @@ from ipal.model import (
     ProblemModel,
     evaluate,
     evaluate_values,
-    finite_difference_model,
     validate_derivatives,
 )
 from ipal.solver import merit
@@ -214,34 +213,6 @@ class TestValidateDerivatives:
             model, np.array([0.7]), np.array([1.3]), np.array([0.4]), np.zeros(0)
         )
         assert report.passed, str(report)
-
-
-class TestFiniteDifferenceModel:
-    def test_first_derivatives(self):
-        model = finite_difference_model(
-            objective=lambda x, th: float(x[0] ** 2),
-            n=1,
-            cone=ConeSpec(),
-            equality=lambda x, th: np.array([x[0] - 1.0]),
-            m=1,
-        )
-        x = np.array([1.0])
-        grad = model.objective_gradient(x, np.zeros(0))
-        assert abs(grad[0] - 2.0) <= 1e-5
-        gx = model.equality_jacobian(x, np.zeros(0))
-        assert abs(gx[0, 0] - 1.0) <= 1e-8
-
-    def test_hessian_and_params(self):
-        def objective(x, th):
-            return float(x @ np.array([[2.0, 0.5], [0.5, 1.0]]) @ x + th[0] * x[0])
-
-        model = finite_difference_model(objective, n=2, cone=ConeSpec(), d=1)
-        x = np.array([0.3, -0.2])
-        H = model.lagrangian_hessian(x, np.array([1.0]), np.zeros(0), np.zeros(0))
-        assert np.allclose(H, [[4.0, 1.0], [1.0, 2.0]], atol=1e-4)
-        L_xt, g_t, h_t = model.parameter_jacobians(x, np.array([1.0]), np.zeros(0), np.zeros(0))
-        assert np.allclose(L_xt, [[1.0], [0.0]], atol=1e-5)
-        assert g_t.shape == (0, 1)
 
 
 def test_transpose_order_of_symmetric_and_non_symmetric_patterns():

@@ -10,7 +10,7 @@ import ipal.sensitivity
 from helpers import random_cone, random_iterate, random_nlp, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.kkt import DirectionOptions, Layout, OuterState, assemble_symmetric, full_jacobian
+from ipal.kkt import MAX_REFINE, Layout, OuterState, assemble_symmetric, full_jacobian
 from ipal.model import ProblemModel, StageMatrix, evaluate
 from ipal.sensitivity import SensitivityResult, differentiate, residual_parameter_jacobian
 from ipal.solver import SolverOptions, solve
@@ -471,7 +471,7 @@ def test_differentiate_refines_in_one_loop(monkeypatch):
     monkeypatch.setattr(ipal.kkt.ReducedSystem, "solve", counting)
     out = differentiate(model, sol, theta)
     assert not out.used_least_squares
-    assert 1 <= len(solves) <= DirectionOptions().max_refine + 1
+    assert 1 <= len(solves) <= MAX_REFINE + 1
 
 
 @pytest.mark.parametrize("name", sorted(FULL_RANK))

@@ -1,11 +1,15 @@
+import ast
+import collections
 import dataclasses
 import hashlib
 import inspect
+import os
 
 import numpy as np
 import pytest
 
 import ipal
+import ipal.cone
 import ipal.kkt
 import ipal.linsolve
 import ipal.solver
@@ -13,7 +17,7 @@ import ipal.trajopt
 from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.kkt import DirectionInfo, DirectionOptions, OuterState, SolverPoint
+from ipal.kkt import CONSISTENCY_TOL, DirectionInfo, OuterState, SolverPoint
 from ipal.model import ProblemModel, evaluate_values
 from ipal.solver import (
     KAPPA_END,
@@ -28,7 +32,6 @@ from ipal.solver import (
     cone_line_search,
     merit,
     outer_update,
-    solution_converged,
     solve,
     subproblem_converged,
     unrelaxed_residual_norm,
@@ -136,13 +139,14 @@ class TestMeasures:
             y=np.zeros(0), z=-1e-3 * np.ones(2), t=1e-3 * np.ones(2),
         )
         # gradient equal to t makes stationarity c_x + h_x'z vanish, leaving
-        # only the pair s*t = 1e-6 sitting exactly at tol
+        # only the pair s*t = 1e-6 sitting exactly at tol; solve stops at
+        # unrelaxed_residual_norm <= tol
         model2 = bound_qp()
         model2.objective_gradient = lambda x, th: 1e-3 * np.ones(2)
-        assert solution_converged(model2, point, np.zeros(0), tol=1e-6)
+        assert unrelaxed_residual_norm(model2, point, np.zeros(0)) == 1e-6
         point.t = (1e-3 + 1e-9) * np.ones(2)
         point.z = -point.t
-        assert not solution_converged(model2, point, np.zeros(0), tol=1e-6)
+        assert unrelaxed_residual_norm(model2, point, np.zeros(0)) > 1e-6
 
     def test_subproblem_rule(self):
         assert subproblem_converged(1.0, 1.0)
@@ -500,7 +504,7 @@ def test_trace_records_direction_diagnostics(name):
     prob = REGISTRY[name]
     sol = solve(prob.model, prob.x0, prob.theta, SolverOptions(record_trace=True))
     assert sol.trace
-    bound = DirectionOptions().consistency_tol
+    bound = CONSISTENCY_TOL
     for rec in sol.trace:
         assert rec.used_full_solve is False
         assert rec.refine_passes >= 0
@@ -772,7 +776,11 @@ def test_settable_values_are_the_callers_options():
     assert [f.name for f in dataclasses.fields(SolverOptions)] == [
         "tol", "rho_init", "kappa_min", "max_outer", "max_total", "record_trace",
     ]
-    assert [f.name for f in dataclasses.fields(DirectionOptions)] == ["max_refine", "consistency_tol"]
+    # the refinement of a direction is the constants MAX_REFINE and
+    # CONSISTENCY_TOL of ipal.kkt, and search_direction the one routine
+    for name in ("DirectionOptions", "reduced_direction", "SOLVER_DIRECTIONS", "CORRECTOR_SOLVE"):
+        assert not hasattr(ipal.kkt, name), name
+    assert "margin" not in inspect.signature(ipal.cone.interior_initialization).parameters
     assert not hasattr(ipal.linsolve, "InertiaOptions")
     assert list(inspect.signature(ipal.linsolve.factorize).parameters) == ["C"]
     assert "gauss_newton" not in {f.name for f in dataclasses.fields(ProblemModel)}
@@ -792,6 +800,37 @@ def test_settable_values_are_the_callers_options():
     assert {f.name for f in dataclasses.fields(ipal.linsolve.Factorization)} == {"factors", "pivots", "kd"}
     assert "K" not in {f.name for f in dataclasses.fields(ipal.kkt.ReducedSystem)}
     assert "kkt_scatter" not in {f.name for f in dataclasses.fields(ProblemModel)}
+
+
+def _names(tree):
+    """Every identifier a syntax tree names: variables, attributes and
+    imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_module_level_definition_has_a_caller_in_the_package():
+    # a function or class that only tests reach is surface to keep for
+    # nothing: every one defined at module level in ipal is named somewhere
+    # in ipal's code besides its own definition (an import counts)
+    defined, named, own = [], collections.Counter(), collections.Counter()
+    for folder, _, files in os.walk(os.path.dirname(ipal.__file__)):
+        for file in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(folder, file)
+            with open(path) as source:
+                tree = ast.parse(source.read(), path)
+            named.update(_names(tree))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((file, node.name))
+                    own.update(name for name in _names(node) if name == node.name)
+    assert defined
+    assert [(file, name) for file, name in defined if named[name] == own[name]] == []
 
 
 def test_every_factorization_is_of_order_at_most_n_or_m(monkeypatch):
