@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace", metavar="PATH",
-        help="write per-iteration records as ndjson; count the corrected steps on stderr",
+        help="write per-iteration records as ndjson; count the corrected steps and raised "
+        "cone stacks on stderr",
     )
 
     tune = sub.add_parser("autotune", help="run the closed-loop weight tuning demo")
@@ -72,9 +73,11 @@ def _cmd_run(args) -> int:
                 fh.write(json.dumps(entry) + "\n")
         cut = sum(entry["cut"] for entry in sink)
         corrected = sum(entry["corrected"] for entry in sink)
+        raised = sum(entry["raised"] for entry in sink)
         print(
             f"trace: {len(sink)} steps to {args.trace}; the boundary cut {cut}: "
-            f"{corrected} corrected, {cut - corrected} fell back to the Newton direction",
+            f"{corrected} corrected, {cut - corrected} fell back to the Newton direction; "
+            f"{raised} cone stacks raised",
             file=sys.stderr,
         )
 

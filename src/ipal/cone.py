@@ -6,7 +6,8 @@ stacking order of the vector entries. Each operation is one elementwise step
 on the orthant entries and one stacked step per second-order dimension
 (``ConeSpec.index_groups``), so this is the only module that knows the
 segment layout. Block-diagonal matrices in that layout, such as the
-Jacobians of the product, are ``ConeBlocks``.
+Jacobians of the product, are ``ConeBlocks``; on second-order segments of
+dimension 2 they are held in the blocks' shared eigenbasis.
 """
 
 from __future__ import annotations
@@ -177,11 +178,44 @@ def _eye(k: int) -> np.ndarray:
     return eye
 
 
+_SUMS = np.array([[1.0, 1.0], [1.0, -1.0]])  # (v0 + v1, v0 - v1), each sum rounded once
+_HALF_SUMS = 0.5 * _SUMS
+
+
+def eigen_blocks(L: np.ndarray) -> np.ndarray:
+    """The (segments, 2, 2) blocks whose eigenvalue pairs (lambda+,
+    lambda-) on the eigenvectors (1, +-1)/sqrt(2) are the rows of L: 0.5
+    (lambda+ + lambda-) on the diagonal, 0.5 (lambda+ - lambda-) off it."""
+    return (L @ _HALF_SUMS)[:, [0, 1, 1, 0]].reshape(-1, 2, 2)
+
+
+def _eigen_apply(op, L: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # the blocks with eigenvalue pairs L, op = multiply, or their inverses,
+    # op = divide, on the (segments, 2) entries V, or (segments, 2, k)
+    # columns: 0.5 (lambda+ (v + vbar) + lambda- (v - vbar)), vbar the other
+    # entry of v's segment. The sum and difference of the entries meet each
+    # eigenvalue on its own, so a small one is not lost to round-off in the
+    # other, as it is from the blocks' entries. The products with +-1 and
+    # +-0.5 are exact, so each output is its sum rounded once.
+    if V.ndim == 2:
+        return op(V @ _SUMS, L) @ _HALF_SUMS
+    return _HALF_SUMS @ op(_SUMS @ V, L[:, :, None])
+
+
 @dataclass(frozen=True)
 class ConeBlocks:
     """Block-diagonal p x p matrix in a cone's layout: ``diag`` on the
-    elementwise entries (``index_groups[0]``), one (segments, dim, dim) stack
-    per second-order dimension. It multiplies and solves vectors or columns."""
+    elementwise entries (``index_groups[0]``), then one stack per
+    second-order dimension, in ``index_groups[1]``'s order. A stack of
+    dimension 3 or more holds its (segments, dim, dim) blocks. A stack of
+    dimension 2 may instead hold (segments, 2) eigenvalue pairs (lambda+,
+    lambda-) on the eigenvectors (1, +-1)/sqrt(2), which every arrow matrix
+    u0 I + u1 [[0, 1], [1, 0]] shares (the fixed Jordan frame of Alizadeh &
+    Goldfarb, Math. Prog. 2003): ``product_jacobian_blocks`` builds that
+    form, and sums, scalings, shifts, inverses and products of such blocks
+    are elementwise in it (``eigen_blocks`` gives the blocks); an
+    operation on two ConeBlocks takes their stacks in the same form. It
+    multiplies and solves vectors or columns."""
 
     spec: ConeSpec
     diag: np.ndarray
@@ -195,10 +229,13 @@ class ConeBlocks:
 
     def shift(self, c: float) -> ConeBlocks:
         """self + c I"""
-        return ConeBlocks(self.spec, self.diag + c, tuple(B + c * _eye(B.shape[1]) for B in self.blocks))
+        return ConeBlocks(self.spec, self.diag + c,
+                          tuple(B + c if B.ndim == 2 else B + c * _eye(B.shape[1]) for B in self.blocks))
 
     def symmetric_part(self) -> ConeBlocks:
-        return ConeBlocks(self.spec, self.diag, tuple(0.5 * (B + B.transpose(0, 2, 1)) for B in self.blocks))
+        """(self + self') / 2; eigenvalue pairs are symmetric blocks."""
+        return ConeBlocks(self.spec, self.diag,
+                          tuple(B if B.ndim == 2 else 0.5 * (B + B.transpose(0, 2, 1)) for B in self.blocks))
 
     def _apply(self, v: np.ndarray, elementwise, stacked) -> np.ndarray:
         diag, soc = self.spec.index_groups
@@ -208,7 +245,10 @@ class ConeBlocks:
         out = np.empty(v.shape)
         out[diag] = elementwise(v[diag], d)
         for rows, B in zip(soc, self.blocks):
-            out[rows] = stacked(B, v[rows]) if v.ndim > 1 else stacked(B, v[rows][..., None])[..., 0]
+            if B.ndim == 2:
+                out[rows] = _eigen_apply(elementwise, B, v[rows])
+            else:
+                out[rows] = stacked(B, v[rows]) if v.ndim > 1 else stacked(B, v[rows][..., None])[..., 0]
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -216,17 +256,23 @@ class ConeBlocks:
 
     def solve(self, v):
         """self^{-1} v, as ConeBlocks when v is; LinAlgError if singular."""
-        if not self.diag.all():  # a zero diagonal entry
-            raise np.linalg.LinAlgError("zero diagonal entry")
+        if not self.diag.all() or not all(B.all() for B in self.blocks if B.ndim == 2):
+            raise np.linalg.LinAlgError("zero diagonal entry or eigenvalue")
         if isinstance(v, ConeBlocks):
-            return ConeBlocks(self.spec, v.diag / self.diag, tuple(map(np.linalg.solve, self.blocks, v.blocks)))
+            return ConeBlocks(self.spec, v.diag / self.diag, tuple(
+                V / B if B.ndim == 2 else np.linalg.solve(B, V) for B, V in zip(self.blocks, v.blocks)
+            ))
         return self._apply(v, np.divide, np.linalg.solve)
+
+    def full_blocks(self) -> Tuple[np.ndarray, ...]:
+        """The stacks as (segments, dim, dim) blocks."""
+        return tuple(eigen_blocks(B) if B.ndim == 2 else B for B in self.blocks)
 
     def row_max_abs(self) -> np.ndarray:
         diag, soc = self.spec.index_groups
         out = np.empty(self.spec.dim)
         out[diag] = np.abs(self.diag)
-        for rows, B in zip(soc, self.blocks):
+        for rows, B in zip(soc, self.full_blocks()):
             out[rows] = np.abs(B).max(axis=2)
         return out
 
@@ -234,7 +280,7 @@ class ConeBlocks:
         """Write the blocks into the p x p array ``out``; other entries stay."""
         diag, soc = self.spec.index_groups
         out[diag, diag] = self.diag
-        for rows, B in zip(soc, self.blocks):
+        for rows, B in zip(soc, self.full_blocks()):
             out[rows[:, :, None], rows[:, None, :]] = B
         return out
 
@@ -242,32 +288,39 @@ class ConeBlocks:
         return self.write_to(np.zeros((self.spec.dim, self.spec.dim)))
 
 
+def _arrows(u: np.ndarray, spec: ConeSpec, eigen: bool) -> ConeBlocks:
+    # the arrow matrices of u: first row and column u, u[0] on the rest of
+    # the diagonal; with ``eigen``, those of dimension 2 as their eigenvalue
+    # pairs u0 +- u1
+    diag, soc = spec.index_groups
+    blocks = []
+    for rows in soc:
+        U = u[rows]
+        if eigen and U.shape[1] == 2:
+            blocks.append(U @ _SUMS)
+            continue
+        B = np.zeros(U.shape + U.shape[1:])
+        B[:, 0, :] = U
+        B[:, 1:, 0] = U[:, 1:]
+        tail = np.arange(1, U.shape[1])
+        B[:, tail, tail] = U[:, :1]
+        blocks.append(B)
+    return ConeBlocks(spec, u[diag], tuple(blocks))
+
+
 def product_jacobian_blocks(s: np.ndarray, t: np.ndarray, spec: ConeSpec) -> Tuple[ConeBlocks, ConeBlocks]:
     """Jacobians (P_s, P_t) of the product s o t with respect to s and t:
     diag(t) / diag(s) on orthant entries and the arrow matrices of t / s on
-    second-order segments. P_s s == P_t t == s o t."""
-
-    def arrows(u):
-        # first row and column u, u[0] on the rest of the diagonal
-        diag, soc = spec.index_groups
-        blocks = []
-        for rows in soc:
-            U = u[rows]
-            B = np.zeros(U.shape + U.shape[1:])
-            B[:, 0, :] = U
-            B[:, 1:, 0] = U[:, 1:]
-            tail = np.arange(1, U.shape[1])
-            B[:, tail, tail] = U[:, :1]
-            blocks.append(B)
-        return ConeBlocks(spec, u[diag], tuple(blocks))
-
-    return arrows(_check_operand(t, spec, "t")), arrows(_check_operand(s, spec, "s"))
+    second-order segments, those of dimension 2 as eigenvalue pairs. P_s s
+    == P_t t == s o t."""
+    return _arrows(_check_operand(t, spec, "t"), spec, True), _arrows(_check_operand(s, spec, "s"), spec, True)
 
 
 def cone_product_jacobians(s: np.ndarray, t: np.ndarray, spec: ConeSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """``product_jacobian_blocks`` as dense p x p matrices."""
-    Ps, Pt = product_jacobian_blocks(s, t, spec)
-    return Ps.dense(), Pt.dense()
+    """``product_jacobian_blocks`` as dense p x p matrices, every arrow
+    matrix from its entries."""
+    t, s = _check_operand(t, spec, "t"), _check_operand(s, spec, "s")
+    return _arrows(t, spec, False).dense(), _arrows(s, spec, False).dense()
 
 
 def barrier_value(s: np.ndarray, spec: ConeSpec) -> float:

@@ -22,19 +22,22 @@ A'N^{-1}A, when its dual block N is positive definite (``ReducedSystem``).
 C is summed straight from the stored entries of the stage matrices, or of a
 general model's dense derivative matrices, into LAPACK lower band storage,
 x in the model's stage order, by index plans computed once per model
-(``SchurPlan``), a second-order block of N that is singular to round-off at
-the cone boundary raised first (``CONE_RAISE``); its Cholesky factorization
-certifies the inertia of K (``linsolve.factorize``), and a K whose N is not
-positive definite has no C and takes the dual shift. Cone slack and
-complement blocks are recovered in closed form from stacked cone blocks
-(``ConeBlocks``). The reduced cone block W^{-1}P_t is symmetrized, which
-changes it only on second-order segments of dimension 3 or more (on
-dimension 2 the arrow matrices commute, so it is symmetric already).
-Directions are refined against the full system, applied blockwise, by the
-GMRES loop of ``solve_refined`` with the reduced solve as its
-preconditioner (``reduced_solve``); no solve forms an (n+m+p)-square
-matrix or the dense Jacobian (``full_jacobian``, the only p x p cone
-matrix), which serves as a reference in tests. A direction takes at most
+(``SchurPlan``); its Cholesky factorization certifies the inertia of K
+(``linsolve.factorize``), and a K whose N is not positive definite has no C
+and takes the dual shift. Cone slack and complement blocks are recovered in
+closed form from stacked cone blocks (``ConeBlocks``). On second-order
+segments of dimension 2 the arrow matrices share the eigenvectors (1,
++-1)/sqrt(2), so W, W^{-1}P_t, N and their inverses are eigenvalue pairs
+there, summed, scaled, inverted and applied elementwise, and a small
+eigenvalue at the cone boundary is kept. Only segments of dimension 3 or
+more hold dense blocks: their W^{-1}P_t is symmetrized, which is inexact
+away from the central path, and a block of N that is singular to round-off
+at the cone boundary is raised (``CONE_RAISE``). Directions are refined
+against the full system, applied blockwise, by the GMRES loop of
+``solve_refined`` with the reduced solve as its preconditioner
+(``reduced_solve``); no solve forms an (n+m+p)-square matrix or the dense
+Jacobian (``full_jacobian``, the only p x p cone matrix), which serves as a
+reference in tests. A direction takes at most
 ``MAX_REFINE`` refinement steps and must meet ||J dw + R||_inf <=
 ``CONSISTENCY_TOL`` (1 + ||R||_inf). ``differentiate`` solves its
 parameter columns through the same reduction and refinement, with the
@@ -61,6 +64,7 @@ from .cone import (
     cone_product,
     cone_product_jacobians,
     cone_target,
+    eigen_blocks,
     product_jacobian_blocks,
 )
 from .linsolve import (
@@ -327,14 +331,14 @@ class SchurPlan:
         self.gram_target = compact_index(rc * (self.gram_kd + 1) + ra - rc)
 
     def complement(self, L: np.ndarray, A: np.ndarray, eps_p: float, dual: float,
-                   cone: ConeBlocks) -> Optional[Tuple[np.ndarray, ConeBlocks]]:
+                   cone: ConeBlocks) -> Optional[Tuple[np.ndarray, ConeBlocks, int]]:
         """C, with the stored entries ``L`` of L_xx and ``A`` of g_x and then
         h_x, P = L_xx + ``eps_p`` I and N = ``dual`` I on the equality duals
-        and ``cone`` on the cone rows, and the cone block of N it was built
-        from (``cone`` with its boundary stacks raised, see
-        ``_raised_inverse``); None unless N is positive definite. The flat
-        inverse of N holds 1 / ``dual`` per equality dual, the inverse of
-        ``cone.diag``, then each inverse block of ``cone.blocks``,
+        and ``cone`` on the cone rows, the cone block of N it was built from
+        (``cone`` with its boundary stacks raised, see ``_raised_inverse``)
+        and the number of stacks raised; None unless N is positive definite.
+        The flat inverse of N holds 1 / ``dual`` per equality dual, the
+        inverse of ``cone.diag``, then each inverse block of ``cone.blocks``,
         row-major."""
         if (self.m and not dual > 0.0) or not (cone.diag > 0.0).all():
             return None
@@ -351,7 +355,8 @@ class SchurPlan:
         # (P has every diagonal entry, so there is always one weight) last
         C = np.bincount(self.target, np.concatenate([terms, L.take(self.p_src), diagonal]),
                         minlength=self.n * (self.kd + 1))
-        return C.reshape(self.n, self.kd + 1).T, ConeBlocks(cone.spec, cone.diag, tuple(B for B, _ in raised))
+        N = ConeBlocks(cone.spec, cone.diag, tuple(B for B, _ in raised))
+        return C.reshape(self.n, self.kd + 1).T, N, sum(B is not old for (B, _), old in zip(raised, cone.blocks))
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """G G' from the stored entries ``g`` of g_x, in LAPACK lower band
@@ -364,22 +369,29 @@ class SchurPlan:
         return out.reshape(self.m, self.gram_kd + 1).T
 
 
-# A second-order block of N at the cone boundary is rank one to round-off
-# (eigenvalues 0 or +-6e-8 next to 6e8 were measured), so it may fail its
-# Cholesky factorization or its inverse; its stack is then raised by this
-# times each block's largest entry, both in C and in the solves with N.
-# N^{-1}, and with it C, only shrinks as the raise grows, so a C that
-# factors with the raise certifies the inertia of K. The raise is the error
-# of those solves in the lost direction, which refinement must remove: this
-# is about fifty times the round-off of the blocks' eigenvalues, and 1e-12
-# took three more GMRES passes per differentiate on mpc-sens.
+# A second-order block of N of dimension 3 or more at the cone boundary is
+# rank one to round-off (eigenvalues 0 or +-6e-8 next to 6e8 were measured),
+# so it may fail its Cholesky factorization or its inverse; its stack is
+# then raised by this times each block's largest entry, both in C and in the
+# solves with N. N^{-1}, and with it C, only shrinks as the raise grows, so a
+# C that factors with the raise certifies the inertia of K. The raise is the
+# error of those solves in the lost direction, which refinement must remove:
+# this is about fifty times the round-off of the blocks' eigenvalues. Blocks
+# of dimension 2 are held as their eigenvalue pairs, which keep the small
+# eigenvalue, so they are never raised.
 CONE_RAISE = 1e-14
 
 
 def _raised_inverse(B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The stack B of positive definite blocks and its inverse, B raised
-    by ``CONE_RAISE`` when a block fails its Cholesky factorization or its
-    inverse; LinAlgError when the raised stack still does."""
+    """The stack B of positive definite blocks and its inverse blocks, B
+    raised by ``CONE_RAISE`` when a block fails its Cholesky factorization
+    or its inverse; LinAlgError when the raised stack still does. A stack of
+    eigenvalue pairs (``ConeBlocks``) is positive definite when every
+    eigenvalue is positive, and its inverse pairs are the reciprocals."""
+    if B.ndim == 2:
+        if not (B > 0.0).all():
+            raise np.linalg.LinAlgError("a nonpositive eigenvalue")
+        return B, eigen_blocks(1.0 / B)
     try:
         np.linalg.cholesky(B)
         return B, np.linalg.inv(B)
@@ -406,12 +418,14 @@ class ReducedSystem:
     positive definite. The cone block uses the symmetrized W^{-1} Ptb. On
     second-order segments of dimension 3 or more that operator is
     nonsymmetric away from the central path, which is why directions are
-    refined against the full system (``reduced_solve``); on dimension 2 the
-    arrow matrices commute, so it is symmetric to round-off and refinement
-    corrects round-off only. The full system is applied blockwise
+    refined against the full system (``reduced_solve``); on dimension 2 it
+    is an eigenvalue pair, exact to round-off, and refinement corrects
+    round-off only. The full system is applied blockwise
     (``jacobian_apply``), never formed. Ps, Ptb, W and N stay stacked
-    blocks (``ConeBlocks``), never p x p matrices. Residual rows and
-    solutions may be vectors or matrices of columns.
+    blocks (``ConeBlocks``), never p x p matrices, so that W and N are
+    applied and inverted elementwise on the eigenvalue pairs, and solved
+    with ``np.linalg.solve`` only on dense blocks of dimension 3 or more.
+    Residual rows and solutions may be vectors or matrices of columns.
     """
 
     layout: Layout
@@ -426,6 +440,7 @@ class ReducedSystem:
     dual: float  # N on the equality duals, as C was built from it
     N: Optional[ConeBlocks]  # N on the cone rows, as C was built from it
     tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
+    raised: int = 0  # stacks of N raised by CONE_RAISE
 
     def schur(self) -> np.ndarray:
         """C, for ``factorize``; NumericalFailure when N is not positive
@@ -523,10 +538,10 @@ def assemble_symmetric(
     )
     plan = schur_plan(model, (L_pattern, G_pattern, H_pattern))
     dual = (DUAL_SHIFT if tracks_multiplier else dual_scale) + ed
-    C, N = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed)) or (None, None)
+    C, N, raised = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed)) or (None, None, 0)
     return ReducedSystem(
         layout=lay, eps_p=ep, eps_d=ed, dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W,
-        plan=plan, C=C, dual=dual, N=N, tracks_multiplier=tracks_multiplier,
+        plan=plan, C=C, dual=dual, N=N, tracks_multiplier=tracks_multiplier, raised=raised,
     )
 
 
@@ -559,6 +574,7 @@ class DirectionInfo:
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
     certified: bool = False  # inertia certified by the Schur complement's Cholesky
+    raised: int = 0  # cone stacks of the system's N raised by CONE_RAISE
     # the reduced system the direction was solved through and its factors,
     # for further solves at the same iterate (``corrector``)
     system: Optional[Tuple[ReducedSystem, Factorization]] = field(
@@ -618,9 +634,10 @@ def search_direction(
     Regularization is chosen by inertia correction of the reduced system
     (certified inertia (n, m+p, 0)), starting from ``reg``. The symmetrized
     cone block makes the one-shot reduced direction inexact on second-order
-    segments of dimension 3 or more away from the central path; refinement
-    against the full system (``reduced_solve``) corrects it, and round-off
-    elsewhere. The returned direction satisfies ||J dw + R||_inf <=
+    segments of dimension 3 or more away from the central path, as does a
+    block raised at the cone boundary (``CONE_RAISE``, counted in
+    ``DirectionInfo.raised``); refinement against the full system
+    (``reduced_solve``) corrects both, and round-off elsewhere. The returned direction satisfies ||J dw + R||_inf <=
     CONSISTENCY_TOL * (1 + ||R||_inf) for the Jacobian at the returned
     shifts, or NumericalFailure is raised. ``R`` is the residual at this
     iterate and ``norm_R`` its max-norm when the caller has already computed
@@ -655,7 +672,8 @@ def search_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=False, consistency_error=best_err,
-        inertia_trials=holder["trials"], certified=fact.certified, system=(rsys, fact),
+        inertia_trials=holder["trials"], certified=fact.certified, raised=rsys.raised,
+        system=(rsys, fact),
     )
     return lay.unpack(best), reg, info
 

@@ -111,6 +111,7 @@ class TraceRecord:
     consistency_error: float = 0.0
     inertia_trials: int = 0
     certified: bool = False
+    raised: int = 0  # cone stacks raised by kkt.CONE_RAISE
     # the boundary cut the Newton step (cap below 1), so the corrector was
     # tried; corrected: the step taken was along its corrected direction
     cut: bool = False
@@ -517,7 +518,7 @@ def solve(
                         refine_passes=info.refine_passes, used_full_solve=info.used_full_solve,
                         consistency_error=info.consistency_error,
                         inertia_trials=info.inertia_trials, certified=info.certified,
-                        cut=cut, corrected=corrected,
+                        raised=info.raised, cut=cut, corrected=corrected,
                     )
                 )
     except LineSearchFailure:

@@ -294,9 +294,44 @@ def dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=Fals
     return K
 
 
-def dense_schur_complement(K, n):
-    """C = P + A'N^{-1}A of the dense K = [[P, A'], [A, -N]], P of order n."""
-    return K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n])
+def dense_schur_complement(K, n, cone_inverse=None):
+    """C = P + A'N^{-1}A of the dense K = [[P, A'], [A, -N]], P of order n.
+    With ``cone_inverse``, the inverse of N's cone block (p x p, the last
+    rows of K), N^{-1} is that block and the reciprocals of the equality-dual
+    diagonal; otherwise it is a dense solve with N."""
+    if cone_inverse is None:
+        return K[:n, :n] - K[:n, n:] @ np.linalg.solve(K[n:, n:], K[n:, :n])
+    p = cone_inverse.shape[0]
+    m = K.shape[0] - n - p
+    N_inv = np.zeros((m + p, m + p))
+    N_inv[np.arange(m), np.arange(m)] = -1.0 / np.diag(K[n : n + m, n : n + m])
+    N_inv[m:, m:] = cone_inverse
+    return K[:n, :n] + K[:n, n:] @ N_inv @ K[n:, :n]
+
+
+def reduced_cone_inverse_loop(spec, s, t, reg):
+    """The inverse of the cone block of N, M + eps_d I with M =
+    sym(W^{-1} P_tb), W = P_s + eps_p P_tb and P_tb = P_t - eps_d I, as a
+    dense p x p matrix, one segment at a time: a SecondOrder(2) segment in
+    the eigenbasis (1, +-1)/sqrt(2) of its arrow matrices, where its
+    eigenvalues are (lambda(s) - eps_d) / (lambda(t) + eps_p (lambda(s) -
+    eps_d)) + eps_d, which keeps a small eigenvalue that the block's entries
+    lose; other segments by a dense inverse of their block."""
+    ep, ed = reg.eps_p, reg.eps_d
+    out = np.zeros((spec.dim, spec.dim))
+    for seg, sl in spec.slices():
+        if _is_soc(seg) and seg.dim == 2:
+            Ptb = eigen_pair(s[sl]) - ed
+            out[sl, sl] = eigen_block(1.0 / (Ptb / (eigen_pair(t[sl]) + ep * Ptb) + ed))
+        elif _is_soc(seg):
+            Ptb = arrow(s[sl]) - ed * np.eye(seg.dim)
+            M = np.linalg.solve(arrow(t[sl]) + ep * Ptb, Ptb)
+            out[sl, sl] = np.linalg.inv(0.5 * (M + M.T) + ed * np.eye(seg.dim))
+        else:
+            idx = np.arange(sl.start, sl.stop)
+            Ptb = s[sl] - ed
+            out[idx, idx] = 1.0 / (Ptb / (t[sl] + ep * Ptb) + ed)
+    return out
 
 
 # ------------------------------------------------------------------------
@@ -421,6 +456,27 @@ def arrow(u):
     M[1:, 0] = u[1:]
     M[1:, 1:] += u[0] * np.eye(l - 1)
     return M
+
+
+def eigen_pair(u):
+    """The eigenvalues (lambda+, lambda-) of the arrow matrix of a
+    dimension-2 segment u on its eigenvectors (1, +-1)/sqrt(2)."""
+    return np.array([u[0] + u[1], u[0] - u[1]])
+
+
+def eigen_block(pair):
+    """The symmetric 2 x 2 block with eigenvalues ``pair`` on (1, +-1)/sqrt(2)."""
+    d, e = 0.5 * (pair[0] + pair[1]), 0.5 * (pair[0] - pair[1])
+    return np.array([[d, e], [e, d]])
+
+
+def eigen_apply(op, pair, v):
+    """With op = np.multiply the block of eigenvalues ``pair`` times v, the
+    two entries of a segment (or two rows of columns), in the eigenbasis:
+    0.5 (lambda+ (v + vbar) + lambda- (v - vbar)), vbar the other entry;
+    with op = np.divide its inverse times v."""
+    plus, minus = op(v[0] + v[1], pair[0]), op(v[0] - v[1], pair[1])
+    return 0.5 * np.array([plus + minus, plus - minus])
 
 
 def product_jacobians_loop(s, t, spec):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import ipal.solver
 from ipal.bench import autotune
 from ipal.bench.cli import main
 from ipal.bench.problems import NotFound, OracleResult, get, names
@@ -180,6 +182,27 @@ def test_cli_trace_counts_the_corrected_steps(tmp_path, capsys):
     assert sum(rec["corrected"] for rec in records) == 2
     assert f"trace: {len(records)} steps to {path}; the boundary cut 3: 2 corrected, " \
         "1 fell back to the Newton direction" in err
+
+
+def test_cli_trace_counts_the_raised_cone_stacks(tmp_path, capsys, monkeypatch):
+    # the registry raises no cone stack; a direction that reports one
+    # raised stack per system shows once per step in the records and in
+    # the summary
+    path = tmp_path / "trace.ndjson"
+    assert main(["run", "soc-projection", "particle-friction", "--trace", str(path)]) == 0
+    assert sum(json.loads(line)["raised"] for line in path.read_text().splitlines()) == 0
+    assert "; 0 cone stacks raised" in capsys.readouterr().err
+    original = ipal.solver.search_direction
+
+    def search_direction(*args):
+        delta, reg, info = original(*args)
+        return delta, reg, dataclasses.replace(info, raised=1)
+
+    monkeypatch.setattr(ipal.solver, "search_direction", search_direction)
+    assert main(["run", "soc-projection", "--trace", str(path)]) == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [rec["raised"] for rec in records] == [1] * len(records)
+    assert f"; {len(records)} cone stacks raised" in capsys.readouterr().err
 
 
 def test_cli_validate(capsys):

@@ -1,4 +1,5 @@
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from helpers import (
     cone_infeasibility_loop,
     cone_product_loop,
     cone_target_loop,
+    eigen_apply,
+    eigen_block,
+    eigen_pair,
     in_cone_loop,
     interior_initialization_loop,
     max_step_loop,
@@ -351,7 +355,9 @@ def test_batched_boundary_step_matches_segment_loop(spec, seed):
 @BATCHED
 @given(SPECS, SEEDS)
 def test_cone_blocks_match_segment_loop(spec, seed):
-    # matvec and solve, of vectors and of columns, one step per segment
+    # matvec and solve, of vectors and of columns, one step per segment; a
+    # SecondOrder(2) segment in the eigenbasis (1, +-1)/sqrt(2) of its
+    # arrow matrices, from its eigenvalue pair
     rng = np.random.default_rng(seed)
     s, t = _interior(rng, spec), _interior(rng, spec)
     eps = float(rng.uniform(0.0, 1e-2))
@@ -359,20 +365,135 @@ def test_cone_blocks_match_segment_loop(spec, seed):
     W = Ps + eps * Pt.shift(-eps)
     dense_W = W.dense()
     ref_Ps, ref_Pt = product_jacobians_loop(s, t, spec)
-    _assert_same(dense_W, ref_Ps + eps * (ref_Pt - eps * np.eye(spec.dim)))
+    ref_W = ref_Ps + eps * (ref_Pt - eps * np.eye(spec.dim))
+    pairs = {}
+    for seg, sl in spec.slices():
+        if isinstance(seg, SecondOrder) and seg.dim == 2:
+            pairs[sl.start] = eigen_pair(t[sl]) + eps * (eigen_pair(s[sl]) + (-eps))
+            ref_W[sl, sl] = eigen_block(pairs[sl.start])
+    _assert_same(dense_W, ref_W)
     _assert_same(W.row_max_abs(), np.abs(dense_W).max(axis=1, initial=0.0))
     for v in (rng.standard_normal(spec.dim), rng.standard_normal((spec.dim, 3)),
               rng.standard_normal((spec.dim, 1))):
         product, solved = np.empty(v.shape), np.empty(v.shape)
         for seg, sl in spec.slices():
             block = dense_W[sl, sl]
-            if isinstance(seg, SecondOrder) and seg.dim >= 2:
+            if isinstance(seg, SecondOrder) and seg.dim == 2:
+                product[sl] = eigen_apply(np.multiply, pairs[sl.start], v[sl])
+                solved[sl] = eigen_apply(np.divide, pairs[sl.start], v[sl])
+            elif isinstance(seg, SecondOrder) and seg.dim >= 2:
                 product[sl], solved[sl] = block @ v[sl], np.linalg.solve(block, v[sl])
             else:
                 d = np.diag(block).reshape((-1,) + (1,) * (v.ndim - 1))
                 product[sl], solved[sl] = d * v[sl], v[sl] / d
         _assert_same(W.matvec(v), product)
         _assert_same(W.solve(v), solved)
+
+
+def _block_pattern(spec):
+    """Ones on the blocks of the cone's layout: the diagonal of orthant
+    entries, the square of each second-order segment."""
+    pattern = np.zeros((spec.dim, spec.dim))
+    for seg, sl in spec.slices():
+        if isinstance(seg, SecondOrder):
+            pattern[sl, sl] = 1.0
+        else:
+            pattern[np.arange(sl.start, sl.stop), np.arange(sl.start, sl.stop)] = 1.0
+    return pattern
+
+
+# ConeBlocks against the same operation on their dense matrices: every
+# entry within DENSE_TOL times the largest entry of its row's block times
+# the 1-norm of the operand on that block (a few roundings of the block's
+# eigenvalues, of order 1e-16, each)
+DENSE_TOL = 1e-14
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_cone_blocks_match_their_dense_matrices(spec, seed):
+    rng = np.random.default_rng(seed)
+    s, t = _interior(rng, spec), _interior(rng, spec)
+    eps, c = float(rng.uniform(0.0, 1e-2)), float(rng.uniform(-3.0, 3.0))
+    Ps, Pt = product_jacobian_blocks(s, t, spec)
+    A = Ps + eps * Pt.shift(-eps)
+    pattern = _block_pattern(spec)
+
+    def row_scale(*blocks):
+        return np.max([np.abs(B.dense()).max(axis=1, initial=0.0) for B in blocks], axis=0)[:, None]
+
+    D = A.dense()
+    assert np.array_equal(D, D.T) == all(B.ndim == 2 or np.array_equal(B, B.transpose(0, 2, 1))
+                                         for B in A.blocks)
+    for B, op in ((A + Pt, D + Pt.dense()), (c * A, c * D), (A.shift(c), D + c * np.eye(spec.dim)),
+                  (A.symmetric_part(), 0.5 * (D + D.T))):
+        assert np.all(np.abs(B.dense() - op) <= DENSE_TOL * row_scale(A, Pt, B) * pattern)
+    _assert_same(A.row_max_abs(), np.abs(D).max(axis=1, initial=0.0))
+    for v in (rng.standard_normal(spec.dim), rng.standard_normal((spec.dim, 3))):
+        V = v if v.ndim == 2 else v[:, None]
+        Av, x = A.matvec(v).reshape(V.shape), A.solve(v).reshape(V.shape)
+        assert np.all(np.abs(Av - D @ V) <= DENSE_TOL * row_scale(A) * (pattern @ np.abs(V)))
+        # the solve by its residual on the dense matrix
+        bound = DENSE_TOL * (row_scale(A) * (pattern @ np.abs(x)) + pattern @ np.abs(V))
+        assert np.all(np.abs(D @ x - V) <= bound)
+    X = A.solve(Pt).dense()
+    bound = DENSE_TOL * (row_scale(A) * (pattern @ np.abs(X)) + pattern @ np.abs(Pt.dense()))
+    assert np.all(np.abs(D @ X - Pt.dense()) <= bound)
+    # a dimension-2 block's eigenvectors are (1, +-1)
+    for seg, sl in spec.slices():
+        if isinstance(seg, SecondOrder) and seg.dim == 2:
+            pair = eigen_pair(t[sl]) + eps * (eigen_pair(s[sl]) - eps)
+            for k, e in enumerate((np.array([1.0, 1.0]), np.array([1.0, -1.0]))):
+                assert np.all(np.abs(D[sl, sl] @ e - pair[k] * e) <= DENSE_TOL * np.abs(pair).max())
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_a_zero_eigenvalue_makes_the_blocks_singular(spec, seed):
+    # a SecondOrder(2) segment of t on the boundary, t0 = |t1|, makes an
+    # eigenvalue of its arrow matrix exactly zero, as a zero orthant entry
+    # makes a zero diagonal entry: solves with the blocks raise LinAlgError
+    rng = np.random.default_rng(seed)
+    s, t = _interior(rng, spec), _interior(rng, spec)
+    singular = [(seg, sl) for seg, sl in spec.slices()
+                if seg.dim and (isinstance(seg, Orthant) or seg.dim <= 2)]
+    if not singular:
+        return
+    seg, sl = singular[rng.integers(len(singular))]
+    t[sl.start] = abs(t[sl.start + 1]) if isinstance(seg, SecondOrder) and seg.dim == 2 else 0.0
+    Ps, Pt = product_jacobian_blocks(s, t, spec)
+    for operand in (rng.standard_normal(spec.dim), rng.standard_normal((spec.dim, 2)), Pt):
+        with pytest.raises(np.linalg.LinAlgError):
+            Ps.solve(operand)
+
+
+@BATCHED
+@given(SPECS, SEEDS)
+def test_boundary_pairs_keep_the_small_eigenvalue_of_N(spec, seed):
+    # s and t near opposite sides of the boundary of each SecondOrder(2)
+    # segment: the reduced cone block N = sym(W^-1 P_t) at zero shift, as
+    # kkt.assemble_symmetric forms it, has eigenvalues lambda(s) / lambda(t)
+    # on (1, +-1)/sqrt(2), one of them small. Both match exact rational
+    # arithmetic on the floats s and t to 1e-12 relative; the block's
+    # entries alone would read the small one as 0
+    rng = np.random.default_rng(seed)
+    s, t = _interior(rng, spec), _interior(rng, spec)
+    twos = [sl for seg, sl in spec.slices() if isinstance(seg, SecondOrder) and seg.dim == 2]
+    for sl in twos:
+        sign = rng.choice([-1.0, 1.0])
+        s[sl] = s[sl.start] * np.array([1.0, sign * (1.0 - 10.0 ** rng.uniform(-12, -6))])
+        t[sl] = t[sl.start] * np.array([1.0, -sign * (1.0 - 10.0 ** rng.uniform(-12, -6))])
+    Ps, Pt = product_jacobian_blocks(s, t, spec)
+    N = (Ps + 0.0 * Pt.shift(-0.0)).solve(Pt.shift(-0.0)).symmetric_part().shift(0.0)
+    for sl in twos:
+        s0, s1, t0, t1 = (Fraction(float(u)) for u in (s[sl.start], s[sl.start + 1], t[sl.start], t[sl.start + 1]))
+        exact = ((s0 + s1) / (t0 + t1), (s0 - s1) / (t0 - t1))
+        assert min(exact) < Fraction(1, 10**5) * max(exact)
+        for e, value in zip((np.array([1.0, 1.0]), np.array([1.0, -1.0])), exact):
+            v = np.zeros(spec.dim)
+            v[sl] = e
+            got = N.matvec(v)[sl.start]
+            assert abs(Fraction(float(got)) - value) <= Fraction(1, 10**12) * value
 
 
 def test_degenerate_boundary_crossings_match_segment_loop():
@@ -446,7 +567,7 @@ def _relative_asymmetry(blocks):
 def _reduced_cone_block(spec, s, t, ep, ed):
     Ps, Pt = product_jacobian_blocks(s, t, spec)
     Ptb = Pt.shift(-ed)
-    return (Ps + ep * Ptb).solve(Ptb).blocks[0]
+    return (Ps + ep * Ptb).solve(Ptb)
 
 
 @pytest.mark.parametrize("shifts", [(0.0, 0.0), (1e-4, 1e-8), (1.0, 1e-8), (1e3, 1e-4)])
@@ -454,15 +575,24 @@ def test_reduced_cone_block_is_symmetric_on_two_dimensional_segments(shifts):
     # The reduced cone block is W^-1 P_tb, W = P_s + eps_p P_tb and P_tb =
     # P_t - eps_d I. The arrow matrix of a SecondOrder(2) segment is
     # u0 I + u1 [[0, 1], [1, 0]], and all such matrices commute, so W^-1
-    # P_tb is symmetric to round-off at any shifts: its symmetrization
-    # changes nothing on the horizon and mpc-sens cones, which are
-    # SecondOrder(2), and refinement there corrects round-off only.
+    # P_tb formed from the dense blocks is symmetric to round-off at any
+    # shifts. They share the eigenvectors (1, +-1)/sqrt(2), in which
+    # ConeBlocks holds them as eigenvalue pairs: symmetric blocks, which
+    # symmetric_part leaves as they are, and which match the dense ones
     ep, ed = shifts
     rng = np.random.default_rng(26)
     spec = ConeSpec((SecondOrder(2),) * 200)
+    rows = np.arange(spec.dim).reshape(-1, 2)
     for scale in (1e-3, 1.0, 1e3):
         s, t = random_interior(rng, spec, scale), random_interior(rng, spec, 1.0 / scale)
-        assert _relative_asymmetry(_reduced_cone_block(spec, s, t, ep, ed)).max() <= 1e-14
+        Ps, Pt = cone_product_jacobians(s, t, spec)
+        Ptb = Pt - ed * np.eye(spec.dim)
+        W = Ps + ep * Ptb
+        dense = np.linalg.solve(W[rows[:, :, None], rows[:, None, :]], Ptb[rows[:, :, None], rows[:, None, :]])
+        assert _relative_asymmetry(dense).max() <= 1e-14
+        M = _reduced_cone_block(spec, s, t, ep, ed)
+        assert M.symmetric_part().blocks[0] is M.blocks[0]
+        assert np.all(np.abs(M.full_blocks()[0] - dense) <= 1e-14 * np.abs(dense).max(axis=(1, 2))[:, None, None])
 
 
 def test_reduced_cone_block_is_not_symmetric_from_dimension_three():
@@ -472,6 +602,6 @@ def test_reduced_cone_block_is_not_symmetric_from_dimension_three():
     rng = np.random.default_rng(26)
     spec = ConeSpec((SecondOrder(3),) * 200)
     asymmetry = _relative_asymmetry(
-        _reduced_cone_block(spec, random_interior(rng, spec), random_interior(rng, spec), 0.0, 0.0)
+        _reduced_cone_block(spec, random_interior(rng, spec), random_interior(rng, spec), 0.0, 0.0).blocks[0]
     )
     assert asymmetry.max() > 0.5 and np.median(asymmetry) > 0.1

@@ -8,12 +8,16 @@ from helpers import (
     dense_inertia,
     dense_reduced_matrix,
     dense_schur_complement,
+    eigen_apply,
+    eigen_block,
+    eigen_pair,
     finite_difference_residual_jacobian,
     lower_band,
     random_cone,
     random_interior,
     random_iterate,
     random_nlp,
+    reduced_cone_inverse_loop,
     residual_reference,
     trajectory_tracking,
     unrelaxed_residual_norm_reference,
@@ -147,8 +151,9 @@ class TestSymmetricReduction:
     def test_K_bitwise_symmetric(self):
         # K is never formed: its symmetric pieces are, the cone blocks of N
         # bitwise symmetric and C stored once, in lower band storage, equal
-        # to the dense Schur complement of the dense K; a K whose N is not
-        # positive definite has no C
+        # to the dense Schur complement of the dense K, N's SecondOrder(2)
+        # blocks inverted in their eigenbasis; a K whose N is not positive
+        # definite has no C
         rng = np.random.default_rng(11)
         for _ in range(20):
             model = random_nlp(rng, int(rng.integers(2, 6)), int(rng.integers(0, 4)), random_cone(rng))
@@ -161,8 +166,8 @@ class TestSymmetricReduction:
             definite = np.linalg.eigvalsh(-K[n:, n:]).min(initial=np.inf) > 0.0
             assert (rsys.C is not None) == definite
             if definite:
-                assert all(np.array_equal(B, B.transpose(0, 2, 1)) for B in rsys.N.blocks)
-                C = dense_schur_complement(K, n)
+                assert all(np.array_equal(B, B.transpose(0, 2, 1)) for B in rsys.N.full_blocks())
+                C = dense_schur_complement(K, n, reduced_cone_inverse_loop(model.cone, point.s, point.t, reg))
                 kd = rsys.C.shape[0] - 1
                 assert np.abs(rsys.C - lower_band(C, kd)).max() <= 1e-12 * (1.0 + np.abs(C).max())
 
@@ -495,29 +500,39 @@ def test_cone_jacobians_stay_blocked_outside_the_fallback(monkeypatch, name):
 
 
 def _cone_blocks_loop(model, point, reg):
-    """The reduced cone block -Msym and W = P_s + eps_p P_tb by one
-    np.linalg.solve per second-order segment; the batched assembly must
-    reproduce both exactly."""
+    """N's cone block, M + eps_d I with M = sym(W^-1 P_tb), and W = P_s +
+    eps_p P_tb, one segment at a time: a SecondOrder(2) segment in the
+    eigenbasis (1, +-1)/sqrt(2) of its arrow matrices, W as its eigenvalue
+    pair, any other by one np.linalg.solve per segment; the batched
+    assembly must reproduce both exactly."""
     p = model.p
     Ps, Pt = cone_product_jacobians(point.s, point.t, model.cone)
     Ptb = Pt - reg.eps_d * np.eye(p)
-    Msym = np.zeros((p, p))
+    N = reg.eps_d * np.eye(p)
     W = []
     for seg, sl in model.cone.slices():
+        if isinstance(seg, SecondOrder) and seg.dim == 2:
+            Ptb_pair = eigen_pair(point.s[sl]) + (-reg.eps_d)
+            Wb = eigen_pair(point.t[sl]) + reg.eps_p * Ptb_pair
+            N[sl, sl] = eigen_block(Ptb_pair / Wb + reg.eps_d)
+            W.append((seg, sl, Wb))
+            continue
         Wb = Ps[sl, sl] + reg.eps_p * Ptb[sl, sl]
         if isinstance(seg, SecondOrder) and seg.dim >= 2:
             M = np.linalg.solve(Wb, Ptb[sl, sl])
-            Msym[sl, sl] = 0.5 * (M + M.T)
+            N[sl, sl] += 0.5 * (M + M.T)
         else:
-            Msym[sl, sl] = np.diag(np.diag(Ptb[sl, sl]) / np.diag(Wb))
+            N[sl, sl] += np.diag(np.diag(Ptb[sl, sl]) / np.diag(Wb))
         W.append((seg, sl, Wb))
-    return Msym, W
+    return N, W
 
 
 def _apply_W_inverse_loop(W, v):
     out = np.empty_like(v)
     for seg, sl, Wb in W:
-        if isinstance(seg, SecondOrder) and seg.dim >= 2:
+        if isinstance(seg, SecondOrder) and seg.dim == 2:
+            out[sl] = eigen_apply(np.divide, Wb, v[sl])
+        elif isinstance(seg, SecondOrder) and seg.dim >= 2:
             out[sl] = np.linalg.solve(Wb, v[sl])
         else:
             d = np.diag(Wb)
@@ -527,7 +542,8 @@ def _apply_W_inverse_loop(W, v):
 
 def test_batched_cone_solves_match_segment_loop():
     # one stacked solve per second-order dimension, bitwise equal to one
-    # solve per segment, for vectors, matrices and column matrices
+    # solve per segment (dimension 2 in the eigenbasis of its arrow
+    # matrices), for vectors, matrices and column matrices
     rng = np.random.default_rng(41)
     for _ in range(60):
         segs = []
@@ -540,8 +556,7 @@ def test_batched_cone_solves_match_segment_loop():
         point.s = random_interior(rng, cone, scale=float(rng.uniform(0.1, 10.0)))
         reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
         rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
-        Msym, W = _cone_blocks_loop(model, point, reg)
-        N = reg.eps_d * np.eye(model.p) + Msym
+        N, W = _cone_blocks_loop(model, point, reg)
         if rsys.N is None:  # N is not positive definite: no C
             assert np.linalg.eigvalsh(N).min() <= 0.0
         else:
@@ -691,17 +706,41 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
 
 
 def test_boundary_cone_block_is_raised_for_the_certificate():
-    # a second-order block of N at the cone boundary, rank one as measured:
-    # it passes its Cholesky factorization only by round-off and has no
-    # inverse. complement raises it by CONE_RAISE, and the C it returns
-    # certifies K = [[I, I], [I, -B]], whose dense inertia is the target;
-    # the N it returns, for the solves, is the raised block
+    # a second-order block of N of dimension 3 at the cone boundary, rank
+    # deficient as measured: it passes its Cholesky factorization only by
+    # round-off and has no inverse. complement raises its stack by
+    # CONE_RAISE and counts it, and the C it returns certifies K = [[I, I],
+    # [I, -B]], whose dense inertia is the target; the N it returns, for
+    # the solves, is the raised block
     a = 3.2e8
-    B = np.array([[a, a], [a, a]])
+    B = np.array([[a, a, 0.0], [a, a, 0.0], [0.0, 0.0, a]])
     np.linalg.cholesky(B)
-    assert np.linalg.matrix_rank(B) == 1
+    assert np.linalg.matrix_rank(B) == 2
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(B)
+    spec = ConeSpec((SecondOrder(3),))
+    model = _identity_cone_model(spec)
+    point = SolverPoint(
+        x=np.ones(3), r=np.zeros(0), s=np.array([1.0, 0.5, 0.0]),
+        y=np.zeros(0), z=-np.ones(3), t=np.array([1.0, 0.5, 0.0]),
+    )
+    plan = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).plan
+    identity = np.eye(3).reshape(-1)  # the stored entries of L_xx and h_x
+    C, N, raised = plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (B[None],)))
+    assert raised == 1
+    assert factorize(C).certified
+    assert dense_inertia(np.block([[np.eye(3), np.eye(3)], [np.eye(3), -B]])) == (3, 3, 0)
+    raised_block = N.blocks[0][0]
+    assert raised_block[0, 1] == raised_block[1, 0] == a and np.all(np.diag(raised_block) > a)
+    assert np.linalg.eigvalsh(raised_block).min() > 0.0
+
+
+def test_boundary_eigenvalue_pair_is_inverted_exactly():
+    # a SecondOrder(2) block of N at the cone boundary, held as its
+    # eigenvalue pair: the small eigenvalue that the block's entries lose
+    # is kept, so complement raises nothing and C = I + N^{-1} holds N's
+    # exact inverse. A zero eigenvalue is not positive definite: no C
+    a = 3.2e8
     spec = ConeSpec((SecondOrder(2),))
     model = _identity_cone_model(spec)
     point = SolverPoint(
@@ -709,13 +748,14 @@ def test_boundary_cone_block_is_raised_for_the_certificate():
         y=np.zeros(0), z=-np.ones(2), t=np.array([1.0, 0.5]),
     )
     plan = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).plan
-    identity = np.eye(2).reshape(-1)  # the stored entries of L_xx and h_x
-    C, N = plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (B[None],)))
+    identity = np.eye(2).reshape(-1)
+    pairs = np.array([[2.0 * a, 6e-8]])
+    C, N, raised = plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (pairs,)))
+    assert raised == 0 and N.blocks[0] is pairs
+    np.testing.assert_array_equal(C, lower_band(np.eye(2) + eigen_block(1.0 / pairs[0]), C.shape[0] - 1))
     assert factorize(C).certified
-    assert dense_inertia(np.block([[np.eye(2), np.eye(2)], [np.eye(2), -B]])) == (2, 2, 0)
-    raised = N.blocks[0][0]
-    assert raised[0, 1] == raised[1, 0] == a and np.all(np.diag(raised) > a)
-    assert np.linalg.eigvalsh(raised).min() > 0.0
+    assert plan.complement(identity, identity, 0.0, 1.0,
+                           ConeBlocks(spec, np.zeros(0), (np.array([[2.0 * a, 0.0]]),))) is None
 
 
 def test_tracked_system_drops_the_schur_complement():

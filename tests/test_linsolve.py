@@ -10,6 +10,7 @@ from helpers import (
     dense_reduced_matrix,
     dense_schur_complement,
     lower_band,
+    reduced_cone_inverse_loop,
     trajectory_tracking,
 )
 from ipal.linsolve import (
@@ -478,7 +479,9 @@ class TestBlockedFactorize:
     @pytest.mark.parametrize("T", [10, 50, 100, 200])
     def test_matches_dense_along_tracking_solves(self, monkeypatch, T):
         # every 8th reduced system assembled during the solve, and the last:
-        # C equals the dense Schur complement in the stage order, its
+        # C equals the dense Schur complement in the stage order, with N's
+        # SecondOrder(2) blocks inverted in their eigenbasis (the dense
+        # inverse of their entries loses the small eigenvalue), its
         # Cholesky factorization certifies the dense inertia of K, and the
         # solves of K through C and N, by that factorization and by the band
         # LU of C, match the dense solve of K
@@ -503,7 +506,8 @@ class TestBlockedFactorize:
             _, point, _, outer, reg, cache = args
             K = dense_reduced_matrix(model, point, outer, reg, cache)
             order = rsys.plan.order
-            C = dense_schur_complement(K, n)[np.ix_(order, order)]
+            cone_inverse = reduced_cone_inverse_loop(model.cone, point.s, point.t, reg)
+            C = dense_schur_complement(K, n, cone_inverse)[np.ix_(order, order)]
             assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
             certified = factorize(rsys.schur())
             assert certified.certified and dense_inertia(K) == (n, N - n, 0)

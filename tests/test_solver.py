@@ -857,6 +857,26 @@ def test_every_factorization_is_of_order_at_most_n_or_m(monkeypatch):
     assert max(orders) <= max(model.n, model.m) < model.n + model.m + model.p
 
 
+def test_no_dense_cone_factorization_on_the_tracking_family(monkeypatch):
+    # a T = 100 tracking solve and its differentiate: the cone is Orthant(2)
+    # and SecondOrder(2) segments, whose blocks are eigenvalue pairs, so no
+    # cone block is solved, inverted or factored by numpy.linalg
+    model, x0, theta = trajectory_tracking(100)
+    calls = []
+    for name in ("solve", "inv", "cholesky"):
+        original = getattr(np.linalg, name)
+
+        def recorded(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    sol = solve(model, x0, theta)
+    assert sol.solved
+    assert not ipal.differentiate(model, sol, theta).used_least_squares
+    assert calls == []
+
+
 def _digest(a):
     a = np.ascontiguousarray(a, dtype=float)
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:16]
