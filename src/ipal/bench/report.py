@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..cone import cone_product
+from ..model import evaluate_values
 from ..solver import SolverOptions, solve, violation
 from .problems import get
 
@@ -131,9 +132,8 @@ def run_benchmark(
             )
         else:
             comp = 0.0
-        relax = _finite_or_none(
-            violation(problem.model, sol.point, problem.theta)
-        )
+        values = evaluate_values(problem.model, sol.point.x, problem.theta)
+        relax = _finite_or_none(violation(problem.model, sol.point, values))
 
     return BenchmarkRow(
         name=name,

@@ -12,7 +12,9 @@ The residual stacks, in that order,
     s o t - kappa*e
 
 where lam/rho are the multiplier estimate and penalty of the outer loop and
-kappa is the central-path parameter. Search directions (``search_direction``,
+kappa is the central-path parameter. No routine here calls the model:
+each reads the evaluation of its iterate (``EvalCache``) that its caller
+made where it first met the iterate. Search directions (``search_direction``,
 the one routine that computes them) solve the Newton system J dw = -R
 through a symmetric 3x3-block reduction in (dx, dy, dz), K = [[P, A'], [A,
 -N]] with P = L_xx + eps_p I and A = (g_x; h_x), whose factorization also
@@ -75,7 +77,7 @@ from .linsolve import (
     correct_inertia,
     solve_refined,
 )
-from .model import EvalCache, Pattern, ProblemModel, entries, evaluate
+from .model import EvalCache, Pattern, ProblemModel, entries
 
 
 @dataclass
@@ -88,12 +90,6 @@ class SolverPoint:
     y: np.ndarray
     z: np.ndarray
     t: np.ndarray
-
-    def copy(self) -> "SolverPoint":
-        return SolverPoint(
-            self.x.copy(), self.r.copy(), self.s.copy(),
-            self.y.copy(), self.z.copy(), self.t.copy(),
-        )
 
 
 @dataclass
@@ -156,31 +152,19 @@ def unrelaxed_rows(model: ProblemModel, point: SolverPoint, cache: EvalCache) ->
     return U
 
 
-def residual(
-    model: ProblemModel,
-    point: SolverPoint,
-    theta: np.ndarray,
-    outer: OuterState,
-    cache: Optional[EvalCache] = None,
-    rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Stacked stationarity residual at the given iterate. ``rows`` are its
-    ``unrelaxed_rows`` when already formed; R is written over them."""
-    if rows is None:
-        if cache is None:
-            cache = evaluate(model, point.x, theta, point.y, point.z)
-        rows = unrelaxed_rows(model, point, cache)
+def residual(model: ProblemModel, point: SolverPoint, outer: OuterState,
+             rows: np.ndarray) -> np.ndarray:
+    """Stacked stationarity residual at the iterate whose ``unrelaxed_rows``
+    are ``rows``; R is written over them."""
     return outer_rows(model, point, outer, rows, rows[layout_of(model.n, model.m, model.p).t])
 
 
 def outer_rows(model: ProblemModel, point: SolverPoint, outer: OuterState, R: np.ndarray,
-               products: Optional[np.ndarray] = None) -> np.ndarray:
+               products: np.ndarray) -> np.ndarray:
     """Write, in place, the rows of the residual R that read the outer state
     (lam, rho and kappa): the relaxation rows r and the complementarity
-    rows t, from s o t (``products``, formed when None). Returns R."""
+    rows t, from ``products``, s o t. Returns R."""
     lay = layout_of(model.n, model.m, model.p)
-    if products is None:
-        products = cone_product(point.s, point.t, model.cone)
     R[lay.r] = outer.lam + outer.rho * point.r - point.y
     R[lay.t] = products - outer.kappa * cone_target(model.cone)
     return R
@@ -189,15 +173,13 @@ def outer_rows(model: ProblemModel, point: SolverPoint, outer: OuterState, R: np
 def full_jacobian(
     model: ProblemModel,
     point: SolverPoint,
-    theta: np.ndarray,
     outer: OuterState,
+    cache: EvalCache,
     reg: RegularizationState = RegularizationState(),
-    cache: Optional[EvalCache] = None,
 ) -> np.ndarray:
-    """Jacobian of the residual with respect to w, with the primal shift
-    eps_p on the (x, r, s) diagonals and the dual shift eps_d on (y, z, t)."""
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
+    """Jacobian of the residual with respect to w at the iterate evaluated in
+    ``cache``, with the primal shift eps_p on the (x, r, s) diagonals and the
+    dual shift eps_d on (y, z, t)."""
     lay = layout_of(model.n, model.m, model.p)
     n, m, p = lay.n, lay.m, lay.p
     ep, ed = reg.eps_p, reg.eps_d
@@ -496,15 +478,15 @@ class ReducedSystem:
 def assemble_symmetric(
     model: ProblemModel,
     point: SolverPoint,
-    theta: np.ndarray,
     outer: OuterState,
+    cache: EvalCache,
     reg: RegularizationState = RegularizationState(),
-    cache: Optional[EvalCache] = None,
     *,
     tracks_multiplier: bool = False,
 ) -> ReducedSystem:
     """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``)
-    and its Schur complement C when N is positive definite.
+    and its Schur complement C when N is positive definite, at the iterate
+    evaluated in ``cache``.
 
     N is 1/(rho + eps_p) + eps_d on the equality duals, from the exact
     elimination of the relaxation block. With ``tracks_multiplier`` the
@@ -519,8 +501,6 @@ def assemble_symmetric(
     refinement against the exact Jacobian removes. (The dual shift of
     ``reg`` also shifts the complementarity rows, P_t - eps_d I, which at
     the cone boundary makes N indefinite.)"""
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
     lay = layout_of(model.n, model.m, model.p)
     ep, ed = reg.eps_p, reg.eps_d
     dual_scale = 1.0 / (outer.rho + ep)
@@ -570,7 +550,9 @@ class DirectionInfo:
     eps_p: float
     eps_d: float
     refine_passes: int  # refinement steps after the first reduced solve
-    used_full_solve: bool  # always False: no direction solves the dense Jacobian
+    # always False: no direction solves the dense Jacobian; kept because
+    # perfbench/layers.py reads it
+    used_full_solve: bool
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
     certified: bool = False  # inertia certified by the Schur complement's Cholesky
@@ -622,14 +604,14 @@ def reduced_solve(
 def search_direction(
     model: ProblemModel,
     point: SolverPoint,
-    theta: np.ndarray,
     outer: OuterState,
-    reg: RegularizationState = RegularizationState(),
-    cache: Optional[EvalCache] = None,
-    R: Optional[np.ndarray] = None,
-    norm_R: Optional[float] = None,
+    reg: RegularizationState,
+    cache: EvalCache,
+    R: np.ndarray,
+    norm_R: float,
 ) -> Tuple[SolverPoint, RegularizationState, DirectionInfo]:
-    """Newton direction for the stationarity system at the current iterate.
+    """Newton direction for the stationarity system at the iterate evaluated
+    in ``cache``, whose residual is ``R`` and its max-norm ``norm_R``.
 
     Regularization is chosen by inertia correction of the reduced system
     (certified inertia (n, m+p, 0)), starting from ``reg``. The symmetrized
@@ -639,24 +621,14 @@ def search_direction(
     ``DirectionInfo.raised``); refinement against the full system
     (``reduced_solve``) corrects both, and round-off elsewhere. The returned direction satisfies ||J dw + R||_inf <=
     CONSISTENCY_TOL * (1 + ||R||_inf) for the Jacobian at the returned
-    shifts, or NumericalFailure is raised. ``R`` is the residual at this
-    iterate and ``norm_R`` its max-norm when the caller has already computed
-    them.
+    shifts, or NumericalFailure is raised.
     """
-    if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
-    if R is None:
-        R = residual(model, point, theta, outer, cache)
-    if norm_R is None:
-        norm_R = np.abs(R).max() if R.size else 0.0
     lay = layout_of(model.n, model.m, model.p)
     holder: dict = {"trials": 0}
 
     def build(ep, ed):
         holder["trials"] += 1
-        holder["rsys"] = assemble_symmetric(
-            model, point, theta, outer, RegularizationState(ep, ed), cache
-        )
+        holder["rsys"] = assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed))
         return holder["rsys"].schur()
 
     fact, reg = correct_inertia(build, reg)

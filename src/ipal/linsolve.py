@@ -113,8 +113,8 @@ def solve_refined(
     apply: Callable[[np.ndarray], np.ndarray],
     solve: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
-    max_refine: int = 10,
-    tol: float = 1e-12,
+    max_refine: int,
+    tol: float,
     rhs_norm: Optional[float] = None,
 ) -> Tuple[np.ndarray, float, np.ndarray, int]:
     """Solve the linear system apply(x) = rhs by GMRES (Saad & Schultz,

@@ -110,13 +110,13 @@ def differentiate(
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
     Rt = residual_parameter_jacobian(model, point, theta)
 
-    rsys = assemble_symmetric(model, point, theta, outer, cache=cache, tracks_multiplier=True)
+    rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
     factored, singular = rsys, False
     try:
         fact = factorize(rsys.schur())
     except NumericalFailure:
         singular = True
-        factored = assemble_symmetric(model, point, theta, outer, PRIMAL_SHIFT, cache, tracks_multiplier=True)
+        factored = assemble_symmetric(model, point, outer, cache, PRIMAL_SHIFT, tracks_multiplier=True)
         fact = factorize(factored.schur())
     if model.m and not singular:
         try:

@@ -25,6 +25,12 @@ the cone, and the Newton step otherwise or when that line search fails
 (``corrected_step``). The cut is the test, a property of the iterate:
 correcting every step as well saves more iterations on trajectory problems
 but makes small problems slower.
+
+Each iterate is evaluated once, where the solve first meets it: its values
+(c, g, h) at x0 or in the line search that accepts it, its derivatives at
+the top of the loop. Every routine on the Newton path (``merit``,
+``violation``, ``initialize_point``, ``outer_update`` and those of ``kkt``)
+reads that evaluation, and the exit reuses the last one.
 """
 
 from __future__ import annotations
@@ -107,7 +113,6 @@ class TraceRecord:
     backtracks: int = 0  # step halvings of the line search (filter_step)
     # diagnostics of this iteration's Newton direction (DirectionInfo)
     refine_passes: int = 0
-    used_full_solve: bool = False
     consistency_error: float = 0.0
     inertia_trials: int = 0
     certified: bool = False
@@ -165,26 +170,21 @@ def checked_vector(value, size: int, name: str) -> np.ndarray:
     return out
 
 
-def merit(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: OuterState,
-          values: Optional[Values] = None, barrier: Optional[float] = None) -> float:
+def merit(point: SolverPoint, outer: OuterState, values: Values, barrier: float) -> float:
     """Augmented Lagrangian merit with the barrier on the cone slacks:
-    c + lam'r + (rho/2) r'r - kappa * barrier(s); ``barrier`` is
-    barrier_value(s) when already taken."""
-    c = (evaluate_values(model, point.x, theta) if values is None else values)[0]
-    phi = float(c) + outer.lam @ point.r + 0.5 * outer.rho * (point.r @ point.r)
-    if barrier is None:
-        barrier = barrier_value(point.s, model.cone)
+    c + lam'r + (rho/2) r'r - kappa * barrier(s), from the ``values`` (c, g,
+    h) at point.x and ``barrier``, barrier_value(s)."""
+    phi = float(values[0]) + outer.lam @ point.r + 0.5 * outer.rho * (point.r @ point.r)
     return float(phi - outer.kappa * barrier)
 
 
-def violation(model: ProblemModel, point: SolverPoint, theta: np.ndarray,
-              values: Optional[Values] = None) -> float:
-    """Relaxation mismatch ||(g - r, h - s)||_1 / (m + p); zero when
-    unconstrained."""
+def violation(model: ProblemModel, point: SolverPoint, values: Values) -> float:
+    """Relaxation mismatch ||(g - r, h - s)||_1 / (m + p), from the
+    ``values`` (c, g, h) at point.x; zero when unconstrained."""
     mp = model.m + model.p
     if mp == 0:
         return 0.0
-    _, g, h = evaluate_values(model, point.x, theta) if values is None else values
+    _, g, h = values
     return float((np.abs(g - point.r).sum() + np.abs(h - point.s).sum()) / mp)
 
 
@@ -227,7 +227,7 @@ RHO_MAX = 1e8
 
 
 def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
-                 opts: SolverOptions, products: Optional[np.ndarray] = None) -> OuterState:
+                 opts: SolverOptions, products: np.ndarray) -> OuterState:
     """Multiplier estimate takes the current duals; kappa follows the
     centrality of (s, t), never falling more slowly than the fixed schedule;
     rho grows against the new kappa.
@@ -250,12 +250,10 @@ def outer_update(outer: OuterState, point: SolverPoint, cone: ConeSpec,
     path, so kappa near the end does not vary with where the iterate
     happens to sit (that variation shows in the differences of re-solves
     that check ``differentiate``). A model without cone constraints follows
-    the schedule. ``products`` is s o t when already formed."""
+    the schedule. ``products`` is s o t."""
     step = min(KAPPA_LINEAR * outer.kappa, outer.kappa ** KAPPA_POWER)
     kappa = max(opts.kappa_min, min(outer.kappa, max(KAPPA_END * opts.tol, step)))
     if cone.dim:
-        if products is None:
-            products = cone_product(point.s, point.t, cone)
         w = products[cone_target(cone) == 1.0]
         mu = w.mean()
         xi = w.min() / mu
@@ -342,8 +340,8 @@ def filter_step(
         try:
             values = evaluate_values(model, cand.x, theta)
             barrier = barrier_value(cand.s, model.cone)
-            phi = merit(model, cand, theta, outer, values, barrier)
-            eta = violation(model, cand, theta, values)
+            phi = merit(cand, outer, values, barrier)
+            eta = violation(model, cand, values)
         except (NotInterior, EvaluationFailure):
             pass
         else:
@@ -397,10 +395,9 @@ def corrected_step(
         return None
 
 
-def initialize_point(model: ProblemModel, x0: np.ndarray, theta: np.ndarray,
-                     values: Optional[Values] = None) -> SolverPoint:
-    """Starting iterate; ``values`` are (c, g, h) at x0 if already computed."""
-    _, g0, h0 = evaluate_values(model, x0, theta) if values is None else values
+def initialize_point(model: ProblemModel, x0: np.ndarray, values: Values) -> SolverPoint:
+    """Starting iterate from the ``values`` (c, g, h) at x0."""
+    _, g0, h0 = values
     return SolverPoint(
         x=np.asarray(x0, dtype=float).copy(),
         r=g0.copy(),
@@ -449,23 +446,19 @@ def solve(
     status = SolveStatus.MAX_ITERATIONS
     total = 0
     outer_count = 0
-    point = None
+    point = cache = None
     outer = OuterState(lam=np.zeros(model.m), rho=opts.rho_init, kappa=KAPPA_INIT)
     try:
         # each iterate is evaluated once: its values at x0 here or in the
         # line search that accepts it, its derivatives at the top of the loop
         # (an outer update moves only lam, rho and kappa, so they stand)
         values = evaluate_values(model, x0, theta)
-        point = initialize_point(model, x0, theta, values)
+        point = initialize_point(model, x0, values)
         reg = RegularizationState()
         filt = Filter()
         barrier = barrier_value(point.s, model.cone)
-        current = (
-            merit(model, point, theta, outer, values, barrier),
-            violation(model, point, theta, values),
-        )
+        current = (merit(point, outer, values, barrier), violation(model, point, values))
         inner = 0
-        cache = None
         while True:
             if cache is None:
                 cache = evaluate(model, point.x, theta, point.y, point.z, values)
@@ -477,7 +470,7 @@ def solve(
                     break
                 if total >= opts.max_total:
                     break
-                R = residual(model, point, theta, outer, cache, R)
+                R = residual(model, point, outer, R)
             norm_R = np.abs(R).max()
             if subproblem_converged(norm_R, outer.kappa):
                 if outer_count >= opts.max_outer:
@@ -490,12 +483,12 @@ def solve(
                 # same (x, r, s, y, z, t): the evaluation, the convergence
                 # test, the violation, the barrier value and all rows of R
                 # but those that read lam, rho and kappa stand
-                current = (merit(model, point, theta, outer, values, barrier), current[1])
+                current = (merit(point, outer, values, barrier), current[1])
                 outer_rows(model, point, outer, R, products)
                 continue
             if inner >= MAX_INNER:
                 break
-            delta, reg, info = search_direction(model, point, theta, outer, reg, cache, R, norm_R)
+            delta, reg, info = search_direction(model, point, outer, reg, cache, R, norm_R)
             tau = max(TAU_MIN, 1.0 - outer.kappa)
             caps = cone_line_search(point, delta, tau, model)
             cut = min(caps) < 1.0
@@ -515,8 +508,7 @@ def solve(
                         merit=current[0], violation=current[1], alpha=alpha,
                         alpha_t=alpha_t, kappa=outer.kappa, rho=outer.rho,
                         backtracks=backtracks, eps_p=info.eps_p, eps_d=info.eps_d,
-                        refine_passes=info.refine_passes, used_full_solve=info.used_full_solve,
-                        consistency_error=info.consistency_error,
+                        refine_passes=info.refine_passes, consistency_error=info.consistency_error,
                         inertia_trials=info.inertia_trials, certified=info.certified,
                         raised=info.raised, cut=cut, corrected=corrected,
                     )
@@ -533,16 +525,16 @@ def solve(
             x=x0.copy(), r=np.zeros(model.m), s=np.ones(model.p),
             y=np.zeros(model.m), z=np.zeros(model.p), t=np.ones(model.p),
         )
-    # a solved run stopped right after evaluating its final point and
-    # taking its residual norm
-    final = cache if status is SolveStatus.SOLVED else None
+    # cache holds the evaluation of point and res_norm its residual norm
+    # unless evaluating point failed: a step clears cache, and only an
+    # accepted step moves point
     try:
-        c, g, h = (final.c, final.g, final.h) if final else evaluate_values(model, point.x, theta)
+        c, g, h = evaluate_values(model, point.x, theta) if cache is None else (cache.c, cache.g, cache.h)
         primal_violation = max(
             float(np.abs(g).max()) if g.size else 0.0,
             cone_infeasibility(model, h),
         )
-        if final is None:
+        if cache is None:
             res_norm = unrelaxed_residual_norm(model, point, theta)
     except (NumericalFailure, EvaluationFailure, NotInterior):
         c, primal_violation, res_norm = np.nan, np.nan, np.nan
@@ -558,6 +550,6 @@ def solve(
         rho=outer.rho,
         trace=trace if opts.record_trace else None,
     )
-    if final is not None:
-        solution._final = (model, _evaluation_key(theta, point), final)
+    if status is SolveStatus.SOLVED:
+        solution._final = (model, _evaluation_key(theta, point), cache)
     return solution

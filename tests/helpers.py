@@ -4,8 +4,17 @@ per-segment reference implementations of the cone algebra."""
 import numpy as np
 
 from ipal.cone import INTERIOR_MARGIN, ConeSpec, Orthant, SecondOrder
-from ipal.kkt import MAX_REFINE, OuterState, SolverPoint, assemble_symmetric, reduced_solve
-from ipal.linsolve import factorize
+from ipal.kkt import (
+    MAX_REFINE,
+    OuterState,
+    SolverPoint,
+    assemble_symmetric,
+    reduced_solve,
+    residual,
+    search_direction,
+    unrelaxed_rows,
+)
+from ipal.linsolve import RegularizationState, factorize
 from ipal.model import ProblemModel, evaluate
 
 
@@ -86,9 +95,28 @@ def random_iterate(rng, model):
     return point, outer
 
 
+def evaluate_at(model, point, theta):
+    """The evaluation of the model at an iterate, as the solver makes it."""
+    return evaluate(model, point.x, theta, point.y, point.z)
+
+
+def residual_at(model, point, theta, outer, cache=None):
+    """The stacked residual R at an iterate, from its evaluation ``cache``
+    (made here when None)."""
+    cache = evaluate_at(model, point, theta) if cache is None else cache
+    return residual(model, point, outer, unrelaxed_rows(model, point, cache))
+
+
+def direction_at(model, point, theta, outer, reg=RegularizationState()):
+    """search_direction at an iterate evaluated here, from the shifts ``reg``."""
+    cache = evaluate_at(model, point, theta)
+    R = residual_at(model, point, theta, outer, cache)
+    return search_direction(model, point, outer, reg, cache, R, np.abs(R).max())
+
+
 def finite_difference_residual_jacobian(model, point, theta, outer, step=1e-6):
     """Central differences of the stacked residual with respect to w."""
-    from ipal.kkt import Layout, residual
+    from ipal.kkt import Layout
 
     lay = Layout(model.n, model.m, model.p)
     w0 = lay.pack(point)
@@ -97,8 +125,8 @@ def finite_difference_residual_jacobian(model, point, theta, outer, step=1e-6):
         hj = step * (1.0 + abs(w0[j]))
         wp = w0.copy(); wp[j] += hj
         wm = w0.copy(); wm[j] -= hj
-        Rp = residual(model, lay.unpack(wp), theta, outer)
-        Rm = residual(model, lay.unpack(wm), theta, outer)
+        Rp = residual_at(model, lay.unpack(wp), theta, outer)
+        Rm = residual_at(model, lay.unpack(wm), theta, outer)
         J[:, j] = (Rp - Rm) / (2.0 * hj)
     return J
 
@@ -349,8 +377,8 @@ def zero_shift_direction(model, point, theta, outer, R, max_refine=MAX_REFINE, c
     ||J dw + R||_inf (inf when the solve fails) and the steps taken;
     NumericalFailure when the reduced system cannot be built or factored."""
     if cache is None:
-        cache = evaluate(model, point.x, theta, point.y, point.z)
-    rsys = assemble_symmetric(model, point, theta, outer, cache=cache)
+        cache = evaluate_at(model, point, theta)
+    rsys = assemble_symmetric(model, point, outer, cache)
     dw, err, _, passes = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, R, max_refine)
     return dw, err, passes
 

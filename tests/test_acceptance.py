@@ -11,11 +11,13 @@ import numpy as np
 from helpers import (
     dense_inertia,
     dense_reduced_matrix,
+    direction_at,
     finite_difference_residual_jacobian,
     random_cone,
     random_interior,
     random_iterate,
     random_nlp,
+    residual_at,
     zero_shift_direction,
 )
 from ipal.bench import autotune
@@ -35,8 +37,6 @@ from ipal.kkt import (
     Layout,
     assemble_symmetric,
     full_jacobian,
-    residual,
-    search_direction,
 )
 from ipal.linsolve import RegularizationState, correct_inertia, factorize
 from ipal.model import ProblemModel, evaluate, validate_derivatives
@@ -138,7 +138,7 @@ def test_criterion_2_kkt_consistency():
         lay = Layout(n, m, cone.dim)
         reg0 = RegularizationState()
 
-        J = full_jacobian(model, point, theta, outer, reg0, cache)
+        J = full_jacobian(model, point, outer, cache, reg0)
         Jfd = finite_difference_residual_jacobian(model, point, theta, outer)
         worst_fd = max(worst_fd, _rel(J, Jfd))
         assert _rel(J, Jfd) <= 1e-5
@@ -146,7 +146,7 @@ def test_criterion_2_kkt_consistency():
         # direction from the symmetric-reduction path vs the full system,
         # both at zero regularization; the reduction path refined to
         # consistency 1e-10 in at most 25 steps
-        R = residual(model, point, theta, outer, cache)
+        R = residual_at(model, point, theta, outer, cache)
         dw_red, err, _ = zero_shift_direction(model, point, theta, outer, R, 25, cache)
         tight = 1e-10 * (1.0 + np.abs(R).max())
         worst_tight = max(worst_tight, err / tight)
@@ -156,8 +156,8 @@ def test_criterion_2_kkt_consistency():
         assert _rel(dw_red, dw_full) <= 1e-8
 
         # production direction satisfies the consistency contract
-        direction, reg_new, _ = search_direction(model, point, theta, outer)
-        Jreg = full_jacobian(model, point, theta, outer, reg_new, cache)
+        direction, reg_new, _ = direction_at(model, point, theta, outer)
+        Jreg = full_jacobian(model, point, outer, cache, reg_new)
         err = np.abs(Jreg @ lay.pack(direction) + R).max()
         bound = 1e-8 * (1.0 + np.abs(R).max())
         worst_cons = max(worst_cons, err / bound)
@@ -217,10 +217,7 @@ def test_criterion_3_inertia_correction():
         holder = {}
 
         def build(ep, ed):
-            rsys = assemble_symmetric(
-                model, point, theta, outer,
-                RegularizationState(ep, ed, 0.0), cache,
-            )
+            rsys = assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed, 0.0))
             holder["C"] = rsys.schur()
             return holder["C"]
 
@@ -283,7 +280,7 @@ def _equilibrated_condition(model, solution, theta):
 
     cache = evaluate(model, solution.point.x, theta, solution.point.y, solution.point.z)
     outer = OuterState(np.zeros(model.m), solution.rho, solution.kappa)
-    J = full_jacobian(model, solution.point, theta, outer, RegularizationState(), cache)
+    J = full_jacobian(model, solution.point, outer, cache, RegularizationState())
     scale = np.abs(J).max(axis=1)
     scale[scale == 0.0] = 1.0
     return float(np.linalg.cond(J / scale[:, None]))

@@ -8,9 +8,11 @@ from helpers import (
     dense_inertia,
     dense_reduced_matrix,
     dense_schur_complement,
+    direction_at,
     eigen_apply,
     eigen_block,
     eigen_pair,
+    evaluate_at,
     finite_difference_residual_jacobian,
     lower_band,
     random_cone,
@@ -18,6 +20,7 @@ from helpers import (
     random_iterate,
     random_nlp,
     reduced_cone_inverse_loop,
+    residual_at,
     residual_reference,
     trajectory_tracking,
     unrelaxed_residual_norm_reference,
@@ -30,6 +33,7 @@ from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import (
     CONSISTENCY_TOL,
     MAX_REFINE,
+    REFINE_TOL,
     Layout,
     OuterState,
     SolverPoint,
@@ -38,8 +42,6 @@ from ipal.kkt import (
     full_jacobian,
     jacobian_apply,
     reduced_solve,
-    residual,
-    search_direction,
 )
 from ipal.cone import ConeBlocks, cone_product, cone_product_jacobians
 from ipal.linsolve import (
@@ -52,7 +54,7 @@ from ipal.linsolve import (
     factorize,
     solve_refined,
 )
-from ipal.model import ProblemModel, StageMatrix, entries, evaluate
+from ipal.model import ProblemModel, StageMatrix, entries, evaluate, evaluate_values
 from ipal.solver import SolverOptions, initialize_point, solve
 
 
@@ -96,7 +98,8 @@ class TestResidualJacobian:
         model = scalar_model(curvature=2.0)
         point = empty_point(model)
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
-        J = full_jacobian(model, point, np.zeros(0), outer, RegularizationState(eps_p=0.5))
+        cache = evaluate_at(model, point, np.zeros(0))
+        J = full_jacobian(model, point, outer, cache, RegularizationState(eps_p=0.5))
         assert J.shape == (1, 1)
         assert J[0, 0] == pytest.approx(2.5)
 
@@ -107,7 +110,7 @@ class TestResidualJacobian:
             y=np.array([0.25]), z=np.zeros(0), t=np.zeros(0),
         )
         outer = OuterState(lam=np.array([0.1]), rho=2.0, kappa=1.0)
-        R = residual(model, point, np.zeros(0), outer)
+        R = residual_at(model, point, np.zeros(0), outer)
         # rows: x + y, lam + rho*r - y, (g - r)
         assert np.allclose(R, [2.25, 0.85, 0.5])
 
@@ -118,7 +121,7 @@ class TestResidualJacobian:
             m = int(rng.integers(0, 5))
             model = random_nlp(rng, n, m, random_cone(rng))
             point, outer = random_iterate(rng, model)
-            J = full_jacobian(model, point, np.zeros(0), outer)
+            J = full_jacobian(model, point, outer, evaluate_at(model, point, np.zeros(0)))
             J_fd = finite_difference_residual_jacobian(model, point, np.zeros(0), outer)
             err = np.abs(J - J_fd).max() / (1.0 + np.abs(J).max())
             assert err <= 1e-5
@@ -143,7 +146,7 @@ class TestSymmetricReduction:
             y=np.zeros(0), z=np.zeros(1), t=np.array([0.5]),
         )
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
-        rsys = assemble_symmetric(model, point, np.zeros(0), outer)
+        rsys = assemble_symmetric(model, point, outer, evaluate_at(model, point, np.zeros(0)))
         assert rsys.N.diag[0] == pytest.approx(4.0)  # N = -(cone block of K)
         # C = 0 + 1 * (1/4) * 1
         assert rsys.C[0, 0] == pytest.approx(0.25)
@@ -160,7 +163,7 @@ class TestSymmetricReduction:
             point, outer = random_iterate(rng, model)
             reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-3)), eps_d=float(rng.uniform(0, 1e-6)))
             cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg, cache)
+            rsys = assemble_symmetric(model, point, outer, cache, reg)
             K = dense_reduced_matrix(model, point, outer, reg, cache)
             n = model.n
             definite = np.linalg.eigvalsh(-K[n:, n:]).min(initial=np.inf) > 0.0
@@ -181,9 +184,9 @@ class TestSymmetricReduction:
         )
         outer = OuterState(lam=np.array([0.1]), rho=2.0, kappa=1.0)
         reg = RegularizationState(eps_p=1e-4, eps_d=1e-6)
-        R = residual(model, point, np.zeros(0), outer)
-        rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
         cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
+        R = residual_at(model, point, np.zeros(0), outer, cache)
+        rsys = assemble_symmetric(model, point, outer, cache, reg)
         K = dense_reduced_matrix(model, point, outer, reg, cache)
         sol = np.linalg.solve(K, rsys.reduce_rows(R))
         dw = rsys.recover(sol, R)
@@ -203,8 +206,9 @@ class TestSymmetricReduction:
             m = int(rng.integers(0, 5))
             model = random_nlp(rng, n, m, random_cone(rng))
             point, outer = random_iterate(rng, model)
-            R = residual(model, point, np.zeros(0), outer)
-            J = full_jacobian(model, point, np.zeros(0), outer)
+            cache = evaluate_at(model, point, np.zeros(0))
+            R = residual_at(model, point, np.zeros(0), outer, cache)
+            J = full_jacobian(model, point, outer, cache)
             dw_full = np.linalg.solve(J, -R)
             dw, err, passes = zero_shift_direction(model, point, np.zeros(0), outer, R)
             assert err <= CONSISTENCY_TOL * (1.0 + np.abs(R).max())
@@ -231,7 +235,9 @@ class TestSymmetricReduction:
             rows = rng.standard_normal((model.n + 2 * model.m + 3 * model.p, 3))
             sol = rng.standard_normal((model.n + model.m + model.p, 3))
             for track in (False, True):
-                rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg, tracks_multiplier=track)
+                rsys = assemble_symmetric(
+                    model, point, outer, evaluate_at(model, point, np.zeros(0)), reg, tracks_multiplier=track
+                )
                 reduced = rsys.reduce_rows(rows)
                 dw = rsys.recover(sol, rows)
                 assert reduced.shape == sol.shape and dw.shape == rows.shape
@@ -250,9 +256,10 @@ class TestSearchDirection:
             m = int(rng.integers(0, 5))
             model = random_nlp(rng, n, m, random_cone(rng))
             point, outer = random_iterate(rng, model)
-            delta, reg, info = search_direction(model, point, np.zeros(0), outer)
-            R = residual(model, point, np.zeros(0), outer)
-            J = full_jacobian(model, point, np.zeros(0), outer, reg)
+            delta, reg, info = direction_at(model, point, np.zeros(0), outer)
+            cache = evaluate_at(model, point, np.zeros(0))
+            R = residual_at(model, point, np.zeros(0), outer, cache)
+            J = full_jacobian(model, point, outer, cache, reg)
             lay = Layout(n, m, model.p)
             err = np.abs(J @ lay.pack(delta) + R).max()
             assert err <= 1e-8 * (1.0 + np.abs(R).max())
@@ -263,7 +270,7 @@ class TestSearchDirection:
         point = empty_point(model)
         point.x = np.array([1.0])
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
-        delta, reg, info = search_direction(model, point, np.zeros(0), outer)
+        delta, reg, info = direction_at(model, point, np.zeros(0), outer)
         assert info.eps_p > 0.0
         assert reg.last_eps_p == info.eps_p
 
@@ -279,9 +286,9 @@ class TestSearchDirection:
         outer = OuterState(lam=np.zeros(1), rho=1.0, kappa=1.0)
         lay = Layout(1, 1, 0)
         for _ in range(3):
-            delta, _, _ = search_direction(model, point, np.zeros(0), outer)
+            delta, _, _ = direction_at(model, point, np.zeros(0), outer)
             point = lay.unpack(lay.pack(point) + lay.pack(delta))
-        R = residual(model, point, np.zeros(0), outer)
+        R = residual_at(model, point, np.zeros(0), outer)
         assert np.abs(R).max() <= 1e-12
 
     def test_zero_regularization_kept_when_inertia_correct(self):
@@ -291,7 +298,7 @@ class TestSearchDirection:
             y=np.array([0.0]), z=np.zeros(0), t=np.zeros(0),
         )
         outer = OuterState(lam=np.zeros(1), rho=1.0, kappa=1.0)
-        _, reg, info = search_direction(model, point, np.zeros(0), outer)
+        _, reg, info = direction_at(model, point, np.zeros(0), outer)
         assert info.eps_p == 0.0 and info.eps_d == 0.0
 
 
@@ -305,8 +312,8 @@ class TestJacobianApply:
             point, outer = random_iterate(rng, model)
             reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
             cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg, cache)
-            J = full_jacobian(model, point, np.zeros(0), outer, reg, cache)
+            rsys = assemble_symmetric(model, point, outer, cache, reg)
+            J = full_jacobian(model, point, outer, cache, reg)
             for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 3))):
                 err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
                 assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
@@ -323,10 +330,10 @@ class TestJacobianApply:
             point, outer = random_iterate(rng, model)
             cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
             lay = Layout(n, m, model.p)
-            J = full_jacobian(model, point, np.zeros(0), outer, RegularizationState(), cache)
+            J = full_jacobian(model, point, outer, cache, RegularizationState())
             J[lay.r, lay.y] = 0.0
             rows = rng.standard_normal((lay.total, 3))
-            rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache, tracks_multiplier=True)
+            rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
             dw = rng.standard_normal((lay.total, 3))
             err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
             assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
@@ -420,8 +427,8 @@ def test_corrected_direction_matches_the_dense_solve(monkeypatch, name):
     captured = []
     original = ipal.solver.search_direction
 
-    def capturing(model, point, theta, outer, reg, cache, R, norm_R):
-        out = original(model, point, theta, outer, reg, cache, R, norm_R)
+    def capturing(model, point, outer, reg, cache, R, norm_R):
+        out = original(model, point, outer, reg, cache, R, norm_R)
         captured.append((point, outer, cache, R.copy(), out))
         return out
 
@@ -434,7 +441,7 @@ def test_corrected_direction_matches_the_dense_solve(monkeypatch, name):
         assert corrected is not None
         rhs = -R
         rhs[lay.t] -= cone_product(delta.s, delta.t, model.cone)
-        J = full_jacobian(model, point, theta, outer, reg, cache)
+        J = full_jacobian(model, point, outer, cache, reg)
         got, expected = lay.pack(corrected), np.linalg.solve(J, rhs)
         bound = CONSISTENCY_TOL * (1.0 + np.abs(rhs).max())
         assert np.abs(J @ got - rhs).max() <= bound
@@ -461,12 +468,12 @@ def test_shared_residual_pass_is_bitwise_the_separate_passes(monkeypatch, name):
         checked["norms"] += 1
         return value
 
-    def checked_direction(model, point, theta, outer, reg, cache, R, norm_R):
+    def checked_direction(model, point, outer, reg, cache, R, norm_R):
         assert R.tobytes() == residual_reference(model, point, outer, cache).tobytes()
         # the one max-norm of R taken per Newton iteration
         assert np.float64(norm_R).tobytes() == np.abs(R).max().tobytes()
         checked["residuals"] += 1
-        return direction(model, point, theta, outer, reg, cache, R, norm_R)
+        return direction(model, point, outer, reg, cache, R, norm_R)
 
     monkeypatch.setattr(ipal.solver, "unrelaxed_residual_norm", checked_norm)
     monkeypatch.setattr(ipal.solver, "search_direction", checked_direction)
@@ -555,7 +562,7 @@ def test_batched_cone_solves_match_segment_loop():
         point, outer = random_iterate(rng, model)
         point.s = random_interior(rng, cone, scale=float(rng.uniform(0.1, 10.0)))
         reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
-        rsys = assemble_symmetric(model, point, np.zeros(0), outer, reg)
+        rsys = assemble_symmetric(model, point, outer, evaluate_at(model, point, np.zeros(0)), reg)
         N, W = _cone_blocks_loop(model, point, reg)
         if rsys.N is None:  # N is not positive definite: no C
             assert np.linalg.eigvalsh(N).min() <= 0.0
@@ -569,7 +576,7 @@ def test_batched_cone_solves_match_segment_loop():
 def _tracking_iterate(model, x0, theta):
     """A transcribed model's initial iterate with spread equality duals, an
     outer state and the evaluation there."""
-    point = initialize_point(model, x0, theta)
+    point = initialize_point(model, x0, evaluate_values(model, x0, theta))
     point.y = np.linspace(-1.0, 1.0, model.m)
     outer = OuterState(lam=np.zeros(model.m), rho=10.0, kappa=0.1)
     return point, outer, evaluate(model, point.x, theta, point.y, point.z)
@@ -582,8 +589,7 @@ def _tracking_assembler(model, x0, theta, tracks_multiplier=False):
 
     def assemble(ep, ed):
         return assemble_symmetric(
-            model, point, theta, outer, RegularizationState(ep, ed), cache,
-            tracks_multiplier=tracks_multiplier,
+            model, point, outer, cache, RegularizationState(ep, ed), tracks_multiplier=tracks_multiplier
         )
 
     def dense(ep, ed):
@@ -691,7 +697,7 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     )
     outer = OuterState(np.zeros(0), 1.0, 0.1)
     cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
-    rsys = assemble_symmetric(model, point, np.zeros(0), outer)
+    rsys = assemble_symmetric(model, point, outer, cache)
     K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
     M = -K[3:, 3:]
     assert np.linalg.eigvalsh(M).min() < 0.0
@@ -699,7 +705,7 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     assert rsys.C is None and dense_inertia(K) == (3, 3, 0)
     with pytest.raises(NumericalFailure):
         rsys.schur()
-    build = lambda ep, ed: assemble_symmetric(model, point, np.zeros(0), outer, RegularizationState(ep, ed))
+    build = lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed))
     fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).schur(), RegularizationState())
     assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == DUAL_SHIFT
     assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == (3, 3, 0)
@@ -724,7 +730,8 @@ def test_boundary_cone_block_is_raised_for_the_certificate():
         x=np.ones(3), r=np.zeros(0), s=np.array([1.0, 0.5, 0.0]),
         y=np.zeros(0), z=-np.ones(3), t=np.array([1.0, 0.5, 0.0]),
     )
-    plan = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).plan
+    cache = evaluate_at(model, point, np.zeros(0))
+    plan = assemble_symmetric(model, point, OuterState(np.zeros(0), 1.0, 0.1), cache).plan
     identity = np.eye(3).reshape(-1)  # the stored entries of L_xx and h_x
     C, N, raised = plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (B[None],)))
     assert raised == 1
@@ -747,7 +754,8 @@ def test_boundary_eigenvalue_pair_is_inverted_exactly():
         x=np.ones(2), r=np.zeros(0), s=np.array([1.0, 0.5]),
         y=np.zeros(0), z=-np.ones(2), t=np.array([1.0, 0.5]),
     )
-    plan = assemble_symmetric(model, point, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1)).plan
+    cache = evaluate_at(model, point, np.zeros(0))
+    plan = assemble_symmetric(model, point, OuterState(np.zeros(0), 1.0, 0.1), cache).plan
     identity = np.eye(2).reshape(-1)
     pairs = np.array([[2.0 * a, 6e-8]])
     C, N, raised = plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (pairs,)))
@@ -819,7 +827,7 @@ def test_fixed_shift_failure_raises_numerical_failure():
     point, outer = random_iterate(rng, model)
     point.s, point.t = np.array([1.0, 0.0]), np.zeros(2)
     with pytest.raises(NumericalFailure):
-        assemble_symmetric(model, point, np.zeros(0), outer)
+        assemble_symmetric(model, point, outer, evaluate_at(model, point, np.zeros(0)))
 
 
 def test_directions_refine_against_the_full_system_only(monkeypatch):
@@ -860,7 +868,7 @@ def test_schur_solves_match_the_dense_reduced_matrix_on_indefinite_c():
     indefinite = 0
     for model, point, outer in _acceptance_2_instances():
         cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
-        rsys = assemble_symmetric(model, point, np.zeros(0), outer, cache=cache)
+        rsys = assemble_symmetric(model, point, outer, cache)
         K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
         f = np.random.default_rng(model.n).standard_normal((K.shape[0], 3))
         expected = np.linalg.solve(K, f)
@@ -895,8 +903,8 @@ def test_schur_solves_match_the_dense_reduced_matrix(monkeypatch, name):
     assert solve(model, x0, theta).solved
     monkeypatch.undo()
     rng = np.random.default_rng(len(name))
-    for _, point, _, outer, reg, cache in captured:
-        rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
+    for _, point, outer, cache, reg in captured:
+        rsys = assemble_symmetric(model, point, outer, cache, reg)
         K = dense_reduced_matrix(model, point, outer, reg, cache)
         f = rng.standard_normal((K.shape[0], 3))
         expected = np.linalg.solve(K, f)
@@ -905,5 +913,7 @@ def test_schur_solves_match_the_dense_reduced_matrix(monkeypatch, name):
         factors = _solves_through_c(rsys, cache)
         assert factors[0].certified and not factors[1].certified
         for fact in factors:
-            got = solve_refined(lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f)[0]
+            got = solve_refined(
+                lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f, MAX_REFINE, REFINE_TOL
+            )[0]
             assert np.abs(got - expected).max() / scale <= max(1e-10, 10.0 * spread)

@@ -22,6 +22,7 @@ from ipal.linsolve import (
     factorize,
     solve_refined,
 )
+from ipal.kkt import MAX_REFINE, REFINE_TOL
 from ipal.model import InvalidDimension, ProblemModel
 from ipal.cone import ConeSpec
 from ipal.solver import solve
@@ -29,7 +30,7 @@ from ipal.solver import solve
 
 def refined(fact, K, rhs, max_refine=10):
     """Solution of K x = rhs by solve_refined with the factors of ``fact``."""
-    return solve_refined(lambda x: K @ x, fact.solve, rhs, max_refine)[0]
+    return solve_refined(lambda x: K @ x, fact.solve, rhs, max_refine, REFINE_TOL)[0]
 
 
 def full_band(C):
@@ -203,7 +204,7 @@ class TestSolveRefined:
             return np.zeros_like(b)
 
         rhs = np.array([1.0, -2.0])
-        x, err, res, passes = solve_refined(lambda v: 3.0 * v, solve, rhs)
+        x, err, res, passes = solve_refined(lambda v: 3.0 * v, solve, rhs, MAX_REFINE, REFINE_TOL)
         assert len(calls) == 2 and passes == 1
         assert np.array_equal(x, np.zeros(2)) and err == 2.0 and np.array_equal(res, -rhs)
 
@@ -226,7 +227,7 @@ class TestSolveRefined:
             return A @ v
 
         rhs = rng.standard_normal(6)
-        x, err, res, passes = solve_refined(apply, solve, rhs, max_refine=3)
+        x, err, res, passes = solve_refined(apply, solve, rhs, 3, REFINE_TOL)
         assert passes == 3 and len(solves) == 4 and len(products) == 5
         assert np.array_equal(res, A @ x - rhs)
         assert err == np.abs(res).max() > 1e-12 * (1.0 + np.abs(rhs).max())
@@ -243,7 +244,7 @@ class TestSolveRefined:
         solve = lambda b: b / 2.5
         assert np.abs(np.linalg.eigvals(np.eye(n) - A / 2.5)).max() > 1.0
         rhs = rng.standard_normal(n)
-        x, err, _, passes = solve_refined(lambda v: A @ v, solve, rhs, max_refine=50)
+        x, err, _, passes = solve_refined(lambda v: A @ v, solve, rhs, 50, REFINE_TOL)
         assert passes <= n
         assert err <= 1e-12 * (1.0 + np.abs(rhs).max())
         assert np.abs(A @ x - rhs).max() <= 1e-11 * (1.0 + np.abs(rhs).max())
@@ -263,10 +264,10 @@ class TestSolveRefined:
             calls.append(b.shape)
             return approx @ b
 
-        x, err, res, passes = solve_refined(lambda v: A @ v, solve, rhs, max_refine=4, tol=0.0)
+        x, err, res, passes = solve_refined(lambda v: A @ v, solve, rhs, 4, 0.0)
         assert passes == 4 and calls == [(n, 3)] * 5
         for j in range(3):
-            xj, _, resj, passes_j = solve_refined(lambda v: A @ v, solve, rhs[:, j], max_refine=4, tol=0.0)
+            xj, _, resj, passes_j = solve_refined(lambda v: A @ v, solve, rhs[:, j], 4, 0.0)
             assert passes_j == passes
             assert np.abs(x[:, j] - xj).max() <= 1e-13 * np.abs(xj).max()
             assert np.abs(res[:, j] - resj).max() <= 1e-13 * np.abs(rhs[:, j]).max()
@@ -274,7 +275,8 @@ class TestSolveRefined:
     def test_exact_inverse_takes_no_pass(self):
         K = np.array([[4.0, 1.0], [1.0, -3.0]])
         rhs = np.array([[1.0, 0.0], [2.0, 1.0]])
-        x, err, _, passes = solve_refined(lambda v: K @ v, factorize(full_band(K)).solve, rhs)
+        solve = factorize(full_band(K)).solve
+        x, err, _, passes = solve_refined(lambda v: K @ v, solve, rhs, MAX_REFINE, REFINE_TOL)
         assert passes == 0 and err <= 1e-12 * 3.0
         assert x.shape == rhs.shape
 
@@ -286,14 +288,14 @@ class TestSolveRefined:
         approx = np.linalg.inv(A + 0.3 * random_symmetric(rng, 6))
         rhs = rng.standard_normal(6)
         apply, solve_ = (lambda v: A @ v), (lambda b: approx @ b)
-        taken = solve_refined(apply, solve_, rhs)
-        given = solve_refined(apply, solve_, rhs, rhs_norm=np.abs(rhs).max())
+        taken = solve_refined(apply, solve_, rhs, MAX_REFINE, REFINE_TOL)
+        given = solve_refined(apply, solve_, rhs, MAX_REFINE, REFINE_TOL, rhs_norm=np.abs(rhs).max())
         assert taken[3] == given[3] > 0
         assert taken[0].tobytes() == given[0].tobytes() and taken[1] == given[1]
 
     def test_non_finite_residual_raises(self):
         with pytest.raises(NumericalFailure):
-            solve_refined(lambda v: v * np.inf, lambda b: b, np.ones(2))
+            solve_refined(lambda v: v * np.inf, lambda b: b, np.ones(2), MAX_REFINE, REFINE_TOL)
 
 
 class TestCorrectInertia:
@@ -503,7 +505,7 @@ class TestBlockedFactorize:
         n, N = model.n, model.n + model.m + model.p
         for args, kwargs in captured + [seen["last"]]:
             rsys = original(*args, **kwargs)
-            _, point, _, outer, reg, cache = args
+            _, point, outer, cache, reg = args
             K = dense_reduced_matrix(model, point, outer, reg, cache)
             order = rsys.plan.order
             cone_inverse = reduced_cone_inverse_loop(model.cone, point.s, point.t, reg)
@@ -520,6 +522,8 @@ class TestBlockedFactorize:
                 # times that difference
                 spread = np.abs(scipy_solve(K, f) - expected).max() / scale
                 for fact in (certified, band_lu(rsys.C)):
-                    got = solve_refined(lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f)[0]
+                    got = solve_refined(
+                        lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f, MAX_REFINE, REFINE_TOL
+                    )[0]
                     err = np.abs(got - expected).max() / scale
                     assert err <= max(1e-10, 10.0 * spread)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ipal.cone import ConeSpec, InvalidDimension, Orthant, SecondOrder
-from ipal.kkt import OuterState, SolverPoint
 from ipal.model import (
     EvaluationFailure,
     Pattern,
@@ -11,7 +10,6 @@ from ipal.model import (
     evaluate_values,
     validate_derivatives,
 )
-from ipal.solver import merit
 
 
 def quadratic_model(rng, n=4, m=2, cone=None, d=0):
@@ -134,7 +132,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("value", [np.zeros(1), [1.0], np.zeros(2)])
     def test_objective_shape_checked(self, value):
         # a non-scalar objective is a dimension error naming the objective,
-        # in evaluate_values and so in the merit of an unevaluated point
+        # in evaluate_values
         model = ProblemModel(
             n=1, m=0, p=0, cone=ConeSpec(),
             objective=lambda x, th: value,
@@ -143,10 +141,6 @@ class TestEvaluate:
         )
         with pytest.raises(InvalidDimension, match="objective"):
             evaluate_values(model, np.zeros(1), np.zeros(0))
-        point = SolverPoint(np.zeros(1), *(np.zeros(0) for _ in range(5)))
-        outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
-        with pytest.raises(InvalidDimension, match="objective"):
-            merit(model, point, np.zeros(0), outer)
 
     def test_cone_dim_mismatch(self):
         with pytest.raises(InvalidDimension):

@@ -16,9 +16,9 @@ import ipal.solver
 import ipal.trajopt
 from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking
 from ipal.bench.problems import REGISTRY
-from ipal.cone import ConeSpec, Orthant, SecondOrder
+from ipal.cone import ConeSpec, Orthant, SecondOrder, barrier_value, cone_product
 from ipal.kkt import CONSISTENCY_TOL, DirectionInfo, OuterState, SolverPoint
-from ipal.model import ProblemModel, evaluate_values
+from ipal.model import ProblemModel, StageMatrix, evaluate_values
 from ipal.solver import (
     KAPPA_END,
     KAPPA_LINEAR,
@@ -104,7 +104,8 @@ class TestMeasures:
         )
         outer = OuterState(lam=np.zeros(0), rho=2.0, kappa=0.5)
         # c = 4 + 1 = 5; barrier = log(1) + log(e) = 1; merit = 5 - 0.5
-        assert merit(model, point, np.zeros(0), outer) == pytest.approx(4.5)
+        values = evaluate_values(model, point.x, np.zeros(0))
+        assert merit(point, outer, values, barrier_value(point.s, model.cone)) == pytest.approx(4.5)
 
     def test_violation_is_average_l1_mismatch(self):
         model, _, _ = equality_qp()
@@ -113,7 +114,7 @@ class TestMeasures:
             y=np.zeros(1), z=np.zeros(0), t=np.zeros(0),
         )
         # g = 1, r = 0.25 -> |0.75| / 1
-        assert violation(model, point, np.zeros(0)) == pytest.approx(0.75)
+        assert violation(model, point, evaluate_values(model, point.x, np.zeros(0))) == pytest.approx(0.75)
 
     def test_violation_zero_when_unconstrained(self):
         model = ProblemModel(
@@ -129,7 +130,7 @@ class TestMeasures:
             x=np.ones(1), r=np.zeros(0), s=np.zeros(0),
             y=np.zeros(0), z=np.zeros(0), t=np.zeros(0),
         )
-        assert violation(model, point, np.zeros(0)) == 0.0
+        assert violation(model, point, evaluate_values(model, point.x, np.zeros(0))) == 0.0
 
     def test_convergence_boundary_inclusive(self):
         # complementarity product exactly at tol converges; just above does not
@@ -153,6 +154,11 @@ class TestMeasures:
         assert not subproblem_converged(0.2, 0.1)
 
 
+def _update(outer, point, cone, opts):
+    """outer_update with the products s o t of point."""
+    return outer_update(outer, point, cone, opts, cone_product(point.s, point.t, cone))
+
+
 class TestOuterUpdate:
     def test_first_update_example(self):
         outer = OuterState(lam=np.zeros(1), rho=1.0, kappa=1.0)
@@ -160,7 +166,7 @@ class TestOuterUpdate:
             x=np.zeros(1), r=np.zeros(1), s=np.zeros(0),
             y=np.array([3.0]), z=np.zeros(0), t=np.zeros(0),
         )
-        new = outer_update(outer, point, ConeSpec(), SolverOptions())
+        new = _update(outer, point, ConeSpec(), SolverOptions())
         assert new.kappa == pytest.approx(0.2)
         assert new.rho == pytest.approx(10.0)  # max(10*1, 1/0.2)
         assert new.lam[0] == 3.0
@@ -172,7 +178,7 @@ class TestOuterUpdate:
             x=np.zeros(1), r=np.zeros(0), s=np.zeros(0),
             y=np.zeros(0), z=np.zeros(0), t=np.zeros(0),
         )
-        new = outer_update(outer, point, ConeSpec(), opts)
+        new = _update(outer, point, ConeSpec(), opts)
         assert new.kappa == opts.kappa_min
         assert new.rho == RHO_MAX
 
@@ -182,7 +188,7 @@ class TestOuterUpdate:
             x=np.zeros(1), r=np.zeros(0), s=np.zeros(0),
             y=np.zeros(0), z=np.zeros(0), t=np.zeros(0),
         )
-        new = outer_update(outer, point, ConeSpec(), SolverOptions())
+        new = _update(outer, point, ConeSpec(), SolverOptions())
         assert new.kappa == pytest.approx((1e-4) ** 1.5)
 
     CONE = ConeSpec((Orthant(3), SecondOrder(3), SecondOrder(2)))
@@ -215,7 +221,7 @@ class TestOuterUpdate:
             s, t = (self._interior(rng) for _ in range(2))
             kappa = 10.0 ** rng.uniform(-9, 0)
             outer = OuterState(lam=np.zeros(0), rho=10.0 ** rng.uniform(0, 9), kappa=kappa)
-            new = outer_update(outer, self._point(s, t), self.CONE, opts)
+            new = _update(outer, self._point(s, t), self.CONE, opts)
             sched = self._schedule(kappa, opts)
             assert new.kappa <= sched
             assert new.kappa >= max(opts.kappa_min, min(sched, 10.0 * opts.tol))
@@ -232,7 +238,7 @@ class TestOuterUpdate:
         opts = SolverOptions()
         e = ipal.solver.cone_target(self.CONE)
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=kappa)
-        new = outer_update(outer, self._point(0.3 * e, 2.0 * kappa * e), self.CONE, opts)
+        new = _update(outer, self._point(0.3 * e, 2.0 * kappa * e), self.CONE, opts)
         assert new.kappa == max(opts.kappa_min, min(self._schedule(kappa, opts), 10.0 * opts.tol))
         assert new.rho == max(10.0, 1.0 / new.kappa)
 
@@ -248,7 +254,7 @@ class TestOuterUpdate:
 
         def update(kappa):  # from a centred point on kappa's path
             point = self._point(0.3 * e, 2.0 * kappa * e)
-            return outer_update(OuterState(np.zeros(0), 1.0, kappa), point, self.CONE, opts).kappa
+            return _update(OuterState(np.zeros(0), 1.0, kappa), point, self.CONE, opts).kappa
 
         end = max(opts.kappa_min, tol / 2)
         assert update(10.0 * tol) == end
@@ -264,7 +270,7 @@ class TestOuterUpdate:
         e = ipal.solver.cone_target(self.CONE)
         t = kappa * e
         t[0] = smallest
-        new = outer_update(OuterState(np.zeros(0), 1.0, kappa), self._point(e, t), self.CONE, opts)
+        new = _update(OuterState(np.zeros(0), 1.0, kappa), self._point(e, t), self.CONE, opts)
         assert new.kappa == self._schedule(kappa, opts)
 
     def test_rho_is_capped_below_one_over_kappa(self):
@@ -273,7 +279,7 @@ class TestOuterUpdate:
         e = ipal.solver.cone_target(self.CONE)
         opts = SolverOptions(tol=1e-12, kappa_min=1e-11)
         outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1e-3)
-        new = outer_update(outer, self._point(e, 1e-3 * e), self.CONE, opts)
+        new = _update(outer, self._point(e, 1e-3 * e), self.CONE, opts)
         assert new.kappa == opts.kappa_min and 1.0 / new.kappa > RHO_MAX
         assert new.rho == RHO_MAX
 
@@ -315,7 +321,7 @@ class TestConeLineSearch:
             x=np.zeros(1), r=np.zeros(0), s=np.zeros(0),
             y=np.zeros(0), z=np.zeros(0), t=np.zeros(0),
         )
-        delta = point.copy()
+        delta = SolverPoint(*dataclasses.astuple(point))  # astuple copies the arrays
         assert cone_line_search(point, delta, 0.99, model) == (1.0, 1.0)
 
     def test_caps_from_both_blocks(self):
@@ -419,6 +425,37 @@ class TestSolve:
         assert sol.status is SolveStatus.NUMERICAL_FAILURE
         assert np.isnan(sol.objective)
 
+    @staticmethod
+    def _nan_from(fn, k):
+        """fn, returning NaN in its output's shape from its k-th call on."""
+        calls = {"n": 0}
+
+        def broken(*args):
+            out = fn(*args)
+            calls["n"] += 1
+            if calls["n"] < k:
+                return out
+            if isinstance(out, StageMatrix):
+                return StageMatrix(out.pattern, np.full(out.values.shape, np.nan))
+            return np.full(np.shape(out), np.nan)
+
+        return broken
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_callbacks_turning_nan_end_in_a_status(self, name):
+        # each model callback goes NaN from its k-th call on: every solve
+        # returns a status and raises nothing, and a run that reports SOLVED
+        # (the callback was reached fewer than k times) meets its tolerance
+        prob = REGISTRY[name]
+        callbacks = ("objective", "objective_gradient", "equality", "equality_jacobian",
+                     "cone_constraint", "cone_jacobian", "lagrangian_hessian")
+        for callback in callbacks:
+            for k in (1, 3, 6, 10):
+                broken = self._nan_from(getattr(prob.model, callback), k)
+                sol = solve(dataclasses.replace(prob.model, **{callback: broken}), prob.x0, prob.theta)
+                assert isinstance(sol.status, SolveStatus)
+                assert not sol.solved or sol.residual_norm <= SolverOptions().tol
+
     def test_solved_summary_matches_returned_point(self):
         # the summary of a solved run reuses the final evaluation; it must
         # agree with a fresh evaluation at the returned point
@@ -430,6 +467,27 @@ class TestSolve:
             assert sol.objective == c
             assert sol.residual_norm == unrelaxed_residual_norm(model, sol.point, theta)
             assert sol.violation == max(np.abs(g).max(initial=0.0), cone_infeasibility(model, h))
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_every_exit_reuses_the_last_evaluation(self, name):
+        # a run cut at max_total ends right after evaluating its last point,
+        # which is not evaluated again: one Hessian per evaluated iterate,
+        # and a summary that agrees with a fresh evaluation at the point
+        prob = REGISTRY[name]
+        hessians = []
+
+        def lagrangian_hessian(*args):
+            hessians.append(None)
+            return prob.model.lagrangian_hessian(*args)
+
+        counted = dataclasses.replace(prob.model, lagrangian_hessian=lagrangian_hessian)
+        sol = solve(counted, prob.x0, prob.theta, SolverOptions(max_total=3))
+        assert sol.status is SolveStatus.MAX_ITERATIONS and sol.total_iterations == 3
+        assert len(hessians) == sol.total_iterations + 1
+        c, g, h = evaluate_values(prob.model, sol.point.x, prob.theta)
+        assert sol.objective == c
+        assert sol.residual_norm == unrelaxed_residual_norm(prob.model, sol.point, prob.theta)
+        assert sol.violation == max(np.abs(g).max(initial=0.0), cone_infeasibility(prob.model, h))
 
     def test_infeasible_problem_not_solved(self):
         # g(x) = x^2 + 1 has no root; the relaxation converges to a
@@ -499,14 +557,13 @@ class TestSolve:
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_trace_records_direction_diagnostics(name):
-    # every registry direction comes from the reduced solve, within the
-    # consistency bound of search_direction for that iterate's residual
+    # every registry direction is within the consistency bound of
+    # search_direction for that iterate's residual
     prob = REGISTRY[name]
     sol = solve(prob.model, prob.x0, prob.theta, SolverOptions(record_trace=True))
     assert sol.trace
     bound = CONSISTENCY_TOL
     for rec in sol.trace:
-        assert rec.used_full_solve is False
         assert rec.refine_passes >= 0
         assert 0.0 <= rec.consistency_error <= bound * (1.0 + rec.residual_norm)
 
@@ -522,9 +579,9 @@ def _traced_solve(monkeypatch, model, x0, theta, must_solve=True):
     factored, latest = [], {}
     factorize, assemble = ipal.linsolve.factorize, ipal.kkt.assemble_symmetric
 
-    def assembled(model, point, theta, outer, reg, cache, **kwargs):
+    def assembled(model, point, outer, cache, reg, **kwargs):
         latest["K"] = lambda: dense_reduced_matrix(model, point, outer, reg, cache)
-        return assemble(model, point, theta, outer, reg, cache, **kwargs)
+        return assemble(model, point, outer, cache, reg, **kwargs)
 
     def checked(C):
         factored.append(C)
@@ -833,6 +890,35 @@ def test_every_module_level_definition_has_a_caller_in_the_package():
     assert [(file, name) for file, name in defined if named[name] == own[name]] == []
 
 
+# the routines where an iterate is first met, which alone call the model
+# (ipal's module, top-level definition)
+EVALUATORS = {
+    ("solver", "solve"), ("solver", "filter_step"), ("solver", "unrelaxed_residual_norm"),
+    ("sensitivity", "differentiate"), ("model", "validate_derivatives"), ("report", "run_benchmark"),
+}
+
+
+def test_only_the_entry_points_evaluate_the_model():
+    # each iterate is evaluated once: every routine on the Newton path reads
+    # the evaluation it is handed, and ipal.kkt does not import the
+    # evaluators at all (evaluate's own call of evaluate_values aside)
+    evaluators = {"evaluate", "evaluate_values"}
+    callers = set()
+    for folder, _, files in os.walk(os.path.dirname(ipal.__file__)):
+        for file in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(folder, file)
+            with open(path) as source:
+                tree = ast.parse(source.read(), path)
+            module = file[:-3]
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.alias) and module == "kkt":
+                        assert node.name not in evaluators, node.name
+                    if isinstance(node, ast.Call) and evaluators & set(_names(node.func)):
+                        callers.add((module, getattr(top, "name", None)))
+    assert callers - {("model", "evaluate")} == EVALUATORS
+
+
 def test_every_factorization_is_of_order_at_most_n_or_m(monkeypatch):
     # a T = 100 tracking solve and its differentiate: every LAPACK
     # factorization ipal.linsolve takes (the Cholesky of C, of order n, a
@@ -929,11 +1015,11 @@ def test_outer_update_reuses_the_accepted_barrier_value(monkeypatch, name):
         trials.append(None)
         return original_values(*args)
 
-    def merit(model, point, theta, outer, values=None, barrier=None):
+    def merit(point, outer, values, barrier):
         assert barrier is not None
         assert np.float64(barrier).tobytes() == np.float64(original_barrier(point.s, model.cone)).tobytes()
         merits.append(None)
-        return original_merit(model, point, theta, outer, values, barrier)
+        return original_merit(point, outer, values, barrier)
 
     monkeypatch.setattr(ipal.solver, "barrier_value", barrier_value)
     monkeypatch.setattr(ipal.solver, "evaluate_values", evaluate_values)

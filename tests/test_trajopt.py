@@ -301,7 +301,7 @@ def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
     cache = evaluate(model, point.x, theta, point.y, point.z)
     K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
     # the Schur complement onto x is banded in the stage order
-    C = assemble_symmetric(model, point, theta, outer, cache=cache).C
+    C = assemble_symmetric(model, point, outer, cache).C
     assert C.shape[1] == model.n and C.shape[0] < model.n // 4
     assert np.count_nonzero(K) > 0
     for i, rows in enumerate(blocks):
