@@ -624,17 +624,9 @@ def search_direction(
     shifts, or NumericalFailure is raised.
     """
     lay = layout_of(model.n, model.m, model.p)
-    holder: dict = {"trials": 0}
-
-    def build(ep, ed):
-        holder["trials"] += 1
-        holder["rsys"] = assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed))
-        return holder["rsys"].schur()
-
-    fact, reg = correct_inertia(build, reg)
-    rsys: ReducedSystem = holder["rsys"]
-    assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
-
+    rsys, fact, reg, trials = correct_inertia(
+        lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed)), reg
+    )
     consistency = CONSISTENCY_TOL * (1.0 + norm_R)
     best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, MAX_REFINE, norm_R=norm_R)
     if best_err > consistency:
@@ -644,7 +636,7 @@ def search_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=False, consistency_error=best_err,
-        inertia_trials=holder["trials"], certified=fact.certified, raised=rsys.raised,
+        inertia_trials=trials, certified=fact.certified, raised=rsys.raised,
         system=(rsys, fact),
     )
     return lay.unpack(best), reg, info

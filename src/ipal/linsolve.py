@@ -29,13 +29,15 @@ The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization is certified, by IPOPT's rule with the
 constants next to ``correct_inertia`` (Waechter & Biegler, Math. Prog. 2006):
 first trial 1e-4, grow by 100 until the first successful correction and by 8
-after it, shrink the start by 1/3 on reuse.
+after it, shrink the start by 1/3 on reuse. It takes the system as a
+function of the shifts and returns the system it certified, with its
+factors, its shifts and the number of systems it tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
@@ -188,46 +190,44 @@ DUAL_SHIFT = 1e-8
 
 
 def correct_inertia(
-    assemble: Callable[[float, float], np.ndarray],
+    assemble: Callable[[float, float], Any],
     reg: RegularizationState,
-) -> Tuple[Factorization, RegularizationState]:
+) -> Tuple[Any, Factorization, RegularizationState, int]:
     """Find shifts (eps_p, eps_d) at which the reduced matrix is certified.
 
-    ``assemble(eps_p, eps_d)`` must return the Schur complement C of the
-    shifted reduced matrix (see ``factorize``), or raise NumericalFailure
-    when it has none; only a certified factorization is accepted. The
-    unshifted matrix is tried first; a failed assembly or factorization (an
-    exactly zero pivot) switches on the dual shift DUAL_SHIFT. The primal
-    shift starts at EPS_P_INIT on a first correction, or at SHRINK times
-    ``reg.last_eps_p`` (at least EPS_P_MIN), and grows by GROW_FIRST on a
-    first correction and by GROW after one, until the factorization is
-    certified or it exceeds EPS_P_MAX (InertiaCorrectionFailure).
+    ``assemble(eps_p, eps_d)`` must return the shifted reduced system, whose
+    ``schur()`` is its Schur complement C (see ``factorize``) or raises
+    NumericalFailure when it has none; only a certified factorization is
+    accepted. The unshifted matrix is tried first; a failed assembly or
+    factorization (an exactly zero pivot) switches on the dual shift
+    DUAL_SHIFT. The primal shift starts at EPS_P_INIT on a first correction,
+    or at SHRINK times ``reg.last_eps_p`` (at least EPS_P_MIN), and grows by
+    GROW_FIRST on a first correction and by GROW after one, until the
+    factorization is certified or it exceeds EPS_P_MAX
+    (InertiaCorrectionFailure).
+
+    Returns the certified system, its factors, its shifts and the number of
+    systems tried (calls of ``assemble``).
     """
-
-    def try_factor(ep, ed):
-        try:
-            return factorize(assemble(ep, ed))
-        except NumericalFailure:
-            return None
-
-    fact = try_factor(0.0, 0.0)
-    if fact is not None and fact.certified:
-        return fact, RegularizationState(0.0, 0.0, reg.last_eps_p)
-
-    eps_d = DUAL_SHIFT if fact is None else 0.0
     first_ever = reg.last_eps_p == 0.0
-    if first_ever:
-        eps_p = EPS_P_INIT
-    else:
-        eps_p = max(EPS_P_MIN, SHRINK * reg.last_eps_p)
+    start = EPS_P_INIT if first_ever else max(EPS_P_MIN, SHRINK * reg.last_eps_p)
+    grow = GROW_FIRST if first_ever else GROW
+    eps_p = eps_d = 0.0
+    trials = 0
     while eps_p <= EPS_P_MAX:
-        fact = try_factor(eps_p, eps_d)
+        trials += 1
+        try:
+            system = assemble(eps_p, eps_d)
+            fact = factorize(system.schur())
+        except NumericalFailure:
+            fact = None
         if fact is not None and fact.certified:
-            return fact, RegularizationState(eps_p, eps_d, eps_p)
+            return system, fact, RegularizationState(eps_p, eps_d, eps_p or reg.last_eps_p), trials
         if eps_d == 0.0 and fact is None:
             eps_d = DUAL_SHIFT
-            continue  # retry the same eps_p with the dual shift on
-        eps_p *= GROW_FIRST if first_ever else GROW
+            if eps_p:
+                continue  # retry the same eps_p with the dual shift on
+        eps_p = eps_p * grow if eps_p else start
     raise InertiaCorrectionFailure(
         f"no certified factorization for eps_p up to {EPS_P_MAX:g} (eps_d={eps_d:g})"
     )

@@ -97,16 +97,18 @@ def differentiate(
     the solution is solved (the point of an unconverged run has no
     sensitivities) and theta is finite and of shape (d,). The solution point
     is not modified. A ``solution`` of this model at this theta supplies the
-    evaluation at its point that ``solve`` ended with, instead of evaluating
-    it again.
+    evaluation at its point that ``solve`` ended with, and its residual
+    norm, instead of evaluating them again.
     """
     if not solution.solved:
         raise ValueError(f"differentiate needs a solved solution, not {solution.status.value}")
     point = solution.point
     theta = checked_vector(theta, model.d, "theta")
     cache = solution.final_evaluation(model, theta)
+    residual_norm = solution.residual_norm  # of that evaluation
     if cache is None:
         cache = evaluate(model, point.x, theta, point.y, point.z)
+        residual_norm = unrelaxed_residual_norm(model, point, theta, cache)
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
     Rt = residual_parameter_jacobian(model, point, theta)
 
@@ -139,7 +141,7 @@ def differentiate(
         dw=dw,
         dx=dw[: model.n].copy(),
         used_least_squares=flagged,
-        residual_norm=unrelaxed_residual_norm(model, point, theta, cache),
+        residual_norm=residual_norm,
     )
 
 

@@ -15,16 +15,17 @@ kappa_min if higher): a subproblem solved to kappa = tol/2 leaves products
 s o t of at most tol, so a lower kappa would buy nothing. The solve stops
 once the unrelaxed residual is at most tol.
 
-A Newton step that the fraction-to-boundary rule cuts (a cap below 1) is
-corrected by Mehrotra's second-order term (SIAM J. Optim. 1992): a full step
-leaves ds o dt in the complementarity rows, and ``kkt.corrector`` removes
-it by one more reduced solve through the step's own factors. The line
-search takes the corrected direction when it meets the consistency bound,
-its caps are no smaller than the Newton step's and its capped t is inside
-the cone, and the Newton step otherwise or when that line search fails
-(``corrected_step``). The cut is the test, a property of the iterate:
-correcting every step as well saves more iterations on trajectory problems
-but makes small problems slower.
+Each iteration is one ``newton_step``: the direction of
+``kkt.search_direction``, its fraction-to-boundary caps on s and t, and the
+filter line search. A step that the caps cut (one below 1) is corrected by
+Mehrotra's second-order term (SIAM J. Optim. 1992): a full step leaves ds o
+dt in the complementarity rows, and ``kkt.corrector`` removes it by one more
+reduced solve through the step's own factors. The line search takes the
+corrected direction when it meets the consistency bound, its caps are no
+smaller than the Newton step's and its capped t is inside the cone, and the
+Newton direction otherwise or when that line search fails. The cut is the
+test, a property of the iterate: correcting every step as well saves more
+iterations on trajectory problems but makes small problems slower.
 
 Each iterate is evaluated once, where the solve first meets it: its values
 (c, g, h) at x0 or in the line search that accepts it, its derivatives at
@@ -287,15 +288,6 @@ class Filter:
         self.entries.clear()
 
 
-def cone_line_search(
-    point: SolverPoint, delta: SolverPoint, tau: float, model: ProblemModel
-) -> Tuple[float, float]:
-    """Fraction-to-boundary step caps for the slacks s and complements t."""
-    alpha = max_step_to_boundary(point.s, delta.s, tau, model.cone)
-    alpha_t = max_step_to_boundary(point.t, delta.t, tau, model.cone)
-    return alpha, alpha_t
-
-
 ARMIJO = 1e-8  # sufficient-decrease margins in the filter rule
 MIN_STEP = 1e-12
 ROUNDOFF = 10.0 * np.finfo(float).eps  # relative rounding of the merit
@@ -311,15 +303,17 @@ def filter_step(
     alpha_init: float,
     alpha_t: float,
     current: Tuple[float, float],
-) -> Tuple[SolverPoint, float, Tuple[float, float], Values, int, float]:
+) -> Tuple[SolverPoint, float, float, Tuple[float, float], Values, int, float]:
     """Backtrack on the primal step until the filter accepts the candidate.
 
     Acceptance requires sufficient decrease in merit or violation relative to
     the current point and non-domination by the filter. Duals move by the
-    accepted alpha; the complement block moves by its own boundary cap.
-    Returns the new point, the accepted alpha, the accepted pair, the values
-    (c, g, h) at the new point, the number of step halvings taken, and the
-    barrier value of the new point's s.
+    accepted alpha; the complement block moves by its own boundary cap
+    alpha_t. Returns the new point, the accepted alpha, alpha_t, the accepted
+    pair, the values (c, g, h) at the new point, the number of step halvings
+    taken, and the barrier value of the new point's s. Raises
+    LineSearchFailure below MIN_STEP, or the EvaluationFailure of the last
+    trial when no trial's values could be evaluated.
     """
     phi0, eta0 = current
     # round-off relaxation (Waechter & Biegler, Math. Prog. 2006): near the
@@ -328,6 +322,7 @@ def filter_step(
     slack = ROUNDOFF * abs(phi0)
     alpha = alpha_init
     backtracks = 0
+    evaluated, failure = False, None
     while alpha >= MIN_STEP:
         cand = SolverPoint(
             x=point.x + alpha * delta.x,
@@ -339,11 +334,14 @@ def filter_step(
         )
         try:
             values = evaluate_values(model, cand.x, theta)
+            evaluated = True
             barrier = barrier_value(cand.s, model.cone)
             phi = merit(cand, outer, values, barrier)
             eta = violation(model, cand, values)
-        except (NotInterior, EvaluationFailure):
+        except NotInterior:
             pass
+        except EvaluationFailure as exc:
+            failure = exc
         else:
             sufficient = (phi < phi0 - ARMIJO * eta0 + slack) or (eta < (1.0 - ARMIJO) * eta0)
             if sufficient and not filt.dominated(phi - slack, eta):
@@ -351,48 +349,54 @@ def filter_step(
                 cand.z = point.z + alpha * delta.z
                 cand.t = point.t + alpha_t * delta.t
                 filt.add(phi, eta)
-                return cand, alpha, (phi, eta), values, backtracks, barrier
+                return cand, alpha, alpha_t, (phi, eta), values, backtracks, barrier
         alpha *= 0.5
         backtracks += 1
+    if failure is not None and not evaluated:
+        raise failure
     raise LineSearchFailure(f"no acceptable step above {MIN_STEP:g}")
 
 
-def corrected_step(
-    model: ProblemModel,
-    point: SolverPoint,
-    delta: SolverPoint,
-    theta: np.ndarray,
-    outer: OuterState,
-    filt: Filter,
-    caps: Tuple[float, float],
-    current: Tuple[float, float],
-    cache: EvalCache,
-    R: np.ndarray,
-    info: DirectionInfo,
-    tau: float,
-) -> Optional[Tuple[tuple, float]]:
-    """The filter step along the corrected direction delta + dc of
-    ``kkt.corrector``, for a Newton direction delta whose boundary caps
-    ``caps`` (alpha, alpha_t) cut it, and the complement cap it moved t by.
-    None, leaving the filter as it was, when the corrected direction misses
-    the consistency bound, when its caps are not both at least min(caps) or
-    its capped t is not strictly inside the cone, or when its line search
-    fails: the iteration then takes delta."""
-    corrected = corrector(model, cache, outer.rho, R, delta, info)
-    if corrected is None:
-        return None
-    alpha, alpha_t = cone_line_search(point, corrected, tau, model)
-    if min(alpha, alpha_t) < min(caps):
-        return None
-    # t moves by its cap unchecked (s by the line search, which evaluates
-    # its barrier), and the cap of a second-order segment whose crossing
-    # max_step_to_boundary takes as linear can overshoot the boundary
-    if not in_cone(point.t + alpha_t * corrected.t, model.cone, strict=True):
-        return None
-    try:
-        return filter_step(model, point, corrected, theta, outer, filt, alpha, alpha_t, current), alpha_t
-    except LineSearchFailure:
-        return None
+TAU_MIN = 0.99  # fraction-to-boundary floor
+
+
+def newton_step(model: ProblemModel, point: SolverPoint, theta: np.ndarray, outer: OuterState,
+                filt: Filter, current: Tuple[float, float], reg: RegularizationState,
+                cache: EvalCache, R: np.ndarray, norm_R: float) -> tuple:
+    """One Newton iteration from the iterate evaluated in ``cache``, whose
+    residual is R and its max-norm norm_R: the direction delta of
+    ``search_direction``, its boundary caps (alpha, alpha_t) on s and t, and
+    the filter step along it, or along the corrected direction of
+    ``kkt.corrector`` when the caps cut delta and the correction passes the
+    tests of the module docstring (its line search failing or evaluating no
+    trial is one of them). Returns the result of ``filter_step``, the
+    shifts and DirectionInfo of delta, whether the caps cut delta and
+    whether the step was corrected."""
+    tau = max(TAU_MIN, 1.0 - outer.kappa)
+
+    def caps(d: SolverPoint) -> Tuple[float, float]:
+        return (max_step_to_boundary(point.s, d.s, tau, model.cone),
+                max_step_to_boundary(point.t, d.t, tau, model.cone))
+
+    delta, reg, info = search_direction(model, point, outer, reg, cache, R, norm_R)
+    alpha, alpha_t = caps(delta)
+    cut = min(alpha, alpha_t) < 1.0
+    corrected = corrector(model, cache, outer.rho, R, delta, info) if cut else None
+    if corrected is not None:
+        c_alpha, c_alpha_t = caps(corrected)
+        # t moves by its cap unchecked (s by the line search, which evaluates
+        # its barrier), and the cap of a second-order segment whose crossing
+        # max_step_to_boundary takes as linear can overshoot the boundary
+        if not min(c_alpha, c_alpha_t) < min(alpha, alpha_t) and in_cone(
+            point.t + c_alpha_t * corrected.t, model.cone, strict=True
+        ):
+            try:
+                step = filter_step(model, point, corrected, theta, outer, filt, c_alpha, c_alpha_t, current)
+                return step, reg, info, cut, True
+            except (LineSearchFailure, EvaluationFailure):
+                pass
+    step = filter_step(model, point, delta, theta, outer, filt, alpha, alpha_t, current)
+    return step, reg, info, cut, False
 
 
 def initialize_point(model: ProblemModel, x0: np.ndarray, values: Values) -> SolverPoint:
@@ -423,7 +427,6 @@ def _check_options(opts: SolverOptions) -> None:
 
 
 KAPPA_INIT = 1.0
-TAU_MIN = 0.99  # fraction-to-boundary floor
 MAX_INNER = 150  # Newton iterations per subproblem
 
 
@@ -488,16 +491,10 @@ def solve(
                 continue
             if inner >= MAX_INNER:
                 break
-            delta, reg, info = search_direction(model, point, outer, reg, cache, R, norm_R)
-            tau = max(TAU_MIN, 1.0 - outer.kappa)
-            caps = cone_line_search(point, delta, tau, model)
-            cut = min(caps) < 1.0
-            step = corrected_step(model, point, delta, theta, outer, filt, caps, current,
-                                  cache, R, info, tau) if cut else None
-            corrected = step is not None
-            if not corrected:
-                step = filter_step(model, point, delta, theta, outer, filt, *caps, current), caps[1]
-            (point, alpha, current, values, backtracks, barrier), alpha_t = step
+            step, reg, info, cut, corrected = newton_step(
+                model, point, theta, outer, filt, current, reg, cache, R, norm_R
+            )
+            point, alpha, alpha_t, current, values, backtracks, barrier = step
             cache = None
             total += 1
             inner += 1

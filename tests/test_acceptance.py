@@ -214,19 +214,15 @@ def test_criterion_3_inertia_correction():
         theta = np.zeros(0)
         cache = evaluate(model, point.x, theta, point.y, point.z)
 
-        holder = {}
-
         def build(ep, ed):
-            rsys = assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed, 0.0))
-            holder["C"] = rsys.schur()
-            return holder["C"]
+            return assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed, 0.0))
 
         # a certified factorization of the Schur complement means inertia
         # (n, m + p, 0), which the dense reduced matrix must have
         target = (n, m + p, 0)
-        fact, reg = correct_inertia(build, RegularizationState())
+        rsys, fact, reg, _ = correct_inertia(build, RegularizationState())
         assert fact.certified, k
-        assert factorize(holder["C"]).certified
+        assert factorize(rsys.schur()).certified
         assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == target, k
         shifted += reg.eps_p > 0.0
     assert _line(

@@ -368,6 +368,21 @@ def test_solve_builds_no_dense_jacobian_without_fallback(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_each_direction_is_solved_through_the_system_at_its_shifts(monkeypatch, name):
+    # the system correct_inertia certified, which the direction and the
+    # corrector solve through, is the one assembled at the returned shifts
+    prob = REGISTRY[name]
+    directions = []
+    _counting(monkeypatch, ipal.solver, "search_direction", directions)
+    sol = solve(prob.model, prob.x0, prob.theta)
+    assert sol.solved and directions
+    for _, reg, info in directions:
+        rsys, fact = info.system
+        assert (rsys.eps_p, rsys.eps_d) == (info.eps_p, info.eps_d) == (reg.eps_p, reg.eps_d)
+        assert fact.certified and info.inertia_trials >= 1
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_solve_computes_each_residual_once(monkeypatch, name):
     # one pass over the rows the residual and its unrelaxed norm share, and
     # one unrelaxed residual norm, per evaluated iterate, the final one
@@ -613,13 +628,14 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
     trials = []
 
     def assemble(ep, ed):
-        C = build(ep, ed).schur()
-        trials.append((factorize(C).certified, dense_inertia(dense(ep, ed)) == target))
-        return C
+        rsys = build(ep, ed)
+        trials.append((factorize(rsys.schur()).certified, dense_inertia(dense(ep, ed)) == target))
+        return rsys
 
-    fact, reg = correct_inertia(assemble, RegularizationState())
+    rsys, fact, reg, count = correct_inertia(assemble, RegularizationState())
     assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == 0.0
-    assert len(trials) > 1 and trials[-1] == (True, True)
+    assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
+    assert count == len(trials) > 1 and trials[-1] == (True, True)
     assert all(certified == dense for certified, dense in trials)
 
 
@@ -657,7 +673,7 @@ def test_indefinite_schur_complement_falls_back_to_the_sweep():
     assert rsys.C is not None
     fact = factorize(rsys.schur())
     assert not fact.certified and fact.pivots is not None and dense_inertia(dense(0.0, 0.0)) != target
-    fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).schur(), RegularizationState())
+    _, fact, reg, _ = correct_inertia(build, RegularizationState())
     assert fact.certified and reg.eps_p > 0.0
     assert dense_inertia(dense(reg.eps_p, reg.eps_d)) == target
 
@@ -706,7 +722,7 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     with pytest.raises(NumericalFailure):
         rsys.schur()
     build = lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed))
-    fact, reg = correct_inertia(lambda ep, ed: build(ep, ed).schur(), RegularizationState())
+    _, fact, reg, _ = correct_inertia(build, RegularizationState())
     assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == DUAL_SHIFT
     assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == (3, 3, 0)
 

@@ -298,12 +298,25 @@ class TestSolveRefined:
             solve_refined(lambda v: v * np.inf, lambda b: b, np.ones(2), MAX_REFINE, REFINE_TOL)
 
 
+class System:
+    """A shifted reduced system as ``correct_inertia`` takes it: its shifts
+    and its Schur complement C."""
+
+    def __init__(self, eps_p, eps_d, C):
+        self.eps_p, self.eps_d, self.C = eps_p, eps_d, C
+
+    def schur(self):
+        return self.C
+
+
 class TestCorrectInertia:
     @staticmethod
     def kkt_assemble(H, A, dual=0.0):
-        """The Schur complement of K = [[H + eps_p I, A'], [A, -(dual +
-        eps_d) I]], or NumericalFailure while that dual block is not
-        positive definite; and K itself."""
+        """The system whose Schur complement is that of K = [[H + eps_p I,
+        A'], [A, -(dual + eps_d) I]], or NumericalFailure while that dual
+        block is not positive definite; K itself; and the systems
+        assembled."""
+        assembled = []
 
         def matrix(ep, ed):
             n, m = H.shape[0], A.shape[0]
@@ -311,18 +324,19 @@ class TestCorrectInertia:
 
         def assemble(ep, ed):
             n, m = H.shape[0], A.shape[0]
+            assembled.append((ep, ed))
             if m and not dual + ed > 0.0:
                 raise NumericalFailure("the dual block is not positive definite")
-            return full_band(dense_schur_complement(matrix(ep, ed), n))
+            return System(ep, ed, full_band(dense_schur_complement(matrix(ep, ed), n)))
 
-        return assemble, matrix
+        return assemble, matrix, assembled
 
     def test_no_shift_when_inertia_correct(self):
         rng = np.random.default_rng(5)
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
-        assemble, matrix = self.kkt_assemble(H, A, 0.1)
-        fact, reg = correct_inertia(assemble, RegularizationState())
+        assemble, matrix, _ = self.kkt_assemble(H, A, 0.1)
+        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
         assert reg.eps_p == 0.0 and reg.eps_d == 0.0
         assert fact.certified and dense_inertia(matrix(0.0, 0.0)) == (4, 2, 0)
 
@@ -330,8 +344,8 @@ class TestCorrectInertia:
         rng = np.random.default_rng(6)
         H = random_symmetric(rng, 4) - 3.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
-        assemble, matrix = self.kkt_assemble(H, A, 0.1)
-        fact, reg = correct_inertia(assemble, RegularizationState())
+        assemble, matrix, _ = self.kkt_assemble(H, A, 0.1)
+        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
         assert fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
         assert reg.eps_p > 0.0
         assert reg.last_eps_p == reg.eps_p
@@ -342,25 +356,46 @@ class TestCorrectInertia:
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         a = rng.standard_normal((1, 4))
         A = np.vstack([a, a])
-        assemble, matrix = self.kkt_assemble(H, A)
-        fact, reg = correct_inertia(assemble, RegularizationState())
+        assemble, matrix, _ = self.kkt_assemble(H, A)
+        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
         assert fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
         assert reg.eps_d > 0.0
 
     def test_reuse_shrinks_first_trial(self):
         H = np.diag([-1e-6, 1.0, 1.0])
         A = np.zeros((0, 3))
-        assemble, _ = self.kkt_assemble(H, A)
-        fact, reg = correct_inertia(assemble, RegularizationState())
+        assemble, _, _ = self.kkt_assemble(H, A)
+        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
         assert reg.eps_p == pytest.approx(1e-4)
-        fact, reg2 = correct_inertia(assemble, reg)
+        _, fact, reg2, _ = correct_inertia(assemble, reg)
         assert reg2.eps_p == pytest.approx(1e-4 / 3.0)
+
+    @pytest.mark.parametrize("case", ["certified", "indefinite", "duplicated"])
+    def test_returns_the_system_it_certified(self, monkeypatch, case):
+        # the system returned is the last one assembled, at the returned
+        # shifts; the trials count every system assembled, and each that
+        # has a Schur complement is factored once
+        rng = np.random.default_rng(8)
+        H = random_symmetric(rng, 4) + (-3.0 if case == "indefinite" else 4.0) * np.eye(4)
+        A = rng.standard_normal((2, 4))
+        if case == "duplicated":
+            A[1] = A[0]
+        assemble, _, assembled = self.kkt_assemble(H, A, 0.0 if case == "duplicated" else 0.1)
+        factored = []
+        original = ipal.linsolve.factorize
+        monkeypatch.setattr(ipal.linsolve, "factorize", lambda C: factored.append(C) or original(C))
+        system, fact, reg, trials = correct_inertia(assemble, RegularizationState())
+        assert fact.certified and system.C is factored[-1]
+        assert (system.eps_p, system.eps_d) == (reg.eps_p, reg.eps_d) == assembled[-1]
+        assert trials == len(assembled)
+        assert len(factored) == trials - (case == "duplicated")
+        assert (trials > 1) == (case != "certified")
 
     def test_unreachable_target_raises(self):
         # a C that no primal shift reaches is never certified, though its
         # band LU factors it
-        assemble = lambda ep, ed: -np.ones((1, 3))
-        assert not factorize(assemble(0.0, 0.0)).certified
+        assemble = lambda ep, ed: System(ep, ed, -np.ones((1, 3)))
+        assert not factorize(assemble(0.0, 0.0).schur()).certified
         with pytest.raises(InertiaCorrectionFailure):
             correct_inertia(assemble, RegularizationState())
 

@@ -518,6 +518,25 @@ def test_differentiate_reuses_the_final_evaluation_of_solve(monkeypatch):
     assert len(calls) == 4
 
 
+def test_differentiate_takes_the_residual_norm_of_solve(monkeypatch):
+    # with the final evaluation of solve, the residual norm at the point is
+    # the solution's, bitwise what forming the unrelaxed rows again gives
+    model, sol, theta = _solved("mpc-autotune")
+    calls = []
+    original = ipal.sensitivity.unrelaxed_residual_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ipal.sensitivity, "unrelaxed_residual_norm", counted)
+    reused = differentiate(model, sol, theta)
+    assert calls == []
+    fresh = differentiate(model, dataclasses.replace(sol), theta)
+    assert len(calls) == 1
+    assert reused.residual_norm == fresh.residual_norm == sol.residual_norm
+
+
 def test_row_scale_matches_dense_jacobian():
     # the acceptance check's row scales, read off the blocks, equal the row
     # max-norms of the dense Jacobian with J[r, y] = 0

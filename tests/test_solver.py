@@ -16,9 +16,10 @@ import ipal.solver
 import ipal.trajopt
 from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking
 from ipal.bench.problems import REGISTRY
-from ipal.cone import ConeSpec, Orthant, SecondOrder, barrier_value, cone_product
-from ipal.kkt import CONSISTENCY_TOL, DirectionInfo, OuterState, SolverPoint
-from ipal.model import ProblemModel, StageMatrix, evaluate_values
+from ipal.cone import ConeSpec, Orthant, SecondOrder, barrier_value, cone_product, max_step_to_boundary
+from ipal.kkt import CONSISTENCY_TOL, DirectionInfo, OuterState, SolverPoint, residual, unrelaxed_rows
+from ipal.linsolve import RegularizationState
+from ipal.model import EvaluationFailure, ProblemModel, StageMatrix, evaluate, evaluate_values
 from ipal.solver import (
     KAPPA_END,
     KAPPA_LINEAR,
@@ -29,7 +30,6 @@ from ipal.solver import (
     SolverOptions,
     TraceRecord,
     cone_infeasibility,
-    cone_line_search,
     merit,
     outer_update,
     solve,
@@ -306,25 +306,41 @@ class TestFilter:
         assert f.entries == []
 
 
-class TestConeLineSearch:
+def _newton_step_at(model, point, outer):
+    """newton_step from point, evaluated, with an empty filter; its result."""
+    theta = np.zeros(model.d)
+    values = evaluate_values(model, point.x, theta)
+    cache = evaluate(model, point.x, theta, point.y, point.z, values)
+    R = residual(model, point, outer, unrelaxed_rows(model, point, cache))
+    current = (merit(point, outer, values, barrier_value(point.s, model.cone)), violation(model, point, values))
+    return ipal.solver.newton_step(model, point, theta, outer, Filter(), current, RegularizationState(),
+                                   cache, R, np.abs(R).max())
+
+
+class TestNewtonStep:
     def test_unconstrained_is_unit(self):
         model = ProblemModel(
             n=1,
             m=0,
             p=0,
             cone=ConeSpec(),
-            objective=lambda x, th: 0.0,
-            objective_gradient=lambda x, th: np.zeros(1),
-            lagrangian_hessian=lambda x, th, y, z: np.zeros((1, 1)),
+            objective=lambda x, th: 0.5 * float((x[0] - 1.0) ** 2),
+            objective_gradient=lambda x, th: x - 1.0,
+            lagrangian_hessian=lambda x, th, y, z: np.eye(1),
         )
+        assert max_step_to_boundary(np.zeros(0), np.zeros(0), 0.99, model.cone) == 1.0
         point = SolverPoint(
             x=np.zeros(1), r=np.zeros(0), s=np.zeros(0),
             y=np.zeros(0), z=np.zeros(0), t=np.zeros(0),
         )
-        delta = SolverPoint(*dataclasses.astuple(point))  # astuple copies the arrays
-        assert cone_line_search(point, delta, 0.99, model) == (1.0, 1.0)
+        step, _, _, cut, corrected = _newton_step_at(model, point, OuterState(np.zeros(0), 1.0, 0.1))
+        new, alpha, alpha_t = step[:3]
+        assert (alpha, alpha_t, cut, corrected) == (1.0, 1.0, False, False)
+        assert new.x[0] == 1.0
 
-    def test_caps_from_both_blocks(self):
+    def test_caps_from_both_blocks(self, monkeypatch):
+        # alpha caps the direction's s block and alpha_t its t block; at
+        # kappa = 0 the fraction to the boundary is 1
         model = bound_qp()
         point = SolverPoint(
             x=np.zeros(2), r=np.zeros(0), s=np.array([1.0, 1.0]),
@@ -334,9 +350,22 @@ class TestConeLineSearch:
             x=np.zeros(2), r=np.zeros(0), s=np.array([-2.0, 0.0]),
             y=np.zeros(0), z=np.zeros(2), t=np.array([0.0, -4.0]),
         )
-        alpha, alpha_t = cone_line_search(point, delta, 1.0, model)
-        assert alpha == pytest.approx(0.5)
-        assert alpha_t == pytest.approx(0.25)
+        assert max_step_to_boundary(point.s, delta.s, 1.0, model.cone) == pytest.approx(0.5)
+        assert max_step_to_boundary(point.t, delta.t, 1.0, model.cone) == pytest.approx(0.25)
+        info = DirectionInfo(eps_p=0.0, eps_d=0.0, refine_passes=0, used_full_solve=False, consistency_error=0.0)
+        offered = []
+
+        def filter_step(model, point, direction, theta, outer, filt, alpha, alpha_t, current):
+            offered.append((direction, alpha, alpha_t))
+            raise ipal.solver.LineSearchFailure("recorded")
+
+        monkeypatch.setattr(ipal.solver, "search_direction", lambda *args: (delta, RegularizationState(), info))
+        monkeypatch.setattr(ipal.solver, "corrector", lambda *args: None)
+        monkeypatch.setattr(ipal.solver, "filter_step", filter_step)
+        with pytest.raises(ipal.solver.LineSearchFailure):
+            _newton_step_at(model, point, OuterState(np.zeros(0), 1.0, 0.0))
+        assert len(offered) == 1 and offered[0][0] is delta
+        assert offered[0][1:] == (pytest.approx(0.5), pytest.approx(0.25))
 
 
 class TestSolve:
@@ -455,6 +484,17 @@ class TestSolve:
                 sol = solve(dataclasses.replace(prob.model, **{callback: broken}), prob.x0, prob.theta)
                 assert isinstance(sol.status, SolveStatus)
                 assert not sol.solved or sol.residual_norm <= SolverOptions().tol
+
+    def test_a_line_search_that_evaluates_no_trial_is_a_numerical_failure(self):
+        # the objective is NaN from its 3rd call, the first trial of the
+        # first line search: every trial down to the minimum step fails to
+        # evaluate, which is a numerical failure and not a rejected step
+        prob = REGISTRY["nonneg-qp"]
+        calls = []
+        objective = self._nan_from(lambda *args: calls.append(None) or prob.model.objective(*args), 3)
+        sol = solve(dataclasses.replace(prob.model, objective=objective), prob.x0, prob.theta)
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert sol.total_iterations == 1 and len(calls) == 42
 
     def test_solved_summary_matches_returned_point(self):
         # the summary of a solved run reuses the final evaluation; it must
@@ -725,7 +765,7 @@ def test_filter_step_accepts_a_merit_at_rounding_level(phi0):
     model = _constant_merit_model((phi0, above))
     filt = Filter()
     filt.add(phi0, 0.0)
-    cand, alpha, accepted, _, _, _ = ipal.solver.filter_step(
+    cand, alpha, _, accepted, _, _, _ = ipal.solver.filter_step(
         model, point, delta, np.zeros(0), outer, filt, 1.0, 1.0, (phi0, 0.0)
     )
     assert alpha == 1.0 and accepted == (above, 0.0) and cand.x[0] == 1.0
@@ -748,7 +788,7 @@ def test_filter_step_counts_its_backtracks(halvings):
     point = SolverPoint(*(np.zeros(k) for k in (1, 0, 0, 0, 0, 0)))
     delta = SolverPoint(np.ones(1), *(np.zeros(0) for _ in range(5)))
     outer = OuterState(lam=np.zeros(0), rho=1.0, kappa=1.0)
-    _, alpha, _, _, backtracks, _ = ipal.solver.filter_step(
+    _, alpha, _, _, _, backtracks, _ = ipal.solver.filter_step(
         model, point, delta, np.zeros(0), outer, Filter(), 1.0, 1.0, (1.0, 0.0)
     )
     assert alpha == edge and backtracks == halvings
@@ -761,7 +801,7 @@ def test_trace_records_the_backtracks_of_each_step(monkeypatch, name):
 
     def recording(*args):
         out = original(*args)
-        steps.append(out[4])
+        steps.append(out[5])
         return out
 
     monkeypatch.setattr(ipal.solver, "filter_step", recording)
@@ -1052,12 +1092,12 @@ PREDICTOR_ITERATIONS = {  # the registry's counts before the corrector
 }
 
 
-@pytest.mark.parametrize("reject", ["consistency", "line-search"])
+@pytest.mark.parametrize("reject", ["consistency", "line-search", "evaluation"])
 def test_a_rejected_correction_takes_the_newton_direction(monkeypatch, reject):
     # a corrected direction that misses the consistency bound, or whose line
-    # search fails, leaves the iteration to the Newton direction as it was
-    # before the corrector, filter included: the registry then takes its
-    # counts from before the corrector
+    # search fails or evaluates no trial, leaves the iteration to the Newton
+    # direction as it was before the corrector, filter included: the
+    # registry then takes its counts from before the corrector
     original_corrector, original_filter_step = ipal.solver.corrector, ipal.solver.filter_step
     offered = []
 
@@ -1070,7 +1110,7 @@ def test_a_rejected_correction_takes_the_newton_direction(monkeypatch, reject):
 
     def filter_step(model, point, delta, *args):
         if offered and delta is offered[-1]:
-            raise ipal.solver.LineSearchFailure("rejected")
+            raise (ipal.solver.LineSearchFailure if reject == "line-search" else EvaluationFailure)("rejected")
         return original_filter_step(model, point, delta, *args)
 
     monkeypatch.setattr(ipal.solver, "corrector", corrector)
@@ -1079,4 +1119,4 @@ def test_a_rejected_correction_takes_the_newton_direction(monkeypatch, reject):
         sol = solve(prob.model, prob.x0, prob.theta, SolverOptions(record_trace=True))
         assert sol.solved and not any(rec.corrected for rec in sol.trace), name
         assert sol.total_iterations == PREDICTOR_ITERATIONS[name], name
-    assert (len(offered) > 0) == (reject == "line-search")
+    assert (len(offered) > 0) == (reject != "consistency")
