@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,13 +99,6 @@ class ConeSpec:
         e[np.concatenate([diag] + [rows[:, 0] for rows in soc])] = 1.0
         e.flags.writeable = False
         return e
-
-    def slices(self) -> Iterator[Tuple[Segment, slice]]:
-        """Yield (segment, slice into the stacked vector) pairs in order."""
-        lo = 0
-        for seg in self.segments:
-            yield seg, slice(lo, lo + seg.dim)
-            lo += seg.dim
 
 
 def concatenate(specs: Sequence[ConeSpec]) -> ConeSpec:

@@ -22,34 +22,34 @@ drives inertia-based regularization. K is never formed:
 it is solved through its Schur complement onto the x rows, C = P +
 A'N^{-1}A, when its dual block N is positive definite (``ReducedSystem``).
 C is summed straight from the stored entries of the stage matrices, or of a
-general model's dense derivative matrices, into LAPACK lower band storage,
-x in the model's stage order, by index plans computed once per model
-(``SchurPlan``); its Cholesky factorization certifies the inertia of K
-(``linsolve.factorize``), and a K whose N is not positive definite has no C
-and takes the dual shift. Cone slack and complement blocks are recovered in
-closed form from stacked cone blocks (``ConeBlocks``). On second-order
-segments of dimension 2 the arrow matrices share the eigenvectors (1,
-+-1)/sqrt(2), so W, W^{-1}P_t, N and their inverses are eigenvalue pairs
-there, summed, scaled, inverted and applied elementwise, and a small
-eigenvalue at the cone boundary is kept. Only segments of dimension 3 or
-more hold dense blocks: their W^{-1}P_t is symmetrized, which is inexact
-away from the central path, and a block of N that is singular to round-off
-at the cone boundary is raised (``CONE_RAISE``). Directions are refined
-against the full system, applied blockwise, by the GMRES loop of
-``solve_refined`` with the reduced solve as its preconditioner
-(``reduced_solve``); no solve forms an (n+m+p)-square matrix or the dense
-Jacobian (``full_jacobian``, the only p x p cone matrix), which serves as a
-reference in tests. A direction takes at most
+general model's dense derivative matrices, into LAPACK lower band storage
+in x's own order, its half-bandwidth read off those entries, by index plans
+computed once per model (``SchurPlan``); its Cholesky factorization
+certifies the inertia of K (``linsolve.factorize``), and a K whose N is not
+positive definite has no C and takes the dual shift. Cone slack and
+complement blocks are recovered in closed form from stacked cone blocks
+(``ConeBlocks``). On second-order segments of dimension 2 the arrow
+matrices share the eigenvectors (1, +-1)/sqrt(2), so W, W^{-1}P_t, N and
+their inverses are eigenvalue pairs there, summed, scaled, inverted and
+applied elementwise, and a small eigenvalue at the cone boundary is kept.
+Only segments of dimension 3 or more hold dense blocks: their W^{-1}P_t is
+symmetrized, which is inexact away from the central path, and a block of N
+that is singular to round-off at the cone boundary is raised
+(``CONE_RAISE``). Directions are refined against the full system, applied
+blockwise, by the GMRES loop of ``solve_refined`` with the reduced solve as
+its preconditioner (``reduced_solve``); no solve forms an (n+m+p)-square
+matrix or the dense Jacobian (``full_jacobian``, the only p x p cone
+matrix), which serves as a reference in tests. A direction takes at most
 ``MAX_REFINE`` refinement steps and must meet ||J dw + R||_inf <=
-``CONSISTENCY_TOL`` (1 + ||R||_inf). ``differentiate`` solves its
-parameter columns through the same reduction and refinement, with the
-multiplier estimate tracking the equality dual (``assemble_symmetric``'s
+``CONSISTENCY_TOL`` (1 + ||R||_inf). ``differentiate`` solves its parameter
+columns through the same reduction and refinement, with the multiplier
+estimate tracking the equality dual (``assemble_symmetric``'s
 ``tracks_multiplier``). A Newton direction keeps its reduced system and
 factors (``DirectionInfo.system``), so that the solver can correct a step
-the cone boundary cuts by Mehrotra's second-order term (``corrector``):
-one more reduced solve through them, without refinement, of J dc = -(0, 0,
-0, 0, 0, ds o dt), taken only when the corrected direction still meets
-the consistency bound.
+the cone boundary cuts by Mehrotra's second-order term (``corrector``): one
+more reduced solve through them, without refinement, of J dc = -(0, 0, 0,
+0, 0, ds o dt), taken only when the corrected direction still meets the
+consistency bound.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import numpy as np
 
 from .cone import (
     ConeBlocks,
-    InvalidDimension,
     cone_product,
     cone_product_jacobians,
     cone_target,
@@ -224,21 +223,20 @@ def _pairs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class SchurPlan:
     """How the Schur complement C = P + A'N^{-1}A of the reduced matrix K =
     [[P, A'], [A, -N]] of one model is summed from the stored entries of its
-    derivative matrices, in LAPACK lower band storage, x in the stage order
-    ``order`` (see ``ProblemModel.stage_blocks``; x's own order for a
-    general model): P = L_xx + eps_p I, A = (g_x; h_x), and N is block
-    diagonal, ``dual`` I on the equality duals and M + eps_d I on the cone
-    rows, one block per cone segment. Each term A[i, a] N^{-1}[i, j] A[j,
-    c], for rows i and j of one block of N and a not before c, is a triple
-    (``left``, ``right``, ``inner``): the places of A[i, a] and A[j, c]
-    among the stored entries of g_x and then h_x, and the place of
-    N^{-1}[i, j] in the blocks of N^{-1} laid out flat (see
-    ``complement``); the terms, then the stored entries of L_xx below the
-    diagonal (``p_src``) and the diagonal of P, are summed into C at
-    ``target``. ``gram`` sums G G' by the same pairing. Built once per
+    derivative matrices, in LAPACK lower band storage in x's own order,
+    whose half-bandwidth ``kd`` is the widest reach of those entries (n - 1
+    for a general model, the stage band for a transcription): P = L_xx +
+    eps_p I, A = (g_x; h_x), and N is block diagonal, ``dual`` I on the
+    equality duals and M + eps_d I on the cone rows, one block per cone
+    segment. Each term A[i, a] N^{-1}[i, j] A[j, c], for rows i and j of
+    one block of N and a not before c, is a triple (``left``, ``right``,
+    ``inner``): the places of A[i, a] and A[j, c] among the stored entries
+    of g_x and then h_x, and the place of N^{-1}[i, j] in the blocks of
+    N^{-1} laid out flat (see ``complement``); the terms, then the stored
+    entries of L_xx below the diagonal (``p_src``) and the diagonal of P,
+    are summed into C at ``target``. ``gram`` sums G G' by the same pairing. Built once per
     model, at its first assembly, from the patterns of its derivative
-    matrices, and kept on the model. InvalidDimension when a derivative
-    matrix has an entry outside the band of stage_blocks."""
+    matrices, and kept on the model."""
 
     def __init__(self, model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]):
         n, m, p = model.n, model.m, model.p
@@ -247,22 +245,7 @@ class SchurPlan:
             Pattern.full(shape) if P is None else P
             for P, shape in zip(patterns, ((n, n), (m, n), (p, n)))
         )
-        blocks = model.stage_blocks or (np.arange(n + m + p),)
-        order = np.concatenate(blocks)
-        group = np.empty(n + m + p, dtype=np.intp)
-        group[order] = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
-        for rows, cols in ((L.rows, L.cols), (n + G.rows, G.cols), (n + m + H.rows, H.cols)):
-            if np.any(np.abs(group[rows] - group[cols]) > 1):
-                raise InvalidDimension(
-                    "a derivative matrix has entries outside the band of stage_blocks; "
-                    "return StageMatrix derivatives on the stage blocks"
-                )
         self.n, self.m = n, m
-        self.order = order[order < n]
-        rank = np.empty(n, dtype=np.intp)  # place of each x in the stage order
-        rank[self.order] = np.arange(n)
-        dual_rank = np.empty(m, dtype=np.intp)  # the same for the equality duals
-        dual_rank[order[(order >= n) & (order < n + m)] - n] = np.arange(m)
 
         # the blocks of N: for each dual row, the first entry of its block
         # in the flat inverse, which also names the block, its place in the
@@ -286,22 +269,27 @@ class SchurPlan:
         src = np.lexsort((a, d, first[d]))
         d, a = d[src], a[src]
         e1, e2 = _pairs(first[d])
-        lower = rank[a[e1]] >= rank[a[e2]]
+        lower = a[e1] >= a[e2]
         e1, e2 = e1[lower], e2[lower]
-        off = np.flatnonzero(rank[L.rows] > rank[L.cols])  # P below the diagonal
+        off = np.flatnonzero(L.rows > L.cols)  # P below the diagonal
         on = np.flatnonzero(L.rows == L.cols)
-        ra = np.concatenate([rank[a[e1]], rank[L.rows[off]], np.arange(n)])
-        rc = np.concatenate([rank[a[e2]], rank[L.cols[off]], np.arange(n)])
+        ra = np.concatenate([a[e1], L.rows[off], np.arange(n)])
+        rc = np.concatenate([a[e2], L.cols[off], np.arange(n)])
         self.kd = int((ra - rc).max(initial=0))
         slot = rc * (self.kd + 1) + ra - rc  # C[a, c] in the (n, kd + 1) row-major array
         self.left, self.right = compact_index(src[e1]), compact_index(src[e2])
         self.inner = compact_index(first[d[e1]] + place[d[e1]] * size[d[e1]] + place[d[e2]])
         self.target = compact_index(slot)
         self.p_src = compact_index(off)
-        self.diag_src, self.diag_rank = compact_index(on), compact_index(rank[L.rows[on]])
+        self.diag_src, self.diag_rows = compact_index(on), compact_index(L.rows[on])
 
         # G G': pairs of entries of G in one column, the entries by column
-        # and by the stage order of their rows
+        # and by the order of their rows by last column (stable), which is
+        # the stage order of a transcription's equality rows
+        last = np.full(m, -1)
+        np.maximum.at(last, G.rows, G.cols)
+        dual_rank = np.empty(m, dtype=np.intp)
+        dual_rank[np.argsort(last, kind="stable")] = np.arange(m)
         src = np.lexsort((dual_rank[G.rows], G.cols))
         e1, e2 = _pairs(G.cols[src])
         e1, e2 = src[e1], src[e2]
@@ -332,7 +320,7 @@ class SchurPlan:
                                  + [inv.reshape(-1) for _, inv in raised])
         terms = A.take(self.left) * A.take(self.right) * inverse.take(self.inner)
         diagonal = np.full(self.n, eps_p)
-        diagonal[self.diag_rank] += L.take(self.diag_src)
+        diagonal[self.diag_rows] += L.take(self.diag_src)
         # bincount sums in input order, so each C[a, c] adds its entry of P
         # (P has every diagonal entry, so there is always one weight) last
         C = np.bincount(self.target, np.concatenate([terms, L.take(self.p_src), diagonal]),
@@ -342,7 +330,8 @@ class SchurPlan:
 
     def gram(self, g: np.ndarray) -> np.ndarray:
         """G G' from the stored entries ``g`` of g_x, in LAPACK lower band
-        storage, the equality duals in their stage order: the products of
+        storage, the equality duals ordered by the last column of their rows
+        (stably, so a transcription's in its stage order): the products of
         the pairs of entries in one column, summed by bincount in the order
         of the columns, so that equal rows of G give bitwise equal rows of G
         G', and the band LU of a repeated row meets an exactly zero pivot."""
@@ -418,7 +407,7 @@ class ReducedSystem:
     Ptb: ConeBlocks  # P_t - eps_d I
     W: ConeBlocks  # Ps + eps_p Ptb
     plan: SchurPlan
-    C: Optional[np.ndarray]  # in LAPACK lower band storage, x in plan.order
+    C: Optional[np.ndarray]  # in LAPACK lower band storage, (plan.kd + 1, n)
     dual: float  # N on the equality duals, as C was built from it
     N: Optional[ConeBlocks]  # N on the cone rows, as C was built from it
     tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
@@ -446,10 +435,10 @@ class ReducedSystem:
         and N^{-1} by a scalar and block solves."""
         n, m = self.layout.n, self.layout.m
         fy, fz = f[n : n + m], f[n + m :]
-        g_x, h_x, order = cache.g_x, cache.h_x, self.plan.order
+        g_x, h_x = cache.g_x, cache.h_x
         b = f[:n] + g_x.T @ (fy / self.dual) + h_x.T @ self.N.solve(fz)
         u = np.empty(f.shape)
-        u[order] = fact.solve(b[order])
+        u[:n] = fact.solve(b)
         u[n : n + m] = (g_x @ u[:n] - fy) / self.dual
         u[n + m :] = self.N.solve(h_x @ u[:n] - fz)
         return u

@@ -6,10 +6,10 @@ Its dual block N is positive definite wherever it is factored (block
 diagonal: a scalar on the equality duals, the cone blocks on the cone rows),
 so K is solved through its Schur complement C = P + A'N^{-1}A, of order n,
 and N: u_x = C^{-1}(f_x + A'N^{-1}f_v), u_v = N^{-1}(A u_x - f_v)
-(``kkt.ReducedSystem.solve``). C is held in LAPACK lower band storage, x in
-the stage order of the model, in which it is banded (Rao, Wright &
-Rawlings, JOTA 1998; Wang & Boyd, IEEE TCST 2010); a general model is one
-band of half-bandwidth n - 1.
+(``kkt.ReducedSystem.solve``). C is held in LAPACK lower band storage in
+x's own order, which for a transcription is the stage order, in which it is
+banded (Rao, Wright & Rawlings, JOTA 1998; Wang & Boyd, IEEE TCST 2010); a
+general model is one band of half-bandwidth n - 1.
 
 ``factorize`` takes the banded Cholesky factorization of C (LAPACK dpbtrf),
 and when it succeeds it certifies the inertia (n, m + p, 0) of K: K is

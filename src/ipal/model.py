@@ -138,18 +138,13 @@ class ProblemModel:
     ``parameter_jacobians(x, theta, y, z)`` returns (L_xt, g_t, h_t): the
     theta-Jacobians of the Lagrangian x-gradient, g, and h.
 
-    ``stage_blocks`` partitions the unknowns of the reduced KKT system, the
-    stacked (x, y, z) of length n + m + p, into an ordered sequence of
-    index groups in whose order that system is block tridiagonal. The
-    solver factors the Schur complement of that system onto the x rows,
-    with x in this order, in which it is banded: by one banded Cholesky
-    factorization, which also certifies the inertia, or by a band LU
-    (``linsolve.factorize``). ``transcribe`` sets it from the stage order,
-    one group per stage; hand-built models leave it None, which is one
-    group in the order (x, y, z). The derivative matrices of a model with
-    stage_blocks must keep their entries in the band of that order
-    (``transcribe`` returns ``StageMatrix`` objects on the stage blocks); an
-    entry outside it raises InvalidDimension at the first assembly.
+    The solver factors the Schur complement of the reduced KKT system onto
+    the x rows, in x's own order, held as a band whose half-bandwidth is
+    read off the stored entries of the derivative matrices: by one banded
+    Cholesky factorization, which also certifies the inertia, or by a band
+    LU (``linsolve.factorize``). ``transcribe`` lays x out stage by stage
+    and returns ``StageMatrix`` derivatives on the stage blocks, so that
+    band is narrow; dense derivative matrices give one full band.
     """
 
     n: int
@@ -165,7 +160,6 @@ class ProblemModel:
     lagrangian_hessian: Optional[Callable] = None
     parameter_jacobians: Optional[Callable] = None
     d: int = 0
-    stage_blocks: Optional[Tuple[np.ndarray, ...]] = None
     # how the Schur complement of the reduced KKT matrix is summed from the
     # derivative entries (kkt.SchurPlan), built at the model's first assembly
     schur_plan: object = field(default=None, init=False, repr=False, compare=False)
@@ -173,10 +167,6 @@ class ProblemModel:
     def __post_init__(self):
         if self.n < 1 or self.m < 0 or self.p < 0 or self.d < 0:
             raise InvalidDimension(f"bad dimensions n={self.n} m={self.m} p={self.p} d={self.d}")
-        if self.stage_blocks is not None:
-            order = np.concatenate(self.stage_blocks)
-            if not np.array_equal(np.sort(order), np.arange(self.n + self.m + self.p)):
-                raise InvalidDimension("stage_blocks must partition the n + m + p reduced unknowns")
         if self.cone.dim != self.p:
             raise InvalidDimension(f"cone dim {self.cone.dim} != p={self.p}")
         if self.m == 0:

@@ -17,10 +17,10 @@ stage and hook. Outputs are bitwise those of calling each stage in turn.
 
 The derivative callbacks return ``StageMatrix`` objects that hold only the
 stage blocks (and the constant +-I couplings of g_x), on patterns fixed at
-transcription. The model also records the stage order of the reduced KKT
-unknowns (``ProblemModel.stage_blocks``), in which that system is block
-tridiagonal and its Schur complement onto x, which the solver factors, is
-banded.
+transcription. Since x is laid out stage by stage and only the defect rows
+couple neighbouring stages, the Schur complement of the reduced KKT system
+onto x, which the solver factors, is banded in x's own order, its band read
+off these blocks.
 """
 
 from __future__ import annotations
@@ -201,28 +201,6 @@ def index_map(problem: TrajectoryProblem) -> IndexMap:
         equality=tuple(equality),
         cone=tuple(cone),
     )
-
-
-def _stage_blocks(imap: IndexMap) -> Tuple[np.ndarray, ...]:
-    """Reduced (x, y, z) unknowns grouped by stage, one group per stage:
-    stage t contributes, in order, the equality duals whose -I falls on its
-    state (the initial-state pin for t = 0, defect t-1 otherwise) and its
-    own equality rows, its variables, and its cone rows. Only defect rows
-    couple neighbouring stages, so the reduced KKT matrix is block
-    tridiagonal in this order, and its Schur complement onto x is banded in
-    the order of the variables within it."""
-    n, m = imap.n, imap.m
-    groups = []
-    for t, stage in enumerate(imap.stage):
-        pin = imap.init if t == 0 else imap.defect[t - 1]
-        eq, cone = imap.equality[t], imap.cone[t]
-        groups.append(np.concatenate([
-            np.arange(n + pin.start, n + pin.stop),
-            np.arange(n + eq.start, n + eq.stop),
-            np.arange(stage.start, stage.stop),
-            np.arange(n + m + cone.start, n + m + cone.stop),
-        ]))
-    return tuple(groups)
 
 
 def _pattern(shape, blocks) -> Tuple[Pattern, list]:
@@ -437,8 +415,7 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
     and parameter cross terms are added from zero in the order cost,
     dynamics, equality, cone. Defect coupling rows (-I on the next state)
     are linear and contribute nothing to either. The Hessian, g_x and h_x
-    are ``StageMatrix`` objects, and ``stage_blocks`` of the model holds the
-    stage order of the reduced KKT unknowns (see ``_stage_blocks``).
+    are ``StageMatrix`` objects on the stage blocks.
     """
     imap = index_map(problem)
     T = problem.horizon
@@ -549,5 +526,4 @@ def transcribe(problem: TrajectoryProblem) -> ProblemModel:
         lagrangian_hessian=lagrangian_hessian,
         parameter_jacobians=parameter_jacobians,
         d=d,
-        stage_blocks=_stage_blocks(imap),
     )

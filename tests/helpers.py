@@ -15,7 +15,25 @@ from ipal.kkt import (
     unrelaxed_rows,
 )
 from ipal.linsolve import RegularizationState, factorize
-from ipal.model import ProblemModel, evaluate
+from ipal.model import ProblemModel, StageMatrix, evaluate
+
+
+def transcribed(prob):
+    """Whether a registry problem's derivative callbacks return
+    ``StageMatrix`` objects, as a transcription's do; the others are
+    general models with dense derivative matrices."""
+    model = prob.model
+    L = model.lagrangian_hessian(prob.x0, prob.theta, np.zeros(model.m), np.zeros(model.p))
+    return isinstance(L, StageMatrix)
+
+
+def segment_slices(spec):
+    """Yield (segment, slice into the stacked vector) pairs of a cone, in
+    order."""
+    lo = 0
+    for seg in spec.segments:
+        yield seg, slice(lo, lo + seg.dim)
+        lo += seg.dim
 
 
 def random_cone(rng, max_dim=5):
@@ -36,7 +54,7 @@ def random_cone(rng, max_dim=5):
 
 def random_interior(rng, spec, scale=1.0):
     v = np.empty(spec.dim)
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if isinstance(seg, SecondOrder) and seg.dim >= 2:
             tail = 0.5 * scale * rng.standard_normal(seg.dim - 1)
             v[sl.start] = np.linalg.norm(tail) + rng.uniform(0.2, 1.2) * scale
@@ -347,7 +365,7 @@ def reduced_cone_inverse_loop(spec, s, t, reg):
     lose; other segments by a dense inverse of their block."""
     ep, ed = reg.eps_p, reg.eps_d
     out = np.zeros((spec.dim, spec.dim))
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if _is_soc(seg) and seg.dim == 2:
             Ptb = eigen_pair(s[sl]) - ed
             out[sl, sl] = eigen_block(1.0 / (Ptb / (eigen_pair(t[sl]) + ep * Ptb) + ed))
@@ -426,7 +444,7 @@ def _is_soc(seg):
 
 
 def in_cone_loop(a, spec, strict=False):
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         v = a[sl]
         if _is_soc(seg):
             slack = v[0] - np.linalg.norm(v[1:])
@@ -444,7 +462,7 @@ def in_cone_loop(a, spec, strict=False):
 
 def cone_infeasibility_loop(spec, h):
     worst = 0.0
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         v = h[sl]
         if v.size == 0:
             continue
@@ -457,7 +475,7 @@ def cone_infeasibility_loop(spec, h):
 
 def cone_target_loop(spec):
     e = np.zeros(spec.dim)
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if _is_soc(seg):
             e[sl.start] = 1.0
         else:
@@ -467,7 +485,7 @@ def cone_target_loop(spec):
 
 def cone_product_loop(a, b, spec):
     out = np.empty(spec.dim)
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         u, v = a[sl], b[sl]
         if _is_soc(seg):
             out[sl.start] = u @ v
@@ -511,7 +529,7 @@ def product_jacobians_loop(s, t, spec):
     p = spec.dim
     Ps = np.zeros((p, p))
     Pt = np.zeros((p, p))
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if _is_soc(seg):
             Ps[sl, sl] = arrow(t[sl])
             Pt[sl, sl] = arrow(s[sl])
@@ -526,7 +544,7 @@ def barrier_value_loop(s, spec):
     """Sum within each segment, segments added in stacking order; None off
     the interior."""
     total = 0.0
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         v = s[sl]
         if _is_soc(seg):
             det = v[0] ** 2 - v[1:] @ v[1:]
@@ -572,7 +590,7 @@ def soc_crossing(a, da):
 
 def max_step_loop(a, da, tau, spec):
     crossing = np.inf
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if _is_soc(seg):
             c = soc_crossing(a[sl], da[sl])
         else:
@@ -585,7 +603,7 @@ def max_step_loop(a, da, tau, spec):
 
 def interior_initialization_loop(h0, spec):
     s = h0.copy()
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if _is_soc(seg):
             tail = np.linalg.norm(s[sl.start + 1 : sl.stop])
             s[sl.start] = max(s[sl.start], tail + INTERIOR_MARGIN)

@@ -18,6 +18,7 @@ from helpers import (
     random_iterate,
     random_nlp,
     residual_at,
+    segment_slices,
     zero_shift_direction,
 )
 from ipal.bench import autotune
@@ -74,7 +75,7 @@ def _fd_product_jacobians(s, t, spec, step=1e-7):
 
 def _min_slack(v, spec):
     worst = np.inf
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         u = v[sl]
         if isinstance(seg, SecondOrder) and seg.dim >= 2:
             worst = min(worst, u[0] - np.linalg.norm(u[1:]))

@@ -17,6 +17,7 @@ from helpers import (
     interior_initialization_loop,
     max_step_loop,
     product_jacobians_loop,
+    segment_slices,
     soc_crossing,
 )
 from ipal.cone import (
@@ -52,7 +53,7 @@ def random_cone(rng, max_segments=3, max_dim=4):
 
 def random_interior(rng, spec, scale=1.0):
     v = np.empty(spec.dim)
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if isinstance(seg, SecondOrder) and seg.dim >= 2:
             tail = scale * rng.standard_normal(seg.dim - 1)
             v[sl.start] = np.linalg.norm(tail) + rng.uniform(0.1, 1.5) * scale
@@ -176,7 +177,7 @@ class TestMembershipBarrier:
             s = random_interior(rng, spec)
             assert np.isfinite(barrier_value(s, spec))
             boundary = s.copy()
-            seg, sl = next(iter(spec.slices()))
+            seg, sl = next(iter(segment_slices(spec)))
             if isinstance(seg, SecondOrder) and seg.dim >= 2:
                 boundary[sl.start] = np.linalg.norm(boundary[sl.start + 1 : sl.stop]) - 1e-9
             else:
@@ -250,7 +251,7 @@ class TestInteriorInitialization:
             h0 = rng.standard_normal(spec.dim) * 10.0 ** rng.integers(-2, 3)
             s = interior_initialization(h0, spec)
             assert in_cone(s, spec, strict=True)
-            for seg, sl in spec.slices():
+            for seg, sl in segment_slices(spec):
                 v = s[sl]
                 if isinstance(seg, SecondOrder) and seg.dim >= 2:
                     slack = v[0] - np.linalg.norm(v[1:])
@@ -302,7 +303,7 @@ def test_batched_membership_matches_segment_loop(spec, seed):
     rng = np.random.default_rng(seed)
     inside = _interior(rng, spec)
     boundary = inside.copy()
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if isinstance(seg, SecondOrder) and seg.dim >= 2 and rng.random() < 0.5:
             boundary[sl.start] = np.linalg.norm(boundary[sl.start + 1 : sl.stop])
         elif seg.dim and rng.random() < 0.5:
@@ -367,7 +368,7 @@ def test_cone_blocks_match_segment_loop(spec, seed):
     ref_Ps, ref_Pt = product_jacobians_loop(s, t, spec)
     ref_W = ref_Ps + eps * (ref_Pt - eps * np.eye(spec.dim))
     pairs = {}
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if isinstance(seg, SecondOrder) and seg.dim == 2:
             pairs[sl.start] = eigen_pair(t[sl]) + eps * (eigen_pair(s[sl]) + (-eps))
             ref_W[sl, sl] = eigen_block(pairs[sl.start])
@@ -376,7 +377,7 @@ def test_cone_blocks_match_segment_loop(spec, seed):
     for v in (rng.standard_normal(spec.dim), rng.standard_normal((spec.dim, 3)),
               rng.standard_normal((spec.dim, 1))):
         product, solved = np.empty(v.shape), np.empty(v.shape)
-        for seg, sl in spec.slices():
+        for seg, sl in segment_slices(spec):
             block = dense_W[sl, sl]
             if isinstance(seg, SecondOrder) and seg.dim == 2:
                 product[sl] = eigen_apply(np.multiply, pairs[sl.start], v[sl])
@@ -394,7 +395,7 @@ def _block_pattern(spec):
     """Ones on the blocks of the cone's layout: the diagonal of orthant
     entries, the square of each second-order segment."""
     pattern = np.zeros((spec.dim, spec.dim))
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if isinstance(seg, SecondOrder):
             pattern[sl, sl] = 1.0
         else:
@@ -440,7 +441,7 @@ def test_cone_blocks_match_their_dense_matrices(spec, seed):
     bound = DENSE_TOL * (row_scale(A) * (pattern @ np.abs(X)) + pattern @ np.abs(Pt.dense()))
     assert np.all(np.abs(D @ X - Pt.dense()) <= bound)
     # a dimension-2 block's eigenvectors are (1, +-1)
-    for seg, sl in spec.slices():
+    for seg, sl in segment_slices(spec):
         if isinstance(seg, SecondOrder) and seg.dim == 2:
             pair = eigen_pair(t[sl]) + eps * (eigen_pair(s[sl]) - eps)
             for k, e in enumerate((np.array([1.0, 1.0]), np.array([1.0, -1.0]))):
@@ -455,7 +456,7 @@ def test_a_zero_eigenvalue_makes_the_blocks_singular(spec, seed):
     # makes a zero diagonal entry: solves with the blocks raise LinAlgError
     rng = np.random.default_rng(seed)
     s, t = _interior(rng, spec), _interior(rng, spec)
-    singular = [(seg, sl) for seg, sl in spec.slices()
+    singular = [(seg, sl) for seg, sl in segment_slices(spec)
                 if seg.dim and (isinstance(seg, Orthant) or seg.dim <= 2)]
     if not singular:
         return
@@ -478,7 +479,7 @@ def test_boundary_pairs_keep_the_small_eigenvalue_of_N(spec, seed):
     # entries alone would read the small one as 0
     rng = np.random.default_rng(seed)
     s, t = _interior(rng, spec), _interior(rng, spec)
-    twos = [sl for seg, sl in spec.slices() if isinstance(seg, SecondOrder) and seg.dim == 2]
+    twos = [sl for seg, sl in segment_slices(spec) if isinstance(seg, SecondOrder) and seg.dim == 2]
     for sl in twos:
         sign = rng.choice([-1.0, 1.0])
         s[sl] = s[sl.start] * np.array([1.0, sign * (1.0 - 10.0 ** rng.uniform(-12, -6))])

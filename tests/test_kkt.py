@@ -22,6 +22,7 @@ from helpers import (
     reduced_cone_inverse_loop,
     residual_at,
     residual_reference,
+    segment_slices,
     trajectory_tracking,
     unrelaxed_residual_norm_reference,
     zero_shift_direction,
@@ -532,7 +533,7 @@ def _cone_blocks_loop(model, point, reg):
     Ptb = Pt - reg.eps_d * np.eye(p)
     N = reg.eps_d * np.eye(p)
     W = []
-    for seg, sl in model.cone.slices():
+    for seg, sl in segment_slices(model.cone):
         if isinstance(seg, SecondOrder) and seg.dim == 2:
             Ptb_pair = eigen_pair(point.s[sl]) + (-reg.eps_d)
             Wb = eigen_pair(point.t[sl]) + reg.eps_p * Ptb_pair
@@ -642,14 +643,13 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
 @pytest.mark.parametrize("shifts", [(0.0, 0.0), (1e-4, 1e-8)])
 def test_schur_complement_matches_dense(shifts):
     # C = P + A'N^{-1}A summed from products of stored entries against the
-    # dense formula, x in the stage order, to 1e-12 of its largest entry;
-    # nothing lies outside its band
+    # dense formula, to 1e-12 of its largest entry; nothing lies outside its
+    # band
     model, x0, theta = trajectory_tracking(12)
     build, dense = _tracking_assembler(model, x0, theta)
     rsys = build(*shifts)
     n = model.n
-    x = rsys.plan.order
-    expected = dense_schur_complement(dense(*shifts), n)[np.ix_(x, x)]
+    expected = dense_schur_complement(dense(*shifts), n)
     C = rsys.C
     kd = C.shape[0] - 1
     got = np.zeros((n, n))
@@ -685,7 +685,7 @@ def test_indefinite_schur_complement_falls_back_to_the_sweep():
         correct_inertia(without_c, RegularizationState())
 
 
-def _identity_cone_model(spec, **kwargs):
+def _identity_cone_model(spec):
     """min 0.5 |x|^2 s.t. x in the cone ``spec``, n = p = spec.dim."""
     p = spec.dim
     return ProblemModel(
@@ -695,7 +695,6 @@ def _identity_cone_model(spec, **kwargs):
         cone_constraint=lambda x, th: x,
         cone_jacobian=lambda x, th: np.eye(p),
         lagrangian_hessian=lambda x, th, y, z: np.eye(p),
-        **kwargs,
     )
 
 
@@ -706,7 +705,7 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     # needs N definite, so assembly leaves C out and the system cannot be
     # factored. correct_inertia takes the dual shift, then walks the primal
     # shift until M + eps_d I is definite and C certifies K
-    model = _identity_cone_model(ConeSpec((SecondOrder(3),)), stage_blocks=(np.arange(3), np.arange(3, 6)))
+    model = _identity_cone_model(ConeSpec((SecondOrder(3),)))
     point = SolverPoint(
         x=np.array([1.0, 0.5, 0.0]), r=np.zeros(0), s=np.array([1.0, 0.9, 0.0]),
         y=np.zeros(0), z=-np.ones(3), t=np.array([1.0, 0.0, 0.9]),
@@ -797,8 +796,7 @@ def test_tracked_system_drops_the_schur_complement():
     n, y = model.n, np.arange(model.n, model.n + model.m)
     assert not K[y, y].any()
     K[y, y] = -DUAL_SHIFT
-    x = rsys.plan.order
-    C = dense_schur_complement(K, n)[np.ix_(x, x)]
+    C = dense_schur_complement(K, n)
     assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
     assert factorize(rsys.schur()).certified
 

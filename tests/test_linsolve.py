@@ -23,8 +23,6 @@ from ipal.linsolve import (
     solve_refined,
 )
 from ipal.kkt import MAX_REFINE, REFINE_TOL
-from ipal.model import InvalidDimension, ProblemModel
-from ipal.cone import ConeSpec
 from ipal.solver import solve
 
 
@@ -402,8 +400,8 @@ class TestCorrectInertia:
 
 def block_tridiagonal(rng, sizes, signs):
     """K = L D L' with L unit block lower bidiagonal and D block diagonal
-    with eigenvalue signs ``signs`` (Sylvester: K has D's inertia), rows
-    shuffled; returns K and its row blocks in block tridiagonal order."""
+    with eigenvalue signs ``signs`` (Sylvester: K has D's inertia): block
+    tridiagonal, with diagonal blocks of the given sizes."""
     n = sum(sizes)
     starts = np.cumsum([0] + list(sizes))
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -415,44 +413,36 @@ def block_tridiagonal(rng, sizes, signs):
         if k + 1 < len(sizes):
             L[hi : starts[k + 2], lo:hi] = rng.standard_normal((starts[k + 2] - hi, hi - lo))
     K = L @ D @ L.T
-    K = 0.5 * (K + K.T)
-    order = rng.permutation(n)  # row i of K becomes row position[i]
-    position = np.argsort(order)
-    blocks = tuple(position[lo:hi] for lo, hi in zip(starts[:-1], starts[1:]))
-    return K[np.ix_(order, order)], blocks
+    return 0.5 * (K + K.T)
 
 
-def grouped_band(K, blocks):
-    """K in the order of its row blocks, in lower band storage of the
-    blocks' half-bandwidth, and that order."""
-    order = np.concatenate(blocks)
-    sizes = np.array([b.size for b in blocks])
+def grouped_band(K, sizes):
+    """The block tridiagonal K with diagonal blocks of the given sizes in
+    lower band storage of the blocks' half-bandwidth."""
+    sizes = np.array(sizes)
     kd = int(max((sizes[1:] + sizes[:-1]).max(initial=0), sizes.max()) - 1)
-    return lower_band(K[np.ix_(order, order)], kd), order
+    return lower_band(K, kd)
 
 
 class TestBlockedFactorize:
     def test_inertia_and_solve_on_constructed_matrices(self):
-        # with itself as its Schur complement (no dual rows), in the group
-        # order, a banded K is certified exactly when it is positive definite
+        # with itself as its Schur complement (no dual rows), a banded K is
+        # certified exactly when it is positive definite
         rng = np.random.default_rng(31)
         verdicts = set()
         for _ in range(40):
             sizes = list(rng.integers(1, 7, size=int(rng.integers(2, 6))))
             n = sum(sizes)
             signs = rng.choice([-1.0, 1.0], size=n) if rng.random() < 0.5 else np.ones(n)
-            K, blocks = block_tridiagonal(rng, sizes, signs)
-            band, order = grouped_band(K, blocks)
-            fact = factorize(band)
+            K = block_tridiagonal(rng, sizes, signs)
+            fact = factorize(grouped_band(K, sizes))
             assert fact.certified == (signs > 0).all()
             if fact.certified:
                 assert dense_inertia(K) == (n, 0, 0)
             verdicts.add(fact.certified)
-            grouped = K[np.ix_(order, order)]
             for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 expected = np.linalg.solve(K, rhs)
-                got = np.empty(rhs.shape)
-                got[order] = refined(fact, grouped, rhs[order])
+                got = refined(fact, K, rhs)
                 assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
         assert verdicts == {True, False}
 
@@ -462,10 +452,12 @@ class TestBlockedFactorize:
         # read the band, never a dense matrix
         rng = np.random.default_rng(32)
         signs = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
-        K, blocks = block_tridiagonal(rng, [3, 3, 2], signs)
-        K[blocks[1][0], :] = K[:, blocks[1][0]] = 0.0
-        band, _ = grouped_band(K, blocks)
-        assert dense_inertia(K)[2] == 1
+        K = block_tridiagonal(rng, [3, 3, 2], signs)
+        K[3, :] = K[:, 3] = 0.0  # the first row of the second group
+        band = grouped_band(K, [3, 3, 2])
+        # in this order eigvalsh reads the zero eigenvalue as 4e-17, so the
+        # singularity is checked by the numerical rank
+        assert np.linalg.matrix_rank(K) == 7
         shapes = []
         for name in ("dpbtrf", "dgbtrf"):
             original = getattr(ipal.linsolve, name)
@@ -481,34 +473,22 @@ class TestBlockedFactorize:
         assert kd < 7 and shapes == [(kd + 1, 8), (3 * kd + 1, 8)]
 
     def test_one_block_is_dense(self):
-        # one group, in the original or a permuted order, is one band of
-        # half-bandwidth n - 1 in that order; an indefinite one takes the
-        # uncertified band LU
+        # one group is one band of half-bandwidth n - 1; an indefinite one
+        # takes the uncertified band LU
         rng = np.random.default_rng(33)
         K = random_symmetric(rng, 5)
         assert dense_inertia(K)[1] > 0
         b = rng.standard_normal(5)
-        for order in (np.arange(5), rng.permutation(5)):
-            grouped = K[np.ix_(order, order)]
-            fact = factorize(lower_band(grouped, 4))
-            assert fact.kd == 4 and not fact.certified
-            x = np.empty(5)
-            x[order] = refined(fact, grouped, b[order])
-            assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+        fact = factorize(lower_band(K, 4))
+        assert fact.kd == 4 and not fact.certified
+        x = refined(fact, K, b)
+        assert np.abs(K @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
     def test_rejects_bad_input(self):
-        # groups that do not partition the reduced unknowns are refused by
-        # the model; a non-finite entry in the band by the factorization
-        with pytest.raises(InvalidDimension):
-            ProblemModel(
-                n=4, m=0, p=0, cone=ConeSpec(), objective=lambda x, th: 0.0,
-                objective_gradient=lambda x, th: np.zeros(4),
-                lagrangian_hessian=lambda x, th, y, z: np.eye(4),
-                stage_blocks=(np.arange(2), np.arange(2, 3)),
-            )
+        # a non-finite entry in the band is refused by the factorization
         K = np.eye(4)
         K[0, 3] = K[3, 0] = np.nan  # in the sub-diagonal block of the groups below
-        band, _ = grouped_band(K, (np.arange(2), np.arange(2, 4)))
+        band = grouped_band(K, [2, 2])
         assert np.isnan(band).any()
         with pytest.raises(NumericalFailure):
             factorize(band)
@@ -516,12 +496,12 @@ class TestBlockedFactorize:
     @pytest.mark.parametrize("T", [10, 50, 100, 200])
     def test_matches_dense_along_tracking_solves(self, monkeypatch, T):
         # every 8th reduced system assembled during the solve, and the last:
-        # C equals the dense Schur complement in the stage order, with N's
-        # SecondOrder(2) blocks inverted in their eigenbasis (the dense
-        # inverse of their entries loses the small eigenvalue), its
-        # Cholesky factorization certifies the dense inertia of K, and the
-        # solves of K through C and N, by that factorization and by the band
-        # LU of C, match the dense solve of K
+        # C equals the dense Schur complement, with N's SecondOrder(2) blocks
+        # inverted in their eigenbasis (the dense inverse of their entries
+        # loses the small eigenvalue), its Cholesky factorization certifies
+        # the dense inertia of K, and the solves of K through C and N, by
+        # that factorization and by the band LU of C, match the dense solve
+        # of K
         model, x0, theta = trajectory_tracking(T)
         captured, seen = [], {"count": 0, "last": None}
         original = ipal.kkt.assemble_symmetric
@@ -542,9 +522,8 @@ class TestBlockedFactorize:
             rsys = original(*args, **kwargs)
             _, point, outer, cache, reg = args
             K = dense_reduced_matrix(model, point, outer, reg, cache)
-            order = rsys.plan.order
             cone_inverse = reduced_cone_inverse_loop(model.cone, point.s, point.t, reg)
-            C = dense_schur_complement(K, n, cone_inverse)[np.ix_(order, order)]
+            C = dense_schur_complement(K, n, cone_inverse)
             assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
             certified = factorize(rsys.schur())
             assert certified.certified and dense_inertia(K) == (n, N - n, 0)

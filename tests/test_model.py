@@ -68,20 +68,6 @@ def quadratic_model(rng, n=4, m=2, cone=None, d=0):
     )
 
 
-def test_stage_blocks_must_partition_the_reduced_unknowns():
-    rng = np.random.default_rng(8)
-    model = quadratic_model(rng)  # n + m + p = 4 + 2 + 4
-    kwargs = {f: getattr(model, f) for f in (
-        "n", "m", "p", "cone", "objective", "objective_gradient", "equality",
-        "equality_jacobian", "cone_constraint", "cone_jacobian", "lagrangian_hessian",
-    )}
-    ok = ProblemModel(**kwargs, stage_blocks=(np.arange(6), np.arange(6, 10)))
-    assert len(ok.stage_blocks) == 2
-    for bad in ((np.arange(6), np.arange(5, 10)), (np.arange(9),)):
-        with pytest.raises(InvalidDimension):
-            ProblemModel(**kwargs, stage_blocks=bad)
-
-
 class TestEvaluate:
     def test_values_and_shapes(self):
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ import ipal.kkt
 import ipal.linsolve
 import ipal.solver
 import ipal.trajopt
-from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking
+from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking, transcribed
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder, barrier_value, cone_product, max_step_to_boundary
 from ipal.kkt import CONSISTENCY_TOL, DirectionInfo, OuterState, SolverPoint, residual, unrelaxed_rows
@@ -608,7 +608,7 @@ def test_trace_records_direction_diagnostics(name):
         assert 0.0 <= rec.consistency_error <= bound * (1.0 + rec.residual_norm)
 
 
-GENERAL = sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
+GENERAL = sorted(name for name, prob in REGISTRY.items() if not transcribed(prob))
 
 
 def _traced_solve(monkeypatch, model, x0, theta, must_solve=True):
@@ -642,23 +642,21 @@ def _traced_solve(monkeypatch, model, x0, theta, must_solve=True):
 
 
 def test_transcribed_directions_are_blocked(monkeypatch):
-    # one row group per stage: the Schur complement is factored as one band
-    # in the stage order, of half-bandwidth 4 (two stages of 3 variables)
+    # x is laid out stage by stage: the Schur complement is factored as one
+    # band of half-bandwidth 4 (a stage's 3 variables and the next 2 states)
     model, x0, theta = trajectory_tracking(30)
     _, factored = _traced_solve(monkeypatch, model, x0, theta)
     assert all(C.shape == (5, model.n) for C in factored)
-    assert len(model.stage_blocks) == 30
 
 
 def test_general_registry_problems_are_dense(monkeypatch):
-    # one group in the order (x, y, z): the band is the whole matrix
+    # dense derivative matrices: the band is the whole matrix
     assert len(GENERAL) == 6
     for name in GENERAL:
         prob = REGISTRY[name]
         _, factored = _traced_solve(monkeypatch, prob.model, prob.x0, prob.theta)
         for C in factored:
             assert C.shape == (prob.model.n, prob.model.n)
-        np.testing.assert_array_equal(prob.model.schur_plan.order, np.arange(prob.model.n))
 
 
 def test_transcribed_directions_are_certified(monkeypatch):
@@ -694,14 +692,12 @@ def test_certified_inertia_matches_the_dense_inertia(monkeypatch, name):
 
 
 def test_unconstrained_banded_model_solves():
-    # two row groups and no constraints: C is P alone, summed from no
-    # entries of A
+    # no constraints: C is P alone, summed from no entries of A
     model = ProblemModel(
         n=4, m=0, p=0, cone=ConeSpec(),
         objective=lambda x, th: 0.5 * x @ x - x.sum(),
         objective_gradient=lambda x, th: x - 1.0,
         lagrangian_hessian=lambda x, th, y, z: np.eye(4),
-        stage_blocks=(np.arange(2), np.arange(2, 4)),
     )
     sol = solve(model, np.zeros(4))
     assert sol.status is SolveStatus.SOLVED
@@ -911,10 +907,26 @@ def _names(tree):
             yield node.name.rpartition(".")[2]
 
 
+def _attributes(tree):
+    """Every attribute name a syntax tree reads."""
+    return (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+# definitions kept without a caller in ipal: the reader of ipal-bench/1
+# reports, which later report schemas must keep reading
+UNCALLED = [("report.py", ".from_json")]
+
+
 def test_every_module_level_definition_has_a_caller_in_the_package():
-    # a function or class that only tests reach is surface to keep for
-    # nothing: every one defined at module level in ipal is named somewhere
-    # in ipal's code besides its own definition (an import counts)
+    # a function, class or method that only tests reach is surface to keep
+    # for nothing: every one defined at module level in ipal is named
+    # somewhere in ipal's code besides its own definition (an import
+    # counts), and every method of those classes but the dunder methods is
+    # read as an attribute there
     defined, named, own = [], collections.Counter(), collections.Counter()
     for folder, _, files in os.walk(os.path.dirname(ipal.__file__)):
         for file in sorted(f for f in files if f.endswith(".py")):
@@ -922,12 +934,19 @@ def test_every_module_level_definition_has_a_caller_in_the_package():
             with open(path) as source:
                 tree = ast.parse(source.read(), path)
             named.update(_names(tree))
+            named.update("." + name for name in _attributes(tree))
             for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    defined.append((file, node.name))
-                    own.update(name for name in _names(node) if name == node.name)
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                defined.append((file, node.name))
+                own.update(name for name in _names(node) if name == node.name)
+                for method in node.body if isinstance(node, ast.ClassDef) else ():
+                    if not isinstance(method, ast.FunctionDef) or _dunder(method.name):
+                        continue
+                    defined.append((file, "." + method.name))
+                    own.update("." + name for name in _attributes(method) if name == method.name)
     assert defined
-    assert [(file, name) for file, name in defined if named[name] == own[name]] == []
+    assert [(file, name) for file, name in defined if named[name] == own[name]] == UNCALLED
 
 
 # the routines where an iterate is first met, which alone call the model

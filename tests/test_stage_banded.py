@@ -18,17 +18,18 @@ from helpers import (
     random_iterate,
     tracking_problem,
     trajectory_tracking,
+    transcribed,
 )
 from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
 from ipal.kkt import assemble_symmetric, full_jacobian, jacobian_apply
 from ipal.linsolve import DUAL_SHIFT, RegularizationState, factorize
-from ipal.model import InvalidDimension, StageMatrix, evaluate
-from ipal.solver import SolverOptions, solve
+from ipal.model import StageMatrix, evaluate
+from ipal.solver import SolverOptions, SolveStatus, solve
 from ipal.trajopt import transcribe
 
 CASES = ["tracking-10", "tracking-50", "tracking-100", "double-integrator-trajopt", "mpc-autotune"]
-GENERAL = sorted(name for name, prob in REGISTRY.items() if prob.model.stage_blocks is None)
+GENERAL = sorted(name for name, prob in REGISTRY.items() if not transcribed(prob))
 SHIFTS = [RegularizationState(), RegularizationState(eps_p=1e-3, eps_d=1e-6)]
 
 
@@ -70,13 +71,12 @@ def test_evaluation_matches_dense_transcription(name):
 
 def _check_schur(rsys, K, n):
     """rsys.C is the Schur complement of the dense K onto its first n rows,
-    in lower band storage in the order of rsys.plan, when -K's dual block
-    is positive definite, and None otherwise."""
+    in lower band storage, when -K's dual block is positive definite, and
+    None otherwise."""
     definite = np.linalg.eigvalsh(-K[n:, n:]).min(initial=np.inf) > 0.0
     assert (rsys.C is not None) == definite
     if definite:
-        order = rsys.plan.order
-        C = dense_schur_complement(K, n)[np.ix_(order, order)]
+        C = dense_schur_complement(K, n)
         kd = rsys.C.shape[0] - 1
         assert np.abs(np.tril(C, -kd - 1)).max(initial=0.0) == 0.0
         assert np.abs(rsys.C - lower_band(C, kd)).max() <= 1e-12 * (1.0 + np.abs(C).max())
@@ -84,16 +84,13 @@ def _check_schur(rsys, K, n):
 
 @pytest.mark.parametrize("name", CASES)
 def test_reduced_matrix_matches_dense_assembly(name):
-    # C follows the stage order; with the multiplier tracking the dual,
-    # K loses the penalty term on its equality-dual diagonal, and C is
-    # built with the dual shift added there
+    # with the multiplier tracking the dual, K loses the penalty term on its
+    # equality-dual diagonal, and C is built with the dual shift added there
     _, model, theta, point, outer = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     n = model.n
     for reg in SHIFTS:
         rsys = assemble_symmetric(model, point, outer, cache, reg)
-        order = np.concatenate(model.stage_blocks)
-        np.testing.assert_array_equal(rsys.plan.order, order[order < n])
         _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), n)
         tracked = assemble_symmetric(model, point, outer, cache, reg, tracks_multiplier=True)
         K = dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=True)
@@ -103,8 +100,8 @@ def test_reduced_matrix_matches_dense_assembly(name):
 
 @pytest.mark.parametrize("name", GENERAL)
 def test_general_models_write_dense_derivatives_as_blocks(name):
-    # a general model's C is one band in x's own order, summed from every
-    # entry of its dense derivative matrices
+    # a general model's C is one band of half-bandwidth n - 1, summed from
+    # every entry of its dense derivative matrices
     model = dataclasses.replace(REGISTRY[name].model)
     theta = REGISTRY[name].theta
     point, outer = random_iterate(np.random.default_rng(len(name)), model)
@@ -112,16 +109,15 @@ def test_general_models_write_dense_derivatives_as_blocks(name):
     for reg in SHIFTS:
         rsys = assemble_symmetric(model, point, outer, cache, reg)
         _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), model.n)
-    np.testing.assert_array_equal(model.schur_plan.order, np.arange(model.n))
+        assert rsys.plan.kd == model.n - 1
 
 
 @pytest.mark.parametrize("name", ["tracking-12"] + GENERAL)
 def test_band_storage_is_the_lu_input(name):
-    # C is stored as dpbtrf reads it: with i >= j the places of two x in
-    # the stage order, entry (i, j) of C at row i - j, column j of the (kd +
-    # 1, n) array, every entry of the dense reference within kd of the
-    # diagonal, and zeros past the end of each diagonal. Factoring leaves
-    # the storage bitwise intact
+    # C is stored as dpbtrf reads it: with i >= j, entry (i, j) of C at row
+    # i - j, column j of the (kd + 1, n) array, every entry of the dense
+    # reference within kd of the diagonal, and zeros past the end of each
+    # diagonal. Factoring leaves the storage bitwise intact
     if name in REGISTRY:
         model, theta = dataclasses.replace(REGISTRY[name].model), REGISTRY[name].theta
         point, outer = random_iterate(np.random.default_rng(len(name)), model)
@@ -131,17 +127,15 @@ def test_band_storage_is_the_lu_input(name):
     rsys = assemble_symmetric(model, point, outer, cache, SHIFTS[1])
     C = rsys.schur()
     n, kd = model.n, C.shape[0] - 1
-    order = rsys.plan.order
-    grouped = dense_schur_complement(dense_reduced_matrix(model, point, outer, SHIFTS[1], cache), n)
-    grouped = grouped[np.ix_(order, order)]
+    dense = dense_schur_complement(dense_reduced_matrix(model, point, outer, SHIFTS[1], cache), n)
     expected = np.zeros((kd + 1, n))
     for j in range(n):
         for i in range(j, n):
             if i - j <= kd:
-                expected[i - j, j] = grouped[i, j]
+                expected[i - j, j] = dense[i, j]
             else:
-                assert grouped[i, j] == 0.0
-    assert np.abs(C - expected).max() <= 1e-12 * (1.0 + np.abs(grouped).max())
+                assert dense[i, j] == 0.0
+    assert np.abs(C - expected).max() <= 1e-12 * (1.0 + np.abs(dense).max())
     for k in range(1, kd + 1):
         assert not C[k, n - k :].any()
     stored = C.copy()
@@ -211,10 +205,11 @@ def test_transcribed_solve_builds_no_kkt_sized_matrix(monkeypatch):
     assert peak < 2000 * N
 
 
-def test_dense_matrices_outside_the_stage_band_are_rejected():
-    # a model that declares a stage order but whose callbacks return dense
-    # matrices: their entries leave the band of that order, which the first
-    # assembly reports instead of factoring the system densely
+def test_dense_derivatives_of_a_transcription_solve_through_one_band():
+    # the callbacks of a transcription made to return dense matrices: their
+    # entries span every column, so C is summed and factored as one band of
+    # half-bandwidth n - 1, and the solve takes the iterations of the
+    # stage-banded one to the same x
     model, x0, theta = trajectory_tracking(10)
 
     def dense(fn):
@@ -222,7 +217,8 @@ def test_dense_matrices_outside_the_stage_band_are_rejected():
 
     matrices = ("equality_jacobian", "cone_jacobian", "lagrangian_hessian")
     dense_model = dataclasses.replace(model, **{f: dense(getattr(model, f)) for f in matrices})
-    assert solve(model, x0, theta).solved
-    assert model.schur_plan is not None and len(model.stage_blocks) > 1
-    with pytest.raises(InvalidDimension, match="outside the band of stage_blocks"):
-        solve(dense_model, x0, theta)
+    banded, full = solve(model, x0, theta), solve(dense_model, x0, theta)
+    assert model.schur_plan.kd == 4 and dense_model.schur_plan.kd == model.n - 1
+    assert banded.status is full.status is SolveStatus.SOLVED
+    assert banded.total_iterations == full.total_iterations == 10
+    np.testing.assert_allclose(full.point.x, banded.point.x, rtol=0.0, atol=1e-11)

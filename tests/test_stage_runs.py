@@ -1,7 +1,8 @@
 """Run-batched evaluation of transcribed problems against the per-stage
 reference ``helpers.dense_transcription``: bitwise equal callback outputs on
-generated heterogeneous stage sequences, errors that name the stage and hook
-whose output is off, and non-finite hook outputs reported by ``solve``."""
+generated heterogeneous stage sequences, the band of their Schur complement,
+errors that name the stage and hook whose output is off, and non-finite hook
+outputs reported by ``solve``."""
 
 import dataclasses
 
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_transcription, tracking_problem
+from helpers import dense_transcription, random_iterate, tracking_problem
 from ipal.cone import ConeSpec, Orthant, SecondOrder
-from ipal.model import InvalidDimension
+from ipal.kkt import assemble_symmetric
+from ipal.model import InvalidDimension, evaluate
 from ipal.solver import SolveStatus, solve
 from ipal.trajopt import HOOKS, Stage, TrajectoryProblem, transcribe
 
@@ -139,6 +141,22 @@ def test_callbacks_match_the_per_stage_loops_bitwise(case):
     _bitwise(model.lagrangian_hessian(x, theta, y, z), ref.L)
     for got, want in zip(model.parameter_jacobians(x, theta, y, z), (ref.L_xt, ref.g_t, ref.h_t)):
         _bitwise(got, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(stage_sequences())
+def test_the_schur_complement_band_is_read_off_the_stage_widths(case):
+    # x is laid out stage by stage: C couples the w_t variables of stage t
+    # with each other and, through its defects, with the nx_{t+1} states of
+    # the next stage, and no further
+    problem, _, theta, _, _ = case
+    model = transcribe(problem)
+    point, outer = random_iterate(np.random.default_rng(0), model)
+    cache = evaluate(model, point.x, theta, point.y, point.z)
+    assemble_symmetric(model, point, outer, cache)
+    widths = [stage.state_dim + stage.control_dim for stage in problem.stages]
+    reach = [w + stage.state_dim for w, stage in zip(widths, problem.stages[1:])]
+    assert model.schur_plan.kd == max(widths + reach) - 1
 
 
 # ------------------------------------------------------------------ errors

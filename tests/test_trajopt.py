@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import dense_reduced_matrix, random_iterate
+from helpers import dense_reduced_matrix, dense_schur_complement, random_iterate, transcribed
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant
 from ipal.kkt import assemble_symmetric
@@ -281,9 +283,12 @@ def test_solve_reaches_target():
         np.testing.assert_allclose(got, ref, atol=1e-6)
 
 
-def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
-    # 7 reduced rows per stage (defect duals, equality row, variables, cone
-    # row), one group per stage
+def test_the_schur_complement_is_banded_by_the_stage_widths():
+    # x is laid out stage by stage, and only the defect rows couple
+    # neighbouring stages: C couples each stage's 3 variables with each
+    # other and, through its defects, with the next stage's 2 states, so its
+    # half-bandwidth is 3 + 2 - 1 and the dense Schur complement has no
+    # entry outside it
     problem = nonlinear_problem()
     problem = TrajectoryProblem(
         stages=[nonlinear_stage() for _ in range(10)] + [problem.stages[-1]],
@@ -291,30 +296,27 @@ def test_stage_blocks_make_the_reduced_system_block_tridiagonal():
         num_parameters=2,
     )
     model = transcribe(problem)
-    blocks = model.stage_blocks
-    N = model.n + model.m + model.p
-    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(N))
-    assert [len(b) for b in blocks] == [7] * 10 + [4]
     rng = np.random.default_rng(12)
     point, outer = random_iterate(rng, model)
     theta = np.array([0.3, 1.0])
     cache = evaluate(model, point.x, theta, point.y, point.z)
+    rsys = assemble_symmetric(model, point, outer, cache)
+    assert rsys.plan.kd == 4 and rsys.C.shape == (5, model.n)
     K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
-    # the Schur complement onto x is banded in the stage order
-    C = assemble_symmetric(model, point, outer, cache).C
-    assert C.shape[1] == model.n and C.shape[0] < model.n // 4
-    assert np.count_nonzero(K) > 0
-    for i, rows in enumerate(blocks):
-        for j, cols in enumerate(blocks):
-            if abs(i - j) > 1:
-                assert not K[np.ix_(rows, cols)].any()
+    C = dense_schur_complement(K, model.n)
+    assert np.abs(np.tril(C, -1)).max() > 0.0 and not np.tril(C, -5).any()
 
 
-def test_registry_stage_blocks():
-    sizes = {
-        name: [len(b) for b in prob.model.stage_blocks]
-        for name, prob in REGISTRY.items()
-        if prob.model.stage_blocks is not None
-    }
-    # one group per stage
-    assert sizes == {"double-integrator-trajopt": [5] * 9 + [6], "mpc-autotune": [5] * 5 + [4]}
+def test_registry_transcriptions_are_banded():
+    # stages of 2 states and 1 control: C's half-bandwidth is 3 + 2 - 1,
+    # and G G' couples the 2 rows of each defect with the 2 of the next,
+    # which share its next state: 2 + 2 - 1
+    bands = {}
+    for name, prob in REGISTRY.items():
+        if transcribed(prob):
+            model = dataclasses.replace(prob.model)
+            point, outer = random_iterate(np.random.default_rng(0), model)
+            cache = evaluate(model, point.x, prob.theta, point.y, point.z)
+            plan = assemble_symmetric(model, point, outer, cache).plan
+            bands[name] = (plan.kd, plan.gram_kd)
+    assert bands == {"double-integrator-trajopt": (4, 3), "mpc-autotune": (4, 3)}
