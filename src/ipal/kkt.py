@@ -35,21 +35,23 @@ applied elementwise, and a small eigenvalue at the cone boundary is kept.
 Only segments of dimension 3 or more hold dense blocks: their W^{-1}P_t is
 symmetrized, which is inexact away from the central path, and a block of N
 that is singular to round-off at the cone boundary is raised
-(``CONE_RAISE``). Directions are refined against the full system, applied
-blockwise, by the GMRES loop of ``solve_refined`` with the reduced solve as
-its preconditioner (``reduced_solve``); no solve forms an (n+m+p)-square
-matrix or the dense Jacobian (``full_jacobian``, the only p x p cone
-matrix), which serves as a reference in tests. A direction takes at most
-``MAX_REFINE`` refinement steps and must meet ||J dw + R||_inf <=
-``CONSISTENCY_TOL`` (1 + ||R||_inf). ``differentiate`` solves its parameter
-columns through the same reduction and refinement, with the multiplier
-estimate tracking the equality dual (``assemble_symmetric``'s
-``tracks_multiplier``). A Newton direction keeps its reduced system and
-factors (``DirectionInfo.system``), so that the solver can correct a step
-the cone boundary cuts by Mehrotra's second-order term (``corrector``): one
-more reduced solve through them, without refinement, of J dc = -(0, 0, 0,
-0, 0, ds o dt), taken only when the corrected direction still meets the
-consistency bound.
+(``CONE_RAISE``). A ``ReducedSystem`` keeps the evaluation and penalty it
+was assembled at and, once factored, the factors of C, and offers two
+operators: the full system applied blockwise (``apply``) and the reduced
+solve (``inverse``). Directions are refined against the first by the GMRES
+loop of ``solve_refined`` with the second as its preconditioner
+(``reduced_solve``); no solve forms an (n+m+p)-square matrix or the dense
+Jacobian (``full_jacobian``, the only p x p cone matrix), which serves as a
+reference in tests. A direction takes at most ``MAX_REFINE`` refinement
+steps and must meet ||J dw + R||_inf <= ``CONSISTENCY_TOL`` (1 +
+||R||_inf). ``differentiate`` solves its parameter columns through the same
+reduction and refinement, with the multiplier estimate tracking the
+equality dual (``assemble_symmetric``'s ``tracks_multiplier``). A Newton
+direction keeps its factored system (``DirectionInfo.system``), so that
+the solver can correct a step the cone boundary cuts by Mehrotra's
+second-order term (``corrector``): one more reduced solve through it,
+without refinement, of J dc = -(0, 0, 0, 0, 0, ds o dt), taken only when
+the corrected direction still meets the consistency bound.
 """
 
 from __future__ import annotations
@@ -382,24 +384,28 @@ def schur_plan(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> 
 
 @dataclass
 class ReducedSystem:
-    """Symmetric reduction of the Newton system to (dx, dy, dz).
+    """Symmetric reduction of the Newton system at one iterate to (dx, dy,
+    dz), with the evaluation ``cache`` and penalty ``rho`` it was assembled
+    at and, once factored, the factors ``fact`` of its Schur complement C.
 
     The reduced matrix K = [[P, A'], [A, -N]] is never formed: it is solved
-    through its Schur complement C (``solve``), which is None unless N is
-    positive definite. The cone block uses the symmetrized W^{-1} Ptb. On
-    second-order segments of dimension 3 or more that operator is
-    nonsymmetric away from the central path, which is why directions are
-    refined against the full system (``reduced_solve``); on dimension 2 it
-    is an eigenvalue pair, exact to round-off, and refinement corrects
-    round-off only. The full system is applied blockwise
-    (``jacobian_apply``), never formed. Ps, Ptb, W and N stay stacked
-    blocks (``ConeBlocks``), never p x p matrices, so that W and N are
-    applied and inverted elementwise on the eigenvalue pairs, and solved
-    with ``np.linalg.solve`` only on dense blocks of dimension 3 or more.
+    through C, which is None unless N is positive definite. The cone block
+    uses the symmetrized W^{-1} Ptb. On second-order segments of dimension 3
+    or more that operator is nonsymmetric away from the central path, which
+    is why directions are refined against the full system (``apply``,
+    computed block by block, never formed) with the reduced solve
+    (``inverse``) as the preconditioner (``reduced_solve``); on dimension 2
+    it is an eigenvalue pair, exact to round-off, and refinement corrects
+    round-off only. Ps, Ptb, W and N stay stacked blocks (``ConeBlocks``),
+    never p x p matrices, so that W and N are applied and inverted
+    elementwise on the eigenvalue pairs, and solved with
+    ``np.linalg.solve`` only on dense blocks of dimension 3 or more.
     Residual rows and solutions may be vectors or matrices of columns.
     """
 
     layout: Layout
+    cache: EvalCache
+    rho: float
     eps_p: float
     eps_d: float
     dual_scale: float  # 1 / (rho + eps_p)
@@ -412,6 +418,7 @@ class ReducedSystem:
     N: Optional[ConeBlocks]  # N on the cone rows, as C was built from it
     tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
     raised: int = 0  # stacks of N raised by CONE_RAISE
+    fact: Optional[Factorization] = field(default=None, repr=False)  # of C
 
     def schur(self) -> np.ndarray:
         """C, for ``factorize``; NumericalFailure when N is not positive
@@ -420,48 +427,51 @@ class ReducedSystem:
             raise NumericalFailure("the dual block N is not positive definite")
         return self.C
 
-    def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Right-hand side of the reduced system for residual rows L,
-        so that K u = reduce_rows(L) solves the eliminated J dw = -L."""
+    def inverse(self, b: np.ndarray) -> np.ndarray:
+        """The reduced solve of J dw = b, through the factors ``fact`` of C.
+
+        The relaxation, slack and complement rows are eliminated exactly, K
+        u = f is solved for u = (dx, dy, dz) through C and N, u_x = C^{-1}(f_x
+        + A'N^{-1}f_v) and u_v = N^{-1}(A u_x - f_v), with A applied block by
+        block through the derivative matrices of ``cache`` and N^{-1} by a
+        scalar and block solves, and dr, ds and dt are recovered from u; so
+        rows r, s, t and y of J dw = b hold to round-off regardless of the
+        cone symmetrization."""
         lay = self.layout
-        Ly = rows[lay.y] + self.dual_scale * rows[lay.r]
-        Lz = rows[lay.z] + self.W.solve(self.Ptb.matvec(rows[lay.s]) + rows[lay.t])
-        return -np.concatenate([rows[lay.x], Ly, Lz])
-
-    def solve(self, fact: Factorization, cache: EvalCache, f: np.ndarray) -> np.ndarray:
-        """u = K^{-1} f through C, whose factors are ``fact``, and N: u_x =
-        C^{-1}(f_x + A'N^{-1}f_v) and u_v = N^{-1}(A u_x - f_v), with A
-        applied block by block through the derivative matrices of ``cache``
-        and N^{-1} by a scalar and block solves."""
-        n, m = self.layout.n, self.layout.m
-        fy, fz = f[n : n + m], f[n + m :]
-        g_x, h_x = cache.g_x, cache.h_x
-        b = f[:n] + g_x.T @ (fy / self.dual) + h_x.T @ self.N.solve(fz)
-        u = np.empty(f.shape)
-        u[:n] = fact.solve(b)
-        u[n : n + m] = (g_x @ u[:n] - fy) / self.dual
-        u[n + m :] = self.N.solve(h_x @ u[:n] - fz)
-        return u
-
-    def recover(self, sol: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Expand a reduced solution to the full direction for rows L.
-
-        The relaxation, slack, and complement blocks are eliminated exactly,
-        so rows r, s, t (and y, given the reduced solve) of J dw = -L hold to
-        round-off regardless of the cone symmetrization."""
-        lay = self.layout
-        n, m = lay.n, lay.m
-        dx, dy, dz = sol[:n], sol[n : n + m], sol[n + m :]
-        dw = np.empty((lay.total,) + sol.shape[1:])
-        dw[lay.x] = dx
-        dw[lay.y] = dy
-        dw[lay.z] = dz
-        coupled = -rows[lay.r] if self.tracks_multiplier else dy - rows[lay.r]
-        dw[lay.r] = coupled * self.dual_scale
-        ds = self.W.solve(self.Ptb.matvec(dz - rows[lay.s]) - rows[lay.t])
-        dw[lay.s] = ds
-        dw[lay.t] = self.eps_p * ds - dz + rows[lay.s]
+        br, bs, bt = b[lay.r], b[lay.s], b[lay.t]
+        fy = b[lay.y] + self.dual_scale * br
+        fz = b[lay.z] + self.W.solve(self.Ptb.matvec(bs) + bt)
+        g_x, h_x = self.cache.g_x, self.cache.h_x
+        dw = np.empty(b.shape)
+        dw[lay.x] = self.fact.solve(b[lay.x] + g_x.T @ (fy / self.dual) + h_x.T @ self.N.solve(fz))
+        dx = dw[lay.x]
+        dw[lay.y] = (g_x @ dx - fy) / self.dual
+        dw[lay.z] = self.N.solve(h_x @ dx - fz)
+        dy, dz = dw[lay.y], dw[lay.z]
+        dw[lay.r] = (br if self.tracks_multiplier else dy + br) * self.dual_scale
+        ds = dw[lay.s] = self.W.solve(self.Ptb.matvec(dz + bs) + bt)
+        dw[lay.t] = self.eps_p * ds - dz - bs
         return dw
+
+    def apply(self, dw: np.ndarray) -> np.ndarray:
+        """``full_jacobian`` at the shifts of the system times dw, computed
+        block by block without forming the matrix; dw may also hold
+        directions as columns. When the system tracks the multiplier, J[r,
+        y] = 0."""
+        lay, cache = self.layout, self.cache
+        ep, ed = self.eps_p, self.eps_d
+        dx, dr, ds = dw[lay.x], dw[lay.r], dw[lay.s]
+        dy, dz, dt = dw[lay.y], dw[lay.z], dw[lay.t]
+        out = np.empty(dw.shape)
+        out[lay.x] = cache.L_xx @ dx + ep * dx + cache.g_x.T @ dy + cache.h_x.T @ dz
+        out[lay.r] = (self.rho + ep) * dr
+        if not self.tracks_multiplier:
+            out[lay.r] -= dy
+        out[lay.s] = ep * ds - dz - dt
+        out[lay.y] = cache.g_x @ dx - dr - ed * dy
+        out[lay.z] = cache.h_x @ dx - ds - ed * dz
+        out[lay.t] = self.Ps.matvec(ds) + self.Ptb.matvec(dt)
+        return out
 
 
 def assemble_symmetric(
@@ -473,9 +483,9 @@ def assemble_symmetric(
     *,
     tracks_multiplier: bool = False,
 ) -> ReducedSystem:
-    """Assemble the reduced saddle system (right-hand sides: ``reduce_rows``)
-    and its Schur complement C when N is positive definite, at the iterate
-    evaluated in ``cache``.
+    """Assemble the reduced saddle system and its Schur complement C when N
+    is positive definite, at the iterate evaluated in ``cache``; the system
+    keeps ``cache`` and the penalty rho of ``outer``, and is not factored.
 
     N is 1/(rho + eps_p) + eps_d on the equality duals, from the exact
     elimination of the relaxation block. With ``tracks_multiplier`` the
@@ -509,29 +519,10 @@ def assemble_symmetric(
     dual = (DUAL_SHIFT if tracks_multiplier else dual_scale) + ed
     C, N, raised = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed)) or (None, None, 0)
     return ReducedSystem(
-        layout=lay, eps_p=ep, eps_d=ed, dual_scale=dual_scale, Ps=Ps, Ptb=Ptb, W=W,
-        plan=plan, C=C, dual=dual, N=N, tracks_multiplier=tracks_multiplier, raised=raised,
+        layout=lay, cache=cache, rho=outer.rho, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
+        Ps=Ps, Ptb=Ptb, W=W, plan=plan, C=C, dual=dual, N=N,
+        tracks_multiplier=tracks_multiplier, raised=raised,
     )
-
-
-def jacobian_apply(rsys: ReducedSystem, cache: EvalCache, rho: float, dw: np.ndarray) -> np.ndarray:
-    """full_jacobian at the shifts of rsys times dw, computed block by block
-    without forming the matrix; dw may also hold directions as columns. When
-    rsys tracks the multiplier, J[r, y] = 0."""
-    lay = rsys.layout
-    ep, ed = rsys.eps_p, rsys.eps_d
-    dx, dr, ds = dw[lay.x], dw[lay.r], dw[lay.s]
-    dy, dz, dt = dw[lay.y], dw[lay.z], dw[lay.t]
-    out = np.empty(dw.shape)
-    out[lay.x] = cache.L_xx @ dx + ep * dx + cache.g_x.T @ dy + cache.h_x.T @ dz
-    out[lay.r] = (rho + ep) * dr
-    if not rsys.tracks_multiplier:
-        out[lay.r] -= dy
-    out[lay.s] = ep * ds - dz - dt
-    out[lay.y] = cache.g_x @ dx - dr - ed * dy
-    out[lay.z] = cache.h_x @ dx - ds - ed * dz
-    out[lay.t] = rsys.Ps.matvec(ds) + rsys.Ptb.matvec(dt)
-    return out
 
 
 @dataclass
@@ -544,13 +535,10 @@ class DirectionInfo:
     used_full_solve: bool
     consistency_error: float
     inertia_trials: int = 0  # factorizations tried for the direction
-    certified: bool = False  # inertia certified by the Schur complement's Cholesky
     raised: int = 0  # cone stacks of the system's N raised by CONE_RAISE
-    # the reduced system the direction was solved through and its factors,
-    # for further solves at the same iterate (``corrector``)
-    system: Optional[Tuple[ReducedSystem, Factorization]] = field(
-        default=None, repr=False, compare=False
-    )
+    # the factored reduced system the direction was solved through, for
+    # further solves at the same iterate (``corrector``)
+    system: Optional[ReducedSystem] = field(default=None, repr=False, compare=False)
 
 
 REFINE_TOL = 1e-12  # relative residual at which refinement stops
@@ -560,32 +548,21 @@ CONSISTENCY_TOL = 1e-8  # bound on ||J dw + R||_inf of a direction, times 1 + ||
 
 def reduced_solve(
     rsys: ReducedSystem,
-    fact: Factorization,
-    cache: EvalCache,
-    rho: float,
     R: np.ndarray,
     max_refine: int,
     exact: Optional[ReducedSystem] = None,
     norm_R: Optional[float] = None,
 ) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
     """Solve J dw = -R by ``solve_refined`` against the full system of
-    ``exact`` (rsys when None), applied blockwise (``jacobian_apply``), with
-    the reduced solve of rsys through ``fact``, the factors of rsys.C, as its
-    preconditioner, in at most ``max_refine`` refinement steps; R may hold
-    right-hand sides as columns, and ``norm_R`` is ||R||_inf when already
-    taken. Returns the best dw, ||J dw + R||_inf, J dw + R and the steps
-    taken; dw is None (error inf) when the solve fails."""
+    ``exact`` (rsys when None), applied blockwise (``ReducedSystem.apply``),
+    with the reduced solve of the factored rsys (``ReducedSystem.inverse``)
+    as its preconditioner, in at most ``max_refine`` refinement steps; R may
+    hold right-hand sides as columns, and ``norm_R`` is ||R||_inf when
+    already taken. Returns the best dw, ||J dw + R||_inf, J dw + R and the
+    steps taken; dw is None (error inf) when the solve fails."""
     exact = rsys if exact is None else exact
-
-    def reduced_inverse(b):
-        rows = -b  # reduce_rows and recover take the residual rows of J dw = -rows
-        return rsys.recover(rsys.solve(fact, cache, rsys.reduce_rows(rows)), rows)
-
     try:
-        return solve_refined(
-            lambda dw: jacobian_apply(exact, cache, rho, dw), reduced_inverse, -R,
-            max_refine, REFINE_TOL, norm_R,
-        )
+        return solve_refined(exact.apply, rsys.inverse, -R, max_refine, REFINE_TOL, norm_R)
     except NumericalFailure:
         return None, np.inf, None, 0
 
@@ -613,11 +590,11 @@ def search_direction(
     shifts, or NumericalFailure is raised.
     """
     lay = layout_of(model.n, model.m, model.p)
-    rsys, fact, reg, trials = correct_inertia(
+    rsys, rsys.fact, reg, trials = correct_inertia(
         lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed)), reg
     )
     consistency = CONSISTENCY_TOL * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, fact, cache, outer.rho, R, MAX_REFINE, norm_R=norm_R)
+    best, best_err, _, passes = reduced_solve(rsys, R, MAX_REFINE, norm_R=norm_R)
     if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
@@ -625,16 +602,13 @@ def search_direction(
     info = DirectionInfo(
         eps_p=reg.eps_p, eps_d=reg.eps_d, refine_passes=passes,
         used_full_solve=False, consistency_error=best_err,
-        inertia_trials=trials, certified=fact.certified, raised=rsys.raised,
-        system=(rsys, fact),
+        inertia_trials=trials, raised=rsys.raised, system=rsys,
     )
     return lay.unpack(best), reg, info
 
 
 def corrector(
     model: ProblemModel,
-    cache: EvalCache,
-    rho: float,
     R: np.ndarray,
     delta: SolverPoint,
     info: DirectionInfo,
@@ -646,15 +620,14 @@ def corrector(
     J delta = -R linearizes the complementarity rows, so a full step leaves
     (s + ds) o (t + dt) - kappa e = ds o dt there. The corrector dc solves J
     dc = -(0, 0, 0, 0, 0, ds o dt) by one reduced solve through delta's own
-    system and factors (``info.system``), without refinement, so that delta
+    factored system (``info.system``), without refinement, so that delta
     + dc solves J dw = -(R + (0, ..., ds o dt)). Returns delta + dc when its
     residual there, bounded by the sum of the residuals of the two solves,
     meets the consistency bound of ``search_direction``; otherwise None."""
-    rsys, fact = info.system
-    lay = rsys.layout
+    lay = info.system.layout
     c = np.zeros(lay.total)
     c[lay.t] = cone_product(delta.s, delta.t, model.cone)
-    dc, err, _, _ = reduced_solve(rsys, fact, cache, rho, c, max_refine=0)
+    dc, err, _, _ = reduced_solve(info.system, c, max_refine=0)
     if not info.consistency_error + err <= CONSISTENCY_TOL * (1.0 + np.abs(R + c).max()):
         return None  # a failed solve has err inf
     return lay.unpack(lay.pack(delta) + dc)

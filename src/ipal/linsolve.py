@@ -6,7 +6,7 @@ Its dual block N is positive definite wherever it is factored (block
 diagonal: a scalar on the equality duals, the cone blocks on the cone rows),
 so K is solved through its Schur complement C = P + A'N^{-1}A, of order n,
 and N: u_x = C^{-1}(f_x + A'N^{-1}f_v), u_v = N^{-1}(A u_x - f_v)
-(``kkt.ReducedSystem.solve``). C is held in LAPACK lower band storage in
+(``kkt.ReducedSystem.inverse``). C is held in LAPACK lower band storage in
 x's own order, which for a transcription is the stage order, in which it is
 banded (Rao, Wright & Rawlings, JOTA 1998; Wang & Boyd, IEEE TCST 2010); a
 general model is one band of half-bandwidth n - 1.
@@ -20,10 +20,10 @@ pivoting (dgbtrf, ``band_lu``) and the factorization is not certified; an
 exactly zero pivot or a non-finite entry raises NumericalFailure.
 
 ``solve_refined`` is the one refinement loop: an operator, an approximate
-inverse (for the full Newton system, the reduced solve of
-``kkt.reduced_solve``) used as a right preconditioner, and GMRES steps on
-the correction until its tolerance, ``max_refine`` steps, or the first step
-that does not reduce the residual.
+inverse (for the full Newton system, the reduced solve
+``kkt.ReducedSystem.inverse``) used as a right preconditioner, and GMRES
+steps on the correction until its tolerance, ``max_refine`` steps, or the
+first step that does not reduce the residual.
 
 The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization is certified, by IPOPT's rule with the

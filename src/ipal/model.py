@@ -90,14 +90,16 @@ class StageMatrix:
         return StageMatrix(self.pattern, np.abs(self.values))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """A v, for a vector or column by column: bincount adds each row's
+        terms in the order of the stored entries either way."""
         rows, cols = self.pattern.rows, self.pattern.cols
         m = self.shape[0]
         if v.ndim == 1:
             return np.bincount(rows, self.values * v[cols], minlength=m).astype(float, copy=False)
-        k = v.shape[1]
-        at = (rows[:, None] * k + np.arange(k)).ravel()
-        out = np.bincount(at, (self.values[:, None] * v[cols]).ravel(), minlength=m * k)
-        return out.astype(float, copy=False).reshape(m, k)
+        out = np.empty((m, v.shape[1]))
+        for j in range(v.shape[1]):
+            out[:, j] = np.bincount(rows, self.values * v[:, j][cols], minlength=m)
+        return out
 
     def max(self, axis: int, initial: float) -> np.ndarray:
         """Row (axis=1) or column (axis=0) maxima of the stored entries and

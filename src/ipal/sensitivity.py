@@ -43,7 +43,7 @@ from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that 
     reduced_solve,
 )
 from .linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, band_lu, factorize
-from .model import EvalCache, ProblemModel, entries, evaluate, evaluate_parameter_jacobians
+from .model import ProblemModel, entries, evaluate, evaluate_parameter_jacobians
 from .solver import Solution, checked_vector, unrelaxed_residual_norm
 
 
@@ -115,24 +115,24 @@ def differentiate(
     rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
     factored, singular = rsys, False
     try:
-        fact = factorize(rsys.schur())
+        rsys.fact = factorize(rsys.schur())
     except NumericalFailure:
         singular = True
         factored = assemble_symmetric(model, point, outer, cache, PRIMAL_SHIFT, tracks_multiplier=True)
-        fact = factorize(factored.schur())
+        factored.fact = factorize(factored.schur())
     if model.m and not singular:
         try:
             band_lu(rsys.plan.gram(entries(cache.g_x)[1]))
         except NumericalFailure:
             singular = True
-    dw, _, err, _ = reduced_solve(factored, fact, cache, outer.rho, Rt, MAX_REFINE, exact=rsys)
+    dw, _, err, _ = reduced_solve(factored, Rt, MAX_REFINE, exact=rsys)
     if dw is None:
         raise NumericalFailure("the regularized sensitivity solve failed")
     flagged = singular
     if dw.size:
         # accept on the row-equilibrated residual J dw + Rt: the penalty
         # rows scale with rho, the cone rows with the barrier
-        row_scale = _row_scale(rsys, cache, outer.rho)[:, None]
+        row_scale = _row_scale(rsys)[:, None]
         scale = 1.0 + np.abs(Rt / row_scale).max()
         res = np.abs(err / row_scale).max()
         flagged |= not (np.isfinite(res) and res <= 1e-6 * scale)
@@ -145,10 +145,10 @@ def differentiate(
     )
 
 
-def _row_scale(rsys: ReducedSystem, cache: EvalCache, rho: float) -> np.ndarray:
-    """Row max-norms of the Jacobian differentiated at zero shift with
-    J[r, y] = 0, read off its blocks; all-zero rows get 1."""
-    lay = rsys.layout
+def _row_scale(rsys: ReducedSystem) -> np.ndarray:
+    """Row max-norms of the Jacobian of rsys, differentiated at zero shift
+    with J[r, y] = 0, read off its blocks; all-zero rows get 1."""
+    lay, cache = rsys.layout, rsys.cache
     ag, ah = abs(cache.g_x), abs(cache.h_x)
     x_rows = np.maximum.reduce([
         abs(cache.L_xx).max(axis=1, initial=0.0),
@@ -157,7 +157,7 @@ def _row_scale(rsys: ReducedSystem, cache: EvalCache, rho: float) -> np.ndarray:
     ])
     scale = np.concatenate([
         x_rows,
-        np.full(lay.m, abs(rho)),
+        np.full(lay.m, abs(rsys.rho)),
         np.ones(lay.p),  # -I at z and t
         ag.max(axis=1, initial=1.0),  # g_x and -I at r
         ah.max(axis=1, initial=1.0),  # h_x and -I at s

@@ -116,7 +116,6 @@ class TraceRecord:
     refine_passes: int = 0
     consistency_error: float = 0.0
     inertia_trials: int = 0
-    certified: bool = False
     raised: int = 0  # cone stacks raised by kkt.CONE_RAISE
     # the boundary cut the Newton step (cap below 1), so the corrector was
     # tried; corrected: the step taken was along its corrected direction
@@ -290,6 +289,10 @@ class Filter:
 
 ARMIJO = 1e-8  # sufficient-decrease margins in the filter rule
 MIN_STEP = 1e-12
+# trials in a row whose values cannot be evaluated before the line search
+# stops: a step only too long for the callbacks' domain is accepted after a
+# few halvings, while callbacks that stay non-finite end it early
+MAX_UNEVALUABLE = 10
 ROUNDOFF = 10.0 * np.finfo(float).eps  # relative rounding of the merit
 
 
@@ -312,8 +315,9 @@ def filter_step(
     alpha_t. Returns the new point, the accepted alpha, alpha_t, the accepted
     pair, the values (c, g, h) at the new point, the number of step halvings
     taken, and the barrier value of the new point's s. Raises
-    LineSearchFailure below MIN_STEP, or the EvaluationFailure of the last
-    trial when no trial's values could be evaluated.
+    LineSearchFailure below MIN_STEP or after MAX_UNEVALUABLE trials in a
+    row whose values could not be evaluated, or the EvaluationFailure of the
+    last trial when no trial's values could be evaluated.
     """
     phi0, eta0 = current
     # round-off relaxation (Waechter & Biegler, Math. Prog. 2006): near the
@@ -322,8 +326,8 @@ def filter_step(
     slack = ROUNDOFF * abs(phi0)
     alpha = alpha_init
     backtracks = 0
-    evaluated, failure = False, None
-    while alpha >= MIN_STEP:
+    evaluated, failure, unevaluable = False, None, 0
+    while alpha >= MIN_STEP and unevaluable < MAX_UNEVALUABLE:
         cand = SolverPoint(
             x=point.x + alpha * delta.x,
             r=point.r + alpha * delta.r,
@@ -334,14 +338,14 @@ def filter_step(
         )
         try:
             values = evaluate_values(model, cand.x, theta)
-            evaluated = True
+            evaluated, unevaluable = True, 0
             barrier = barrier_value(cand.s, model.cone)
             phi = merit(cand, outer, values, barrier)
             eta = violation(model, cand, values)
         except NotInterior:
             pass
         except EvaluationFailure as exc:
-            failure = exc
+            failure, unevaluable = exc, unevaluable + 1
         else:
             sufficient = (phi < phi0 - ARMIJO * eta0 + slack) or (eta < (1.0 - ARMIJO) * eta0)
             if sufficient and not filt.dominated(phi - slack, eta):
@@ -354,6 +358,8 @@ def filter_step(
         backtracks += 1
     if failure is not None and not evaluated:
         raise failure
+    if unevaluable == MAX_UNEVALUABLE:
+        raise LineSearchFailure(f"{MAX_UNEVALUABLE} trials in a row could not be evaluated") from failure
     raise LineSearchFailure(f"no acceptable step above {MIN_STEP:g}")
 
 
@@ -381,7 +387,7 @@ def newton_step(model: ProblemModel, point: SolverPoint, theta: np.ndarray, oute
     delta, reg, info = search_direction(model, point, outer, reg, cache, R, norm_R)
     alpha, alpha_t = caps(delta)
     cut = min(alpha, alpha_t) < 1.0
-    corrected = corrector(model, cache, outer.rho, R, delta, info) if cut else None
+    corrected = corrector(model, R, delta, info) if cut else None
     if corrected is not None:
         c_alpha, c_alpha_t = caps(corrected)
         # t moves by its cap unchecked (s by the line search, which evaluates
@@ -506,8 +512,8 @@ def solve(
                         alpha_t=alpha_t, kappa=outer.kappa, rho=outer.rho,
                         backtracks=backtracks, eps_p=info.eps_p, eps_d=info.eps_d,
                         refine_passes=info.refine_passes, consistency_error=info.consistency_error,
-                        inertia_trials=info.inertia_trials, certified=info.certified,
-                        raised=info.raised, cut=cut, corrected=corrected,
+                        inertia_trials=info.inertia_trials, raised=info.raised,
+                        cut=cut, corrected=corrected,
                     )
                 )
     except LineSearchFailure:

@@ -397,8 +397,23 @@ def zero_shift_direction(model, point, theta, outer, R, max_refine=MAX_REFINE, c
     if cache is None:
         cache = evaluate_at(model, point, theta)
     rsys = assemble_symmetric(model, point, outer, cache)
-    dw, err, _, passes = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, R, max_refine)
+    rsys.fact = factorize(rsys.schur())
+    dw, err, _, passes = reduced_solve(rsys, R, max_refine)
     return dw, err, passes
+
+
+def reduced_matrix_solve(rsys, fact, f):
+    """K^{-1} f for the reduced matrix K = [[P, A'], [A, -N]] of rsys, by
+    its reduced solve through ``fact``, the factors of its C: J dw = b with
+    the r, s and t rows of b zero reduces to K (dx, dy, dz) = (b_x, b_y,
+    b_z). f may hold right-hand sides as columns."""
+    lay = rsys.layout
+    n, m = lay.n, lay.m
+    b = np.zeros((lay.total,) + f.shape[1:])
+    b[lay.x], b[lay.y], b[lay.z] = f[:n], f[n : n + m], f[n + m :]
+    rsys.fact = fact
+    dw = rsys.inverse(b)
+    return np.concatenate([dw[lay.x], dw[lay.y], dw[lay.z]])
 
 
 def residual_reference(model, point, outer, cache):

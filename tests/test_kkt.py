@@ -20,6 +20,7 @@ from helpers import (
     random_iterate,
     random_nlp,
     reduced_cone_inverse_loop,
+    reduced_matrix_solve,
     residual_at,
     residual_reference,
     segment_slices,
@@ -41,7 +42,6 @@ from ipal.kkt import (
     assemble_symmetric,
     corrector,
     full_jacobian,
-    jacobian_apply,
     reduced_solve,
 )
 from ipal.cone import ConeBlocks, cone_product, cone_product_jacobians
@@ -188,9 +188,8 @@ class TestSymmetricReduction:
         cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
         R = residual_at(model, point, np.zeros(0), outer, cache)
         rsys = assemble_symmetric(model, point, outer, cache, reg)
-        K = dense_reduced_matrix(model, point, outer, reg, cache)
-        sol = np.linalg.solve(K, rsys.reduce_rows(R))
-        dw = rsys.recover(sol, R)
+        rsys.fact = factorize(rsys.schur())
+        dw = rsys.inverse(-R)
         lay = Layout(1, 1, 0)
         row4 = cache.g_x @ dw[lay.x] - dw[lay.r] - reg.eps_d * dw[lay.y]
         assert row4[0] == pytest.approx(-R[lay.y][0], abs=1e-14)
@@ -222,8 +221,11 @@ class TestSymmetricReduction:
 
     @pytest.mark.parametrize("kind", ["orthant", "second-order"])
     def test_columns_match_one_at_a_time(self, kind):
-        # reduce_rows and recover on a 3-column matrix equal their
-        # application to each column, with and without multiplier tracking
+        # the reduced solve and the blockwise Jacobian on a 3-column matrix
+        # equal their application to each column, with and without
+        # multiplier tracking: the Jacobian to round-off, the solve to its
+        # round-off times the conditioning of C, whose band solve of a
+        # matrix rounds apart from that of a vector
         rng = np.random.default_rng(15)
         for _ in range(20):
             n = int(rng.integers(2, 7))
@@ -234,19 +236,17 @@ class TestSymmetricReduction:
             point, outer = random_iterate(rng, model)
             reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
             rows = rng.standard_normal((model.n + 2 * model.m + 3 * model.p, 3))
-            sol = rng.standard_normal((model.n + model.m + model.p, 3))
             for track in (False, True):
                 rsys = assemble_symmetric(
                     model, point, outer, evaluate_at(model, point, np.zeros(0)), reg, tracks_multiplier=track
                 )
-                reduced = rsys.reduce_rows(rows)
-                dw = rsys.recover(sol, rows)
-                assert reduced.shape == sol.shape and dw.shape == rows.shape
-                for j in range(3):
-                    one = rsys.reduce_rows(rows[:, j])
-                    assert np.abs(reduced[:, j] - one).max() <= 1e-14 * np.abs(one).max()
-                    one = rsys.recover(sol[:, j], rows[:, j])
-                    assert np.abs(dw[:, j] - one).max() <= 1e-14 * np.abs(one).max()
+                rsys.fact = factorize(rsys.schur())
+                for operator, tol in ((rsys.inverse, 1e-9), (rsys.apply, 1e-14)):
+                    out = operator(rows)
+                    assert out.shape == rows.shape
+                    for j in range(3):
+                        one = operator(rows[:, j])
+                        assert np.abs(out[:, j] - one).max() <= tol * np.abs(one).max()
 
 
 class TestSearchDirection:
@@ -316,7 +316,7 @@ class TestJacobianApply:
             rsys = assemble_symmetric(model, point, outer, cache, reg)
             J = full_jacobian(model, point, outer, cache, reg)
             for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 3))):
-                err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
+                err = np.abs(rsys.apply(dw) - J @ dw).max()
                 assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
 
     def test_tracked_multiplier_drops_the_r_y_coupling(self):
@@ -336,12 +336,13 @@ class TestJacobianApply:
             rows = rng.standard_normal((lay.total, 3))
             rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
             dw = rng.standard_normal((lay.total, 3))
-            err = np.abs(jacobian_apply(rsys, cache, outer.rho, dw) - J @ dw).max()
+            err = np.abs(rsys.apply(dw) - J @ dw).max()
             assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
             # the tracked C has the dual shift on the equality duals alone;
             # refined against the tracked system, the solve is exact
             expected = np.linalg.solve(J, -rows)
-            got, _, _, _ = reduced_solve(rsys, factorize(rsys.schur()), cache, outer.rho, rows, MAX_REFINE)
+            rsys.fact = factorize(rsys.schur())
+            got, _, _, _ = reduced_solve(rsys, rows, MAX_REFINE)
             assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
@@ -378,9 +379,9 @@ def test_each_direction_is_solved_through_the_system_at_its_shifts(monkeypatch, 
     sol = solve(prob.model, prob.x0, prob.theta)
     assert sol.solved and directions
     for _, reg, info in directions:
-        rsys, fact = info.system
+        rsys = info.system
         assert (rsys.eps_p, rsys.eps_d) == (info.eps_p, info.eps_d) == (reg.eps_p, reg.eps_d)
-        assert fact.certified and info.inertia_trials >= 1
+        assert rsys.fact.certified and info.inertia_trials >= 1
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -453,7 +454,7 @@ def test_corrected_direction_matches_the_dense_solve(monkeypatch, name):
     assert sol.solved and captured
     lay = Layout(model.n, model.m, model.p)
     for point, outer, cache, R, (delta, reg, info) in captured:
-        corrected = corrector(model, cache, outer.rho, R, delta, info)
+        corrected = corrector(model, R, delta, info)
         assert corrected is not None
         rhs = -R
         rhs[lay.t] -= cone_product(delta.s, delta.t, model.cone)
@@ -889,7 +890,7 @@ def test_schur_solves_match_the_dense_reduced_matrix_on_indefinite_c():
         factors = _solves_through_c(rsys, cache)
         indefinite += not factors[0].certified
         for fact in factors:
-            err = np.abs(rsys.solve(fact, cache, f) - expected).max()
+            err = np.abs(reduced_matrix_solve(rsys, fact, f) - expected).max()
             assert err <= 1e-12 * np.abs(expected).max()
     assert indefinite == 89
 
@@ -928,6 +929,6 @@ def test_schur_solves_match_the_dense_reduced_matrix(monkeypatch, name):
         assert factors[0].certified and not factors[1].certified
         for fact in factors:
             got = solve_refined(
-                lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f, MAX_REFINE, REFINE_TOL
+                lambda u: K @ u, lambda b: reduced_matrix_solve(rsys, fact, b), f, MAX_REFINE, REFINE_TOL
             )[0]
             assert np.abs(got - expected).max() / scale <= max(1e-10, 10.0 * spread)

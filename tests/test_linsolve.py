@@ -11,6 +11,7 @@ from helpers import (
     dense_schur_complement,
     lower_band,
     reduced_cone_inverse_loop,
+    reduced_matrix_solve,
     trajectory_tracking,
 )
 from ipal.linsolve import (
@@ -537,7 +538,7 @@ class TestBlockedFactorize:
                 spread = np.abs(scipy_solve(K, f) - expected).max() / scale
                 for fact in (certified, band_lu(rsys.C)):
                     got = solve_refined(
-                        lambda u: K @ u, lambda b: rsys.solve(fact, cache, b), f, MAX_REFINE, REFINE_TOL
+                        lambda u: K @ u, lambda b: reduced_matrix_solve(rsys, fact, b), f, MAX_REFINE, REFINE_TOL
                     )[0]
                     err = np.abs(got - expected).max() / scale
                     assert err <= max(1e-10, 10.0 * spread)

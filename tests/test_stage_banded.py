@@ -22,7 +22,7 @@ from helpers import (
 )
 from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
-from ipal.kkt import assemble_symmetric, full_jacobian, jacobian_apply
+from ipal.kkt import assemble_symmetric, full_jacobian
 from ipal.linsolve import DUAL_SHIFT, RegularizationState, factorize
 from ipal.model import StageMatrix, evaluate
 from ipal.solver import SolverOptions, SolveStatus, solve
@@ -169,7 +169,7 @@ def test_jacobian_apply_matches_dense_jacobian(name):
         rsys = assemble_symmetric(model, point, outer, cache, reg)
         J = full_jacobian(model, point, outer, cache, reg)
         for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 4))):
-            _close(jacobian_apply(rsys, cache, outer.rho, dw), J @ dw)
+            _close(rsys.apply(dw), J @ dw)
 
 
 def test_transcribed_solve_builds_no_kkt_sized_matrix(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import dense_transcription, random_iterate, tracking_problem
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import assemble_symmetric
-from ipal.model import InvalidDimension, evaluate
+from ipal.model import InvalidDimension, StageMatrix, evaluate
 from ipal.solver import SolveStatus, solve
 from ipal.trajopt import HOOKS, Stage, TrajectoryProblem, transcribe
 
@@ -157,6 +157,24 @@ def test_the_schur_complement_band_is_read_off_the_stage_widths(case):
     widths = [stage.state_dim + stage.control_dim for stage in problem.stages]
     reach = [w + stage.state_dim for w, stage in zip(widths, problem.stages[1:])]
     assert model.schur_plan.kd == max(widths + reach) - 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(stage_sequences(), st.integers(0, 6))
+def test_a_product_with_columns_is_its_column_products_bitwise(case, k):
+    # a stage matrix, or its transpose, times k columns equals its k
+    # products with one column each, bit for bit
+    problem, x, theta, y, z = case
+    model = transcribe(problem)
+    rng = np.random.default_rng(k)
+    matrices = [model.equality_jacobian(x, theta), model.cone_jacobian(x, theta),
+                model.lagrangian_hessian(x, theta, y, z)]
+    for A in (A for M in matrices if isinstance(M, StageMatrix) for A in (M, M.T)):
+        V = rng.standard_normal((A.shape[1], k))
+        want = np.empty((A.shape[0], k))
+        for j in range(k):
+            want[:, j] = A @ V[:, j]
+        _bitwise(A @ V, want)
 
 
 # ------------------------------------------------------------------ errors
