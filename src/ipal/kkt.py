@@ -18,32 +18,33 @@ made where it first met the iterate. Search directions (``search_direction``,
 the one routine that computes them) solve the Newton system J dw = -R
 through a symmetric 3x3-block reduction in (dx, dy, dz), K = [[P, A'], [A,
 -N]] with P = L_xx + eps_p I and A = (g_x; h_x), whose factorization also
-drives inertia-based regularization. K is never formed:
-it is solved through its Schur complement onto the x rows, C = P +
-A'N^{-1}A, when its dual block N is positive definite (``ReducedSystem``).
-C is summed straight from the stored entries of the stage matrices, or of a
-general model's dense derivative matrices, into LAPACK lower band storage
-in x's own order, its half-bandwidth read off those entries, by index plans
-computed once per model (``SchurPlan``); its Cholesky factorization
-certifies the inertia of K (``linsolve.factorize``), and a K whose N is not
-positive definite has no C and takes the dual shift. Cone slack and
-complement blocks are recovered in closed form from stacked cone blocks
-(``ConeBlocks``). On second-order segments of dimension 2 the arrow
-matrices share the eigenvectors (1, +-1)/sqrt(2), so W, W^{-1}P_t, N and
-their inverses are eigenvalue pairs there, summed, scaled, inverted and
-applied elementwise, and a small eigenvalue at the cone boundary is kept.
-Only segments of dimension 3 or more hold dense blocks: their W^{-1}P_t is
-symmetrized, which is inexact away from the central path, and a block of N
-that is singular to round-off at the cone boundary is raised
-(``CONE_RAISE``). A ``ReducedSystem`` keeps the evaluation and penalty it
-was assembled at and, once factored, the factors of C, and offers two
-operators: the full system applied blockwise (``apply``) and the reduced
-solve (``inverse``). Directions are refined against the first by the GMRES
-loop of ``solve_refined`` with the second as its preconditioner
-(``reduced_solve``); no solve forms an (n+m+p)-square matrix or the dense
-Jacobian (``full_jacobian``, the only p x p cone matrix), which serves as a
-reference in tests. A direction takes at most ``MAX_REFINE`` refinement
-steps and must meet ||J dw + R||_inf <= ``CONSISTENCY_TOL`` (1 +
+drives inertia-based regularization. K is never formed: it is solved
+through its Schur complement onto the x rows, C = P + A'N^{-1}A, and its
+dual block N, which is positive definite (``ReducedSystem``). C is summed
+straight from the stored entries of the stage matrices, or of a general
+model's dense derivative matrices, into LAPACK lower band storage in x's own
+order, its half-bandwidth read off those entries, by index plans computed
+once per model (``SchurPlan``); its Cholesky factorization certifies the
+inertia of K (``linsolve.factorize``). ``assemble_symmetric`` builds and
+factors C, or raises NumericalFailure when N is not positive definite or C
+has an exactly zero pivot, and inertia correction then takes the dual
+shift. Cone slack and complement blocks are recovered in closed form from
+stacked cone blocks (``ConeBlocks``). On second-order segments of dimension
+2 the arrow matrices share the eigenvectors (1, +-1)/sqrt(2), so W,
+W^{-1}P_t, N and their inverses are eigenvalue pairs there, summed, scaled,
+inverted and applied elementwise, and a small eigenvalue at the cone
+boundary is kept. Only segments of dimension 3 or more hold dense blocks:
+their W^{-1}P_t is symmetrized, which is inexact away from the central path,
+and a block of N that is singular to round-off at the cone boundary is
+raised (``CONE_RAISE``). A ``ReducedSystem`` keeps the evaluation and
+penalty it was assembled at and the factors of C, and offers the full
+system applied blockwise (``apply``), the reduced solve (``inverse``) and
+its solve of J dw = -R (``solve``): the GMRES loop of ``solve_refined``
+against the first with the second as its preconditioner, which raises
+NumericalFailure when it fails. No solve forms an (n+m+p)-square matrix or
+the dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
+serves as a reference in tests. A direction takes at most ``MAX_REFINE``
+refinement steps and must meet ||J dw + R||_inf <= ``CONSISTENCY_TOL`` (1 +
 ||R||_inf). ``differentiate`` solves its parameter columns through the same
 reduction and refinement, with the multiplier estimate tracking the
 equality dual (``assemble_symmetric``'s ``tracks_multiplier``). A Newton
@@ -70,6 +71,7 @@ from .cone import (
     eigen_blocks,
     product_jacobian_blocks,
 )
+from . import linsolve
 from .linsolve import (
     DUAL_SHIFT,
     Factorization,
@@ -303,21 +305,21 @@ class SchurPlan:
         self.gram_target = compact_index(rc * (self.gram_kd + 1) + ra - rc)
 
     def complement(self, L: np.ndarray, A: np.ndarray, eps_p: float, dual: float,
-                   cone: ConeBlocks) -> Optional[Tuple[np.ndarray, ConeBlocks, int]]:
+                   cone: ConeBlocks) -> Tuple[np.ndarray, ConeBlocks, int]:
         """C, with the stored entries ``L`` of L_xx and ``A`` of g_x and then
         h_x, P = L_xx + ``eps_p`` I and N = ``dual`` I on the equality duals
         and ``cone`` on the cone rows, the cone block of N it was built from
         (``cone`` with its boundary stacks raised, see ``_raised_inverse``)
-        and the number of stacks raised; None unless N is positive definite.
-        The flat inverse of N holds 1 / ``dual`` per equality dual, the
-        inverse of ``cone.diag``, then each inverse block of ``cone.blocks``,
-        row-major."""
+        and the number of stacks raised; NumericalFailure unless N is
+        positive definite. The flat inverse of N holds 1 / ``dual`` per
+        equality dual, the inverse of ``cone.diag``, then each inverse block
+        of ``cone.blocks``, row-major."""
         if (self.m and not dual > 0.0) or not (cone.diag > 0.0).all():
-            return None
+            raise NumericalFailure("the dual block N is not positive definite")
         try:
             raised = [_raised_inverse(B) for B in cone.blocks]
-        except np.linalg.LinAlgError:
-            return None
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"the dual block N is not positive definite: {exc}") from exc
         inverse = np.concatenate([np.ones(self.m) / dual, 1.0 / cone.diag]
                                  + [inv.reshape(-1) for _, inv in raised])
         terms = A.take(self.left) * A.take(self.right) * inverse.take(self.inner)
@@ -386,20 +388,20 @@ def schur_plan(model: ProblemModel, patterns: Tuple[Optional[Pattern], ...]) -> 
 class ReducedSystem:
     """Symmetric reduction of the Newton system at one iterate to (dx, dy,
     dz), with the evaluation ``cache`` and penalty ``rho`` it was assembled
-    at and, once factored, the factors ``fact`` of its Schur complement C.
+    at and the factors ``fact`` of its Schur complement C.
 
     The reduced matrix K = [[P, A'], [A, -N]] is never formed: it is solved
-    through C, which is None unless N is positive definite. The cone block
-    uses the symmetrized W^{-1} Ptb. On second-order segments of dimension 3
-    or more that operator is nonsymmetric away from the central path, which
-    is why directions are refined against the full system (``apply``,
-    computed block by block, never formed) with the reduced solve
-    (``inverse``) as the preconditioner (``reduced_solve``); on dimension 2
-    it is an eigenvalue pair, exact to round-off, and refinement corrects
-    round-off only. Ps, Ptb, W and N stay stacked blocks (``ConeBlocks``),
-    never p x p matrices, so that W and N are applied and inverted
-    elementwise on the eigenvalue pairs, and solved with
-    ``np.linalg.solve`` only on dense blocks of dimension 3 or more.
+    through C and N, which is positive definite. The cone block uses the
+    symmetrized W^{-1} Ptb. On second-order segments of dimension 3 or more
+    that operator is nonsymmetric away from the central path, which is why
+    directions are refined against the full system (``apply``, computed
+    block by block, never formed) with the reduced solve (``inverse``) as
+    the preconditioner (``solve``); on dimension 2 it is an eigenvalue
+    pair, exact to round-off, and refinement corrects round-off only. Ps,
+    Ptb, W and N stay stacked blocks (``ConeBlocks``), never p x p
+    matrices, so that W and N are applied and inverted elementwise on the
+    eigenvalue pairs, and solved with ``np.linalg.solve`` only on dense
+    blocks of dimension 3 or more.
     Residual rows and solutions may be vectors or matrices of columns.
     """
 
@@ -413,19 +415,12 @@ class ReducedSystem:
     Ptb: ConeBlocks  # P_t - eps_d I
     W: ConeBlocks  # Ps + eps_p Ptb
     plan: SchurPlan
-    C: Optional[np.ndarray]  # in LAPACK lower band storage, (plan.kd + 1, n)
+    C: np.ndarray  # in LAPACK lower band storage, (plan.kd + 1, n)
     dual: float  # N on the equality duals, as C was built from it
-    N: Optional[ConeBlocks]  # N on the cone rows, as C was built from it
+    N: ConeBlocks  # N on the cone rows, as C was built from it
+    fact: Factorization = field(repr=False)  # of C
     tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
     raised: int = 0  # stacks of N raised by CONE_RAISE
-    fact: Optional[Factorization] = field(default=None, repr=False)  # of C
-
-    def schur(self) -> np.ndarray:
-        """C, for ``factorize``; NumericalFailure when N is not positive
-        definite, so that K has no Schur complement."""
-        if self.C is None:
-            raise NumericalFailure("the dual block N is not positive definite")
-        return self.C
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
         """The reduced solve of J dw = b, through the factors ``fact`` of C.
@@ -473,6 +468,17 @@ class ReducedSystem:
         out[lay.t] = self.Ps.matvec(ds) + self.Ptb.matvec(dt)
         return out
 
+    def solve(self, R: np.ndarray, max_refine: int, exact: Optional[ReducedSystem] = None,
+              norm_R: Optional[float] = None) -> Tuple[np.ndarray, float, np.ndarray, int]:
+        """Solve J dw = -R by ``solve_refined`` against ``apply`` of ``exact``
+        (this system when None), with ``inverse`` as its preconditioner, in
+        at most ``max_refine`` refinement steps; R may hold right-hand sides
+        as columns, and ``norm_R`` is ||R||_inf when already taken. Returns
+        the best dw, ||J dw + R||_inf, J dw + R and the steps taken;
+        NumericalFailure when the solve fails."""
+        exact = self if exact is None else exact
+        return solve_refined(exact.apply, self.inverse, -R, max_refine, REFINE_TOL, norm_R)
+
 
 def assemble_symmetric(
     model: ProblemModel,
@@ -483,9 +489,11 @@ def assemble_symmetric(
     *,
     tracks_multiplier: bool = False,
 ) -> ReducedSystem:
-    """Assemble the reduced saddle system and its Schur complement C when N
-    is positive definite, at the iterate evaluated in ``cache``; the system
-    keeps ``cache`` and the penalty rho of ``outer``, and is not factored.
+    """Assemble the reduced saddle system at the iterate evaluated in
+    ``cache`` and factor its Schur complement C (``linsolve.factorize``);
+    the system keeps ``cache`` and the penalty rho of ``outer``.
+    NumericalFailure when N is not positive definite, so that K has no C,
+    or when C has an exactly zero pivot.
 
     N is 1/(rho + eps_p) + eps_d on the equality duals, from the exact
     elimination of the relaxation block. With ``tracks_multiplier`` the
@@ -517,10 +525,13 @@ def assemble_symmetric(
     )
     plan = schur_plan(model, (L_pattern, G_pattern, H_pattern))
     dual = (DUAL_SHIFT if tracks_multiplier else dual_scale) + ed
-    C, N, raised = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed)) or (None, None, 0)
+    C, N, raised = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed))
+    # through the module, so that a wrapper on linsolve.factorize sees
+    # every factorization
+    fact = linsolve.factorize(C)
     return ReducedSystem(
         layout=lay, cache=cache, rho=outer.rho, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
-        Ps=Ps, Ptb=Ptb, W=W, plan=plan, C=C, dual=dual, N=N,
+        Ps=Ps, Ptb=Ptb, W=W, plan=plan, C=C, dual=dual, N=N, fact=fact,
         tracks_multiplier=tracks_multiplier, raised=raised,
     )
 
@@ -546,27 +557,6 @@ MAX_REFINE = 10  # refinement steps of a direction or of the sensitivity columns
 CONSISTENCY_TOL = 1e-8  # bound on ||J dw + R||_inf of a direction, times 1 + ||R||_inf
 
 
-def reduced_solve(
-    rsys: ReducedSystem,
-    R: np.ndarray,
-    max_refine: int,
-    exact: Optional[ReducedSystem] = None,
-    norm_R: Optional[float] = None,
-) -> Tuple[Optional[np.ndarray], float, Optional[np.ndarray], int]:
-    """Solve J dw = -R by ``solve_refined`` against the full system of
-    ``exact`` (rsys when None), applied blockwise (``ReducedSystem.apply``),
-    with the reduced solve of the factored rsys (``ReducedSystem.inverse``)
-    as its preconditioner, in at most ``max_refine`` refinement steps; R may
-    hold right-hand sides as columns, and ``norm_R`` is ||R||_inf when
-    already taken. Returns the best dw, ||J dw + R||_inf, J dw + R and the
-    steps taken; dw is None (error inf) when the solve fails."""
-    exact = rsys if exact is None else exact
-    try:
-        return solve_refined(exact.apply, rsys.inverse, -R, max_refine, REFINE_TOL, norm_R)
-    except NumericalFailure:
-        return None, np.inf, None, 0
-
-
 def search_direction(
     model: ProblemModel,
     point: SolverPoint,
@@ -585,16 +575,17 @@ def search_direction(
     segments of dimension 3 or more away from the central path, as does a
     block raised at the cone boundary (``CONE_RAISE``, counted in
     ``DirectionInfo.raised``); refinement against the full system
-    (``reduced_solve``) corrects both, and round-off elsewhere. The returned direction satisfies ||J dw + R||_inf <=
-    CONSISTENCY_TOL * (1 + ||R||_inf) for the Jacobian at the returned
-    shifts, or NumericalFailure is raised.
+    (``ReducedSystem.solve``) corrects both, and round-off elsewhere. The
+    returned direction satisfies ||J dw + R||_inf <= CONSISTENCY_TOL * (1 +
+    ||R||_inf) for the Jacobian at the returned shifts, or NumericalFailure
+    is raised, also when the solve fails.
     """
     lay = layout_of(model.n, model.m, model.p)
-    rsys, rsys.fact, reg, trials = correct_inertia(
+    rsys, reg, trials = correct_inertia(
         lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed)), reg
     )
     consistency = CONSISTENCY_TOL * (1.0 + norm_R)
-    best, best_err, _, passes = reduced_solve(rsys, R, MAX_REFINE, norm_R=norm_R)
+    best, best_err, _, passes = rsys.solve(R, MAX_REFINE, norm_R=norm_R)
     if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"
@@ -623,11 +614,15 @@ def corrector(
     factored system (``info.system``), without refinement, so that delta
     + dc solves J dw = -(R + (0, ..., ds o dt)). Returns delta + dc when its
     residual there, bounded by the sum of the residuals of the two solves,
-    meets the consistency bound of ``search_direction``; otherwise None."""
+    meets the consistency bound of ``search_direction``; otherwise, or when
+    the solve fails, None."""
     lay = info.system.layout
     c = np.zeros(lay.total)
     c[lay.t] = cone_product(delta.s, delta.t, model.cone)
-    dc, err, _, _ = reduced_solve(info.system, c, max_refine=0)
+    try:
+        dc, err, _, _ = info.system.solve(c, max_refine=0)
+    except NumericalFailure:
+        return None
     if not info.consistency_error + err <= CONSISTENCY_TOL * (1.0 + np.abs(R + c).max()):
-        return None  # a failed solve has err inf
+        return None
     return lay.unpack(lay.pack(delta) + dc)

@@ -29,9 +29,10 @@ The correction loop shifts the primal diagonal by eps_p and the dual diagonal
 by eps_d until the factorization is certified, by IPOPT's rule with the
 constants next to ``correct_inertia`` (Waechter & Biegler, Math. Prog. 2006):
 first trial 1e-4, grow by 100 until the first successful correction and by 8
-after it, shrink the start by 1/3 on reuse. It takes the system as a
-function of the shifts and returns the system it certified, with its
-factors, its shifts and the number of systems it tried.
+after it, shrink the start by 1/3 on reuse. It only chooses the shifts:
+it takes the system as a function of them that assembles and factors it
+(``kkt.assemble_symmetric``), and returns the system it certified, its
+shifts and the number of systems it tried.
 """
 
 from __future__ import annotations
@@ -89,8 +90,6 @@ def band_lu(C: np.ndarray) -> Factorization:
     ab[2 * kd :] = C  # C[i, j], i >= j, at ab[2 kd + i - j, j]
     for k in range(1, kd + 1):  # C[j - k, j] = C[j, j - k]
         ab[2 * kd - k, k:] = C[k, : n - k]
-    if not n:
-        return Factorization(ab, np.zeros(0, dtype=np.int32), kd)
     lu, pivots, info = dgbtrf(ab, kd, kd, overwrite_ab=1)
     if info != 0:
         raise NumericalFailure("zero pivot in the band LU")
@@ -192,22 +191,22 @@ DUAL_SHIFT = 1e-8
 def correct_inertia(
     assemble: Callable[[float, float], Any],
     reg: RegularizationState,
-) -> Tuple[Any, Factorization, RegularizationState, int]:
+) -> Tuple[Any, RegularizationState, int]:
     """Find shifts (eps_p, eps_d) at which the reduced matrix is certified.
 
-    ``assemble(eps_p, eps_d)`` must return the shifted reduced system, whose
-    ``schur()`` is its Schur complement C (see ``factorize``) or raises
-    NumericalFailure when it has none; only a certified factorization is
-    accepted. The unshifted matrix is tried first; a failed assembly or
-    factorization (an exactly zero pivot) switches on the dual shift
-    DUAL_SHIFT. The primal shift starts at EPS_P_INIT on a first correction,
-    or at SHRINK times ``reg.last_eps_p`` (at least EPS_P_MIN), and grows by
+    ``assemble(eps_p, eps_d)`` must return the shifted reduced system with
+    ``fact``, the factors of its Schur complement C (see ``factorize``), or
+    raise NumericalFailure when C is missing or has an exactly zero pivot;
+    only a certified factorization is accepted. The unshifted matrix is
+    tried first; a failed assembly switches on the dual shift DUAL_SHIFT.
+    The primal shift starts at EPS_P_INIT on a first correction, or at
+    SHRINK times ``reg.last_eps_p`` (at least EPS_P_MIN), and grows by
     GROW_FIRST on a first correction and by GROW after one, until the
     factorization is certified or it exceeds EPS_P_MAX
     (InertiaCorrectionFailure).
 
-    Returns the certified system, its factors, its shifts and the number of
-    systems tried (calls of ``assemble``).
+    Returns the certified system, its shifts and the number of systems
+    tried (calls of ``assemble``).
     """
     first_ever = reg.last_eps_p == 0.0
     start = EPS_P_INIT if first_ever else max(EPS_P_MIN, SHRINK * reg.last_eps_p)
@@ -218,12 +217,11 @@ def correct_inertia(
         trials += 1
         try:
             system = assemble(eps_p, eps_d)
-            fact = factorize(system.schur())
         except NumericalFailure:
-            fact = None
-        if fact is not None and fact.certified:
-            return system, fact, RegularizationState(eps_p, eps_d, eps_p or reg.last_eps_p), trials
-        if eps_d == 0.0 and fact is None:
+            system = None
+        if system is not None and system.fact.certified:
+            return system, RegularizationState(eps_p, eps_d, eps_p or reg.last_eps_p), trials
+        if eps_d == 0.0 and system is None:
             eps_d = DUAL_SHIFT
             if eps_p:
                 continue  # retry the same eps_p with the dual shift on

@@ -10,15 +10,17 @@ structure of trajectory problems amplifies well past usable accuracy.
 
 All parameter columns are solved through the solver's own symmetric
 reduction in (dx, dy, dz) and refined against the exact, unshifted Jacobian
-applied blockwise, as Newton directions are (``kkt.reduced_solve``: one
-reduced solve of all columns per step). dlam = dy zeroes J[r, y], which
+applied blockwise, as Newton directions are (``kkt.ReducedSystem.solve``:
+one reduced solve of all columns per step). dlam = dy zeroes J[r, y], which
 removes the penalty term from the equality-dual block N of the reduced
 system (``assemble_symmetric``'s ``tracks_multiplier``), so at zero shift N
 is zero there and the system has no Schur complement. Its Schur complement
 is built with the dual shift on those rows alone, factored, and refined
 against the exact Jacobian: iterated regularization, which on a consistent
-system loses the shift's bias. One that is singular (an exactly zero pivot)
-is factored again at ``PRIMAL_SHIFT``. No inertia is needed, so the
+system loses the shift's bias. When that assembly fails (a singular C, with
+an exactly zero pivot, or an N that is not positive definite), the system is
+assembled again at ``PRIMAL_SHIFT`` and refined against the same exact
+Jacobian, and the result is flagged. No inertia is needed, so the
 factorization need not be certified.
 
 A rank-deficient equality Jacobian G is detected on its own: by an exactly
@@ -28,7 +30,7 @@ zero pivot in the band LU of G G', the equality duals in their stage order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,9 +42,8 @@ from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that 
     SolverPoint,
     assemble_symmetric,
     full_jacobian,
-    reduced_solve,
 )
-from .linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, band_lu, factorize
+from .linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, band_lu
 from .model import ProblemModel, entries, evaluate, evaluate_parameter_jacobians
 from .solver import Solution, checked_vector, unrelaxed_residual_norm
 
@@ -90,10 +91,10 @@ def differentiate(
     All parameter columns are solved together, as described above, so the
     result is deterministic and column order matches theta order.
     ``used_least_squares`` flags a rank-deficient Jacobian (a repeated
-    equality row, or a Schur complement that fails to factor at the dual
+    equality row, or a reduced system that fails to assemble at the dual
     shift alone) or a solve whose row-equilibrated residual exceeds 1e-6 *
     (1 + ||dR/dtheta||);
-    NumericalFailure is raised when no solve succeeds, and ValueError unless
+    NumericalFailure is raised when the solve fails, and ValueError unless
     the solution is solved (the point of an unconverged run has no
     sensitivities) and theta is finite and of shape (d,). The solution point
     is not modified. A ``solution`` of this model at this theta supplies the
@@ -112,22 +113,21 @@ def differentiate(
     outer = OuterState(lam=np.zeros(model.m), rho=solution.rho, kappa=solution.kappa)
     Rt = residual_parameter_jacobian(model, point, theta)
 
-    rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
-    factored, singular = rsys, False
     try:
-        rsys.fact = factorize(rsys.schur())
+        rsys = factored = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
+        singular = False
     except NumericalFailure:
         singular = True
         factored = assemble_symmetric(model, point, outer, cache, PRIMAL_SHIFT, tracks_multiplier=True)
-        factored.fact = factorize(factored.schur())
+        # the exact, unshifted Jacobian: apply and _row_scale read no block
+        # that the primal shift changes but eps_p itself
+        rsys = replace(factored, eps_p=0.0)
     if model.m and not singular:
         try:
             band_lu(rsys.plan.gram(entries(cache.g_x)[1]))
         except NumericalFailure:
             singular = True
-    dw, _, err, _ = reduced_solve(factored, Rt, MAX_REFINE, exact=rsys)
-    if dw is None:
-        raise NumericalFailure("the regularized sensitivity solve failed")
+    dw, _, err, _ = factored.solve(Rt, MAX_REFINE, exact=rsys)
     flagged = singular
     if dw.size:
         # accept on the row-equilibrated residual J dw + Rt: the penalty

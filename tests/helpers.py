@@ -9,12 +9,11 @@ from ipal.kkt import (
     OuterState,
     SolverPoint,
     assemble_symmetric,
-    reduced_solve,
     residual,
     search_direction,
     unrelaxed_rows,
 )
-from ipal.linsolve import RegularizationState, factorize
+from ipal.linsolve import RegularizationState
 from ipal.model import ProblemModel, StageMatrix, evaluate
 
 
@@ -390,15 +389,13 @@ def reduced_cone_inverse_loop(spec, s, t, reg):
 def zero_shift_direction(model, point, theta, outer, R, max_refine=MAX_REFINE, cache=None):
     """The Newton direction J dw = -R at zero shift through the symmetric
     reduction, as search_direction solves it but with no inertia correction:
-    assemble_symmetric, factorize (its band LU where C is indefinite) and
-    reduced_solve with at most ``max_refine`` refinement steps. Returns dw,
-    ||J dw + R||_inf (inf when the solve fails) and the steps taken;
-    NumericalFailure when the reduced system cannot be built or factored."""
+    assemble_symmetric, which factors C (by its band LU where C is
+    indefinite), and its solve with at most ``max_refine`` refinement steps.
+    Returns dw, ||J dw + R||_inf and the steps taken; NumericalFailure when
+    the reduced system cannot be built or factored, or the solve fails."""
     if cache is None:
         cache = evaluate_at(model, point, theta)
-    rsys = assemble_symmetric(model, point, outer, cache)
-    rsys.fact = factorize(rsys.schur())
-    dw, err, _, passes = reduced_solve(rsys, R, max_refine)
+    dw, err, _, passes = assemble_symmetric(model, point, outer, cache).solve(R, max_refine)
     return dw, err, passes
 
 

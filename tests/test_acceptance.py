@@ -221,9 +221,9 @@ def test_criterion_3_inertia_correction():
         # a certified factorization of the Schur complement means inertia
         # (n, m + p, 0), which the dense reduced matrix must have
         target = (n, m + p, 0)
-        rsys, fact, reg, _ = correct_inertia(build, RegularizationState())
-        assert fact.certified, k
-        assert factorize(rsys.schur()).certified
+        rsys, reg, _ = correct_inertia(build, RegularizationState())
+        assert rsys.fact.certified, k
+        assert factorize(rsys.C).certified
         assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == target, k
         shifted += reg.eps_p > 0.0
     assert _line(

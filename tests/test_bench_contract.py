@@ -179,19 +179,21 @@ def test_seed_1_pool_iterations_are_pinned(monkeypatch, workload):
     # 1 to 3, and dimension 2 keeps its small eigenvalue
     workloads = _workloads()
     passes, raised = [], []
-    original_solve, original_assemble = ipal.sensitivity.reduced_solve, ipal.sensitivity.assemble_symmetric
-
-    def reduced_solve(*args, **kwargs):
-        out = original_solve(*args, **kwargs)
-        passes.append(out[3])
-        return out
+    original_assemble = ipal.sensitivity.assemble_symmetric
 
     def assemble_symmetric(*args, **kwargs):
         rsys = original_assemble(*args, **kwargs)
         raised.append(rsys.raised)
+        original_solve = rsys.solve
+
+        def solve_(*args, **kwargs):
+            out = original_solve(*args, **kwargs)
+            passes.append(out[3])
+            return out
+
+        rsys.solve = solve_
         return rsys
 
-    monkeypatch.setattr(ipal.sensitivity, "reduced_solve", reduced_solve)
     monkeypatch.setattr(ipal.sensitivity, "assemble_symmetric", assemble_symmetric)
     total = 0
     for task in workloads.build_tasks(workload, 1):

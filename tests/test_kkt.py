@@ -42,7 +42,6 @@ from ipal.kkt import (
     assemble_symmetric,
     corrector,
     full_jacobian,
-    reduced_solve,
 )
 from ipal.cone import ConeBlocks, cone_product, cone_product_jacobians
 from ipal.linsolve import (
@@ -188,7 +187,6 @@ class TestSymmetricReduction:
         cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
         R = residual_at(model, point, np.zeros(0), outer, cache)
         rsys = assemble_symmetric(model, point, outer, cache, reg)
-        rsys.fact = factorize(rsys.schur())
         dw = rsys.inverse(-R)
         lay = Layout(1, 1, 0)
         row4 = cache.g_x @ dw[lay.x] - dw[lay.r] - reg.eps_d * dw[lay.y]
@@ -240,7 +238,6 @@ class TestSymmetricReduction:
                 rsys = assemble_symmetric(
                     model, point, outer, evaluate_at(model, point, np.zeros(0)), reg, tracks_multiplier=track
                 )
-                rsys.fact = factorize(rsys.schur())
                 for operator, tol in ((rsys.inverse, 1e-9), (rsys.apply, 1e-14)):
                     out = operator(rows)
                     assert out.shape == rows.shape
@@ -341,8 +338,7 @@ class TestJacobianApply:
             # the tracked C has the dual shift on the equality duals alone;
             # refined against the tracked system, the solve is exact
             expected = np.linalg.solve(J, -rows)
-            rsys.fact = factorize(rsys.schur())
-            got, _, _, _ = reduced_solve(rsys, rows, MAX_REFINE)
+            got, _, _, _ = rsys.solve(rows, MAX_REFINE)
             assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
@@ -581,10 +577,7 @@ def test_batched_cone_solves_match_segment_loop():
         reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
         rsys = assemble_symmetric(model, point, outer, evaluate_at(model, point, np.zeros(0)), reg)
         N, W = _cone_blocks_loop(model, point, reg)
-        if rsys.N is None:  # N is not positive definite: no C
-            assert np.linalg.eigvalsh(N).min() <= 0.0
-        else:
-            np.testing.assert_array_equal(rsys.N.dense(), N)
+        np.testing.assert_array_equal(rsys.N.dense(), N)
         for v in (rng.standard_normal(model.p), rng.standard_normal((model.p, 3)),
                   rng.standard_normal((model.p, 1))):
             np.testing.assert_array_equal(rsys.W.solve(v), _apply_W_inverse_loop(W, v))
@@ -625,17 +618,16 @@ def test_negative_curvature_stages_reach_target_with_dense_shifts():
     model, x0, theta = trajectory_tracking(T, position_weights=weights)
     build, dense = _tracking_assembler(model, x0, theta)
     target = (model.n, model.m + model.p, 0)
-    rsys = build(0.0, 0.0)
-    assert rsys.C is not None and not factorize(rsys.schur()).certified
+    assert not build(0.0, 0.0).fact.certified
     trials = []
 
     def assemble(ep, ed):
         rsys = build(ep, ed)
-        trials.append((factorize(rsys.schur()).certified, dense_inertia(dense(ep, ed)) == target))
+        trials.append((rsys.fact.certified, dense_inertia(dense(ep, ed)) == target))
         return rsys
 
-    rsys, fact, reg, count = correct_inertia(assemble, RegularizationState())
-    assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == 0.0
+    rsys, reg, count = correct_inertia(assemble, RegularizationState())
+    assert rsys.fact.certified and reg.eps_p > 0.0 and reg.eps_d == 0.0
     assert (rsys.eps_p, rsys.eps_d) == (reg.eps_p, reg.eps_d)
     assert count == len(trials) > 1 and trials[-1] == (True, True)
     assert all(certified == dense for certified, dense in trials)
@@ -670,12 +662,10 @@ def test_indefinite_schur_complement_falls_back_to_the_sweep():
     model, x0, theta = trajectory_tracking(T, position_weights=weights)
     build, dense = _tracking_assembler(model, x0, theta)
     target = (model.n, model.m + model.p, 0)
-    rsys = build(0.0, 0.0)
-    assert rsys.C is not None
-    fact = factorize(rsys.schur())
+    fact = build(0.0, 0.0).fact
     assert not fact.certified and fact.pivots is not None and dense_inertia(dense(0.0, 0.0)) != target
-    _, fact, reg, _ = correct_inertia(build, RegularizationState())
-    assert fact.certified and reg.eps_p > 0.0
+    rsys, reg, _ = correct_inertia(build, RegularizationState())
+    assert rsys.fact.certified and reg.eps_p > 0.0
     assert dense_inertia(dense(reg.eps_p, reg.eps_d)) == target
 
     def without_c(ep, ed):
@@ -684,6 +674,32 @@ def test_indefinite_schur_complement_falls_back_to_the_sweep():
 
     with pytest.raises(InertiaCorrectionFailure):
         correct_inertia(without_c, RegularizationState())
+
+
+def test_a_corrector_whose_solve_fails_takes_the_newton_direction(monkeypatch):
+    # the corrector's one solve through the direction's system raises: the
+    # corrector returns None and every cut step takes its Newton direction,
+    # as when no correction is offered
+    model, x0, theta = trajectory_tracking(12)
+    monkeypatch.setattr(ipal.solver, "corrector", lambda *args: None)
+    plain = solve(model, x0, theta)
+    monkeypatch.undo()
+    original = ipal.kkt.ReducedSystem.solve
+
+    def failing(self, R, max_refine, *args, **kwargs):
+        if max_refine == 0:  # the corrector's solve
+            raise NumericalFailure("the corrector's solve failed")
+        return original(self, R, max_refine, *args, **kwargs)
+
+    returned = []
+    monkeypatch.setattr(ipal.kkt.ReducedSystem, "solve", failing)
+    _counting(monkeypatch, ipal.solver, "corrector", returned)
+    sol = solve(model, x0, theta, SolverOptions(record_trace=True))
+    assert returned and all(out is None for out in returned)
+    assert sol.solved and sum(rec.cut for rec in sol.trace) == len(returned)
+    assert not any(rec.corrected for rec in sol.trace)
+    assert sol.total_iterations == plain.total_iterations
+    assert sol.point.x.tobytes() == plain.point.x.tobytes()
 
 
 def _identity_cone_model(spec):
@@ -703,8 +719,8 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     # away from the central path the symmetrized second-order block M of a
     # three-dimensional segment is indefinite. K = [[I, I], [I, -M]] has the
     # target inertia, yet C = I + M^{-1} is indefinite: Haynsworth's theorem
-    # needs N definite, so assembly leaves C out and the system cannot be
-    # factored. correct_inertia takes the dual shift, then walks the primal
+    # needs N definite, so assembly raises and there is no system to
+    # factor. correct_inertia takes the dual shift, then walks the primal
     # shift until M + eps_d I is definite and C certifies K
     model = _identity_cone_model(ConeSpec((SecondOrder(3),)))
     point = SolverPoint(
@@ -713,17 +729,16 @@ def test_indefinite_cone_block_leaves_the_schur_complement_out():
     )
     outer = OuterState(np.zeros(0), 1.0, 0.1)
     cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
-    rsys = assemble_symmetric(model, point, outer, cache)
+    with pytest.raises(NumericalFailure):
+        assemble_symmetric(model, point, outer, cache)
     K = dense_reduced_matrix(model, point, outer, RegularizationState(), cache)
     M = -K[3:, 3:]
     assert np.linalg.eigvalsh(M).min() < 0.0
     assert np.linalg.eigvalsh(K[:3, :3] + np.linalg.inv(M)).min() < 0.0
-    assert rsys.C is None and dense_inertia(K) == (3, 3, 0)
-    with pytest.raises(NumericalFailure):
-        rsys.schur()
+    assert dense_inertia(K) == (3, 3, 0)
     build = lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed))
-    _, fact, reg, _ = correct_inertia(build, RegularizationState())
-    assert fact.certified and reg.eps_p > 0.0 and reg.eps_d == DUAL_SHIFT
+    rsys, reg, _ = correct_inertia(build, RegularizationState())
+    assert rsys.fact.certified and reg.eps_p > 0.0 and reg.eps_d == DUAL_SHIFT
     assert dense_inertia(dense_reduced_matrix(model, point, outer, reg, cache)) == (3, 3, 0)
 
 
@@ -778,8 +793,8 @@ def test_boundary_eigenvalue_pair_is_inverted_exactly():
     assert raised == 0 and N.blocks[0] is pairs
     np.testing.assert_array_equal(C, lower_band(np.eye(2) + eigen_block(1.0 / pairs[0]), C.shape[0] - 1))
     assert factorize(C).certified
-    assert plan.complement(identity, identity, 0.0, 1.0,
-                           ConeBlocks(spec, np.zeros(0), (np.array([[2.0 * a, 0.0]]),))) is None
+    with pytest.raises(NumericalFailure):
+        plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (np.array([[2.0 * a, 0.0]]),)))
 
 
 def test_tracked_system_drops_the_schur_complement():
@@ -799,7 +814,7 @@ def test_tracked_system_drops_the_schur_complement():
     K[y, y] = -DUAL_SHIFT
     C = dense_schur_complement(K, n)
     assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
-    assert factorize(rsys.schur()).certified
+    assert rsys.fact.certified
 
 
 def test_duplicated_equality_rows_stay_blocked(monkeypatch):
@@ -826,7 +841,7 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
     with pytest.raises(NumericalFailure):
         band_lu(gram)
     for shifts in ((0.0, 0.0), (DUAL_SHIFT, 0.0)):
-        assert factorize(build(*shifts).schur()).certified
+        assert build(*shifts).fact.certified
     assert all(shape[1] <= model.n and shape[0] < 3 * model.m for shape in orders)
     monkeypatch.undo()
     eigs = np.abs(np.linalg.eigvalsh(dense(0.0, 0.0)))
@@ -872,7 +887,7 @@ def _solves_through_c(rsys, cache):
     """The solves of K u = f through C and N that a system offers: by the
     factorization ``factorize`` takes (Cholesky, or the band LU where C is
     indefinite) and by the band LU of C."""
-    return (factorize(rsys.schur()), band_lu(rsys.C))
+    return (rsys.fact, band_lu(rsys.C))
 
 
 def test_schur_solves_match_the_dense_reduced_matrix_on_indefinite_c():

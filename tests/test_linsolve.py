@@ -298,14 +298,13 @@ class TestSolveRefined:
 
 
 class System:
-    """A shifted reduced system as ``correct_inertia`` takes it: its shifts
-    and its Schur complement C."""
+    """A shifted reduced system as ``correct_inertia`` takes it: its shifts,
+    its Schur complement C and the factors of C, taken through the module
+    as ``kkt.assemble_symmetric`` takes them."""
 
     def __init__(self, eps_p, eps_d, C):
         self.eps_p, self.eps_d, self.C = eps_p, eps_d, C
-
-    def schur(self):
-        return self.C
+        self.fact = ipal.linsolve.factorize(C)
 
 
 class TestCorrectInertia:
@@ -335,17 +334,17 @@ class TestCorrectInertia:
         H = random_symmetric(rng, 4) + 4.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
         assemble, matrix, _ = self.kkt_assemble(H, A, 0.1)
-        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
+        system, reg, _ = correct_inertia(assemble, RegularizationState())
         assert reg.eps_p == 0.0 and reg.eps_d == 0.0
-        assert fact.certified and dense_inertia(matrix(0.0, 0.0)) == (4, 2, 0)
+        assert system.fact.certified and dense_inertia(matrix(0.0, 0.0)) == (4, 2, 0)
 
     def test_indefinite_hessian_corrected(self):
         rng = np.random.default_rng(6)
         H = random_symmetric(rng, 4) - 3.0 * np.eye(4)
         A = rng.standard_normal((2, 4))
         assemble, matrix, _ = self.kkt_assemble(H, A, 0.1)
-        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
-        assert fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
+        system, reg, _ = correct_inertia(assemble, RegularizationState())
+        assert system.fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
         assert reg.eps_p > 0.0
         assert reg.last_eps_p == reg.eps_p
 
@@ -356,17 +355,17 @@ class TestCorrectInertia:
         a = rng.standard_normal((1, 4))
         A = np.vstack([a, a])
         assemble, matrix, _ = self.kkt_assemble(H, A)
-        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
-        assert fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
+        system, reg, _ = correct_inertia(assemble, RegularizationState())
+        assert system.fact.certified and dense_inertia(matrix(reg.eps_p, reg.eps_d)) == (4, 2, 0)
         assert reg.eps_d > 0.0
 
     def test_reuse_shrinks_first_trial(self):
         H = np.diag([-1e-6, 1.0, 1.0])
         A = np.zeros((0, 3))
         assemble, _, _ = self.kkt_assemble(H, A)
-        _, fact, reg, _ = correct_inertia(assemble, RegularizationState())
+        _, reg, _ = correct_inertia(assemble, RegularizationState())
         assert reg.eps_p == pytest.approx(1e-4)
-        _, fact, reg2, _ = correct_inertia(assemble, reg)
+        _, reg2, _ = correct_inertia(assemble, reg)
         assert reg2.eps_p == pytest.approx(1e-4 / 3.0)
 
     @pytest.mark.parametrize("case", ["certified", "indefinite", "duplicated"])
@@ -383,8 +382,8 @@ class TestCorrectInertia:
         factored = []
         original = ipal.linsolve.factorize
         monkeypatch.setattr(ipal.linsolve, "factorize", lambda C: factored.append(C) or original(C))
-        system, fact, reg, trials = correct_inertia(assemble, RegularizationState())
-        assert fact.certified and system.C is factored[-1]
+        system, reg, trials = correct_inertia(assemble, RegularizationState())
+        assert system.fact.certified and system.C is factored[-1]
         assert (system.eps_p, system.eps_d) == (reg.eps_p, reg.eps_d) == assembled[-1]
         assert trials == len(assembled)
         assert len(factored) == trials - (case == "duplicated")
@@ -394,7 +393,7 @@ class TestCorrectInertia:
         # a C that no primal shift reaches is never certified, though its
         # band LU factors it
         assemble = lambda ep, ed: System(ep, ed, -np.ones((1, 3)))
-        assert not factorize(assemble(0.0, 0.0).schur()).certified
+        assert not assemble(0.0, 0.0).fact.certified
         with pytest.raises(InertiaCorrectionFailure):
             correct_inertia(assemble, RegularizationState())
 
@@ -526,7 +525,7 @@ class TestBlockedFactorize:
             cone_inverse = reduced_cone_inverse_loop(model.cone, point.s, point.t, reg)
             C = dense_schur_complement(K, n, cone_inverse)
             assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
-            certified = factorize(rsys.schur())
+            certified = rsys.fact
             assert certified.certified and dense_inertia(K) == (n, N - n, 0)
             for f in (rng.standard_normal(N), rng.standard_normal((N, 5))):
                 expected = np.linalg.solve(K, f)

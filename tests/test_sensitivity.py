@@ -11,8 +11,9 @@ from helpers import evaluate_at, random_cone, random_iterate, random_nlp, trajec
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import MAX_REFINE, Layout, OuterState, assemble_symmetric, full_jacobian
+from ipal.linsolve import NumericalFailure, RegularizationState
 from ipal.model import ProblemModel, StageMatrix, evaluate
-from ipal.sensitivity import SensitivityResult, differentiate, residual_parameter_jacobian
+from ipal.sensitivity import PRIMAL_SHIFT, SensitivityResult, differentiate, residual_parameter_jacobian
 from ipal.solver import SolverOptions, solve
 
 # tight enough that the smoothed central path does not pollute the
@@ -453,6 +454,29 @@ def test_reduced_solve_matches_dense_jacobian(name):
     out = differentiate(model, sol, theta)
     assert not out.used_least_squares
     assert np.abs(out.dw - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", ["mpc-autotune", "tracking-30"])
+def test_a_failed_zero_shift_assembly_falls_back_to_the_primal_shift(monkeypatch, name):
+    # when the tracked system cannot be assembled at zero shift,
+    # differentiate assembles it at PRIMAL_SHIFT, refines against the exact
+    # Jacobian and flags the result, which matches the unshifted solve
+    model, sol, theta = _solved(name)
+    expected = differentiate(model, sol, theta)
+    original = ipal.sensitivity.assemble_symmetric
+    shifts = []
+
+    def assemble(model, point, outer, cache, reg=RegularizationState(), **kwargs):
+        shifts.append(reg)
+        if reg == RegularizationState():
+            raise NumericalFailure("no Schur complement at zero shift")
+        return original(model, point, outer, cache, reg, **kwargs)
+
+    monkeypatch.setattr(ipal.sensitivity, "assemble_symmetric", assemble)
+    out = differentiate(model, sol, theta)
+    assert shifts == [RegularizationState(), PRIMAL_SHIFT]
+    assert out.used_least_squares and not expected.used_least_squares
+    assert np.abs(out.dw - expected.dw).max() <= 1e-9 * np.abs(expected.dw).max()
 
 
 def test_differentiate_refines_in_one_loop(monkeypatch):

@@ -1216,3 +1216,35 @@ def test_a_rejected_correction_takes_the_newton_direction(monkeypatch, reject):
         assert sol.solved and not any(rec.corrected for rec in sol.trace), name
         assert sol.total_iterations == PREDICTOR_ITERATIONS[name], name
     assert (len(offered) > 0) == (reject != "consistency")
+
+
+def _unit_model(objective, curvature):
+    """n = 1, no constraints: gradient x - 1 and Hessian ``curvature`` I."""
+    return ProblemModel(
+        n=1, m=0, p=0, cone=ConeSpec(), objective=objective,
+        objective_gradient=lambda x, th: x - 1.0,
+        lagrangian_hessian=lambda x, th, y, z: curvature * np.eye(1),
+    )
+
+
+def test_a_direction_no_trial_of_which_is_accepted_is_a_line_search_failure():
+    # the objective is 0 at x0 = 0 and 1 everywhere else, so no trial along
+    # the Newton direction lowers the merit
+    model = _unit_model(lambda x, th: 0.0 if x[0] == 0.0 else 1.0, 1.0)
+    sol = solve(model, np.zeros(1))
+    assert sol.status is SolveStatus.LINE_SEARCH_FAILURE and sol.total_iterations == 0
+
+
+def test_curvature_past_the_largest_primal_shift_is_an_inertia_correction_failure():
+    # -1e50 outweighs every primal shift up to EPS_P_MAX = 1e40
+    model = _unit_model(lambda x, th: -0.5e50 * x[0] ** 2, -1e50)
+    sol = solve(model, np.zeros(1))
+    assert sol.status is SolveStatus.INERTIA_CORRECTION_FAILURE and sol.total_iterations == 0
+
+
+def test_a_subproblem_at_max_inner_iterations_ends_the_solve(monkeypatch):
+    monkeypatch.setattr(ipal.solver, "MAX_INNER", 1)
+    prob = REGISTRY["soc-projection"]
+    sol = solve(prob.model, prob.x0, prob.theta)
+    assert sol.status is SolveStatus.MAX_ITERATIONS
+    assert (sol.total_iterations, sol.outer_iterations) == (2, 1)

@@ -23,7 +23,7 @@ from helpers import (
 from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
 from ipal.kkt import assemble_symmetric, full_jacobian
-from ipal.linsolve import DUAL_SHIFT, RegularizationState, factorize
+from ipal.linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, factorize
 from ipal.model import StageMatrix, evaluate
 from ipal.solver import SolverOptions, SolveStatus, solve
 from ipal.trajopt import transcribe
@@ -69,17 +69,20 @@ def test_evaluation_matches_dense_transcription(name):
     assert hessian.shape == L.shape
 
 
-def _check_schur(rsys, K, n):
-    """rsys.C is the Schur complement of the dense K onto its first n rows,
-    in lower band storage, when -K's dual block is positive definite, and
-    None otherwise."""
+def _check_schur(assemble, K, n):
+    """The C of the system ``assemble()`` builds is the Schur complement of
+    the dense K onto its first n rows, in lower band storage, when -K's dual
+    block is positive definite; otherwise assembly raises NumericalFailure."""
     definite = np.linalg.eigvalsh(-K[n:, n:]).min(initial=np.inf) > 0.0
-    assert (rsys.C is not None) == definite
-    if definite:
-        C = dense_schur_complement(K, n)
-        kd = rsys.C.shape[0] - 1
-        assert np.abs(np.tril(C, -kd - 1)).max(initial=0.0) == 0.0
-        assert np.abs(rsys.C - lower_band(C, kd)).max() <= 1e-12 * (1.0 + np.abs(C).max())
+    if not definite:
+        with pytest.raises(NumericalFailure):
+            assemble()
+        return
+    rsys = assemble()
+    C = dense_schur_complement(K, n)
+    kd = rsys.C.shape[0] - 1
+    assert np.abs(np.tril(C, -kd - 1)).max(initial=0.0) == 0.0
+    assert np.abs(rsys.C - lower_band(C, kd)).max() <= 1e-12 * (1.0 + np.abs(C).max())
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -90,12 +93,11 @@ def test_reduced_matrix_matches_dense_assembly(name):
     cache = evaluate(model, point.x, theta, point.y, point.z)
     n = model.n
     for reg in SHIFTS:
-        rsys = assemble_symmetric(model, point, outer, cache, reg)
-        _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), n)
-        tracked = assemble_symmetric(model, point, outer, cache, reg, tracks_multiplier=True)
+        _check_schur(lambda: assemble_symmetric(model, point, outer, cache, reg),
+                     dense_reduced_matrix(model, point, outer, reg, cache), n)
         K = dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=True)
         K[np.arange(n, n + model.m), np.arange(n, n + model.m)] -= DUAL_SHIFT
-        _check_schur(tracked, K, n)
+        _check_schur(lambda: assemble_symmetric(model, point, outer, cache, reg, tracks_multiplier=True), K, n)
 
 
 @pytest.mark.parametrize("name", GENERAL)
@@ -107,9 +109,9 @@ def test_general_models_write_dense_derivatives_as_blocks(name):
     point, outer = random_iterate(np.random.default_rng(len(name)), model)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     for reg in SHIFTS:
-        rsys = assemble_symmetric(model, point, outer, cache, reg)
-        _check_schur(rsys, dense_reduced_matrix(model, point, outer, reg, cache), model.n)
-        assert rsys.plan.kd == model.n - 1
+        _check_schur(lambda: assemble_symmetric(model, point, outer, cache, reg),
+                     dense_reduced_matrix(model, point, outer, reg, cache), model.n)
+        assert model.schur_plan.kd == model.n - 1
 
 
 @pytest.mark.parametrize("name", ["tracking-12"] + GENERAL)
@@ -125,7 +127,7 @@ def test_band_storage_is_the_lu_input(name):
         _, model, theta, point, outer = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
     rsys = assemble_symmetric(model, point, outer, cache, SHIFTS[1])
-    C = rsys.schur()
+    C = rsys.C
     n, kd = model.n, C.shape[0] - 1
     dense = dense_schur_complement(dense_reduced_matrix(model, point, outer, SHIFTS[1], cache), n)
     expected = np.zeros((kd + 1, n))

@@ -4,6 +4,7 @@ generated heterogeneous stage sequences, the band of their Schur complement,
 errors that name the stage and hook whose output is off, and non-finite hook
 outputs reported by ``solve``."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import dense_transcription, random_iterate, tracking_problem
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import assemble_symmetric
+from ipal.linsolve import NumericalFailure
 from ipal.model import InvalidDimension, StageMatrix, evaluate
 from ipal.solver import SolveStatus, solve
 from ipal.trajopt import HOOKS, Stage, TrajectoryProblem, transcribe
@@ -153,7 +155,9 @@ def test_the_schur_complement_band_is_read_off_the_stage_widths(case):
     model = transcribe(problem)
     point, outer = random_iterate(np.random.default_rng(0), model)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    assemble_symmetric(model, point, outer, cache)
+    # the plan is kept before C is summed and factored, which may fail here
+    with contextlib.suppress(NumericalFailure):
+        assemble_symmetric(model, point, outer, cache)
     widths = [stage.state_dim + stage.control_dim for stage in problem.stages]
     reach = [w + stage.state_dim for w, stage in zip(widths, problem.stages[1:])]
     assert model.schur_plan.kd == max(widths + reach) - 1

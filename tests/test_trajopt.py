@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant
 from ipal.kkt import assemble_symmetric
 from ipal.linsolve import RegularizationState
-from ipal.model import InvalidDimension, evaluate, evaluate_parameter_jacobians, validate_derivatives
+from ipal.model import InvalidDimension, ProblemModel, evaluate, evaluate_parameter_jacobians, validate_derivatives
 from ipal.solver import SolverOptions, solve
 from ipal.trajopt import (
     Stage,
@@ -320,3 +321,42 @@ def test_registry_transcriptions_are_banded():
             plan = assemble_symmetric(model, point, outer, cache).plan
             bands[name] = (plan.kd, plan.gram_kd)
     assert bands == {"double-integrator-trajopt": (4, 3), "mpc-autotune": (4, 3)}
+
+
+def _model(n=1, m=0, p=0, cone=ConeSpec(), **callbacks):
+    callbacks.setdefault("lagrangian_hessian", lambda x, th, y, z: np.zeros((n, n)))
+    return ProblemModel(n=n, m=m, p=p, cone=cone, objective=lambda x, th: 0.0,
+                        objective_gradient=lambda x, th: np.zeros(n), **callbacks)
+
+
+def _two_stage_problem():
+    return TrajectoryProblem(stages=[integrator_stage(), Stage(state_dim=2)], initial_state=np.zeros(2))
+
+
+INPUT_CHECKS = {
+    "model-dimensions": (lambda: _model(n=0), "bad dimensions n=0"),
+    "model-equality-callbacks": (lambda: _model(m=1), "m > 0 requires equality callbacks"),
+    "model-cone-callbacks": (lambda: _model(p=1, cone=ConeSpec((Orthant(1),))), "p > 0 requires cone callbacks"),
+    "model-hessian": (lambda: _model(lagrangian_hessian=None), "lagrangian_hessian callback is required"),
+    "stage-dimensions": (lambda: Stage(state_dim=0), "bad stage dims state=0 control=0"),
+    "stage-cone-callbacks": (lambda: Stage(state_dim=1, cone=ConeSpec((Orthant(1),))),
+                             "nonempty cone requires cone callbacks"),
+    "no-stages": (lambda: TrajectoryProblem(stages=[], initial_state=np.zeros(1)), "need at least one stage"),
+    "negative-parameters": (
+        lambda: TrajectoryProblem(stages=[Stage(state_dim=2)], initial_state=np.zeros(2), num_parameters=-1),
+        "num_parameters must be nonnegative",
+    ),
+    "state-count": (lambda: stack_trajectory(_two_stage_problem(), [np.zeros(2)], [np.zeros(1)]),
+                    "expected 2 states, got 1"),
+    "control-count": (lambda: stack_trajectory(_two_stage_problem(), [np.zeros(2)] * 2, []),
+                      "expected 1 controls, got 0"),
+    "segment-type": (lambda: ConeSpec(("orthant",)), "segment 0: unknown segment type"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_malformed_input_raises_invalid_dimension(name):
+    # each check on input from outside the solver names what is wrong
+    build, message = INPUT_CHECKS[name]
+    with pytest.raises(InvalidDimension, match=f"^{re.escape(message)}"):
+        build()
