@@ -45,14 +45,15 @@ NumericalFailure when it fails. No solve forms an (n+m+p)-square matrix or
 the dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
 serves as a reference in tests. A direction takes at most ``MAX_REFINE``
 refinement steps and must meet ||J dw + R||_inf <= ``CONSISTENCY_TOL`` (1 +
-||R||_inf). ``differentiate`` solves its parameter columns through the same
-reduction and refinement, with the multiplier estimate tracking the
-equality dual (``assemble_symmetric``'s ``tracks_multiplier``). A Newton
-direction keeps its factored system (``DirectionInfo.system``), so that
-the solver can correct a step the cone boundary cuts by Mehrotra's
-second-order term (``corrector``): one more reduced solve through it,
-without refinement, of J dc = -(0, 0, 0, 0, 0, ds o dt), taken only when
-the corrected direction still meets the consistency bound.
+||R||_inf). ``differentiate`` factors the same system at the solution and
+refines its parameter columns against the Jacobian with the multiplier
+estimate tracking the equality dual, which ``ipal.sensitivity`` states over
+the system's two operators. A Newton direction keeps its factored system
+(``DirectionInfo.system``), so that the solver can correct a step the cone
+boundary cuts by Mehrotra's second-order term (``corrector``): one more
+reduced solve through it, without refinement, of J dc = -(0, 0, 0, 0, 0, ds
+o dt), taken only when the corrected direction still meets the consistency
+bound.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .cone import (
 )
 from . import linsolve
 from .linsolve import (
-    DUAL_SHIFT,
     Factorization,
     NumericalFailure,
     RegularizationState,
@@ -401,7 +401,9 @@ class ReducedSystem:
     Ptb, W and N stay stacked blocks (``ConeBlocks``), never p x p
     matrices, so that W and N are applied and inverted elementwise on the
     eigenvalue pairs, and solved with ``np.linalg.solve`` only on dense
-    blocks of dimension 3 or more.
+    blocks of dimension 3 or more. ``differentiate`` refines against the
+    Jacobian with the multiplier tracking the equality dual, which it
+    states over ``apply`` and ``inverse`` (``ipal.sensitivity``).
     Residual rows and solutions may be vectors or matrices of columns.
     """
 
@@ -419,7 +421,6 @@ class ReducedSystem:
     dual: float  # N on the equality duals, as C was built from it
     N: ConeBlocks  # N on the cone rows, as C was built from it
     fact: Factorization = field(repr=False)  # of C
-    tracks_multiplier: bool = False  # dlam = dy; see assemble_symmetric
     raised: int = 0  # stacks of N raised by CONE_RAISE
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
@@ -443,7 +444,7 @@ class ReducedSystem:
         dw[lay.y] = (g_x @ dx - fy) / self.dual
         dw[lay.z] = self.N.solve(h_x @ dx - fz)
         dy, dz = dw[lay.y], dw[lay.z]
-        dw[lay.r] = (br if self.tracks_multiplier else dy + br) * self.dual_scale
+        dw[lay.r] = (dy + br) * self.dual_scale
         ds = dw[lay.s] = self.W.solve(self.Ptb.matvec(dz + bs) + bt)
         dw[lay.t] = self.eps_p * ds - dz - bs
         return dw
@@ -451,33 +452,29 @@ class ReducedSystem:
     def apply(self, dw: np.ndarray) -> np.ndarray:
         """``full_jacobian`` at the shifts of the system times dw, computed
         block by block without forming the matrix; dw may also hold
-        directions as columns. When the system tracks the multiplier, J[r,
-        y] = 0."""
+        directions as columns."""
         lay, cache = self.layout, self.cache
         ep, ed = self.eps_p, self.eps_d
         dx, dr, ds = dw[lay.x], dw[lay.r], dw[lay.s]
         dy, dz, dt = dw[lay.y], dw[lay.z], dw[lay.t]
         out = np.empty(dw.shape)
         out[lay.x] = cache.L_xx @ dx + ep * dx + cache.g_x.T @ dy + cache.h_x.T @ dz
-        out[lay.r] = (self.rho + ep) * dr
-        if not self.tracks_multiplier:
-            out[lay.r] -= dy
+        out[lay.r] = (self.rho + ep) * dr - dy
         out[lay.s] = ep * ds - dz - dt
         out[lay.y] = cache.g_x @ dx - dr - ed * dy
         out[lay.z] = cache.h_x @ dx - ds - ed * dz
         out[lay.t] = self.Ps.matvec(ds) + self.Ptb.matvec(dt)
         return out
 
-    def solve(self, R: np.ndarray, max_refine: int, exact: Optional[ReducedSystem] = None,
+    def solve(self, R: np.ndarray, max_refine: int,
               norm_R: Optional[float] = None) -> Tuple[np.ndarray, float, np.ndarray, int]:
-        """Solve J dw = -R by ``solve_refined`` against ``apply`` of ``exact``
-        (this system when None), with ``inverse`` as its preconditioner, in
-        at most ``max_refine`` refinement steps; R may hold right-hand sides
-        as columns, and ``norm_R`` is ||R||_inf when already taken. Returns
-        the best dw, ||J dw + R||_inf, J dw + R and the steps taken;
-        NumericalFailure when the solve fails."""
-        exact = self if exact is None else exact
-        return solve_refined(exact.apply, self.inverse, -R, max_refine, REFINE_TOL, norm_R)
+        """Solve J dw = -R by ``solve_refined`` against ``apply``, with
+        ``inverse`` as its preconditioner, in at most ``max_refine``
+        refinement steps; R may hold right-hand sides as columns, and
+        ``norm_R`` is ||R||_inf when already taken. Returns the best dw,
+        ||J dw + R||_inf, J dw + R and the steps taken; NumericalFailure when
+        the solve fails."""
+        return solve_refined(self.apply, self.inverse, -R, max_refine, REFINE_TOL, norm_R)
 
 
 def assemble_symmetric(
@@ -486,28 +483,15 @@ def assemble_symmetric(
     outer: OuterState,
     cache: EvalCache,
     reg: RegularizationState = RegularizationState(),
-    *,
-    tracks_multiplier: bool = False,
 ) -> ReducedSystem:
     """Assemble the reduced saddle system at the iterate evaluated in
     ``cache`` and factor its Schur complement C (``linsolve.factorize``);
     the system keeps ``cache`` and the penalty rho of ``outer``.
     NumericalFailure when N is not positive definite, so that K has no C,
-    or when C has an exactly zero pivot.
-
-    N is 1/(rho + eps_p) + eps_d on the equality duals, from the exact
-    elimination of the relaxation block. With ``tracks_multiplier`` the
-    multiplier estimate moves with the equality dual (dlam = dy), as when
-    differentiating a converged solution: the relaxation rows lose their -dy
-    coupling, so dr = -L_r / (rho + eps_p), and the penalty term leaves the
-    equality-dual diagonal of the reduced matrix, which is then -eps_d (zero
-    at zero shift, where the tracked matrix has no Schur complement); the
-    reduced right-hand side is the same. C is then built with N =
-    DUAL_SHIFT + eps_d on the equality duals: its solves are those of the
-    tracked matrix with the dual shift on the equality duals alone, which
-    refinement against the exact Jacobian removes. (The dual shift of
-    ``reg`` also shifts the complementarity rows, P_t - eps_d I, which at
-    the cone boundary makes N indefinite.)"""
+    or when C has an exactly zero pivot. N is 1/(rho + eps_p) + eps_d on
+    the equality duals, from the exact elimination of the relaxation block.
+    (The dual shift of ``reg`` also shifts the complementarity rows, P_t -
+    eps_d I, which at the cone boundary makes N indefinite.)"""
     lay = layout_of(model.n, model.m, model.p)
     ep, ed = reg.eps_p, reg.eps_d
     dual_scale = 1.0 / (outer.rho + ep)
@@ -524,15 +508,14 @@ def assemble_symmetric(
         entries(A) for A in (cache.L_xx, cache.g_x, cache.h_x)
     )
     plan = schur_plan(model, (L_pattern, G_pattern, H_pattern))
-    dual = (DUAL_SHIFT if tracks_multiplier else dual_scale) + ed
+    dual = dual_scale + ed
     C, N, raised = plan.complement(L, np.concatenate([g, h]), ep, dual, M.shift(ed))
     # through the module, so that a wrapper on linsolve.factorize sees
     # every factorization
     fact = linsolve.factorize(C)
     return ReducedSystem(
         layout=lay, cache=cache, rho=outer.rho, eps_p=ep, eps_d=ed, dual_scale=dual_scale,
-        Ps=Ps, Ptb=Ptb, W=W, plan=plan, C=C, dual=dual, N=N, fact=fact,
-        tracks_multiplier=tracks_multiplier, raised=raised,
+        Ps=Ps, Ptb=Ptb, W=W, plan=plan, C=C, dual=dual, N=N, fact=fact, raised=raised,
     )
 
 

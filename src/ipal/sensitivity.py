@@ -8,20 +8,19 @@ satisfied to first order. Differentiating with the estimate frozen instead
 would leave an O(1/rho) mismatch against re-solving, which the boundary-value
 structure of trajectory problems amplifies well past usable accuracy.
 
-All parameter columns are solved through the solver's own symmetric
-reduction in (dx, dy, dz) and refined against the exact, unshifted Jacobian
-applied blockwise, as Newton directions are (``kkt.ReducedSystem.solve``:
-one reduced solve of all columns per step). dlam = dy zeroes J[r, y], which
-removes the penalty term from the equality-dual block N of the reduced
-system (``assemble_symmetric``'s ``tracks_multiplier``), so at zero shift N
-is zero there and the system has no Schur complement. Its Schur complement
-is built with the dual shift on those rows alone, factored, and refined
-against the exact Jacobian: iterated regularization, which on a consistent
-system loses the shift's bias. When that assembly fails (a singular C, with
-an exactly zero pivot, or an N that is not positive definite), the system is
-assembled again at ``PRIMAL_SHIFT`` and refined against the same exact
-Jacobian, and the result is flagged. No inertia is needed, so the
-factorization need not be certified.
+dlam = dy zeroes J[r, y] and nothing else. So ``differentiate`` factors the
+solver's own Newton system at zero shift and the final penalty, and refines
+all parameter columns in one ``solve_refined`` loop against its blockwise
+``apply`` plus dy in the relaxation rows, preconditioned by its ``inverse``
+with those rows set to b_r / (rho + eps_p). dR/dtheta has zero relaxation
+rows, so dr is exactly zero in every iterate, and rho enters only through
+the preconditioner's equality-dual block, 1 / rho where the tracked matrix
+has zero: iterated regularization, which on a consistent system loses the
+bias. When the assembly fails (a singular C, with an exactly zero pivot, or
+an N that is not positive definite), the system is assembled again at
+``PRIMAL_SHIFT`` and refined against the same unshifted Jacobian, and the
+result is flagged. No inertia is needed, so the factorization need not be
+certified.
 
 A rank-deficient equality Jacobian G is detected on its own: by an exactly
 zero pivot in the band LU of G G', the equality duals in their stage order
@@ -34,8 +33,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kkt
 from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that wrap it)
     MAX_REFINE,
+    REFINE_TOL,
     Layout,
     OuterState,
     ReducedSystem,
@@ -91,8 +92,8 @@ def differentiate(
     All parameter columns are solved together, as described above, so the
     result is deterministic and column order matches theta order.
     ``used_least_squares`` flags a rank-deficient Jacobian (a repeated
-    equality row, or a reduced system that fails to assemble at the dual
-    shift alone) or a solve whose row-equilibrated residual exceeds 1e-6 *
+    equality row, or a Newton system that fails to assemble at zero shift)
+    or a solve whose row-equilibrated residual exceeds 1e-6 *
     (1 + ||dR/dtheta||);
     NumericalFailure is raised when the solve fails, and ValueError unless
     the solution is solved (the point of an unconverged run has no
@@ -114,20 +115,34 @@ def differentiate(
     Rt = residual_parameter_jacobian(model, point, theta)
 
     try:
-        rsys = factored = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
+        rsys = factored = assemble_symmetric(model, point, outer, cache)
         singular = False
     except NumericalFailure:
         singular = True
-        factored = assemble_symmetric(model, point, outer, cache, PRIMAL_SHIFT, tracks_multiplier=True)
-        # the exact, unshifted Jacobian: apply and _row_scale read no block
-        # that the primal shift changes but eps_p itself
+        factored = assemble_symmetric(model, point, outer, cache, PRIMAL_SHIFT)
+        # the unshifted Jacobian: apply and _row_scale read no block that
+        # the primal shift changes but eps_p itself
         rsys = replace(factored, eps_p=0.0)
     if model.m and not singular:
         try:
             band_lu(rsys.plan.gram(entries(cache.g_x)[1]))
         except NumericalFailure:
             singular = True
-    dw, _, err, _ = factored.solve(Rt, MAX_REFINE, exact=rsys)
+    lay = rsys.layout
+
+    def tracked_apply(dw: np.ndarray) -> np.ndarray:
+        out = rsys.apply(dw)
+        out[lay.r] += dw[lay.y]  # J[r, y] = 0
+        return out
+
+    def tracked_inverse(b: np.ndarray) -> np.ndarray:
+        dw = factored.inverse(b)
+        dw[lay.r] = b[lay.r] * factored.dual_scale
+        return dw
+
+    # through the module, so that a wrapper on kkt.solve_refined sees the
+    # refinement of differentiate as it sees that of the solver
+    dw, _, err, _ = kkt.solve_refined(tracked_apply, tracked_inverse, -Rt, MAX_REFINE, REFINE_TOL)
     flagged = singular
     if dw.size:
         # accept on the row-equilibrated residual J dw + Rt: the penalty

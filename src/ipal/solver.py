@@ -523,24 +523,20 @@ def solve(
     except (NumericalFailure, EvaluationFailure, NotInterior):
         status = SolveStatus.NUMERICAL_FAILURE
 
+    # cache holds the evaluation of point and res_norm its residual norm
+    # unless evaluating its derivatives failed; values holds its (c, g, h)
+    # all the same, since only an accepted step moves point and values
     if point is None:  # initialization itself failed
         point = SolverPoint(
             x=x0.copy(), r=np.zeros(model.m), s=np.ones(model.p),
             y=np.zeros(model.m), z=np.zeros(model.p), t=np.ones(model.p),
         )
-    # cache holds the evaluation of point and res_norm its residual norm
-    # unless evaluating point failed: a step clears cache, and only an
-    # accepted step moves point
-    try:
-        c, g, h = evaluate_values(model, point.x, theta) if cache is None else (cache.c, cache.g, cache.h)
-        primal_violation = max(
-            float(np.abs(g).max()) if g.size else 0.0,
-            cone_infeasibility(model, h),
-        )
-        if cache is None:
-            res_norm = unrelaxed_residual_norm(model, point, theta)
-    except (NumericalFailure, EvaluationFailure, NotInterior):
         c, primal_violation, res_norm = np.nan, np.nan, np.nan
+    else:
+        c, g, h = values if cache is None else (cache.c, cache.g, cache.h)
+        primal_violation = max(float(np.abs(g).max()) if g.size else 0.0, cone_infeasibility(model, h))
+        if cache is None:
+            res_norm = np.nan
     solution = Solution(
         point=point,
         status=status,

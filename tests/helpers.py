@@ -314,11 +314,10 @@ def dense_transcription(problem, x, theta, y, z):
     return out
 
 
-def dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=False):
+def dense_reduced_matrix(model, point, outer, reg, cache):
     """The reduced KKT matrix K = [[P, A'], [A, -N]] in the (x, y, z) order
     as one dense array, from dense copies of the cache's derivative
-    matrices; with ``tracks_multiplier`` the penalty term leaves N's
-    equality-dual diagonal, which is then eps_d."""
+    matrices."""
     from ipal.cone import product_jacobian_blocks
 
     n, m, p = model.n, model.m, model.p
@@ -333,8 +332,7 @@ def dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=Fals
     K[n : n + m, :n] = G
     K[:n, n + m :] = H.T
     K[n + m :, :n] = H
-    dual = ed if tracks_multiplier else 1.0 / (outer.rho + ep) + ed
-    K[n : n + m, n : n + m] = -dual * np.eye(m)
+    K[n : n + m, n : n + m] = -(1.0 / (outer.rho + ep) + ed) * np.eye(m)
     (-1.0 * M.shift(ed)).write_to(K[n + m :, n + m :])
     return K
 

@@ -2,6 +2,7 @@
 run on the registry pool of one seed with a directory as the other side."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,3 +36,9 @@ def test_a_changed_solver_constant_is_reported_as_differing(tmp_path):
     out = _ab(tmp_path, rounds=0)
     assert out.returncode == 1, out.stderr
     assert "DIFFER: seed 1 " in out.stdout
+    # each differing task says how far it moved: status and iterations
+    # matched or not, and the relative difference of each field that moved
+    moved = [line for line in out.stdout.splitlines() if line.startswith("  seed 1 ")]
+    assert moved and all("status " in line and "iterations " in line for line in moved)
+    x_moves = [float(m.group(1)) for m in map(re.compile(r"max rel diff .*\bx ([0-9.e+-]+)").search, moved) if m]
+    assert x_moves and max(x_moves) > 0.0

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import ipal.kkt
 import ipal.sensitivity
 import ipal.solver
 from helpers import trajectory_tracking
@@ -68,6 +69,9 @@ def test_traced_solve_and_differentiate_match_untraced(name):
     assert table["linsolve.factorize"]["calls"] >= table["kkt.search_direction"]["calls"]
     assert table["callbacks.lagrangian_hessian"]["calls"] > 0
     assert tracer.extra["linsolve.factorize.flops"] > 0
+    # differentiate refines through the binding the tracer wraps as well
+    refined = table["linsolve.solve_refined"]
+    assert refined["calls"] > refined["calls_in_solve"]
 
 
 # spans of bindings that only reference paths call: the dense Jacobian and
@@ -169,7 +173,7 @@ def test_seed_2_mpc_sens_4_solves_at_criterion_6_options():
 POOL_ITERATIONS = {"registry": 59, "horizon": 83, "mpc-sens": 119}
 # the GMRES passes of differentiate over the same pools; mpc-sens took 15
 # while N's SecondOrder(2) boundary blocks were raised by kkt.CONE_RAISE
-DIFFERENTIATE_PASSES = {"registry": 3, "horizon": 0, "mpc-sens": 8}
+DIFFERENTIATE_PASSES = {"registry": 4, "horizon": 0, "mpc-sens": 8}
 
 
 @pytest.mark.parametrize("workload", sorted(POOL_ITERATIONS))
@@ -180,19 +184,17 @@ def test_seed_1_pool_iterations_are_pinned(monkeypatch, workload):
     workloads = _workloads()
     passes, raised = [], []
     original_assemble = ipal.sensitivity.assemble_symmetric
+    original_refined = ipal.kkt.solve_refined
 
     def assemble_symmetric(*args, **kwargs):
         rsys = original_assemble(*args, **kwargs)
         raised.append(rsys.raised)
-        original_solve = rsys.solve
-
-        def solve_(*args, **kwargs):
-            out = original_solve(*args, **kwargs)
-            passes.append(out[3])
-            return out
-
-        rsys.solve = solve_
         return rsys
+
+    def solve_refined(*args, **kwargs):
+        out = original_refined(*args, **kwargs)
+        passes.append(out[3])
+        return out
 
     monkeypatch.setattr(ipal.sensitivity, "assemble_symmetric", assemble_symmetric)
     total = 0
@@ -201,7 +203,11 @@ def test_seed_1_pool_iterations_are_pinned(monkeypatch, workload):
         check = task.check(sol)
         assert check.ok, (task.label, check.detail)
         if task.differentiate:
-            check = workloads.check_sensitivity(differentiate(task.model, sol, task.theta))
+            # differentiate's refinement, through the binding the tracer wraps
+            with monkeypatch.context() as patch:
+                patch.setattr(ipal.kkt, "solve_refined", solve_refined)
+                sens = differentiate(task.model, sol, task.theta)
+            check = workloads.check_sensitivity(sens)
             assert check.ok, (task.label, check.detail)
         total += sol.total_iterations
         raised.extend(rec.raised for rec in sol.trace)

@@ -220,10 +220,9 @@ class TestSymmetricReduction:
     @pytest.mark.parametrize("kind", ["orthant", "second-order"])
     def test_columns_match_one_at_a_time(self, kind):
         # the reduced solve and the blockwise Jacobian on a 3-column matrix
-        # equal their application to each column, with and without
-        # multiplier tracking: the Jacobian to round-off, the solve to its
-        # round-off times the conditioning of C, whose band solve of a
-        # matrix rounds apart from that of a vector
+        # equal their application to each column: the Jacobian to
+        # round-off, the solve to its round-off times the conditioning of
+        # C, whose band solve of a matrix rounds apart from that of a vector
         rng = np.random.default_rng(15)
         for _ in range(20):
             n = int(rng.integers(2, 7))
@@ -234,16 +233,13 @@ class TestSymmetricReduction:
             point, outer = random_iterate(rng, model)
             reg = RegularizationState(eps_p=float(rng.uniform(0, 1e-2)), eps_d=float(rng.uniform(0, 1e-4)))
             rows = rng.standard_normal((model.n + 2 * model.m + 3 * model.p, 3))
-            for track in (False, True):
-                rsys = assemble_symmetric(
-                    model, point, outer, evaluate_at(model, point, np.zeros(0)), reg, tracks_multiplier=track
-                )
-                for operator, tol in ((rsys.inverse, 1e-9), (rsys.apply, 1e-14)):
-                    out = operator(rows)
-                    assert out.shape == rows.shape
-                    for j in range(3):
-                        one = operator(rows[:, j])
-                        assert np.abs(out[:, j] - one).max() <= tol * np.abs(one).max()
+            rsys = assemble_symmetric(model, point, outer, evaluate_at(model, point, np.zeros(0)), reg)
+            for operator, tol in ((rsys.inverse, 1e-9), (rsys.apply, 1e-14)):
+                out = operator(rows)
+                assert out.shape == rows.shape
+                for j in range(3):
+                    one = operator(rows[:, j])
+                    assert np.abs(out[:, j] - one).max() <= tol * np.abs(one).max()
 
 
 class TestSearchDirection:
@@ -315,31 +311,6 @@ class TestJacobianApply:
             for dw in (rng.standard_normal(J.shape[0]), rng.standard_normal((J.shape[0], 3))):
                 err = np.abs(rsys.apply(dw) - J @ dw).max()
                 assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
-
-    def test_tracked_multiplier_drops_the_r_y_coupling(self):
-        # with dlam = dy the operator and the reduced solve both follow the
-        # dense Jacobian with J[r, y] = 0; orthant cones keep the reduction
-        # exact, and m <= n keeps that Jacobian nonsingular
-        rng = np.random.default_rng(16)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(1, n + 1))
-            model = random_nlp(rng, n, m, ConeSpec((Orthant(int(rng.integers(1, 5))),)))
-            point, outer = random_iterate(rng, model)
-            cache = evaluate(model, point.x, np.zeros(0), point.y, point.z)
-            lay = Layout(n, m, model.p)
-            J = full_jacobian(model, point, outer, cache, RegularizationState())
-            J[lay.r, lay.y] = 0.0
-            rows = rng.standard_normal((lay.total, 3))
-            rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
-            dw = rng.standard_normal((lay.total, 3))
-            err = np.abs(rsys.apply(dw) - J @ dw).max()
-            assert err <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
-            # the tracked C has the dual shift on the equality duals alone;
-            # refined against the tracked system, the solve is exact
-            expected = np.linalg.solve(J, -rows)
-            got, _, _, _ = rsys.solve(rows, MAX_REFINE)
-            assert np.abs(got - expected).max() <= 1e-8 * (1.0 + np.abs(expected).max())
 
 
 def _counting(monkeypatch, module, name, seen):
@@ -592,18 +563,16 @@ def _tracking_iterate(model, x0, theta):
     return point, outer, evaluate(model, point.x, theta, point.y, point.z)
 
 
-def _tracking_assembler(model, x0, theta, tracks_multiplier=False):
+def _tracking_assembler(model, x0, theta):
     """Reduced system of a transcribed model at ``_tracking_iterate``, and
     its dense reduced matrix, as functions of the shifts (eps_p, eps_d)."""
     point, outer, cache = _tracking_iterate(model, x0, theta)
 
     def assemble(ep, ed):
-        return assemble_symmetric(
-            model, point, outer, cache, RegularizationState(ep, ed), tracks_multiplier=tracks_multiplier
-        )
+        return assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed))
 
     def dense(ep, ed):
-        return dense_reduced_matrix(model, point, outer, RegularizationState(ep, ed), cache, tracks_multiplier)
+        return dense_reduced_matrix(model, point, outer, RegularizationState(ep, ed), cache)
 
     return assemble, dense
 
@@ -797,35 +766,16 @@ def test_boundary_eigenvalue_pair_is_inverted_exactly():
         plan.complement(identity, identity, 0.0, 1.0, ConeBlocks(spec, np.zeros(0), (np.array([[2.0 * a, 0.0]]),)))
 
 
-def test_tracked_system_drops_the_schur_complement():
-    # tracking the multiplier takes the penalty term off the equality-dual
-    # diagonal of K, so at zero shift that diagonal is zero, and with a
-    # repeated equality row the tracked K is singular. Its Schur complement
-    # is that of K with the dual shift on the equality duals alone, so it
-    # factors and does not show the singularity: G G' does (next test)
-    model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
-    tracked, dense = _tracking_assembler(model, x0, theta, tracks_multiplier=True)
-    rsys = tracked(0.0, 0.0)
-    K = dense(0.0, 0.0)
-    eigs = np.abs(np.linalg.eigvalsh(K))
-    assert eigs.min() <= 1e-12 * eigs.max()
-    n, y = model.n, np.arange(model.n, model.n + model.m)
-    assert not K[y, y].any()
-    K[y, y] = -DUAL_SHIFT
-    C = dense_schur_complement(K, n)
-    assert np.abs(rsys.C - lower_band(C, rsys.C.shape[0] - 1)).max() <= 1e-12 * np.abs(C).max()
-    assert rsys.fact.certified
-
-
 def test_duplicated_equality_rows_stay_blocked(monkeypatch):
-    # stage 4 pins u = 0 twice; with the multiplier tracking the dual (as
-    # when differentiating) nothing regularizes the repeated rows. The band
-    # LU of G G', the equality duals in their stage order, reports the
-    # exactly zero pivot, and the tracked system factors through its C at
-    # zero shift and at the primal shift, as differentiate takes them;
-    # every LAPACK factorization reads a band of order at most n
+    # stage 4 pins u = 0 twice. The Newton system regularizes the repeated
+    # rows by 1 / (rho + eps_p) on the equality duals, so it factors through
+    # its C at zero shift and at the primal shift, as differentiate takes
+    # them, though the Jacobian with the multiplier tracking the dual
+    # (J[r, y] = 0, as when differentiating) is singular. The band LU of G
+    # G', the equality duals in their stage order, reports the exactly zero
+    # pivot; every LAPACK factorization reads a band of order at most n
     model, x0, theta = trajectory_tracking(12, duplicated_stage=4)
-    build, dense = _tracking_assembler(model, x0, theta, tracks_multiplier=True)
+    build, _ = _tracking_assembler(model, x0, theta)
     rsys = build(0.0, 0.0)
     orders = []
     for name in ("dpbtrf", "dgbtrf"):
@@ -836,7 +786,8 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
             return original(ab, *args, **kwargs)
 
         monkeypatch.setattr(ipal.linsolve, name, recorded)
-    gram = rsys.plan.gram(entries(_tracking_iterate(model, x0, theta)[2].g_x)[1])
+    point, outer, cache = _tracking_iterate(model, x0, theta)
+    gram = rsys.plan.gram(entries(cache.g_x)[1])
     assert gram.shape[0] < model.m
     with pytest.raises(NumericalFailure):
         band_lu(gram)
@@ -844,8 +795,11 @@ def test_duplicated_equality_rows_stay_blocked(monkeypatch):
         assert build(*shifts).fact.certified
     assert all(shape[1] <= model.n and shape[0] < 3 * model.m for shape in orders)
     monkeypatch.undo()
-    eigs = np.abs(np.linalg.eigvalsh(dense(0.0, 0.0)))
-    assert eigs.min() <= 1e-12 * eigs.max()
+    lay = Layout(model.n, model.m, model.p)
+    J = full_jacobian(model, point, outer, cache)
+    J[lay.r, lay.y] = 0.0
+    sv = np.linalg.svd(J, compute_uv=False)
+    assert sv.min() <= 1e-12 * sv.max()
 
 
 def test_fixed_shift_failure_raises_numerical_failure():

@@ -271,7 +271,8 @@ def test_flat_direction_falls_back_to_least_squares():
 
 def test_repeated_equality_row_matches_least_squares():
     # one equality row repeated makes the tracked Jacobian singular but
-    # consistent: factored at the dual shift and refined against the exact
+    # consistent: preconditioned by the Newton system, whose 1 / rho on the
+    # equality duals keeps it regular, and refined against the tracked
     # Jacobian, dx is that of the row-equilibrated least-squares solution
     # of the dense Jacobian (the reference here), and J dw = -dR/dtheta
     # holds to round-off
@@ -456,11 +457,112 @@ def test_reduced_solve_matches_dense_jacobian(name):
     assert np.abs(out.dw - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
+def _refinement(monkeypatch, model, sol, theta):
+    """differentiate's result, its calls of assemble_symmetric as (shifts,
+    rho), the tracked operators (apply, inverse) it refined with, and every
+    output of that inverse during the refinement."""
+    assembled, operators, preconditioned = [], [], []
+    original_assemble, original_refined = ipal.sensitivity.assemble_symmetric, ipal.kkt.solve_refined
+
+    def assemble(model, point, outer, cache, reg=RegularizationState()):
+        assembled.append((reg, outer.rho))
+        return original_assemble(model, point, outer, cache, reg)
+
+    def solve_refined(apply, inverse, *args, **kwargs):
+        operators.append((apply, inverse))
+
+        def recorded(b):
+            preconditioned.append(inverse(b))
+            return preconditioned[-1]
+
+        return original_refined(apply, recorded, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ipal.sensitivity, "assemble_symmetric", assemble)
+        patch.setattr(ipal.kkt, "solve_refined", solve_refined)
+        out = differentiate(model, sol, theta)
+    return out, assembled, operators, preconditioned
+
+
+# registry instances and tracking instances, whose refinement takes passes
+TRACKED_CASES = ["double-integrator-trajopt", "mpc-autotune", "tracking-30"]
+
+
+@pytest.mark.parametrize("name", TRACKED_CASES)
+def test_tracked_apply_drops_the_r_y_coupling(monkeypatch, name):
+    # differentiate refines, in one solve_refined call, against the Newton
+    # system's blockwise Jacobian with dlam = dy: the dense Jacobian at zero
+    # shift and the solution's rho with J[r, y] = 0, to round-off
+    model, sol, theta = _solved(name)
+    _, _, operators, _ = _refinement(monkeypatch, model, sol, theta)
+    assert len(operators) == 1
+    apply, _ = operators[0]
+    lay = Layout(model.n, model.m, model.p)
+    outer = OuterState(lam=np.zeros(model.m), rho=sol.rho, kappa=sol.kappa)
+    J = full_jacobian(model, sol.point, outer, evaluate_at(model, sol.point, theta))
+    J[lay.r, lay.y] = 0.0
+    rng = np.random.default_rng(16)
+    for dw in (rng.standard_normal(lay.total), rng.standard_normal((lay.total, 3))):
+        assert np.abs(apply(dw) - J @ dw).max() <= 1e-13 * np.abs(J).max() * np.abs(dw).max()
+
+
+@pytest.mark.parametrize("name", TRACKED_CASES)
+def test_differentiate_assembles_the_newton_system_once(monkeypatch, name):
+    # the system differentiate factors is the solver's own at zero shift
+    # and the solution's rho, assembled once. dR/dtheta has zero relaxation
+    # rows, and the tracked preconditioner sets dr from them alone, so dr
+    # is exactly zero in every refinement iterate and in the result
+    model, sol, theta = _solved(name)
+    out, assembled, _, preconditioned = _refinement(monkeypatch, model, sol, theta)
+    assert assembled == [(RegularizationState(), sol.rho)]
+    lay = Layout(model.n, model.m, model.p)
+    assert len(preconditioned) >= 2  # the refinement took passes
+    assert all(not dw[lay.r].any() for dw in preconditioned)
+    assert not out.dw[lay.r].any() and not out.used_least_squares
+
+
+# below 1 / DUAL_SHIFT, which the benchmark's solves never end at: loose
+# tolerances end the tracking family at rho = 1e4 and 2e4, and the
+# duplicated-row instance at 1e4
+LOOSE_CASES = {
+    "tracking-20-tol-1e-3": (lambda: trajectory_tracking(20), 1e-3),
+    "tracking-20-tol-1e-4": (lambda: trajectory_tracking(20), 1e-4),
+    "duplicated-30-tol-1e-3": (lambda: trajectory_tracking(30, duplicated_stage=15), 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_CASES))
+def test_a_small_final_penalty_keeps_the_derivative(name):
+    # the preconditioner's equality-dual block is 1 / rho, far from the
+    # tracked matrix's zero, and refinement still reaches the dense
+    # solution (least squares, row-equilibrated, for the repeated row),
+    # with the rank flag as before
+    build, tol = LOOSE_CASES[name]
+    model, x0, theta = build()
+    sol = solve(model, x0, theta, SolverOptions(tol=tol))
+    assert sol.solved and sol.rho < 1.0 / ipal.linsolve.DUAL_SHIFT
+    out = differentiate(model, sol, theta)
+    lay = Layout(model.n, model.m, model.p)
+    outer = OuterState(lam=np.zeros(model.m), rho=sol.rho, kappa=sol.kappa)
+    J = full_jacobian(model, sol.point, outer, evaluate_at(model, sol.point, theta))
+    J[lay.r, lay.y] = 0.0
+    Rt = residual_parameter_jacobian(model, sol.point, theta)
+    duplicated = name.startswith("duplicated")
+    if duplicated:
+        row = np.abs(J).max(axis=1)[:, None]
+        expected = np.linalg.lstsq(J / row, -Rt / row, rcond=None)[0][lay.x]
+    else:
+        expected = np.linalg.solve(J, -Rt)[lay.x]
+    assert np.abs(out.dx - expected).max() <= 1e-9 * np.abs(expected).max()
+    assert out.used_least_squares == duplicated
+
+
 @pytest.mark.parametrize("name", ["mpc-autotune", "tracking-30"])
 def test_a_failed_zero_shift_assembly_falls_back_to_the_primal_shift(monkeypatch, name):
-    # when the tracked system cannot be assembled at zero shift,
-    # differentiate assembles it at PRIMAL_SHIFT, refines against the exact
-    # Jacobian and flags the result, which matches the unshifted solve
+    # when the Newton system cannot be assembled at zero shift,
+    # differentiate assembles it at PRIMAL_SHIFT, refines against the
+    # unshifted tracked Jacobian and flags the result, which matches the
+    # unshifted solve
     model, sol, theta = _solved(name)
     expected = differentiate(model, sol, theta)
     original = ipal.sensitivity.assemble_symmetric
@@ -562,8 +664,8 @@ def test_differentiate_takes_the_residual_norm_of_solve(monkeypatch):
 
 
 def test_row_scale_matches_dense_jacobian():
-    # the acceptance check's row scales, read off the blocks, equal the row
-    # max-norms of the dense Jacobian with J[r, y] = 0
+    # the acceptance check's row scales, read off the blocks of the Newton
+    # system, equal the row max-norms of the dense Jacobian with J[r, y] = 0
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(1, 7))
@@ -576,5 +678,5 @@ def test_row_scale_matches_dense_jacobian():
         J[lay.r, lay.y] = 0.0
         expected = np.abs(J).max(axis=1)
         expected[expected == 0.0] = 1.0
-        rsys = assemble_symmetric(model, point, outer, cache, tracks_multiplier=True)
+        rsys = assemble_symmetric(model, point, outer, cache)
         np.testing.assert_array_equal(ipal.sensitivity._row_scale(rsys), expected)

@@ -23,7 +23,7 @@ from helpers import (
 from ipal.bench import autotune
 from ipal.bench.problems import REGISTRY, _integrator_trajopt_problem
 from ipal.kkt import assemble_symmetric, full_jacobian
-from ipal.linsolve import DUAL_SHIFT, NumericalFailure, RegularizationState, factorize
+from ipal.linsolve import NumericalFailure, RegularizationState, factorize
 from ipal.model import StageMatrix, evaluate
 from ipal.solver import SolverOptions, SolveStatus, solve
 from ipal.trajopt import transcribe
@@ -87,17 +87,11 @@ def _check_schur(assemble, K, n):
 
 @pytest.mark.parametrize("name", CASES)
 def test_reduced_matrix_matches_dense_assembly(name):
-    # with the multiplier tracking the dual, K loses the penalty term on its
-    # equality-dual diagonal, and C is built with the dual shift added there
     _, model, theta, point, outer = _case(name)
     cache = evaluate(model, point.x, theta, point.y, point.z)
-    n = model.n
     for reg in SHIFTS:
         _check_schur(lambda: assemble_symmetric(model, point, outer, cache, reg),
-                     dense_reduced_matrix(model, point, outer, reg, cache), n)
-        K = dense_reduced_matrix(model, point, outer, reg, cache, tracks_multiplier=True)
-        K[np.arange(n, n + model.m), np.arange(n, n + model.m)] -= DUAL_SHIFT
-        _check_schur(lambda: assemble_symmetric(model, point, outer, cache, reg, tracks_multiplier=True), K, n)
+                     dense_reduced_matrix(model, point, outer, reg, cache), model.n)
 
 
 @pytest.mark.parametrize("name", GENERAL)

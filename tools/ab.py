@@ -16,7 +16,10 @@ Bitwise check: every task of every seed's pool is solved (and differentiated
 where the workload does) once per side, and a SHA-256 is taken over x, r, s,
 y, z, t, the status, the iterations, the objective and the residual norm,
 and dw and ``used_least_squares`` of each differentiated task. Tasks whose
-digests differ are named; the exit status is 1 when any does.
+digests differ are named, each with how far it moved: whether its status,
+iterations and ``used_least_squares`` match, and per field the largest
+difference relative to the field's largest magnitude on either side. The
+exit status is 1 when any task differs.
 
 Timing: each round runs ``--passes`` passes over the first seed's pool per
 side, the sides in alternating order from round to round, and keeps each
@@ -111,13 +114,20 @@ def unpack(rev: str, into: str) -> str:
     return os.path.join(into, "src")
 
 
-def run_task(side: Side, task) -> Tuple[str, int]:
-    """The digest of one task's outputs on ``side`` and its iterations."""
+ARRAYS = ("x", "r", "s", "y", "z", "t")
+
+
+def run_task(side: Side, task) -> Tuple[str, dict]:
+    """The digest of one task's outputs on ``side``, and the outputs: the
+    point's arrays, status, iterations, objective, residual norm, and dw
+    and ``used_least_squares`` (or what differentiate raised)."""
     digest = hashlib.sha256()
     sol = side.ipal.solve(task.model, task.x0, task.theta, task.opts)
-    p = sol.point
-    for array in (p.x, p.r, p.s, p.y, p.z, p.t):
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    out = {name: np.ascontiguousarray(getattr(sol.point, name), dtype=float) for name in ARRAYS}
+    out.update(status=sol.status.value, iterations=sol.total_iterations,
+               objective=float(sol.objective), residual_norm=float(sol.residual_norm))
+    for name in ARRAYS:
+        digest.update(out[name].tobytes())
     digest.update(sol.status.value.encode())
     digest.update(np.array([sol.total_iterations], dtype=np.int64).tobytes())
     digest.update(np.array([sol.objective, sol.residual_norm], dtype=float).tobytes())
@@ -125,36 +135,77 @@ def run_task(side: Side, task) -> Tuple[str, int]:
         try:
             sens = side.ipal.differentiate(task.model, sol, task.theta)
         except Exception as exc:  # noqa: BLE001 - a raised differentiate is an output too
-            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            out["raised"] = f"{type(exc).__name__}: {exc}"
+            digest.update(out["raised"].encode())
         else:
-            digest.update(np.ascontiguousarray(sens.dw, dtype=float).tobytes())
+            out["dw"] = np.ascontiguousarray(sens.dw, dtype=float)
+            out["used_least_squares"] = bool(sens.used_least_squares)
+            digest.update(out["dw"].tobytes())
             digest.update(bytes([sens.used_least_squares]))
-    return digest.hexdigest(), sol.total_iterations
+    return digest.hexdigest(), out
+
+
+def relative_difference(a, b) -> float:
+    """max |a - b| over the larger of max |a| and max |b|: 0 when bitwise
+    equal (NaN matching NaN), inf when the shapes or the NaN places differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return np.inf
+    if np.array_equal(a, b, equal_nan=True):
+        return 0.0
+    if not np.array_equal(np.isnan(a), np.isnan(b)):
+        return np.inf
+    keep = ~np.isnan(a)
+    scale = max(np.abs(a[keep]).max(), np.abs(b[keep]).max())
+    return float(np.abs(a[keep] - b[keep]).max() / scale) if scale else np.inf
+
+
+def movement(a: dict, b: dict) -> str:
+    """How far one task moved between the outputs ``a`` and ``b``: whether
+    its status, iterations, flag and any error match, and the relative
+    difference of each field that differs; the others are named equal."""
+    parts = []
+    for key in ("status", "iterations", "used_least_squares", "raised"):
+        if key in a or key in b:
+            va, vb = a.get(key), b.get(key)
+            parts.append(f"{key} " + ("same" if va == vb else f"{va} / {vb}"))
+    moved, same = [], []
+    for name in ARRAYS + ("objective", "residual_norm", "dw"):
+        if name in a or name in b:
+            rel = relative_difference(a[name], b[name]) if name in a and name in b else np.inf
+            if rel:
+                moved.append(f"{name} {rel:.1e}")
+            else:
+                same.append(name)
+    return ", ".join(parts) + "; max rel diff " + ", ".join(moved) + (f" ({' '.join(same)} equal)" if same else "")
 
 
 def compare(sides: List[Side], workloads: List[str], seeds: List[int]) -> bool:
-    """Print per workload the iterations of each side over the seeds and the
-    tasks whose digests differ; True when every task is bitwise equal."""
+    """Print per workload the iterations of each side over the seeds, and
+    each task whose digests differ with how far it moved; True when every
+    task is bitwise equal."""
     total = [hashlib.sha256() for _ in sides]
     equal = True
     for workload in workloads:
         iterations = [0] * len(sides)
         differ = []
         for seed in seeds:
-            digests = []
+            runs = []
             for k, side in enumerate(sides):
                 activate(side)
                 tasks = side.workloads.build_tasks(workload, seed)
-                out = [run_task(side, task) for task in tasks]
-                digests.append([d for d, _ in out])
-                iterations[k] += sum(it for _, it in out)
-                for d, _ in out:
+                runs.append([run_task(side, task) for task in tasks])
+                iterations[k] += sum(out["iterations"] for _, out in runs[-1])
+                for d, _ in runs[-1]:
                     total[k].update(d.encode())
-            differ += [f"seed {seed} {task.label}" for task, a, b in zip(tasks, *digests) if a != b]
+            differ += [(f"seed {seed} {task.label}", movement(a[1], b[1]))
+                       for task, a, b in zip(tasks, *runs) if a[0] != b[0]]
         equal &= not differ
         print(f"{workload:9s} iterations {' / '.join(map(str, iterations))} "
               f"({' / '.join(side.label for side in sides)}): "
-              + ("bitwise equal" if not differ else "DIFFER: " + ", ".join(differ)))
+              + ("bitwise equal" if not differ else "DIFFER: " + ", ".join(label for label, _ in differ)))
+        for label, moved in differ:
+            print(f"  {label}: {moved}")
     print("sha256 " + "  ".join(f"{side.label} {h.hexdigest()[:16]}" for side, h in zip(sides, total)))
     return equal
 
