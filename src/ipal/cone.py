@@ -248,10 +248,12 @@ class ConeBlocks:
         return self._apply(v, np.multiply, np.matmul)
 
     def solve(self, v):
-        """self^{-1} v, as ConeBlocks when v is; LinAlgError if singular."""
-        if not self.diag.all() or not all(B.all() for B in self.blocks if B.ndim == 2):
-            raise np.linalg.LinAlgError("zero diagonal entry or eigenvalue")
+        """self^{-1} v, as ConeBlocks when v is, and then LinAlgError if self
+        is singular; vectors and columns are solved unchecked, with blocks
+        that ``kkt.assemble_symmetric`` has certified."""
         if isinstance(v, ConeBlocks):
+            if not self.diag.all() or not all(B.all() for B in self.blocks if B.ndim == 2):
+                raise np.linalg.LinAlgError("zero diagonal entry or eigenvalue")
             return ConeBlocks(self.spec, v.diag / self.diag, tuple(
                 V / B if B.ndim == 2 else np.linalg.solve(B, V) for B, V in zip(self.blocks, v.blocks)
             ))

@@ -26,23 +26,24 @@ model's dense derivative matrices, into LAPACK lower band storage in x's own
 order, its half-bandwidth read off those entries, by index plans computed
 once per model (``SchurPlan``); its Cholesky factorization certifies the
 inertia of K (``linsolve.factorize``). ``assemble_symmetric`` builds and
-factors C, or raises NumericalFailure when N is not positive definite or C
-has an exactly zero pivot, and inertia correction then takes the dual
-shift. Cone slack and complement blocks are recovered in closed form from
-stacked cone blocks (``ConeBlocks``). On second-order segments of dimension
-2 the arrow matrices share the eigenvectors (1, +-1)/sqrt(2), so W,
-W^{-1}P_t, N and their inverses are eigenvalue pairs there, summed, scaled,
-inverted and applied elementwise, and a small eigenvalue at the cone
-boundary is kept. Only segments of dimension 3 or more hold dense blocks:
-their W^{-1}P_t is symmetrized, which is inexact away from the central path,
-and a block of N that is singular to round-off at the cone boundary is
-raised (``CONE_RAISE``). A ``ReducedSystem`` keeps the evaluation and
-penalty it was assembled at and the factors of C, and offers the full
-system applied blockwise (``apply``), the reduced solve (``inverse``) and
-its solve of J dw = -R (``solve``): the GMRES loop of ``solve_refined``
-against the first with the second as its preconditioner, which raises
-NumericalFailure when it fails. No solve forms an (n+m+p)-square matrix or
-the dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
+factors C, or raises NumericalFailure when W = Ps + eps_p P_t is singular, N
+is not positive definite or C has an exactly zero pivot, and inertia
+correction then takes the dual shift: it is the one check of the blocks that
+reduced solves invert. Cone slack and complement blocks are recovered in
+closed form from stacked cone blocks (``ConeBlocks``). On second-order
+segments of dimension 2 the arrow matrices share the eigenvectors (1,
++-1)/sqrt(2), so W, W^{-1}P_t, N and their inverses are eigenvalue pairs
+there, summed, scaled, inverted and applied elementwise, and a small
+eigenvalue at the cone boundary is kept. Only segments of dimension 3 or
+more hold dense blocks: their W^{-1}P_t is symmetrized, which is inexact
+away from the central path, and a block of N that is singular to round-off
+at the cone boundary is raised (``CONE_RAISE``). A ``ReducedSystem`` keeps
+the evaluation and penalty it was assembled at and the factors of C, and
+offers the full system applied blockwise (``apply``), the reduced solve
+(``inverse``) and its solve of J dw = -R (``solve``): the GMRES loop of
+``solve_refined`` against the first with the second as its preconditioner,
+the one judge of a solve's result. No solve forms an (n+m+p)-square matrix
+or the dense Jacobian (``full_jacobian``, the only p x p cone matrix), which
 serves as a reference in tests. A direction takes at most ``MAX_REFINE``
 refinement steps and must meet ||J dw + R||_inf <= ``CONSISTENCY_TOL`` (1 +
 ||R||_inf). ``differentiate`` factors the same system at the solution and
@@ -466,15 +467,13 @@ class ReducedSystem:
         out[lay.t] = self.Ps.matvec(ds) + self.Ptb.matvec(dt)
         return out
 
-    def solve(self, R: np.ndarray, max_refine: int,
-              norm_R: Optional[float] = None) -> Tuple[np.ndarray, float, np.ndarray, int]:
+    def solve(self, R: np.ndarray, max_refine: int) -> Tuple[np.ndarray, float, np.ndarray, int]:
         """Solve J dw = -R by ``solve_refined`` against ``apply``, with
         ``inverse`` as its preconditioner, in at most ``max_refine``
-        refinement steps; R may hold right-hand sides as columns, and
-        ``norm_R`` is ||R||_inf when already taken. Returns the best dw,
-        ||J dw + R||_inf, J dw + R and the steps taken; NumericalFailure when
-        the solve fails."""
-        return solve_refined(self.apply, self.inverse, -R, max_refine, REFINE_TOL, norm_R)
+        refinement steps; R may hold right-hand sides as columns. Returns
+        the best dw, ||J dw + R||_inf, J dw + R and the steps taken;
+        NumericalFailure when the first solve is not finite."""
+        return solve_refined(self.apply, self.inverse, -R, max_refine)
 
 
 def assemble_symmetric(
@@ -487,9 +486,10 @@ def assemble_symmetric(
     """Assemble the reduced saddle system at the iterate evaluated in
     ``cache`` and factor its Schur complement C (``linsolve.factorize``);
     the system keeps ``cache`` and the penalty rho of ``outer``.
-    NumericalFailure when N is not positive definite, so that K has no C,
-    or when C has an exactly zero pivot. N is 1/(rho + eps_p) + eps_d on
-    the equality duals, from the exact elimination of the relaxation block.
+    NumericalFailure when W is singular (``ConeBlocks.solve``), when N is
+    not positive definite, so that K has no C, or when C has an exactly zero
+    pivot. N is 1/(rho + eps_p) + eps_d on the equality duals, from the
+    exact elimination of the relaxation block.
     (The dual shift of ``reg`` also shifts the complementarity rows, P_t -
     eps_d I, which at the cone boundary makes N indefinite.)"""
     lay = layout_of(model.n, model.m, model.p)
@@ -535,7 +535,6 @@ class DirectionInfo:
     system: Optional[ReducedSystem] = field(default=None, repr=False, compare=False)
 
 
-REFINE_TOL = 1e-12  # relative residual at which refinement stops
 MAX_REFINE = 10  # refinement steps of a direction or of the sensitivity columns
 CONSISTENCY_TOL = 1e-8  # bound on ||J dw + R||_inf of a direction, times 1 + ||R||_inf
 
@@ -568,7 +567,7 @@ def search_direction(
         lambda ep, ed: assemble_symmetric(model, point, outer, cache, RegularizationState(ep, ed)), reg
     )
     consistency = CONSISTENCY_TOL * (1.0 + norm_R)
-    best, best_err, _, passes = rsys.solve(R, MAX_REFINE, norm_R=norm_R)
+    best, best_err, _, passes = rsys.solve(R, MAX_REFINE)
     if best_err > consistency:
         raise NumericalFailure(
             f"direction consistency {best_err:.3e} exceeds bound {consistency:.3e}"

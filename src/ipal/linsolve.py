@@ -68,7 +68,8 @@ class Factorization:
         return self.pivots is None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """C^{-1} rhs; rhs may be a vector or matrix."""
+        """C^{-1} rhs, unchecked (``solve_refined`` judges it); rhs may be a
+        vector or matrix."""
         b = np.asarray(rhs, dtype=float)
         if not b.size:  # the LAPACK wrappers reject empty arrays
             return np.empty(b.shape)
@@ -76,8 +77,6 @@ class Factorization:
             out, _ = dpbtrs(self.factors, b, lower=1)
         else:
             out, _ = dgbtrs(self.factors, self.kd, self.kd, b, self.pivots)
-        if not np.all(np.isfinite(out)):
-            raise NumericalFailure("non-finite solve result")
         return out
 
 
@@ -110,36 +109,34 @@ def factorize(C: np.ndarray) -> Factorization:
     return band_lu(C)
 
 
+REFINE_TOL = 1e-12  # relative residual at which refinement stops
+
+
 def solve_refined(
     apply: Callable[[np.ndarray], np.ndarray],
     solve: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     max_refine: int,
-    tol: float,
-    rhs_norm: Optional[float] = None,
 ) -> Tuple[np.ndarray, float, np.ndarray, int]:
     """Solve the linear system apply(x) = rhs by GMRES (Saad & Schultz,
     1986) right-preconditioned by the approximate inverse ``solve``. x =
     solve(rhs) is returned as it is when its residual max-norm is at most
-    tol * (1 + ||rhs||_inf); otherwise each step adds solve(apply(x) - rhs)
-    to the search space and takes the iterate of least residual 2-norm over
-    it, in the GCR form (Eisenstat, Elman & Schultz, 1983): the images of
-    the search directions are kept orthonormal. It stops at the tolerance,
-    after ``max_refine`` steps, or at the first step that does not reduce
-    the residual max-norm; after a step, one more ``apply`` gives the
-    returned residual. The columns of a matrix rhs run their own Krylov
-    spaces in lockstep, one ``solve`` and one ``apply`` of all per step.
+    REFINE_TOL * (1 + ||rhs||_inf); otherwise each step adds solve(apply(x)
+    - rhs) to the search space and takes the iterate of least residual
+    2-norm over it, in the GCR form (Eisenstat, Elman & Schultz, 1983): the
+    images of the search directions are kept orthonormal. It stops at the
+    tolerance, after ``max_refine`` steps, or at the first step that does
+    not reduce the residual max-norm, which includes a step whose residual
+    is not finite; after a step, one more ``apply`` gives the returned
+    residual. The columns of a matrix rhs run their own Krylov spaces in
+    lockstep, one ``solve`` and one ``apply`` of all per step.
 
-    ``rhs_norm`` is ||rhs||_inf when the caller has already taken it.
-
-    Returns x, its residual max-norm, its residual apply(x) - rhs and the
-    steps taken; raises NumericalFailure if the first residual is not
-    finite.
+    This is the one check of a solve's result: returns x, its residual
+    max-norm, its residual apply(x) - rhs and the steps taken; raises
+    NumericalFailure if the first residual is not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs_norm is None:
-        rhs_norm = np.abs(rhs).max() if rhs.size else 0.0
-    target = tol * (1.0 + rhs_norm)
+    target = REFINE_TOL * (1.0 + (np.abs(rhs).max() if rhs.size else 0.0))
     x = solve(rhs)
     res = apply(x) - rhs
     err = np.abs(res).max() if res.size else 0.0

@@ -36,7 +36,6 @@ import numpy as np
 from . import kkt
 from .kkt import (  # noqa: F401 (full_jacobian stays bound here for tools that wrap it)
     MAX_REFINE,
-    REFINE_TOL,
     Layout,
     OuterState,
     ReducedSystem,
@@ -142,7 +141,7 @@ def differentiate(
 
     # through the module, so that a wrapper on kkt.solve_refined sees the
     # refinement of differentiate as it sees that of the solver
-    dw, _, err, _ = kkt.solve_refined(tracked_apply, tracked_inverse, -Rt, MAX_REFINE, REFINE_TOL)
+    dw, _, err, _ = kkt.solve_refined(tracked_apply, tracked_inverse, -Rt, MAX_REFINE)
     flagged = singular
     if dw.size:
         # accept on the row-equilibrated residual J dw + Rt: the penalty

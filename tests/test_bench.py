@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +206,27 @@ def test_cli_trace_counts_the_raised_cone_stacks(tmp_path, capsys, monkeypatch):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [rec["raised"] for rec in records] == [1] * len(records)
     assert f"; {len(records)} cone stacks raised" in capsys.readouterr().err
+
+
+def test_cli_run_csv(capsys):
+    assert main(["run", "nonneg-qp", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.startswith("name,status,") and row.startswith("nonneg-qp,solved,")
+
+
+def test_cli_autotune(capsys):
+    assert main(["autotune", "--steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "  step  0: cost=" in out and out.endswith("improved: yes\n")
+
+
+def test_module_entry_point_lists_the_benchmarks():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-m", "ipal.bench", "list"], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert [line.split()[0] for line in out.stdout.splitlines()] == list(names())
 
 
 def test_cli_validate(capsys):

@@ -13,10 +13,13 @@ from helpers import (
     eigen_apply,
     eigen_block,
     eigen_pair,
+    evaluate_at,
     in_cone_loop,
     interior_initialization_loop,
     max_step_loop,
     product_jacobians_loop,
+    random_iterate,
+    random_nlp,
     segment_slices,
     soc_crossing,
 )
@@ -37,6 +40,8 @@ from ipal.cone import (
     max_step_to_boundary,
     product_jacobian_blocks,
 )
+from ipal.kkt import assemble_symmetric
+from ipal.linsolve import NumericalFailure
 from ipal.solver import cone_infeasibility
 import ipal.cone
 
@@ -453,7 +458,9 @@ def test_cone_blocks_match_their_dense_matrices(spec, seed):
 def test_a_zero_eigenvalue_makes_the_blocks_singular(spec, seed):
     # a SecondOrder(2) segment of t on the boundary, t0 = |t1|, makes an
     # eigenvalue of its arrow matrix exactly zero, as a zero orthant entry
-    # makes a zero diagonal entry: solves with the blocks raise LinAlgError
+    # makes a zero diagonal entry: solving ConeBlocks with the blocks
+    # raises LinAlgError, so an assembly whose W = Ps holds them raises
+    # NumericalFailure; that check is why vectors are solved unchecked
     rng = np.random.default_rng(seed)
     s, t = _interior(rng, spec), _interior(rng, spec)
     singular = [(seg, sl) for seg, sl in segment_slices(spec)
@@ -463,9 +470,13 @@ def test_a_zero_eigenvalue_makes_the_blocks_singular(spec, seed):
     seg, sl = singular[rng.integers(len(singular))]
     t[sl.start] = abs(t[sl.start + 1]) if isinstance(seg, SecondOrder) and seg.dim == 2 else 0.0
     Ps, Pt = product_jacobian_blocks(s, t, spec)
-    for operand in (rng.standard_normal(spec.dim), rng.standard_normal((spec.dim, 2)), Pt):
-        with pytest.raises(np.linalg.LinAlgError):
-            Ps.solve(operand)
+    with pytest.raises(np.linalg.LinAlgError):
+        Ps.solve(Pt)
+    model = random_nlp(rng, 2, 0, spec)
+    point, outer = random_iterate(rng, model)
+    point.s, point.t = s, t
+    with pytest.raises(NumericalFailure):
+        assemble_symmetric(model, point, outer, evaluate_at(model, point, np.zeros(0)))
 
 
 @BATCHED

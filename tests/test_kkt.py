@@ -29,13 +29,13 @@ from helpers import (
     zero_shift_direction,
 )
 import ipal.kkt
+import ipal.linsolve
 import ipal.solver
 from ipal.bench.problems import REGISTRY
 from ipal.cone import ConeSpec, Orthant, SecondOrder
 from ipal.kkt import (
     CONSISTENCY_TOL,
     MAX_REFINE,
-    REFINE_TOL,
     Layout,
     OuterState,
     SolverPoint,
@@ -671,6 +671,69 @@ def test_a_corrector_whose_solve_fails_takes_the_newton_direction(monkeypatch):
     assert sol.point.x.tobytes() == plain.point.x.tobytes()
 
 
+def test_a_corrector_at_the_consistency_bound_takes_the_newton_direction(monkeypatch):
+    # every Newton direction reports a consistency error exactly at the
+    # corrector's bound, CONSISTENCY_TOL (1 + ||R + c||_inf), so a corrector
+    # solve with any residual exceeds it: the corrector returns None and
+    # every cut step line-searches its Newton direction, as when no
+    # correction is offered
+    model, x0, theta = trajectory_tracking(12)
+    monkeypatch.setattr(ipal.solver, "corrector", lambda *args: None)
+    plain = solve(model, x0, theta)
+    monkeypatch.undo()
+    original = ipal.solver.search_direction
+
+    def at_the_bound(model, point, outer, reg, cache, R, norm_R):
+        delta, reg, info = original(model, point, outer, reg, cache, R, norm_R)
+        c = np.zeros(R.size)
+        c[info.system.layout.t] = cone_product(delta.s, delta.t, model.cone)
+        bound = CONSISTENCY_TOL * (1.0 + np.abs(R + c).max())
+        return delta, reg, dataclasses.replace(info, consistency_error=bound)
+
+    returned = []
+    monkeypatch.setattr(ipal.solver, "search_direction", at_the_bound)
+    _counting(monkeypatch, ipal.solver, "corrector", returned)
+    sol = solve(model, x0, theta, SolverOptions(record_trace=True))
+    assert returned and all(out is None for out in returned)
+    assert sol.solved and sum(rec.cut for rec in sol.trace) == len(returned)
+    assert not any(rec.corrected for rec in sol.trace)
+    assert sol.total_iterations == plain.total_iterations
+    assert sol.point.x.tobytes() == plain.point.x.tobytes()
+
+
+def test_a_non_finite_reduced_solve_fails_the_direction_and_the_corrector(monkeypatch):
+    # Factorization.solve returns what LAPACK gives, unchecked; solve_refined
+    # judges it. A NaN solve of C makes the first residual NaN, so
+    # search_direction raises NumericalFailure and the corrector, whose one
+    # solve goes through the same factors, returns None
+    rng = np.random.default_rng(21)
+    model = random_nlp(rng, 4, 2, ConeSpec((Orthant(2), SecondOrder(2))))
+    point, outer = random_iterate(rng, model)
+    delta, _, info = direction_at(model, point, np.zeros(0), outer)
+    R = residual_at(model, point, np.zeros(0), outer)
+    assert corrector(model, R, delta, info) is not None
+    monkeypatch.setattr(ipal.linsolve.Factorization, "solve", lambda self, rhs: np.full(np.shape(rhs), np.nan))
+    with pytest.raises(NumericalFailure, match="non-finite residual"):
+        direction_at(model, point, np.zeros(0), outer)
+    assert corrector(model, R, delta, info) is None
+
+
+def test_a_nonpositive_diagonal_of_n_raises():
+    # the dual shift also shifts P_t: on an orthant entry with s = t = 0.1,
+    # N = (s - eps_d) / t + eps_d is 1 at eps_d = 0 and -8 at eps_d = 1,
+    # and the Schur complement refuses that N before it inverts it
+    model = _identity_cone_model(ConeSpec((Orthant(2),)))
+    point = SolverPoint(
+        x=np.ones(2), r=np.zeros(0), s=np.full(2, 0.1),
+        y=np.zeros(0), z=-np.ones(2), t=np.full(2, 0.1),
+    )
+    outer = OuterState(np.zeros(0), 1.0, 0.1)
+    cache = evaluate_at(model, point, np.zeros(0))
+    assert np.array_equal(assemble_symmetric(model, point, outer, cache).N.diag, np.ones(2))
+    with pytest.raises(NumericalFailure, match="not positive definite"):
+        assemble_symmetric(model, point, outer, cache, RegularizationState(0.0, 1.0))
+
+
 def _identity_cone_model(spec):
     """min 0.5 |x|^2 s.t. x in the cone ``spec``, n = p = spec.dim."""
     p = spec.dim
@@ -898,6 +961,6 @@ def test_schur_solves_match_the_dense_reduced_matrix(monkeypatch, name):
         assert factors[0].certified and not factors[1].certified
         for fact in factors:
             got = solve_refined(
-                lambda u: K @ u, lambda b: reduced_matrix_solve(rsys, fact, b), f, MAX_REFINE, REFINE_TOL
+                lambda u: K @ u, lambda b: reduced_matrix_solve(rsys, fact, b), f, MAX_REFINE
             )[0]
             assert np.abs(got - expected).max() / scale <= max(1e-10, 10.0 * spread)

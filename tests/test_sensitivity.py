@@ -269,6 +269,61 @@ def test_flat_direction_falls_back_to_least_squares():
     np.testing.assert_allclose(out.dx[:, 0], [1.0, 0.0], atol=1e-6)
 
 
+def _saddle_model():
+    """c = x1^2 - x2^2 + theta x1: a stationary point at x = 0, theta = 0,
+    whose Hessian diag(2, -2) is nonsingular and indefinite."""
+    return ProblemModel(
+        n=2,
+        m=0,
+        p=0,
+        cone=ConeSpec(()),
+        objective=lambda x, th: x[0] ** 2 - x[1] ** 2 + th[0] * x[0],
+        objective_gradient=lambda x, th: np.array([2.0 * x[0] + th[0], -2.0 * x[1]]),
+        lagrangian_hessian=lambda x, th, y, z: np.diag([2.0, -2.0]),
+        parameter_jacobians=lambda x, th, y, z: (
+            np.array([[1.0], [0.0]]),
+            np.zeros((0, 1)),
+            np.zeros((0, 1)),
+        ),
+        d=1,
+    )
+
+
+def test_a_saddle_point_is_differentiated_through_the_band_lu(monkeypatch):
+    # x = 0 is stationary, so solve returns it after no iteration; at zero
+    # shift C = diag(2, -2) fails its Cholesky factorization, and
+    # differentiate solves through its band LU: dx = -C^{-1} (1, 0) =
+    # (-0.5, 0), exactly, and nothing is flagged
+    model, theta = _saddle_model(), np.zeros(1)
+    sol = solve(model, np.zeros(2), theta)
+    assert sol.solved and sol.total_iterations == 0
+    factors = []
+    original = ipal.linsolve.band_lu
+
+    def band_lu(C):
+        factors.append(original(C))
+        return factors[-1]
+
+    monkeypatch.setattr(ipal.linsolve, "band_lu", band_lu)
+    out = differentiate(model, sol, theta)
+    assert len(factors) == 1 and not factors[0].certified
+    assert np.array_equal(out.dx, np.array([[-0.5], [0.0]]))
+    assert not out.used_least_squares
+
+
+def test_a_non_finite_reduced_solve_makes_differentiate_raise(monkeypatch):
+    # Factorization.solve returns what LAPACK gives, unchecked: a NaN
+    # solve of C makes the first residual of solve_refined NaN, and
+    # differentiate raises rather than flag a NaN derivative
+    model = tracking_model(lambda th: np.array([2.0 * th[0], -1.0]))
+    theta = np.array([0.3])
+    sol = solve(model, np.array([5.0, 5.0]), theta, TIGHT)
+    assert not differentiate(model, sol, theta).used_least_squares
+    monkeypatch.setattr(ipal.linsolve.Factorization, "solve", lambda self, rhs: np.full(np.shape(rhs), np.nan))
+    with pytest.raises(NumericalFailure, match="non-finite residual"):
+        differentiate(model, sol, theta)
+
+
 def test_repeated_equality_row_matches_least_squares():
     # one equality row repeated makes the tracked Jacobian singular but
     # consistent: preconditioned by the Newton system, whose 1 / rho on the

@@ -16,7 +16,9 @@ import ipal.solver
 import ipal.trajopt
 from helpers import dense_inertia, dense_reduced_matrix, trajectory_tracking, transcribed
 from ipal.bench.problems import REGISTRY
-from ipal.cone import ConeSpec, Orthant, SecondOrder, barrier_value, cone_product, max_step_to_boundary
+from ipal.cone import (
+    ConeSpec, NotInterior, Orthant, SecondOrder, barrier_value, cone_product, max_step_to_boundary,
+)
 from ipal.kkt import CONSISTENCY_TOL, DirectionInfo, OuterState, SolverPoint, residual, unrelaxed_rows
 from ipal.linsolve import RegularizationState
 from ipal.model import EvaluationFailure, ProblemModel, StageMatrix, evaluate, evaluate_values
@@ -316,6 +318,28 @@ def _newton_step_at(model, point, outer):
     current = (merit(point, outer, values, barrier_value(point.s, model.cone)), violation(model, point, values))
     return ipal.solver.newton_step(model, point, theta, outer, Filter(), current, RegularizationState(),
                                    cache, R, np.abs(R).max())
+
+
+def test_a_trial_whose_s_leaves_the_cone_is_halved():
+    # the full step takes s[0] from 1 to -0.5, out of the orthant: the
+    # trial's barrier raises NotInterior, and the trial is halved, not
+    # accepted; at alpha = 0.5, s[0] = 0.25 and the step is taken
+    model = bound_qp()
+    point = SolverPoint(
+        x=np.ones(2), r=np.zeros(0), s=np.ones(2),
+        y=np.zeros(0), z=-np.ones(2), t=np.ones(2),
+    )
+    delta = SolverPoint(
+        x=np.zeros(2), r=np.zeros(0), s=np.array([-1.5, 0.0]),
+        y=np.zeros(0), z=np.zeros(2), t=np.zeros(2),
+    )
+    with pytest.raises(NotInterior):
+        barrier_value(point.s + delta.s, model.cone)
+    new, alpha, _, _, _, backtracks, _ = ipal.solver.filter_step(
+        model, point, delta, np.zeros(0), OuterState(np.zeros(0), 1.0, 0.1), Filter(), 1.0, 1.0, (1e10, 1e10)
+    )
+    assert (alpha, backtracks) == (0.5, 1)
+    assert np.array_equal(new.s, np.array([0.25, 1.0]))
 
 
 class TestNewtonStep:
@@ -908,6 +932,13 @@ def test_settable_values_are_the_callers_options():
     assert "margin" not in inspect.signature(ipal.cone.interior_initialization).parameters
     assert not hasattr(ipal.linsolve, "InertiaOptions")
     assert list(inspect.signature(ipal.linsolve.factorize).parameters) == ["C"]
+    # a solve's result is judged by solve_refined alone, at its own
+    # REFINE_TOL, on the norm of the rhs it takes itself
+    assert list(inspect.signature(ipal.linsolve.solve_refined).parameters) == [
+        "apply", "solve", "rhs", "max_refine",
+    ]
+    assert list(inspect.signature(ipal.kkt.ReducedSystem.solve).parameters) == ["self", "R", "max_refine"]
+    assert not hasattr(ipal.kkt, "REFINE_TOL")
     assert "gauss_newton" not in {f.name for f in dataclasses.fields(ProblemModel)}
     # the block LDL' sweep is gone: the band LU is the only factorization
     for owner, name in ((ipal.linsolve, "ZERO_TOL"), (ipal.linsolve, "_factorize_blocked"),

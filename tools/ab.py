@@ -21,6 +21,9 @@ iterations and ``used_least_squares`` match, and per field the largest
 difference relative to the field's largest magnitude on either side. The
 exit status is 1 when any task differs.
 
+Size: the nonblank lines of the ``.py`` files under each tree's
+``src/ipal``, and this tree's count minus the other's, signed.
+
 Timing: each round runs ``--passes`` passes over the first seed's pool per
 side, the sides in alternating order from round to round, and keeps each
 side's fastest pass. Per workload the report gives the median over rounds of
@@ -210,6 +213,17 @@ def compare(sides: List[Side], workloads: List[str], seeds: List[int]) -> bool:
     return equal
 
 
+def nonblank_lines(src: str) -> int:
+    """The nonblank lines of the ``.py`` files under ``src/ipal``."""
+    total = 0
+    for folder, _, files in os.walk(os.path.join(src, "ipal")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    total += sum(1 for line in fh if line.strip())
+    return total
+
+
 def _pass(side: Side, tasks) -> float:
     """Seconds for one pass over the pool: each task solved, and
     differentiated where the workload does."""
@@ -264,8 +278,11 @@ def main(argv=None) -> int:
             other_src, label = os.path.join(other, "src"), os.path.basename(other)
         else:
             other_src, label = unpack(args.other, tmp), args.other
-        sides = [load(label, other_src), load("this", os.path.join(ROOT, "src"))]
+        this_src = os.path.join(ROOT, "src")
+        sides = [load(label, other_src), load("this", this_src)]
         equal = compare(sides, args.workloads, args.seeds)
+        lines = [nonblank_lines(other_src), nonblank_lines(this_src)]
+        print(f"src/ipal nonblank lines {lines[0]} / {lines[1]} ({label} / this): {lines[1] - lines[0]:+d}")
         for workload in args.workloads if args.rounds else ():
             print(summarize(workload, time_workload(sides, workload, args.seeds[0], args.rounds, args.passes)))
     return 0 if equal else 1
